@@ -15,10 +15,13 @@
 //! `planned_point_select` vs `forced_scan_point_select` is the access-path
 //! choice in isolation, and the `app_side_join` / `sql_join` pair measures
 //! the application-side join loop the CAS used to run against the single
-//! JOIN statement that replaced it.
+//! JOIN statement that replaced it. The `_churned` twins of that pair
+//! delete and re-insert one `runs` row between lookups, as the live CAS
+//! does on every accept and completion: a join that hashes `runs` can hide
+//! behind its cached build side on a frozen table, but not there.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, Value};
+use relstore::{Database, Prepared, QueryResult, Value};
 use std::hint::black_box;
 
 const BIG_ROWS: i64 = 10_000;
@@ -152,63 +155,134 @@ fn bench_access_path(c: &mut Criterion) {
     });
 }
 
-/// The CAS shape this PR rewrote: fetching a job and its run used to be two
+/// Size of `jobs` and `runs` in the lookup benches: the 1,000-VM pool.
+const JOBS: i64 = 1_000;
+
+/// `jobs` and `runs` mirroring the real CAS schema closely enough for the
+/// delta to transfer, plus the statements the lookup benches run on them.
+struct LookupDb {
+    db: Database,
+    job_q: Prepared,
+    run_q: Prepared,
+    joined: Prepared,
+    run_delete: Prepared,
+    run_insert: Prepared,
+}
+
+impl LookupDb {
+    fn new() -> Self {
+        let db = Database::new();
+        db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT, runtime_ms INT)")
+            .unwrap();
+        db.execute("CREATE TABLE runs (run_id INT PRIMARY KEY, job_id INT, machine_id INT)")
+            .unwrap();
+        db.execute("CREATE INDEX ON runs (job_id)").unwrap();
+        let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, 60000)").unwrap();
+        db.session()
+            .execute_batch(&ins, (0..JOBS).map(|i| (i, format!("user{}", i % 16))))
+            .unwrap();
+        let ins = db.prepare("INSERT INTO runs VALUES (?, ?, ?)").unwrap();
+        db.session()
+            .execute_batch(&ins, (0..JOBS).map(|i| (i, i, i % 32)))
+            .unwrap();
+        db.execute("ANALYZE").unwrap();
+        LookupDb {
+            job_q: db.prepare("SELECT owner, runtime_ms FROM jobs WHERE job_id = ?").unwrap(),
+            run_q: db.prepare("SELECT machine_id FROM runs WHERE job_id = ?").unwrap(),
+            joined: db
+                .prepare(
+                    "SELECT jobs.owner, jobs.runtime_ms, runs.machine_id \
+                     FROM jobs JOIN runs ON jobs.job_id = runs.job_id WHERE jobs.job_id = ?",
+                )
+                .unwrap(),
+            run_delete: db.prepare("DELETE FROM runs WHERE job_id = ?").unwrap(),
+            run_insert: db.prepare("INSERT INTO runs VALUES (?, ?, ?)").unwrap(),
+            db,
+        }
+    }
+
+    /// Two round trips into the engine per job, results glued in app code.
+    fn app_side(&self, k: i64) -> (QueryResult, QueryResult) {
+        let job = self.db.query_prepared(&self.job_q, &[Value::Int(k)]).unwrap();
+        let run = self.db.query_prepared(&self.run_q, &[Value::Int(k)]).unwrap();
+        assert_eq!(job.len() + run.len(), 2);
+        (job, run)
+    }
+
+    /// The rewrite: one statement, one pass through the engine.
+    fn sql_join(&self, k: i64) -> QueryResult {
+        let r = self.db.query_prepared(black_box(&self.joined), &[Value::Int(k)]).unwrap();
+        assert_eq!(r.len(), 1);
+        r
+    }
+
+    /// Deletes and re-inserts the run tuple of job `k`'s neighbour, as an
+    /// accept or a completion elsewhere in the pool would.
+    fn churn(&self, k: i64) {
+        let victim = (k + 1) % JOBS;
+        self.db.execute_prepared(&self.run_delete, &[Value::Int(victim)]).unwrap();
+        self.db
+            .execute_prepared(
+                &self.run_insert,
+                &[Value::Int(victim), Value::Int(victim), Value::Int(victim % 32)],
+            )
+            .unwrap();
+    }
+}
+
+/// The CAS shape PR 10 rewrote: fetching a job and its run used to be two
 /// point queries glued together in application code; now it is one JOIN.
-/// `jobs` and `runs` here mirror the real schema closely enough for the
-/// delta to transfer.
 fn bench_app_side_vs_join(c: &mut Criterion) {
-    const JOBS: i64 = 512;
-    let db = Database::new();
-    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT, runtime_ms INT)")
-        .unwrap();
-    db.execute("CREATE TABLE runs (run_id INT PRIMARY KEY, job_id INT, machine_id INT)")
-        .unwrap();
-    db.execute("CREATE INDEX ON runs (job_id)").unwrap();
-    let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, 60000)").unwrap();
-    db.session()
-        .execute_batch(&ins, (0..JOBS).map(|i| (i, format!("user{}", i % 16))))
-        .unwrap();
-    let ins = db.prepare("INSERT INTO runs VALUES (?, ?, ?)").unwrap();
-    db.session()
-        .execute_batch(&ins, (0..JOBS).map(|i| (i, i, i % 32)))
-        .unwrap();
-    db.execute("ANALYZE").unwrap();
+    let frozen = LookupDb::new();
 
-    let job_q = db.prepare("SELECT owner, runtime_ms FROM jobs WHERE job_id = ?").unwrap();
-    let run_q = db.prepare("SELECT machine_id FROM runs WHERE job_id = ?").unwrap();
-    let joined = db
-        .prepare(
-            "SELECT jobs.owner, jobs.runtime_ms, runs.machine_id \
-             FROM jobs JOIN runs ON jobs.job_id = runs.job_id WHERE jobs.job_id = ?",
-        )
-        .unwrap();
-
-    // Two round trips into the engine per job, results glued in app code.
     c.bench_function("app_side_join_lookup", |b| {
         let mut k = 0i64;
         b.iter(|| {
             k = (k + 37) % JOBS;
-            let job = db.query_prepared(&job_q, &[Value::Int(k)]).unwrap();
-            let run = db.query_prepared(&run_q, &[Value::Int(k)]).unwrap();
-            assert_eq!(job.len() + run.len(), 2);
-            black_box((job, run))
+            black_box(frozen.app_side(k))
         })
     });
 
-    // The rewrite: one statement, one pass through the engine.
     c.bench_function("sql_join_lookup", |b| {
         let mut k = 0i64;
         b.iter(|| {
             k = (k + 37) % JOBS;
-            let r = db.query_prepared(black_box(&joined), &[Value::Int(k)]).unwrap();
-            assert_eq!(r.len(), 1);
-            black_box(r)
+            black_box(frozen.sql_join(k))
         })
     });
 
-    // The usage report, the other CAS rewrite: one aggregate query per
-    // owner glued in app code vs a single JOIN + GROUP BY.
+    // The same pair with the `runs` table moving under it: one run tuple
+    // is deleted and re-inserted before every lookup (both variants pay
+    // the same two writes), so the table's version never stands still.
+    // Each variant churns a database of its own, so neither inherits the
+    // other's write history.
+    let churned = LookupDb::new();
+    c.bench_function("app_side_join_lookup_churned", |b| {
+        let mut k = 0i64;
+        b.iter(|| {
+            k = (k + 37) % JOBS;
+            churned.churn(k);
+            black_box(churned.app_side(k))
+        })
+    });
+
+    let churned = LookupDb::new();
+    c.bench_function("sql_join_lookup_churned", |b| {
+        let mut k = 0i64;
+        b.iter(|| {
+            k = (k + 37) % JOBS;
+            churned.churn(k);
+            black_box(churned.sql_join(k))
+        })
+    });
+}
+
+/// The usage report, the other CAS rewrite: one aggregate query per owner
+/// glued in app code vs a single JOIN + GROUP BY.
+fn bench_usage_report(c: &mut Criterion) {
+    let db = Database::new();
     const OWNERS: i64 = 16;
+    const HISTORY: i64 = 512;
     db.execute("CREATE TABLE users (name TEXT PRIMARY KEY, priority DOUBLE)").unwrap();
     let ins = db.prepare("INSERT INTO users VALUES (?, 0.5)").unwrap();
     db.session()
@@ -219,7 +293,7 @@ fn bench_app_side_vs_join(c: &mut Criterion) {
     db.execute("CREATE INDEX ON job_history (owner)").unwrap();
     let ins = db.prepare("INSERT INTO job_history VALUES (?, ?, 60000)").unwrap();
     db.session()
-        .execute_batch(&ins, (0..JOBS).map(|i| (i, format!("user{}", i % OWNERS))))
+        .execute_batch(&ins, (0..HISTORY).map(|i| (i, format!("user{}", i % OWNERS))))
         .unwrap();
     db.execute("ANALYZE").unwrap();
 
@@ -249,7 +323,7 @@ fn bench_app_side_vs_join(c: &mut Criterion) {
                     other => panic!("COUNT(*) must be an int, got {other:?}"),
                 }
             }
-            assert_eq!(total, JOBS);
+            assert_eq!(total, HISTORY);
             black_box(total)
         })
     });
@@ -268,6 +342,7 @@ criterion_group!(
     bench_join_order,
     bench_build_reuse,
     bench_access_path,
-    bench_app_side_vs_join
+    bench_app_side_vs_join,
+    bench_usage_report
 );
 criterion_main!(benches);

@@ -215,7 +215,11 @@ impl CasPrepared {
             )?,
             // One planned join instead of the old application-side pairing
             // (fetch the job, then trust the caller for the machine): the
-            // run tuple is the authority on where the job executed.
+            // run tuple is the authority on where the job executed. The
+            // engine runs it as a point lookup on `jobs` followed by one
+            // probe of the `runs.job_id` index — O(1) in the pool size,
+            // with no build side over `runs`, which every accept and
+            // completion changes.
             job_fetch: db.prepare(
                 "SELECT jobs.owner, jobs.runtime_ms, jobs.submitted, jobs.requeues, \
                         runs.machine_id \
@@ -894,6 +898,43 @@ mod tests {
         assert_eq!(status.completed_jobs, 1);
         assert_eq!(status.idle_jobs, 0);
         assert_eq!(status.total_machines, 1);
+    }
+
+    /// The cost of one completed heartbeat does not depend on how many
+    /// other jobs are running: `job_fetch` probes the `runs.job_id` index
+    /// for the one run tuple instead of reading the whole `runs` table.
+    #[test]
+    fn completed_heartbeat_reads_a_constant_number_of_rows() {
+        for machines in [300i64, 600] {
+            let mut cas = cas();
+            for m in 1..=machines {
+                cas.register_machine(m, &format!("vm{m}"), 1.0, m, 1024).unwrap();
+                cas.submit_job("alice", 60_000).unwrap();
+            }
+            assert_eq!(cas.run_scheduler().unwrap(), machines as usize);
+            let mut job_on_machine_1 = None;
+            for m in 1..=machines {
+                let HeartbeatReply::MatchInfo { job_id } =
+                    cas.heartbeat(m, HeartbeatReport::Idle).unwrap()
+                else {
+                    panic!("machine {m} was matched");
+                };
+                cas.accept_match(m, job_id).unwrap();
+                job_on_machine_1.get_or_insert(job_id);
+            }
+            let db = Arc::clone(cas.database());
+            assert_eq!(db.table_len("runs").unwrap(), machines as usize);
+
+            let before = db.stats();
+            let job_id = job_on_machine_1.unwrap();
+            cas.heartbeat(1, HeartbeatReport::Completed { job_id }).unwrap();
+            let d = db.stats().delta_since(&before);
+            // touch machine, fetch job ⋈ run, insert history, delete run,
+            // delete job, idle machine: the join was not split app-side.
+            assert_eq!(d.statements_executed, 6, "{machines} machines");
+            assert!(d.rows_read <= 10, "{machines} machines: read {} rows", d.rows_read);
+            assert_eq!(d.rows_scanned, 0, "{machines} machines");
+        }
     }
 
     #[test]

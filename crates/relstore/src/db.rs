@@ -1367,7 +1367,8 @@ impl Database {
     /// As [`Database::run_select`], consulting the statement's plan cache
     /// cell for joined selects: the cached plan (and any still-valid
     /// hash-join build sides) is reused across executions of the same
-    /// prepared handle / SQL text, and refreshed builds are written back.
+    /// prepared handle / SQL text, and refreshed builds are written back
+    /// (a plan without a reusable build side takes the cell's lock once).
     ///
     /// Single-table selects never touch the cell — their access-path choice
     /// is allocation-free, so caching would only add a lock to the
@@ -1421,20 +1422,25 @@ impl Database {
             let plan = Arc::clone(slot.plan.as_ref().expect("slot was just filled"));
             // Clone the build slots (refcount bumps) so the cell is not
             // locked during execution; refreshed builds are merged back
-            // below unless the slot was invalidated meanwhile.
-            (plan, slot.builds.clone())
+            // below unless the slot was invalidated meanwhile. A plan with
+            // no reusable build side skips both: its cache hit is this one
+            // lock and the `Arc` clone above.
+            let builds = plan.caches_builds().then(|| slot.builds.clone());
+            (plan, builds)
         };
         let opts = ExecOptions {
             plan: Some(&shared),
-            builds: Some(&mut builds),
+            builds: builds.as_mut(),
             no_reorder,
             force_scan,
             ..Default::default()
         };
         let result = execute_select_opts(catalog, sel, params, snapshot, local, governor, opts)?;
-        let mut slot = cell.lock();
-        if slot.gen == gen && slot.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &shared)) {
-            slot.builds = builds;
+        if let Some(builds) = builds {
+            let mut slot = cell.lock();
+            if slot.gen == gen && slot.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &shared)) {
+                slot.builds = builds;
+            }
         }
         Ok(result)
     }

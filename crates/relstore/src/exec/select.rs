@@ -3,8 +3,12 @@
 //! helper used by UPDATE/DELETE.
 //!
 //! Execution is driven by the planner in [`crate::plan`]: joins run in the
-//! planned order (hash join for single-equality `ON` predicates, nested
-//! loop otherwise) with single-table WHERE conjuncts pushed down to each
+//! planned order, each by the strategy the planner costed — for a
+//! single-equality `ON`, a hash join (build a map of the right table) or an
+//! index-nested-loop join (probe the right table's index once per left row,
+//! re-checking the equality on the version the snapshot sees, since index
+//! entries cover every retained version); a nested loop over the full `ON`
+//! otherwise — with single-table WHERE conjuncts pushed down to each
 //! input, and the full filter re-applied afterwards as a correctness
 //! backstop. Subqueries in WHERE are executed first and spliced back in as
 //! literals / `IN` lists, so the rest of the pipeline never sees them.
@@ -659,11 +663,12 @@ fn execute_single_table(
 }
 
 /// The join path, driven by the plan: joins run in planned order — hash
-/// join on the single join equality, nested loop evaluating the full `ON`
-/// otherwise — with single-table WHERE conjuncts pushed down to each input
-/// and the full filter re-applied afterwards. Joined rows are owned
-/// concatenations; build sides are owned maps so a prepared statement can
-/// reuse them across executions. Every build, probe, and emitted row is a
+/// join or index-nested-loop join on the single join equality, nested loop
+/// evaluating the full `ON` otherwise — with single-table WHERE conjuncts
+/// pushed down to each input and the full filter re-applied afterwards.
+/// Joined rows are owned concatenations; hash build sides are owned maps so
+/// a prepared statement can reuse them across executions, while an index
+/// loop has no build side at all. Every build, probe, and emitted row is a
 /// governance cancellation/budget point, so a pathological cross-product
 /// hits its deadline or budget *while* materializing, not after.
 #[allow(clippy::too_many_arguments)]
@@ -790,6 +795,48 @@ fn execute_joined(
                             stats.rows_read += 1;
                             joined.push(out);
                         }
+                    }
+                }
+                rows = joined;
+            }
+            JoinStrategy::IndexLoop { probe, lookup, index } => {
+                let probe_col = resolve_column(&schema, probe)?;
+                let probe_idx = schema.column_index(&probe_col)?;
+                let lookup_col = resolve_column(&right_schema, lookup)?;
+                let lookup_idx = right_schema.column_index(&lookup_col)?;
+                let lookup_name = &*right.schema.columns[lookup_idx].name;
+
+                let mut joined = Vec::new();
+                for left_row in &rows {
+                    gov.tick()?;
+                    let key = left_row.get(probe_idx);
+                    if key.is_null() {
+                        continue;
+                    }
+                    // DDL invalidates cached plans, so a planned index
+                    // that is gone means a malformed hand-built plan.
+                    let candidates =
+                        right.lookup_indexed(lookup_name, key, vis, stats).ok_or_else(|| {
+                            Error::internal(format!(
+                                "index-loop join: no index {index} on {}.{lookup_name}",
+                                step.table
+                            ))
+                        })?;
+                    for stored in candidates {
+                        gov.tick()?;
+                        // Index entries cover every retained version's key,
+                        // so the version this snapshot sees may hold another.
+                        if stored.row.get(lookup_idx).sql_eq(key) != Some(true) {
+                            continue;
+                        }
+                        if let Some(f) = &right_pred {
+                            if !f.matches_with(&right.schema, stored.row, params)? {
+                                continue;
+                            }
+                        }
+                        let out = left_row.concat(stored.row);
+                        gov.charge_row(|| approx_row_bytes(&out))?;
+                        joined.push(out);
                     }
                 }
                 rows = joined;

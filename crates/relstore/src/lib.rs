@@ -450,13 +450,34 @@
 //! [table]` scans each table once and stores per-column statistics — row
 //! count, distinct-value and NULL counts, min/max — in the catalog; the
 //! planner uses them to pick each table's **access path** (primary-key
-//! point lookup, secondary-index lookup, range scan, or full scan) and to
-//! **reorder inner equi-joins** so the smallest estimated hash-build side
-//! is joined first. Non-equi `ON` predicates fall back to a nested-loop
-//! join. Without statistics the planner still runs on schema-derived
+//! point lookup, secondary-index lookup, range scan, or full scan), to
+//! **reorder inner equi-joins** so the smallest estimated right side is
+//! joined first, and to pick each join's **strategy**, one of three:
+//!
+//! * **hash join** — build a map of the right table on its join column,
+//!   probe it with the accumulated left rows; a prepared statement keeps
+//!   the map while the table and the snapshot stand still;
+//! * **index-nested-loop join** — when an index covers the right-hand join
+//!   column, probe it once per left row: no build side, nothing to cache,
+//!   nothing a write can invalidate;
+//! * **nested-loop join** — for a non-equi or compound `ON`, evaluate the
+//!   predicate over every row pair.
+//!
+//! The two equi-join strategies are costed in rows touched — hash ≈ build
+//! rows + left rows; index loop ≈ left rows × (1 + right rows ÷ distinct
+//! keys of the probed column) — so the index loop wins when the left side
+//! is no larger than the number of distinct keys it probes. A tie goes to
+//! the index loop: a prepared statement is planned once and its plan
+//! outlives the table sizes it was costed on; the index loop's cost does
+//! not depend on the right table's size, whereas a hash plan chosen on a
+//! small table degrades linearly as the table grows. (A DOUBLE join key on
+//! either side keeps the join on the hash: `=` and index order disagree on
+//! NaN.) Without statistics the planner still runs on schema-derived
 //! defaults; stale statistics can only mis-cost a plan, never change its
-//! results. Scalar and `IN (SELECT …)` subqueries in `WHERE` execute once
-//! per statement and splice in as literals, with SQL's three-valued `IN`
+//! results — index entries cover every retained row version, so the index
+//! loop re-checks the join equality on the version its snapshot sees.
+//! Scalar and `IN (SELECT …)` subqueries in `WHERE` execute once per
+//! statement and splice in as literals, with SQL's three-valued `IN`
 //! semantics preserved.
 //!
 //! `EXPLAIN <select>` renders the chosen plan as an ordinary result set —

@@ -10,6 +10,25 @@
 //! touches rows, so it can be cached on a prepared statement and reused
 //! until DDL or an `ANALYZE` bumps the database's plan generation.
 //!
+//! Each join step runs one of three [`JoinStrategy`]s. A non-equi `ON` is a
+//! **nested loop** over the full predicate. A single-equality `ON` is a
+//! **hash join** (build a map of the right table, probe it with the
+//! accumulated left rows) or, when an index covers the right-hand column,
+//! an **index-nested-loop join** (probe that index once per left row; no
+//! build side). The two are costed in rows touched:
+//!
+//! ```text
+//! hash       = est. build rows + est. left rows
+//! index-loop = est. left rows × (1 + right rows ÷ distinct keys of the probed column)
+//! ```
+//!
+//! so the index loop wins when the left side is no larger than the number
+//! of distinct keys it probes. Ties go to the index loop: a cached plan
+//! outlives the table sizes it was costed on (a prepared statement is
+//! planned once, at its first execution), and the index loop's cost does
+//! not depend on the size of the right table, whereas a hash plan chosen on
+//! a small table degrades linearly as the table grows.
+//!
 //! Estimates come from two sources, both optional: `ANALYZE`-collected
 //! [`TableStats`] (exact at collection time, stale afterwards) and live
 //! index metadata ([`Table::index_stats_on`], never stale but
@@ -26,7 +45,7 @@ use crate::sql::ast::{SelectItem, SelectStmt};
 use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::Row;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -132,6 +151,22 @@ fn distinct_estimate(table: &Table, column: &str) -> Option<usize> {
         }
     }
     table.index_stats_on(column).map(|(d, _)| d.max(1))
+}
+
+/// Declared type of `column` (qualified or bare, as written) in `table`.
+fn column_type(table: &Table, column: &str) -> Option<DataType> {
+    let bare = column.rsplit('.').next().unwrap_or(column);
+    table.schema.column(bare).ok().map(|c| c.ty)
+}
+
+/// Whether probing an index with a join key finds exactly the rows SQL `=`
+/// would match, for a pair of declared column types. Index key order and
+/// `=` are the same comparison on every value except a DOUBLE NaN, which
+/// `=` treats as equal to every number while an ordered index cannot find
+/// (or, stored as a key, mis-orders its neighbours) — so a DOUBLE column on
+/// either side keeps the join off the index.
+fn index_probe_is_exact(left: Option<DataType>, right: Option<DataType>) -> bool {
+    matches!((left, right), (Some(l), Some(r)) if l != DataType::Double && r != DataType::Double)
 }
 
 /// How the executor reads one table.
@@ -240,7 +275,7 @@ pub(crate) fn choose_access_ref<'t>(
     best
 }
 
-/// Owned [`choose_access_ref`] for plans that outlive the catalog borrow
+/// Owned `choose_access_ref` for plans that outlive the catalog borrow
 /// (cached plans, EXPLAIN output).
 pub fn choose_access(table: &Table, filter: Option<&Expr>) -> AccessPlan {
     let (path, est_rows) = choose_access_ref(table, filter);
@@ -269,6 +304,18 @@ pub enum JoinStrategy {
         /// Column reference (as written) resolved against the right table.
         build: String,
     },
+    /// Index-nested-loop equi join: for each accumulated row, probe the
+    /// right table's index on `lookup` with the row's `probe` value. No
+    /// build side, so nothing to cache and nothing a write can invalidate.
+    IndexLoop {
+        /// Column reference (as written) resolved against the accumulated
+        /// left schema at execution time.
+        probe: String,
+        /// Column reference (as written) of the indexed right-table column.
+        lookup: String,
+        /// Name of the probed index (EXPLAIN only).
+        index: String,
+    },
     /// Nested loop evaluating the full `ON` predicate over each
     /// concatenated row pair — the fallback that makes non-equi `ON`
     /// predicates work.
@@ -289,7 +336,7 @@ pub struct JoinStep {
     /// the right side (strictly shrinks the build; the full filter is
     /// re-applied after all joins, so this is a pure optimization).
     pub pushdown: Option<Expr>,
-    /// Hash or nested-loop.
+    /// Hash, index-loop or nested-loop.
     pub strategy: JoinStrategy,
     /// Estimated rows after this join.
     pub est_out_rows: f64,
@@ -313,6 +360,17 @@ pub struct SelectPlan {
     /// True when `steps` is not in syntactic order — the executor must then
     /// restore syntactic column order for `SELECT *`.
     pub reordered: bool,
+}
+
+impl SelectPlan {
+    /// True when some step has a hash build side a prepared statement may
+    /// reuse across executions. Plans without one never touch the build
+    /// slots of their [`PlanSlot`].
+    pub fn caches_builds(&self) -> bool {
+        self.steps
+            .iter()
+            .any(|s| s.cacheable && matches!(s.strategy, JoinStrategy::Hash { .. }))
+    }
 }
 
 fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
@@ -456,39 +514,57 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt, reorder: bool) -> Resul
                 return Ok(());
             }
 
-            let strategy = match clause.equi_columns() {
+            // A single-equality ON with exactly one side owned by the new
+            // table is an equi join: (left column, its table, right column).
+            let equi = match clause.equi_columns() {
                 Some((a, b)) if placeable => {
-                    let oa = owner_of(catalog, &local, a);
-                    let ob = owner_of(catalog, &local, b);
-                    match (oa, ob) {
+                    match (owner_of(catalog, &local, a), owner_of(catalog, &local, b)) {
                         (Some(ta), Some(tb)) if ta == right_name && tb != right_name => {
-                            JoinStrategy::Hash {
-                                probe: b.to_string(),
-                                build: a.to_string(),
-                            }
+                            Some((b, tb, a))
                         }
                         (Some(ta), Some(tb)) if tb == right_name && ta != right_name => {
-                            JoinStrategy::Hash {
-                                probe: a.to_string(),
-                                build: b.to_string(),
-                            }
+                            Some((a, ta, b))
                         }
-                        _ => JoinStrategy::NestedLoop,
+                        _ => None,
                     }
                 }
-                _ => JoinStrategy::NestedLoop,
+                _ => None,
             };
 
             let pd = pushdown.get(&right_name).cloned();
             let access = choose_access(right, pd.as_ref());
-            let est_out = match &strategy {
-                JoinStrategy::Hash { build, .. } => {
-                    let bare = build.rsplit('.').next().unwrap_or(build);
-                    let d = distinct_estimate(right, bare)
-                        .unwrap_or_else(|| (access.est_rows as usize).max(1));
-                    (left_est * access.est_rows / d.max(1) as f64).max(0.0)
+            let (strategy, est_out) = match equi {
+                None => (JoinStrategy::NestedLoop, left_est * access.est_rows),
+                Some((probe, probe_table, right_col)) => {
+                    let bare = right_col.rsplit('.').next().unwrap_or(right_col);
+                    let distinct = distinct_estimate(right, bare)
+                        .unwrap_or(access.est_rows as usize)
+                        .max(1) as f64;
+                    let est_out = (left_est * access.est_rows / distinct).max(0.0);
+                    // Both costs in rows touched; see the module docs for
+                    // why a tie goes to the index loop.
+                    let hash_cost = access.est_rows + left_est;
+                    let loop_cost = left_est * (1.0 + right.len() as f64 / distinct);
+                    let index = right.index_name_on(bare).filter(|_| {
+                        loop_cost <= hash_cost
+                            && index_probe_is_exact(
+                                catalog.get(probe_table).and_then(|t| column_type(t, probe)),
+                                column_type(right, bare),
+                            )
+                    });
+                    let strategy = match index {
+                        Some(index) => JoinStrategy::IndexLoop {
+                            probe: probe.to_string(),
+                            lookup: right_col.to_string(),
+                            index: index.to_string(),
+                        },
+                        None => JoinStrategy::Hash {
+                            probe: probe.to_string(),
+                            build: right_col.to_string(),
+                        },
+                    };
+                    (strategy, est_out)
                 }
-                JoinStrategy::NestedLoop => left_est * access.est_rows,
             };
             let cacheable = pd.as_ref().is_none_or(|e| e.param_count() == 0);
             let step = JoinStep {
@@ -624,6 +700,10 @@ pub fn explain_result(
                     step.access.describe(&step.table)
                 ),
             ),
+            JoinStrategy::IndexLoop { probe, lookup, index } => (
+                format!("IndexLoopJoin({})", step.table),
+                format!("probe index {index} on {lookup} with {probe}"),
+            ),
             JoinStrategy::NestedLoop => (
                 format!("NestedLoopJoin({})", step.table),
                 format!(
@@ -737,7 +817,6 @@ mod tests {
     use crate::schema::{Column, Schema};
     use crate::sql::ast::Statement;
     use crate::sql::parser::parse;
-    use crate::value::DataType;
 
     fn table(schema: Schema, rows: Vec<Vec<Value>>) -> Table {
         let mut t = Table::new(schema).unwrap();
@@ -952,6 +1031,43 @@ mod tests {
         );
         let plan = plan_select(&cat, &stmt, true).unwrap();
         assert_eq!(plan.steps[0].strategy, JoinStrategy::NestedLoop);
+    }
+
+    #[test]
+    fn equi_join_is_costed_between_index_loop_and_hash() {
+        let cat = catalog();
+        // One left row against an indexed column: probe the index.
+        let stmt = select_stmt(
+            "SELECT * FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
+             WHERE jobs.job_id = 3",
+        );
+        let plan = plan_select(&cat, &stmt, true).unwrap();
+        assert_eq!(
+            plan.steps[0].strategy,
+            JoinStrategy::IndexLoop {
+                probe: "jobs.job_id".into(),
+                lookup: "matches.job_id".into(),
+                index: "idx_matches_job_id".into(),
+            }
+        );
+        assert!(!plan.caches_builds(), "an index loop has no build side");
+
+        // A hundred left rows against four machines: 100 x (1 + 4/4) probes
+        // lose to building four rows and probing the map 100 times.
+        let stmt = select_stmt(
+            "SELECT * FROM matches JOIN machines ON matches.machine_id = machines.machine_id",
+        );
+        let plan = plan_select(&cat, &stmt, true).unwrap();
+        assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
+        assert!(plan.caches_builds());
+
+        // No index on the right-hand column: nothing to probe.
+        let stmt = select_stmt(
+            "SELECT * FROM machines JOIN jobs ON machines.arch = jobs.owner \
+             WHERE machines.machine_id = 1",
+        );
+        let plan = plan_select(&cat, &stmt, true).unwrap();
+        assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
     }
 
     #[test]

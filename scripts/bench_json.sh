@@ -1,18 +1,23 @@
 #!/usr/bin/env bash
 # Run every bench target and write their medians to a JSON file.
 #
-# Usage: scripts/bench_json.sh [OUT]
+# Usage: scripts/bench_json.sh [OUT]      (or OUT=path scripts/bench_json.sh)
 #
 # Sweeps every [[bench]] target declared in crates/bench/Cargo.toml (so a
 # new bench is picked up without editing this script), pulls the median
-# time out of every "time: [lo med hi]" line, and writes OUT (default
-# BENCH_10.json in the repo root) with one entry per bench, all times
-# normalised to nanoseconds. The file is the durable record of a bench run;
+# time out of every "time: [lo med hi]" line, and writes OUT — by default
+# the next free BENCH_<n>.json in the repo root — with one entry per bench,
+# all times normalised to nanoseconds, stamped with the commit and host the
+# numbers were taken on. The file is the durable record of a bench run;
 # regenerate it on a quiet machine when the numbers need refreshing.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-out="${1:-$repo_root/BENCH_10.json}"
+out="${1:-${OUT:-}}"
+if [ -z "$out" ]; then
+    last="$(ls "$repo_root" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)"
+    out="$repo_root/BENCH_$(( ${last:-0} + 1 )).json"
+fi
 log="$(mktemp)"
 trap 'rm -f "$log"' EXIT
 
@@ -77,6 +82,10 @@ fi
 {
     echo '{'
     echo '  "generated_by": "scripts/bench_json.sh",'
+    # "+dirty": the numbers are of uncommitted changes on top of that commit.
+    printf '  "commit": "%s%s",\n' "$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)" \
+        "$(git -C "$repo_root" diff --quiet HEAD 2>/dev/null || echo +dirty)"
+    printf '  "host": {"nproc": %s, "kernel": "%s"},\n' "$(nproc)" "$(uname -sr)"
     printf '  "benches": [%s],\n' "$(printf '%s\n' $benches | sed 's/.*/"&"/' | paste -sd, -)"
     echo '  "unit": "ns",'
     echo '  "medians": {'

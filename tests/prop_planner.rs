@@ -4,12 +4,26 @@
 //! cost-based planner picks, the result row-set must be identical to a naive
 //! nested-loop join computed directly over the generated data — across NULL
 //! join keys, duplicate keys, dangling foreign keys, empty tables, and stats
-//! that have gone stale since `ANALYZE`. Deterministic tests pin down the
-//! EXPLAIN output shape and the three-valued-logic corners of scalar and
-//! `IN (SELECT …)` subqueries.
+//! that have gone stale since `ANALYZE`. The index-nested-loop join gets the
+//! same treatment where it differs from the hash join: its index entries
+//! are multi-version supersets, so it is checked after the join key has
+//! been re-keyed and deleted under it (from old and new snapshots alike),
+//! forced against the hash join on the same data through hand-built plans,
+//! and kept off key-type pairs its index cannot answer exactly.
+//! Deterministic tests pin down the EXPLAIN output shape and the
+//! three-valued-logic corners of scalar and `IN (SELECT …)` subqueries.
 
 use proptest::prelude::*;
-use relstore::{Database, QueryResult, Value};
+use relstore::exec::{execute_select_opts, Catalog, ExecOptions};
+use relstore::mvcc::COMMITTED_TXN;
+use relstore::plan::{plan_select, JoinStrategy, SelectPlan};
+use relstore::sql::ast::SelectStmt;
+use relstore::sql::{parse, Statement};
+use relstore::table::Table;
+use relstore::{
+    Column, DataType, Database, Governor, OpStats, QueryResult, Row, RowId, Schema, Snapshot,
+    TxnId, Value,
+};
 
 const JOB_ARITY: usize = 4; // job_id, owner, state, runtime
 const RUN_ARITY: usize = 3; // run_id, job_id, machine_id
@@ -344,6 +358,319 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Index-nested-loop join under key churn and against the hash join
+// ---------------------------------------------------------------------------
+
+/// A write to `runs` — the table the lookup join probes — landing between
+/// two executions of the same prepared join.
+#[derive(Debug, Clone)]
+enum RunWrite {
+    /// `UPDATE runs SET job_id = <job_id> WHERE run_id = <run>`.
+    Rekey { run: i64, job_id: Option<i64> },
+    /// `DELETE FROM runs WHERE run_id = <run>`.
+    Delete { run: i64 },
+}
+
+fn run_writes_strategy() -> impl Strategy<Value = Vec<RunWrite>> {
+    prop::collection::vec(
+        (0i64..24, opt_int_strategy(24), 0u8..3).prop_map(|(run, job_id, kind)| match kind {
+            0 => RunWrite::Delete { run },
+            _ => RunWrite::Rekey { run, job_id },
+        }),
+        1..12,
+    )
+}
+
+/// The model's side of a write; one naming a run that is gone (or never
+/// existed) changes nothing, as in SQL.
+fn apply_to_model(runs: &mut Vec<Run>, write: &RunWrite) {
+    match write {
+        RunWrite::Rekey { run, job_id } => {
+            if let Some(r) = runs.iter_mut().find(|r| r.0 == *run) {
+                r.1 = *job_id;
+            }
+        }
+        RunWrite::Delete { run } => runs.retain(|r| r.0 != *run),
+    }
+}
+
+/// Nested-loop oracle for `jobs ⋈ runs ON jobs.job_id = runs.job_id`, with
+/// the jobs columns first or (`runs_first`) the runs columns first.
+fn jobs_runs_oracle(jobs: &[Job], runs: &[Run], runs_first: bool) -> Vec<String> {
+    let mut expected = Vec::new();
+    for j in jobs {
+        for r in runs {
+            if r.1 == Some(j.0) {
+                let (mut row, rest) = if runs_first {
+                    (run_values(r), job_values(j))
+                } else {
+                    (job_values(j), run_values(r))
+                };
+                row.extend(rest);
+                expected.push(row);
+            }
+        }
+    }
+    multiset(expected)
+}
+
+const JOBS_RUNS: &str = "SELECT * FROM jobs JOIN runs ON jobs.job_id = runs.job_id";
+const RUNS_JOBS: &str = "SELECT * FROM runs JOIN jobs ON runs.job_id = jobs.job_id";
+/// `job_fetch`'s shape: a unique point on the left, so the planner always
+/// probes the `runs.job_id` index.
+const JOB_FETCH: &str =
+    "SELECT * FROM jobs JOIN runs ON jobs.job_id = runs.job_id WHERE jobs.job_id = ?";
+
+/// The dataset as a bare catalog (same schemas and indexes as [`load`]),
+/// for driving the executor with hand-built plans. The i-th row inserted
+/// into a table gets `RowId(i + 1)`.
+fn catalog_of(d: &Dataset) -> Catalog {
+    fn table(schema: Schema, rows: impl Iterator<Item = Vec<Value>>) -> Table {
+        let mut t = Table::new(schema).unwrap();
+        for row in rows {
+            t.insert(row, COMMITTED_TXN, &mut OpStats::default()).unwrap();
+        }
+        t
+    }
+    let mut cat = Catalog::new();
+    cat.insert(
+        "jobs".into(),
+        table(
+            Schema::new(
+                "jobs",
+                vec![
+                    Column::not_null("job_id", DataType::Int),
+                    Column::new("owner", DataType::Text),
+                    Column::new("state", DataType::Text),
+                    Column::new("runtime", DataType::Int),
+                ],
+            )
+            .with_primary_key("job_id")
+            .with_index("state"),
+            d.jobs.iter().map(job_values),
+        ),
+    );
+    cat.insert(
+        "runs".into(),
+        table(
+            Schema::new(
+                "runs",
+                vec![
+                    Column::not_null("run_id", DataType::Int),
+                    Column::new("job_id", DataType::Int),
+                    Column::new("machine_id", DataType::Int),
+                ],
+            )
+            .with_primary_key("run_id")
+            .with_index("job_id"),
+            d.runs.iter().map(run_values),
+        ),
+    );
+    cat
+}
+
+fn select_stmt(sql: &str) -> SelectStmt {
+    match parse(sql).unwrap() {
+        Statement::Select(s) => s,
+        other => panic!("not a select: {other:?}"),
+    }
+}
+
+/// The planner's plan for `stmt` with its single join step's strategy
+/// replaced — the only way to pin a strategy, by design.
+fn with_strategy(cat: &Catalog, stmt: &SelectStmt, strategy: JoinStrategy) -> SelectPlan {
+    let mut plan = plan_select(cat, stmt, true).unwrap();
+    assert_eq!(plan.steps.len(), 1);
+    plan.steps[0].strategy = strategy;
+    plan
+}
+
+fn run_plan(cat: &Catalog, stmt: &SelectStmt, plan: &SelectPlan, vis: &Snapshot) -> Vec<Row> {
+    let opts = ExecOptions {
+        plan: Some(plan),
+        ..Default::default()
+    };
+    execute_select_opts(
+        cat,
+        stmt,
+        &[],
+        vis,
+        &mut OpStats::default(),
+        &mut Governor::disarmed(),
+        opts,
+    )
+    .unwrap()
+    .rows
+}
+
+fn rows_multiset(rows: &[Row]) -> Vec<String> {
+    multiset(rows.iter().map(|r| r.values.clone()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A prepared lookup join keeps answering exactly after the probed
+    /// table's join keys are re-keyed and deleted under it: at autocommit
+    /// it sees the new keys and none of the stale index entries the old
+    /// versions leave behind; inside a transaction opened before the
+    /// writes it still sees the old keys, through those same entries.
+    #[test]
+    fn prepared_lookup_join_tracks_key_churn(
+        d in dataset_strategy(),
+        writes in run_writes_strategy(),
+    ) {
+        let db = load(&d);
+        let fetch = db.prepare(JOB_FETCH).unwrap();
+        let full = db.prepare(JOBS_RUNS).unwrap();
+        // Every joined row carries exactly one jobs.job_id, so the point
+        // queries of all jobs together are the whole join.
+        let fetch_all = |run: &dyn Fn(i64) -> QueryResult| {
+            let mut rows = Vec::new();
+            for j in &d.jobs {
+                rows.extend(run(j.0).rows.into_iter().map(|r| r.values));
+            }
+            multiset(rows)
+        };
+        let autocommit = |id: i64| db.query_prepared(&fetch, &[Value::Int(id)]).unwrap();
+
+        let before = jobs_runs_oracle(&d.jobs, &d.runs, false);
+        prop_assert_eq!(fetch_all(&autocommit), before.clone(), "first run");
+        let arity = JOB_ARITY + RUN_ARITY;
+        prop_assert_eq!(result_multiset(&db.query_prepared(&full, &[]).unwrap(), arity), before.clone());
+
+        // Snapshot taken here; the open transaction also pins the old
+        // versions (and their index entries) against vacuum.
+        let old = db.transaction();
+        let rekey = db.prepare("UPDATE runs SET job_id = ? WHERE run_id = ?").unwrap();
+        let delete = db.prepare("DELETE FROM runs WHERE run_id = ?").unwrap();
+        let mut runs_after = d.runs.clone();
+        for w in &writes {
+            match w {
+                RunWrite::Rekey { run, job_id } => {
+                    db.execute_prepared(&rekey, &[opt_int(job_id), Value::Int(*run)]).unwrap();
+                }
+                RunWrite::Delete { run } => {
+                    db.execute_prepared(&delete, &[Value::Int(*run)]).unwrap();
+                }
+            }
+            apply_to_model(&mut runs_after, w);
+        }
+
+        let after = jobs_runs_oracle(&d.jobs, &runs_after, false);
+        prop_assert_eq!(fetch_all(&autocommit), after.clone(), "new snapshot, cached plan");
+        prop_assert_eq!(result_multiset(&db.query_prepared(&full, &[]).unwrap(), arity), after.clone());
+
+        let in_old = |id: i64| old.query(&fetch, (id,)).unwrap();
+        prop_assert_eq!(fetch_all(&in_old), before.clone(), "old snapshot must keep the old keys");
+        prop_assert_eq!(result_multiset(&old.query(&full, ()).unwrap(), arity), before);
+        old.commit().unwrap();
+
+        prop_assert_eq!(fetch_all(&autocommit), after, "after the old snapshot is released");
+    }
+
+    /// Hash join, index-nested-loop join and nested loop, each forced on
+    /// the same data through a hand-built plan, agree — hash and index
+    /// loop row for row, in order — before and after the probed keys
+    /// churn, and with NULL, duplicate and dangling keys on the probing
+    /// side (`runs ⋈ jobs` probes the primary key of `jobs`).
+    #[test]
+    fn forced_join_strategies_agree(
+        d in dataset_strategy(),
+        writes in run_writes_strategy(),
+    ) {
+        let mut cat = catalog_of(&d);
+        let writer = TxnId(10);
+        let mut runs_after = d.runs.clone();
+        {
+            let runs = cat.get_mut("runs").unwrap();
+            let mut stats = OpStats::default();
+            for w in &writes {
+                // run_id i lives in RowId(i + 1); a write to a row that is
+                // gone fails here and is a no-op in the model.
+                match w {
+                    RunWrite::Rekey { run, job_id } => {
+                        let _ = runs.update(RowId(*run as u64 + 1), &[(1, opt_int(job_id))], writer, &mut stats);
+                    }
+                    RunWrite::Delete { run } => {
+                        let _ = runs.delete(RowId(*run as u64 + 1), writer, &mut stats);
+                    }
+                }
+                apply_to_model(&mut runs_after, w);
+            }
+            runs.check_consistency().unwrap();
+        }
+        let snapshot = |high: u64| Snapshot { high, in_flight: Vec::new(), own: None };
+        let views = [(snapshot(writer.0), &d.runs), (snapshot(writer.0 + 1), &runs_after)];
+
+        let shapes = [
+            (JOBS_RUNS, false, "jobs.job_id", "runs.job_id", "idx_runs_job_id"),
+            (RUNS_JOBS, true, "runs.job_id", "jobs.job_id", "pk_jobs"),
+        ];
+        for (sql, runs_first, left, right, index) in shapes {
+            let stmt = select_stmt(sql);
+            let hash = with_strategy(&cat, &stmt, JoinStrategy::Hash {
+                probe: left.into(),
+                build: right.into(),
+            });
+            let index_loop = with_strategy(&cat, &stmt, JoinStrategy::IndexLoop {
+                probe: left.into(),
+                lookup: right.into(),
+                index: index.into(),
+            });
+            let nested = with_strategy(&cat, &stmt, JoinStrategy::NestedLoop);
+            for (vis, runs) in &views {
+                let expected = jobs_runs_oracle(&d.jobs, runs, runs_first);
+                let hashed = run_plan(&cat, &stmt, &hash, vis);
+                let looped = run_plan(&cat, &stmt, &index_loop, vis);
+                prop_assert_eq!(&looped, &hashed, "{} at high {}", sql, vis.high);
+                prop_assert_eq!(rows_multiset(&looped), expected.clone(), "{} at high {}", sql, vis.high);
+                prop_assert_eq!(rows_multiset(&run_plan(&cat, &stmt, &nested, vis)), expected);
+            }
+        }
+    }
+}
+
+/// A hand-built index-loop plan over a column no index covers is refused,
+/// not quietly run as a scan per left row.
+#[test]
+fn index_loop_plan_without_an_index_is_an_error() {
+    let d = Dataset {
+        jobs: vec![(1, None, "idle".into(), None)],
+        runs: vec![(0, Some(1), Some(1))],
+        machines: Vec::new(),
+        analyze: AnalyzeMode::Never,
+    };
+    let cat = catalog_of(&d);
+    let stmt = select_stmt("SELECT * FROM jobs JOIN runs ON jobs.job_id = runs.machine_id");
+    let plan = with_strategy(
+        &cat,
+        &stmt,
+        JoinStrategy::IndexLoop {
+            probe: "jobs.job_id".into(),
+            lookup: "runs.machine_id".into(),
+            index: "idx_runs_machine_id".into(),
+        },
+    );
+    let opts = ExecOptions {
+        plan: Some(&plan),
+        ..Default::default()
+    };
+    let vis = Snapshot { high: 1, in_flight: Vec::new(), own: None };
+    let err = execute_select_opts(
+        &cat,
+        &stmt,
+        &[],
+        &vis,
+        &mut OpStats::default(),
+        &mut Governor::disarmed(),
+        opts,
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("no index idx_runs_machine_id"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
 // EXPLAIN snapshots
 // ---------------------------------------------------------------------------
 
@@ -468,6 +795,126 @@ fn explain_non_equi_join_uses_nested_loop() {
         lines.iter().any(|l| l.starts_with("NestedLoopJoin(mid)")),
         "non-equi ON predicate needs the nested-loop fallback: {lines:?}"
     );
+}
+
+#[test]
+fn explain_job_fetch_shape_probes_the_runs_index() {
+    let db = Database::new();
+    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT)").unwrap();
+    db.execute("CREATE TABLE runs (run_id INT PRIMARY KEY, job_id INT, machine_id INT)").unwrap();
+    db.execute("CREATE INDEX ON runs (job_id)").unwrap();
+    // Planned against empty tables, as the CAS plans it at its first
+    // completion: the tie goes to the index loop, whose cost does not grow
+    // with `runs`.
+    let sql = "SELECT jobs.owner, runs.machine_id \
+               FROM jobs JOIN runs ON jobs.job_id = runs.job_id WHERE jobs.job_id = 7";
+    let expected = vec![
+        "Access(jobs) | point lookup on jobs.job_id (unique), pushdown (jobs.job_id = 7)".to_string(),
+        "IndexLoopJoin(runs) | probe index idx_runs_job_id on runs.job_id with jobs.job_id".to_string(),
+        "Filter | (jobs.job_id = 7)".to_string(),
+        "Output | project 2 columns".to_string(),
+    ];
+    assert_eq!(explain_lines(&db, &format!("EXPLAIN {sql}")), expected);
+
+    // The same plan on full tables, with and without statistics.
+    for i in 0..50i64 {
+        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'astro')")).unwrap();
+        db.execute(&format!("INSERT INTO runs VALUES ({i}, {i}, {})", i % 5)).unwrap();
+    }
+    assert_eq!(explain_lines(&db, &format!("EXPLAIN {sql}")), expected);
+    db.execute("ANALYZE").unwrap();
+    assert_eq!(explain_lines(&db, &format!("EXPLAIN {sql}")), expected);
+
+    // EXPLAIN ANALYZE reports the step's actual rows.
+    let r = db.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    assert_eq!(text(r.rows[1].get(1)), "IndexLoopJoin(runs)");
+    assert_eq!(r.rows[1].get(r.column_index("actual_rows").unwrap()), &Value::Int(1));
+}
+
+#[test]
+fn explain_join_on_unindexed_column_stays_hash() {
+    let db = skewed_db();
+    // mid.fk has no index: nothing to probe, whatever the sizes.
+    let lines = explain_lines(&db, "EXPLAIN SELECT * FROM tiny JOIN mid ON tiny.id = mid.fk");
+    assert!(lines[1].starts_with("HashJoin(mid) | "), "{lines:?}");
+    // A left side larger than the distinct keys it would probe hashes too,
+    // index or not.
+    let lines = explain_lines(&db, "EXPLAIN SELECT * FROM big JOIN tiny ON big.fk = tiny.id");
+    assert!(lines[1].starts_with("HashJoin(tiny) | "), "{lines:?}");
+    // …and the other way round the four tiny rows probe big's index.
+    let lines = explain_lines(&db, "EXPLAIN SELECT * FROM tiny JOIN big ON tiny.id = big.fk");
+    assert!(lines[1].starts_with("IndexLoopJoin(big) | "), "{lines:?}");
+}
+
+/// Join keys of every numeric type against every other, with NULL,
+/// duplicate and dangling keys on both sides. `=` compares Int, Double and
+/// Timestamp by numeric value; an index answers that exactly except where
+/// a DOUBLE is involved (a NaN equals every number under `=` and cannot be
+/// found — or, stored, ordered — by key), so those pairs must stay on the
+/// hash join while the others take the index loop. All agree with the
+/// nested-loop oracle.
+#[test]
+fn mixed_numeric_key_pairs_join_exactly() {
+    let db = Database::new();
+    let types = [("i", "INT"), ("d", "DOUBLE"), ("t", "TIMESTAMP")];
+    let value = |ty: &str, k: Option<i64>| match (ty, k) {
+        (_, None) => Value::Null,
+        ("INT", Some(k)) => Value::Int(k),
+        ("DOUBLE", Some(k)) => Value::Double(k as f64),
+        (_, Some(k)) => Value::Timestamp(k),
+    };
+    // Probing side: small, unindexed. Probed side: indexed, more distinct
+    // keys than the probing side has rows, so the index loop is the
+    // cheaper plan wherever it is allowed.
+    let left_keys = [Some(1), Some(1), None, Some(9)];
+    let right_keys = [Some(0), Some(1), Some(1), Some(2), Some(3), Some(4), Some(5), None];
+    for (name, ty) in types {
+        db.execute(&format!("CREATE TABLE l{name} (id INT PRIMARY KEY, k {ty})")).unwrap();
+        db.execute(&format!("CREATE TABLE r{name} (id INT PRIMARY KEY, k {ty})")).unwrap();
+        db.execute(&format!("CREATE INDEX ON r{name} (k)")).unwrap();
+        let ins = db.prepare(&format!("INSERT INTO l{name} VALUES (?, ?)")).unwrap();
+        for (id, k) in left_keys.iter().enumerate() {
+            db.execute_prepared(&ins, &[Value::Int(id as i64), value(ty, *k)]).unwrap();
+        }
+        let ins = db.prepare(&format!("INSERT INTO r{name} VALUES (?, ?)")).unwrap();
+        for (id, k) in right_keys.iter().enumerate() {
+            db.execute_prepared(&ins, &[Value::Int(id as i64), value(ty, *k)]).unwrap();
+        }
+    }
+    let mut expected: Vec<(i64, i64)> = Vec::new();
+    for (l, lk) in left_keys.iter().enumerate() {
+        for (r, rk) in right_keys.iter().enumerate() {
+            if lk.is_some() && lk == rk {
+                expected.push((l as i64, r as i64));
+            }
+        }
+    }
+    for (lname, lty) in types {
+        for (rname, rty) in types {
+            let sql = format!(
+                "SELECT l{lname}.id, r{rname}.id FROM l{lname} JOIN r{rname} ON l{lname}.k = r{rname}.k"
+            );
+            let wanted = if lty == "DOUBLE" || rty == "DOUBLE" {
+                format!("HashJoin(r{rname})")
+            } else {
+                format!("IndexLoopJoin(r{rname})")
+            };
+            let lines = explain_lines(&db, &format!("EXPLAIN {sql}"));
+            assert!(lines[1].starts_with(&wanted), "{sql}: {lines:?}");
+            let mut got: Vec<(i64, i64)> = db
+                .query(&sql)
+                .unwrap()
+                .rows
+                .iter()
+                .map(|row| match (row.get(0), row.get(1)) {
+                    (Value::Int(l), Value::Int(r)) => (*l, *r),
+                    other => panic!("ids must be ints: {other:?}"),
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "{sql}");
+        }
+    }
 }
 
 #[test]
