@@ -1,13 +1,13 @@
 //! Proof that resource governance is free when disarmed: the prepared
 //! point select — the hottest statement shape in the cluster-middleware
-//! workload — through the ungoverned API, through the governed API with
-//! `Governance::NONE` (the disarmed governor: one branch per check), and
-//! through a fully armed governor with generous limits. The first two must
-//! be indistinguishable from the `relstore_ops` `prepared_point_select`
-//! baseline; the third prices what arming actually costs.
+//! workload — through a session with `Governance::NONE` (the disarmed
+//! governor: one branch per check) and through a fully armed governor with
+//! generous limits. The first must be indistinguishable from the
+//! `relstore_ops` `prepared_point_select` baseline (it is the same call);
+//! the second prices what arming actually costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, Governance, Value};
+use relstore::{Database, Governance};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -31,38 +31,25 @@ fn setup_db(rows: usize) -> Database {
 fn bench_governance(c: &mut Criterion) {
     let db = setup_db(5_000);
     let q = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-    let params = [Value::Int(2500)];
 
-    // The ungoverned entry point — must match relstore_ops'
-    // prepared_point_select (it is the same code path).
-    c.bench_function("prepared_point_select_ungoverned", |b| {
-        b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
-    });
-
-    // The governed entry point with no limits: arms a disarmed governor,
-    // whose every check is one predictable branch. The delta against the
-    // ungoverned path is the entire disarmed-governance tax.
+    // No limits: every statement arms a disarmed governor, whose every check
+    // is one predictable branch — the entire disarmed-governance tax.
+    let mut unlimited = db.session();
     c.bench_function("prepared_point_select_governed_none", |b| {
-        b.iter(|| {
-            db.query_prepared_governed(black_box(&q), black_box(&params), &Governance::NONE)
-                .unwrap()
-        })
+        b.iter(|| unlimited.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
 
     // Fully armed with generous limits nothing trips: deadline arithmetic,
     // budget counters and row sizing all run. This is the worst case a
     // governed service statement pays.
-    let armed = Governance {
+    let mut armed = db.session().with_governance(Governance {
         deadline: Some(Duration::from_secs(30)),
         max_rows: Some(1_000_000),
         max_bytes: Some(1 << 30),
         ..Governance::default()
-    };
+    });
     c.bench_function("prepared_point_select_governed_armed", |b| {
-        b.iter(|| {
-            db.query_prepared_governed(black_box(&q), black_box(&params), black_box(&armed))
-                .unwrap()
-        })
+        b.iter(|| armed.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
 
     // The armed tax on a statement that actually ticks per row: a bounded
@@ -70,10 +57,10 @@ fn bench_governance(c: &mut Criterion) {
     let range = db
         .prepare("SELECT job_id FROM jobs WHERE job_id >= ? AND job_id < ?")
         .unwrap();
-    let range_params = [Value::Int(2400), Value::Int(2450)];
     c.bench_function("range_select_governed_armed", |b| {
         b.iter(|| {
-            db.query_prepared_governed(black_box(&range), black_box(&range_params), black_box(&armed))
+            armed
+                .query(black_box(&range), black_box((2400i64, 2450i64)))
                 .unwrap()
         })
     });

@@ -108,7 +108,7 @@ fn bench_build_reuse(c: &mut Criterion) {
     // side over `mid` is validated and reused, not rebuilt.
     c.bench_function("prepared_join_reused", |b| {
         b.iter(|| {
-            let r = db.query_prepared(black_box(&join), &[]).unwrap();
+            let r = db.session().query(black_box(&join), ()).unwrap();
             assert_eq!(r.scalar_int().unwrap(), BIG_ROWS);
             black_box(r)
         })
@@ -118,8 +118,8 @@ fn bench_build_reuse(c: &mut Criterion) {
     // invalidating the cached build: every execution rebuilds the map.
     c.bench_function("prepared_join_rebuilt", |b| {
         b.iter(|| {
-            db.execute_prepared(&touch, &[Value::Text("touched".into())]).unwrap();
-            let r = db.query_prepared(black_box(&join), &[]).unwrap();
+            db.session().execute(&touch, ("touched",)).unwrap();
+            let r = db.session().query(black_box(&join), ()).unwrap();
             assert_eq!(r.scalar_int().unwrap(), BIG_ROWS);
             black_box(r)
         })
@@ -138,7 +138,7 @@ fn bench_access_path(c: &mut Criterion) {
         let mut k = 0i64;
         b.iter(|| {
             k = (k + 79) % BIG_ROWS;
-            let r = planned.query_prepared(black_box(&point_planned), &[Value::Int(k)]).unwrap();
+            let r = planned.session().query(black_box(&point_planned), (k,)).unwrap();
             assert_eq!(r.len(), 1);
             black_box(r)
         })
@@ -148,7 +148,7 @@ fn bench_access_path(c: &mut Criterion) {
         let mut k = 0i64;
         b.iter(|| {
             k = (k + 79) % BIG_ROWS;
-            let r = scan.query_prepared(black_box(&point_scan), &[Value::Int(k)]).unwrap();
+            let r = scan.session().query(black_box(&point_scan), (k,)).unwrap();
             assert_eq!(r.len(), 1);
             black_box(r)
         })
@@ -203,15 +203,15 @@ impl LookupDb {
 
     /// Two round trips into the engine per job, results glued in app code.
     fn app_side(&self, k: i64) -> (QueryResult, QueryResult) {
-        let job = self.db.query_prepared(&self.job_q, &[Value::Int(k)]).unwrap();
-        let run = self.db.query_prepared(&self.run_q, &[Value::Int(k)]).unwrap();
+        let job = self.db.session().query(&self.job_q, (k,)).unwrap();
+        let run = self.db.session().query(&self.run_q, (k,)).unwrap();
         assert_eq!(job.len() + run.len(), 2);
         (job, run)
     }
 
     /// The rewrite: one statement, one pass through the engine.
     fn sql_join(&self, k: i64) -> QueryResult {
-        let r = self.db.query_prepared(black_box(&self.joined), &[Value::Int(k)]).unwrap();
+        let r = self.db.session().query(black_box(&self.joined), (k,)).unwrap();
         assert_eq!(r.len(), 1);
         r
     }
@@ -220,12 +220,10 @@ impl LookupDb {
     /// accept or a completion elsewhere in the pool would.
     fn churn(&self, k: i64) {
         let victim = (k + 1) % JOBS;
-        self.db.execute_prepared(&self.run_delete, &[Value::Int(victim)]).unwrap();
+        self.db.session().execute(&self.run_delete, (victim,)).unwrap();
         self.db
-            .execute_prepared(
-                &self.run_insert,
-                &[Value::Int(victim), Value::Int(victim), Value::Int(victim % 32)],
-            )
+            .session()
+            .execute(&self.run_insert, (victim, victim, victim % 32))
             .unwrap();
     }
 }
@@ -311,12 +309,13 @@ fn bench_usage_report(c: &mut Criterion) {
 
     c.bench_function("app_side_usage_report", |b| {
         b.iter(|| {
-            let owners = db.query_prepared(&owners_q, &[]).unwrap();
+            let owners = db.session().query(&owners_q, ()).unwrap();
             assert_eq!(owners.len(), OWNERS as usize);
             let mut total = 0i64;
             for row in &owners.rows {
                 let r = db
-                    .query_prepared(&per_owner, std::slice::from_ref(row.get(0)))
+                    .session()
+                    .query(&per_owner, std::slice::from_ref(row.get(0)))
                     .unwrap();
                 match r.rows[0].get(0) {
                     Value::Int(n) => total += n,
@@ -330,7 +329,7 @@ fn bench_usage_report(c: &mut Criterion) {
 
     c.bench_function("sql_usage_report", |b| {
         b.iter(|| {
-            let r = db.query_prepared(black_box(&report), &[]).unwrap();
+            let r = db.session().query(black_box(&report), ()).unwrap();
             assert_eq!(r.len(), OWNERS as usize);
             black_box(r)
         })

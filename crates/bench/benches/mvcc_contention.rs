@@ -11,7 +11,7 @@
 //! single-core host aggregate throughput stays flat as threads are added;
 //! run on a multi-core machine (e.g. the CI runners) to see the scaling.
 
-use relstore::{Database, Value};
+use relstore::Database;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -59,10 +59,11 @@ fn run_contended(db: &Database, threads: usize, iters_per_thread: u64) -> Run {
             let select = select.clone();
             let (barrier, reader_errors) = (&barrier, &reader_errors);
             readers.push(s.spawn(move || {
+                let mut session = db.session();
                 barrier.wait();
                 for i in 0..iters_per_thread {
                     let id = ((t as u64 * 2_654_435_761 + i * 40_503) % ROWS as u64) as i64;
-                    match db.query_prepared(&select, &[Value::Int(id)]) {
+                    match session.query(&select, (id,)) {
                         Ok(r) => {
                             std::hint::black_box(r);
                         }
@@ -78,12 +79,14 @@ fn run_contended(db: &Database, threads: usize, iters_per_thread: u64) -> Run {
                 (&barrier, &stop_writer, &writer_commits);
             let update = update.clone();
             s.spawn(move || {
+                let mut session = db.session();
                 barrier.wait();
                 let mut i = 0u64;
                 while !stop_writer.load(Ordering::Relaxed) {
                     let id = (i % ROWS as u64) as i64;
                     let state = if i.is_multiple_of(2) { "busy" } else { "idle" };
-                    db.execute_prepared(&update, &[Value::from(state), Value::Int(id)])
+                    session
+                        .execute(&update, (state, id))
                         .expect("the only writer cannot conflict");
                     writer_commits.fetch_add(1, Ordering::Relaxed);
                     i += 1;

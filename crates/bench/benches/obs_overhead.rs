@@ -16,7 +16,7 @@
 //! synthesis + scan, priced so dashboards know what they spend).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, Value};
+use relstore::Database;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -39,19 +39,19 @@ fn setup_db(rows: usize) -> Database {
 fn bench_obs_overhead(c: &mut Criterion) {
     let db = setup_db(5_000);
     let q = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-    let params = [Value::Int(2500)];
+    let mut session = db.session();
 
     // Histograms + statement profile armed (they always are): the band this
     // must hold is the engine's pre-observability prepared point select.
     c.bench_function("prepared_point_select", |b| {
-        b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
 
     // Slow-query log armed with a threshold nothing crosses: adds one
     // relaxed load + compare per statement.
     db.set_slow_query_threshold(Some(Duration::from_secs(10)));
     c.bench_function("prepared_point_select_slowlog_armed", |b| {
-        b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
 
     // Threshold zero: every statement formats its SQL and enters the ring
@@ -59,7 +59,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // capture-everything) threshold.
     db.set_slow_query_threshold(Some(Duration::ZERO));
     c.bench_function("prepared_point_select_slowlog_capturing", |b| {
-        b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
     db.set_slow_query_threshold(None);
 

@@ -8,7 +8,7 @@
 //! than disk latency.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, DurabilityPolicy, MemBlockDevice, MemDevice, PagedConfig, Value};
+use relstore::{Database, DurabilityPolicy, MemBlockDevice, MemDevice, PagedConfig};
 use std::hint::black_box;
 
 const ROWS: usize = 5_000;
@@ -49,8 +49,8 @@ fn bench_page_store(c: &mut Criterion) {
     let small_pool = paged_db(8);
     c.bench_function("paged_point_select_cold_pool", |b| {
         let q = small_pool.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-        let params = [Value::Int(2500)];
-        b.iter(|| small_pool.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        let mut session = small_pool.session();
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
     c.bench_function("paged_scan_cold_pool", |b| {
         b.iter(|| {
@@ -63,8 +63,8 @@ fn bench_page_store(c: &mut Criterion) {
     let warm_pool = paged_db(128);
     c.bench_function("paged_point_select_warm_pool", |b| {
         let q = warm_pool.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-        let params = [Value::Int(2500)];
-        b.iter(|| warm_pool.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        let mut session = warm_pool.session();
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
 
     // Insert throughput with an 8-frame pool: every batch of commits forces
@@ -72,18 +72,12 @@ fn bench_page_store(c: &mut Criterion) {
     c.bench_function("paged_insert_under_eviction", |b| {
         let db = paged_db(8);
         let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, ?, ?)").unwrap();
+        let mut session = db.session();
         let mut next = ROWS as i64;
         b.iter(|| {
-            db.execute_prepared(
-                black_box(&ins),
-                &[
-                    Value::Int(next),
-                    Value::Text("userX".into()),
-                    Value::Text("idle".into()),
-                    Value::Int(60_000),
-                ],
-            )
-            .unwrap();
+            session
+                .execute(black_box(&ins), (next, "userX", "idle", 60_000i64))
+                .unwrap();
             next += 1;
         })
     });
@@ -97,18 +91,12 @@ fn bench_page_store(c: &mut Criterion) {
         )
         .unwrap();
         let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, ?, ?)").unwrap();
+        let mut session = db.session();
         let mut next = 0i64;
         b.iter(|| {
-            db.execute_prepared(
-                black_box(&ins),
-                &[
-                    Value::Int(next),
-                    Value::Text("userX".into()),
-                    Value::Text("idle".into()),
-                    Value::Int(60_000),
-                ],
-            )
-            .unwrap();
+            session
+                .execute(black_box(&ins), (next, "userX", "idle", 60_000i64))
+                .unwrap();
             next += 1;
         })
     });

@@ -2,7 +2,7 @@
 //! path of every CAS service call (the "HTTP-to-SQL transformation" cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, Value};
+use relstore::Database;
 use std::hint::black_box;
 
 fn setup_db(rows: usize) -> Database {
@@ -42,8 +42,8 @@ fn bench_relstore(c: &mut Criterion) {
     // Prepared once, parameters bound per call — no parsing at all.
     c.bench_function("prepared_point_select", |b| {
         let q = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-        let params = [Value::Int(2500)];
-        b.iter(|| db.query_prepared(black_box(&q), black_box(&params)).unwrap())
+        let mut session = db.session();
+        b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
     // Bounded range over the primary-key index (50 of 5000 rows touched).
     c.bench_function("range_index_select", |b| {

@@ -68,10 +68,10 @@ pub fn drive_reads<P: IntoParams>(
             let params = &params;
             let stmt = stmt.clone();
             handles.push(s.spawn(move || -> Result<()> {
+                let mut session = db.session();
                 barrier.wait();
                 for i in 0..iters_per_thread {
-                    let values = params(t, i).into_params();
-                    std::hint::black_box(db.query_prepared(&stmt, &values)?);
+                    std::hint::black_box(session.query(&stmt, params(t, i))?);
                 }
                 Ok(())
             }));

@@ -21,6 +21,7 @@ use crate::db::{Database, Prepared};
 use crate::error::{Error, Result};
 use crate::tuple::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // --- parameter binding -------------------------------------------------------
@@ -280,34 +281,34 @@ impl_from_row_for_tuple!(A: 0, B: 1, C: 2, D: 3);
 // --- statement sources -------------------------------------------------------
 
 /// A statement source for the session API: either SQL text (resolved through
-/// the database's statement cache) or an already-[`Prepared`] handle (no
-/// lookup at all — the cached AST is shared).
+/// the database's statement cache) or an already-[`Prepared`] handle (lent
+/// as is — no lookup, no clone).
 pub trait ToStatement {
     /// Resolves to a prepared statement against `db`.
-    fn to_prepared(&self, db: &Database) -> Result<Prepared>;
+    fn to_prepared(&self, db: &Database) -> Result<Cow<'_, Prepared>>;
 }
 
 impl ToStatement for Prepared {
-    fn to_prepared(&self, _db: &Database) -> Result<Prepared> {
-        Ok(self.clone())
+    fn to_prepared(&self, _db: &Database) -> Result<Cow<'_, Prepared>> {
+        Ok(Cow::Borrowed(self))
     }
 }
 
 impl ToStatement for &Prepared {
-    fn to_prepared(&self, _db: &Database) -> Result<Prepared> {
-        Ok((*self).clone())
+    fn to_prepared(&self, _db: &Database) -> Result<Cow<'_, Prepared>> {
+        Ok(Cow::Borrowed(self))
     }
 }
 
 impl ToStatement for &str {
-    fn to_prepared(&self, db: &Database) -> Result<Prepared> {
-        db.prepare(self)
+    fn to_prepared(&self, db: &Database) -> Result<Cow<'_, Prepared>> {
+        db.prepare(self).map(Cow::Owned)
     }
 }
 
 impl ToStatement for String {
-    fn to_prepared(&self, db: &Database) -> Result<Prepared> {
-        db.prepare(self)
+    fn to_prepared(&self, db: &Database) -> Result<Cow<'_, Prepared>> {
+        db.prepare(self).map(Cow::Owned)
     }
 }
 

@@ -39,14 +39,16 @@
 //!
 //! # Resource governance
 //!
-//! Every execution path has a `_governed` variant taking a
-//! [`Governance`]: statement deadlines and cooperative cancellation
-//! (checked every [`crate::govern::DEFAULT_CHECK_INTERVAL`] rows in all
-//! executor loops), row/byte result budgets, and bounded lock waits (a
-//! conflicted writer waits *before* taking the catalog write guard, so
-//! waiting never blocks readers). Abandoned transactions are reclaimed by
-//! [`Database::reap_idle`]. The ungoverned API runs with a disarmed
-//! governor whose per-row cost is a single branch.
+//! Every statement runs under the [`Governance`] of the
+//! [`Session`](crate::Session) it came through: statement deadlines and
+//! cooperative cancellation (checked every
+//! [`crate::govern::DEFAULT_CHECK_INTERVAL`] rows in all executor loops),
+//! row/byte result budgets, and bounded lock waits (a conflicted writer
+//! waits *before* taking the catalog write guard, so waiting never blocks
+//! readers). Abandoned transactions are reclaimed by
+//! [`Database::reap_idle`]. With no limits set ([`Governance::NONE`], the
+//! default) the governor is disarmed and its per-row cost is a single
+//! branch.
 
 use crate::error::{Error, Result, TimeoutKind};
 use crate::exec::{
@@ -153,12 +155,19 @@ impl Prepared {
     }
 }
 
+/// Where and under which limits a statement runs: inside the explicit
+/// transaction `txn` or in autocommit mode, under the statement limits
+/// `gov`. [`Session`](crate::Session) and
+/// [`Transaction`](crate::Transaction) build one per call for
+/// [`Database::run`] and its two batch forms.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExecCtx<'a> {
+    pub(crate) txn: Option<TxnId>,
+    pub(crate) gov: &'a Governance,
+}
+
 /// Default capacity of the per-database LRU statement cache.
 const STMT_CACHE_CAPACITY: usize = 256;
-
-/// What [`Database::cached_parse`] yields: the shared AST, its `?` count,
-/// the statement's execution profile and its plan cache cell.
-type ParsedStmt = (Arc<Statement>, usize, Arc<StmtProfile>, Arc<PlanCell>);
 
 /// An LRU cache of parsed statements keyed by their SQL text.
 ///
@@ -175,15 +184,10 @@ struct StmtCache {
 
 #[derive(Debug)]
 struct CacheEntry {
-    stmt: Arc<Statement>,
-    params: usize,
-    /// The statement's execution profile. Owned by the cache entry so the
-    /// profile table is bounded by the cache's LRU; shared with every
-    /// [`Prepared`] handle for this text.
-    profile: Arc<StmtProfile>,
-    /// The statement's plan cache cell, shared with every [`Prepared`]
-    /// handle for this text.
-    plan: Arc<PlanCell>,
+    /// The handle every [`Database::prepare`] of this text clones. Its
+    /// execution profile lives as long as the entry, so the profile table
+    /// is bounded by the cache's LRU.
+    prepared: Prepared,
     gen: u64,
 }
 
@@ -199,28 +203,16 @@ impl Default for StmtCache {
 
 impl StmtCache {
     /// Looks up `sql`, refreshing its recency on a hit.
-    fn get(&mut self, sql: &str) -> Option<ParsedStmt> {
+    fn get(&mut self, sql: &str) -> Option<Prepared> {
         let entry = self.entries.get_mut(sql)?;
         entry.gen = self.next_gen;
         self.next_gen += 1;
-        Some((
-            Arc::clone(&entry.stmt),
-            entry.params,
-            Arc::clone(&entry.profile),
-            Arc::clone(&entry.plan),
-        ))
+        Some(entry.prepared.clone())
     }
 
     /// Inserts a parsed statement, evicting the least-recently-used entry
     /// when at capacity. A zero capacity disables caching.
-    fn insert(
-        &mut self,
-        sql: String,
-        stmt: Arc<Statement>,
-        params: usize,
-        profile: Arc<StmtProfile>,
-        plan: Arc<PlanCell>,
-    ) {
+    fn insert(&mut self, sql: String, prepared: Prepared) {
         if self.capacity == 0 {
             return;
         }
@@ -230,13 +222,13 @@ impl StmtCache {
         }
         let gen = self.next_gen;
         self.next_gen += 1;
-        self.entries.insert(sql, CacheEntry { stmt, params, profile, plan, gen });
+        self.entries.insert(sql, CacheEntry { prepared, gen });
     }
 
     /// Snapshots every live entry's execution profile — the rows of
     /// `rel_statements`.
     fn profiles(&self) -> Vec<StmtProfileSnapshot> {
-        self.entries.values().map(|e| e.profile.snapshot()).collect()
+        self.entries.values().map(|e| e.prepared.profile()).collect()
     }
 
     fn evict_lru(&mut self) {
@@ -792,7 +784,7 @@ impl Database {
     /// all its reads will resolve against. No WAL record is written yet:
     /// the `Begin` record is appended lazily with the transaction's first
     /// logged change, so read-only transactions never touch the log.
-    pub fn begin(&self) -> TxnId {
+    pub(crate) fn begin(&self) -> TxnId {
         let mut local = OpStats::default();
         let id = self.begin_local(&mut local);
         self.stats.record(&local);
@@ -833,7 +825,7 @@ impl Database {
     /// transaction. The in-memory state keeps the commit and stays readable,
     /// but every further commit fails the same way until the database is
     /// reopened from disk.
-    pub fn commit(&self, txn: TxnId) -> Result<()> {
+    pub(crate) fn commit(&self, txn: TxnId) -> Result<()> {
         let mut local = OpStats::default();
         let synced = self.commit_local(txn, &mut local);
         self.stats.record(&local);
@@ -884,7 +876,7 @@ impl Database {
     /// removed from the chains physically and the versions they superseded
     /// are re-opened, so aborted writes are never observable by any snapshot
     /// — visibility checks therefore never need a commit-status lookup.
-    pub fn rollback(&self, txn: TxnId) -> Result<()> {
+    pub(crate) fn rollback(&self, txn: TxnId) -> Result<()> {
         let mut local = OpStats::default();
         let result = self.rollback_impl(txn, None, &mut local).map(|_| ());
         self.stats.record(&local);
@@ -978,11 +970,16 @@ impl Database {
 
     // --- statement preparation and the statement cache -----------------------
 
-    /// Parses `sql` through the statement cache: a hit returns the shared
-    /// parsed AST without re-lexing, a miss parses outside every lock and
-    /// caches the result. Counted in `cache_hits` / `cache_misses`, and in
-    /// `statements_parsed` only on a miss.
-    pub(crate) fn cached_parse(&self, sql: &str) -> Result<ParsedStmt> {
+    /// Prepares a statement for repeated execution. The SQL may contain `?`
+    /// placeholders, bound positionally when the handle is executed through
+    /// a [`Session`](crate::Session) or [`Transaction`](crate::Transaction).
+    ///
+    /// Preparation goes through the statement cache, so re-preparing the
+    /// same text is cheap: a hit returns the shared parsed AST without
+    /// re-lexing, a miss parses outside every lock and caches the result.
+    /// Counted in `cache_hits` / `cache_misses`, and in `statements_parsed`
+    /// only on a miss.
+    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         if let Some(hit) = self.stmt_cache.lock().get(sql) {
             self.stats.record(&OpStats {
                 cache_hits: 1,
@@ -997,26 +994,14 @@ impl Database {
         });
         // Parse outside the lock; concurrent sessions keep executing.
         let stmt = Arc::new(parse(sql)?);
-        let params = stmt.param_count();
-        let profile = Arc::new(StmtProfile::new(Arc::from(sql), StmtKind::of(&stmt)));
-        let plan = Arc::new(PlanCell::default());
-        self.stmt_cache.lock().insert(
-            sql.to_string(),
-            Arc::clone(&stmt),
-            params,
-            Arc::clone(&profile),
-            Arc::clone(&plan),
-        );
-        Ok((stmt, params, profile, plan))
-    }
-
-    /// Prepares a statement for repeated execution. The SQL may contain `?`
-    /// placeholders, bound positionally by `execute_prepared` /
-    /// `query_prepared`. Preparation itself goes through the statement
-    /// cache, so re-preparing the same text is cheap.
-    pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        Ok(Prepared { stmt, params, profile, plan })
+        let prepared = Prepared {
+            params: stmt.param_count(),
+            profile: Arc::new(StmtProfile::new(Arc::from(sql), StmtKind::of(&stmt))),
+            plan: Arc::new(PlanCell::default()),
+            stmt,
+        };
+        self.stmt_cache.lock().insert(sql.to_string(), prepared.clone());
+        Ok(prepared)
     }
 
     /// Snapshots the execution profile of every statement currently in the
@@ -1075,101 +1060,100 @@ impl Database {
 
     // --- statement execution -------------------------------------------------
 
-    /// Parses and executes one statement in autocommit mode.
+    /// Parses and executes one statement in autocommit mode, with no
+    /// statement limits.
     ///
     /// Repeated executions of the same SQL text reuse the cached parse.
-    /// Statements with `?` placeholders must go through [`Database::prepare`].
+    /// Statements with `?` placeholders, statement limits and transactions
+    /// go through a [`Session`](crate::Session).
     pub fn execute(&self, sql: &str) -> Result<ExecResult> {
-        self.execute_governed(sql, &Governance::NONE)
+        let autocommit = ExecCtx {
+            txn: None,
+            gov: &Governance::NONE,
+        };
+        self.run(autocommit, &self.prepare(sql)?, &[])
     }
 
-    /// As [`Database::execute`], under the per-statement limits declared by
-    /// `gov` (deadline, cancellation token, row/byte budgets, lock-wait
-    /// bound); see [`Governance`].
-    pub fn execute_governed(&self, sql: &str, gov: &Governance) -> Result<ExecResult> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        if params > 0 {
-            return Err(Error::type_err(format!(
-                "statement has {params} parameter(s); use prepare()/execute_prepared()"
-            )));
-        }
-        self.execute_stmt_tracked(&stmt, &[], gov, Some(&profile), Some(&plan))
+    /// Convenience wrapper: executes a SELECT and returns its rows.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.execute(sql)?.query()
     }
 
-    /// Parses and executes one statement inside an explicit transaction.
-    pub fn execute_in(&self, txn: TxnId, sql: &str) -> Result<ExecResult> {
-        self.execute_in_governed(txn, sql, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_in`], under the limits declared by `gov`.
-    pub fn execute_in_governed(
+    /// Executes one prepared statement in `ctx`, with `params` bound
+    /// positionally to its `?` placeholders. Every statement — embedded or
+    /// over the wire, autocommit or in a transaction, limited or not —
+    /// enters the engine here. The parameters flow through planning and
+    /// evaluation as context: the cached AST is never cloned or rewritten.
+    ///
+    /// Each statement is stopwatch-timed and lands one sample in its kind's
+    /// latency histogram and in its profile via
+    /// [`Observability::record_statement`].
+    pub(crate) fn run(
         &self,
-        txn: TxnId,
-        sql: &str,
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        let (stmt, params, profile, plan) = self.cached_parse(sql)?;
-        if params > 0 {
-            return Err(Error::type_err(format!(
-                "statement has {params} parameter(s); use prepare()/execute_prepared_in()"
-            )));
-        }
-        self.execute_stmt_in_tracked(txn, &stmt, &[], gov, Some(&profile), Some(&plan))
-    }
-
-    /// Executes a prepared statement in autocommit mode with the given
-    /// parameter values bound positionally to its `?` placeholders. The
-    /// parameters flow through planning and evaluation as context — the
-    /// cached AST is never cloned or rewritten.
-    pub fn execute_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<ExecResult> {
-        self.execute_prepared_governed(prepared, params, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_prepared`], under the limits declared by `gov`.
-    pub fn execute_prepared_governed(
-        &self,
+        ctx: ExecCtx<'_>,
         prepared: &Prepared,
         params: &[Value],
-        gov: &Governance,
     ) -> Result<ExecResult> {
         Self::check_arity(prepared, params)?;
-        self.execute_stmt_tracked(
-            &prepared.stmt,
-            params,
-            gov,
-            Some(&prepared.profile),
-            Some(&prepared.plan),
-        )
-    }
-
-    /// Executes a prepared statement inside an explicit transaction.
-    pub fn execute_prepared_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        params: &[Value],
-    ) -> Result<ExecResult> {
-        self.execute_prepared_in_governed(txn, prepared, params, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_prepared_in`], under the limits declared by
-    /// `gov`.
-    pub fn execute_prepared_in_governed(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        Self::check_arity(prepared, params)?;
-        self.execute_stmt_in_tracked(
-            txn,
-            &prepared.stmt,
-            params,
-            gov,
-            Some(&prepared.profile),
-            Some(&prepared.plan),
-        )
+        match prepared.stmt.as_ref() {
+            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
+                "transaction control goes through a Session or a Transaction guard",
+            )),
+            Statement::Select(sel) => {
+                self.run_read(ctx, prepared, |catalog, snapshot, local, governor| {
+                    self.run_select_planned(
+                        catalog,
+                        sel,
+                        params,
+                        snapshot,
+                        local,
+                        governor,
+                        &prepared.plan,
+                    )
+                })
+            }
+            Statement::Explain { analyze, select } => {
+                self.run_read(ctx, prepared, |catalog, snapshot, local, governor| {
+                    self.run_explain(catalog, *analyze, select, params, snapshot, local, governor)
+                })
+            }
+            Statement::Analyze(target) => {
+                // ANALYZE refreshes shared planner statistics in place; it is
+                // deliberately non-transactional (never WAL-logged, not
+                // undone by rollback) and samples the latest committed state
+                // whatever the transaction's snapshot. Inside a transaction
+                // it still counts as activity for the idle reaper.
+                let sw = Stopwatch::start();
+                if let Some(txn) = ctx.txn {
+                    self.ctl.lock().txns.touch(txn);
+                }
+                let mut local = OpStats {
+                    statements_executed: 1,
+                    ..Default::default()
+                };
+                let result = self.run_analyze(target.as_deref(), &mut local);
+                let rows = result.as_ref().map_or(0, |n| *n as u64);
+                self.finish_statement(StmtKind::Ddl, sw, rows, &prepared.profile, &mut local);
+                result.map(ExecResult::Affected)
+            }
+            stmt => {
+                // One statement-local delta spans the whole write — in
+                // autocommit mode begin through commit — so the slow-query
+                // wait breakdown includes the commit fsync and the shared
+                // stats merge happens once.
+                let sw = Stopwatch::start();
+                let mut local = OpStats::default();
+                let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
+                    self.write_stmt_in(txn, stmt, params, ctx.gov, local)
+                });
+                if let Err(e) = &result {
+                    Self::attribute_failure(&mut local, e);
+                }
+                let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
+                self.finish_statement(StmtKind::of(stmt), sw, rows, &prepared.profile, &mut local);
+                result
+            }
+        }
     }
 
     fn check_arity(prepared: &Prepared, params: &[Value]) -> Result<()> {
@@ -1183,142 +1167,78 @@ impl Database {
         Ok(())
     }
 
-    /// Executes a prepared SELECT and returns its rows.
-    pub fn query_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
-        self.execute_prepared(prepared, params)?.query()
+    /// The read arm, shared by SELECT and EXPLAIN: `body` runs under the
+    /// *shared* catalog guard against `ctx`'s snapshot, without registering
+    /// locks or appending WAL records. Any number of reads execute in
+    /// parallel, and none ever fails against in-flight writers — a read
+    /// simply observes what its snapshot sees.
+    #[inline]
+    fn run_read(
+        &self,
+        ctx: ExecCtx<'_>,
+        prepared: &Prepared,
+        body: impl FnOnce(&Catalog, &Snapshot, &mut OpStats, &mut Governor) -> Result<QueryResult>,
+    ) -> Result<ExecResult> {
+        let sw = Stopwatch::start();
+        let mut governor = Governor::arm(ctx.gov);
+        let catalog = self.catalog.read();
+        let mut local = OpStats::default();
+        // An inactive transaction fails here, before anything is counted:
+        // the statement never executed.
+        let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
+        local.statements_executed = 1;
+        let result = body(&catalog, &snapshot, &mut local, &mut governor);
+        drop(catalog);
+        if let Err(e) = &result {
+            Self::attribute_failure(&mut local, e);
+        }
+        let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
+        self.finish_statement(StmtKind::Select, sw, rows, &prepared.profile, &mut local);
+        Ok(ExecResult::Query(result?))
     }
 
-    /// Executes an already-parsed statement in autocommit mode.
+    /// The MVCC snapshot a read resolves against: a fresh one per autocommit
+    /// statement, or the begin-time snapshot of the explicit transaction
+    /// (repeatable reads), whose idle clock the read refreshes (see
+    /// [`Database::reap_idle`]).
     ///
-    /// SELECTs take a read-only fast path under the *shared* catalog guard:
-    /// any number of autocommit reads execute in parallel, without opening a
-    /// transaction, registering locks or appending WAL records. Each read
-    /// takes a fresh MVCC snapshot and resolves row visibility against it,
-    /// so it **never fails against in-flight writers** — it simply observes
-    /// the most recently committed state.
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<ExecResult> {
-        self.execute_stmt_params_governed(stmt, &[], &Governance::NONE)
+    /// Call with the catalog read guard already held: a writer that commits
+    /// after the guard was acquired is then simply absent from a fresh
+    /// snapshot, and its versions are filtered out by visibility.
+    #[inline]
+    fn snapshot_for(&self, txn: Option<TxnId>, local: &mut OpStats) -> Result<Snapshot> {
+        let mut ctl = self.ctl.lock();
+        match txn {
+            None => {
+                local.snapshots_taken += 1;
+                Ok(ctl.txns.read_snapshot())
+            }
+            Some(txn) => {
+                ctl.txns.touch(txn);
+                ctl.txns.snapshot_of(txn)
+            }
+        }
     }
 
-    /// Executes an already-parsed statement in autocommit mode under the
-    /// limits declared by `gov` — the entry point the wire server drives.
-    pub fn execute_stmt_params_governed(
+    /// Runs `body` inside the given transaction — or, in autocommit mode,
+    /// inside an implicit one that commits when `body` succeeds and rolls
+    /// back (best-effort, surfacing the original error) when it fails, so a
+    /// cancelled or over-budget autocommit write is never partially applied.
+    fn in_txn<T>(
         &self,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        self.execute_stmt_tracked(stmt, params, gov, None, None)
-    }
-
-    /// The autocommit dispatcher: every statement is stopwatch-timed and
-    /// lands one sample in its kind's latency histogram (plus the statement's
-    /// profile, when it was prepared from SQL) via
-    /// [`Observability::record_statement`].
-    fn execute_stmt_tracked(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-        profile: Option<&Arc<StmtProfile>>,
-        plan: Option<&PlanCell>,
-    ) -> Result<ExecResult> {
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
-                "use begin()/commit()/rollback() or a Session for transaction control",
-            )),
-            Statement::Select(sel) => {
-                // Snapshot-read fast path. The read guard is taken *before*
-                // the snapshot: a writer that committed after the guard was
-                // acquired is simply absent from the snapshot, and its
-                // versions are filtered out by visibility.
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = self.ctl.lock().txns.read_snapshot();
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    snapshots_taken: 1,
-                    ..Default::default()
-                };
-                let result = self.run_select_planned(
-                    &catalog,
-                    sel,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                    plan,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Explain { analyze, select } => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = self.ctl.lock().txns.read_snapshot();
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    snapshots_taken: 1,
-                    ..Default::default()
-                };
-                let result = self.run_explain(
-                    &catalog,
-                    *analyze,
-                    select,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Analyze(target) => {
-                let sw = Stopwatch::start();
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_analyze(target.as_deref(), &mut local);
-                let rows = result.as_ref().map_or(0, |n| *n as u64);
-                self.finish_statement(StmtKind::Ddl, sw, rows, profile, &mut local);
-                result.map(ExecResult::Affected)
-            }
-            _ => {
-                // Autocommit write: one statement-local delta spans begin
-                // through commit, so the slow-query wait breakdown includes
-                // the commit fsync and the shared stats merge happens once.
-                let sw = Stopwatch::start();
-                let mut local = OpStats::default();
-                let txn = self.begin_local(&mut local);
-                let result = match self.write_stmt_in(txn, stmt, params, gov, &mut local) {
-                    Ok(result) => self.commit_local(txn, &mut local).map(|()| result),
-                    Err(e) => {
-                        // Roll back best-effort; surface the original error.
-                        // A cancelled or over-budget autocommit write is
-                        // therefore never partially applied.
-                        let _ = self.rollback_impl(txn, None, &mut local);
-                        Err(e)
-                    }
-                };
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
-                self.finish_statement(StmtKind::of(stmt), sw, rows, profile, &mut local);
-                result
+        txn: Option<TxnId>,
+        local: &mut OpStats,
+        body: impl FnOnce(TxnId, &mut OpStats) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(txn) = txn {
+            return body(txn, local);
+        }
+        let txn = self.begin_local(local);
+        match body(txn, local) {
+            Ok(value) => self.commit_local(txn, local).map(|()| value),
+            Err(e) => {
+                let _ = self.rollback_impl(txn, None, local);
+                Err(e)
             }
         }
     }
@@ -1333,48 +1253,35 @@ impl Database {
         kind: StmtKind,
         sw: Stopwatch,
         rows: u64,
-        profile: Option<&Arc<StmtProfile>>,
+        profile: &Arc<StmtProfile>,
         local: &mut OpStats,
     ) {
         let nanos = sw.elapsed_nanos();
         self.obs
-            .record_statement(kind, nanos, rows, profile, WaitBreakdown::of(local), local);
+            .record_statement(kind, nanos, rows, Some(profile), WaitBreakdown::of(local), local);
         self.stats.record(local);
     }
 
-    /// Runs one SELECT against the catalog, routing `rel_*` system-table
-    /// names that no real table shadows to the observability layer: the
-    /// current state is synthesized into throwaway tables and the ordinary
-    /// select executor runs against those, so filters, projections, joins
-    /// between system tables, ORDER BY, aggregates and LIMIT work unchanged.
-    fn run_select(
-        &self,
-        catalog: &Catalog,
-        sel: &SelectStmt,
-        params: &[Value],
-        snapshot: &Snapshot,
-        local: &mut OpStats,
-        governor: &mut Governor,
-    ) -> Result<QueryResult> {
-        let base = lower_name(&sel.table);
-        if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
-            let virt = self.system_catalog(catalog, sel)?;
-            return execute_select_with(&virt, sel, params, snapshot, local, governor);
-        }
-        execute_select_with(catalog, sel, params, snapshot, local, governor)
-    }
-
-    /// As [`Database::run_select`], consulting the statement's plan cache
-    /// cell for joined selects: the cached plan (and any still-valid
-    /// hash-join build sides) is reused across executions of the same
-    /// prepared handle / SQL text, and refreshed builds are written back
-    /// (a plan without a reusable build side takes the cell's lock once).
+    /// Runs one SELECT against the catalog — the one path every SELECT
+    /// takes, single or batched, autocommit or in a transaction.
+    ///
+    /// `rel_*` system-table names that no real table shadows are routed to
+    /// the observability layer: the current state is synthesized into
+    /// throwaway tables and the ordinary select executor runs against those,
+    /// so filters, projections, joins between system tables, ORDER BY,
+    /// aggregates and LIMIT work unchanged.
+    ///
+    /// Joined selects consult the statement's plan cache cell: the cached
+    /// plan (and any still-valid hash-join build sides) is reused across
+    /// executions of the same prepared handle / SQL text, and refreshed
+    /// builds are written back (a plan without a reusable build side takes
+    /// the cell's lock once). A slot whose generation falls behind
+    /// [`Database::plan_gen`] (DDL, `ANALYZE`, planner-knob change) is
+    /// replanned from scratch.
     ///
     /// Single-table selects never touch the cell — their access-path choice
     /// is allocation-free, so caching would only add a lock to the
-    /// point-select hot path. A slot whose generation falls behind
-    /// [`Database::plan_gen`] (DDL, `ANALYZE`, planner-knob change) is
-    /// replanned from scratch.
+    /// point-select hot path.
     #[allow(clippy::too_many_arguments)]
     fn run_select_planned(
         &self,
@@ -1384,7 +1291,7 @@ impl Database {
         snapshot: &Snapshot,
         local: &mut OpStats,
         governor: &mut Governor,
-        plan: Option<&PlanCell>,
+        cell: &PlanCell,
     ) -> Result<QueryResult> {
         let base = lower_name(&sel.table);
         if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
@@ -1393,17 +1300,14 @@ impl Database {
         }
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
         let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
-        let cell = match plan {
-            Some(cell) if !sel.joins.is_empty() => cell,
-            _ => {
-                let opts = ExecOptions {
-                    no_reorder,
-                    force_scan,
-                    ..Default::default()
-                };
-                return execute_select_opts(catalog, sel, params, snapshot, local, governor, opts);
-            }
-        };
+        if sel.joins.is_empty() {
+            let opts = ExecOptions {
+                no_reorder,
+                force_scan,
+                ..Default::default()
+            };
+            return execute_select_opts(catalog, sel, params, snapshot, local, governor, opts);
+        }
         let gen = self.plan_gen.load(Ordering::Acquire);
         let (shared, mut builds) = {
             let mut slot = cell.lock();
@@ -1521,8 +1425,11 @@ impl Database {
     /// `None` — the programmatic form of SQL `ANALYZE [table]`. Returns the
     /// number of tables analyzed.
     pub fn analyze(&self, table: Option<&str>) -> Result<usize> {
-        let stmt = Statement::Analyze(table.map(str::to_string));
-        Ok(self.execute_stmt(&stmt)?.affected())
+        let sql = match table {
+            Some(table) => format!("ANALYZE {table}"),
+            None => "ANALYZE".to_string(),
+        };
+        Ok(self.execute(&sql)?.affected())
     }
 
     /// Bench/test knob: enables or disables cost-based join reordering
@@ -1579,138 +1486,10 @@ impl Database {
         Ok(())
     }
 
-    /// Executes an already-parsed statement inside an explicit transaction.
-    /// SELECTs run under the shared catalog guard against the transaction's
-    /// begin-time snapshot (repeatable reads, no locks); mutating statements
-    /// hold the write guard.
-    pub fn execute_stmt_in(&self, txn: TxnId, stmt: &Statement) -> Result<ExecResult> {
-        self.execute_stmt_in_params_governed(txn, stmt, &[], &Governance::NONE)
-    }
-
-    /// Executes an already-parsed statement inside an explicit transaction
-    /// under the limits declared by `gov`. Every statement refreshes the
-    /// transaction's idle clock (see [`Database::reap_idle`]).
-    pub fn execute_stmt_in_params_governed(
-        &self,
-        txn: TxnId,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<ExecResult> {
-        self.execute_stmt_in_tracked(txn, stmt, params, gov, None, None)
-    }
-
-    /// The in-transaction dispatcher; see [`Database::execute_stmt_tracked`]
-    /// for what "tracked" adds.
-    fn execute_stmt_in_tracked(
-        &self,
-        txn: TxnId,
-        stmt: &Statement,
-        params: &[Value],
-        gov: &Governance,
-        profile: Option<&Arc<StmtProfile>>,
-        plan: Option<&PlanCell>,
-    ) -> Result<ExecResult> {
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
-                "nested transaction control is not supported",
-            )),
-            Statement::Select(sel) => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = {
-                    let mut ctl = self.ctl.lock();
-                    ctl.txns.touch(txn);
-                    // An inactive transaction fails here, before anything is
-                    // counted: the statement never executed.
-                    ctl.txns.snapshot_of(txn)?
-                };
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_select_planned(
-                    &catalog,
-                    sel,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                    plan,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Explain { analyze, select } => {
-                let sw = Stopwatch::start();
-                let mut governor = Governor::arm(gov);
-                let catalog = self.catalog.read();
-                let snapshot = {
-                    let mut ctl = self.ctl.lock();
-                    ctl.txns.touch(txn);
-                    ctl.txns.snapshot_of(txn)?
-                };
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_explain(
-                    &catalog,
-                    *analyze,
-                    select,
-                    params,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                );
-                drop(catalog);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-                self.finish_statement(StmtKind::Select, sw, rows, profile, &mut local);
-                Ok(ExecResult::Query(result?))
-            }
-            Statement::Analyze(target) => {
-                // ANALYZE refreshes shared planner statistics in place; it is
-                // deliberately non-transactional (never WAL-logged, not
-                // undone by rollback) and ignores the transaction's snapshot,
-                // sampling the latest committed state like its autocommit
-                // form.
-                let sw = Stopwatch::start();
-                self.ctl.lock().txns.touch(txn);
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
-                let result = self.run_analyze(target.as_deref(), &mut local);
-                let rows = result.as_ref().map_or(0, |n| *n as u64);
-                self.finish_statement(StmtKind::Ddl, sw, rows, profile, &mut local);
-                result.map(ExecResult::Affected)
-            }
-            _ => {
-                let sw = Stopwatch::start();
-                let mut local = OpStats::default();
-                let result = self.write_stmt_in(txn, stmt, params, gov, &mut local);
-                if let Err(e) = &result {
-                    Self::attribute_failure(&mut local, e);
-                }
-                let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
-                self.finish_statement(StmtKind::of(stmt), sw, rows, profile, &mut local);
-                result
-            }
-        }
-    }
-
-    /// The body of the in-transaction write arm: bounded lock wait, the
-    /// write itself under both guards, the WAL append and the targeted
-    /// vacuum. Counts into `local` but neither attributes failures nor
+    /// The body of the write arm inside its transaction: bounded lock wait,
+    /// the write itself under both guards, the WAL append and the targeted
+    /// vacuum. Mutating statements hold the catalog write guard for their
+    /// duration. Counts into `local` but neither attributes failures nor
     /// merges stats — the caller owns the single
     /// [`Database::finish_statement`] per statement.
     fn write_stmt_in(
@@ -1924,62 +1703,25 @@ impl Database {
 
     /// Executes a prepared DML statement once per parameter binding, taking
     /// the catalog write guard and the control mutex **once** for the whole
-    /// batch and appending **one** WAL record for all of its changes.
+    /// batch and appending **one** WAL record for all of its changes. The
+    /// batch is one governed unit: its deadline, cancellation token and
+    /// budgets span all bindings.
     ///
-    /// On success the stored data is identical to calling
-    /// [`execute_prepared`](Database::execute_prepared) in a loop with the
-    /// same bindings — same rows affected, same constraint checks — with
-    /// only the locking and logging cadence differing. On error the batch is
-    /// **stricter** than the loop: the whole batch runs as one implicit
-    /// transaction and rolls back entirely, whereas a loop of autocommit
-    /// statements would leave the bindings before the failure committed.
+    /// On success the stored data is identical to running the statement
+    /// once per binding — same rows affected, same constraint checks — with
+    /// only the locking and logging cadence differing. On error an
+    /// autocommit batch is **stricter** than the loop: it runs as one
+    /// implicit transaction and rolls back entirely, whereas a loop of
+    /// autocommit statements would leave the bindings before the failure
+    /// committed. Inside an explicit transaction the bindings already
+    /// applied stay pending (their undo records exist), exactly as a failed
+    /// statement in a loop would; the caller decides whether to roll back.
     /// Returns the total number of rows affected.
-    pub fn execute_batch(&self, prepared: &Prepared, bindings: &[Vec<Value>]) -> Result<usize> {
-        self.execute_batch_governed(prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_batch`], under the limits declared by `gov`:
-    /// the whole batch is one governed unit — its deadline, cancellation
-    /// token and budgets span all bindings.
-    pub fn execute_batch_governed(
+    pub(crate) fn run_batch(
         &self,
+        ctx: ExecCtx<'_>,
         prepared: &Prepared,
         bindings: &[Vec<Value>],
-        gov: &Governance,
-    ) -> Result<usize> {
-        let txn = self.begin();
-        match self.execute_batch_in_governed(txn, prepared, bindings, gov) {
-            Ok(n) => {
-                self.commit(txn)?;
-                Ok(n)
-            }
-            Err(e) => {
-                let _ = self.rollback(txn);
-                Err(e)
-            }
-        }
-    }
-
-    /// As [`Database::execute_batch`], inside an explicit transaction. On a
-    /// mid-batch error the bindings already applied stay pending (their undo
-    /// records exist), exactly as a failed statement in a loop would; the
-    /// caller decides whether to roll back.
-    pub fn execute_batch_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-    ) -> Result<usize> {
-        self.execute_batch_in_governed(txn, prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::execute_batch_in`], under the limits declared by `gov`.
-    pub fn execute_batch_in_governed(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
     ) -> Result<usize> {
         match prepared.stmt.as_ref() {
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {}
@@ -1992,15 +1734,31 @@ impl Database {
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
-        let mut governor = Governor::arm(gov);
         let mut local = OpStats::default();
+        let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
+            self.write_batch_in(txn, prepared, bindings, ctx.gov, local)
+        });
+        if let Err(e) = &result {
+            Self::attribute_failure(&mut local, e);
+        }
+        self.stats.record(&local);
+        result
+    }
+
+    /// The body of a DML batch inside its transaction; the batch counterpart
+    /// of [`Database::write_stmt_in`].
+    fn write_batch_in(
+        &self,
+        txn: TxnId,
+        prepared: &Prepared,
+        bindings: &[Vec<Value>],
+        gov: &Governance,
+        local: &mut OpStats,
+    ) -> Result<usize> {
+        let mut governor = Governor::arm(gov);
         if let Some(name) = Self::write_target(&prepared.stmt) {
             let wait = gov.lock_wait.unwrap_or_else(|| self.lock_wait_timeout());
-            if let Err(e) = self.wait_for_table_lock(txn, &name, wait, &mut governor, &mut local) {
-                Self::attribute_failure(&mut local, &e);
-                self.stats.record(&local);
-                return Err(e);
-            }
+            self.wait_for_table_lock(txn, &name, wait, &mut governor, local)?;
         }
         let kind = StmtKind::of(&prepared.stmt);
         let mut catalog = self.catalog.write();
@@ -2012,7 +1770,7 @@ impl Database {
         for binding in bindings {
             let sw = Stopwatch::start();
             local.statements_executed += 1;
-            let before = WaitBreakdown::of(&local);
+            let before = WaitBreakdown::of(local);
             // Deadline/cancellation boundary between bindings, in addition
             // to the per-row ticks inside run_write.
             let result = governor.check_now().and_then(|()| {
@@ -2022,7 +1780,7 @@ impl Database {
                     txn,
                     &prepared.stmt,
                     binding,
-                    &mut local,
+                    local,
                     &mut log,
                     &mut governor,
                 )
@@ -2037,8 +1795,8 @@ impl Database {
                 sw.elapsed_nanos(),
                 rows,
                 Some(&prepared.profile),
-                WaitBreakdown::of(&local).delta_since(&before),
-                &mut local,
+                WaitBreakdown::of(local).delta_since(&before),
+                local,
             );
             match result {
                 Ok(result) => affected += result.affected(),
@@ -2048,14 +1806,12 @@ impl Database {
                 }
             }
         }
-        let flushed = Self::append_changes(&mut ctl, txn, log, true, &mut local);
-        self.vacuum_if_bloated(&mut catalog, &ctl, &prepared.stmt, &mut local);
+        // Changes applied before an error are still logged, as in
+        // `write_stmt_in`.
+        let flushed = Self::append_changes(&mut ctl, txn, log, true, local);
+        self.vacuum_if_bloated(&mut catalog, &ctl, &prepared.stmt, local);
         drop(ctl);
         drop(catalog);
-        if let Some(e) = &failed {
-            Self::attribute_failure(&mut local, e);
-        }
-        self.stats.record(&local);
         if let Some(e) = failed {
             return Err(e);
         }
@@ -2064,122 +1820,50 @@ impl Database {
     }
 
     /// Executes a prepared SELECT once per parameter binding under a
-    /// **single** shared catalog guard and a single MVCC snapshot — the
-    /// pipelined form of a point-select loop. Results are returned in
-    /// binding order. Like every read, the batch never conflicts with
-    /// in-flight writers.
-    pub fn query_batch(
+    /// **single** shared catalog guard and a single MVCC snapshot (see
+    /// [`Database::snapshot_for`]) — the pipelined form of a point-select
+    /// loop. Results are returned in binding order. Like every read, the
+    /// batch never conflicts with in-flight writers. The batch is one
+    /// governed unit: deadline, cancellation and row/byte budgets span all
+    /// bindings' results combined.
+    pub(crate) fn run_query_batch(
         &self,
+        ctx: ExecCtx<'_>,
         prepared: &Prepared,
         bindings: &[Vec<Value>],
     ) -> Result<Vec<QueryResult>> {
-        self.query_batch_governed(prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::query_batch`], under the limits declared by `gov`: the
-    /// whole batch is one governed unit — deadline, cancellation and
-    /// row/byte budgets span all bindings' results combined.
-    pub fn query_batch_governed(
-        &self,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
-    ) -> Result<Vec<QueryResult>> {
-        let sel = Self::batch_select(prepared, bindings)?;
-        let mut governor = Governor::arm(gov);
-        let catalog = self.catalog.read();
-        let snapshot = self.ctl.lock().txns.read_snapshot();
-        self.run_query_batch(
-            &catalog,
-            sel,
-            bindings,
-            &snapshot,
-            true,
-            &mut governor,
-            &prepared.profile,
-        )
-    }
-
-    /// As [`Database::query_batch`], inside an explicit transaction: the
-    /// whole batch reads the transaction's begin-time snapshot.
-    pub fn query_batch_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-    ) -> Result<Vec<QueryResult>> {
-        self.query_batch_in_governed(txn, prepared, bindings, &Governance::NONE)
-    }
-
-    /// As [`Database::query_batch_in`], under the limits declared by `gov`.
-    pub fn query_batch_in_governed(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
-    ) -> Result<Vec<QueryResult>> {
-        let sel = Self::batch_select(prepared, bindings)?;
-        let mut governor = Governor::arm(gov);
-        let catalog = self.catalog.read();
-        let snapshot = {
-            let mut ctl = self.ctl.lock();
-            ctl.txns.touch(txn);
-            ctl.txns.snapshot_of(txn)?
-        };
-        self.run_query_batch(
-            &catalog,
-            sel,
-            bindings,
-            &snapshot,
-            false,
-            &mut governor,
-            &prepared.profile,
-        )
-    }
-
-    /// Validates a batch SELECT's shape and arities.
-    fn batch_select<'a>(prepared: &'a Prepared, bindings: &[Vec<Value>]) -> Result<&'a SelectStmt> {
         let Statement::Select(sel) = prepared.stmt.as_ref() else {
             return Err(Error::type_err("query_batch expects a SELECT statement"));
         };
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
-        Ok(sel)
-    }
-
-    /// Runs the per-binding SELECTs of a batch under an already-held guard
-    /// against one shared snapshot.
-    #[allow(clippy::too_many_arguments)]
-    fn run_query_batch(
-        &self,
-        catalog: &Catalog,
-        sel: &SelectStmt,
-        bindings: &[Vec<Value>],
-        snapshot: &Snapshot,
-        fresh_snapshot: bool,
-        governor: &mut Governor,
-        profile: &Arc<StmtProfile>,
-    ) -> Result<Vec<QueryResult>> {
-        let mut local = OpStats {
-            snapshots_taken: u64::from(fresh_snapshot),
-            ..Default::default()
-        };
+        let mut governor = Governor::arm(ctx.gov);
+        let catalog = self.catalog.read();
+        let mut local = OpStats::default();
+        let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
         let mut out = Vec::with_capacity(bindings.len());
         let mut failed = None;
         for binding in bindings {
             let sw = Stopwatch::start();
             local.statements_executed += 1;
-            let result = governor
-                .check_now()
-                .and_then(|()| self.run_select(catalog, sel, binding, snapshot, &mut local, governor));
+            let result = governor.check_now().and_then(|()| {
+                self.run_select_planned(
+                    &catalog,
+                    sel,
+                    binding,
+                    &snapshot,
+                    &mut local,
+                    &mut governor,
+                    &prepared.plan,
+                )
+            });
             let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
             self.obs.record_statement(
                 StmtKind::Select,
                 sw.elapsed_nanos(),
                 rows,
-                Some(profile),
+                Some(&prepared.profile),
                 WaitBreakdown::default(),
                 &mut local,
             );
@@ -2191,6 +1875,7 @@ impl Database {
                 }
             }
         }
+        drop(catalog);
         if let Some(e) = &failed {
             Self::attribute_failure(&mut local, e);
         }
@@ -2286,29 +1971,9 @@ impl Database {
             | Statement::Select(_)
             | Statement::Analyze(_)
             | Statement::Explain { .. } => {
-                unreachable!("handled by execute_stmt_in_params")
+                unreachable!("Database::run dispatches only DML and DDL to run_write")
             }
         }
-    }
-
-    /// Convenience wrapper: executes a SELECT and returns its rows.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.execute(sql)?.query()
-    }
-
-    /// Convenience wrapper: a SELECT under the limits declared by `gov`.
-    pub fn query_governed(&self, sql: &str, gov: &Governance) -> Result<QueryResult> {
-        self.execute_governed(sql, gov)?.query()
-    }
-
-    /// Executes a prepared SELECT under the limits declared by `gov`.
-    pub fn query_prepared_governed(
-        &self,
-        prepared: &Prepared,
-        params: &[Value],
-        gov: &Governance,
-    ) -> Result<QueryResult> {
-        self.execute_prepared_governed(prepared, params, gov)?.query()
     }
 
     /// Convenience wrapper: runs `SELECT COUNT(*) FROM table [WHERE ...]`
@@ -2658,7 +2323,7 @@ impl Database {
     /// [`Transaction`](crate::Transaction) guard: `commit()` consumes the
     /// guard, dropping it (including during a panic unwind) rolls back.
     pub fn transaction(&self) -> crate::Transaction<'_> {
-        crate::Transaction::begin(self)
+        crate::Transaction::begin(self, &Governance::NONE)
     }
 }
 
@@ -2718,21 +2383,21 @@ mod tests {
     #[test]
     fn explicit_transactions_commit_and_rollback() {
         let db = setup();
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')")
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')", ())
             .unwrap();
-        db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 2").unwrap();
-        db.execute_in(txn, "DELETE FROM jobs WHERE job_id = 3").unwrap();
-        db.rollback(txn).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 2", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE job_id = 3", ()).unwrap();
+        txn.rollback().unwrap();
 
         assert_eq!(db.table_len("jobs").unwrap(), 3);
         let r = db.query("SELECT state FROM jobs WHERE job_id = 2").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
 
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')")
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner, state) VALUES (4, 'carol', 'idle')", ())
             .unwrap();
-        db.commit(txn).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 4);
         db.check_consistency().unwrap();
     }
@@ -2740,38 +2405,26 @@ mod tests {
     #[test]
     fn readers_never_conflict_with_writers() {
         let db = setup();
-        let t1 = db.begin();
-        let t2 = db.begin();
-        db.execute_in(t1, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+        let t1 = db.transaction();
+        let t2 = db.transaction();
+        t1.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
 
         // MVCC: a reader in another transaction succeeds against the
         // in-flight writer and sees the pre-update state.
-        let r = db
-            .execute_in(t2, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t2.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
         // The autocommit fast path reads the committed state too.
         let r = db.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
         // The writer itself sees its own uncommitted version.
-        let r = db
-            .execute_in(t1, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t1.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
 
-        db.commit(t1).unwrap();
+        t1.commit().unwrap();
         // t2's snapshot predates t1's commit: repeatable reads.
-        let r = db
-            .execute_in(t2, "SELECT state FROM jobs WHERE job_id = 1")
-            .unwrap()
-            .query()
-            .unwrap();
+        let r = t2.query("SELECT state FROM jobs WHERE job_id = 1", ()).unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("idle".into())));
-        db.commit(t2).unwrap();
+        t2.commit().unwrap();
         // A fresh autocommit read observes the committed update.
         let r = db.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
@@ -2780,18 +2433,18 @@ mod tests {
     #[test]
     fn write_write_conflicts_are_still_reported() {
         let db = setup();
-        let t1 = db.begin();
-        let t2 = db.begin();
-        db.execute_in(t1, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+        let t1 = db.transaction();
+        let t2 = db.transaction();
+        t1.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
         // A second writer on the same table fails fast and retryably.
-        let err = db
-            .execute_in(t2, "UPDATE jobs SET state = 'done' WHERE job_id = 2")
+        let err = t2
+            .execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ())
             .unwrap_err();
         assert!(err.is_retryable());
-        db.commit(t1).unwrap();
+        t1.commit().unwrap();
         // After the first writer commits, the second proceeds.
-        db.execute_in(t2, "UPDATE jobs SET state = 'done' WHERE job_id = 2").unwrap();
-        db.commit(t2).unwrap();
+        t2.execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ()).unwrap();
+        t2.commit().unwrap();
     }
 
     #[test]
@@ -2825,8 +2478,8 @@ mod tests {
         let db = setup();
         db.execute("UPDATE jobs SET state = 'done' WHERE job_id = 3").unwrap();
         // An uncommitted transaction at crash time must disappear.
-        let txn = db.begin();
-        db.execute_in(txn, "DELETE FROM jobs").unwrap();
+        let txn = db.transaction();
+        txn.execute("DELETE FROM jobs", ()).unwrap();
 
         let wal = db.snapshot_wal();
         let recovered = Database::recover_from(wal).unwrap();
@@ -2878,30 +2531,28 @@ mod tests {
         let db = setup();
         let q = db.prepare("SELECT owner FROM jobs WHERE job_id = ?").unwrap();
         assert_eq!(q.param_count(), 1);
-        let r = db.query_prepared(&q, &[Value::Int(2)]).unwrap();
+        let mut s = db.session();
+        let r = s.query(&q, (2i64,)).unwrap();
         assert_eq!(r.first_value("owner"), Some(&Value::Text("bob".into())));
         // Re-binding different values reuses the same parse.
-        let r = db.query_prepared(&q, &[Value::Int(3)]).unwrap();
+        let r = s.query(&q, (3i64,)).unwrap();
         assert_eq!(r.first_value("owner"), Some(&Value::Text("alice".into())));
         // Arity mismatches are reported.
-        assert!(db.query_prepared(&q, &[]).is_err());
-        assert!(db.query_prepared(&q, &[Value::Int(1), Value::Int(2)]).is_err());
+        assert!(s.query(&q, ()).is_err());
+        assert!(s.query(&q, (1i64, 2i64)).is_err());
 
         // DML with parameters, including SQL-hostile text bound verbatim.
         let upd = db
             .prepare("UPDATE jobs SET owner = ? WHERE job_id = ?")
             .unwrap();
-        let n = db
-            .execute_prepared(&upd, &[Value::Text("o'brien -- x".into()), Value::Int(1)])
-            .unwrap()
-            .affected();
+        let n = s.execute(&upd, ("o'brien -- x", 1i64)).unwrap().affected();
         assert_eq!(n, 1);
         let r = db.query("SELECT owner FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("owner"), Some(&Value::Text("o'brien -- x".into())));
 
         // NULL binds as SQL NULL.
         let upd = db.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
-        db.execute_prepared(&upd, &[Value::Null, Value::Int(2)]).unwrap();
+        s.execute(&upd, (Value::Null, 2i64)).unwrap();
         let r = db.query("SELECT COUNT(*) FROM jobs WHERE state IS NULL").unwrap();
         assert_eq!(r.scalar_int(), Some(1));
         db.check_consistency().unwrap();
@@ -2911,9 +2562,9 @@ mod tests {
     fn plain_execute_rejects_placeholders() {
         let db = setup();
         assert!(db.execute("SELECT * FROM jobs WHERE job_id = ?").is_err());
-        let txn = db.begin();
-        assert!(db.execute_in(txn, "DELETE FROM jobs WHERE job_id = ?").is_err());
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        assert!(txn.execute("DELETE FROM jobs WHERE job_id = ?", ()).is_err());
+        txn.rollback().unwrap();
     }
 
     #[test]
@@ -2965,24 +2616,14 @@ mod tests {
         let ins = db
             .prepare("INSERT INTO jobs (job_id, owner, state) VALUES (?, ?, ?)")
             .unwrap();
-        let txn = db.begin();
-        db.execute_prepared_in(
-            txn,
-            &ins,
-            &[Value::Int(10), Value::from("zoe"), Value::from("idle")],
-        )
-        .unwrap();
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute(&ins, (10i64, "zoe", "idle")).unwrap();
+        txn.rollback().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 3, "rollback undoes prepared insert");
 
-        let txn = db.begin();
-        db.execute_prepared_in(
-            txn,
-            &ins,
-            &[Value::Int(10), Value::from("zoe"), Value::from("idle")],
-        )
-        .unwrap();
-        db.commit(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute(&ins, (10i64, "zoe", "idle")).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 4);
         db.check_consistency().unwrap();
     }
@@ -3001,8 +2642,8 @@ mod tests {
     #[test]
     fn checkpoint_waits_out_active_transactions() {
         let db = setup();
-        let txn = db.begin();
-        db.execute_in(txn, "INSERT INTO jobs (job_id, owner) VALUES (8, 'eve')").unwrap();
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner) VALUES (8, 'eve')", ()).unwrap();
         let wal_before = db.wal_len();
         // Checkpointing now would snapshot the uncommitted row and truncate
         // the records recovery needs to discard it; it must refuse with a
@@ -3011,7 +2652,7 @@ mod tests {
         assert!(matches!(err, Error::Busy(_)));
         assert!(err.is_retryable());
         assert_eq!(db.wal_len(), wal_before);
-        db.rollback(txn).unwrap();
+        txn.rollback().unwrap();
 
         // The rolled-back insert must not survive a checkpoint + recovery.
         assert!(db.checkpoint().unwrap() > 0);
@@ -3029,22 +2670,22 @@ mod tests {
         let before = db.wal_len();
 
         // A transaction that only reads appends neither Begin nor Commit.
-        let txn = db.begin();
-        db.execute_in(txn, "SELECT * FROM jobs").unwrap();
-        db.commit(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute("SELECT * FROM jobs", ()).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.wal_len(), before, "read-only commit must not touch the WAL");
 
-        let txn = db.begin();
-        db.execute_in(txn, "SELECT COUNT(*) FROM jobs").unwrap();
-        db.rollback(txn).unwrap();
+        let txn = db.transaction();
+        txn.execute("SELECT COUNT(*) FROM jobs", ()).unwrap();
+        txn.rollback().unwrap();
         assert_eq!(db.wal_len(), before, "read-only rollback must not touch the WAL");
 
         // A writing transaction appends Begin lazily, with its first change.
         let s1 = db.stats();
-        let txn = db.begin();
+        let txn = db.transaction();
         assert_eq!(db.wal_len(), before, "Begin is deferred until the first write");
-        db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
-        db.commit(txn).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
+        txn.commit().unwrap();
         let d = db.stats().delta_since(&s1);
         assert_eq!(d.wal_records, 3, "Begin + Update + Commit");
 
@@ -3087,7 +2728,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..250i64 {
                         let id = 1 + (t + i) % 3;
-                        let r = db.query_prepared(&q, &[Value::Int(id)]).unwrap();
+                        let r = db.session().query(&q, (id,)).unwrap();
                         assert_eq!(r.len(), 1);
                     }
                 });

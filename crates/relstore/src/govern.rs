@@ -43,9 +43,9 @@ pub const DEFAULT_CHECK_INTERVAL: u32 = 1024;
 /// Declarative per-statement limits. `Default` (and [`Governance::NONE`])
 /// sets no limit at all — the zero-overhead configuration.
 ///
-/// A `Governance` belongs to a [`Session`](crate::Session), a wire
-/// connection, or is passed explicitly to the governed `Database` entry
-/// points; a fresh [`Governor`] is armed from it for every statement.
+/// A `Governance` belongs to a [`Session`](crate::Session) (a wire
+/// connection holds one and sets it per request); a fresh [`Governor`] is
+/// armed from it for every statement.
 #[derive(Debug, Clone, Default)]
 pub struct Governance {
     /// Wall-clock budget for one statement. Expiry surfaces a
@@ -70,7 +70,7 @@ pub struct Governance {
 }
 
 impl Governance {
-    /// The no-limits configuration used by the ungoverned public API.
+    /// The no-limits configuration every session starts with.
     pub const NONE: Governance = Governance {
         deadline: None,
         max_rows: None,

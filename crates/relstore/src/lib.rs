@@ -134,7 +134,16 @@
 //! ```
 //!
 //! Statements are anything [`ToStatement`] accepts: SQL text (routed through
-//! the statement cache) or a [`Prepared`] handle (no lookup at all).
+//! the statement cache) or a [`Prepared`] handle (lent as is — no lookup, no
+//! clone).
+//!
+//! A [`Session`] — or the [`Transaction`] guard taken from one — is the one
+//! way a statement enters the engine.
+//! [`Database::execute`](db::Database::execute) /
+//! [`query`](db::Database::query) are its no-parameter, autocommit
+//! conveniences over the same path, and the `wire` server holds one
+//! `Session` per connection, so embedded and remote statements run through
+//! the same function.
 //!
 //! ## Transactions are RAII guards
 //!
@@ -338,9 +347,10 @@
 //!
 //! A cluster-management substrate must stay responsive under overload: a
 //! runaway query, an unbounded result set or an abandoned transaction may
-//! not take the engine down with it. Every execution path therefore has a
-//! `_governed` variant taking a [`Governance`], and [`Session`]s carry one
-//! ([`Session::with_governance`]) that applies to every statement:
+//! not take the engine down with it. Every [`Session`] therefore carries a
+//! [`Governance`] ([`Session::with_governance`]) that applies to every
+//! statement it runs — single or batched, autocommit or through its
+//! [`Transaction`] guard:
 //!
 //! * **Statement deadlines & cooperative cancellation** —
 //!   [`Governance::deadline`] bounds one statement's wall-clock time and
@@ -378,10 +388,8 @@
 //!
 //! let db = Database::new();
 //! db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)")?;
-//! for i in 0..50i64 {
-//!     let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')")?;
-//!     db.execute_prepared(&ins, &[i.into()])?;
-//! }
+//! let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')")?;
+//! db.session().execute_batch(&ins, (0..50i64).map(|i| (i,)))?;
 //!
 //! // A result-row budget stops a runaway scan before it materializes.
 //! let mut session = db.session().with_governance(Governance {
@@ -427,14 +435,17 @@
 //!
 //! let db = Database::new();
 //! db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)")?;
+//! let mut session = db.session();
 //! let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')")?;
 //! for i in 0..10i64 {
-//!     db.execute_prepared(&ins, &[i.into()])?;
+//!     session.execute(&ins, (i,))?;
 //! }
 //!
 //! // The profile table is plain SQL: ask how often the insert ran.
-//! let q = db.prepare("SELECT calls, total_rows FROM rel_statements WHERE sql = ?")?;
-//! let r = db.query_prepared(&q, &["INSERT INTO jobs VALUES (?, 'idle')".into()])?;
+//! let r = session.query(
+//!     "SELECT calls, total_rows FROM rel_statements WHERE sql = ?",
+//!     ("INSERT INTO jobs VALUES (?, 'idle')",),
+//! )?;
 //! assert_eq!(r.first_value("calls"), Some(&Value::Int(10)));
 //! assert_eq!(r.first_value("total_rows"), Some(&Value::Int(10)));
 //!

@@ -16,7 +16,7 @@
 //!   single WAL append, for scheduler-sweep-shaped write bursts.
 
 use crate::convert::{FromRow, FromValue, IntoParams, ToStatement};
-use crate::db::{Database, ExecResult, Prepared};
+use crate::db::{Database, ExecCtx, ExecResult, Prepared};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
 use crate::govern::Governance;
@@ -139,6 +139,13 @@ impl<'a> Session<'a> {
         self.txn.is_some()
     }
 
+    fn ctx(&self) -> ExecCtx<'_> {
+        ExecCtx {
+            txn: self.txn,
+            gov: &self.governance,
+        }
+    }
+
     /// Executes one statement — SQL text or a prepared handle — binding
     /// `params` positionally to its `?` placeholders.
     ///
@@ -182,17 +189,7 @@ impl<'a> Session<'a> {
                 self.db.rollback(txn)?;
                 Ok(ExecResult::Ack)
             }
-            _ => match self.txn {
-                Some(txn) => self.db.execute_prepared_in_governed(
-                    txn,
-                    &prepared,
-                    &values,
-                    &self.governance,
-                ),
-                None => self
-                    .db
-                    .execute_prepared_governed(&prepared, &values, &self.governance),
-            },
+            _ => self.db.run(self.ctx(), &prepared, &values),
         }
     }
 
@@ -235,45 +232,40 @@ impl<'a> Session<'a> {
     }
 
     /// Executes a prepared DML statement once per binding under one catalog
-    /// guard and one WAL append (see [`Database::execute_batch`]). Runs
-    /// inside the session's open transaction if there is one.
+    /// guard and one WAL append — same stored data as the statement loop,
+    /// different locking and logging cadence. The batch is one governed
+    /// unit: the session's limits span all bindings.
+    ///
+    /// Runs inside the session's open transaction if there is one (a
+    /// mid-batch error leaves the bindings already applied pending, like a
+    /// failed statement in a loop); otherwise as one implicit transaction
+    /// that applies entirely or not at all.
     pub fn execute_batch<P: IntoParams>(
         &mut self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<usize> {
         let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        match self.txn {
-            Some(txn) => {
-                self.db
-                    .execute_batch_in_governed(txn, stmt, &bindings, &self.governance)
-            }
-            None => self
-                .db
-                .execute_batch_governed(stmt, &bindings, &self.governance),
-        }
+        self.db.run_batch(self.ctx(), stmt, &bindings)
     }
 
     /// Executes a prepared SELECT once per binding under a single shared
-    /// catalog guard (see [`Database::query_batch`]).
+    /// catalog guard and a single MVCC snapshot — the pipelined form of a
+    /// point-select loop, results in binding order. The session's row/byte
+    /// budgets span all bindings' results combined.
     pub fn query_batch<P: IntoParams>(
         &mut self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
         let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        match self.txn {
-            Some(txn) => {
-                self.db
-                    .query_batch_in_governed(txn, stmt, &bindings, &self.governance)
-            }
-            None => self.db.query_batch_governed(stmt, &bindings, &self.governance),
-        }
+        self.db.run_query_batch(self.ctx(), stmt, &bindings)
     }
 
     /// Begins an explicit transaction and returns its RAII guard. While the
     /// guard lives the session is mutably borrowed, so all statements go
-    /// through the guard; commit consumes it, drop rolls back.
+    /// through the guard — under the session's statement limits; commit
+    /// consumes it, drop rolls back.
     ///
     /// Fails if a SQL-level `BEGIN` transaction is already open.
     pub fn transaction(&mut self) -> Result<Transaction<'_>> {
@@ -282,7 +274,7 @@ impl<'a> Session<'a> {
                 "a SQL-level transaction is already open on this session",
             ));
         }
-        Ok(Transaction::begin(self.db))
+        Ok(Transaction::begin(self.db, &self.governance))
     }
 
     /// Runs `f` up to `attempts` times, retrying — with capped exponential
@@ -349,24 +341,34 @@ impl<'a> Drop for Session<'a> {
 /// Statements executed through the guard run inside the transaction;
 /// [`commit`](Transaction::commit) consumes the guard, and dropping it
 /// without committing — early return, `?` propagation, or a panic unwinding
-/// past it — rolls the transaction back and releases its locks. The id-passing
-/// `begin()` / `commit(TxnId)` surface still exists underneath for the
-/// recovery machinery, but services should never touch raw ids.
+/// past it — rolls the transaction back and releases its locks. Raw
+/// transaction ids never leave the crate.
 #[derive(Debug)]
 pub struct Transaction<'a> {
     db: &'a Database,
     id: TxnId,
+    /// The statement limits of the session the guard was taken from
+    /// ([`Governance::NONE`] for [`Database::transaction`]).
+    gov: &'a Governance,
     open: bool,
 }
 
 impl<'a> Transaction<'a> {
-    /// Begins a transaction on `db` (used by the `Database`/`Session`
-    /// constructors).
-    pub(crate) fn begin(db: &'a Database) -> Self {
+    /// Begins a transaction on `db` whose statements run under `gov` (used
+    /// by the `Database`/`Session` constructors).
+    pub(crate) fn begin(db: &'a Database, gov: &'a Governance) -> Self {
         Transaction {
             db,
             id: db.begin(),
+            gov,
             open: true,
+        }
+    }
+
+    fn ctx(&self) -> ExecCtx<'a> {
+        ExecCtx {
+            txn: Some(self.id),
+            gov: self.gov,
         }
     }
 
@@ -385,7 +387,7 @@ impl<'a> Transaction<'a> {
     ) -> Result<ExecResult> {
         let prepared = stmt.to_prepared(self.db)?;
         let values = params.into_params();
-        self.db.execute_prepared_in(self.id, &prepared, &values)
+        self.db.run(self.ctx(), &prepared, &values)
     }
 
     /// Executes a SELECT inside the transaction and returns its rows.
@@ -433,7 +435,7 @@ impl<'a> Transaction<'a> {
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<usize> {
         let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.execute_batch_in(self.id, stmt, &bindings)
+        self.db.run_batch(self.ctx(), stmt, &bindings)
     }
 
     /// Executes a prepared SELECT once per binding inside the transaction
@@ -444,7 +446,7 @@ impl<'a> Transaction<'a> {
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
         let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.query_batch_in(self.id, stmt, &bindings)
+        self.db.run_query_batch(self.ctx(), stmt, &bindings)
     }
 
     /// Commits the transaction, consuming the guard.
@@ -943,6 +945,27 @@ mod tests {
         let err = s.query("SELECT * FROM jobs", ()).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
         s.execute("ROLLBACK", ()).unwrap();
+
+        // The RAII guard taken from the session runs under the same limits,
+        // single statements and batches alike.
+        let by_owner = db.prepare("SELECT * FROM jobs WHERE owner = ?").unwrap();
+        let hold = db.prepare("UPDATE jobs SET state = 'held' WHERE owner = ?").unwrap();
+        let txn = s.transaction().unwrap();
+        let err = txn.query("SELECT * FROM jobs", ()).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        let err = txn.query_batch(&by_owner, [("alice",)]).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert_eq!(txn.query_batch(&by_owner, [("bob",)]).unwrap()[0].len(), 1);
+        assert_eq!(txn.execute_batch(&hold, [("bob",)]).unwrap(), 1);
+        txn.rollback().unwrap();
+        // A cancelled session cancels its guard's batches too.
+        s.set_governance(Governance {
+            cancel: Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true))),
+            ..Governance::default()
+        });
+        let txn = s.transaction().unwrap();
+        let err = txn.execute_batch(&hold, [("bob",)]).unwrap_err();
+        assert!(matches!(err, Error::Timeout { .. }), "{err}");
     }
 
     #[test]

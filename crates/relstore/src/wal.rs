@@ -81,7 +81,7 @@ pub enum LogRecord {
         after: Row,
     },
     /// Several row-level changes produced by one batched statement execution
-    /// ([`crate::Database::execute_batch`]): one log append covers every
+    /// ([`crate::Session::execute_batch`]): one log append covers every
     /// binding of the batch instead of one append per row.
     Batch {
         txn: TxnId,

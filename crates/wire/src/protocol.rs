@@ -74,7 +74,7 @@ pub enum Request {
         deadline_ms: Option<u32>,
     },
     /// Execute a prepared DML statement once per binding under one catalog
-    /// guard and one WAL append (see `Database::execute_batch`).
+    /// guard and one WAL append (see [`relstore::Session::execute_batch`]).
     ExecuteBatch {
         /// The statement to run.
         stmt: StmtRef,

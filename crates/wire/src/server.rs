@@ -7,11 +7,13 @@
 //! connection at a time, so `workers` bounds the number of *concurrently
 //! served* connections and accepted-but-unserved ones wait in the queue.
 //!
-//! Per-connection state mirrors a [`relstore::Session`]: a table of prepared
-//! statements (handles are connection-scoped) and at most one open
-//! transaction, which **rolls back automatically when the connection drops**
-//! — a client that dies mid-transaction releases its locks the moment the
-//! socket closes, exactly like a dropped RAII guard in process.
+//! Per-connection state is a table of prepared statements (handles are
+//! connection-scoped) and one [`relstore::Session`], through which every
+//! statement of the connection runs — a remote statement reaches the engine
+//! through the same function an embedded one does. The session holds at most
+//! one open transaction, which **rolls back automatically when the
+//! connection drops**: a client that dies mid-transaction releases its locks
+//! the moment the socket closes, exactly like a dropped session in process.
 //!
 //! Shutdown is graceful: [`ServerHandle::shutdown`] stops accepting, lets
 //! every in-flight statement finish and its response flush, then closes the
@@ -30,12 +32,11 @@
 use crate::protocol::{
     self, write_frame, HandshakeStatus, Request, Response, StmtRef, VERSION,
 };
-use relstore::sql::ast::Statement;
 use relstore::stats::SharedStats;
-use relstore::wal::TxnId;
 use relstore::{
-    Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Value,
+    Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Session,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -361,12 +362,12 @@ fn worker_loop(shared: &Shared, rx: &Arc<Mutex<mpsc::Receiver<TcpStream>>>) {
 
 // --- per-connection serving --------------------------------------------------
 
-/// Prepared-statement handles and the at-most-one open transaction of one
-/// connection.
-struct ConnState {
+/// Prepared-statement handles and the session (with its at-most-one open
+/// transaction) of one connection.
+struct ConnState<'a> {
     stmts: HashMap<u32, Prepared>,
     next_stmt: u32,
-    txn: Option<TxnId>,
+    session: Session<'a>,
 }
 
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
@@ -376,18 +377,20 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let mut conn = ConnState {
         stmts: HashMap::new(),
         next_stmt: 1,
-        txn: None,
+        session: shared.db.session(),
     };
     let _ = serve_frames(shared, &mut stream, &mut conn);
     // Whatever ended the connection — clean close, protocol error, shutdown
-    // — an open transaction must not outlive it: roll it back and release
-    // its locks, like a dropped RAII guard.
-    if let Some(txn) = conn.txn.take() {
-        let _ = shared.db.rollback(txn);
-    }
+    // — an open transaction must not outlive it: dropping the session rolls
+    // it back and releases its locks.
+    drop(conn);
 }
 
-fn serve_frames(shared: &Shared, stream: &mut TcpStream, conn: &mut ConnState) -> Result<()> {
+fn serve_frames(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    conn: &mut ConnState<'_>,
+) -> Result<()> {
     // Handshake: magic + version in, status out.
     let mut hello = [0u8; 6];
     if !read_full(stream, &mut hello, shared, true)? {
@@ -444,15 +447,20 @@ enum Outcome {
     Batch(Vec<QueryResult>),
 }
 
-fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcome {
+fn handle_request(shared: &Shared, conn: &mut ConnState<'_>, req: Request) -> Outcome {
     let db = &shared.db;
+    let ConnState {
+        stmts,
+        next_stmt,
+        session,
+    } = conn;
     match req {
         Request::Prepare { sql } => match db.prepare(&sql) {
             Ok(prepared) => {
-                let id = conn.next_stmt;
-                conn.next_stmt += 1;
+                let id = *next_stmt;
+                *next_stmt += 1;
                 let params = prepared.param_count() as u16;
-                conn.stmts.insert(id, prepared);
+                stmts.insert(id, prepared);
                 Outcome::One(Response::Prepared { id, params })
             }
             Err(e) => Outcome::One(Response::Err(e)),
@@ -462,11 +470,11 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             params,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            match execute_stmt(db, conn, stmt, params, &gov) {
+            session.set_governance(governance_for(shared, deadline_ms));
+            match resolve_stmt(stmts, db, stmt).and_then(|p| session.execute(&*p, params)) {
                 Ok(ExecResult::Query(q)) => Outcome::Rows(q),
                 Ok(ExecResult::Affected(n)) => Outcome::One(Response::Affected(n as u64)),
-                Ok(ExecResult::Ack) => Outcome::One(ack(conn)),
+                Ok(ExecResult::Ack) => Outcome::One(ack(session)),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
         }
@@ -475,8 +483,8 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             params,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            match execute_stmt(db, conn, stmt, params, &gov).and_then(ExecResult::query) {
+            session.set_governance(governance_for(shared, deadline_ms));
+            match resolve_stmt(stmts, db, stmt).and_then(|p| session.query(&*p, params)) {
                 Ok(q) => Outcome::Rows(q),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
@@ -486,12 +494,10 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             bindings,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            let run = resolve_stmt(conn, db, stmt).and_then(|prepared| match conn.txn {
-                Some(txn) => db.execute_batch_in_governed(txn, &prepared, &bindings, &gov),
-                None => db.execute_batch_governed(&prepared, &bindings, &gov),
-            });
-            match run {
+            session.set_governance(governance_for(shared, deadline_ms));
+            match resolve_stmt(stmts, db, stmt)
+                .and_then(|p| session.execute_batch(&p, bindings))
+            {
                 Ok(n) => Outcome::One(Response::Affected(n as u64)),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
@@ -501,30 +507,19 @@ fn handle_request(shared: &Shared, conn: &mut ConnState, req: Request) -> Outcom
             bindings,
             deadline_ms,
         } => {
-            let gov = governance_for(shared, deadline_ms);
-            let run = resolve_stmt(conn, db, stmt).and_then(|prepared| match conn.txn {
-                Some(txn) => db.query_batch_in_governed(txn, &prepared, &bindings, &gov),
-                None => db.query_batch_governed(&prepared, &bindings, &gov),
-            });
-            match run {
+            session.set_governance(governance_for(shared, deadline_ms));
+            match resolve_stmt(stmts, db, stmt)
+                .and_then(|p| session.query_batch(&p, bindings))
+            {
                 Ok(results) => Outcome::Batch(results),
                 Err(e) => Outcome::One(Response::Err(e)),
             }
         }
-        Request::Begin => Outcome::One(match txn_begin(db, conn) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
-        Request::Commit => Outcome::One(match txn_finish(db, conn, true) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
-        Request::Rollback => Outcome::One(match txn_finish(db, conn, false) {
-            Ok(()) => ack(conn),
-            Err(e) => Response::Err(e),
-        }),
-        Request::CloseStmt { id } => Outcome::One(match conn.stmts.remove(&id) {
-            Some(_) => ack(conn),
+        Request::Begin => Outcome::One(txn_control(session, "BEGIN")),
+        Request::Commit => Outcome::One(txn_control(session, "COMMIT")),
+        Request::Rollback => Outcome::One(txn_control(session, "ROLLBACK")),
+        Request::CloseStmt { id } => Outcome::One(match stmts.remove(&id) {
+            Some(_) => ack(session),
             None => Response::Err(Error::not_found(format!(
                 "prepared statement #{id} on this connection"
             ))),
@@ -554,66 +549,31 @@ fn governance_for(shared: &Shared, deadline_ms: Option<u32>) -> Governance {
 
 /// An Ack reporting the connection's post-request transaction state — the
 /// server is authoritative, so clients track `in_txn` without parsing SQL.
-fn ack(conn: &ConnState) -> Response {
+fn ack(session: &Session<'_>) -> Response {
     Response::Ack {
-        txn_open: conn.txn.is_some(),
+        txn_open: session.in_transaction(),
     }
 }
 
-fn resolve_stmt(conn: &ConnState, db: &Database, stmt: StmtRef) -> Result<Prepared> {
+/// A transaction-control frame is the session's SQL-level statement of the
+/// same name.
+fn txn_control(session: &mut Session<'_>, sql: &str) -> Response {
+    match session.execute(sql, ()) {
+        Ok(_) => ack(session),
+        Err(e) => Response::Err(e),
+    }
+}
+
+fn resolve_stmt<'c>(
+    stmts: &'c HashMap<u32, Prepared>,
+    db: &Database,
+    stmt: StmtRef,
+) -> Result<Cow<'c, Prepared>> {
     match stmt {
-        StmtRef::Sql(sql) => db.prepare(&sql),
-        StmtRef::Id(id) => conn.stmts.get(&id).cloned().ok_or_else(|| {
+        StmtRef::Sql(sql) => db.prepare(&sql).map(Cow::Owned),
+        StmtRef::Id(id) => stmts.get(&id).map(Cow::Borrowed).ok_or_else(|| {
             Error::not_found(format!("prepared statement #{id} on this connection"))
         }),
-    }
-}
-
-fn txn_begin(db: &Database, conn: &mut ConnState) -> Result<()> {
-    if conn.txn.is_some() {
-        return Err(Error::type_err("transaction already open on this connection"));
-    }
-    conn.txn = Some(db.begin());
-    Ok(())
-}
-
-fn txn_finish(db: &Database, conn: &mut ConnState, commit: bool) -> Result<()> {
-    let txn = conn
-        .txn
-        .take()
-        .ok_or_else(|| Error::type_err("no open transaction on this connection"))?;
-    if commit {
-        db.commit(txn)
-    } else {
-        db.rollback(txn)
-    }
-}
-
-/// Mirrors [`relstore::Session::execute`]: SQL-level `BEGIN` / `COMMIT` /
-/// `ROLLBACK` drive the connection's transaction; everything else runs
-/// inside the open transaction if there is one, else in autocommit mode.
-fn execute_stmt(
-    db: &Database,
-    conn: &mut ConnState,
-    stmt: StmtRef,
-    params: Vec<Value>,
-    gov: &Governance,
-) -> Result<ExecResult> {
-    let prepared = resolve_stmt(conn, db, stmt)?;
-    match prepared.statement() {
-        Statement::Begin | Statement::Commit | Statement::Rollback if !params.is_empty() => {
-            Err(Error::type_err(format!(
-                "transaction-control statements take no parameters, got {}",
-                params.len()
-            )))
-        }
-        Statement::Begin => txn_begin(db, conn).map(|()| ExecResult::Ack),
-        Statement::Commit => txn_finish(db, conn, true).map(|()| ExecResult::Ack),
-        Statement::Rollback => txn_finish(db, conn, false).map(|()| ExecResult::Ack),
-        _ => match conn.txn {
-            Some(txn) => db.execute_prepared_in_governed(txn, &prepared, &params, gov),
-            None => db.execute_prepared_governed(&prepared, &params, gov),
-        },
     }
 }
 

@@ -96,9 +96,9 @@ fn run_workload() -> (Vec<BTreeMap<String, Vec<String>>>, Vec<u8>) {
 
     // A transaction left open at the crash: Begin + Update with no
     // Commit/Abort ever written. Recovery must ignore it entirely.
-    let open = db.begin();
+    let open = db.transaction();
     let upd = db.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
-    db.execute_prepared_in(open, &upd, &["limbo".into(), 3i64.into()]).unwrap();
+    open.execute(&upd, ("limbo", 3i64)).unwrap();
 
     db.flush_log().unwrap();
     let bytes = db.durable_log_bytes().unwrap();

@@ -5,7 +5,7 @@
 //! retry class — `Timeout{LockWait}` is retryable, `Timeout{Statement}` and
 //! `ResourceExhausted` are logic errors the caller must not blindly retry.
 
-use relstore::{Database, Error, ErrorClass, Governance, TimeoutKind};
+use relstore::{Database, Error, ErrorClass, Governance, Session, TimeoutKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,6 +21,11 @@ fn db_with_rows(rows: i64) -> Database {
     db
 }
 
+/// A session whose every statement runs under `gov`.
+fn governed<'a>(db: &'a Database, gov: &Governance) -> Session<'a> {
+    db.session().with_governance(gov.clone())
+}
+
 #[test]
 fn statement_deadline_cancels_a_scan_with_a_logic_class_timeout() {
     let db = db_with_rows(500);
@@ -29,8 +34,8 @@ fn statement_deadline_cancels_a_scan_with_a_logic_class_timeout() {
         check_interval: Some(8),
         ..Governance::default()
     };
-    let err = db
-        .query_governed("SELECT * FROM jobs WHERE state = 'idle'", &gov)
+    let err = governed(&db, &gov)
+        .query("SELECT * FROM jobs WHERE state = 'idle'", ())
         .unwrap_err();
     assert!(
         matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }),
@@ -54,12 +59,12 @@ fn cancellation_token_stops_a_statement_from_another_thread() {
         check_interval: Some(1),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &gov).unwrap_err();
+    let err = governed(&db, &gov).query("SELECT * FROM jobs", ()).unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
 
     // Clearing the token lets the same governance run to completion.
     cancel.store(false, Ordering::Relaxed);
-    assert_eq!(db.query_governed("SELECT * FROM jobs", &gov).unwrap().rows.len(), 200);
+    assert_eq!(governed(&db, &gov).query("SELECT * FROM jobs", ()).unwrap().rows.len(), 200);
 }
 
 #[test]
@@ -70,7 +75,7 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
         max_rows: Some(10),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &rows).unwrap_err();
+    let err = governed(&db, &rows).query("SELECT * FROM jobs", ()).unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
     assert_eq!(err.class(), ErrorClass::Logic);
 
@@ -78,13 +83,13 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
         max_bytes: Some(64),
         ..Governance::default()
     };
-    let err = db.query_governed("SELECT * FROM jobs", &bytes).unwrap_err();
+    let err = governed(&db, &bytes).query("SELECT * FROM jobs", ()).unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
 
     assert_eq!(db.stats().statements_over_budget, 2);
     // A point select fits comfortably inside both budgets.
-    let got = db
-        .query_governed("SELECT state FROM jobs WHERE job_id = 7", &rows)
+    let got = governed(&db, &rows)
+        .query("SELECT state FROM jobs WHERE job_id = 7", ())
         .unwrap();
     assert_eq!(got.rows.len(), 1);
 }
@@ -92,8 +97,8 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
 #[test]
 fn bounded_lock_wait_outlasts_a_short_writer() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     // A second writer with a generous lock-wait budget blocks while the
     // first transaction holds the table lock, then proceeds once it
@@ -105,10 +110,10 @@ fn bounded_lock_wait_outlasts_a_short_writer() {
                 lock_wait: Some(Duration::from_secs(5)),
                 ..Governance::default()
             };
-            db.execute_governed("UPDATE jobs SET state = 'won' WHERE job_id = 1", &gov)
+            governed(db, &gov).execute("UPDATE jobs SET state = 'won' WHERE job_id = 1", ())
         });
         std::thread::sleep(Duration::from_millis(40));
-        db.commit(txn).unwrap();
+        txn.commit().unwrap();
         waiter.join().unwrap().unwrap();
     });
 
@@ -125,15 +130,15 @@ fn bounded_lock_wait_outlasts_a_short_writer() {
 #[test]
 fn bounded_lock_wait_expires_with_a_retryable_timeout() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     let gov = Governance {
         lock_wait: Some(Duration::from_millis(20)),
         ..Governance::default()
     };
-    let err = db
-        .execute_governed("UPDATE jobs SET state = 'lost' WHERE job_id = 1", &gov)
+    let err = governed(&db, &gov)
+        .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1", ())
         .unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::LockWait, .. }), "{err}");
     assert_eq!(err.class(), ErrorClass::Retryable);
@@ -147,14 +152,14 @@ fn bounded_lock_wait_expires_with_a_retryable_timeout() {
         .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1")
         .unwrap_err();
     assert!(matches!(err, Error::LockConflict(_)), "{err}");
-    db.rollback(txn).unwrap();
+    txn.rollback().unwrap();
 }
 
 #[test]
 fn a_statement_deadline_caps_the_lock_wait_too() {
     let db = db_with_rows(4);
-    let txn = db.begin();
-    db.execute_in(txn, "UPDATE jobs SET state = 'held' WHERE job_id = 0").unwrap();
+    let txn = db.transaction();
+    txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 0", ()).unwrap();
 
     // The statement deadline (20ms) is tighter than the lock-wait budget
     // (10s): the waiter must give up when the *statement* expires rather
@@ -165,12 +170,12 @@ fn a_statement_deadline_caps_the_lock_wait_too() {
         ..Governance::default()
     };
     let start = std::time::Instant::now();
-    let err = db
-        .execute_governed("UPDATE jobs SET state = 'lost' WHERE job_id = 1", &gov)
+    let err = governed(&db, &gov)
+        .execute("UPDATE jobs SET state = 'lost' WHERE job_id = 1", ())
         .unwrap_err();
     assert!(start.elapsed() < Duration::from_secs(5), "deadline must cut the wait short");
     assert!(matches!(err, Error::Timeout { .. }), "{err}");
-    db.rollback(txn).unwrap();
+    txn.rollback().unwrap();
 }
 
 #[test]
@@ -179,17 +184,19 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
     db.execute("CREATE TABLE side (id INT PRIMARY KEY, v TEXT)").unwrap();
     db.execute("INSERT INTO side VALUES (1, 'start')").unwrap();
 
-    let abandoned = db.begin();
-    db.execute_in(abandoned, "UPDATE jobs SET state = 'zombie' WHERE job_id = 0").unwrap();
+    let abandoned = db.transaction();
+    abandoned
+        .execute("UPDATE jobs SET state = 'zombie' WHERE job_id = 0", ())
+        .unwrap();
 
     // A transaction that keeps executing statements (on its own table —
     // write locks are table-level) is *not* idle and must survive the
     // reaper no matter how long ago it began.
-    let live = db.begin();
-    db.execute_in(live, "UPDATE side SET v = 'busy' WHERE id = 1").unwrap();
+    let live = db.transaction();
+    live.execute("UPDATE side SET v = 'busy' WHERE id = 1", ()).unwrap();
 
     std::thread::sleep(Duration::from_millis(30));
-    db.execute_in(live, "UPDATE side SET v = 'busy2' WHERE id = 1").unwrap();
+    live.execute("UPDATE side SET v = 'busy2' WHERE id = 1", ()).unwrap();
     let reaped = db.reap_idle(Duration::from_millis(25));
     assert_eq!(reaped, 1, "exactly the abandoned transaction is reaped");
     assert_eq!(db.stats().txns_reaped, 1);
@@ -197,8 +204,8 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
     // The zombie's lock is gone (a new writer gets through), its update is
     // undone, and finishing it reports the transaction as closed.
     db.execute("UPDATE jobs SET state = 'fresh' WHERE job_id = 0").unwrap();
-    assert!(matches!(db.commit(abandoned).unwrap_err(), Error::TxnClosed(_)));
-    db.commit(live).unwrap();
+    assert!(matches!(abandoned.commit().unwrap_err(), Error::TxnClosed(_)));
+    live.commit().unwrap();
 
     let state: Vec<String> = db
         .session()
@@ -216,8 +223,8 @@ fn reaper_aborts_idle_transactions_and_releases_their_locks() {
 #[test]
 fn reaping_unpins_the_vacuum_horizon() {
     let db = db_with_rows(8);
-    let pinner = db.begin();
-    db.execute_in(pinner, "SELECT * FROM jobs").unwrap();
+    let pinner = db.transaction();
+    pinner.execute("SELECT * FROM jobs", ()).unwrap();
 
     // Churn some versions while the idle reader pins the horizon.
     for _ in 0..3 {
@@ -392,10 +399,10 @@ fn join_loops_are_governed() {
         max_rows: Some(1_000),
         ..Governance::default()
     };
-    let err = db
-        .query_governed(
+    let err = governed(&db, &rows)
+        .query(
             "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id",
-            &rows,
+            (),
         )
         .unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
@@ -404,19 +411,19 @@ fn join_loops_are_governed() {
         deadline: Some(Duration::ZERO),
         ..Governance::default()
     };
-    let err = db
-        .query_governed(
+    let err = governed(&db, &deadline)
+        .query(
             "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id < mirror.id",
-            &deadline,
+            (),
         )
         .unwrap_err();
     assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
 
     // A selective equi-join fits the same row budget.
-    let r = db
-        .query_governed(
+    let r = governed(&db, &rows)
+        .query(
             "SELECT COUNT(*) FROM jobs JOIN mirror ON jobs.job_id = mirror.id WHERE jobs.job_id = 3",
-            &rows,
+            (),
         )
         .unwrap();
     assert_eq!(r.scalar_int().unwrap(), 1);

@@ -4,7 +4,9 @@
 
 use cluster_sim::{ClusterSpec, JobSpec, SimDuration, SimTime};
 use condorj2::{CondorJ2Config, CondorJ2Simulation};
-use relstore::{Database, Error, FromRow, RowView};
+use relstore::{
+    Database, Error, ExecResult, FromRow, QueryResult, RowView, Session, Value,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wire::{serve, serve_with, Client, ClientPool, ServerConfig};
@@ -223,6 +225,160 @@ fn dropped_connection_mid_transaction_rolls_back() {
 /// ones are discarded, and `with_retries` takes a fresh connection per
 /// attempt. Admission control turns away clients beyond the limit with a
 /// retryable busy handshake.
+/// What the parity script needs from a transport: the calls below are the
+/// whole difference between driving a [`Session`] and a [`Client`].
+trait Transport {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult>;
+    fn run_query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>>;
+    fn txn_open(&self) -> bool;
+}
+
+impl Transport for Session<'_> {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        self.execute(sql, params)
+    }
+    fn run_query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>> {
+        let stmt = self.database().prepare(sql)?;
+        self.query_batch(&stmt, bindings)
+    }
+    fn txn_open(&self) -> bool {
+        self.in_transaction()
+    }
+}
+
+impl Transport for Client {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        self.execute(sql, params)
+    }
+    fn run_query_batch(
+        &mut self,
+        sql: &str,
+        bindings: Vec<Vec<Value>>,
+    ) -> relstore::Result<Vec<QueryResult>> {
+        self.query_batch(sql, bindings)
+    }
+    fn txn_open(&self) -> bool {
+        self.in_transaction()
+    }
+}
+
+enum Step {
+    Run(&'static str, Vec<Value>),
+    QueryBatch(&'static str, Vec<Vec<Value>>),
+}
+
+#[derive(Debug, PartialEq)]
+enum Seen {
+    One(relstore::Result<ExecResult>),
+    Batch(relstore::Result<Vec<QueryResult>>),
+}
+
+/// SQL-level transaction control, a parameterised write, a batched read of
+/// the transaction's own writes, both misuse errors, and a transaction left
+/// open at the end for the caller to abandon.
+fn parity_script() -> Vec<Step> {
+    let by_id = "SELECT job_id, state FROM jobs WHERE job_id = ?";
+    vec![
+        Step::Run("BEGIN", vec![]),
+        Step::Run("INSERT INTO jobs VALUES (?, ?)", vec![10i64.into(), "idle".into()]),
+        Step::Run("UPDATE jobs SET state = ? WHERE job_id = ?", vec!["held".into(), 1i64.into()]),
+        Step::QueryBatch(by_id, vec![vec![1i64.into()], vec![10i64.into()], vec![99i64.into()]]),
+        Step::Run("BEGIN", vec![]),
+        Step::Run("COMMIT", vec![7i64.into()]),
+        Step::Run("COMMIT", vec![]),
+        Step::Run("COMMIT", vec![]),
+        Step::Run("ROLLBACK", vec![]),
+        Step::Run("SELECT * FROM jobs ORDER BY job_id", vec![]),
+        Step::QueryBatch("DELETE FROM jobs WHERE job_id = ?", vec![vec![1i64.into()]]),
+        Step::Run("SELECT * FROM jobs WHERE job_id = ?", vec![]),
+        Step::Run("BEGIN", vec![]),
+        Step::Run("DELETE FROM jobs WHERE job_id = ?", vec![1i64.into()]),
+    ]
+}
+
+/// Runs the script, recording every outcome with the transport's
+/// transaction state after it.
+fn run_script(conn: &mut impl Transport) -> Vec<(Seen, bool)> {
+    parity_script()
+        .into_iter()
+        .map(|step| {
+            let seen = match step {
+                Step::Run(sql, params) => Seen::One(conn.run(sql, params)),
+                Step::QueryBatch(sql, bindings) => Seen::Batch(conn.run_query_batch(sql, bindings)),
+            };
+            (seen, conn.txn_open())
+        })
+        .collect()
+}
+
+/// The same script through an embedded `Session` and through a
+/// `wire::Client` gives the same results, the same errors and the same
+/// transaction-state trace — the connection *is* a session — including what
+/// happens to a transaction whose owner goes away.
+#[test]
+fn wire_and_embedded_sessions_are_indistinguishable() {
+    let fresh = || {
+        let db = Arc::new(Database::new());
+        db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)").unwrap();
+        db.execute("INSERT INTO jobs VALUES (1, 'idle'), (2, 'idle')").unwrap();
+        db
+    };
+    // After the owner vanished mid-transaction its delete is undone and its
+    // lock released (the server notices a closed socket asynchronously, so
+    // the next writer may need a few retries).
+    let aftermath = |db: &Database| {
+        db.session()
+            .with_retries(200, |s| s.execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ()))
+            .unwrap();
+        db.query("SELECT * FROM jobs ORDER BY job_id").unwrap()
+    };
+
+    let embedded_db = fresh();
+    let mut session = embedded_db.session();
+    let embedded = run_script(&mut session);
+    drop(session);
+    let embedded_after = aftermath(&embedded_db);
+
+    let wire_db = fresh();
+    let server = serve(Arc::clone(&wire_db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let remote = run_script(&mut client);
+    drop(client);
+    let remote_after = aftermath(&wire_db);
+    server.shutdown();
+
+    assert_eq!(remote.len(), embedded.len());
+    for (i, (remote, embedded)) in remote.iter().zip(&embedded).enumerate() {
+        assert_eq!(remote, embedded, "step {i} diverged between transports");
+    }
+    assert_eq!(remote_after, embedded_after);
+
+    // The script exercised what it claims to.
+    let open: Vec<bool> = embedded.iter().map(|(_, open)| *open).collect();
+    assert_eq!(
+        open,
+        [true, true, true, true, true, true, false, false, false, false, false, false, true, true]
+    );
+    let failed: Vec<usize> = embedded
+        .iter()
+        .enumerate()
+        .filter(|(_, (seen, _))| matches!(seen, Seen::One(Err(_)) | Seen::Batch(Err(_))))
+        .map(|(i, _)| i)
+        .collect();
+    // Duplicate BEGIN, COMMIT with a parameter, COMMIT and ROLLBACK with no
+    // transaction, a DML handed to query_batch, an arity mismatch.
+    assert_eq!(failed, [4, 5, 7, 8, 10, 11]);
+    assert_eq!(embedded_after.len(), 3, "the abandoned delete rolled back");
+}
+
 #[test]
 fn pool_reuse_discard_and_admission_control() {
     let db = Arc::new(Database::new());

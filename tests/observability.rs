@@ -23,7 +23,7 @@ fn system_tables_return_live_data() {
     db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)").unwrap();
     let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')").unwrap();
     for i in 0..20i64 {
-        db.execute_prepared(&ins, &[i.into()]).unwrap();
+        db.session().execute(&ins, (i,)).unwrap();
     }
     for _ in 0..5 {
         db.query("SELECT COUNT(*) AS n FROM jobs").unwrap();
@@ -180,7 +180,7 @@ fn wire_clients_see_the_same_system_tables() {
     db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)").unwrap();
     let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')").unwrap();
     for i in 0..10i64 {
-        db.execute_prepared(&ins, &[i.into()]).unwrap();
+        db.session().execute(&ins, (i,)).unwrap();
     }
 
     let config = ServerConfig {

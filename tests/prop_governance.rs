@@ -44,7 +44,7 @@ proptest! {
             check_interval: Some(check_interval),
             ..Governance::default()
         };
-        match db.execute_governed("UPDATE counters SET n = n + 1", &gov) {
+        match db.session().with_governance(gov).execute("UPDATE counters SET n = n + 1", ()) {
             // The statement finished before any check boundary was crossed:
             // every row must carry the increment.
             Ok(_) => prop_assert_eq!(column_sum(&db), rows),
@@ -73,7 +73,7 @@ proptest! {
             check_interval: Some(check_interval),
             ..Governance::default()
         };
-        let len = match db.execute_governed(&sql, &gov) {
+        let len = match db.session().with_governance(gov).execute(sql, ()) {
             Ok(_) => 5 + extra as usize,
             Err(Error::Timeout { .. }) => 5,
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error: {other}"))),
@@ -95,7 +95,7 @@ proptest! {
             max_rows: Some(cap),
             ..Governance::default()
         };
-        match db.query_governed("SELECT * FROM counters", &gov) {
+        match db.session().with_governance(gov).query("SELECT * FROM counters", ()) {
             Ok(result) => {
                 prop_assert!(rows as u64 <= cap, "{} rows slipped past a cap of {}", rows, cap);
                 prop_assert_eq!(result.rows.len() as i64, rows, "no silent truncation");

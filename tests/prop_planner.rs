@@ -167,13 +167,13 @@ fn load(d: &Dataset) -> Database {
     let (j_split, r_split, m_split) = (split(d.jobs.len()), split(d.runs.len()), split(d.machines.len()));
 
     for j in &d.jobs[..j_split] {
-        db.execute_prepared(&insert_jobs, &job_values(j)).unwrap();
+        db.session().execute(&insert_jobs, job_values(j)).unwrap();
     }
     for r in &d.runs[..r_split] {
-        db.execute_prepared(&insert_runs, &run_values(r)).unwrap();
+        db.session().execute(&insert_runs, run_values(r)).unwrap();
     }
     for m in &d.machines[..m_split] {
-        db.execute_prepared(&insert_machines, &machine_values(m)).unwrap();
+        db.session().execute(&insert_machines, machine_values(m)).unwrap();
     }
 
     if d.analyze != AnalyzeMode::Never {
@@ -181,13 +181,13 @@ fn load(d: &Dataset) -> Database {
     }
 
     for j in &d.jobs[j_split..] {
-        db.execute_prepared(&insert_jobs, &job_values(j)).unwrap();
+        db.session().execute(&insert_jobs, job_values(j)).unwrap();
     }
     for r in &d.runs[r_split..] {
-        db.execute_prepared(&insert_runs, &run_values(r)).unwrap();
+        db.session().execute(&insert_runs, run_values(r)).unwrap();
     }
     for m in &d.machines[m_split..] {
-        db.execute_prepared(&insert_machines, &machine_values(m)).unwrap();
+        db.session().execute(&insert_machines, machine_values(m)).unwrap();
     }
     db
 }
@@ -532,12 +532,12 @@ proptest! {
             }
             multiset(rows)
         };
-        let autocommit = |id: i64| db.query_prepared(&fetch, &[Value::Int(id)]).unwrap();
+        let autocommit = |id: i64| db.session().query(&fetch, [Value::Int(id)]).unwrap();
 
         let before = jobs_runs_oracle(&d.jobs, &d.runs, false);
         prop_assert_eq!(fetch_all(&autocommit), before.clone(), "first run");
         let arity = JOB_ARITY + RUN_ARITY;
-        prop_assert_eq!(result_multiset(&db.query_prepared(&full, &[]).unwrap(), arity), before.clone());
+        prop_assert_eq!(result_multiset(&db.session().query(&full, ()).unwrap(), arity), before.clone());
 
         // Snapshot taken here; the open transaction also pins the old
         // versions (and their index entries) against vacuum.
@@ -548,10 +548,10 @@ proptest! {
         for w in &writes {
             match w {
                 RunWrite::Rekey { run, job_id } => {
-                    db.execute_prepared(&rekey, &[opt_int(job_id), Value::Int(*run)]).unwrap();
+                    db.session().execute(&rekey, [opt_int(job_id), Value::Int(*run)]).unwrap();
                 }
                 RunWrite::Delete { run } => {
-                    db.execute_prepared(&delete, &[Value::Int(*run)]).unwrap();
+                    db.session().execute(&delete, [Value::Int(*run)]).unwrap();
                 }
             }
             apply_to_model(&mut runs_after, w);
@@ -559,7 +559,7 @@ proptest! {
 
         let after = jobs_runs_oracle(&d.jobs, &runs_after, false);
         prop_assert_eq!(fetch_all(&autocommit), after.clone(), "new snapshot, cached plan");
-        prop_assert_eq!(result_multiset(&db.query_prepared(&full, &[]).unwrap(), arity), after.clone());
+        prop_assert_eq!(result_multiset(&db.session().query(&full, ()).unwrap(), arity), after.clone());
 
         let in_old = |id: i64| old.query(&fetch, (id,)).unwrap();
         prop_assert_eq!(fetch_all(&in_old), before.clone(), "old snapshot must keep the old keys");
@@ -701,18 +701,56 @@ fn skewed_db() -> Database {
     db.execute("CREATE TABLE tiny (id INT PRIMARY KEY, label TEXT)").unwrap();
     let ins_big = db.prepare("INSERT INTO big (id, fk, pad) VALUES (?, ?, 'x')").unwrap();
     for i in 0..200i64 {
-        db.execute_prepared(&ins_big, &[Value::Int(i), Value::Int(i % 40)]).unwrap();
+        db.session().execute(&ins_big, [Value::Int(i), Value::Int(i % 40)]).unwrap();
     }
     let ins_mid = db.prepare("INSERT INTO mid (id, fk) VALUES (?, ?)").unwrap();
     for i in 0..40i64 {
-        db.execute_prepared(&ins_mid, &[Value::Int(i), Value::Int(i % 4)]).unwrap();
+        db.session().execute(&ins_mid, [Value::Int(i), Value::Int(i % 4)]).unwrap();
     }
     let ins_tiny = db.prepare("INSERT INTO tiny (id, label) VALUES (?, 'tag')").unwrap();
     for i in 0..4i64 {
-        db.execute_prepared(&ins_tiny, &[Value::Int(i)]).unwrap();
+        db.session().execute(&ins_tiny, [Value::Int(i)]).unwrap();
     }
     db.execute("ANALYZE").unwrap();
     db
+}
+
+/// A batched prepared JOIN takes the same select path as the statement
+/// loop: it plans once and then hits the statement's plan cell — in
+/// autocommit mode and inside a transaction — and a planner-knob change
+/// invalidates that plan for batches too.
+#[test]
+fn query_batch_shares_the_prepared_plan() {
+    let db = skewed_db();
+    let join = db
+        .prepare("SELECT big.id, mid.fk FROM big JOIN mid ON big.fk = mid.id WHERE big.id = ?")
+        .unwrap();
+    let bindings: Vec<(i64,)> = (0..8).map(|i| (i * 7,)).collect();
+    let plan_delta = |before: &relstore::OpStats| {
+        let d = db.stats().delta_since(before);
+        (d.plans_built, d.plan_cache_hits)
+    };
+
+    let before = db.stats();
+    let batched = db.session().query_batch(&join, bindings.clone()).unwrap();
+    assert_eq!(plan_delta(&before), (1, 7), "8 bindings: one plan, seven hits");
+    let looped: Vec<QueryResult> = bindings
+        .iter()
+        .map(|b| db.session().query(&join, *b).unwrap())
+        .collect();
+    assert_eq!(batched, looped);
+    assert!(looped.iter().all(|r| r.len() == 1));
+
+    let before = db.stats();
+    let txn = db.transaction();
+    assert_eq!(txn.query_batch(&join, bindings.clone()).unwrap(), looped);
+    txn.commit().unwrap();
+    assert_eq!(plan_delta(&before), (0, 8), "the in-transaction batch reuses the plan");
+
+    db.set_join_reorder(false);
+    let before = db.stats();
+    assert_eq!(db.session().query_batch(&join, bindings).unwrap(), looped);
+    assert_eq!(plan_delta(&before), (1, 7), "a knob change replans once per batch");
 }
 
 #[test]
@@ -874,11 +912,11 @@ fn mixed_numeric_key_pairs_join_exactly() {
         db.execute(&format!("CREATE INDEX ON r{name} (k)")).unwrap();
         let ins = db.prepare(&format!("INSERT INTO l{name} VALUES (?, ?)")).unwrap();
         for (id, k) in left_keys.iter().enumerate() {
-            db.execute_prepared(&ins, &[Value::Int(id as i64), value(ty, *k)]).unwrap();
+            db.session().execute(&ins, [Value::Int(id as i64), value(ty, *k)]).unwrap();
         }
         let ins = db.prepare(&format!("INSERT INTO r{name} VALUES (?, ?)")).unwrap();
         for (id, k) in right_keys.iter().enumerate() {
-            db.execute_prepared(&ins, &[Value::Int(id as i64), value(ty, *k)]).unwrap();
+            db.session().execute(&ins, [Value::Int(id as i64), value(ty, *k)]).unwrap();
         }
     }
     let mut expected: Vec<(i64, i64)> = Vec::new();

@@ -149,7 +149,7 @@ proptest! {
         }
         let before = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
 
-        let txn = db.begin();
+        let txn = db.transaction();
         for op in &ops {
             let sql = match op {
                 Op::Insert { id, state, runtime } => format!(
@@ -160,9 +160,9 @@ proptest! {
                 ),
                 Op::Delete { id } => format!("DELETE FROM jobs WHERE job_id = {id}"),
             };
-            let _ = db.execute_in(txn, &sql);
+            let _ = txn.execute(sql, ());
         }
-        db.rollback(txn).unwrap();
+        txn.rollback().unwrap();
 
         let after = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
         prop_assert_eq!(before, after);
@@ -191,7 +191,8 @@ proptest! {
                 appserver::sql_literal(score),
             )).unwrap();
             prep_db
-                .execute_prepared(&ins, &[Value::Int(i as i64), body.clone(), score.clone()])
+                .session()
+                .execute(&ins, (i as i64, body.clone(), score.clone()))
                 .unwrap();
         }
         let all_lit = lit_db.query("SELECT * FROM notes ORDER BY id").unwrap();
@@ -204,7 +205,7 @@ proptest! {
             appserver::sql_literal(&probe_body)
         )).unwrap();
         let q = prep_db.prepare("SELECT id FROM notes WHERE body = ? ORDER BY id").unwrap();
-        let prep = prep_db.query_prepared(&q, std::slice::from_ref(&probe_body)).unwrap();
+        let prep = prep_db.session().query(&q, (probe_body.clone(),)).unwrap();
         prop_assert_eq!(lit, prep);
 
         // Range over the indexed int column (exercises the range access path).
@@ -215,9 +216,7 @@ proptest! {
         let q = prep_db
             .prepare("SELECT id FROM notes WHERE score >= ? AND score < ? ORDER BY id")
             .unwrap();
-        let prep = prep_db
-            .query_prepared(&q, &[Value::Int(probe_score), Value::Int(hi)])
-            .unwrap();
+        let prep = prep_db.session().query(&q, (probe_score, hi)).unwrap();
         prop_assert_eq!(lit, prep);
 
         // DML parity: deleting by bound text affects the same rows.
@@ -227,7 +226,8 @@ proptest! {
         )).unwrap().affected();
         let del = prep_db.prepare("DELETE FROM notes WHERE body = ?").unwrap();
         let prep_n = prep_db
-            .execute_prepared(&del, std::slice::from_ref(&probe_body))
+            .session()
+            .execute(&del, (probe_body.clone(),))
             .unwrap()
             .affected();
         prop_assert_eq!(lit_n, prep_n);
@@ -236,7 +236,7 @@ proptest! {
     }
 
     /// `execute_batch` is observationally equivalent to the loop of
-    /// per-statement `execute_prepared` calls it replaces — same stored
+    /// per-statement `execute` calls it replaces — same stored
     /// rows, same affected counts, same recovery result — across inserts
     /// (including NULL-bearing and SQL-hostile text bindings) and a
     /// follow-up update batch, even though the batch takes one catalog
