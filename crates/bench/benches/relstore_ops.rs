@@ -72,6 +72,24 @@ fn bench_relstore(c: &mut Criterion) {
             .unwrap()
         })
     });
+    // The matchmaker's read at the paper's deepest queue: the 180 oldest of
+    // 36k idle jobs. `ordered` walks the primary-key index and stops after
+    // 180 survivors; `forced_scan` is the same statement with the walk (and
+    // every index) switched off — scan, filter, sort 36k rows, keep 180.
+    {
+        let queue = setup_db(36_000);
+        let head = queue
+            .prepare("SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id LIMIT ?")
+            .unwrap();
+        let mut session = queue.session();
+        c.bench_function("order_by_pk_limit_ordered", |b| {
+            b.iter(|| session.query(black_box(&head), black_box((180i64,))).unwrap())
+        });
+        queue.set_force_scan(true);
+        c.bench_function("order_by_pk_limit_forced_scan", |b| {
+            b.iter(|| session.query(black_box(&head), black_box((180i64,))).unwrap())
+        });
+    }
     c.bench_function("aggregate_group_by", |b| {
         b.iter(|| {
             db.query(black_box(

@@ -154,6 +154,8 @@ struct CasPrepared {
     machine_history_insert: Prepared,
     machine_touch: Prepared,
     machine_set_state: Prepared,
+    idle_machines: Prepared,
+    idle_jobs: Prepared,
     match_for_machine: Prepared,
     match_exists: Prepared,
     match_insert: Prepared,
@@ -197,6 +199,16 @@ impl CasPrepared {
             )?,
             machine_touch: db.prepare("UPDATE machines SET last_heartbeat = ? WHERE machine_id = ?")?,
             machine_set_state: db.prepare("UPDATE machines SET state = ? WHERE machine_id = ?")?,
+            // The matchmaker's two reads. `LIMIT ?` is bound per pass to the
+            // number of matches the pass can still make, and `ORDER BY` on
+            // the primary key lets the engine walk that index and stop
+            // there: a pass reads the head of the queue, not the queue.
+            idle_machines: db.prepare(
+                "SELECT machine_id FROM machines WHERE state = 'idle' ORDER BY machine_id LIMIT ?",
+            )?,
+            idle_jobs: db.prepare(
+                "SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id LIMIT ?",
+            )?,
             match_for_machine: db.prepare(
                 "SELECT job_id FROM matches WHERE machine_id = ? ORDER BY match_id LIMIT 1",
             )?,
@@ -494,25 +506,24 @@ impl CasState {
     /// appends for the whole pass instead of 3N of each. Any failure drops
     /// the guard and rolls the entire pass back.
     pub fn run_scheduler_limited(&mut self, limit: usize) -> Result<usize> {
-        let idle_machines: Vec<i64> = self.db.session().query_scalars(
-            "SELECT machine_id FROM machines WHERE state = 'idle' ORDER BY machine_id",
-            (),
-        )?;
+        // FIFO on both sides: the first `limit` idle machines by id, then
+        // as many of the oldest idle jobs as there are machines to take them.
+        let limit = i64::try_from(limit).unwrap_or(i64::MAX);
+        let idle_machines: Vec<i64> = self
+            .db
+            .session()
+            .query_scalars(&self.prepared.idle_machines, (limit,))?;
         if idle_machines.is_empty() {
             return Ok(0);
         }
-        let idle_jobs: Vec<i64> = self.db.session().query_scalars(
-            "SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id",
-            (),
-        )?;
+        let idle_jobs: Vec<i64> = self
+            .db
+            .session()
+            .query_scalars(&self.prepared.idle_jobs, (idle_machines.len() as i64,))?;
         if idle_jobs.is_empty() {
             return Ok(0);
         }
-        let pairs: Vec<(i64, i64)> = idle_machines
-            .into_iter()
-            .zip(idle_jobs)
-            .take(limit)
-            .collect();
+        let pairs: Vec<(i64, i64)> = idle_machines.into_iter().zip(idle_jobs).collect();
 
         let first_match_id = self.next_match_id + 1;
         let now = self.now_ms;

@@ -1312,7 +1312,7 @@ impl Database {
         let (shared, mut builds) = {
             let mut slot = cell.lock();
             if slot.gen != gen || slot.plan.is_none() {
-                let planned = plan_select(catalog, sel, !no_reorder)?;
+                let planned = plan_select(catalog, sel, params, !no_reorder)?;
                 local.plans_built += 1;
                 let steps = planned.steps.len();
                 *slot = PlanSlot {
@@ -1373,10 +1373,11 @@ impl Database {
             catalog
         };
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
-        let planned = plan_select(cat, sel, !no_reorder)?;
+        let planned = plan_select(cat, sel, params, !no_reorder)?;
         local.plans_built += 1;
+        let limit = sel.limit_with(params)?;
         if !analyze {
-            return Ok(plan::explain_result(&planned, sel, None));
+            return Ok(plan::explain_result(&planned, sel, limit, None));
         }
         let mut prof = PlanProfile::default();
         let opts = ExecOptions {
@@ -1387,7 +1388,7 @@ impl Database {
             ..Default::default()
         };
         execute_select_opts(cat, sel, params, snapshot, local, governor, opts)?;
-        Ok(plan::explain_result(&planned, sel, Some(&prof)))
+        Ok(plan::explain_result(&planned, sel, limit, Some(&prof)))
     }
 
     /// Runs `ANALYZE [table]`: scans the named table (or every table) at the

@@ -147,6 +147,7 @@ pub fn execute_aggregate<'a>(
     stmt: &SelectStmt,
     schema: &Schema,
     rows: impl IntoIterator<Item = &'a Row>,
+    limit: Option<usize>,
     _stats: &mut OpStats,
     gov: &mut Governor,
 ) -> Result<QueryResult> {
@@ -293,7 +294,7 @@ pub fn execute_aggregate<'a>(
             std::cmp::Ordering::Equal
         });
     }
-    if let Some(limit) = stmt.limit {
+    if let Some(limit) = limit {
         out_rows.truncate(limit);
     }
 
@@ -339,6 +340,7 @@ mod tests {
             &stmt,
             &schema(),
             &rows,
+            stmt.limit_with(&[]).unwrap(),
             &mut OpStats::default(),
             &mut Governor::disarmed(),
         )
@@ -398,6 +400,7 @@ mod tests {
             &stmt,
             &schema(),
             &rows(),
+            None,
             &mut OpStats::default(),
             &mut Governor::disarmed()
         )
@@ -409,6 +412,7 @@ mod tests {
             &stmt,
             &schema(),
             &rows(),
+            None,
             &mut OpStats::default(),
             &mut Governor::disarmed()
         )

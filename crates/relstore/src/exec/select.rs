@@ -28,8 +28,8 @@ use crate::govern::{approx_row_bytes, Governor};
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::plan::{
-    choose_access_ref, plan_select, AccessPath, AccessPlan, CachedBuild, JoinStrategy, PathChoice,
-    PlanProfile, SelectPlan, StepActuals,
+    choose_access_ref, choose_select_access_ref, plan_select, AccessPath, AccessPlan, CachedBuild,
+    JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan, StepActuals,
 };
 use crate::predicate::Expr;
 use crate::schema::{Column, Schema};
@@ -190,26 +190,42 @@ fn access_base_table<'a>(
     stats: &mut OpStats,
     force_scan: bool,
 ) -> RowIter<'a> {
-    if let (false, Some(filter)) = (force_scan, filter) {
-        let name = &*table.schema.name;
-        match choose_access_ref(table, Some(filter)).0 {
-            PathChoice::Point(col, _) => {
-                if let Some(key) = filter.equality_lookup_on(name, col, params) {
-                    if let Some(rows) = table.lookup_indexed(col, &key, vis, stats) {
-                        return rows;
-                    }
+    let choice = if force_scan {
+        PathChoice::Scan
+    } else {
+        choose_access_ref(table, filter).0
+    };
+    access_chosen(table, choice, filter, params, vis, stats)
+}
+
+/// Streams the base table through an already-chosen filter-driven path,
+/// extracting the point/range keys from `filter`. A scan is what any other
+/// choice degrades to, since every path only has to yield a superset.
+fn access_chosen<'a>(
+    table: &'a Table,
+    choice: PathChoice<'_>,
+    filter: Option<&Expr>,
+    params: &[Value],
+    vis: &'a Snapshot,
+    stats: &mut OpStats,
+) -> RowIter<'a> {
+    let name = &*table.schema.name;
+    match (choice, filter) {
+        (PathChoice::Point(col, _), Some(filter)) => {
+            if let Some(key) = filter.equality_lookup_on(name, col, params) {
+                if let Some(rows) = table.lookup_indexed(col, &key, vis, stats) {
+                    return rows;
                 }
             }
-            PathChoice::Range(col) => {
-                if let Some((lo, hi)) = filter.range_bounds_on(name, col, params) {
-                    if let Some(rows) = table.lookup_range(col, lo.as_ref(), hi.as_ref(), vis, stats)
-                    {
-                        return rows;
-                    }
-                }
-            }
-            PathChoice::Scan => {}
         }
+        (PathChoice::Range(col), Some(filter)) => {
+            if let Some((lo, hi)) = filter.range_bounds_on(name, col, params) {
+                if let Some(rows) = table.lookup_range(col, lo.as_ref(), hi.as_ref(), vis, stats) {
+                    return rows;
+                }
+            }
+        }
+        _ => {}
     }
     table.scan(vis, stats)
 }
@@ -452,13 +468,6 @@ fn sort_rows<T>(stmt: &SelectStmt, schema: &Schema, rows: &mut [T], get: impl Fn
     Ok(())
 }
 
-fn has_aggregates(stmt: &SelectStmt) -> bool {
-    stmt.items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Aggregate { .. }))
-        || !stmt.group_by.is_empty()
-}
-
 /// Executes a SELECT statement against the catalog, resolving `?`
 /// placeholders from `params` during planning and evaluation (prepared
 /// execution never clones the statement) and resolving row visibility
@@ -488,6 +497,9 @@ pub fn execute_select_opts(
     opts: ExecOptions<'_>,
 ) -> Result<QueryResult> {
     let base = get_table(catalog, &stmt.table)?;
+    // Bound before any row is read: a bad `LIMIT ?` fails the statement
+    // whichever path it would have taken.
+    let limit = stmt.limit_with(params)?;
     // Execute subqueries first, against the same snapshot; downstream the
     // filter is plain literals/lists. The `contains_subquery` probe keeps
     // the common case borrow-only.
@@ -503,6 +515,7 @@ pub fn execute_select_opts(
             base,
             stmt,
             filter.as_deref(),
+            limit,
             params,
             vis,
             stats,
@@ -515,7 +528,7 @@ pub fn execute_select_opts(
         let plan = match opts.plan {
             Some(p) => p,
             None => {
-                planned = plan_select(catalog, stmt, !opts.no_reorder)?;
+                planned = plan_select(catalog, stmt, params, !opts.no_reorder)?;
                 stats.plans_built += 1;
                 &planned
             }
@@ -525,6 +538,7 @@ pub fn execute_select_opts(
             base,
             stmt,
             filter.as_deref(),
+            limit,
             plan,
             params,
             vis,
@@ -546,6 +560,48 @@ fn note_output(profile: &mut Option<&mut PlanProfile>, sw: &Stopwatch, rows: usi
     }
 }
 
+/// Reads the head of an `ORDER BY … LIMIT`: walks the sort column's index
+/// in key order, keeping the first `walk.limit` rows that pass visibility
+/// and `filter` — already sorted, nothing past the head read. Every entry
+/// visited ticks the governor and counts as a row read; the count is
+/// returned beside the rows. Gives up (`None`) once `walk.driven` entries
+/// have been visited without filling the limit: the planner assumed the
+/// survivors were spread evenly through the order, and past that many rows
+/// the filter-driven path is the cheaper one.
+fn ordered_head<'a>(
+    table: &'a Table,
+    walk: OrderedWalk<'_>,
+    filter: Option<&Expr>,
+    params: &[Value],
+    vis: &'a Snapshot,
+    stats: &mut OpStats,
+    gov: &mut Governor,
+) -> Result<(Option<Vec<&'a Row>>, u64)> {
+    let Some(mut entries) = table.walk_ordered(walk.column, walk.descending, vis, stats) else {
+        return Ok((None, 0));
+    };
+    let mut visited = 0u64;
+    let mut head: Vec<&Row> = Vec::new();
+    while head.len() < walk.limit {
+        let Some(entry) = entries.next() else { break };
+        if visited >= walk.driven as u64 {
+            return Ok((None, visited));
+        }
+        gov.tick()?;
+        visited += 1;
+        stats.rows_read += 1;
+        let Some(row) = entry else { continue };
+        let keep = match filter {
+            Some(f) => f.matches_with(&table.schema, row, params)?,
+            None => true,
+        };
+        if keep {
+            head.push(row);
+        }
+    }
+    Ok((Some(head), visited))
+}
+
 /// The no-join fast path: streams borrowed rows from the access path through
 /// the filter, keeping references until projection decides what to clone.
 #[allow(clippy::too_many_arguments)]
@@ -553,6 +609,7 @@ fn execute_single_table(
     table: &Table,
     stmt: &SelectStmt,
     filter: Option<&Expr>,
+    limit: Option<usize>,
     params: &[Value],
     vis: &Snapshot,
     stats: &mut OpStats,
@@ -574,10 +631,10 @@ fn execute_single_table(
     // ANALYZE takes the staged path below so operators can be timed.)
     if matches!(stmt.items.as_slice(), [SelectItem::Wildcard])
         && stmt.order_by.is_empty()
-        && !has_aggregates(stmt)
+        && !stmt.has_aggregates()
         && profile.is_none()
     {
-        let limit = stmt.limit.unwrap_or(usize::MAX);
+        let limit = limit.unwrap_or(usize::MAX);
         let mut rows: Vec<Row> = Vec::new();
         if limit > 0 {
             for StoredRowRef { row, .. } in
@@ -603,27 +660,52 @@ fn execute_single_table(
         });
     }
 
-    // Access path + predicate over borrowed rows; survivors stay borrowed.
-    // Every scanned row is a cancellation point.
+    // The access step. `ORDER BY <indexed column> LIMIT k` may be costed
+    // onto the ordered walk, which returns the survivors already sorted and
+    // cut. Everything else — a walk that ran out of budget included — takes
+    // the path the filter drives: access path + predicate over borrowed
+    // rows, survivors staying borrowed. Every row read is a cancellation
+    // point, and `touched` counts them on either path.
     let sw = Stopwatch::start();
-    let mut yielded = 0u64;
-    let mut matched: Vec<&Row> = Vec::new();
-    for StoredRowRef { row, .. } in
-        access_base_table(table, filter.as_deref(), params, vis, stats, force_scan)
-    {
-        gov.tick()?;
-        yielded += 1;
-        let keep = match &filter {
-            Some(f) => f.matches_with(schema, row, params)?,
-            None => true,
-        };
-        if keep {
-            matched.push(row);
+    let choice = if force_scan {
+        PathChoice::Scan
+    } else {
+        choose_select_access_ref(table, stmt, filter.as_deref(), limit, params).0
+    };
+    let (head, mut touched) = match choice {
+        PathChoice::Ordered(walk) => {
+            ordered_head(table, walk, filter.as_deref(), params, vis, stats, gov)?
         }
-    }
+        _ => (None, 0),
+    };
+    let sorted = head.is_some();
+    let mut matched = match head {
+        Some(head) => head,
+        None => {
+            let choice = match choice {
+                PathChoice::Ordered(_) => choose_access_ref(table, filter.as_deref()).0,
+                filter_driven => filter_driven,
+            };
+            let mut matched: Vec<&Row> = Vec::new();
+            for StoredRowRef { row, .. } in
+                access_chosen(table, choice, filter.as_deref(), params, vis, stats)
+            {
+                gov.tick()?;
+                touched += 1;
+                let keep = match &filter {
+                    Some(f) => f.matches_with(schema, row, params)?,
+                    None => true,
+                };
+                if keep {
+                    matched.push(row);
+                }
+            }
+            matched
+        }
+    };
     if let Some(p) = profile.as_deref_mut() {
         let nanos = sw.elapsed_nanos();
-        p.base = StepActuals { rows: yielded, nanos };
+        p.base = StepActuals { rows: touched, nanos };
         p.filter = StepActuals {
             rows: matched.len() as u64,
             nanos: 0,
@@ -632,17 +714,17 @@ fn execute_single_table(
 
     let sw = Stopwatch::start();
     // Aggregation short-circuits the rest of the pipeline.
-    if has_aggregates(stmt) {
-        let result = execute_aggregate(stmt, schema, matched.iter().copied(), stats, gov)?;
+    if stmt.has_aggregates() {
+        let result = execute_aggregate(stmt, schema, matched.iter().copied(), limit, stats, gov)?;
         note_output(&mut profile, &sw, result.len());
         return Ok(result);
     }
 
-    if !stmt.order_by.is_empty() {
+    if !sorted && !stmt.order_by.is_empty() {
         gov.check_now()?;
         sort_rows(stmt, schema, &mut matched, |r| *r)?;
     }
-    if let Some(limit) = stmt.limit {
+    if let Some(limit) = limit {
         matched.truncate(limit);
     }
 
@@ -677,6 +759,7 @@ fn execute_joined(
     base: &Table,
     stmt: &SelectStmt,
     filter: Option<&Expr>,
+    limit: Option<usize>,
     plan: &SelectPlan,
     params: &[Value],
     vis: &Snapshot,
@@ -951,8 +1034,8 @@ fn execute_joined(
     }
 
     let sw = Stopwatch::start();
-    if has_aggregates(stmt) {
-        let result = execute_aggregate(stmt, &schema, rows.iter(), stats, gov)?;
+    if stmt.has_aggregates() {
+        let result = execute_aggregate(stmt, &schema, rows.iter(), limit, stats, gov)?;
         note_output(&mut profile, &sw, result.len());
         return Ok(result);
     }
@@ -961,7 +1044,7 @@ fn execute_joined(
         gov.check_now()?;
         sort_rows(stmt, &schema, &mut rows, |r| r)?;
     }
-    if let Some(limit) = stmt.limit {
+    if let Some(limit) = limit {
         rows.truncate(limit);
     }
 
@@ -1160,6 +1243,75 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.value(0, "job_id"), Some(&Value::Int(4)));
         assert_eq!(r.columns.len(), 4);
+    }
+
+    /// `jobs`-shaped table of `rows` rows whose last `idle_tail` are idle.
+    fn skewed_queue(rows: i64, idle_tail: i64) -> Catalog {
+        let mut stats = OpStats::default();
+        let mut jobs = Table::new(
+            Schema::new(
+                "jobs",
+                vec![
+                    Column::not_null("job_id", DataType::Int),
+                    Column::not_null("state", DataType::Text),
+                ],
+            )
+            .with_primary_key("job_id")
+            .with_index("state"),
+        )
+        .unwrap();
+        for id in 0..rows {
+            let state = if id >= rows - idle_tail { "idle" } else { "done" };
+            jobs.insert(
+                vec![Value::Int(id), Value::Text(state.into())],
+                crate::mvcc::COMMITTED_TXN,
+                &mut stats,
+            )
+            .unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.insert("jobs".into(), jobs);
+        cat
+    }
+
+    #[test]
+    fn ordered_walk_reads_the_head_and_gives_up_on_a_skewed_table() {
+        let run = |cat: &Catalog, sql: &str, force_scan: bool| {
+            let Statement::Select(stmt) = parse(sql).unwrap() else {
+                unreachable!()
+            };
+            let mut stats = OpStats::default();
+            let opts = ExecOptions {
+                force_scan,
+                ..Default::default()
+            };
+            let vis = Snapshot::latest();
+            let gov = &mut Governor::disarmed();
+            let r = execute_select_opts(cat, &stmt, &[], vis, &mut stats, gov, opts).unwrap();
+            (r, stats)
+        };
+        let sql = "SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id LIMIT 5";
+
+        // Every row idle: the walk stops after the five it returns.
+        let cat = skewed_queue(1_000, 1_000);
+        let (head, stats) = run(&cat, sql, false);
+        assert_eq!(head, run(&cat, sql, true).0);
+        assert_eq!(stats.rows_read, 5);
+        assert_eq!(stats.rows_scanned, 0);
+
+        // The 100 idle rows all sit at the far end of the key order. The
+        // cost rule (5 x 1000 / 100 = 50 rows expected against 100) picks
+        // the walk; it visits `driven` = 100 rows, none idle, gives up, and
+        // the index lookup it was costed against does the work: at most
+        // 2 x driven + k rows read, not the table.
+        let cat = skewed_queue(1_000, 100);
+        let (head, stats) = run(&cat, sql, false);
+        assert_eq!(head, run(&cat, sql, true).0);
+        assert_eq!(head.len(), 5);
+        assert_eq!(head.value(0, "job_id"), Some(&Value::Int(900)));
+        assert!(stats.rows_read > 100, "the walk was tried: {}", stats.rows_read);
+        assert!(stats.rows_read <= 2 * 100 + 5, "and bounded: {}", stats.rows_read);
+        assert_eq!(stats.rows_scanned, 0);
     }
 
     #[test]

@@ -140,6 +140,24 @@ impl Index {
         out
     }
 
+    /// Iterates every `(key, row)` entry in key order — ascending, or
+    /// descending when `descending` is set — with the rows of one key in
+    /// ascending row-id order either way: the order a stable sort of a
+    /// row-id-ordered scan leaves equal keys in. Lazy, so a caller that stops
+    /// after a few entries pays for those entries only.
+    ///
+    /// Entries are multi-version: a row appears once under every key one of
+    /// its retained versions holds, and the caller keeps it only under the
+    /// key of the version its snapshot sees.
+    pub fn entries_in_key_order(
+        &self,
+        descending: bool,
+    ) -> impl Iterator<Item = (&Value, RowId)> + '_ {
+        let mut keys = self.entries.iter();
+        std::iter::from_fn(move || if descending { keys.next_back() } else { keys.next() })
+            .flat_map(|(key, rows)| rows.iter().map(move |id| (key, *id)))
+    }
+
     /// True if any row holds `key`.
     pub fn contains_key(&self, key: &Value) -> bool {
         !key.is_null() && self.entries.contains_key(key)
@@ -229,6 +247,21 @@ mod tests {
             vec![RowId(1), RowId(7)]
         );
         assert_eq!(idx.lookup(&Value::Int(3)), vec![RowId(7)]);
+    }
+
+    #[test]
+    fn key_order_walk_runs_both_ways_with_ties_in_row_id_order() {
+        let mut idx = Index::new("idx", 0, false);
+        for (key, row) in [(2, 9), (1, 5), (2, 3), (3, 1), (1, 7)] {
+            idx.insert(&Value::Int(key), RowId(row));
+        }
+        let walk = |descending| -> Vec<(i64, u64)> {
+            idx.entries_in_key_order(descending)
+                .map(|(k, id)| (k.as_int().unwrap(), id.0))
+                .collect()
+        };
+        assert_eq!(walk(false), vec![(1, 5), (1, 7), (2, 3), (2, 9), (3, 1)]);
+        assert_eq!(walk(true), vec![(3, 1), (2, 3), (2, 9), (1, 5), (1, 7)]);
     }
 
     #[test]

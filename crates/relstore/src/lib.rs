@@ -211,6 +211,10 @@
 //!   handle the session API executes directly. Bound values flow through
 //!   planning and evaluation as context *after* parsing, so parameter text
 //!   can never be re-interpreted as SQL (injection-safe by construction).
+//!   A placeholder may also stand for the row count of a `LIMIT`
+//!   (`… ORDER BY job_id LIMIT ?`), so one handle serves every page size;
+//!   it must be bound to a non-negative integer — a negative, non-integer
+//!   or NULL count is an [`Error::Type`], as is a missing binding.
 //!
 //! * **The statement cache.** The database keeps an internal LRU cache
 //!   (default 256 entries, see
@@ -490,6 +494,31 @@
 //! Scalar and `IN (SELECT …)` subqueries in `WHERE` execute once per
 //! statement and splice in as literals, with SQL's three-valued `IN`
 //! semantics preserved.
+//!
+//! **`ORDER BY` without a sort.** A single-table `SELECT … ORDER BY c LIMIT
+//! k` (literal or `LIMIT ?`) can be served by walking the index on `c` in
+//! key order — ascending or descending — applying visibility and the
+//! `WHERE` clause to each row and stopping at `k` survivors: nothing is
+//! sorted and nothing past the head of the order is read. `c` must be the
+//! only sort key, indexed (the primary key counts), unable to hold NULL
+//! (`NOT NULL` or the primary key — NULL keys are not indexed) and not
+//! DOUBLE; the statement must not aggregate. The walk is chosen by cost, in
+//! rows touched, against the path the `WHERE` clause alone would drive:
+//! with `driven` the rows that path reads (exactly the index posting list
+//! when the clause pins an indexed column to a bound key, the table for a
+//! scan), the walk is expected to read `k × rows ÷ driven` and wins when
+//! that is *less* than `driven`. So the oldest 180 of 36,000 idle jobs are
+//! read off the primary-key index, while `WHERE machine_id = ? ORDER BY
+//! match_id LIMIT 1` over a machine's one or two matches stays an index
+//! lookup. The estimate assumes the survivors are spread evenly through
+//! the order; when they are not, the walk gives up after `driven` rows and
+//! the other path runs, so the worst case is about twice the old plan.
+//! Results — tie order included — are those of scan, stable sort, truncate
+//! ([`Database::set_force_scan`](db::Database::set_force_scan) pins that
+//! path; `tests/prop_planner.rs` compares the two row for row). `EXPLAIN`
+//! shows the step as `ordered walk of t.c (asc), stop after k`, the output
+//! step loses its `sort`, and under `EXPLAIN ANALYZE` the access step's
+//! `actual_rows` is the number of rows the walk visited.
 //!
 //! `EXPLAIN <select>` renders the chosen plan as an ordinary result set —
 //! embedded, via every [`Session`], and over the wire alike — and

@@ -29,6 +29,29 @@
 //! not depend on the size of the right table, whereas a hash plan chosen on
 //! a small table degrades linearly as the table grows.
 //!
+//! A single-table `ORDER BY <indexed column> LIMIT k` has a third access
+//! path next to point lookup, range scan and full scan: the **ordered
+//! walk** reads that column's index in key order, applies visibility and
+//! the filter to each row, and stops at `k` survivors — no sort, and
+//! nothing read past the head of the order. It is costed in rows touched
+//! against the path the filter alone would drive:
+//!
+//! ```text
+//! filter-driven = driven                 (then sort `driven` rows, keep k)
+//! ordered walk  = k × rows ÷ driven      (survivors assumed evenly spread)
+//! ```
+//!
+//! where `driven` is the **exact** length of the index posting list when the
+//! filter pins an indexed column to a bound key (one O(log n) probe; no
+//! `ANALYZE`), the table size for a scan, and the usual estimate otherwise.
+//! Ties stay with the filter-driven path. The even-spread assumption can be
+//! wrong — every survivor may sit at the far end of the order — so `driven`
+//! is also the walk's budget: after visiting that many rows without
+//! filling the limit the executor gives up and runs the filter-driven path,
+//! which bounds the damage at about twice the old plan. Only a single sort
+//! key qualifies, on an indexed column that cannot hold NULL (NULL keys are
+//! not indexed) and is not DOUBLE (a NaN key mis-orders its neighbours).
+//!
 //! Estimates come from two sources, both optional: `ANALYZE`-collected
 //! [`TableStats`] (exact at collection time, stale afterwards) and live
 //! index metadata ([`Table::index_stats_on`], never stale but
@@ -41,7 +64,7 @@ use crate::error::{Error, Result};
 use crate::exec::{Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::predicate::Expr;
-use crate::sql::ast::{SelectItem, SelectStmt};
+use crate::sql::ast::{SelectItem, SelectStmt, SortOrder};
 use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::Row;
@@ -186,6 +209,17 @@ pub enum AccessPath {
     },
     /// Full heap scan.
     Scan,
+    /// Ordered index walk: read `column`'s index in key order and stop
+    /// after `limit` rows survive visibility and the filter. The output is
+    /// already in `ORDER BY` order.
+    Ordered {
+        /// The `ORDER BY` column (bare name), indexed and never NULL.
+        column: String,
+        /// `ORDER BY … DESC`.
+        descending: bool,
+        /// The statement's `LIMIT`, as bound for this execution.
+        limit: usize,
+    },
 }
 
 /// A chosen access path plus its estimated output cardinality.
@@ -208,6 +242,14 @@ impl AccessPlan {
             }
             AccessPath::Range { column } => format!("range scan on {table}.{column}"),
             AccessPath::Scan => format!("full scan of {table}"),
+            AccessPath::Ordered {
+                column,
+                descending,
+                limit,
+            } => {
+                let dir = if *descending { "desc" } else { "asc" };
+                format!("ordered walk of {table}.{column} ({dir}), stop after {limit}")
+            }
         }
     }
 }
@@ -223,6 +265,24 @@ pub(crate) enum PathChoice<'a> {
     Range(&'a str),
     /// Full scan.
     Scan,
+    /// Ordered index walk (see [`AccessPath::Ordered`]). Chosen only by
+    /// [`choose_select_access_ref`], never by the filter alone.
+    Ordered(OrderedWalk<'a>),
+}
+
+/// What the executor needs to run an ordered walk.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OrderedWalk<'a> {
+    /// The `ORDER BY` column.
+    pub column: &'a str,
+    /// `ORDER BY … DESC`.
+    pub descending: bool,
+    /// Survivors to stop after.
+    pub limit: usize,
+    /// Rows the filter-driven path would touch: what the walk was costed
+    /// against, and how many rows it may visit before the executor gives
+    /// up on it.
+    pub driven: usize,
 }
 
 impl PathChoice<'_> {
@@ -230,8 +290,28 @@ impl PathChoice<'_> {
         match self {
             PathChoice::Point(..) => 0,
             PathChoice::Range(_) => 1,
-            PathChoice::Scan => 2,
+            PathChoice::Scan | PathChoice::Ordered(_) => 2,
         }
+    }
+
+    /// The owned form, for plans that outlive the catalog borrow.
+    fn into_plan(self, est_rows: f64) -> AccessPlan {
+        let path = match self {
+            PathChoice::Point(c, unique) => AccessPath::Point {
+                column: c.to_string(),
+                unique,
+            },
+            PathChoice::Range(c) => AccessPath::Range {
+                column: c.to_string(),
+            },
+            PathChoice::Scan => AccessPath::Scan,
+            PathChoice::Ordered(walk) => AccessPath::Ordered {
+                column: walk.column.to_string(),
+                descending: walk.descending,
+                limit: walk.limit,
+            },
+        };
+        AccessPlan { path, est_rows }
     }
 }
 
@@ -279,17 +359,68 @@ pub(crate) fn choose_access_ref<'t>(
 /// (cached plans, EXPLAIN output).
 pub fn choose_access(table: &Table, filter: Option<&Expr>) -> AccessPlan {
     let (path, est_rows) = choose_access_ref(table, filter);
-    let path = match path {
-        PathChoice::Point(c, unique) => AccessPath::Point {
-            column: c.to_string(),
-            unique,
-        },
-        PathChoice::Range(c) => AccessPath::Range {
-            column: c.to_string(),
-        },
-        PathChoice::Scan => AccessPath::Scan,
+    path.into_plan(est_rows)
+}
+
+/// The column of `table` an `ORDER BY` on `name` (bare or qualified, as
+/// written) can be served from by an index walk: it must resolve to this
+/// table, be covered by an index, be unable to hold NULL (NULL keys are not
+/// indexed, so those rows would be missing from the walk) and not be DOUBLE
+/// (index order around a NaN key is not `ORDER BY` order).
+fn walkable_column<'t>(table: &'t Table, name: &str) -> Option<&'t str> {
+    let bare = match name.split_once('.') {
+        Some((t, c)) if t.eq_ignore_ascii_case(&table.schema.name) => c,
+        Some(_) => return None,
+        None => name,
     };
-    AccessPlan { path, est_rows }
+    let col = table.schema.column(bare).ok()?;
+    let never_null = col.not_null || table.schema.primary_key.as_deref() == Some(&*col.name);
+    (never_null && col.ty != DataType::Double && table.has_index_on(&col.name)).then_some(&*col.name)
+}
+
+/// Access-path selection for a single-table SELECT: the filter-driven
+/// choice of [`choose_access_ref`], or — for `ORDER BY <walkable column>
+/// LIMIT k` — the ordered walk when it touches fewer rows (see the module
+/// docs for the cost rule). `limit` and `params` are this execution's
+/// bindings, which is fine for a decision that is never cached:
+/// single-table selects choose their path per execution.
+pub(crate) fn choose_select_access_ref<'t>(
+    table: &'t Table,
+    stmt: &SelectStmt,
+    filter: Option<&Expr>,
+    limit: Option<usize>,
+    params: &[Value],
+) -> (PathChoice<'t>, f64) {
+    let (best, est) = choose_access_ref(table, filter);
+    let (Some(limit), [key], false) = (limit, stmt.order_by.as_slice(), stmt.has_aggregates())
+    else {
+        return (best, est);
+    };
+    let Some(column) = walkable_column(table, &key.column) else {
+        return (best, est);
+    };
+    let rows = table.len();
+    let driven = match best {
+        PathChoice::Point(col, _) => filter
+            .and_then(|f| f.equality_lookup_on(&table.schema.name, col, params))
+            .and_then(|pinned| table.posting_len(col, &pinned)),
+        PathChoice::Scan => Some(rows),
+        _ => None,
+    }
+    .unwrap_or(est.ceil() as usize);
+    // `limit × rows ÷ driven < driven`, without the division (an empty
+    // posting list must read as "the filter-driven path costs nothing").
+    if (limit as f64) * (rows as f64) < (driven as f64) * (driven as f64) {
+        let walk = OrderedWalk {
+            column,
+            descending: key.order == SortOrder::Desc,
+            limit,
+            driven,
+        };
+        (PathChoice::Ordered(walk), est.min(limit as f64))
+    } else {
+        (best, est)
+    }
 }
 
 /// How one join step combines the accumulated left rows with its table.
@@ -470,7 +601,18 @@ fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> H
 /// Join reordering is safe for this engine's join semantics: all joins are
 /// inner, so the result set is order-independent — only intermediate sizes
 /// (and `SELECT *` column order, which the executor restores) change.
-pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt, reorder: bool) -> Result<SelectPlan> {
+///
+/// `params` are read for one thing only: costing the ordered walk of a
+/// *single-table* `ORDER BY … LIMIT` (the bound limit, the length of the
+/// pinned key's posting list), whose plan is never cached. A join plan —
+/// which a prepared statement does cache across bindings — does not depend
+/// on them.
+pub fn plan_select(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    params: &[Value],
+    reorder: bool,
+) -> Result<SelectPlan> {
     let base = get_table(catalog, &stmt.table)?;
     let base_name = crate::schema::lower_name(&stmt.table).into_owned();
 
@@ -484,7 +626,14 @@ pub fn plan_select(catalog: &Catalog, stmt: &SelectStmt, reorder: bool) -> Resul
     let mut pushdown = pushdown_map(catalog, &scope, stmt.filter.as_ref());
 
     let base_pushdown = pushdown.remove(&base_name);
-    let base_access = choose_access(base, base_pushdown.as_ref());
+    let base_access = if stmt.joins.is_empty() {
+        let limit = stmt.limit_with(params)?;
+        let (path, est_rows) =
+            choose_select_access_ref(base, stmt, base_pushdown.as_ref(), limit, params);
+        path.into_plan(est_rows)
+    } else {
+        choose_access(base, base_pushdown.as_ref())
+    };
     let mut left_est = base_access.est_rows;
 
     let mut placed = vec![base_name.clone()];
@@ -630,7 +779,8 @@ pub struct StepActuals {
 /// output.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlanProfile {
-    /// Base-table access.
+    /// Base-table access. For an ordered walk `rows` counts the rows
+    /// *visited* (the walk stops early, so this is its whole cost).
     pub base: StepActuals,
     /// One entry per join step, in execution order.
     pub joins: Vec<StepActuals>,
@@ -644,10 +794,12 @@ pub struct PlanProfile {
 /// `[step, operator, detail, est_rows]`, plus `[actual_rows, time_us]` when
 /// `actuals` is present (`EXPLAIN ANALYZE`). Serving plans as a
 /// [`QueryResult`] means EXPLAIN is transport-agnostic for free: the wire
-/// protocol ships it like any other result set.
+/// protocol ships it like any other result set. `limit` is the statement's
+/// `LIMIT` as bound for this execution (`LIMIT ?` has no count of its own).
 pub fn explain_result(
     plan: &SelectPlan,
     stmt: &SelectStmt,
+    limit: Option<usize>,
     actuals: Option<&PlanProfile>,
 ) -> QueryResult {
     let mut names: Vec<Arc<str>> = vec![
@@ -736,26 +888,22 @@ pub fn explain_result(
         );
     }
 
-    let mut out_detail = if stmt
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Aggregate { .. }))
-        || !stmt.group_by.is_empty()
-    {
+    let mut out_detail = if stmt.has_aggregates() {
         "aggregate".to_string()
     } else if matches!(stmt.items.as_slice(), [SelectItem::Wildcard]) {
         "project *".to_string()
     } else {
         format!("project {} columns", stmt.items.len())
     };
-    if !stmt.order_by.is_empty() {
+    // An ordered walk hands its rows over already in ORDER BY order.
+    if !stmt.order_by.is_empty() && !matches!(plan.base.path, AccessPath::Ordered { .. }) {
         out_detail.push_str(", sort");
     }
-    let est_out = match stmt.limit {
+    let est_out = match limit {
         Some(l) => last_est.min(l as f64),
         None => last_est,
     };
-    if let Some(l) = stmt.limit {
+    if let Some(l) = limit {
         out_detail.push_str(&format!(", limit {l}"));
     }
     push(
@@ -960,6 +1108,114 @@ mod tests {
         assert_eq!(plan.est_rows, 100.0);
     }
 
+    /// `choose_select_access_ref` for a single-table statement, as the
+    /// executor calls it.
+    fn select_access<'t>(table: &'t Table, sql: &str, params: &[Value]) -> PathChoice<'t> {
+        let stmt = select_stmt(sql);
+        let limit = stmt.limit_with(params).unwrap();
+        choose_select_access_ref(table, &stmt, stmt.filter.as_ref(), limit, params).0
+    }
+
+    #[test]
+    fn ordered_walk_is_costed_against_the_filter_driven_path() {
+        let cat = catalog();
+        let jobs = cat.get("jobs").unwrap();
+        let walk = |limit, driven, descending| {
+            PathChoice::Ordered(OrderedWalk {
+                column: "job_id",
+                descending,
+                limit,
+                driven,
+            })
+        };
+        // 50 of 100 rows are idle (the exact posting list, no ANALYZE):
+        // 5 x 100 / 50 = 10 rows walked against 50 fetched and sorted.
+        let idle = "SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id";
+        assert_eq!(select_access(jobs, &format!("{idle} LIMIT 5"), &[]), walk(5, 50, false));
+        assert_eq!(
+            select_access(jobs, &format!("{idle} DESC LIMIT ?"), &[Value::Int(5)]),
+            walk(5, 50, true)
+        );
+        // At 25 the two cost the same and the tie stays with the lookup;
+        // past it the lookup is cheaper outright.
+        for limit in [25, 26, 1_000] {
+            assert_eq!(
+                select_access(jobs, &format!("{idle} LIMIT {limit}"), &[]),
+                PathChoice::Point("state", false),
+                "limit {limit}"
+            );
+        }
+        // No filter: the old plan scans and sorts all 100 rows.
+        assert_eq!(
+            select_access(jobs, "SELECT * FROM jobs ORDER BY jobs.job_id LIMIT 3", &[]),
+            walk(3, 100, false)
+        );
+        // A key nobody holds: the lookup touches nothing, nothing beats it.
+        assert_eq!(
+            select_access(jobs, "SELECT * FROM jobs WHERE state = ? ORDER BY job_id LIMIT 1", &[
+                Value::Text("gone".into())
+            ]),
+            PathChoice::Point("state", false)
+        );
+        // What cannot be walked: no LIMIT, a nullable or unindexed sort
+        // column, two sort keys, an aggregate.
+        for sql in [
+            "SELECT * FROM jobs ORDER BY job_id",
+            "SELECT * FROM jobs ORDER BY state LIMIT 1",
+            "SELECT * FROM jobs ORDER BY owner LIMIT 1",
+            "SELECT * FROM jobs ORDER BY job_id, state LIMIT 1",
+            "SELECT COUNT(*) FROM jobs ORDER BY job_id LIMIT 1",
+            "SELECT job_id, COUNT(*) FROM jobs GROUP BY job_id ORDER BY job_id LIMIT 1",
+        ] {
+            assert_eq!(select_access(jobs, sql, &[]), PathChoice::Scan, "{sql}");
+        }
+    }
+
+    /// The CAS statement behind every idle heartbeat must stay a lookup: an
+    /// ordered walk here would read all of `matches` to find one machine's
+    /// match.
+    #[test]
+    fn match_for_machine_keeps_its_point_lookup() {
+        let matches = table(
+            Schema::new(
+                "matches",
+                vec![
+                    Column::not_null("match_id", DataType::Int),
+                    Column::not_null("job_id", DataType::Int),
+                    Column::not_null("machine_id", DataType::Int),
+                ],
+            )
+            .with_primary_key("match_id")
+            .with_index("machine_id"),
+            (0..100)
+                .map(|i| vec![Value::Int(i), Value::Int(i), Value::Int(i % 50)])
+                .collect(),
+        );
+        let sql = "SELECT job_id FROM matches WHERE machine_id = ? ORDER BY match_id LIMIT 1";
+        // Two of 100 rows per machine: 1 x 100 / 2 walked against 2 fetched.
+        assert_eq!(
+            select_access(&matches, sql, &[Value::Int(7)]),
+            PathChoice::Point("machine_id", false)
+        );
+        // The same statement with nothing to narrow it is the walk's case.
+        assert!(matches!(
+            select_access(&matches, "SELECT job_id FROM matches ORDER BY match_id LIMIT 1", &[]),
+            PathChoice::Ordered(_)
+        ));
+    }
+
+    #[test]
+    fn double_sort_columns_are_never_walked() {
+        let t = table(
+            Schema::new("loads", vec![Column::not_null("load", DataType::Double)]).with_index("load"),
+            (0..10).map(|i| vec![Value::Double(i as f64)]).collect(),
+        );
+        assert_eq!(
+            select_access(&t, "SELECT * FROM loads ORDER BY load LIMIT 1", &[]),
+            PathChoice::Scan
+        );
+    }
+
     #[test]
     fn planner_orders_smallest_build_side_first() {
         let cat = catalog();
@@ -970,7 +1226,7 @@ mod tests {
              JOIN matches ON jobs.job_id = matches.job_id \
              JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert_eq!(plan.steps.len(), 2);
         // machines cannot be placed first (its ON references matches), so
         // ordering only kicks in when both are placeable — here the join
@@ -980,12 +1236,12 @@ mod tests {
              JOIN jobs ON matches.job_id = jobs.job_id \
              JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert_eq!(plan.steps[0].table, "machines", "smallest build side first");
         assert_eq!(plan.steps[1].table, "jobs");
         assert!(plan.reordered);
         // Without reordering the syntactic order is kept.
-        let plan = plan_select(&cat, &stmt, false).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], false).unwrap();
         assert_eq!(plan.steps[0].table, "jobs");
         assert!(!plan.reordered);
     }
@@ -997,7 +1253,7 @@ mod tests {
             "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
              WHERE jobs.job_id = 3 AND matches.machine_id > 1",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert!(plan.base_pushdown.is_some(), "matches conjunct pushed to base");
         let step = &plan.steps[0];
         assert_eq!(step.table, "jobs");
@@ -1012,7 +1268,7 @@ mod tests {
             "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
              WHERE jobs.state = ?",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert!(!plan.steps[0].cacheable, "param-dependent build must rebuild");
     }
 
@@ -1022,14 +1278,14 @@ mod tests {
         let stmt = select_stmt(
             "SELECT * FROM jobs JOIN matches ON jobs.job_id < matches.job_id",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert_eq!(plan.steps[0].strategy, JoinStrategy::NestedLoop);
         // Compound ON predicates also fall back to nested loop.
         let stmt = select_stmt(
             "SELECT * FROM jobs JOIN matches \
              ON jobs.job_id = matches.job_id AND matches.machine_id > 1",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert_eq!(plan.steps[0].strategy, JoinStrategy::NestedLoop);
     }
 
@@ -1041,7 +1297,7 @@ mod tests {
             "SELECT * FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
              WHERE jobs.job_id = 3",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert_eq!(
             plan.steps[0].strategy,
             JoinStrategy::IndexLoop {
@@ -1057,7 +1313,7 @@ mod tests {
         let stmt = select_stmt(
             "SELECT * FROM matches JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
         assert!(plan.caches_builds());
 
@@ -1066,7 +1322,7 @@ mod tests {
             "SELECT * FROM machines JOIN jobs ON machines.arch = jobs.owner \
              WHERE machines.machine_id = 1",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
         assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
     }
 
@@ -1079,8 +1335,8 @@ mod tests {
              JOIN machines ON matches.machine_id = machines.machine_id \
              WHERE machines.arch = 'x86' ORDER BY jobs.owner LIMIT 5",
         );
-        let plan = plan_select(&cat, &stmt, true).unwrap();
-        let r = explain_result(&plan, &stmt, None);
+        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let r = explain_result(&plan, &stmt, Some(5), None);
         assert_eq!(r.column_names(), vec!["step", "operator", "detail", "est_rows"]);
         let ops: Vec<String> = r
             .rows
@@ -1090,8 +1346,12 @@ mod tests {
         assert!(ops[0].contains("Access(matches)"), "{ops:?}");
         assert!(ops.iter().any(|o| o.contains("HashJoin(machines)")));
         assert!(ops.last().unwrap().contains("Output"));
+        assert_eq!(
+            r.rows.last().unwrap().get(2).to_string(),
+            "'project 1 columns, sort, limit 5'"
+        );
         // EXPLAIN ANALYZE adds actual columns.
-        let r = explain_result(&plan, &stmt, Some(&PlanProfile::default()));
+        let r = explain_result(&plan, &stmt, Some(5), Some(&PlanProfile::default()));
         assert_eq!(
             r.column_names(),
             vec!["step", "operator", "detail", "est_rows", "actual_rows", "time_us"]
@@ -1102,7 +1362,7 @@ mod tests {
     fn unknown_table_errors_at_plan_time() {
         let cat = catalog();
         let stmt = select_stmt("SELECT * FROM nope");
-        assert!(plan_select(&cat, &stmt, true).is_err());
+        assert!(plan_select(&cat, &stmt, &[], true).is_err());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Abstract syntax tree for the supported SQL subset.
 
+use crate::error::{Error, Result};
 use crate::predicate::{CmpOp, Expr};
 use crate::schema::Schema;
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 
 /// Sort direction for `ORDER BY`.
@@ -102,6 +104,40 @@ impl JoinClause {
     }
 }
 
+/// A `LIMIT` row count: written in the SQL text, or a `?` placeholder bound
+/// at execution so one prepared statement serves every count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Limit {
+    /// `LIMIT <n>`.
+    Count(usize),
+    /// `LIMIT ?` — the index of the placeholder among the statement's
+    /// parameters.
+    Param(usize),
+}
+
+impl Limit {
+    /// The row count this limit stands for under `params`. A placeholder
+    /// must be bound to a non-negative integer: anything else — a negative
+    /// count, a non-integer, NULL, a missing binding — is a type error.
+    pub fn resolve(&self, params: &[Value]) -> Result<usize> {
+        match *self {
+            Limit::Count(n) => Ok(n),
+            Limit::Param(i) => {
+                let bound = params.get(i).ok_or_else(|| {
+                    Error::type_err(format!("LIMIT parameter ?{} is not bound", i + 1))
+                })?;
+                match bound {
+                    Value::Int(n) => usize::try_from(*n).ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| {
+                    Error::type_err(format!("LIMIT expects a non-negative integer, got {bound}"))
+                })
+            }
+        }
+    }
+}
+
 /// A `SELECT` statement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SelectStmt {
@@ -118,17 +154,36 @@ pub struct SelectStmt {
     /// `ORDER BY` keys.
     pub order_by: Vec<OrderKey>,
     /// `LIMIT`, if present.
-    pub limit: Option<usize>,
+    pub limit: Option<Limit>,
 }
 
 impl SelectStmt {
     /// Number of `?` bind-parameter slots referenced anywhere in the
-    /// statement (one past the highest index), including join predicates
-    /// and subqueries.
+    /// statement (one past the highest index), including join predicates,
+    /// subqueries and `LIMIT ?`.
     pub fn param_count(&self) -> usize {
-        let mut n = 0usize;
+        let mut n = match self.limit {
+            Some(Limit::Param(i)) => i + 1,
+            _ => 0,
+        };
         self.for_each_expr(&mut |e| n = n.max(e.param_count()));
         n
+    }
+
+    /// The `LIMIT` row count under `params`, if the statement has one (see
+    /// [`Limit::resolve`]).
+    pub fn limit_with(&self, params: &[Value]) -> Result<Option<usize>> {
+        self.limit.map(|l| l.resolve(params)).transpose()
+    }
+
+    /// True when the statement aggregates: an aggregate function in the
+    /// projection list, or a `GROUP BY`.
+    pub fn has_aggregates(&self) -> bool {
+        !self.group_by.is_empty()
+            || self
+                .items
+                .iter()
+                .any(|i| matches!(i, SelectItem::Aggregate { .. }))
     }
 
     /// Visits every expression directly embedded in the statement
@@ -235,6 +290,9 @@ impl Statement {
     /// Number of `?` bind-parameter slots in the statement (one past the
     /// highest parameter index).
     pub fn param_count(&self) -> usize {
+        if let Statement::Select(sel) | Statement::Explain { select: sel, .. } = self {
+            return sel.param_count();
+        }
         let mut n = 0usize;
         self.for_each_expr(&mut |e| n = n.max(e.param_count()));
         n
@@ -358,6 +416,19 @@ mod tests {
         );
         assert_eq!(
             parse("EXPLAIN SELECT * FROM jobs WHERE job_id = ?").unwrap().param_count(),
+            1
+        );
+        // `LIMIT ?` takes the next slot, in a subquery too.
+        assert_eq!(
+            parse("SELECT * FROM jobs WHERE state = ? ORDER BY job_id LIMIT ?")
+                .unwrap()
+                .param_count(),
+            2
+        );
+        assert_eq!(
+            parse("SELECT * FROM jobs WHERE job_id IN (SELECT job_id FROM runs LIMIT ?)")
+                .unwrap()
+                .param_count(),
             1
         );
     }

@@ -7,7 +7,7 @@
 //!             | update | delete | BEGIN | COMMIT | ROLLBACK
 //!             | EXPLAIN [ANALYZE] select | ANALYZE [ident]
 //! select     := SELECT items FROM ident join* [WHERE expr] [GROUP BY cols]
-//!               [ORDER BY key (, key)*] [LIMIT int]
+//!               [ORDER BY key (, key)*] [LIMIT (int | ?)]
 //! join       := JOIN ident ON expr
 //! expr       := or_expr
 //! or_expr    := and_expr (OR and_expr)*
@@ -355,7 +355,12 @@ impl Parser {
         }
         let limit = if self.consume_keyword("LIMIT") {
             match self.next()? {
-                Token::Int(n) if n >= 0 => Some(n as usize),
+                Token::Int(n) if n >= 0 => Some(Limit::Count(n as usize)),
+                Token::Param => {
+                    let idx = self.params;
+                    self.params += 1;
+                    Some(Limit::Param(idx))
+                }
                 other => return Err(Error::parse(format!("expected LIMIT count, got {other}"))),
             }
         } else {
@@ -732,7 +737,7 @@ mod tests {
         assert!(sel.filter.is_some());
         assert_eq!(sel.order_by.len(), 2);
         assert_eq!(sel.order_by[0].order, SortOrder::Desc);
-        assert_eq!(sel.limit, Some(10));
+        assert_eq!(sel.limit, Some(Limit::Count(10)));
     }
 
     #[test]
@@ -926,6 +931,41 @@ mod tests {
         assert!(parse("SELECT * FROM t LIMIT x").is_err());
         assert!(parse("TRUNCATE t").is_err());
         assert!(parse("SELECT * FROM t extra junk").is_err());
+    }
+
+    #[test]
+    fn limit_placeholder_takes_the_next_parameter_slot() {
+        let Statement::Select(sel) =
+            parse("SELECT job_id FROM jobs WHERE state = ? ORDER BY job_id LIMIT ?").unwrap()
+        else {
+            panic!("expected Select");
+        };
+        assert_eq!(sel.limit, Some(Limit::Param(1)));
+        assert_eq!(sel.param_count(), 2);
+        let idle = Value::Text("idle".into());
+        assert_eq!(sel.limit_with(&[idle.clone(), Value::Int(7)]).unwrap(), Some(7));
+        assert_eq!(sel.limit_with(&[idle.clone(), Value::Int(0)]).unwrap(), Some(0));
+
+        // Hostile bindings are type errors, never a panic or a wrapped count.
+        for bad in [
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Double(2.5),
+            Value::Text("3".into()),
+            Value::Bool(true),
+            Value::Timestamp(3),
+            Value::Null,
+        ] {
+            let err = sel.limit_with(&[idle.clone(), bad.clone()]);
+            assert!(matches!(err, Err(Error::Type(_))), "{bad}: {err:?}");
+        }
+        let missing = sel.limit_with(std::slice::from_ref(&idle));
+        assert!(matches!(missing, Err(Error::Type(_))), "{missing:?}");
+
+        // In the text itself only a non-negative integer or `?` parses.
+        for bad in ["LIMIT -1", "LIMIT 2.5", "LIMIT NULL", "LIMIT 'x'", "LIMIT", "LIMIT ? ?"] {
+            assert!(parse(&format!("SELECT * FROM t {bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]

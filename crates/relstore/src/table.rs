@@ -638,6 +638,42 @@ impl Table {
         })
     }
 
+    /// Planner probe: how many entries the first index covering `column`
+    /// holds under exactly `key` — the rows a point lookup on that key
+    /// touches, stale entries of retained versions included. O(log n) and
+    /// exact at any time; no `ANALYZE` involved. `None` without an index.
+    pub fn posting_len(&self, column: &str, key: &Value) -> Option<usize> {
+        let idx = self.index_on(column)?;
+        Some(idx.lookup_set(key).map_or(0, BTreeSet::len))
+    }
+
+    /// Walks the first index covering `column` in key order (descending when
+    /// asked; rows of equal key in ascending row-id order both ways), lazily,
+    /// one item per index entry visited: the row, when the version `vis`
+    /// sees holds that entry's key, and `None` for an entry that is stale or
+    /// invisible to this snapshot. Entries cover every retained version, so
+    /// emitting a row only under its visible key is also what yields it
+    /// exactly once. Rows whose key is NULL are not indexed and never
+    /// appear. Returns `None` if no index covers `column`; the caller counts
+    /// `rows_read` per item it takes.
+    pub fn walk_ordered<'a>(
+        &'a self,
+        column: &str,
+        descending: bool,
+        vis: &'a Snapshot,
+        stats: &mut OpStats,
+    ) -> Option<impl Iterator<Item = Option<&'a Row>> + 'a> {
+        let idx = self.index_on(column)?;
+        stats.index_lookups += 1;
+        let col = idx.column_idx;
+        Some(idx.entries_in_key_order(descending).map(move |(key, id)| {
+            self.rows
+                .get(&id)
+                .and_then(|chain| chain.visible(vis))
+                .filter(|row| row.get(col) == key)
+        }))
+    }
+
     /// The first index (primary or secondary) covering `column`, if any.
     fn index_on(&self, column: &str) -> Option<&Index> {
         let col = self.schema.column_index(column).ok()?;
@@ -1074,6 +1110,45 @@ mod tests {
             .next()
             .is_none());
         t.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn ordered_walk_emits_each_row_under_its_visible_key_only() {
+        let mut t = machines_table();
+        let mut stats = OpStats::default();
+        for (id, state) in [(1, "idle"), (2, "busy"), (3, "idle")] {
+            t.insert(row(id, &format!("node{id:02}"), state, 0.0), SETUP, &mut stats)
+                .unwrap();
+        }
+        // Row 1 moves idle -> zzz (txn 7) and row 3 is deleted (txn 8): the
+        // `state` index now holds a stale 'idle' entry for each.
+        let state_col = t.schema.column_index("state").unwrap();
+        t.update(RowId(1), &[(state_col, Value::Text("zzz".into()))], TxnId(7), &mut stats)
+            .unwrap();
+        t.delete(RowId(3), TxnId(8), &mut stats).unwrap();
+        assert_eq!(t.posting_len("state", &Value::Text("idle".into())), Some(2));
+        assert_eq!(t.posting_len("load", &Value::Int(0)), None, "no index on load");
+
+        let walk = |vis: &Snapshot, descending: bool| -> Vec<Option<i64>> {
+            t.walk_ordered("state", descending, vis, &mut OpStats::default())
+                .unwrap()
+                .map(|r| r.map(|r| r.get(0).as_int().unwrap()))
+                .collect()
+        };
+        // Latest: entries busy/2, idle/1 (stale), idle/3 (deleted), zzz/1.
+        assert_eq!(walk(latest(), false), vec![Some(2), None, None, Some(1)]);
+        assert_eq!(walk(latest(), true), vec![Some(1), None, None, Some(2)]);
+        // A snapshot from before both writes reads the old keys, and skips
+        // the entry of the version it cannot see.
+        let old = Snapshot {
+            high: 7,
+            in_flight: Vec::new(),
+            own: None,
+        };
+        assert_eq!(walk(&old, false), vec![Some(2), Some(1), Some(3), None]);
+        assert!(t
+            .walk_ordered("load", false, latest(), &mut stats)
+            .is_none());
     }
 
     #[test]

@@ -50,6 +50,39 @@ fn statement_deadline_cancels_a_scan_with_a_logic_class_timeout() {
     assert_eq!(db.query("SELECT * FROM jobs").unwrap().rows.len(), 500);
 }
 
+/// An ordered index walk is governed row by row like any scan: a deadline
+/// stops it at a check boundary *inside* the walk (it has read a few rows,
+/// not the table), and the rows it keeps are charged to the row budget.
+#[test]
+fn deadline_and_row_budget_fire_inside_an_ordered_walk() {
+    let db = db_with_rows(5_000);
+    // No row is 'gone' and `state` has no index, so the walk of `job_id`
+    // would visit the whole table looking for its five rows.
+    let sql = "SELECT job_id FROM jobs WHERE state = 'gone' ORDER BY job_id LIMIT 5";
+    let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+    assert!(plan.rows[0].get(2).to_string().contains("ordered walk of jobs.job_id"), "{plan:?}");
+
+    let gov = Governance {
+        deadline: Some(Duration::ZERO),
+        check_interval: Some(8),
+        ..Governance::default()
+    };
+    let before = db.stats().rows_read;
+    let err = governed(&db, &gov).query(sql, ()).unwrap_err();
+    assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
+    let read = db.stats().rows_read - before;
+    assert!((1..=8).contains(&read), "stopped inside the walk after {read} rows");
+
+    let gov = Governance {
+        max_rows: Some(10),
+        ..Governance::default()
+    };
+    let head = "SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id DESC LIMIT ?";
+    let err = governed(&db, &gov).query(head, (50,)).unwrap_err();
+    assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+    assert_eq!(governed(&db, &gov).query(head, (10,)).unwrap().rows.len(), 10);
+}
+
 #[test]
 fn cancellation_token_stops_a_statement_from_another_thread() {
     let db = db_with_rows(200);
