@@ -67,7 +67,10 @@ pub struct CostModel {
     pub index_op_us: f64,
     /// IO time per byte appended to the write-ahead log.
     pub wal_us_per_byte: f64,
-    /// IO time per transaction commit (log force).
+    /// IO time per transaction commit (log force). The container runs a
+    /// service method as one transaction, so a request is charged this once
+    /// however many statements it executes (`OpStats::commits` counts the
+    /// request's one commit, not one per statement).
     pub commit_io_us: f64,
     /// System time per request for connection-pool bookkeeping.
     pub connection_us: f64,

@@ -7,11 +7,18 @@
 //! gap between `mem_baseline` and `fs_checkpoint_only` is the cost of
 //! encoding + appending records to a file; the gap up to `fs_always` is
 //! almost entirely fsync latency.
+//!
+//! `cas_lifecycle_fs_always` is the same price at the level the system pays
+//! it: 8 machines carried through register → submit → match → accept →
+//! running → completed by the CAS service methods on an `Always` log — 49
+//! service calls, each one transaction, so 49 log forces per iteration.
 
+use condorj2::{CasState, HeartbeatReply, HeartbeatReport};
 use criterion::{criterion_group, criterion_main, Criterion};
 use relstore::{Database, DurabilityPolicy};
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const INSERTS: i64 = 32;
 
@@ -87,5 +94,38 @@ fn bench_wal_durability(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_wal_durability);
+const MACHINES: i64 = 8;
+
+/// One iteration: every machine (re-)registers, one job per machine is
+/// submitted, one scheduler pass matches them, and each machine polls,
+/// accepts, reports running and reports completed.
+fn run_cas_lifecycle(cas: &mut CasState) {
+    for m in 1..=MACHINES {
+        cas.register_machine(m, "vm", 1.0, m, 2048).unwrap();
+        cas.submit_job("user", 60_000).unwrap();
+    }
+    assert_eq!(cas.run_scheduler().unwrap(), MACHINES as usize);
+    for m in 1..=MACHINES {
+        let HeartbeatReply::MatchInfo { job_id } = cas.heartbeat(m, HeartbeatReport::Idle).unwrap()
+        else {
+            panic!("machine {m} was matched");
+        };
+        cas.accept_match(m, job_id).unwrap();
+        cas.heartbeat(m, HeartbeatReport::Running { job_id }).unwrap();
+        cas.heartbeat(m, HeartbeatReport::Completed { job_id }).unwrap();
+    }
+}
+
+fn bench_cas_lifecycle(c: &mut Criterion) {
+    let path = temp_log("cas_always");
+    let _ = std::fs::remove_file(&path);
+    let db = Arc::new(Database::open_durable_with(&path, DurabilityPolicy::Always).unwrap());
+    let mut cas = CasState::new(Arc::clone(&db)).unwrap();
+    c.bench_function("cas_lifecycle_fs_always", |b| {
+        b.iter(|| run_cas_lifecycle(black_box(&mut cas)))
+    });
+    let _ = std::fs::remove_file(&path);
+}
+
+criterion_group!(benches, bench_wal_durability, bench_cas_lifecycle);
 criterion_main!(benches);

@@ -7,10 +7,17 @@
 //! services), the persistence operations underneath it, the matchmaking pass,
 //! the historical-information and configuration-management subsystems, and
 //! the data-provenance extension sketched in the paper's future-work section.
+//!
+//! As in the paper's J2EE container, **a service call is one transaction**:
+//! every method that runs more than one statement goes through
+//! `CasState::transact`, so it commits — and on a durable database forces
+//! the log — exactly once, and a fault or a crash part-way leaves nothing
+//! behind. Single-statement methods (`record_provenance`, the reads) are
+//! their own transaction at autocommit.
 
 use crate::schema;
 use appserver::{EntityDef, EntityManager, ServiceKind, ServiceRegistry, SoapRequest, SoapResponse};
-use relstore::{Database, Error, FromRow, Prepared, Result, RowView};
+use relstore::{Database, Error, FromRow, Prepared, Result, RowView, Transaction};
 use std::sync::Arc;
 
 /// What a startd reports in a heartbeat.
@@ -150,7 +157,7 @@ struct CasPrepared {
     job_insert: Prepared,
     machine_exists: Prepared,
     machine_insert: Prepared,
-    machine_reregister: Prepared,
+    machine_set_idle: Prepared,
     machine_history_insert: Prepared,
     machine_touch: Prepared,
     machine_set_state: Prepared,
@@ -190,7 +197,10 @@ impl CasPrepared {
                 "INSERT INTO machines (machine_id, name, state, speed, phys_id, last_heartbeat) \
                  VALUES (?, ?, 'idle', ?, ?, ?)",
             )?,
-            machine_reregister: db.prepare(
+            // A slot that re-registers, finishes a job or drops one is idle
+            // as of this contact: state and heartbeat timestamp change in
+            // one statement, so the call writes the `machines` row once.
+            machine_set_idle: db.prepare(
                 "UPDATE machines SET state = 'idle', last_heartbeat = ? WHERE machine_id = ?",
             )?,
             machine_history_insert: db.prepare(
@@ -287,24 +297,39 @@ pub struct CasState {
 impl CasState {
     /// Creates the CAS state over a database, deploying the schema and the
     /// default configuration policies.
+    ///
+    /// The database may already hold a pool — a CAS restarted over a
+    /// recovered log — so every id counter resumes after the highest id its
+    /// table holds instead of colliding with its own history at 1.
     pub fn new(db: Arc<Database>) -> Result<Self> {
         schema::deploy(&db)?;
         let entities = EntityManager::new(Arc::clone(&db));
         let prepared = CasPrepared::new(&db)?;
+        // `ORDER BY <pk> DESC LIMIT 1` is one step of the ordered index
+        // walk. A finished job's id lives on only in `job_history`, which
+        // has no index on it: that one is a scan, once per start.
+        let last_id = |table: &str, pk: &str| -> Result<i64> {
+            let sql = format!("SELECT {pk} FROM {table} ORDER BY {pk} DESC LIMIT 1");
+            Ok(db.query(&sql)?.scalar_int().unwrap_or(0))
+        };
+        let last_finished_job = db
+            .query("SELECT MAX(job_id) FROM job_history")?
+            .scalar_int()
+            .unwrap_or(0);
         let state = CasState {
-            db,
-            prepared,
-            entities,
             now_ms: 0,
-            next_job_id: 0,
-            next_match_id: 0,
-            next_run_id: 0,
-            next_history_id: 0,
-            next_machine_event_id: 0,
-            next_provenance_id: 0,
+            next_job_id: last_id("jobs", "job_id")?.max(last_finished_job),
+            next_match_id: last_id("matches", "match_id")?,
+            next_run_id: last_id("runs", "run_id")?,
+            next_history_id: last_id("job_history", "history_id")?,
+            next_machine_event_id: last_id("machine_history", "event_id")?,
+            next_provenance_id: last_id("provenance", "record_id")?,
             matches_made: 0,
             jobs_completed: 0,
             jobs_requeued: 0,
+            db,
+            prepared,
+            entities,
         };
         state.set_config_if_absent("heartbeat_interval_secs", "60")?;
         state.set_config_if_absent("scheduler", "fifo")?;
@@ -332,31 +357,52 @@ impl CasState {
         EntityDef::new("machines", "machine_id")
     }
 
-    // --- users, submission ----------------------------------------------------
-    //
-    // Service methods open a fresh typed `Session` over the shared database
-    // (two words) directly off the `db` field, so the borrow stays
-    // field-precise and the id counters remain mutable alongside it.
+    // --- the unit of work --------------------------------------------------------
 
-    /// Ensures a user row exists (users are created implicitly on first use).
-    fn ensure_user(&self, name: &str) -> Result<()> {
-        let mut sql = self.db.session();
-        if sql.query(&self.prepared.user_exists, (name,))?.is_empty() {
-            sql.execute(&self.prepared.user_insert, (name, self.now_ms))?;
-        }
-        Ok(())
+    /// Runs one service call's statements as **one transaction** — what the
+    /// paper's J2EE container does around every web-service method. `body`
+    /// reads and writes through the guard; the call commits (and, on a
+    /// durable database, forces the log) once, however many statements it
+    /// ran. Any fault drops the guard, which rolls back everything the call
+    /// wrote, so a crash or an error never leaves a job between two states.
+    /// A retryable error — another writer held a table `body` wanted — runs
+    /// `body` again from the top under the engine's one backoff policy, so
+    /// `body` must be re-runnable: callers compute new ids from the counters
+    /// before the call and advance the counters only after it returns.
+    fn transact<T>(&self, mut body: impl FnMut(&Transaction<'_>) -> Result<T>) -> Result<T> {
+        self.db.session().with_retries(3, |session| {
+            let txn = session.transaction()?;
+            let out = body(&txn)?;
+            txn.commit()?;
+            Ok(out)
+        })
     }
+
+    // --- users, submission ----------------------------------------------------
 
     /// Submits one job, inserting a job tuple. Returns the new job id.
     pub fn submit_job(&mut self, owner: &str, runtime_ms: i64) -> Result<i64> {
-        self.ensure_user(owner)?;
-        self.next_job_id += 1;
-        let id = self.next_job_id;
-        self.db.session().execute(
-            &self.prepared.job_insert,
-            (id, owner, runtime_ms, self.now_ms, self.now_ms),
-        )?;
-        Ok(id)
+        self.submit_jobs(owner, runtime_ms, 1)
+    }
+
+    /// Submits `count` identical jobs in one call — the owner's user row
+    /// (created implicitly on first use) and all the job tuples commit
+    /// together. Returns the first new job id; the rest follow it.
+    fn submit_jobs(&mut self, owner: &str, runtime_ms: i64, count: i64) -> Result<i64> {
+        let (p, now) = (&self.prepared, self.now_ms);
+        let first = self.next_job_id + 1;
+        self.transact(|txn| {
+            if txn.query(&p.user_exists, (owner,))?.is_empty() {
+                txn.execute(&p.user_insert, (owner, now))?;
+            }
+            txn.execute_batch(
+                &p.job_insert,
+                (first..first + count).map(|id| (id, owner, runtime_ms, now, now)),
+            )?;
+            Ok(())
+        })?;
+        self.next_job_id += count;
+        Ok(first)
     }
 
     // --- machines ---------------------------------------------------------------
@@ -372,120 +418,132 @@ impl CasState {
         phys_id: i64,
         memory_mb: i64,
     ) -> Result<()> {
-        let mut sql = self.db.session();
-        if sql
-            .query(&self.prepared.machine_exists, (machine_id,))?
-            .is_empty()
-        {
-            sql.execute(
-                &self.prepared.machine_insert,
-                (machine_id, name, speed, phys_id, self.now_ms),
+        let (p, now) = (&self.prepared, self.now_ms);
+        let event_id = self.next_machine_event_id + 1;
+        self.transact(|txn| {
+            if txn.query(&p.machine_exists, (machine_id,))?.is_empty() {
+                txn.execute(&p.machine_insert, (machine_id, name, speed, phys_id, now))?;
+            } else {
+                txn.execute(&p.machine_set_idle, (now, machine_id))?;
+            }
+            txn.execute(
+                &p.machine_history_insert,
+                (event_id, machine_id, now, memory_mb),
             )?;
-        } else {
-            sql.execute(&self.prepared.machine_reregister, (self.now_ms, machine_id))?;
-        }
-        self.next_machine_event_id += 1;
-        sql.execute(
-            &self.prepared.machine_history_insert,
-            (self.next_machine_event_id, machine_id, self.now_ms, memory_mb),
-        )?;
+            Ok(())
+        })?;
+        self.next_machine_event_id = event_id;
         Ok(())
     }
 
     /// Handles a startd heartbeat.
     pub fn heartbeat(&mut self, machine_id: i64, report: HeartbeatReport) -> Result<HeartbeatReply> {
-        self.db.session()
-            .execute(&self.prepared.machine_touch, (self.now_ms, machine_id))?;
-        match report {
+        let (p, now) = (&self.prepared, self.now_ms);
+        let history_id = self.next_history_id + 1;
+        let reply = self.transact(|txn| match report {
             HeartbeatReport::Idle => {
-                let matched: Option<i64> = self
-                    .db
-                    .session()
-                    .query_scalars(&self.prepared.match_for_machine, (machine_id,))?
+                txn.execute(&p.machine_touch, (now, machine_id))?;
+                let matched: Option<i64> = txn
+                    .query_scalars(&p.match_for_machine, (machine_id,))?
                     .into_iter()
                     .next();
-                match matched {
-                    Some(job_id) => Ok(HeartbeatReply::MatchInfo { job_id }),
-                    None => Ok(HeartbeatReply::Ok),
-                }
+                Ok(match matched {
+                    Some(job_id) => HeartbeatReply::MatchInfo { job_id },
+                    None => HeartbeatReply::Ok,
+                })
             }
             HeartbeatReport::Running { job_id } => {
-                self.db.session()
-                    .execute(&self.prepared.job_touch, (self.now_ms, job_id))?;
+                txn.execute(&p.machine_touch, (now, machine_id))?;
+                txn.execute(&p.job_touch, (now, job_id))?;
                 Ok(HeartbeatReply::Ok)
             }
             HeartbeatReport::Completed { job_id } => {
-                self.complete_job(machine_id, job_id)?;
+                self.complete_job(txn, history_id, machine_id, job_id)?;
                 Ok(HeartbeatReply::Ok)
             }
             HeartbeatReport::Failed { job_id } => {
-                self.requeue_job(machine_id, job_id)?;
+                self.requeue_job(txn, machine_id, job_id)?;
                 Ok(HeartbeatReply::Ok)
             }
+        })?;
+        match report {
+            HeartbeatReport::Completed { .. } => {
+                self.next_history_id = history_id;
+                self.jobs_completed += 1;
+            }
+            HeartbeatReport::Failed { .. } => self.jobs_requeued += 1,
+            HeartbeatReport::Idle | HeartbeatReport::Running { .. } => {}
         }
+        Ok(reply)
     }
 
     /// The startd accepts a previously reported match: the match tuple becomes
     /// a run tuple and the job and machine move to the running state.
     pub fn accept_match(&mut self, machine_id: i64, job_id: i64) -> Result<()> {
-        let mut sql = self.db.session();
-        if sql
-            .query(&self.prepared.match_exists, (job_id, machine_id))?
-            .is_empty()
-        {
-            return Err(Error::not_found(format!(
-                "match of job {job_id} on machine {machine_id}"
-            )));
-        }
-        sql.execute(&self.prepared.match_delete_by_job, (job_id,))?;
-        self.next_run_id += 1;
-        sql.execute(
-            &self.prepared.run_insert,
-            (self.next_run_id, job_id, machine_id, self.now_ms),
-        )?;
-        sql.execute(&self.prepared.job_set_running, (self.now_ms, job_id))?;
-        sql.execute(&self.prepared.machine_set_state, ("running", machine_id))?;
+        let (p, now) = (&self.prepared, self.now_ms);
+        let run_id = self.next_run_id + 1;
+        self.transact(|txn| {
+            if txn.query(&p.match_exists, (job_id, machine_id))?.is_empty() {
+                return Err(Error::not_found(format!(
+                    "match of job {job_id} on machine {machine_id}"
+                )));
+            }
+            txn.execute(&p.match_delete_by_job, (job_id,))?;
+            txn.execute(&p.run_insert, (run_id, job_id, machine_id, now))?;
+            txn.execute(&p.job_set_running, (now, job_id))?;
+            txn.execute(&p.machine_set_state, ("running", machine_id))?;
+            Ok(())
+        })?;
+        self.next_run_id = run_id;
         Ok(())
     }
 
-    fn complete_job(&mut self, machine_id: i64, job_id: i64) -> Result<()> {
-        let mut sql = self.db.session();
+    /// The completed-heartbeat half of [`CasState::heartbeat`]: the job and
+    /// its run leave the operational tables for `job_history` inside the
+    /// heartbeat's transaction.
+    fn complete_job(
+        &self,
+        txn: &Transaction<'_>,
+        history_id: i64,
+        machine_id: i64,
+        job_id: i64,
+    ) -> Result<()> {
+        let (p, now) = (&self.prepared, self.now_ms);
         // A single `jobs ⋈ runs` query fetches the finishing job together
         // with its run tuple; a completion report for a job that never
         // started (no run) fails here instead of fabricating history.
-        let job: FinishedJob = sql
-            .query_one(&self.prepared.job_fetch, (job_id,))?
+        let job: FinishedJob = txn
+            .query_one(&p.job_fetch, (job_id,))?
             .ok_or_else(|| Error::not_found(format!("running job {job_id}")))?;
-        self.next_history_id += 1;
-        sql.execute(
-            &self.prepared.history_insert,
+        txn.execute(
+            &p.history_insert,
             (
-                self.next_history_id,
+                history_id,
                 job_id,
                 job.owner,
                 job.runtime_ms,
                 job.submitted,
-                self.now_ms,
+                now,
                 // Recorded from the run tuple, not the heartbeat sender's
                 // claim.
                 job.machine_id,
                 job.requeues.unwrap_or(0),
             ),
         )?;
-        sql.execute(&self.prepared.run_delete_by_job, (job_id,))?;
-        sql.execute(&self.prepared.job_delete, (job_id,))?;
-        sql.execute(&self.prepared.machine_set_state, ("idle", machine_id))?;
-        self.jobs_completed += 1;
+        txn.execute(&p.run_delete_by_job, (job_id,))?;
+        txn.execute(&p.job_delete, (job_id,))?;
+        txn.execute(&p.machine_set_idle, (now, machine_id))?;
         Ok(())
     }
 
-    fn requeue_job(&mut self, machine_id: i64, job_id: i64) -> Result<()> {
-        let mut sql = self.db.session();
-        sql.execute(&self.prepared.run_delete_by_job, (job_id,))?;
-        sql.execute(&self.prepared.match_delete_by_job, (job_id,))?;
-        sql.execute(&self.prepared.job_requeue, (self.now_ms, job_id))?;
-        sql.execute(&self.prepared.machine_set_state, ("idle", machine_id))?;
-        self.jobs_requeued += 1;
+    /// The failed-heartbeat half of [`CasState::heartbeat`]: the dropped job
+    /// goes back to the idle queue inside the heartbeat's transaction.
+    fn requeue_job(&self, txn: &Transaction<'_>, machine_id: i64, job_id: i64) -> Result<()> {
+        let (p, now) = (&self.prepared, self.now_ms);
+        txn.execute(&p.run_delete_by_job, (job_id,))?;
+        txn.execute(&p.match_delete_by_job, (job_id,))?;
+        txn.execute(&p.job_requeue, (now, job_id))?;
+        txn.execute(&p.machine_set_idle, (now, machine_id))?;
         Ok(())
     }
 
@@ -500,42 +558,33 @@ impl CasState {
 
     /// As [`CasState::run_scheduler`], bounded to at most `limit` matches.
     ///
-    /// The sweep is batched: the N match inserts, N job-state updates and N
-    /// machine-state updates execute as three `execute_batch` calls inside
-    /// one RAII transaction — three catalog write guards and three WAL
-    /// appends for the whole pass instead of 3N of each. Any failure drops
-    /// the guard and rolls the entire pass back.
+    /// The sweep is batched: the two reads that pick the pairs, then the N
+    /// match inserts, N job-state updates and N machine-state updates as
+    /// three `execute_batch` calls, all inside the pass's one transaction —
+    /// three catalog write guards and three WAL appends for the whole pass
+    /// instead of 3N of each. Readers never conflict under MVCC, but
+    /// another writer (a heartbeat mutating `machines`, say) can still
+    /// collide with the sweep; the half-applied pass rolls back and reruns.
     pub fn run_scheduler_limited(&mut self, limit: usize) -> Result<usize> {
-        // FIFO on both sides: the first `limit` idle machines by id, then
-        // as many of the oldest idle jobs as there are machines to take them.
+        let (p, now) = (&self.prepared, self.now_ms);
         let limit = i64::try_from(limit).unwrap_or(i64::MAX);
-        let idle_machines: Vec<i64> = self
-            .db
-            .session()
-            .query_scalars(&self.prepared.idle_machines, (limit,))?;
-        if idle_machines.is_empty() {
-            return Ok(0);
-        }
-        let idle_jobs: Vec<i64> = self
-            .db
-            .session()
-            .query_scalars(&self.prepared.idle_jobs, (idle_machines.len() as i64,))?;
-        if idle_jobs.is_empty() {
-            return Ok(0);
-        }
-        let pairs: Vec<(i64, i64)> = idle_machines.into_iter().zip(idle_jobs).collect();
-
         let first_match_id = self.next_match_id + 1;
-        let now = self.now_ms;
-        // Readers never conflict under MVCC, but another writer (a heartbeat
-        // mutating `machines`, say) can still collide with the sweep; retry
-        // the whole transaction with backoff — the dropped guard rolls a
-        // half-applied pass back before each retry.
-        let prepared = &self.prepared;
-        self.db.session().with_retries(3, |s| {
-            let txn = s.transaction()?;
+        let made = self.transact(|txn| {
+            // FIFO on both sides: the first `limit` idle machines by id, then
+            // as many of the oldest idle jobs as there are machines to take
+            // them.
+            let idle_machines: Vec<i64> = txn.query_scalars(&p.idle_machines, (limit,))?;
+            if idle_machines.is_empty() {
+                return Ok(0);
+            }
+            let idle_jobs: Vec<i64> =
+                txn.query_scalars(&p.idle_jobs, (idle_machines.len() as i64,))?;
+            if idle_jobs.is_empty() {
+                return Ok(0);
+            }
+            let pairs: Vec<(i64, i64)> = idle_machines.into_iter().zip(idle_jobs).collect();
             txn.execute_batch(
-                &prepared.match_insert,
+                &p.match_insert,
                 pairs
                     .iter()
                     .enumerate()
@@ -543,18 +592,13 @@ impl CasState {
                         (first_match_id + i as i64, *job_id, *machine_id, now)
                     }),
             )?;
+            txn.execute_batch(&p.job_set_matched, pairs.iter().map(|(_, job_id)| (*job_id,)))?;
             txn.execute_batch(
-                &prepared.job_set_matched,
-                pairs.iter().map(|(_, job_id)| (*job_id,)),
-            )?;
-            txn.execute_batch(
-                &prepared.machine_set_state,
+                &p.machine_set_state,
                 pairs.iter().map(|(machine_id, _)| ("matched", *machine_id)),
             )?;
-            txn.commit()
+            Ok(pairs.len())
         })?;
-
-        let made = pairs.len();
         self.next_match_id += made as i64;
         self.matches_made += made as u64;
         Ok(made)
@@ -613,12 +657,13 @@ impl CasState {
 
     /// Writes a configuration policy value.
     pub fn set_config(&self, name: &str, value: &str) -> Result<()> {
-        let mut sql = self.db.session();
-        let updated = sql.execute(&self.prepared.config_update, (value, self.now_ms, name))?;
-        if updated.affected() == 0 {
-            sql.execute(&self.prepared.config_insert, (name, value, self.now_ms))?;
-        }
-        Ok(())
+        let (p, now) = (&self.prepared, self.now_ms);
+        self.transact(|txn| {
+            if txn.execute(&p.config_update, (value, now, name))?.affected() == 0 {
+                txn.execute(&p.config_insert, (name, value, now))?;
+            }
+            Ok(())
+        })
     }
 
     fn set_config_if_absent(&self, name: &str, value: &str) -> Result<()> {
@@ -686,18 +731,10 @@ pub fn register_services(registry: &mut ServiceRegistry<CasState>) {
             let owner = req.text_param("owner").unwrap_or_else(|_| "anonymous".into());
             let runtime = req.int_param("runtime_ms").unwrap_or(60_000);
             let count = req.int_param("count").unwrap_or(1).max(1);
-            let mut first = 0;
-            for i in 0..count {
-                match state.submit_job(&owner, runtime) {
-                    Ok(id) => {
-                        if i == 0 {
-                            first = id;
-                        }
-                    }
-                    Err(e) => return SoapResponse::fault(e.to_string()),
-                }
+            match state.submit_jobs(&owner, runtime, count) {
+                Ok(first) => SoapResponse::ok().with("first_job_id", first).with("count", count),
+                Err(e) => SoapResponse::fault(e.to_string()),
             }
-            SoapResponse::ok().with("first_job_id", first).with("count", count)
         },
     );
     registry.register(
@@ -940,9 +977,11 @@ mod tests {
             let job_id = job_on_machine_1.unwrap();
             cas.heartbeat(1, HeartbeatReport::Completed { job_id }).unwrap();
             let d = db.stats().delta_since(&before);
-            // touch machine, fetch job ⋈ run, insert history, delete run,
-            // delete job, idle machine: the join was not split app-side.
-            assert_eq!(d.statements_executed, 6, "{machines} machines");
+            // fetch job ⋈ run, insert history, delete run, delete job,
+            // idle + touch machine: the join was not split app-side, and
+            // the `machines` row is written once.
+            assert_eq!(d.statements_executed, 5, "{machines} machines");
+            assert_eq!(d.rows_updated, 1, "{machines} machines");
             assert!(d.rows_read <= 10, "{machines} machines: read {} rows", d.rows_read);
             assert_eq!(d.rows_scanned, 0, "{machines} machines");
         }
@@ -997,6 +1036,141 @@ mod tests {
         cas.register_machine(1, "vm1", 1.0, 0, 1024).unwrap();
         let job = cas.submit_job("erin", 1000).unwrap();
         assert!(cas.accept_match(1, job).is_err());
+    }
+
+    /// Every table's rows, in a stable order.
+    fn dump(db: &Database) -> Vec<(String, Vec<String>)> {
+        schema::TABLES
+            .iter()
+            .map(|t| {
+                let rows = db.query(&format!("SELECT * FROM {t}")).unwrap().rows;
+                let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+                rows.sort();
+                (t.to_string(), rows)
+            })
+            .collect()
+    }
+
+    /// A service call that faults rolls back everything it wrote and hands
+    /// out no id: the heartbeat timestamp of the reporting machine included.
+    #[test]
+    fn a_faulted_call_leaves_no_trace() {
+        let mut cas = cas();
+        cas.register_machine(1, "vm1", 1.0, 0, 1024).unwrap();
+        let job = cas.submit_job("erin", 1000).unwrap();
+        cas.now_ms = 5_000;
+        let before = dump(cas.database());
+        let ids = |c: &CasState| (c.next_run_id, c.next_history_id, c.next_match_id, c.next_job_id);
+        let ids_before = ids(&cas);
+
+        // No scheduler pass ran, so there is no match to accept.
+        let err = cas.accept_match(1, job).unwrap_err();
+        assert_eq!(err.class(), relstore::ErrorClass::Logic, "{err}");
+        // A completion report for a job nobody knows.
+        assert!(cas.heartbeat(1, HeartbeatReport::Completed { job_id: 999 }).is_err());
+
+        assert_eq!(dump(cas.database()), before);
+        assert_eq!(ids(&cas), ids_before);
+        assert_eq!((cas.jobs_completed, cas.jobs_requeued), (0, 0));
+        // The next calls that do succeed use the ids the faults did not burn.
+        cas.run_scheduler().unwrap();
+        cas.accept_match(1, job).unwrap();
+        cas.heartbeat(1, HeartbeatReport::Completed { job_id: job }).unwrap();
+        let ids: Vec<(i64, i64)> = cas
+            .database()
+            .session()
+            .query_as("SELECT history_id, machine_id FROM job_history", ())
+            .unwrap();
+        assert_eq!(ids, vec![(1, 1)]);
+    }
+
+    /// One service call is one transaction: on a durable log every call —
+    /// each heartbeat kind, `acceptMatch`, `registerMachine`, a three-job
+    /// `submitJob` — commits once and forces the log once.
+    #[test]
+    fn every_service_call_commits_and_syncs_once() {
+        use relstore::{DurabilityPolicy, MemDevice};
+        let db = Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always)
+            .unwrap();
+        let mut state = CasState::new(Arc::new(db)).unwrap();
+        let mut registry = ServiceRegistry::new();
+        register_services(&mut registry);
+        let call = |state: &mut CasState, req: SoapRequest| {
+            let before = state.database().stats();
+            let resp = registry.dispatch_external(state, &req);
+            assert!(!matches!(resp.status, appserver::SoapStatus::Fault), "{req:?}: {resp:?}");
+            let d = state.database().stats().delta_since(&before);
+            assert_eq!((d.commits, d.wal_fsyncs), (1, 1), "{req:?}");
+            resp
+        };
+        let heartbeat = |status: &str, job_id: i64| {
+            SoapRequest::new("heartbeat")
+                .with("machine_id", 1i64)
+                .with("status", status)
+                .with("job_id", job_id)
+        };
+
+        call(&mut state, SoapRequest::new("registerMachine").with("machine_id", 1i64));
+        let resp = call(
+            &mut state,
+            SoapRequest::new("submitJob").with("owner", "alice").with("count", 3i64),
+        );
+        let job = resp.field("first_job_id").as_int().unwrap();
+        assert_eq!(state.database().table_len("jobs").unwrap(), 3);
+
+        // FIFO: the first job is matched, fails, is requeued as the oldest
+        // idle job, and the second pass matches it again.
+        for outcome in ["failed", "completed"] {
+            let before = state.database().stats();
+            assert_eq!(state.run_scheduler().unwrap(), 1);
+            let d = state.database().stats().delta_since(&before);
+            assert_eq!((d.commits, d.wal_fsyncs), (1, 1), "scheduler pass");
+
+            let resp = call(&mut state, heartbeat("idle", 0));
+            assert_eq!(resp.field("job_id"), Value::Int(job));
+            call(
+                &mut state,
+                SoapRequest::new("acceptMatch").with("machine_id", 1i64).with("job_id", job),
+            );
+            call(&mut state, heartbeat("running", job));
+            call(&mut state, heartbeat(outcome, job));
+        }
+        assert_eq!((state.jobs_requeued, state.jobs_completed), (1, 1));
+        // Re-registration and a configuration write are calls like any other.
+        call(&mut state, SoapRequest::new("registerMachine").with("machine_id", 1i64));
+        call(&mut state, SoapRequest::new("setConfig").with("name", "scheduler").with("value", "x"));
+    }
+
+    /// A CAS started over a database that already holds a pool carries on
+    /// after the ids that pool used.
+    #[test]
+    fn a_restarted_cas_resumes_its_id_counters() {
+        let mut cas = cas();
+        cas.register_machine(1, "vm1", 1.0, 0, 1024).unwrap();
+        let done = cas.submit_job("alice", 1000).unwrap();
+        let queued = cas.submit_job("alice", 1000).unwrap();
+        cas.run_scheduler().unwrap();
+        cas.accept_match(1, done).unwrap();
+        cas.heartbeat(1, HeartbeatReport::Completed { job_id: done }).unwrap();
+        cas.record_provenance(done, "exe", "in", "out").unwrap();
+
+        let mut restarted = CasState::new(Arc::clone(cas.database())).unwrap();
+        assert_eq!(restarted.submit_job("bob", 1000).unwrap(), queued + 1);
+        restarted.register_machine(1, "vm1", 1.0, 0, 1024).unwrap();
+        assert_eq!(restarted.run_scheduler().unwrap(), 1);
+        restarted.accept_match(1, queued).unwrap();
+        restarted.heartbeat(1, HeartbeatReport::Completed { job_id: queued }).unwrap();
+        assert_eq!(restarted.record_provenance(queued, "exe", "in", "out2").unwrap(), 2);
+        assert_eq!(restarted.database().table_len("job_history").unwrap(), 2);
+
+        // A finished job's id is never handed out again, even once `jobs`
+        // has drained and only `job_history` remembers it.
+        restarted.run_scheduler().unwrap();
+        restarted.accept_match(1, queued + 1).unwrap();
+        restarted.heartbeat(1, HeartbeatReport::Completed { job_id: queued + 1 }).unwrap();
+        assert_eq!(restarted.database().table_len("jobs").unwrap(), 0);
+        let mut again = CasState::new(Arc::clone(restarted.database())).unwrap();
+        assert_eq!(again.submit_job("carol", 1000).unwrap(), queued + 2);
     }
 
     #[test]

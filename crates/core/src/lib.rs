@@ -10,7 +10,11 @@
 //! * [`schema`] — the relational schema holding all operational state,
 //! * [`cas`] — the CondorJ2 Application Server: coarse-grained services
 //!   (submit, heartbeat, acceptMatch, queries, configuration, provenance)
-//!   wrapping the fine-grained persistence layer, plus the SQL matchmaker,
+//!   wrapping the fine-grained persistence layer, plus the SQL matchmaker.
+//!   Each service call that writes runs as **one transaction** — one
+//!   commit, one log force, all of its statements or none — which is what
+//!   lets a crashed CAS restart over the recovered database
+//!   ([`CasState::new`] resumes its id counters from the tables),
 //! * [`concurrent`] — multi-threaded read drivers: the harness that runs
 //!   service-call SELECTs from N OS threads against the shared database
 //!   (the engine's shared-lock read path makes them scale with cores),

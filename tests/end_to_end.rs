@@ -3,8 +3,9 @@
 
 use cluster_sim::{ClusterSpec, JobSpec, SimDuration, SimTime};
 use condor::{CondorConfig, CondorSimulation};
-use condorj2::{CondorJ2Config, CondorJ2Simulation};
+use condorj2::{CasState, CondorJ2Config, CondorJ2Simulation, HeartbeatReply, HeartbeatReport};
 use relstore::Database;
+use std::sync::Arc;
 
 /// Both systems are given the identical workload and cluster; both must
 /// complete every job.
@@ -71,6 +72,36 @@ fn condorj2_state_survives_cas_crash_via_wal_recovery() {
         .query("SELECT COUNT(*) FROM jobs WHERE state = 'running'")
         .unwrap();
     assert!(r.scalar_int().unwrap() >= 0);
+
+    // And a restarted CAS takes up where the crashed one stopped: a new job
+    // gets an id the old pool never used and goes through the whole
+    // lifecycle next to the recovered ones.
+    let recovered = Arc::new(recovered);
+    let mut cas = CasState::new(Arc::clone(&recovered)).unwrap();
+    let job = cas.submit_job("after-the-crash", 60_000).unwrap();
+    assert_eq!(job, 31, "30 jobs were submitted before the crash");
+    cas.register_machine(100, "vm-new", 1.0, 100, 2048).unwrap();
+    assert!(cas.run_scheduler().unwrap() >= 1);
+    // Job ids are matched FIFO, so the new job waits for the backlog: keep
+    // the new machine turning jobs over until it is handed job 31.
+    loop {
+        let HeartbeatReply::MatchInfo { job_id } = cas.heartbeat(100, HeartbeatReport::Idle).unwrap()
+        else {
+            panic!("the new machine is matched on every pass while jobs are queued");
+        };
+        cas.accept_match(100, job_id).unwrap();
+        cas.heartbeat(100, HeartbeatReport::Running { job_id }).unwrap();
+        cas.heartbeat(100, HeartbeatReport::Completed { job_id }).unwrap();
+        if job_id == job {
+            break;
+        }
+        cas.run_scheduler().unwrap();
+    }
+    let r = recovered
+        .query("SELECT COUNT(*) FROM job_history WHERE owner = 'after-the-crash'")
+        .unwrap();
+    assert_eq!(r.scalar_int(), Some(1));
+    recovered.check_consistency().unwrap();
 }
 
 /// In Condor, the in-memory collector/negotiator pair is a single point where
