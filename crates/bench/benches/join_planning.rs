@@ -336,12 +336,64 @@ fn bench_usage_report(c: &mut Criterion) {
     });
 }
 
+/// The same report at the end-to-end benchmark's shape (`operator_queries`
+/// preloads 100 k `job_history` rows for 50 users): the CAS's
+/// `usage_by_owner` text over the CAS's `job_history` columns, so the
+/// per-row cost of the join + GROUP BY executor shows where the small
+/// case above shows only its per-execution overhead.
+fn bench_usage_report_100k(c: &mut Criterion) {
+    let db = Database::new();
+    const OWNERS: i64 = 50;
+    const HISTORY: i64 = 100_000;
+    db.execute("CREATE TABLE users (name TEXT PRIMARY KEY, priority DOUBLE, created TIMESTAMP)")
+        .unwrap();
+    let ins = db.prepare("INSERT INTO users VALUES (?, 0.5, 0)").unwrap();
+    db.session()
+        .execute_batch(&ins, (0..OWNERS).map(|i| (format!("user{i:02}"),)))
+        .unwrap();
+    db.execute(
+        "CREATE TABLE job_history (history_id INT PRIMARY KEY, job_id INT NOT NULL, owner TEXT, \
+         runtime_ms INT, submitted TIMESTAMP, completed TIMESTAMP, machine_id INT, requeues INT)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX ON job_history (owner)").unwrap();
+    let ins = db
+        .prepare("INSERT INTO job_history VALUES (?, ?, ?, ?, ?, ?, ?, 0)")
+        .unwrap();
+    for chunk in 0..HISTORY / 5_000 {
+        let ids = chunk * 5_000..(chunk + 1) * 5_000;
+        db.session()
+            .execute_batch(
+                &ins,
+                ids.map(|i| (i, 1_000_000 + i, format!("user{:02}", i % OWNERS), 1_000 + i % 600_000, i, i + 1, i % 1_000)),
+            )
+            .unwrap();
+    }
+    let report = db
+        .prepare(
+            "SELECT users.name AS owner, users.priority AS priority, \
+                    COUNT(*) AS jobs, SUM(job_history.runtime_ms) AS total_ms \
+             FROM job_history JOIN users ON job_history.owner = users.name \
+             GROUP BY users.name, users.priority ORDER BY owner",
+        )
+        .unwrap();
+
+    c.bench_function("sql_usage_report_100k", |b| {
+        b.iter(|| {
+            let r = db.session().query(black_box(&report), ()).unwrap();
+            assert_eq!(r.len(), OWNERS as usize);
+            black_box(r)
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_join_order,
     bench_build_reuse,
     bench_access_path,
     bench_app_side_vs_join,
-    bench_usage_report
+    bench_usage_report,
+    bench_usage_report_100k
 );
 criterion_main!(benches);

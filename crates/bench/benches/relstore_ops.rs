@@ -98,6 +98,36 @@ fn bench_relstore(c: &mut Criterion) {
             .unwrap()
         })
     });
+    // `operator_queries`' range count at its shape: a prepared `COUNT(*)`
+    // over an unindexed TIMESTAMP range of 10 k `provenance`-like rows —
+    // scan, filter and fold, nothing returned but the count. Per row it is
+    // the cost of one bound two-comparison predicate.
+    {
+        let prov = Database::new();
+        prov.execute(
+            "CREATE TABLE provenance (record_id INT PRIMARY KEY, job_id INT NOT NULL, executable TEXT, \
+             input_dataset TEXT, output_dataset TEXT, recorded TIMESTAMP)",
+        )
+        .unwrap();
+        let ins = prov.prepare("INSERT INTO provenance VALUES (?, ?, ?, ?, ?, ?)").unwrap();
+        prov.session()
+            .execute_batch(
+                &ins,
+                (1..=10_000i64).map(|i| (i, 1_000_000 + i, format!("exe{}", i % 20), format!("in{i}"), format!("out{}", i % 500), i)),
+            )
+            .unwrap();
+        let count = prov
+            .prepare("SELECT COUNT(*) FROM provenance WHERE recorded >= ? AND recorded < ?")
+            .unwrap();
+        c.bench_function("filtered_range_count", |b| {
+            let mut session = prov.session();
+            b.iter(|| {
+                let r = session.query(black_box(&count), black_box((4_000i64, 5_000i64))).unwrap();
+                assert_eq!(r.scalar_int(), Some(1_000));
+                r
+            })
+        });
+    }
     c.bench_function("single_row_update", |b| {
         b.iter(|| {
             db.execute(black_box("UPDATE jobs SET state = 'running' WHERE job_id = 123")).unwrap()

@@ -1241,6 +1241,52 @@ mod tests {
         assert_eq!(cas.usage_by_owner().unwrap().len(), 3);
     }
 
+    /// The usage report's work, as a budget in engine counters: it reads
+    /// every history row once, builds `users` once, and allocates only the
+    /// build side and one row per reported owner — never a copy of
+    /// `job_history`. A second report reuses the cached build side.
+    #[test]
+    fn usage_report_materializes_users_and_groups_not_history() {
+        const USERS: u64 = 5; // the fifth never ran a job
+        const HISTORY: u64 = 40; // three of them by an owner who never registered
+        const GHOSTS: u64 = 3;
+        let cas = cas();
+        let db = cas.database();
+        let user = db.prepare("INSERT INTO users (name, priority, created) VALUES (?, 0.5, 0)").unwrap();
+        db.session()
+            .execute_batch(&user, (0..USERS).map(|u| (format!("user{u}"),)))
+            .unwrap();
+        let done = db
+            .prepare("INSERT INTO job_history (history_id, job_id, owner, runtime_ms) VALUES (?, ?, ?, 60000)")
+            .unwrap();
+        let owner = |i: u64| match i {
+            i if i < GHOSTS => "ghost".to_string(),
+            i => format!("user{}", i % (USERS - 1)),
+        };
+        db.session()
+            .execute_batch(&done, (0..HISTORY).map(|i| (i as i64, i as i64, owner(i))))
+            .unwrap();
+
+        let report = |cas: &CasState| {
+            let before = cas.database().stats();
+            let usage = cas.usage_by_owner().unwrap();
+            assert_eq!(usage.len() as u64, USERS - 1);
+            assert_eq!(usage.iter().map(|u| u.jobs as u64).sum::<u64>(), HISTORY - GHOSTS);
+            cas.database().stats().delta_since(&before)
+        };
+        let first = report(&cas);
+        assert_eq!(first.rows_scanned, HISTORY + USERS);
+        assert_eq!(first.rows_read, HISTORY + USERS + (HISTORY - GHOSTS));
+        assert_eq!(first.index_lookups, 0);
+        assert_eq!(first.rows_materialized, USERS + (USERS - 1), "the build side and the groups");
+
+        let second = report(&cas);
+        assert_eq!(second.build_reuse_hits, 1);
+        assert_eq!(second.rows_scanned, HISTORY);
+        assert_eq!(second.rows_read, HISTORY + (HISTORY - GHOSTS));
+        assert_eq!(second.rows_materialized, USERS - 1, "the groups alone");
+    }
+
     #[test]
     fn provenance_answers_the_papers_question() {
         let mut cas = cas();

@@ -59,7 +59,10 @@ use crate::govern::{Governance, Governor};
 use crate::io::{DurabilityPolicy, Failpoints, FsDevice, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
-use crate::obs::{self, systables, Observability, StmtKind, StmtProfile, StmtProfileSnapshot, WaitBreakdown};
+use crate::obs::{
+    self, systables, EvictedTotals, Observability, StmtKind, StmtProfile, StmtProfileSnapshot,
+    WaitBreakdown,
+};
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
 use crate::predicate::Expr;
 use crate::schema::{lower_name, IndexDef, Schema};
@@ -180,6 +183,8 @@ struct StmtCache {
     capacity: usize,
     entries: HashMap<String, CacheEntry>,
     next_gen: u64,
+    /// What the evicted entries' profiles held when they were dropped.
+    evicted: EvictedTotals,
 }
 
 #[derive(Debug)]
@@ -197,6 +202,7 @@ impl Default for StmtCache {
             capacity: STMT_CACHE_CAPACITY,
             entries: HashMap::new(),
             next_gen: 0,
+            evicted: EvictedTotals::default(),
         }
     }
 }
@@ -216,7 +222,9 @@ impl StmtCache {
         if self.capacity == 0 {
             return;
         }
-        self.entries.remove(&sql);
+        if let Some(replaced) = self.entries.remove(&sql) {
+            self.evicted.fold(&replaced.prepared.profile());
+        }
         while self.entries.len() >= self.capacity {
             self.evict_lru();
         }
@@ -237,11 +245,9 @@ impl StmtCache {
             .iter()
             .min_by_key(|(_, e)| e.gen)
             .map(|(sql, _)| sql.clone());
-        match victim {
-            Some(sql) => {
-                self.entries.remove(&sql);
-            }
-            None => unreachable!("evict_lru called on an empty cache"),
+        let victim = victim.expect("evict_lru called on an empty cache");
+        if let Some(entry) = self.entries.remove(&victim) {
+            self.evicted.fold(&entry.prepared.profile());
         }
     }
 
@@ -1005,9 +1011,10 @@ impl Database {
     }
 
     /// Snapshots the execution profile of every statement currently in the
-    /// statement cache — the rows of the `rel_statements` system table,
-    /// unsorted. Bounded by the cache capacity; an evicted entry's profile
-    /// disappears with it (a re-prepare starts fresh).
+    /// statement cache — the per-statement rows of the `rel_statements`
+    /// system table, unsorted. Bounded by the cache capacity; an evicted
+    /// entry's profile leaves the list (a re-prepare starts fresh) and its
+    /// totals move to the table's `'(evicted)'` row.
     pub fn statement_profiles(&self) -> Vec<StmtProfileSnapshot> {
         self.stmt_cache.lock().profiles()
     }
@@ -1471,7 +1478,10 @@ impl Database {
         let table = match name {
             "rel_stats" => systables::stats_table(&self.stats.snapshot()),
             "rel_histograms" => systables::histograms_table(&self.obs.histograms),
-            "rel_statements" => systables::statements_table(self.statement_profiles()),
+            "rel_statements" => {
+                let cache = self.stmt_cache.lock();
+                systables::statements_table(cache.profiles(), cache.evicted)
+            }
             "rel_slow_queries" => systables::slow_queries_table(self.obs.slow_log.entries()),
             "rel_events" => systables::events_table(self.obs.events.entries()),
             "rel_table_stats" => {
@@ -2609,6 +2619,33 @@ mod tests {
         let s5 = db.stats();
         assert_eq!(s5.cache_hits, s4.cache_hits);
         assert_eq!(s5.cache_misses, s4.cache_misses + 2);
+    }
+
+    #[test]
+    fn evicted_profiles_fold_into_one_rel_statements_row() {
+        let db = setup();
+        db.set_statement_cache_capacity(4);
+        let by_sql = |db: &Database| -> Vec<(String, String, i64, i64)> {
+            db.session()
+                .query_as("SELECT sql, kind, calls, total_rows FROM rel_statements", ())
+                .unwrap()
+        };
+        assert!(by_sql(&db).iter().all(|(sql, ..)| sql != "(evicted)"), "nothing evicted yet");
+        // Twelve ad-hoc point selects through a four-entry cache: each runs
+        // once and ages out, as an operator's one-off queries do.
+        for id in 0..12 {
+            db.query(&format!("SELECT * FROM jobs WHERE job_id = {}", id % 3 + 1)).unwrap();
+            db.query(&format!("SELECT owner FROM jobs WHERE job_id = {id}")).unwrap();
+        }
+        let executed = db.stats().statements_executed as i64;
+        let lines = by_sql(&db);
+        let evicted: Vec<_> = lines.iter().filter(|(sql, ..)| sql == "(evicted)").collect();
+        assert_eq!(evicted.len(), 1, "{lines:?}");
+        assert_eq!(evicted[0].1, "evicted");
+        // Nothing vanished: every statement executed so far is in some row.
+        assert_eq!(lines.iter().map(|l| l.2).sum::<i64>(), executed, "{lines:?}");
+        assert!(evicted[0].2 >= 20, "most of them through the evicted row: {lines:?}");
+        assert!(evicted[0].3 > 0, "their rows too");
     }
 
     #[test]

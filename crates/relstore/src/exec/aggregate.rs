@@ -1,307 +1,300 @@
 //! GROUP BY and aggregate-function evaluation.
+//!
+//! An [`Aggregator`] is fed one tuple of borrowed rows at a time and keeps
+//! nothing of a tuple but references: group keys and `MIN`/`MAX` candidates
+//! point into the rows they came from, and the only rows allocated are the
+//! output's, one per group.
 
 use super::QueryResult;
 use crate::error::{Error, Result};
-use crate::govern::Governor;
-use crate::predicate::Expr;
+use crate::predicate::{resolve_column, ColRef, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{AggFunc, SelectItem, SelectStmt, SortOrder};
 use crate::stats::OpStats;
 use crate::tuple::Row;
 use crate::value::Value;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Incremental state for one aggregate over one group.
 #[derive(Debug, Clone)]
-struct AggState {
+struct AggState<'r> {
     func: AggFunc,
+    /// Rows counted (`COUNT(*)`) or non-NULL inputs folded (everything else).
     count: u64,
-    sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
+    /// Exact sum of the INT / TIMESTAMP inputs: `i128` cannot overflow on
+    /// fewer than 2^64 `i64` addends.
+    int_sum: i128,
+    /// Sum of the DOUBLE inputs.
+    double_sum: f64,
     all_int: bool,
+    /// The current `MIN` / `MAX`, borrowed from its row.
+    best: Option<&'r Value>,
 }
 
-impl AggState {
+impl<'r> AggState<'r> {
     fn new(func: AggFunc) -> Self {
         AggState {
             func,
             count: 0,
-            sum: 0.0,
-            min: None,
-            max: None,
+            int_sum: 0,
+            double_sum: 0.0,
             all_int: true,
+            best: None,
         }
     }
 
-    fn update(&mut self, value: Option<&Value>) -> Result<()> {
+    /// Folds one input in: `None` for `COUNT(*)`, the column's value
+    /// otherwise. NULLs are skipped by every function over a column.
+    fn update(&mut self, value: Option<&'r Value>) -> Result<()> {
+        let Some(v) = value else {
+            self.count += 1;
+            return Ok(());
+        };
+        if v.is_null() {
+            return Ok(());
+        }
         match self.func {
-            AggFunc::Count => {
-                // COUNT(*) counts rows; COUNT(col) counts non-null values.
-                match value {
-                    None => self.count += 1,
-                    Some(v) if !v.is_null() => self.count += 1,
-                    Some(_) => {}
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => match v {
+                Value::Int(i) | Value::Timestamp(i) => self.int_sum += i128::from(*i),
+                other => {
+                    self.double_sum += other.as_double()?;
+                    self.all_int = false;
+                }
+            },
+            AggFunc::Min | AggFunc::Max => {
+                let wanted = if self.func == AggFunc::Min {
+                    std::cmp::Ordering::Less
+                } else {
+                    std::cmp::Ordering::Greater
+                };
+                if self.best.is_none_or(|cur| v.total_cmp(cur) == wanted) {
+                    self.best = Some(v);
                 }
             }
-            AggFunc::Sum | AggFunc::Avg => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        if !matches!(v, Value::Int(_) | Value::Timestamp(_)) {
-                            self.all_int = false;
-                        }
-                        self.sum += v.as_double()?;
-                        self.count += 1;
-                    }
+        }
+        self.count += 1;
+        Ok(())
+    }
+
+    fn finish(&self) -> Result<Value> {
+        let total = || self.int_sum as f64 + self.double_sum;
+        Ok(match self.func {
+            AggFunc::Count => Value::Int(self.count as i64),
+            _ if self.count == 0 => Value::Null,
+            AggFunc::Sum if self.all_int => Value::Int(i64::try_from(self.int_sum).map_err(
+                |_| Error::type_err(format!("integer overflow in SUM: {} exceeds INT", self.int_sum)),
+            )?),
+            AggFunc::Sum => Value::Double(total()),
+            AggFunc::Avg => Value::Double(total() / self.count as f64),
+            AggFunc::Min | AggFunc::Max => self.best.cloned().unwrap_or(Value::Null),
+        })
+    }
+}
+
+fn new_states<'r>(aggs: &[(AggFunc, Option<ColRef>)]) -> Vec<AggState<'r>> {
+    aggs.iter().map(|(func, _)| AggState::new(*func)).collect()
+}
+
+/// How one output column is computed.
+#[derive(Debug)]
+enum OutCol {
+    /// The grouping column at this position of the group key.
+    Group(usize),
+    /// The aggregate at this position of a group's states.
+    Agg(usize),
+}
+
+/// The aggregation/grouping phase of a SELECT: bound once against the
+/// tables in scope, fed the pre-filtered tuples one by one ([`push`]) —
+/// straight off a table's access path or out of a join's reference tuples —
+/// and turned into the result ([`finish`]).
+///
+/// [`push`]: Aggregator::push
+/// [`finish`]: Aggregator::finish
+pub(super) struct Aggregator<'r> {
+    group_cols: Vec<ColRef>,
+    /// Each aggregate's function and input column (`None` for `COUNT(*)`).
+    aggs: Vec<(AggFunc, Option<ColRef>)>,
+    out_cols: Vec<(Arc<str>, OutCol)>,
+    /// ORDER BY keys as output ordinals.
+    order: Vec<(usize, SortOrder)>,
+    /// Group key → aggregate states. The key borrows its values from the
+    /// first tuple of the group, and is looked up by slice, so a tuple that
+    /// joins an existing group allocates nothing.
+    groups: HashMap<Vec<&'r Value>, Vec<AggState<'r>>>,
+    /// The states of the one group a statement without GROUP BY has (even
+    /// over no input, which yields one row of zero/NULL aggregates); it is
+    /// folded into without a lookup.
+    ungrouped: Vec<AggState<'r>>,
+    /// Scratch for the key of the tuple being pushed.
+    key: Vec<&'r Value>,
+}
+
+impl<'r> Aggregator<'r> {
+    /// Binds `stmt`'s grouping columns, aggregates and ORDER BY keys
+    /// against `scope`. `label` names a plain column in the output (bare
+    /// for a single table, `table.column` for a join).
+    pub(super) fn new(
+        stmt: &SelectStmt,
+        scope: &[&Schema],
+        label: impl Fn(ColRef) -> Arc<str>,
+    ) -> Result<Self> {
+        let group_cols: Vec<ColRef> = stmt
+            .group_by
+            .iter()
+            .map(|c| resolve_column(scope, c))
+            .collect::<Result<_>>()?;
+
+        let mut aggs = Vec::new();
+        let mut out_cols: Vec<(Arc<str>, OutCol)> = Vec::with_capacity(stmt.items.len());
+        for item in &stmt.items {
+            match item {
+                SelectItem::Wildcard => {
+                    return Err(Error::type_err(
+                        "SELECT * cannot be combined with aggregates",
+                    ))
+                }
+                SelectItem::Expr { expr, alias } => {
+                    // Plain expressions in an aggregate query must be grouping columns.
+                    let Expr::Column(name) = expr else {
+                        return Err(Error::type_err(format!(
+                            "non-aggregate expression {expr} requires GROUP BY column"
+                        )));
+                    };
+                    let col = resolve_column(scope, name)?;
+                    let pos = group_cols.iter().position(|g| *g == col).ok_or_else(|| {
+                        Error::type_err(format!("column {name} must appear in GROUP BY"))
+                    })?;
+                    let out_name = match alias {
+                        Some(a) => Arc::from(a.as_str()),
+                        None => label(col),
+                    };
+                    out_cols.push((out_name, OutCol::Group(pos)));
+                }
+                SelectItem::Aggregate {
+                    func,
+                    column,
+                    alias,
+                } => {
+                    let col = column.as_deref().map(|c| resolve_column(scope, c)).transpose()?;
+                    let out_name: Arc<str> = match alias {
+                        Some(a) => Arc::from(a.as_str()),
+                        None => format!(
+                            "{}({})",
+                            func.name().to_ascii_lowercase(),
+                            column.as_deref().unwrap_or("*")
+                        )
+                        .into(),
+                    };
+                    out_cols.push((out_name, OutCol::Agg(aggs.len())));
+                    aggs.push((*func, col));
                 }
             }
-            AggFunc::Min => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let replace = match &self.min {
-                            None => true,
-                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Less,
-                        };
-                        if replace {
-                            self.min = Some(v.clone());
-                        }
-                        self.count += 1;
-                    }
-                }
+        }
+
+        // ORDER BY sorts the aggregate output: a key is an output column's
+        // name (alias or default), or a grouping column however spelled.
+        let order = stmt
+            .order_by
+            .iter()
+            .map(|k| {
+                let by_name = |(name, _): &(Arc<str>, OutCol)| name.eq_ignore_ascii_case(&k.column);
+                let by_column = || {
+                    let col = resolve_column(scope, &k.column).ok()?;
+                    let pos = group_cols.iter().position(|g| *g == col)?;
+                    out_cols.iter().position(|(_, c)| matches!(c, OutCol::Group(p) if *p == pos))
+                };
+                out_cols
+                    .iter()
+                    .position(by_name)
+                    .or_else(by_column)
+                    .map(|idx| (idx, k.order))
+                    .ok_or_else(|| Error::not_found(format!("column {} in the aggregate output", k.column)))
+            })
+            .collect::<Result<_>>()?;
+
+        Ok(Aggregator {
+            key: Vec::with_capacity(group_cols.len()),
+            ungrouped: new_states(&aggs),
+            group_cols,
+            aggs,
+            out_cols,
+            order,
+            groups: HashMap::new(),
+        })
+    }
+
+    /// Folds one tuple into its group.
+    pub(super) fn push(&mut self, tuple: &[&'r Row]) -> Result<()> {
+        let states = if self.group_cols.is_empty() {
+            &mut self.ungrouped
+        } else {
+            self.key.clear();
+            self.key.extend(self.group_cols.iter().map(|c| c.of(tuple)));
+            match self.groups.get_mut(self.key.as_slice()) {
+                Some(states) => states,
+                None => self
+                    .groups
+                    .entry(self.key.clone())
+                    .or_insert(new_states(&self.aggs)),
             }
-            AggFunc::Max => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let replace = match &self.max {
-                            None => true,
-                            Some(cur) => v.total_cmp(cur) == std::cmp::Ordering::Greater,
-                        };
-                        if replace {
-                            self.max = Some(v.clone());
-                        }
-                        self.count += 1;
-                    }
-                }
-            }
+        };
+        for (state, (_, col)) in states.iter_mut().zip(&self.aggs) {
+            state.update(col.map(|c| c.of(tuple)))?;
         }
         Ok(())
     }
 
-    fn finish(&self) -> Value {
-        match self.func {
-            AggFunc::Count => Value::Int(self.count as i64),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.all_int {
-                    Value::Int(self.sum as i64)
-                } else {
-                    Value::Double(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
-    }
-}
-
-fn resolve(schema: &Schema, name: &str) -> Result<usize> {
-    // Accept both bare and qualified names against the flattened schema.
-    if let Ok(i) = schema.column_index(name) {
-        return Ok(i);
-    }
-    let lname = name.to_ascii_lowercase();
-    if !lname.contains('.') {
-        let suffix = format!(".{lname}");
-        let hits: Vec<usize> = schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.name.ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect();
-        if hits.len() == 1 {
-            return Ok(hits[0]);
-        }
-    } else if let Some((_, bare)) = lname.split_once('.') {
-        if let Ok(i) = schema.column_index(bare) {
-            return Ok(i);
-        }
-    }
-    Err(Error::not_found(format!("column {name}")))
-}
-
-/// Executes the aggregation/grouping phase of a SELECT over pre-filtered
-/// rows. The input is consumed as an iterator of borrowed rows, so the
-/// single-table path can stream heap rows straight into the accumulators
-/// without materialising owned copies.
-pub fn execute_aggregate<'a>(
-    stmt: &SelectStmt,
-    schema: &Schema,
-    rows: impl IntoIterator<Item = &'a Row>,
-    limit: Option<usize>,
-    _stats: &mut OpStats,
-    gov: &mut Governor,
-) -> Result<QueryResult> {
-    // Resolve grouping columns.
-    let group_idx: Vec<usize> = stmt
-        .group_by
-        .iter()
-        .map(|c| resolve(schema, c))
-        .collect::<Result<_>>()?;
-
-    // Describe the output columns and how to compute each.
-    enum OutCol {
-        Group(usize),
-        Agg { func: AggFunc, col: Option<usize> },
-    }
-    let mut out_cols: Vec<(Arc<str>, OutCol)> = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Wildcard => {
-                return Err(Error::type_err(
-                    "SELECT * cannot be combined with aggregates",
-                ))
-            }
-            SelectItem::Expr { expr, alias } => {
-                // Plain expressions in an aggregate query must be grouping columns.
-                let Expr::Column(name) = expr else {
-                    return Err(Error::type_err(format!(
-                        "non-aggregate expression {expr} requires GROUP BY column"
-                    )));
-                };
-                let idx = resolve(schema, name)?;
-                if !group_idx.contains(&idx) {
-                    return Err(Error::type_err(format!(
-                        "column {name} must appear in GROUP BY"
-                    )));
-                }
-                // Grouping columns reuse the schema's interned name.
-                let out_name: Arc<str> = match alias {
-                    Some(a) => Arc::from(a.as_str()),
-                    None => schema.columns[idx].name.clone(),
-                };
-                out_cols.push((out_name, OutCol::Group(idx)));
-            }
-            SelectItem::Aggregate {
-                func,
-                column,
-                alias,
-            } => {
-                let col = match column {
-                    Some(c) => Some(resolve(schema, c)?),
-                    None => None,
-                };
-                let out_name: Arc<str> = match alias {
-                    Some(a) => Arc::from(a.as_str()),
-                    None => match column {
-                        Some(c) => {
-                            format!("{}({})", func.name().to_ascii_lowercase(), c).into()
-                        }
-                        None => format!("{}(*)", func.name().to_ascii_lowercase()).into(),
-                    },
-                };
-                out_cols.push((out_name, OutCol::Agg { func: *func, col }));
-            }
-        }
-    }
-
-    // Group rows. With no GROUP BY the whole input forms one group (even when
-    // empty, which yields one row of zero/NULL aggregates).
-    let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-    let make_states = || -> Vec<AggState> {
-        out_cols
-            .iter()
-            .filter_map(|(_, c)| match c {
-                OutCol::Agg { func, .. } => Some(AggState::new(*func)),
-                OutCol::Group(_) => None,
-            })
-            .collect()
-    };
-    if group_idx.is_empty() {
-        groups.insert(Vec::new(), make_states());
-    }
-    for row in rows {
-        gov.tick()?;
-        let key: Vec<Value> = group_idx.iter().map(|i| row.get(*i).clone()).collect();
-        let states = groups.entry(key).or_insert_with(make_states);
-        let mut agg_i = 0usize;
-        for (_, col) in &out_cols {
-            if let OutCol::Agg { col, .. } = col {
-                let value = col.map(|i| row.get(i));
-                states[agg_i].update(value)?;
-                agg_i += 1;
-            }
-        }
-    }
-
-    // Produce output rows.
-    let columns: Vec<Arc<str>> = out_cols.iter().map(|(n, _)| n.clone()).collect();
-    let mut out_rows = Vec::with_capacity(groups.len());
-    for (key, states) in &groups {
-        let mut values = Vec::with_capacity(out_cols.len());
-        let mut agg_i = 0usize;
-        for (_, col) in &out_cols {
-            match col {
-                OutCol::Group(idx) => {
-                    let pos = group_idx.iter().position(|g| g == idx).ok_or_else(|| {
-                        Error::internal("grouping column missing from key")
-                    })?;
-                    values.push(key[pos].clone());
-                }
-                OutCol::Agg { .. } => {
-                    values.push(states[agg_i].finish());
-                    agg_i += 1;
-                }
-            }
-        }
-        out_rows.push(Row::new(values));
-    }
-
-    // ORDER BY over the aggregate output (by output column name).
-    if !stmt.order_by.is_empty() {
-        let result_schema = Schema::new(
-            "agg",
-            columns
+    /// One output row per group — the only rows an aggregation allocates —
+    /// in group-key order unless ORDER BY says otherwise, cut to `limit`.
+    pub(super) fn finish(self, limit: Option<usize>, stats: &mut OpStats) -> Result<QueryResult> {
+        // Group-key order is the output order ORDER BY refines.
+        let mut groups: Vec<(&[&Value], &Vec<AggState<'_>>)> = if self.group_cols.is_empty() {
+            vec![(&[], &self.ungrouped)]
+        } else {
+            self.groups.iter().map(|(key, states)| (key.as_slice(), states)).collect()
+        };
+        groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut out_rows = Vec::with_capacity(groups.len());
+        for (key, states) in groups {
+            let values = self
+                .out_cols
                 .iter()
-                .map(|c| crate::schema::Column::new(c.clone(), crate::value::DataType::Text))
-                .collect(),
-        );
-        let keys: Vec<(usize, SortOrder)> = stmt
-            .order_by
-            .iter()
-            .map(|k| Ok((resolve(&result_schema, &k.column)?, k.order)))
-            .collect::<Result<_>>()?;
-        out_rows.sort_by(|a, b| {
-            for (idx, order) in &keys {
-                let cmp = a.get(*idx).total_cmp(b.get(*idx));
-                let cmp = match order {
-                    SortOrder::Asc => cmp,
-                    SortOrder::Desc => cmp.reverse(),
-                };
-                if cmp != std::cmp::Ordering::Equal {
-                    return cmp;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(limit) = limit {
-        out_rows.truncate(limit);
-    }
+                .map(|(_, col)| match col {
+                    OutCol::Group(pos) => Ok(key[*pos].clone()),
+                    OutCol::Agg(i) => states[*i].finish(),
+                })
+                .collect::<Result<Vec<Value>>>()?;
+            out_rows.push(Row::new(values));
+        }
 
-    Ok(QueryResult {
-        columns: columns.into(),
-        rows: out_rows,
-    })
+        if !self.order.is_empty() {
+            out_rows.sort_by(|a, b| {
+                for (idx, order) in &self.order {
+                    let cmp = a.get(*idx).total_cmp(b.get(*idx));
+                    let cmp = match order {
+                        SortOrder::Asc => cmp,
+                        SortOrder::Desc => cmp.reverse(),
+                    };
+                    if cmp != std::cmp::Ordering::Equal {
+                        return cmp;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+        }
+        if let Some(limit) = limit {
+            out_rows.truncate(limit);
+        }
+        stats.rows_materialized += out_rows.len() as u64;
+
+        Ok(QueryResult {
+            columns: self.out_cols.into_iter().map(|(name, _)| name).collect(),
+            rows: out_rows,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -332,19 +325,20 @@ mod tests {
         ]
     }
 
-    fn run(sql: &str, rows: Vec<Row>) -> QueryResult {
+    fn try_run(sql: &str, rows: Vec<Row>) -> Result<QueryResult> {
         let Statement::Select(stmt) = parse(sql).unwrap() else {
             panic!()
         };
-        execute_aggregate(
-            &stmt,
-            &schema(),
-            &rows,
-            stmt.limit_with(&[]).unwrap(),
-            &mut OpStats::default(),
-            &mut Governor::disarmed(),
-        )
-        .unwrap()
+        let schema = schema();
+        let mut agg = Aggregator::new(&stmt, &[&schema], |c| schema.columns[c.ord].name.clone())?;
+        for row in &rows {
+            agg.push(&[row])?;
+        }
+        agg.finish(stmt.limit_with(&[]).unwrap(), &mut OpStats::default())
+    }
+
+    fn run(sql: &str, rows: Vec<Row>) -> QueryResult {
+        try_run(sql, rows).unwrap()
     }
 
     #[test]
@@ -391,32 +385,39 @@ mod tests {
         assert_eq!(r.value(0, "sum(priority)"), Some(&Value::Int(10)));
     }
 
+    /// A row whose `priority` is `p` (the other columns do not matter).
+    fn priority(p: i64) -> Row {
+        Row::new(vec![Value::Null, Value::Null, Value::Int(p)])
+    }
+
+    #[test]
+    fn integer_sum_is_exact_past_2_pow_53() {
+        let r = run(
+            "SELECT SUM(priority), AVG(priority) FROM jobs",
+            vec![priority(1 << 53), priority(1), priority(1)],
+        );
+        assert_eq!(r.value(0, "sum(priority)"), Some(&Value::Int((1 << 53) + 2)));
+        assert_eq!(r.value(0, "avg(priority)"), Some(&Value::Double(((1i64 << 53) + 2) as f64 / 3.0)));
+    }
+
+    #[test]
+    fn integer_sum_overflow_is_a_typed_error() {
+        let half = i64::MAX / 2;
+        let sql = "SELECT SUM(priority) FROM jobs";
+        // Two halves still fit; the third does not, and says so.
+        let r = run(sql, vec![priority(half), priority(half)]);
+        assert_eq!(r.value(0, "sum(priority)"), Some(&Value::Int(half * 2)));
+        let err = try_run(sql, vec![priority(half), priority(half), priority(half)]).unwrap_err();
+        assert!(matches!(&err, Error::Type(m) if m.contains("overflow")), "{err}");
+        // Doubles in the input make it a DOUBLE sum, which cannot overflow.
+        let rows = vec![priority(half), Row::new(vec![Value::Null, Value::Null, Value::Double(0.5)])];
+        assert_eq!(run(sql, rows).value(0, "sum(priority)"), Some(&Value::Double(half as f64 + 0.5)));
+    }
+
     #[test]
     fn non_grouped_column_is_rejected() {
-        let Statement::Select(stmt) = parse("SELECT owner, COUNT(*) FROM jobs").unwrap() else {
-            panic!()
-        };
-        assert!(execute_aggregate(
-            &stmt,
-            &schema(),
-            &rows(),
-            None,
-            &mut OpStats::default(),
-            &mut Governor::disarmed()
-        )
-        .is_err());
-        let Statement::Select(stmt) = parse("SELECT *, COUNT(*) FROM jobs").unwrap() else {
-            panic!()
-        };
-        assert!(execute_aggregate(
-            &stmt,
-            &schema(),
-            &rows(),
-            None,
-            &mut OpStats::default(),
-            &mut Governor::disarmed()
-        )
-        .is_err());
+        assert!(try_run("SELECT owner, COUNT(*) FROM jobs", rows()).is_err());
+        assert!(try_run("SELECT *, COUNT(*) FROM jobs", rows()).is_err());
     }
 
     #[test]

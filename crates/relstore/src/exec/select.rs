@@ -13,26 +13,33 @@
 //! backstop. Subqueries in WHERE are executed first and spliced back in as
 //! literals / `IN` lists, so the rest of the pipeline never sees them.
 //!
-//! The single-table path (the vast majority of service-call queries) is
-//! allocation-light: access paths stream borrowed [`StoredRowRef`]s out of
-//! the heap, predicates are evaluated against the borrow, and only values
-//! that survive projection are cloned. Output column names are `Arc<str>`s
-//! interned from the schema, so a point select allocates the result rows and
-//! nothing else — cost-based path choice borrows candidate columns from the
-//! schema and allocates nothing.
+//! **Rows stay where they are.** What flows between the operators is a
+//! *tuple*: one `&Row` per table read so far, borrowed from the table heap
+//! (or from a hash-join build side). A single-table statement's tuples are
+//! the [`StoredRowRef`]s its access path streams; a join appends one
+//! reference per step to a flat `Vec<&Row>`, so joining copies pointers,
+//! never values. Every expression — pushed-down and residual filters, `ON`
+//! predicates, projections, sort keys, grouping columns, aggregate inputs —
+//! is bound once per execution ([`Expr::bind`]) to (slot, ordinal)
+//! addresses into the tuple and evaluated against the borrow. The rows
+//! the executor allocates are the ones it returns, plus the owned build
+//! side of a hash join (kept owned so a prepared statement can reuse it
+//! across executions); `OpStats::rows_materialized` counts exactly those.
+//! Output column names are `Arc<str>`s interned on the table, bare and
+//! `table.column`-qualified, so no name is formatted per execution either.
 
-use super::aggregate::execute_aggregate;
+use super::aggregate::Aggregator;
 use super::QueryResult;
 use crate::error::{Error, Result};
-use crate::govern::{approx_row_bytes, Governor};
+use crate::govern::{approx_row_bytes, approx_tuple_bytes, Governor};
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::plan::{
     choose_access_ref, choose_select_access_ref, plan_select, AccessPath, AccessPlan, CachedBuild,
-    JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan, StepActuals,
+    JoinStep, JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan, StepActuals,
 };
-use crate::predicate::Expr;
-use crate::schema::{Column, Schema};
+use crate::predicate::{resolve_column, BoundExpr, ColRef, Expr};
+use crate::schema::Schema;
 use crate::sql::ast::{SelectItem, SelectStmt, SortOrder};
 use crate::stats::OpStats;
 use crate::table::{RowIter, Table};
@@ -52,127 +59,6 @@ fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
     catalog
         .get(crate::schema::lower_name(name).as_ref())
         .ok_or_else(|| Error::not_found(format!("table {name}")))
-}
-
-/// Resolves a possibly-unqualified column name against a (possibly joined)
-/// schema whose columns carry qualified `table.column` names.
-///
-/// Borrows the input when it is already the resolved spelling — the common
-/// case for parser output, which lower-cases identifiers — so per-query
-/// resolution does not allocate.
-fn resolve_column<'a>(schema: &Schema, name: &'a str) -> Result<Cow<'a, str>> {
-    let lname = crate::schema::lower_name(name);
-    if schema.column_index(&lname).is_ok() {
-        return Ok(lname);
-    }
-    if !lname.contains('.') {
-        // A bare name against a joined schema with qualified column names.
-        let mut found: Option<&Column> = None;
-        for c in &schema.columns {
-            if let Some((_, bare)) = c.name.split_once('.') {
-                if bare == lname.as_ref() {
-                    if found.is_some() {
-                        return Err(Error::type_err(format!(
-                            "ambiguous column {name} in {}",
-                            schema.name
-                        )));
-                    }
-                    found = Some(c);
-                }
-            }
-        }
-        if let Some(c) = found {
-            return Ok(Cow::Owned(c.name.to_string()));
-        }
-    } else if let Some((_, bare)) = lname.split_once('.') {
-        // A qualified name used against a single-table schema with bare names.
-        if schema.column_index(bare).is_ok() {
-            return Ok(match lname {
-                Cow::Borrowed(s) => Cow::Borrowed(s.split_once('.').expect("contains '.'").1),
-                Cow::Owned(s) => Cow::Owned(s.split_once('.').expect("contains '.'").1.to_string()),
-            });
-        }
-    }
-    Err(Error::not_found(format!(
-        "column {name} in {}",
-        schema.name
-    )))
-}
-
-/// Rewrites every column reference in `expr` to its resolved name in
-/// `schema`, borrowing the input expression when nothing needs rewriting
-/// (no clone on the hot path).
-fn resolve_expr<'a>(expr: &'a Expr, schema: &Schema) -> Result<Cow<'a, Expr>> {
-    fn binary<'a>(
-        expr: &'a Expr,
-        l: &'a Expr,
-        r: &'a Expr,
-        schema: &Schema,
-        rebuild: impl FnOnce(Box<Expr>, Box<Expr>) -> Expr,
-    ) -> Result<Cow<'a, Expr>> {
-        let lr = resolve_expr(l, schema)?;
-        let rr = resolve_expr(r, schema)?;
-        Ok(match (lr, rr) {
-            (Cow::Borrowed(_), Cow::Borrowed(_)) => Cow::Borrowed(expr),
-            (lr, rr) => Cow::Owned(rebuild(Box::new(lr.into_owned()), Box::new(rr.into_owned()))),
-        })
-    }
-    fn unary<'a>(
-        expr: &'a Expr,
-        e: &'a Expr,
-        schema: &Schema,
-        rebuild: impl FnOnce(Box<Expr>) -> Expr,
-    ) -> Result<Cow<'a, Expr>> {
-        Ok(match resolve_expr(e, schema)? {
-            Cow::Borrowed(_) => Cow::Borrowed(expr),
-            Cow::Owned(inner) => Cow::Owned(rebuild(Box::new(inner))),
-        })
-    }
-    Ok(match expr {
-        Expr::Literal(_) | Expr::Param(_) => Cow::Borrowed(expr),
-        Expr::Column(c) => {
-            let resolved = resolve_column(schema, c)?;
-            if resolved == *c {
-                Cow::Borrowed(expr)
-            } else {
-                Cow::Owned(Expr::Column(resolved.into_owned()))
-            }
-        }
-        Expr::Cmp(op, l, r) => binary(expr, l, r, schema, |l, r| Expr::Cmp(*op, l, r))?,
-        Expr::Arith(op, l, r) => binary(expr, l, r, schema, |l, r| Expr::Arith(*op, l, r))?,
-        Expr::And(l, r) => binary(expr, l, r, schema, Expr::And)?,
-        Expr::Or(l, r) => binary(expr, l, r, schema, Expr::Or)?,
-        Expr::Not(e) => unary(expr, e, schema, Expr::Not)?,
-        Expr::IsNull(e) => unary(expr, e, schema, Expr::IsNull)?,
-        Expr::IsNotNull(e) => unary(expr, e, schema, Expr::IsNotNull)?,
-        Expr::InList(e, list) => match resolve_expr(e, schema)? {
-            Cow::Borrowed(_) => Cow::Borrowed(expr),
-            Cow::Owned(inner) => Cow::Owned(Expr::InList(Box::new(inner), list.clone())),
-        },
-        // Subqueries are rewritten into literals / IN lists before the
-        // WHERE clause is resolved; reaching one here means it sits in a
-        // position the engine does not support (projection, SET, ...).
-        Expr::InSubquery(..) | Expr::ScalarSubquery(_) => {
-            return Err(Error::type_err(
-                "subqueries are only supported in the WHERE clause of a SELECT",
-            ))
-        }
-    })
-}
-
-/// Builds the qualified schema describing `table` prefixed with its name.
-fn qualified_schema(table: &Table) -> Schema {
-    let columns = table
-        .schema
-        .columns
-        .iter()
-        .map(|c| Column {
-            name: format!("{}.{}", table.schema.name, c.name).into(),
-            ty: c.ty,
-            not_null: c.not_null,
-        })
-        .collect();
-    Schema::new(table.schema.name.clone(), columns)
 }
 
 /// Streams the base table through the cost-chosen access path (see
@@ -378,34 +264,63 @@ pub fn execute_select(
     )
 }
 
-/// The projection plan: output names (interned from the schema where
-/// possible) and, for each select item, the expression to evaluate (`None`
-/// marks a wildcard slot that copies the whole input row).
-type ProjectionSpec<'a> = (Vec<Arc<str>>, Vec<Option<Cow<'a, Expr>>>);
+/// The tables a statement's tuples are drawn from and how its output is
+/// laid out: `tables[i]` (schema `schemas[i]`) owns slot `i` of every
+/// tuple, in execution order; `out_slots` lists the slots in syntactic
+/// order — `[base][join 0][join 1]…` — which is the order `SELECT *`
+/// expands them in, so a reordered plan permutes slots, never values.
+struct Layout<'a> {
+    tables: &'a [&'a Table],
+    schemas: &'a [&'a Schema],
+    out_slots: &'a [usize],
+    /// Output columns are named `table.column` (joins) rather than bare.
+    qualified: bool,
+}
 
-fn projection_spec<'a>(stmt: &'a SelectStmt, schema: &Schema) -> Result<ProjectionSpec<'a>> {
+impl Layout<'_> {
+    /// The interned output name of a plain column.
+    fn label(&self, c: ColRef) -> Arc<str> {
+        let table = self.tables[c.slot];
+        if self.qualified {
+            table.qualified_columns()[c.ord].clone()
+        } else {
+            table.schema.columns[c.ord].name.clone()
+        }
+    }
+}
+
+/// One select item, bound: a wildcard copies every slot's values in
+/// `out_slots` order, anything else is evaluated.
+enum Projection<'e> {
+    Wildcard,
+    Expr(BoundExpr<'e>),
+}
+
+/// The projection plan: output names (interned from the tables where
+/// possible) and, for each select item, how to compute it.
+fn projection_spec<'e>(
+    stmt: &'e SelectStmt,
+    layout: &Layout<'_>,
+) -> Result<(Vec<Arc<str>>, Vec<Projection<'e>>)> {
     let mut out_columns: Vec<Arc<str>> = Vec::with_capacity(stmt.items.len());
-    let mut projections: Vec<Option<Cow<'a, Expr>>> = Vec::with_capacity(stmt.items.len());
+    let mut projections = Vec::with_capacity(stmt.items.len());
     for item in &stmt.items {
         match item {
             SelectItem::Wildcard => {
-                out_columns.extend(schema.columns.iter().map(|c| c.name.clone()));
-                projections.push(None);
+                for &slot in layout.out_slots {
+                    let table = layout.tables[slot];
+                    out_columns.extend((0..table.schema.arity()).map(|ord| layout.label(ColRef { slot, ord })));
+                }
+                projections.push(Projection::Wildcard);
             }
             SelectItem::Expr { expr, alias } => {
-                let resolved = resolve_expr(expr, schema)?;
-                let name: Arc<str> = match (alias, &*resolved) {
+                let bound = expr.bind(layout.schemas)?;
+                out_columns.push(match (alias, bound.as_column()) {
                     (Some(a), _) => Arc::from(a.as_str()),
-                    // A plain column reference reuses the schema's interned
-                    // name instead of re-allocating it per query.
-                    (None, Expr::Column(c)) => match schema.column_index(c) {
-                        Ok(idx) => schema.columns[idx].name.clone(),
-                        Err(_) => Arc::from(c.as_str()),
-                    },
-                    (None, other) => Arc::from(other.to_string()),
-                };
-                out_columns.push(name);
-                projections.push(Some(resolved));
+                    (None, Some(c)) => layout.label(c),
+                    (None, None) => Arc::from(expr.to_string()),
+                });
+                projections.push(Projection::Expr(bound));
             }
             SelectItem::Aggregate { .. } => unreachable!("aggregates handled before projection"),
         }
@@ -413,48 +328,20 @@ fn projection_spec<'a>(stmt: &'a SelectStmt, schema: &Schema) -> Result<Projecti
     Ok((out_columns, projections))
 }
 
-/// Evaluates a projection plan over an iterator of (borrowed or owned) rows,
-/// charging each materialized output row against the governor's budgets.
-fn project_rows<'r>(
-    schema: &Schema,
-    rows: impl ExactSizeIterator<Item = &'r Row>,
-    out_width: usize,
-    projections: &[Option<Cow<'_, Expr>>],
-    params: &[Value],
-    gov: &mut Governor,
-) -> Result<Vec<Row>> {
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for row in rows {
-        gov.tick()?;
-        let mut values = Vec::with_capacity(out_width);
-        for proj in projections {
-            match proj {
-                None => values.extend(row.values.iter().cloned()),
-                Some(expr) => values.push(expr.eval_with(schema, row, params)?),
-            }
-        }
-        let out = Row::new(values);
-        gov.charge_row(|| approx_row_bytes(&out))?;
-        out_rows.push(out);
-    }
-    Ok(out_rows)
-}
-
-/// Sorts rows by the ORDER BY keys of `stmt` resolved against `schema`.
-/// `get` maps a sort element to the row it orders by.
-fn sort_rows<T>(stmt: &SelectStmt, schema: &Schema, rows: &mut [T], get: impl Fn(&T) -> &Row) -> Result<()> {
-    let keys: Vec<(usize, SortOrder)> = stmt
+/// Sorts the tuples of `rows` (`stride` references each) by `stmt`'s
+/// ORDER BY keys, stably.
+fn sort_tuples(stmt: &SelectStmt, schemas: &[&Schema], rows: &mut Vec<&Row>, stride: usize) -> Result<()> {
+    let keys: Vec<(ColRef, SortOrder)> = stmt
         .order_by
         .iter()
-        .map(|k| {
-            let col = resolve_column(schema, &k.column)?;
-            Ok((schema.column_index(&col)?, k.order))
-        })
+        .map(|k| Ok((resolve_column(schemas, &k.column)?, k.order)))
         .collect::<Result<_>>()?;
-    rows.sort_by(|a, b| {
-        let (a, b) = (get(a), get(b));
-        for (idx, order) in &keys {
-            let cmp = a.get(*idx).total_cmp(b.get(*idx));
+    let tuple = |i: usize| &rows[i * stride..][..stride];
+    let mut order: Vec<usize> = (0..rows.len() / stride).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (tuple(a), tuple(b));
+        for (col, order) in &keys {
+            let cmp = col.of(a).total_cmp(col.of(b));
             let cmp = match order {
                 SortOrder::Asc => cmp,
                 SortOrder::Desc => cmp.reverse(),
@@ -465,7 +352,80 @@ fn sort_rows<T>(stmt: &SelectStmt, schema: &Schema, rows: &mut [T], get: impl Fn
         }
         std::cmp::Ordering::Equal
     });
+    *rows = order.iter().flat_map(|&i| tuple(i).iter().copied()).collect();
     Ok(())
+}
+
+/// The tail of every non-aggregate select: sort (unless the access path
+/// already did), cut to `limit`, and only then allocate — one output row
+/// per surviving tuple, each charged against the governor's budgets.
+#[allow(clippy::too_many_arguments)]
+fn output_rows(
+    stmt: &SelectStmt,
+    layout: &Layout<'_>,
+    mut rows: Vec<&Row>,
+    sorted: bool,
+    limit: Option<usize>,
+    params: &[Value],
+    stats: &mut OpStats,
+    gov: &mut Governor,
+) -> Result<QueryResult> {
+    let stride = layout.tables.len();
+    if !sorted && !stmt.order_by.is_empty() {
+        gov.check_now()?;
+        sort_tuples(stmt, layout.schemas, &mut rows, stride)?;
+    }
+    if let Some(limit) = limit {
+        rows.truncate(limit.saturating_mul(stride));
+    }
+    let (columns, projections) = projection_spec(stmt, layout)?;
+    let mut out_rows = Vec::with_capacity(rows.len() / stride);
+    for tuple in rows.chunks_exact(stride) {
+        gov.tick()?;
+        let mut values = Vec::with_capacity(columns.len());
+        for proj in &projections {
+            match proj {
+                Projection::Wildcard => {
+                    for &slot in layout.out_slots {
+                        values.extend_from_slice(&tuple[slot].values);
+                    }
+                }
+                Projection::Expr(expr) => values.push(expr.eval(tuple, params)?.into_owned()),
+            }
+        }
+        let out = Row::new(values);
+        gov.charge_row(|| approx_row_bytes(&out))?;
+        out_rows.push(out);
+    }
+    stats.rows_materialized += out_rows.len() as u64;
+    Ok(QueryResult {
+        columns: columns.into(),
+        rows: out_rows,
+    })
+}
+
+/// Streams `rows` through `pred`, handing each survivor to `each`; every
+/// row visited is a cancellation point. Returns the number visited.
+fn for_each_match<'a>(
+    rows: RowIter<'a>,
+    pred: Option<&BoundExpr<'_>>,
+    params: &[Value],
+    gov: &mut Governor,
+    mut each: impl FnMut(StoredRowRef<'a>, &mut Governor) -> Result<()>,
+) -> Result<u64> {
+    let mut visited = 0;
+    for stored in rows {
+        gov.tick()?;
+        visited += 1;
+        let keep = match pred {
+            Some(p) => p.matches(&[stored.row], params)?,
+            None => true,
+        };
+        if keep {
+            each(stored, gov)?;
+        }
+    }
+    Ok(visited)
 }
 
 /// Executes a SELECT statement against the catalog, resolving `?`
@@ -550,9 +510,15 @@ pub fn execute_select_opts(
     }
 }
 
+/// Starts a stopwatch when — and only when — EXPLAIN ANALYZE is collecting
+/// actuals, so ordinary executions read no clock.
+fn clock(profile: &Option<&mut PlanProfile>) -> Option<Stopwatch> {
+    profile.is_some().then(Stopwatch::start)
+}
+
 /// Records the output-stage actuals for EXPLAIN ANALYZE.
-fn note_output(profile: &mut Option<&mut PlanProfile>, sw: &Stopwatch, rows: usize) {
-    if let Some(p) = profile.as_deref_mut() {
+fn note_output(profile: &mut Option<&mut PlanProfile>, sw: Option<Stopwatch>, rows: usize) {
+    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
         p.output = StepActuals {
             rows: rows as u64,
             nanos: sw.elapsed_nanos(),
@@ -571,7 +537,7 @@ fn note_output(profile: &mut Option<&mut PlanProfile>, sw: &Stopwatch, rows: usi
 fn ordered_head<'a>(
     table: &'a Table,
     walk: OrderedWalk<'_>,
-    filter: Option<&Expr>,
+    filter: Option<&BoundExpr<'_>>,
     params: &[Value],
     vis: &'a Snapshot,
     stats: &mut OpStats,
@@ -592,7 +558,7 @@ fn ordered_head<'a>(
         stats.rows_read += 1;
         let Some(row) = entry else { continue };
         let keep = match filter {
-            Some(f) => f.matches_with(&table.schema, row, params)?,
+            Some(f) => f.matches(&[row], params)?,
             None => true,
         };
         if keep {
@@ -602,8 +568,10 @@ fn ordered_head<'a>(
     Ok((Some(head), visited))
 }
 
-/// The no-join fast path: streams borrowed rows from the access path through
-/// the filter, keeping references until projection decides what to clone.
+/// The no-join path: the access path streams borrowed rows through the
+/// bound filter; an aggregate folds the survivors as they stream, anything
+/// else keeps the references until sort and limit have decided which rows
+/// are worth allocating.
 #[allow(clippy::too_many_arguments)]
 fn execute_single_table(
     table: &Table,
@@ -617,11 +585,13 @@ fn execute_single_table(
     force_scan: bool,
     mut profile: Option<&mut PlanProfile>,
 ) -> Result<QueryResult> {
-    let schema = &table.schema;
-    let filter = match filter {
-        Some(f) => Some(resolve_expr(f, schema)?),
-        None => None,
+    let layout = Layout {
+        tables: &[table],
+        schemas: &[&table.schema],
+        out_slots: &[0],
+        qualified: false,
     };
+    let bound = filter.map(|f| f.bind(layout.schemas)).transpose()?;
 
     // Streamed `SELECT *` fast path: with no ORDER BY and no aggregates,
     // survivors are cloned straight off the access path — no borrowed
@@ -637,12 +607,10 @@ fn execute_single_table(
         let limit = limit.unwrap_or(usize::MAX);
         let mut rows: Vec<Row> = Vec::new();
         if limit > 0 {
-            for StoredRowRef { row, .. } in
-                access_base_table(table, filter.as_deref(), params, vis, stats, force_scan)
-            {
+            for StoredRowRef { row, .. } in access_base_table(table, filter, params, vis, stats, force_scan) {
                 gov.tick()?;
-                let keep = match &filter {
-                    Some(f) => f.matches_with(schema, row, params)?,
+                let keep = match &bound {
+                    Some(f) => f.matches(&[row], params)?,
                     None => true,
                 };
                 if keep {
@@ -654,6 +622,7 @@ fn execute_single_table(
                 }
             }
         }
+        stats.rows_materialized += rows.len() as u64;
         return Ok(QueryResult {
             columns: table.wildcard_columns(),
             rows,
@@ -663,96 +632,94 @@ fn execute_single_table(
     // The access step. `ORDER BY <indexed column> LIMIT k` may be costed
     // onto the ordered walk, which returns the survivors already sorted and
     // cut. Everything else — a walk that ran out of budget included — takes
-    // the path the filter drives: access path + predicate over borrowed
-    // rows, survivors staying borrowed. Every row read is a cancellation
-    // point, and `touched` counts them on either path.
-    let sw = Stopwatch::start();
+    // the path the filter drives. Every row read is a cancellation point,
+    // and `touched` counts them on either path.
+    let sw = clock(&profile);
     let choice = if force_scan {
         PathChoice::Scan
     } else {
-        choose_select_access_ref(table, stmt, filter.as_deref(), limit, params).0
+        choose_select_access_ref(table, stmt, filter, limit, params).0
     };
     let (head, mut touched) = match choice {
-        PathChoice::Ordered(walk) => {
-            ordered_head(table, walk, filter.as_deref(), params, vis, stats, gov)?
-        }
+        PathChoice::Ordered(walk) => ordered_head(table, walk, bound.as_ref(), params, vis, stats, gov)?,
         _ => (None, 0),
     };
     let sorted = head.is_some();
-    let mut matched = match head {
-        Some(head) => head,
-        None => {
-            let choice = match choice {
-                PathChoice::Ordered(_) => choose_access_ref(table, filter.as_deref()).0,
-                filter_driven => filter_driven,
-            };
-            let mut matched: Vec<&Row> = Vec::new();
-            for StoredRowRef { row, .. } in
-                access_chosen(table, choice, filter.as_deref(), params, vis, stats)
-            {
-                gov.tick()?;
-                touched += 1;
-                let keep = match &filter {
-                    Some(f) => f.matches_with(schema, row, params)?,
-                    None => true,
-                };
-                if keep {
-                    matched.push(row);
-                }
-            }
-            matched
-        }
-    };
-    if let Some(p) = profile.as_deref_mut() {
-        let nanos = sw.elapsed_nanos();
-        p.base = StepActuals { rows: touched, nanos };
-        p.filter = StepActuals {
-            rows: matched.len() as u64,
-            nanos: 0,
+    let mut agg = stmt
+        .has_aggregates()
+        .then(|| Aggregator::new(stmt, layout.schemas, |c| layout.label(c)))
+        .transpose()?;
+    let mut matched: Vec<&Row> = head.unwrap_or_default();
+    let mut survivors = matched.len() as u64;
+    if !sorted {
+        let choice = match choice {
+            PathChoice::Ordered(_) => choose_access_ref(table, filter).0,
+            filter_driven => filter_driven,
+        };
+        let rows = access_chosen(table, choice, filter, params, vis, stats);
+        // An aggregate folds each survivor where it lies; anything else
+        // keeps the reference.
+        touched += match &mut agg {
+            Some(agg) => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
+                survivors += 1;
+                agg.push(&[stored.row])
+            })?,
+            None => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
+                survivors += 1;
+                matched.push(stored.row);
+                Ok(())
+            })?,
         };
     }
-
-    let sw = Stopwatch::start();
-    // Aggregation short-circuits the rest of the pipeline.
-    if stmt.has_aggregates() {
-        let result = execute_aggregate(stmt, schema, matched.iter().copied(), limit, stats, gov)?;
-        note_output(&mut profile, &sw, result.len());
-        return Ok(result);
+    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+        p.base = StepActuals {
+            rows: touched,
+            nanos: sw.elapsed_nanos(),
+        };
+        p.filter.rows = survivors;
     }
 
-    if !sorted && !stmt.order_by.is_empty() {
-        gov.check_now()?;
-        sort_rows(stmt, schema, &mut matched, |r| *r)?;
-    }
-    if let Some(limit) = limit {
-        matched.truncate(limit);
-    }
+    let sw = clock(&profile);
+    let result = match agg {
+        Some(agg) => agg.finish(limit, stats)?,
+        None => output_rows(stmt, &layout, matched, sorted, limit, params, stats, gov)?,
+    };
+    note_output(&mut profile, sw, result.len());
+    Ok(result)
+}
 
-    let (columns, projections) = projection_spec(stmt, schema)?;
-    let rows = project_rows(
-        schema,
-        matched.into_iter(),
-        columns.len(),
-        &projections,
-        params,
-        gov,
-    )?;
-    note_output(&mut profile, &sw, rows.len());
-    Ok(QueryResult {
-        columns: columns.into(),
-        rows,
-    })
+/// A join step's pushed-down conjuncts, bound against its own table.
+fn bind_pushdown<'e>(step: &'e JoinStep, right: &[&Schema]) -> Result<Option<BoundExpr<'e>>> {
+    step.pushdown.as_ref().map(|p| p.bind(right)).transpose()
+}
+
+/// Appends the tuple `left ++ [right]` to `joined`, charged against the
+/// governor's budgets as the row it stands for.
+fn emit<'r>(joined: &mut Vec<&'r Row>, left: &[&'r Row], right: &'r Row, gov: &mut Governor) -> Result<()> {
+    let mark = joined.len();
+    joined.extend_from_slice(left);
+    joined.push(right);
+    gov.charge_row(|| approx_tuple_bytes(&joined[mark..]))
 }
 
 /// The join path, driven by the plan: joins run in planned order — hash
 /// join or index-nested-loop join on the single join equality, nested loop
 /// evaluating the full `ON` otherwise — with single-table WHERE conjuncts
 /// pushed down to each input and the full filter re-applied afterwards.
-/// Joined rows are owned concatenations; hash build sides are owned maps so
-/// a prepared statement can reuse them across executions, while an index
-/// loop has no build side at all. Every build, probe, and emitted row is a
-/// governance cancellation/budget point, so a pathological cross-product
-/// hits its deadline or budget *while* materializing, not after.
+///
+/// The intermediate result is a flat `Vec<&Row>` of tuples: after step `i`
+/// each tuple is `i + 2` references, slot 0 the base table's row and slot
+/// `k + 1` the row step `k` joined to it, all borrowed — from the table
+/// heaps, or from a hash step's build side, which alone is owned (an
+/// `Arc<CachedBuild>` a prepared statement keeps across executions) and is
+/// therefore built first, before any tuple borrows from it; an index loop
+/// has no build side at all. A join step copies `i + 2` pointers per
+/// output tuple and no value; the residual filter, the aggregates and the
+/// projection read through the references, and rows are allocated only
+/// for what is returned. Every row visited ticks the governor and every
+/// tuple produced is charged against its budgets at the size its values
+/// would have as one row, so a pathological cross-product hits its
+/// deadline or budget *while* joining, not after.
 #[allow(clippy::too_many_arguments)]
 fn execute_joined(
     catalog: &Catalog,
@@ -768,28 +735,92 @@ fn execute_joined(
     mut builds: Option<&mut Vec<Option<Arc<CachedBuild>>>>,
     mut profile: Option<&mut PlanProfile>,
 ) -> Result<QueryResult> {
-    // Joins use an owned schema with qualified names to avoid collisions.
-    let mut schema = qualified_schema(base);
-
-    // Base access: cost-chosen path plus pushed-down single-table conjuncts.
-    let sw = Stopwatch::start();
-    let base_pred = match &plan.base_pushdown {
-        Some(pd) => Some(resolve_expr(pd, &base.schema)?),
-        None => None,
+    let mut tables = vec![base];
+    for step in &plan.steps {
+        tables.push(get_table(catalog, &step.table)?);
+    }
+    let schemas: Vec<&Schema> = tables.iter().map(|t| &t.schema).collect();
+    // Syntactic slot order, whatever order the planner executed the joins
+    // in: `SELECT *` and positional consumers never see the reordering.
+    let mut out_slots = vec![0];
+    for clause in 0..plan.steps.len() {
+        let pos = plan.steps.iter().position(|s| s.clause == clause);
+        out_slots.push(1 + pos.expect("every join clause is planned exactly once"));
+    }
+    let layout = Layout {
+        tables: &tables,
+        schemas: &schemas,
+        out_slots: &out_slots,
+        qualified: true,
     };
-    let mut rows: Vec<Row> = Vec::new();
-    for stored in access_planned(base, &plan.base, plan.base_pushdown.as_ref(), params, vis, stats) {
-        gov.tick()?;
-        let keep = match &base_pred {
-            Some(f) => f.matches_with(&base.schema, stored.row, params)?,
-            None => true,
+    if let Some(p) = profile.as_deref_mut() {
+        p.joins = vec![StepActuals::default(); plan.steps.len()];
+    }
+
+    // Hash build sides: reuse the prepared handle's cached build when it
+    // still describes exactly the rows this snapshot sees, else build an
+    // owned map (and cache it when the pushdown does not depend on `?`
+    // parameters).
+    let mut sides: Vec<Option<Arc<CachedBuild>>> = vec![None; plan.steps.len()];
+    for (si, step) in plan.steps.iter().enumerate() {
+        let JoinStrategy::Hash { build, .. } = &step.strategy else {
+            continue;
         };
-        if keep {
-            gov.charge_row(|| approx_row_bytes(stored.row))?;
-            rows.push(stored.row.clone());
+        let sw = clock(&profile);
+        let right = tables[si + 1];
+        let cached = builds
+            .as_ref()
+            .and_then(|b| b.get(si).cloned().flatten())
+            .filter(|c| step.cacheable && c.valid_for(right, vis));
+        sides[si] = Some(match cached {
+            Some(reused) => {
+                stats.build_reuse_hits += 1;
+                reused
+            }
+            None => {
+                let scope = &schemas[si + 1..=si + 1];
+                let key = resolve_column(scope, build)?.ord;
+                let pred = bind_pushdown(step, scope)?;
+                let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
+                let rows = access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats);
+                for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
+                    let key = stored.row.get(key);
+                    if !key.is_null() {
+                        gov.charge_row(|| approx_row_bytes(stored.row))?;
+                        map.entry(key.clone()).or_default().push(stored.row.clone());
+                        stats.rows_materialized += 1;
+                    }
+                    Ok(())
+                })?;
+                let built = Arc::new(CachedBuild {
+                    table_version: right.version(),
+                    snapshot: vis.clone(),
+                    map,
+                });
+                if step.cacheable {
+                    if let Some(slot) = builds.as_deref_mut().and_then(|b| b.get_mut(si)) {
+                        *slot = Some(Arc::clone(&built));
+                    }
+                }
+                built
+            }
+        });
+        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+            p.joins[si].nanos = sw.elapsed_nanos();
         }
     }
-    if let Some(p) = profile.as_deref_mut() {
+
+    // Base access: cost-chosen path plus pushed-down single-table conjuncts.
+    let sw = clock(&profile);
+    let base_pred = plan.base_pushdown.as_ref().map(|p| p.bind(&schemas[..1])).transpose()?;
+    let mut rows: Vec<&Row> = Vec::new();
+    let base_rows = access_planned(base, &plan.base, plan.base_pushdown.as_ref(), params, vis, stats);
+    for_each_match(base_rows, base_pred.as_ref(), params, gov, |stored, gov| {
+        gov.charge_row(|| approx_row_bytes(stored.row))?;
+        rows.push(stored.row);
+        Ok(())
+    })?;
+    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
         p.base = StepActuals {
             rows: rows.len() as u64,
             nanos: sw.elapsed_nanos(),
@@ -797,102 +828,38 @@ fn execute_joined(
     }
 
     for (si, step) in plan.steps.iter().enumerate() {
-        let sw = Stopwatch::start();
-        let right = get_table(catalog, &step.table)?;
-        let right_schema = qualified_schema(right);
-        let mut next_cols = schema.columns.clone();
-        next_cols.extend(right_schema.columns.iter().cloned());
-        let next_schema = Schema::new(schema.name.clone(), next_cols);
-        let right_pred = match &step.pushdown {
-            Some(pd) => Some(resolve_expr(pd, &right.schema)?),
-            None => None,
-        };
+        let sw = clock(&profile);
+        let stride = si + 1;
+        let right = tables[si + 1];
+        let right_scope = &schemas[si + 1..=si + 1];
+        // Sized for one match per left tuple, the shape of a foreign-key join.
+        let mut joined: Vec<&Row> = Vec::with_capacity(rows.len() / stride * (stride + 1));
 
         match &step.strategy {
-            JoinStrategy::Hash { probe, build } => {
-                let probe_col = resolve_column(&schema, probe)?;
-                let probe_idx = schema.column_index(&probe_col)?;
-                let build_col = resolve_column(&right_schema, build)?;
-                let build_idx = right_schema.column_index(&build_col)?;
-
-                // Build side: reuse the prepared handle's cached build when
-                // it still describes exactly the rows this snapshot sees,
-                // else build an owned map (and cache it when the pushdown
-                // does not depend on `?` parameters).
-                let cached: Option<Arc<CachedBuild>> = builds
-                    .as_ref()
-                    .and_then(|b| b.get(si).cloned().flatten())
-                    .filter(|c| step.cacheable && c.valid_for(right, vis));
-                let reused = cached.is_some();
-                let built: Arc<CachedBuild> = match cached {
-                    Some(c) => c,
-                    None => {
-                        let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
-                        for stored in
-                            access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats)
-                        {
-                            gov.tick()?;
-                            if let Some(f) = &right_pred {
-                                if !f.matches_with(&right.schema, stored.row, params)? {
-                                    continue;
-                                }
-                            }
-                            let key = stored.row.get(build_idx);
-                            if key.is_null() {
-                                continue;
-                            }
-                            gov.charge_row(|| approx_row_bytes(stored.row))?;
-                            map.entry(key.clone()).or_default().push(stored.row.clone());
-                        }
-                        let built = Arc::new(CachedBuild {
-                            table_version: right.version(),
-                            snapshot: vis.clone(),
-                            map,
-                        });
-                        if step.cacheable {
-                            if let Some(b) = builds.as_deref_mut() {
-                                if let Some(slot) = b.get_mut(si) {
-                                    *slot = Some(Arc::clone(&built));
-                                }
-                            }
-                        }
-                        built
-                    }
-                };
-                if reused {
-                    stats.build_reuse_hits += 1;
-                }
-
-                let mut joined = Vec::new();
-                for left_row in &rows {
+            JoinStrategy::Hash { probe, .. } => {
+                let probe = resolve_column(&schemas[..stride], probe)?;
+                let side = sides[si].as_deref().expect("hash build sides are built first");
+                for left in rows.chunks_exact(stride) {
                     gov.tick()?;
-                    let key = left_row.get(probe_idx);
+                    let key = probe.of(left);
                     if key.is_null() {
                         continue;
                     }
-                    if let Some(matches) = built.map.get(key) {
-                        for right_row in matches {
-                            gov.tick()?;
-                            let out = left_row.concat(right_row);
-                            gov.charge_row(|| approx_row_bytes(&out))?;
-                            stats.rows_read += 1;
-                            joined.push(out);
-                        }
+                    for right_row in side.map.get(key).into_iter().flatten() {
+                        gov.tick()?;
+                        emit(&mut joined, left, right_row, gov)?;
+                        stats.rows_read += 1;
                     }
                 }
-                rows = joined;
             }
             JoinStrategy::IndexLoop { probe, lookup, index } => {
-                let probe_col = resolve_column(&schema, probe)?;
-                let probe_idx = schema.column_index(&probe_col)?;
-                let lookup_col = resolve_column(&right_schema, lookup)?;
-                let lookup_idx = right_schema.column_index(&lookup_col)?;
-                let lookup_name = &*right.schema.columns[lookup_idx].name;
-
-                let mut joined = Vec::new();
-                for left_row in &rows {
+                let probe = resolve_column(&schemas[..stride], probe)?;
+                let lookup = resolve_column(right_scope, lookup)?.ord;
+                let lookup_name = &*right.schema.columns[lookup].name;
+                let right_pred = bind_pushdown(step, right_scope)?;
+                for left in rows.chunks_exact(stride) {
                     gov.tick()?;
-                    let key = left_row.get(probe_idx);
+                    let key = probe.of(left);
                     if key.is_null() {
                         continue;
                     }
@@ -905,169 +872,95 @@ fn execute_joined(
                                 step.table
                             ))
                         })?;
-                    for stored in candidates {
-                        gov.tick()?;
+                    for_each_match(candidates, right_pred.as_ref(), params, gov, |stored, gov| {
                         // Index entries cover every retained version's key,
                         // so the version this snapshot sees may hold another.
-                        if stored.row.get(lookup_idx).sql_eq(key) != Some(true) {
-                            continue;
+                        if stored.row.get(lookup).sql_eq(key) == Some(true) {
+                            emit(&mut joined, left, stored.row, gov)?;
                         }
-                        if let Some(f) = &right_pred {
-                            if !f.matches_with(&right.schema, stored.row, params)? {
-                                continue;
-                            }
-                        }
-                        let out = left_row.concat(stored.row);
-                        gov.charge_row(|| approx_row_bytes(&out))?;
-                        joined.push(out);
-                    }
+                        Ok(())
+                    })?;
                 }
-                rows = joined;
             }
             JoinStrategy::NestedLoop => {
-                // Materialize the (pushdown-filtered) right side once, then
+                // Collect the (pushdown-filtered) right side once, then
                 // evaluate the ON predicate over every row pair.
-                let mut right_rows: Vec<Row> = Vec::new();
-                for stored in
-                    access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats)
-                {
-                    gov.tick()?;
-                    if let Some(f) = &right_pred {
-                        if !f.matches_with(&right.schema, stored.row, params)? {
-                            continue;
-                        }
-                    }
+                let right_pred = bind_pushdown(step, right_scope)?;
+                let mut right_rows: Vec<&Row> = Vec::new();
+                let scanned = access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats);
+                for_each_match(scanned, right_pred.as_ref(), params, gov, |stored, gov| {
                     gov.charge_row(|| approx_row_bytes(stored.row))?;
-                    right_rows.push(stored.row.clone());
-                }
+                    right_rows.push(stored.row);
+                    Ok(())
+                })?;
                 let on = &stmt.joins[step.clause].on;
-                let on_rewritten: Cow<'_, Expr> = if on.contains_subquery() {
+                let on: Cow<'_, Expr> = if on.contains_subquery() {
                     Cow::Owned(rewrite_subqueries(catalog, on, params, vis, stats, gov)?)
                 } else {
                     Cow::Borrowed(on)
                 };
-                let on_resolved = resolve_expr(&on_rewritten, &next_schema)?;
-                let mut joined = Vec::new();
-                for left_row in &rows {
+                let on = on.bind(&schemas[..=stride])?;
+                let mut pair: Vec<&Row> = Vec::with_capacity(stride + 1);
+                for left in rows.chunks_exact(stride) {
                     gov.tick()?;
-                    for right_row in &right_rows {
+                    for &right_row in &right_rows {
                         gov.tick()?;
-                        let cand = left_row.concat(right_row);
-                        if on_resolved.matches_with(&next_schema, &cand, params)? {
-                            gov.charge_row(|| approx_row_bytes(&cand))?;
+                        pair.clear();
+                        pair.extend_from_slice(left);
+                        pair.push(right_row);
+                        if on.matches(&pair, params)? {
+                            emit(&mut joined, left, right_row, gov)?;
                             stats.rows_read += 1;
-                            joined.push(cand);
                         }
                     }
                 }
-                rows = joined;
             }
         }
 
-        schema = next_schema;
-        if let Some(p) = profile.as_deref_mut() {
-            while p.joins.len() <= si {
-                p.joins.push(StepActuals::default());
-            }
-            p.joins[si] = StepActuals {
-                rows: rows.len() as u64,
-                nanos: sw.elapsed_nanos(),
-            };
+        rows = joined;
+        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+            p.joins[si].rows = (rows.len() / (stride + 1)) as u64;
+            p.joins[si].nanos += sw.elapsed_nanos();
         }
     }
-
-    // When the planner reordered the joins, restore the syntactic column
-    // layout `[base][join 0][join 1]…` so `SELECT *` and positional
-    // consumers are oblivious to the execution order.
-    if plan.reordered {
-        let mut offsets = Vec::with_capacity(plan.steps.len());
-        let mut off = base.schema.arity();
-        for step in &plan.steps {
-            offsets.push(off);
-            off += get_table(catalog, &step.table)?.schema.arity();
-        }
-        let mut perm: Vec<usize> = (0..base.schema.arity()).collect();
-        for clause_idx in 0..plan.steps.len() {
-            let pos = plan
-                .steps
-                .iter()
-                .position(|s| s.clause == clause_idx)
-                .expect("every join clause is planned exactly once");
-            let arity = get_table(catalog, &plan.steps[pos].table)?.schema.arity();
-            perm.extend(offsets[pos]..offsets[pos] + arity);
-        }
-        let columns: Vec<Column> = perm.iter().map(|&i| schema.columns[i].clone()).collect();
-        schema = Schema::new(schema.name.clone(), columns);
-        rows = rows
-            .into_iter()
-            .map(|r| {
-                let mut vals = r.values;
-                Row::new(
-                    perm.iter()
-                        .map(|&i| std::mem::replace(&mut vals[i], Value::Null))
-                        .collect(),
-                )
-            })
-            .collect();
-    }
+    let stride = tables.len();
 
     // Residual filter: the full (subquery-rewritten) predicate over the
-    // joined schema. Pushed-down conjuncts are re-checked here — harmless
+    // whole tuple. Pushed-down conjuncts are re-checked here — harmless
     // for a conjunction, and it keeps pushdown a pure optimization.
-    let sw = Stopwatch::start();
+    let sw = clock(&profile);
     if let Some(filter) = filter {
-        let filter = resolve_expr(filter, &schema)?;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
+        let filter = filter.bind(&schemas)?;
+        let mut kept = 0;
+        for i in 0..rows.len() / stride {
             gov.tick()?;
-            if filter.matches_with(&schema, &row, params)? {
-                kept.push(row);
+            if filter.matches(&rows[i * stride..][..stride], params)? {
+                rows.copy_within(i * stride..(i + 1) * stride, kept * stride);
+                kept += 1;
             }
         }
-        rows = kept;
+        rows.truncate(kept * stride);
     }
-    if let Some(p) = profile.as_deref_mut() {
+    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
         p.filter = StepActuals {
-            rows: rows.len() as u64,
+            rows: (rows.len() / stride) as u64,
             nanos: sw.elapsed_nanos(),
         };
     }
 
-    let sw = Stopwatch::start();
-    if stmt.has_aggregates() {
-        let result = execute_aggregate(stmt, &schema, rows.iter(), limit, stats, gov)?;
-        note_output(&mut profile, &sw, result.len());
-        return Ok(result);
-    }
-
-    if !stmt.order_by.is_empty() {
-        gov.check_now()?;
-        sort_rows(stmt, &schema, &mut rows, |r| r)?;
-    }
-    if let Some(limit) = limit {
-        rows.truncate(limit);
-    }
-
-    // A bare `SELECT *` moves the joined rows through unchanged.
-    if matches!(stmt.items.as_slice(), [SelectItem::Wildcard]) {
-        if gov.armed() {
-            for row in &rows {
-                gov.charge_row(|| approx_row_bytes(row))?;
-            }
+    let sw = clock(&profile);
+    let result = if stmt.has_aggregates() {
+        let mut agg = Aggregator::new(stmt, &schemas, |c| layout.label(c))?;
+        for tuple in rows.chunks_exact(stride) {
+            gov.tick()?;
+            agg.push(tuple)?;
         }
-        note_output(&mut profile, &sw, rows.len());
-        return Ok(QueryResult {
-            columns: schema.columns.iter().map(|c| c.name.clone()).collect(),
-            rows,
-        });
-    }
-    let (columns, projections) = projection_spec(stmt, &schema)?;
-    let out_rows = project_rows(&schema, rows.iter(), columns.len(), &projections, params, gov)?;
-    note_output(&mut profile, &sw, out_rows.len());
-    Ok(QueryResult {
-        columns: columns.into(),
-        rows: out_rows,
-    })
+        agg.finish(limit, stats)?
+    } else {
+        output_rows(stmt, &layout, rows, false, limit, params, stats, gov)?
+    };
+    note_output(&mut profile, sw, result.len());
+    Ok(result)
 }
 
 /// Returns the ids of the current rows of `table` matched by `filter` (all
@@ -1101,21 +994,13 @@ pub fn matching_row_ids_with(
     stats: &mut OpStats,
     gov: &mut Governor,
 ) -> Result<Vec<RowId>> {
-    let resolved = match filter {
-        Some(f) => Some(resolve_expr(f, &table.schema)?),
-        None => None,
-    };
+    let bound = filter.map(|f| f.bind(&[&table.schema])).transpose()?;
     let mut out = Vec::new();
-    for stored in access_base_table(table, resolved.as_deref(), params, vis, stats, false) {
-        gov.tick()?;
-        let keep = match &resolved {
-            Some(f) => f.matches_with(&table.schema, stored.row, params)?,
-            None => true,
-        };
-        if keep {
-            out.push(stored.id);
-        }
-    }
+    let rows = access_base_table(table, filter, params, vis, stats, false);
+    for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
+        out.push(stored.id);
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -1438,6 +1323,34 @@ mod tests {
         );
         assert_eq!(r.len(), 1);
         assert_eq!(r.value(0, "jobs.owner"), Some(&Value::Text("alice".into())));
+    }
+
+    #[test]
+    fn ambiguous_group_by_column_is_the_ambiguity_error() {
+        let cat = catalog();
+        // `state` is a column of both jobs and machines: grouping by the
+        // bare name is ambiguous, the same type error a filter or a
+        // projection on it gets — not "column not found".
+        for sql in [
+            "SELECT COUNT(*), state FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
+             JOIN machines ON matches.machine_id = machines.machine_id GROUP BY state",
+            "SELECT COUNT(*) FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
+             JOIN machines ON matches.machine_id = machines.machine_id WHERE state = 'idle'",
+        ] {
+            let Statement::Select(stmt) = parse(sql).unwrap() else {
+                unreachable!()
+            };
+            let err = execute_select(&cat, &stmt, &mut OpStats::default()).unwrap_err();
+            assert!(matches!(&err, Error::Type(m) if m.contains("ambiguous column state")), "{err}");
+        }
+        // Qualified, it groups.
+        let r = select(
+            &cat,
+            "SELECT COUNT(*), machines.state FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
+             JOIN machines ON matches.machine_id = machines.machine_id GROUP BY machines.state",
+        );
+        assert_eq!(r.column_names(), vec!["count(*)", "machines.state"]);
+        assert_eq!(r.rows, vec![Row::new(vec![Value::Int(1), Value::Text("busy".into())])]);
     }
 
     #[test]

@@ -13,9 +13,16 @@
 //!   consults the clock and the optional cancellation token and bails with a
 //!   statement-deadline [`Error::Timeout`] (class `Logic`) — so a statement
 //!   never exceeds its deadline by more than one check interval of work.
-//! * **Budgets** — [`Governor::charge_row`] is called once per *materialized*
-//!   result row, before any response page is built. Exceeding `max_rows` or
-//!   `max_bytes` cancels the statement with [`Error::ResourceExhausted`].
+//! * **Budgets** — [`Governor::charge_row`] is called once per row a
+//!   statement *produces*: each row kept from a join input, each tuple a
+//!   join step emits, each result row, before any response page is built.
+//!   The executor passes references between its operators and allocates
+//!   only what it returns, so a charge is not an allocation: a join tuple
+//!   is charged at [`approx_tuple_bytes`], the size its values would have
+//!   as one row. The budget thus bounds the work a statement may fan out
+//!   into, the same for a cross product feeding `COUNT(*)` as for one
+//!   being returned. Exceeding `max_rows` or `max_bytes` cancels the
+//!   statement with [`Error::ResourceExhausted`].
 //! * **Disarmed cost** — when no limit is set the governor is disarmed and
 //!   both entry points reduce to a single predictable branch, keeping the
 //!   prepared-point-select hot path unaffected (proven by the
@@ -51,9 +58,10 @@ pub struct Governance {
     /// Wall-clock budget for one statement. Expiry surfaces a
     /// statement-deadline [`Error::Timeout`] (class `Logic`).
     pub deadline: Option<Duration>,
-    /// Maximum result rows materialized by one statement.
+    /// Maximum rows one statement may produce (join inputs kept, join
+    /// tuples and result rows; see [`Governor::charge_row`]).
     pub max_rows: Option<u64>,
-    /// Maximum approximate result bytes materialized by one statement.
+    /// Maximum approximate bytes of the rows one statement produces.
     pub max_bytes: Option<u64>,
     /// Bound on how long a write statement waits for a conflicted table
     /// lock before failing with a retryable lock-wait [`Error::Timeout`].
@@ -185,8 +193,9 @@ impl Governor {
         Ok(())
     }
 
-    /// Charges one materialized result row against the budgets. `size` is
-    /// only evaluated when armed, so the disarmed path never sizes rows.
+    /// Charges one produced row — a kept input row, a join tuple, a result
+    /// row — against the budgets. `size` is only evaluated when armed, so
+    /// the disarmed path never sizes rows.
     #[inline]
     pub fn charge_row(&mut self, size: impl FnOnce() -> u64) -> Result<()> {
         if !self.armed {
@@ -225,8 +234,14 @@ impl Governor {
 /// Approximate in-memory size of a result row, used for `max_bytes`
 /// accounting: the per-row overhead plus each value's payload.
 pub fn approx_row_bytes(row: &Row) -> u64 {
+    approx_tuple_bytes(&[row])
+}
+
+/// [`approx_row_bytes`] of the row a join tuple stands for — the
+/// concatenation of its parts' values — sized without building it.
+pub fn approx_tuple_bytes(tuple: &[&Row]) -> u64 {
     let mut bytes = std::mem::size_of::<Row>() as u64;
-    for value in &row.values {
+    for value in tuple.iter().flat_map(|row| &row.values) {
         bytes += std::mem::size_of::<Value>() as u64;
         if let Value::Text(s) = value {
             bytes += s.len() as u64;

@@ -419,7 +419,8 @@
 //! keeps lock-free log-bucketed latency histograms (per statement kind,
 //! plus WAL fsync, lock wait, commit, checkpoint and vacuum), a
 //! per-statement profile on every cached/prepared statement (a
-//! `pg_stat_statements` analogue bounded by the statement-cache LRU), a
+//! `pg_stat_statements` analogue bounded by the statement-cache LRU; what
+//! evicted entries had recorded is kept as one `'(evicted)'` row), a
 //! fixed-capacity slow-query ring with a wait breakdown
 //! ([`Database::set_slow_query_threshold`](db::Database::set_slow_query_threshold);
 //! disarmed by default and then one relaxed load per statement), and an
@@ -494,6 +495,33 @@
 //! Scalar and `IN (SELECT …)` subqueries in `WHERE` execute once per
 //! statement and splice in as literals, with SQL's three-valued `IN`
 //! semantics preserved.
+//!
+//! **What flows between the operators is references.** An access path
+//! streams rows borrowed from the table heap; a join step hands on *tuples*
+//! — one `&Row` per table joined so far, appended to a flat `Vec<&Row>` —
+//! so joining copies a pointer per table per tuple and never a value. Every
+//! expression (pushed-down and residual filters, `ON` predicates, sort
+//! keys, grouping columns, aggregate inputs, projections) is *bound* once
+//! per execution ([`Expr::bind`](predicate::Expr::bind)): each column
+//! reference becomes a (tuple slot, column ordinal) pair, found by the one
+//! resolver ([`predicate::resolve_column`]: a bare name must belong to
+//! exactly one table in scope, else it is the *ambiguous column* type
+//! error), and evaluation borrows out of the rows without comparing a name
+//! or cloning a value. Aggregates fold straight off the references — a
+//! `COUNT`/`SUM`/`GROUP BY` over a join or a scan allocates one row per
+//! group, integer `SUM`s are exact (`i128`; a total beyond `INT` is a type
+//! error, not a rounded number) — and a non-aggregate select allocates
+//! only the rows that survive sort and `LIMIT`. When the planner reorders
+//! joins, `SELECT *` keeps the syntactic column order by listing the tuple
+//! slots in that order; no value moves. The one owned intermediate is a
+//! hash join's build side, kept owned so a prepared statement can reuse
+//! it. The `rows_materialized` counter in `rel_stats` counts exactly the
+//! rows the executor allocates — returned rows plus (re)built build sides
+//! — next to `rows_read`, so "how much did this report copy" is a query.
+//! The governor's contract is unchanged by rows not being copied: every
+//! row visited is a cancellation point and every tuple a join produces is
+//! charged to the row/byte budgets at the size its values would have as
+//! one row.
 //!
 //! **`ORDER BY` without a sort.** A single-table `SELECT … ORDER BY c LIMIT
 //! k` (literal or `LIMIT ?`) can be served by walking the index on `c` in

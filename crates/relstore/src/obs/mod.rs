@@ -30,7 +30,7 @@ pub mod systables;
 
 pub use clock::Stopwatch;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
-pub use profile::{StmtProfile, StmtProfileSnapshot};
+pub use profile::{EvictedTotals, StmtProfile, StmtProfileSnapshot};
 pub use ring::{Event, EventRing, SlowQueryEntry, SlowQueryLog};
 
 use crate::sql::ast::Statement;

@@ -5,11 +5,13 @@
 //! that text, so recording an execution needs no lock and no hash lookup:
 //! the handle already points at its profile. The profile table is therefore
 //! bounded by the statement-cache LRU — when a cache entry is evicted its
-//! profile leaves `rel_statements` with it, and a later re-prepare of the
-//! same text starts a fresh profile. A `Prepared` handle that outlives the
-//! eviction keeps recording into its (now unlisted) profile; the counts are
-//! not lost, just no longer visible, which is the standard trade of an
-//! LRU-bounded profile table.
+//! profile leaves `rel_statements`, its totals so far folded into that
+//! table's one `'(evicted)'` row ([`EvictedTotals`]) so the table's sums
+//! keep covering ad-hoc statements that ran once and aged out; a later
+//! re-prepare of the same text starts a fresh profile. A `Prepared` handle
+//! that outlives the eviction keeps recording into its (now unlisted)
+//! profile; those later counts are not lost, just no longer visible, which
+//! is the standard trade of an LRU-bounded profile table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,6 +105,30 @@ impl StmtProfileSnapshot {
         } else {
             self.total_nanos as f64 / self.calls as f64
         }
+    }
+}
+
+/// What the profiles evicted from the statement cache had recorded when
+/// they left it, summed: the `'(evicted)'` row of `rel_statements`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvictedTotals {
+    /// Executions recorded by evicted profiles.
+    pub calls: u64,
+    /// Rows returned or affected by them.
+    pub rows: u64,
+    /// Their cumulative execution time in nanoseconds.
+    pub total_nanos: u64,
+    /// The slowest single execution among them, in nanoseconds.
+    pub max_nanos: u64,
+}
+
+impl EvictedTotals {
+    /// Adds a profile that is leaving the cache.
+    pub(crate) fn fold(&mut self, evicted: &StmtProfileSnapshot) {
+        self.calls += evicted.calls;
+        self.rows += evicted.rows;
+        self.total_nanos += evicted.total_nanos;
+        self.max_nanos = self.max_nanos.max(evicted.max_nanos);
     }
 }
 

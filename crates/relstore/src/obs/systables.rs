@@ -17,7 +17,7 @@ use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
 
-use super::profile::StmtProfileSnapshot;
+use super::profile::{EvictedTotals, StmtProfileSnapshot};
 use super::ring::{Event, SlowQueryEntry};
 use super::Histograms;
 
@@ -161,28 +161,33 @@ pub fn table_stats_table<'a>(
 }
 
 /// `rel_statements(sql TEXT, kind TEXT, calls INT, total_rows INT, total_us,
-/// mean_us, max_us DOUBLE)` — one row per live statement-cache entry,
-/// slowest cumulative time first. Bounded by the statement-cache LRU.
-pub fn statements_table(mut profiles: Vec<StmtProfileSnapshot>) -> Table {
-    profiles.sort_by(|a, b| {
-        b.total_nanos
-            .cmp(&a.total_nanos)
-            .then_with(|| a.sql.cmp(&b.sql))
-    });
-    let rows = profiles
+/// mean_us, max_us DOUBLE)` — one row per live statement-cache entry, plus
+/// one `'(evicted)'` row (kind `'evicted'`) summing what the entries the
+/// LRU has dropped had recorded, once any has been; slowest cumulative
+/// time first. Bounded by the statement-cache LRU.
+pub fn statements_table(profiles: Vec<StmtProfileSnapshot>, evicted: EvictedTotals) -> Table {
+    let line = |sql: Arc<str>, kind: &str, calls: u64, rows: u64, total_nanos: u64, max_nanos: u64| {
+        let mean_nanos = if calls == 0 { 0.0 } else { total_nanos as f64 / calls as f64 };
+        vec![
+            Value::Text(sql),
+            Value::Text(Arc::from(kind)),
+            int(calls),
+            int(rows),
+            nanos_to_us(total_nanos),
+            Value::Double(mean_nanos / 1_000.0),
+            nanos_to_us(max_nanos),
+        ]
+    };
+    let mut rows: Vec<Vec<Value>> = profiles
         .into_iter()
-        .map(|p| {
-            vec![
-                Value::Text(Arc::clone(&p.sql)),
-                Value::Text(Arc::from(p.kind.name())),
-                int(p.calls),
-                int(p.rows),
-                nanos_to_us(p.total_nanos),
-                Value::Double(p.mean_nanos() / 1_000.0),
-                nanos_to_us(p.max_nanos),
-            ]
-        })
+        .map(|p| line(p.sql, p.kind.name(), p.calls, p.rows, p.total_nanos, p.max_nanos))
         .collect();
+    if evicted.calls > 0 {
+        let e = evicted;
+        rows.push(line(Arc::from("(evicted)"), "evicted", e.calls, e.rows, e.total_nanos, e.max_nanos));
+    }
+    // total_us descending, then sql.
+    rows.sort_by(|a, b| b[4].total_cmp(&a[4]).then_with(|| a[0].total_cmp(&b[0])));
     make_table(
         "rel_statements",
         vec![
@@ -296,7 +301,7 @@ mod tests {
         fast.record(10, 1);
         let slow = super::super::StmtProfile::new(Arc::from("slow"), StmtKind::Select);
         slow.record(10_000, 1);
-        let table = statements_table(vec![fast.snapshot(), slow.snapshot()]);
+        let table = statements_table(vec![fast.snapshot(), slow.snapshot()], EvictedTotals::default());
         assert_eq!(table.len(), 2);
     }
 

@@ -447,9 +447,9 @@ pub enum JoinStrategy {
         /// Name of the probed index (EXPLAIN only).
         index: String,
     },
-    /// Nested loop evaluating the full `ON` predicate over each
-    /// concatenated row pair — the fallback that makes non-equi `ON`
-    /// predicates work.
+    /// Nested loop evaluating the full `ON` predicate over each pair of
+    /// accumulated tuple and right row — the fallback that makes non-equi
+    /// `ON` predicates work.
     NestedLoop,
 }
 
@@ -488,8 +488,9 @@ pub struct SelectPlan {
     pub base_pushdown: Option<Expr>,
     /// Joins in execution order (may differ from syntactic order).
     pub steps: Vec<JoinStep>,
-    /// True when `steps` is not in syntactic order — the executor must then
-    /// restore syntactic column order for `SELECT *`.
+    /// True when `steps` is not in syntactic order. `SELECT *` keeps the
+    /// syntactic column order regardless: the executor lists the tuple
+    /// slots by each step's `clause`, and no value moves.
     pub reordered: bool,
 }
 
@@ -600,7 +601,7 @@ fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> H
 ///
 /// Join reordering is safe for this engine's join semantics: all joins are
 /// inner, so the result set is order-independent — only intermediate sizes
-/// (and `SELECT *` column order, which the executor restores) change.
+/// change (`SELECT *` lists the tables in syntactic order either way).
 ///
 /// `params` are read for one thing only: costing the ordered walk of a
 /// *single-table* `ORDER BY … LIMIT` (the bound limit, the length of the

@@ -1,9 +1,14 @@
 //! Scalar expressions and predicate evaluation over rows.
 //!
-//! Expressions are evaluated against a row plus a column-name environment
-//! (the schema of the relation flowing through the operator). Comparison
-//! follows SQL three-valued logic: any comparison against NULL is unknown and
-//! an unknown predicate does not select the row.
+//! An [`Expr`] names its columns; a [`BoundExpr`] addresses them. Binding
+//! ([`Expr::bind`]) resolves every column reference once, against the
+//! schemas of the tables in scope, to a [`ColRef`] — which row of a tuple,
+//! which value of that row — and evaluation then reads straight out of the
+//! borrowed rows: no name is compared and no value is cloned per row. A
+//! *tuple* is one borrowed row per table in scope (a single row for a
+//! single-table statement; the executor's joins concatenate references, not
+//! values). Comparison follows SQL three-valued logic: any comparison
+//! against NULL is unknown and an unknown predicate does not select the row.
 
 use crate::error::{Error, Result};
 use crate::schema::Schema;
@@ -11,6 +16,7 @@ use crate::sql::ast::SelectStmt;
 use crate::tuple::Row;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Binary comparison operators.
@@ -89,7 +95,7 @@ pub enum Expr {
     Literal(Value),
     /// A positional bind parameter (`?`), 0-indexed in statement order.
     /// Resolved at evaluation time from the bound-parameter context (see
-    /// [`Expr::eval_with`]).
+    /// [`BoundExpr::eval`]).
     Param(usize),
     /// A reference to a column by name.
     Column(String),
@@ -112,12 +118,12 @@ pub enum Expr {
     /// `expr IN (SELECT ...)`. Uncorrelated subqueries are rewritten into an
     /// [`Expr::InList`] over the subquery's result before row evaluation
     /// begins (a hash semi-join over the materialized inner side), so this
-    /// variant never reaches `eval_with`.
+    /// variant is never bound.
     InSubquery(Box<Expr>, Box<SelectStmt>),
     /// `(SELECT ...)` used as a scalar value. The subquery must produce at
     /// most one row of exactly one column; it is rewritten into an
     /// [`Expr::Literal`] (NULL when it yields no row) before row evaluation
-    /// begins, so this variant never reaches `eval_with`.
+    /// begins, so this variant is never bound.
     ScalarSubquery(Box<SelectStmt>),
 }
 
@@ -150,76 +156,78 @@ impl Expr {
         Expr::Or(Box::new(self), Box::new(other))
     }
 
+    /// Resolves every column reference against `scope` — the schemas of the
+    /// tables whose rows make up a tuple, in slot order — borrowing literals
+    /// and `IN` lists from `self`. A bare name must belong to exactly one
+    /// table in scope; a qualified one must name its table. The common
+    /// filter shape, a comparison between a column and a literal or `?`,
+    /// binds without allocating.
+    #[inline]
+    pub fn bind<'e>(&'e self, scope: &[&Schema]) -> Result<BoundExpr<'e>> {
+        match self.bind_leaf(scope)? {
+            Some(leaf) => Ok(BoundExpr::Leaf(leaf)),
+            None => self.bind_node(scope),
+        }
+    }
+
+    /// `self` as a leaf, when it is one. Inlined into its callers, so a
+    /// one-off evaluation of a `VALUES` or `SET` expression — nearly always
+    /// a literal or a `?` — costs what reading the value costs.
+    #[inline]
+    fn bind_leaf<'e>(&'e self, scope: &[&Schema]) -> Result<Option<Leaf<'e>>> {
+        Ok(Some(match self {
+            Expr::Literal(v) => Leaf::Literal(v),
+            Expr::Param(i) => Leaf::Param(*i),
+            Expr::Column(name) => Leaf::Column(resolve_column(scope, name)?),
+            _ => return Ok(None),
+        }))
+    }
+
+    /// Binds an expression that is not a leaf.
+    fn bind_node<'e>(&'e self, scope: &[&Schema]) -> Result<BoundExpr<'e>> {
+        let arg = |e: &'e Expr| -> Result<Operand<'e>> {
+            Ok(match e.bind_leaf(scope)? {
+                Some(leaf) => Operand::Leaf(leaf),
+                None => Operand::Expr(Box::new(e.bind_node(scope)?)),
+            })
+        };
+        Ok(match self {
+            Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => {
+                unreachable!("bind_leaf binds the leaves")
+            }
+            Expr::Cmp(op, l, r) => BoundExpr::Cmp(*op, arg(l)?, arg(r)?),
+            Expr::Arith(op, l, r) => BoundExpr::Arith(*op, arg(l)?, arg(r)?),
+            Expr::And(l, r) => BoundExpr::And(arg(l)?, arg(r)?),
+            Expr::Or(l, r) => BoundExpr::Or(arg(l)?, arg(r)?),
+            Expr::Not(e) => BoundExpr::Not(arg(e)?),
+            Expr::IsNull(e) => BoundExpr::IsNull(arg(e)?),
+            Expr::IsNotNull(e) => BoundExpr::IsNotNull(arg(e)?),
+            Expr::InList(e, list) => BoundExpr::InList(arg(e)?, list),
+            // Subqueries are rewritten into literals / IN lists before the
+            // WHERE clause is bound; reaching one here means it sits in a
+            // position the engine does not support (projection, SET, ...).
+            Expr::InSubquery(..) | Expr::ScalarSubquery(_) => {
+                return Err(Error::type_err(
+                    "subqueries are only supported in the WHERE clause of a SELECT",
+                ))
+            }
+        })
+    }
+
     /// Evaluates the expression against `row` described by `schema`, with no
     /// bound parameters (any [`Expr::Param`] fails).
     pub fn eval(&self, schema: &Schema, row: &Row) -> Result<Value> {
         self.eval_with(schema, row, &[])
     }
 
-    /// Evaluates the expression against `row` described by `schema`,
-    /// resolving `?` placeholders from `params`. Prepared execution passes
-    /// parameters as this evaluation context, so the hot path never clones or
-    /// rewrites the AST.
+    /// One-off evaluation against a single `row` described by `schema`,
+    /// resolving `?` placeholders from `params`: binds, evaluates, and owns
+    /// the result. Loops over rows bind once ([`Expr::bind`]) instead.
+    #[inline]
     pub fn eval_with(&self, schema: &Schema, row: &Row, params: &[Value]) -> Result<Value> {
-        match self {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(i) => params.get(*i).cloned().ok_or_else(|| {
-                Error::type_err(format!(
-                    "unbound parameter ?{} — execute this statement through a prepared handle",
-                    i + 1
-                ))
-            }),
-            Expr::Column(name) => {
-                let idx = schema.column_index(name)?;
-                Ok(row.get(idx).clone())
-            }
-            Expr::Cmp(op, l, r) => {
-                let lv = l.eval_with(schema, row, params)?;
-                let rv = r.eval_with(schema, row, params)?;
-                Ok(match eval_cmp(*op, &lv, &rv) {
-                    Some(b) => Value::Bool(b),
-                    None => Value::Null,
-                })
-            }
-            Expr::Arith(op, l, r) => {
-                let lv = l.eval_with(schema, row, params)?;
-                let rv = r.eval_with(schema, row, params)?;
-                eval_arith(*op, &lv, &rv)
-            }
-            Expr::And(l, r) => {
-                let lv = to_tristate(l.eval_with(schema, row, params)?)?;
-                let rv = to_tristate(r.eval_with(schema, row, params)?)?;
-                Ok(from_tristate(and3(lv, rv)))
-            }
-            Expr::Or(l, r) => {
-                let lv = to_tristate(l.eval_with(schema, row, params)?)?;
-                let rv = to_tristate(r.eval_with(schema, row, params)?)?;
-                Ok(from_tristate(or3(lv, rv)))
-            }
-            Expr::Not(e) => {
-                let v = to_tristate(e.eval_with(schema, row, params)?)?;
-                Ok(from_tristate(v.map(|b| !b)))
-            }
-            Expr::IsNull(e) => Ok(Value::Bool(e.eval_with(schema, row, params)?.is_null())),
-            Expr::IsNotNull(e) => Ok(Value::Bool(!e.eval_with(schema, row, params)?.is_null())),
-            Expr::InList(e, list) => {
-                let v = e.eval_with(schema, row, params)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_null = false;
-                for item in list {
-                    match v.sql_eq(item) {
-                        Some(true) => return Ok(Value::Bool(true)),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                Ok(if saw_null { Value::Null } else { Value::Bool(false) })
-            }
-            Expr::InSubquery(..) | Expr::ScalarSubquery(_) => Err(Error::type_err(
-                "subqueries are only supported in the WHERE clause of a SELECT",
-            )),
+        match self.bind_leaf(&[schema])? {
+            Some(leaf) => leaf.get(&[row], params).cloned(),
+            None => Ok(self.bind_node(&[schema])?.eval(&[row], params)?.into_owned()),
         }
     }
 
@@ -231,13 +239,7 @@ impl Expr {
 
     /// As [`Expr::matches`], resolving `?` placeholders from `params`.
     pub fn matches_with(&self, schema: &Schema, row: &Row, params: &[Value]) -> Result<bool> {
-        match self.eval_with(schema, row, params)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(Error::type_err(format!(
-                "predicate evaluated to non-boolean {other}"
-            ))),
-        }
+        self.bind(&[schema])?.matches(&[row], params)
     }
 
     /// If the expression pins `column` of `table` to a single concrete value
@@ -430,6 +432,202 @@ impl Expr {
     }
 }
 
+/// Where a column lives in a tuple of borrowed rows: `slot` picks the row
+/// (the table's position in the binding scope), `ord` the value within it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColRef {
+    /// Index of the row within the tuple.
+    pub slot: usize,
+    /// Ordinal of the column within that row's schema.
+    pub ord: usize,
+}
+
+impl ColRef {
+    /// The value this reference addresses in `tuple`.
+    #[inline]
+    pub fn of<'a>(self, tuple: &[&'a Row]) -> &'a Value {
+        tuple[self.slot].get(self.ord)
+    }
+}
+
+/// The one column resolver: finds `name` among the tables of `scope`. A
+/// qualified `table.column` only matches the table it names; a bare name
+/// matching columns of two tables is an *ambiguous column* type error, one
+/// matching none is not-found. Does not allocate for a lower-case name.
+pub fn resolve_column(scope: &[&Schema], name: &str) -> Result<ColRef> {
+    let lname = crate::schema::lower_name(name);
+    let (table, column) = match lname.split_once('.') {
+        Some((t, c)) => (Some(t), c),
+        None => (None, lname.as_ref()),
+    };
+    let mut found = None;
+    for (slot, schema) in scope.iter().enumerate() {
+        if table.is_some_and(|t| t != schema.name) {
+            continue;
+        }
+        if let Some(ord) = schema.columns.iter().position(|c| *c.name == *column) {
+            if found.is_some() {
+                return Err(Error::type_err(format!("ambiguous column {name}")));
+            }
+            found = Some(ColRef { slot, ord });
+        }
+    }
+    found.ok_or_else(|| {
+        let tables: Vec<&str> = scope.iter().map(|s| s.name.as_str()).collect();
+        Error::not_found(format!("column {name} in {}", tables.join(", ")))
+    })
+}
+
+/// An operand that needs no evaluation: its value is borrowed as is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Leaf<'e> {
+    /// A literal of the statement.
+    Literal(&'e Value),
+    /// The `?` placeholder with this index.
+    Param(usize),
+    /// A column of the tuple.
+    Column(ColRef),
+}
+
+impl<'e> Leaf<'e> {
+    #[inline]
+    fn get<'a>(&'a self, tuple: &[&'a Row], params: &'a [Value]) -> Result<&'a Value> {
+        match self {
+            Leaf::Literal(v) => Ok(v),
+            Leaf::Column(c) => Ok(c.of(tuple)),
+            Leaf::Param(i) => params.get(*i).ok_or_else(|| {
+                Error::type_err(format!(
+                    "unbound parameter ?{} — execute this statement through a prepared handle",
+                    i + 1
+                ))
+            }),
+        }
+    }
+}
+
+/// A child of a [`BoundExpr`] node: leaves sit inline, so only a nested
+/// sub-expression costs a box.
+#[derive(Debug, PartialEq)]
+pub enum Operand<'e> {
+    /// A literal, placeholder or column.
+    Leaf(Leaf<'e>),
+    /// A nested sub-expression.
+    Expr(Box<BoundExpr<'e>>),
+}
+
+impl<'e> Operand<'e> {
+    #[inline]
+    fn eval<'a>(&'a self, tuple: &[&'a Row], params: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            Operand::Leaf(leaf) => leaf.get(tuple, params).map(Cow::Borrowed),
+            Operand::Expr(e) => e.eval(tuple, params),
+        }
+    }
+
+    #[inline]
+    fn test(&self, tuple: &[&Row], params: &[Value]) -> Result<Option<bool>> {
+        match self {
+            Operand::Leaf(leaf) => to_tristate(leaf.get(tuple, params)?),
+            Operand::Expr(e) => e.test(tuple, params),
+        }
+    }
+}
+
+/// An [`Expr`] with its columns resolved ([`Expr::bind`]): evaluated
+/// against a tuple of borrowed rows, borrowing every value it can.
+#[derive(Debug, PartialEq)]
+pub enum BoundExpr<'e> {
+    /// A bare literal, placeholder or column.
+    Leaf(Leaf<'e>),
+    /// A comparison.
+    Cmp(CmpOp, Operand<'e>, Operand<'e>),
+    /// Arithmetic.
+    Arith(ArithOp, Operand<'e>, Operand<'e>),
+    /// Logical AND (three-valued).
+    And(Operand<'e>, Operand<'e>),
+    /// Logical OR (three-valued).
+    Or(Operand<'e>, Operand<'e>),
+    /// Logical NOT (three-valued).
+    Not(Operand<'e>),
+    /// `expr IS NULL`.
+    IsNull(Operand<'e>),
+    /// `expr IS NOT NULL`.
+    IsNotNull(Operand<'e>),
+    /// `expr IN (v1, v2, ...)`.
+    InList(Operand<'e>, &'e [Value]),
+}
+
+impl<'e> BoundExpr<'e> {
+    /// The column this expression is, when it is nothing but a column.
+    pub fn as_column(&self) -> Option<ColRef> {
+        match self {
+            BoundExpr::Leaf(Leaf::Column(c)) => Some(*c),
+            _ => None,
+        }
+    }
+
+    /// The expression's value over `tuple`, resolving `?` placeholders from
+    /// `params`. Borrowed from the row, the statement or `params` unless
+    /// the expression computes something.
+    pub fn eval<'a>(&'a self, tuple: &[&'a Row], params: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            BoundExpr::Leaf(leaf) => leaf.get(tuple, params).map(Cow::Borrowed),
+            BoundExpr::Arith(op, l, r) => {
+                let (l, r) = (l.eval(tuple, params)?, r.eval(tuple, params)?);
+                eval_arith(*op, &l, &r).map(Cow::Owned)
+            }
+            _ => Ok(Cow::Owned(match self.test(tuple, params)? {
+                Some(b) => Value::Bool(b),
+                None => Value::Null,
+            })),
+        }
+    }
+
+    /// The expression as a three-valued truth value; anything but a boolean
+    /// or NULL is a type error.
+    fn test(&self, tuple: &[&Row], params: &[Value]) -> Result<Option<bool>> {
+        Ok(match self {
+            BoundExpr::Leaf(_) | BoundExpr::Arith(..) => {
+                return to_tristate(self.eval(tuple, params)?.as_ref())
+            }
+            BoundExpr::Cmp(op, l, r) => {
+                eval_cmp(*op, l.eval(tuple, params)?.as_ref(), r.eval(tuple, params)?.as_ref())
+            }
+            BoundExpr::And(l, r) => and3(l.test(tuple, params)?, r.test(tuple, params)?),
+            BoundExpr::Or(l, r) => or3(l.test(tuple, params)?, r.test(tuple, params)?),
+            BoundExpr::Not(e) => e.test(tuple, params)?.map(|b| !b),
+            BoundExpr::IsNull(e) => Some(e.eval(tuple, params)?.is_null()),
+            BoundExpr::IsNotNull(e) => Some(!e.eval(tuple, params)?.is_null()),
+            BoundExpr::InList(e, list) => {
+                let v = e.eval(tuple, params)?;
+                if v.is_null() {
+                    return Ok(None);
+                }
+                let mut saw_null = false;
+                for item in *list {
+                    match v.sql_eq(item) {
+                        Some(true) => return Ok(Some(true)),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                if saw_null {
+                    None
+                } else {
+                    Some(false)
+                }
+            }
+        })
+    }
+
+    /// Evaluates the expression as a predicate over `tuple`: true selects
+    /// it, false or unknown (NULL) rejects it.
+    #[inline]
+    pub fn matches(&self, tuple: &[&Row], params: &[Value]) -> Result<bool> {
+        Ok(self.test(tuple, params)? == Some(true))
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -546,20 +744,11 @@ fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-fn to_tristate(v: Value) -> Result<Option<bool>> {
+fn to_tristate(v: &Value) -> Result<Option<bool>> {
     match v {
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         Value::Null => Ok(None),
-        other => Err(Error::type_err(format!(
-            "expected boolean operand, got {other}"
-        ))),
-    }
-}
-
-fn from_tristate(v: Option<bool>) -> Value {
-    match v {
-        Some(b) => Value::Bool(b),
-        None => Value::Null,
+        other => Err(Error::type_err(format!("expected a boolean, got {other}"))),
     }
 }
 
@@ -800,6 +989,56 @@ mod tests {
         // Unbound evaluation and short bindings fail loudly.
         assert!(e.eval(&s, &r).is_err());
         assert!(e.matches_with(&s, &r, &[Value::Int(1)]).is_err());
+    }
+
+    #[test]
+    fn bound_expressions_address_columns_by_slot_and_ordinal() {
+        let jobs = schema();
+        let machines = Schema::new(
+            "machines",
+            vec![Column::new("machine_id", DataType::Int), Column::new("state", DataType::Text)],
+        );
+        let scope = [&jobs, &machines];
+        assert_eq!(resolve_column(&scope, "runtime"), Ok(ColRef { slot: 0, ord: 2 }));
+        assert_eq!(resolve_column(&scope, "Machines.State"), Ok(ColRef { slot: 1, ord: 1 }));
+        assert_eq!(resolve_column(&scope, "jobs.state"), Ok(ColRef { slot: 0, ord: 1 }));
+        // A bare name two tables share is ambiguous; a qualifier must name
+        // the column's own table.
+        assert!(matches!(resolve_column(&scope, "state"), Err(Error::Type(m)) if m.contains("ambiguous")));
+        assert!(matches!(resolve_column(&scope, "machines.runtime"), Err(Error::NotFound(_))));
+        assert!(matches!(resolve_column(&scope[..1], "machine_id"), Err(Error::NotFound(_))));
+
+        // `jobs.state = machines.state AND machine_id > ?` over a two-row
+        // tuple; the comparison of two leaves binds without a box.
+        let same_state = Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(Expr::Column("jobs.state".into())),
+            Box::new(Expr::Column("machines.state".into())),
+        );
+        assert_eq!(
+            same_state.bind(&scope).unwrap(),
+            BoundExpr::Cmp(
+                CmpOp::Eq,
+                Operand::Leaf(Leaf::Column(ColRef { slot: 0, ord: 1 })),
+                Operand::Leaf(Leaf::Column(ColRef { slot: 1, ord: 1 })),
+            )
+        );
+        let pred = same_state.and(Expr::Cmp(
+            CmpOp::Gt,
+            Box::new(Expr::Column("machine_id".into())),
+            Box::new(Expr::Param(0)),
+        ));
+        let bound = pred.bind(&scope).unwrap();
+        let job = row(1, "idle", 2.0, false);
+        let idle = Row::new(vec![Value::Int(7), Value::Text("idle".into())]);
+        let busy = Row::new(vec![Value::Int(8), Value::Text("busy".into())]);
+        assert!(bound.matches(&[&job, &idle], &[Value::Int(3)]).unwrap());
+        assert!(!bound.matches(&[&job, &idle], &[Value::Int(7)]).unwrap());
+        assert!(!bound.matches(&[&job, &busy], &[Value::Int(3)]).unwrap());
+        // A value that needs no computing is borrowed from its row.
+        let state = Expr::Column("machines.state".into());
+        let state = state.bind(&scope).unwrap();
+        assert!(matches!(state.eval(&[&job, &busy], &[]).unwrap(), Cow::Borrowed(v) if std::ptr::eq(v, busy.get(1))));
     }
 
     #[test]

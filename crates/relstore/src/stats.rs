@@ -237,6 +237,11 @@ define_stats! {
          instead of being rebuilt.",
     counter subqueries_executed:
         "Scalar and IN subqueries executed while rewriting WHERE clauses.",
+    counter rows_materialized:
+        "Owned rows the select executor allocated: the rows it returned plus \
+         the build sides of hash joins it had to (re)build. Rows a statement \
+         only reads — scanned, filtered, joined, aggregated — stay borrowed \
+         and are not counted.",
 }
 
 impl OpStats {
@@ -587,12 +592,12 @@ mod tests {
         let s = OpStats {
             rows_inserted: 7,
             slow_queries: 2,
-            subqueries_executed: 5,
+            rows_materialized: 5,
             ..Default::default()
         };
         let fields = s.fields();
         assert_eq!(fields.first(), Some(&("rows_inserted", 7)));
-        assert_eq!(fields.last(), Some(&("subqueries_executed", 5)));
+        assert_eq!(fields.last(), Some(&("rows_materialized", 5)));
         assert!(fields.contains(&("slow_queries", 2)));
         assert!(fields.contains(&("overflow_pages", 0)));
         assert!(fields.contains(&("wal_fsync_nanos", 0)));

@@ -65,6 +65,9 @@ pub struct Table {
     /// The `SELECT *` output column list, shared so a wildcard query's
     /// result header is one refcount bump instead of a fresh vector.
     wildcard_columns: Arc<[Arc<str>]>,
+    /// The same list spelled `table.column`: the output names of a joined
+    /// select, interned here so a join formats no name per execution.
+    qualified_columns: Arc<[Arc<str>]>,
     /// Planner statistics collected by `ANALYZE`, or `None` before the first
     /// run. Shared so the planner and the `rel_table_stats` system table
     /// read them without cloning.
@@ -88,6 +91,11 @@ impl Table {
             secondary.push(Index::new(def.name.clone(), col, def.unique));
         }
         let wildcard_columns = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let qualified_columns = schema
+            .columns
+            .iter()
+            .map(|c| format!("{}.{}", schema.name, c.name).into())
+            .collect();
         Ok(Table {
             schema,
             rows: BTreeMap::new(),
@@ -99,6 +107,7 @@ impl Table {
             dirty: BTreeSet::new(),
             min_dead_end: u64::MAX,
             wildcard_columns,
+            qualified_columns,
             stats: None,
             version: 0,
         })
@@ -136,6 +145,11 @@ impl Table {
     /// The interned `SELECT *` output column list (schema order, shared).
     pub fn wildcard_columns(&self) -> Arc<[Arc<str>]> {
         Arc::clone(&self.wildcard_columns)
+    }
+
+    /// The interned `table.column` names of the columns, in schema order.
+    pub fn qualified_columns(&self) -> &[Arc<str>] {
+        &self.qualified_columns
     }
 
     /// Number of live rows (rows present in the latest state; old versions

@@ -52,14 +52,6 @@ impl Row {
     pub fn approx_size(&self) -> usize {
         self.values.iter().map(Value::approx_size).sum::<usize>() + 16
     }
-
-    /// Concatenates two rows (used by join operators).
-    pub fn concat(&self, other: &Row) -> Row {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Row { values }
-    }
 }
 
 impl From<Vec<Value>> for Row {
@@ -85,7 +77,8 @@ impl fmt::Display for Row {
 /// access paths ([`crate::table::Table::scan`] and the index lookups).
 ///
 /// Rows stay in the heap; the executor evaluates predicates against the
-/// borrow and clones only the values that survive projection.
+/// borrow — a join hands tuples of such borrows from step to step — and
+/// clones only the values that survive projection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredRowRef<'a> {
     /// The heap identifier of the row.
@@ -111,14 +104,6 @@ mod tests {
         r.set(1, Value::Text("x".into()));
         assert_eq!(r.arity(), 2);
         assert_eq!(r.get(1), &Value::Text("x".into()));
-    }
-
-    #[test]
-    fn concat_preserves_order() {
-        let a = Row::new(vec![Value::Int(1)]);
-        let b = Row::new(vec![Value::Int(2), Value::Int(3)]);
-        let c = a.concat(&b);
-        assert_eq!(c.values, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
     }
 
     #[test]

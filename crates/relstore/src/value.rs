@@ -247,7 +247,8 @@ impl std::hash::Hash for Value {
             }
             Value::Double(d) => {
                 2u8.hash(state);
-                d.to_bits().hash(state);
+                // `-0.0 == 0.0`, so both must hash alike.
+                (d + 0.0).to_bits().hash(state);
             }
             Value::Text(s) => {
                 3u8.hash(state);

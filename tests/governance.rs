@@ -461,3 +461,77 @@ fn join_loops_are_governed() {
         .unwrap();
     assert_eq!(r.scalar_int().unwrap(), 1);
 }
+
+/// A join that feeds an aggregate is governed while it joins: the tuples
+/// it produces are charged as they are produced, although they are only
+/// references and the statement's whole output is one row per group. Both
+/// limits trip *inside* the probe loop — after the inputs were read in
+/// full, before the join finished, with no output row in existence.
+#[test]
+fn deadline_and_row_budget_fire_inside_a_join_feeding_an_aggregate() {
+    let db = db_with_rows(400);
+    db.execute("CREATE TABLE states (state TEXT PRIMARY KEY, rank INT)").unwrap();
+    db.execute("INSERT INTO states VALUES ('idle', 0), ('running', 1), ('held', 2), ('done', 3)")
+        .unwrap();
+    db.execute("CREATE TABLE mirror (id INT PRIMARY KEY)").unwrap();
+    let ins = db.prepare("INSERT INTO mirror VALUES (?)").unwrap();
+    db.session()
+        .execute_batch(&ins, (0..400i64).map(|id| (id,)))
+        .unwrap();
+
+    // (statement, its join operator, rows read before the first probe)
+    let cases = [
+        (
+            "SELECT states.state, COUNT(*), MAX(jobs.job_id) FROM jobs \
+             JOIN states ON jobs.state = states.state GROUP BY states.state",
+            "HashJoin(states)",
+            400 + 4,
+        ),
+        (
+            "SELECT COUNT(*), SUM(mirror.id) FROM jobs JOIN mirror ON jobs.job_id = mirror.id",
+            "IndexLoopJoin(mirror)",
+            400,
+        ),
+    ];
+    for (sql, operator, inputs) in cases {
+        let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+        assert_eq!(plan.rows[1].get(1).to_string(), format!("'{operator}'"), "{plan:?}");
+        let rows_read = |gov: &Governance| {
+            let before = db.stats().rows_read;
+            let result = governed(&db, gov).query(sql, ());
+            (result, db.stats().rows_read - before)
+        };
+        let (unlimited, full) = rows_read(&Governance::default());
+        assert_eq!(unlimited.unwrap().rows.len(), 1, "one group: {sql}");
+        assert_eq!(full, inputs + 400, "{sql}");
+
+        // Inputs and 400 tuples make 800 (804) charges: 600 is reached
+        // part-way through the probe loop.
+        let budget = Governance {
+            max_rows: Some(600),
+            ..Governance::default()
+        };
+        let (result, read) = rows_read(&budget);
+        assert!(matches!(result, Err(Error::ResourceExhausted(_))), "{result:?}");
+        assert!(inputs < read && read < full, "{operator} stopped after {read} of {full} rows");
+        let roomy = Governance {
+            max_rows: Some(1_000),
+            ..Governance::default()
+        };
+        assert_eq!(rows_read(&roomy).0.unwrap().rows.len(), 1);
+
+        // The inputs take 400 (404) ticks, so the first deadline check —
+        // at tick 512 — falls inside the probe loop.
+        let deadline = Governance {
+            deadline: Some(Duration::ZERO),
+            check_interval: Some(512),
+            ..Governance::default()
+        };
+        let (result, read) = rows_read(&deadline);
+        assert!(
+            matches!(result, Err(Error::Timeout { kind: TimeoutKind::Statement, .. })),
+            "{result:?}"
+        );
+        assert!(inputs < read && read < full, "{operator} stopped after {read} of {full} rows");
+    }
+}

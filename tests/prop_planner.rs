@@ -466,6 +466,20 @@ fn catalog_of(d: &Dataset) -> Catalog {
             d.runs.iter().map(run_values),
         ),
     );
+    cat.insert(
+        "machines".into(),
+        table(
+            Schema::new(
+                "machines",
+                vec![
+                    Column::not_null("machine_id", DataType::Int),
+                    Column::new("state", DataType::Text),
+                ],
+            )
+            .with_primary_key("machine_id"),
+            d.machines.iter().map(machine_values),
+        ),
+    );
     cat
 }
 
@@ -626,6 +640,206 @@ proptest! {
                 prop_assert_eq!(&looped, &hashed, "{} at high {}", sql, vis.high);
                 prop_assert_eq!(rows_multiset(&looped), expected.clone(), "{} at high {}", sql, vis.high);
                 prop_assert_eq!(rows_multiset(&run_plan(&cat, &stmt, &nested, vis)), expected);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregates and projections over join tuples, against a fold done here
+// ---------------------------------------------------------------------------
+
+/// The join whose tuples the differential reads: `runs` in the middle, so
+/// the two join steps are independent and may run in either order.
+const STAR: &str = "FROM runs JOIN jobs ON runs.job_id = jobs.job_id \
+                    JOIN machines ON runs.machine_id = machines.machine_id";
+const PAIR: &str = "FROM runs JOIN jobs ON runs.job_id = jobs.job_id";
+// Ordinals in the syntactic `SELECT *` layout `[runs][jobs][machines]`.
+const RUN_ID: usize = 0;
+const OWNER: usize = RUN_ARITY + 1;
+const RUNTIME: usize = RUN_ARITY + 3;
+
+/// The planner's syntactic-order plan for `stmt` with its steps' strategies
+/// replaced by `strategies` and — `swap` — its two steps exchanged, which
+/// makes it a reordered plan (both steps of [`STAR`] join onto the base).
+fn forced_plan(cat: &Catalog, stmt: &SelectStmt, strategies: &[JoinStrategy], swap: bool) -> SelectPlan {
+    let mut plan = plan_select(cat, stmt, &[], false).unwrap();
+    assert_eq!(plan.steps.len(), strategies.len());
+    for (step, strategy) in plan.steps.iter_mut().zip(strategies) {
+        step.strategy = strategy.clone();
+    }
+    if swap {
+        plan.steps.swap(0, 1);
+        plan.reordered = true;
+    }
+    plan
+}
+
+/// Hash, index loop and nested loop for the join of `runs` to `table`.
+fn strategies_onto(table: &str) -> [JoinStrategy; 3] {
+    let (probe, column, index) = match table {
+        "jobs" => ("runs.job_id", "jobs.job_id", "pk_jobs"),
+        _ => ("runs.machine_id", "machines.machine_id", "pk_machines"),
+    };
+    [
+        JoinStrategy::Hash { probe: probe.into(), build: column.into() },
+        JoinStrategy::IndexLoop { probe: probe.into(), lookup: column.into(), index: index.into() },
+        JoinStrategy::NestedLoop,
+    ]
+}
+
+/// `SELECT owner, COUNT(*), COUNT(runtime), SUM, MIN, MAX, AVG(runtime) …
+/// GROUP BY owner`, folded here over the rows of the `SELECT *` join.
+fn fold_by_owner(joined: &[Row]) -> Vec<Row> {
+    let mut groups: std::collections::BTreeMap<Value, Vec<&Value>> = Default::default();
+    for row in joined {
+        groups.entry(row.get(OWNER).clone()).or_default().push(row.get(RUNTIME));
+    }
+    groups
+        .into_iter()
+        .map(|(owner, runtimes)| {
+            let ints: Vec<i64> = runtimes
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Int(i) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            let or_null = |v: Option<Value>| v.unwrap_or(Value::Null);
+            let sum: i64 = ints.iter().sum();
+            Row::new(vec![
+                owner,
+                Value::Int(runtimes.len() as i64),
+                Value::Int(ints.len() as i64),
+                or_null((!ints.is_empty()).then_some(Value::Int(sum))),
+                or_null(ints.iter().min().map(|i| Value::Int(*i))),
+                or_null(ints.iter().max().map(|i| Value::Int(*i))),
+                or_null((!ints.is_empty()).then(|| Value::Double(sum as f64 / ints.len() as f64))),
+            ])
+        })
+        .collect()
+}
+
+/// `SELECT run_id, owner, runtime + 1 … WHERE runtime > 100 ORDER BY
+/// runtime DESC, run_id LIMIT 5`, computed here over the same rows.
+fn top_runtimes(joined: &[Row]) -> Vec<Row> {
+    let runtime = |row: &Row| match row.get(RUNTIME) {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    };
+    let mut kept: Vec<&Row> = joined.iter().filter(|r| runtime(r).is_some_and(|i| i > 100)).collect();
+    kept.sort_by_key(|r| (std::cmp::Reverse(runtime(r)), r.get(RUN_ID).clone()));
+    kept.iter()
+        .take(5)
+        .map(|r| {
+            Row::new(vec![
+                r.get(RUN_ID).clone(),
+                r.get(OWNER).clone(),
+                Value::Int(runtime(r).unwrap() + 1),
+            ])
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// What reads the join's reference tuples — GROUP BY and every
+    /// aggregate function, a filtered, projected, sorted and cut select —
+    /// returns exactly what the same fold and projection, done here over
+    /// the rows `SELECT *` returns for the same plan and snapshot, give:
+    /// under every strategy (forced through hand-built plans), with the
+    /// two join steps in syntactic and in exchanged order, over NULL,
+    /// duplicate and dangling keys, from a snapshot older than a batch of
+    /// re-keys and deletes, from a newer one, and after vacuum. `SELECT *`
+    /// itself is checked against the nested-loop model, so its column
+    /// order under a reordered plan is the syntactic layout.
+    #[test]
+    fn aggregates_and_projections_over_join_tuples_match_a_fold_of_select_star(
+        d in dataset_strategy(),
+        writes in run_writes_strategy(),
+    ) {
+        let mut cat = catalog_of(&d);
+        let writer = TxnId(10);
+        let mut runs_after = d.runs.clone();
+        {
+            let runs = cat.get_mut("runs").unwrap();
+            for w in &writes {
+                let stats = &mut OpStats::default();
+                match w {
+                    RunWrite::Rekey { run, job_id } => {
+                        let _ = runs.update(RowId(*run as u64 + 1), &[(1, opt_int(job_id))], writer, stats);
+                    }
+                    RunWrite::Delete { run } => {
+                        let _ = runs.delete(RowId(*run as u64 + 1), writer, stats);
+                    }
+                }
+                apply_to_model(&mut runs_after, w);
+            }
+        }
+        let model = |runs: &[Run], star: bool| {
+            let mut expected = Vec::new();
+            for r in runs {
+                for j in d.jobs.iter().filter(|j| r.1 == Some(j.0)) {
+                    let mut row = run_values(r);
+                    row.extend(job_values(j));
+                    if !star {
+                        expected.push(row);
+                        continue;
+                    }
+                    for m in d.machines.iter().filter(|m| r.2 == Some(m.0)) {
+                        let mut row = row.clone();
+                        row.extend(machine_values(m));
+                        expected.push(row);
+                    }
+                }
+            }
+            multiset(expected)
+        };
+
+        // (FROM clause, strategies per step, steps exchanged)
+        let mut shapes: Vec<(&str, Vec<JoinStrategy>, bool)> = Vec::new();
+        for onto_jobs in strategies_onto("jobs") {
+            shapes.push((PAIR, vec![onto_jobs.clone()], false));
+            for onto_machines in strategies_onto("machines") {
+                for swap in [false, true] {
+                    shapes.push((STAR, vec![onto_jobs.clone(), onto_machines.clone()], swap));
+                }
+            }
+        }
+        let snapshot = |high: u64| Snapshot { high, in_flight: Vec::new(), own: None };
+        for view in ["old snapshot", "new snapshot", "after vacuum"] {
+            let (vis, runs) = match view {
+                "old snapshot" => (snapshot(writer.0), &d.runs),
+                _ => (snapshot(writer.0 + 1), &runs_after),
+            };
+            if view == "after vacuum" {
+                let runs = cat.get_mut("runs").unwrap();
+                runs.vacuum(writer.0 + 1, &mut OpStats::default());
+                runs.check_consistency().unwrap();
+            }
+            for (from, strategies, swap) in &shapes {
+                let at = format!("{from} {strategies:?} swap {swap} ({view})");
+                let run = |items_and_tail: (&str, &str)| {
+                    let stmt = select_stmt(&format!("SELECT {} {from} {}", items_and_tail.0, items_and_tail.1));
+                    let plan = forced_plan(&cat, &stmt, strategies, *swap);
+                    run_plan(&cat, &stmt, &plan, &vis)
+                };
+                let joined = run(("*", ""));
+                prop_assert_eq!(rows_multiset(&joined), model(runs, *from == STAR), "SELECT * {}", &at);
+
+                let grouped = run((
+                    "jobs.owner, COUNT(*), COUNT(jobs.runtime), SUM(jobs.runtime), \
+                     MIN(jobs.runtime), MAX(jobs.runtime), AVG(jobs.runtime)",
+                    "GROUP BY jobs.owner",
+                ));
+                prop_assert_eq!(grouped, fold_by_owner(&joined), "GROUP BY {}", &at);
+
+                let top = run((
+                    "runs.run_id, jobs.owner, jobs.runtime + 1",
+                    "WHERE jobs.runtime > 100 ORDER BY jobs.runtime DESC, runs.run_id LIMIT 5",
+                ));
+                prop_assert_eq!(top, top_runtimes(&joined), "ORDER BY … LIMIT {}", &at);
             }
         }
     }
