@@ -1141,6 +1141,23 @@ mod tests {
         call(&mut state, SoapRequest::new("setConfig").with("name", "scheduler").with("value", "x"));
     }
 
+    /// The log as a budget: the commonest call, a heartbeat with nothing to
+    /// report, appends `Begin`, one `Update` of the machine's row and
+    /// `Commit` — and the `Update` carries one image of that row, not two.
+    #[test]
+    fn an_idle_heartbeat_logs_three_records_within_its_byte_budget() {
+        let mut cas = cas();
+        cas.register_machine(1, "vm1.cluster.example", 1.0, 0, 2048).unwrap();
+        cas.heartbeat(1, HeartbeatReport::Idle).unwrap();
+        let before = cas.database().stats();
+        cas.heartbeat(1, HeartbeatReport::Idle).unwrap();
+        let d = cas.database().stats().delta_since(&before);
+        assert_eq!((d.commits, d.wal_records), (1, 3));
+        // 151 today (32 for `Begin` + `Commit`, 119 for the `Update`); a
+        // second row image would make it 238.
+        assert!(d.wal_bytes <= 160, "{} bytes for one heartbeat", d.wal_bytes);
+    }
+
     /// A CAS started over a database that already holds a pool carries on
     /// after the ids that pool used.
     #[test]

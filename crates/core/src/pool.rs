@@ -105,9 +105,19 @@ impl CondorJ2Simulation {
     /// Builds a CondorJ2 pool over the given cluster specification. Every
     /// execute slot registers itself with the CAS at construction time.
     pub fn new(config: CondorJ2Config, cluster_spec: &ClusterSpec, seed: u64) -> Self {
+        Self::with_database(config, cluster_spec, seed, Arc::new(relstore::Database::new()))
+    }
+
+    /// As [`CondorJ2Simulation::new`], over an empty database the caller
+    /// opened — a durable one, whose log outlives the CAS it served.
+    pub fn with_database(
+        config: CondorJ2Config,
+        cluster_spec: &ClusterSpec,
+        seed: u64,
+        db: Arc<relstore::Database>,
+    ) -> Self {
         let mut rng = SimRng::new(seed);
         let cluster = cluster_spec.build(&mut rng);
-        let db = Arc::new(relstore::Database::new());
         let mut registry = ServiceRegistry::new();
         register_services(&mut registry);
         let mut container = AppContainer::new(

@@ -60,7 +60,7 @@ use crate::io::{DurabilityPolicy, Failpoints, FsDevice, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
 use crate::obs::{
-    self, systables, EvictedTotals, Observability, StmtKind, StmtProfile, StmtProfileSnapshot,
+    self, systables, Observability, ProfileCounters, StmtKind, StmtProfile, StmtProfileSnapshot,
     WaitBreakdown,
 };
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
@@ -76,11 +76,11 @@ use crate::table::Table;
 use crate::tuple::{Row, RowId};
 use crate::txn::{LockManager, LockMode, TxnManager, UndoRecord};
 use crate::value::Value;
-use crate::wal::{LogRecord, TableSnapshot, TxnId, Wal};
+use crate::wal::{self, LogRecord, TableSnapshot, TxnId, Wal};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// Dead (superseded or tombstoned) versions a table may accumulate before a
@@ -152,7 +152,8 @@ impl Prepared {
     }
 
     /// A snapshot of this statement's cumulative execution profile (the
-    /// `rel_statements` row it shares with the statement cache).
+    /// `rel_statements` row it shares with the statement cache; frozen once
+    /// the cache evicts the entry — later executions count in `'(evicted)'`).
     pub fn profile(&self) -> StmtProfileSnapshot {
         self.profile.snapshot()
     }
@@ -183,8 +184,9 @@ struct StmtCache {
     capacity: usize,
     entries: HashMap<String, CacheEntry>,
     next_gen: u64,
-    /// What the evicted entries' profiles held when they were dropped.
-    evicted: EvictedTotals,
+    /// Where evicted entries' profiles go: their totals as of the eviction,
+    /// and whatever handles that outlive their entry record afterwards.
+    evicted: Arc<ProfileCounters>,
 }
 
 #[derive(Debug)]
@@ -202,7 +204,7 @@ impl Default for StmtCache {
             capacity: STMT_CACHE_CAPACITY,
             entries: HashMap::new(),
             next_gen: 0,
-            evicted: EvictedTotals::default(),
+            evicted: Arc::default(),
         }
     }
 }
@@ -223,7 +225,7 @@ impl StmtCache {
             return;
         }
         if let Some(replaced) = self.entries.remove(&sql) {
-            self.evicted.fold(&replaced.prepared.profile());
+            replaced.prepared.profile.evict_into(&self.evicted);
         }
         while self.entries.len() >= self.capacity {
             self.evict_lru();
@@ -247,7 +249,7 @@ impl StmtCache {
             .map(|(sql, _)| sql.clone());
         let victim = victim.expect("evict_lru called on an empty cache");
         if let Some(entry) = self.entries.remove(&victim) {
-            self.evicted.fold(&entry.prepared.profile());
+            entry.prepared.profile.evict_into(&self.evicted);
         }
     }
 
@@ -356,23 +358,15 @@ impl Database {
         let sw = Stopwatch::start();
         let failpoints = Arc::new(Failpoints::new());
         let mut local = OpStats::default();
-        let wal = Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
-        let catalog = wal.recover()?;
-        let db = Database {
-            failpoints,
-            ..Database::default()
-        };
-        *db.catalog.write() = catalog;
-        let wal_records = wal.len();
-        {
-            let mut ctl = db.ctl.lock();
-            // New transactions must not reuse ids already in the log: a
-            // colliding Commit record from a previous run would make this
-            // run's uncommitted changes look committed at the next recovery.
-            ctl.txns.advance_past(wal.max_txn_id());
-            ctl.wal = wal;
-            ctl.wal.set_obs(Arc::clone(&db.obs));
-        }
+        let (wal, records) =
+            Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
+        let wal_records = records.len();
+        // New transactions must not reuse ids already in the log: a
+        // colliding Commit record from a previous run would make this run's
+        // uncommitted changes look committed at the next recovery.
+        let max_txn = wal::max_txn_id(&records);
+        let catalog = wal::recover(records)?;
+        let db = Self::recovered(catalog, wal, None, max_txn, failpoints);
         db.obs.events.record_span(
             "recovery",
             format!(
@@ -383,6 +377,31 @@ impl Database {
         );
         db.stats.record(&local);
         Ok(db)
+    }
+
+    /// Assembles a database around what an open recovered: the catalog, the
+    /// log positioned to append after the recovered records, the page engine
+    /// of a paged open, and a transaction-id allocator moved past `max_txn`.
+    fn recovered(
+        catalog: Catalog,
+        mut wal: Wal,
+        paged: Option<PagedEngine>,
+        max_txn: u64,
+        failpoints: Arc<Failpoints>,
+    ) -> Self {
+        let db = Database {
+            failpoints,
+            ..Database::default()
+        };
+        *db.catalog.write() = catalog;
+        wal.set_obs(Arc::clone(&db.obs));
+        {
+            let mut ctl = db.ctl.lock();
+            ctl.txns.advance_past(max_txn);
+            ctl.wal = wal;
+            ctl.paged = paged;
+        }
+        db
     }
 
     /// Opens a paged database rooted at `path`: committed rows live in a
@@ -449,7 +468,10 @@ impl Database {
         let sw = Stopwatch::start();
         let failpoints = Arc::new(Failpoints::new());
         let mut local = OpStats::default();
-        let mut wal = Wal::open_device(wal_device, policy, Arc::clone(&failpoints), &mut local)?;
+        let (mut wal, records) =
+            Wal::open_device(wal_device, policy, Arc::clone(&failpoints), &mut local)?;
+        let wal_records = records.len();
+        let max_txn = wal::max_txn_id(&records);
         let store = PageStore::open(
             page_device,
             journal_device,
@@ -463,19 +485,19 @@ impl Database {
         // carries full rows in its last checkpoint; such a log is the
         // authority and the page file is rebuilt from it. Paged-mode
         // checkpoints carry schemas only.
-        let legacy_checkpoint = wal
-            .records()
-            .filter_map(|(_, r)| match r {
+        let legacy_checkpoint = records
+            .iter()
+            .rev()
+            .find_map(|r| match r {
                 LogRecord::Checkpoint { snapshot } => {
                     Some(snapshot.iter().any(|s| !s.rows.is_empty()))
                 }
                 _ => None,
             })
-            .last()
             .unwrap_or(false);
 
         let catalog = if fresh || legacy_checkpoint {
-            let catalog = wal.recover()?;
+            let catalog = wal::recover(records)?;
             if !fresh {
                 engine.clear_all(&mut wal, &mut local)?;
             }
@@ -489,26 +511,14 @@ impl Database {
             catalog
         } else {
             let loaded = engine.load(&mut wal, &mut local)?;
-            Self::paged_recover(&mut wal, loaded, &mut engine, &mut local)?
+            Self::paged_recover(records, &mut wal, loaded, &mut engine, &mut local)?
         };
 
-        let db = Database {
-            failpoints,
-            ..Database::default()
-        };
-        *db.catalog.write() = catalog;
-        let wal_records = wal.len();
-        {
-            let mut ctl = db.ctl.lock();
-            ctl.txns.advance_past(wal.max_txn_id());
-            ctl.wal = wal;
-            ctl.wal.set_obs(Arc::clone(&db.obs));
-            ctl.paged = Some(engine);
-        }
+        let db = Self::recovered(catalog, wal, Some(engine), max_txn, failpoints);
         db.obs.events.record_span(
             "recovery",
             format!(
-                "paged recovery: {wal_records} retained WAL record(s), {} page read(s)",
+                "paged recovery: {wal_records} WAL record(s), {} page read(s)",
                 local.pages_read
             ),
             sw,
@@ -526,35 +536,16 @@ impl Database {
     /// independently of checkpoints), so re-applying an already-applied
     /// change is harmless and the end state is exactly the committed prefix.
     fn paged_recover(
+        records: Vec<LogRecord>,
         wal: &mut Wal,
         mut loaded: std::collections::BTreeMap<String, Vec<(RowId, Row)>>,
         engine: &mut PagedEngine,
         local: &mut OpStats,
     ) -> Result<Catalog> {
-        // Pass 1 over the retained log: the committed set, the last
-        // checkpoint's schemas, and the record suffix past that checkpoint.
-        // Cloned out so the replay below can borrow the WAL mutably (page
-        // write-backs flush it first).
-        let mut committed = std::collections::HashSet::new();
-        let mut schemas: Vec<Schema> = Vec::new();
-        let mut suffix: Vec<LogRecord> = Vec::new();
-        for (_, rec) in wal.records() {
-            match rec {
-                LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                    suffix.push(rec.clone());
-                }
-                LogRecord::Checkpoint { snapshot } => {
-                    schemas = snapshot.iter().map(|s| s.schema.clone()).collect();
-                    suffix.clear();
-                }
-                _ => suffix.push(rec.clone()),
-            }
-        }
-
+        let (snapshot, suffix) = wal::committed_suffix(records);
         let mut scratch = OpStats::default();
         let mut tables: Catalog = Catalog::new();
-        for schema in schemas {
+        for TableSnapshot { schema, .. } in snapshot {
             let name = schema.name.clone();
             let mut table = Table::new(schema)?;
             engine.create_table(&name);
@@ -565,11 +556,7 @@ impl Database {
             }
             tables.insert(name, table);
         }
-        for rec in &suffix {
-            let Some(txn) = rec.txn() else { continue };
-            if !committed.contains(&txn) {
-                continue;
-            }
+        for rec in suffix {
             Self::paged_redo(rec, &mut tables, &mut loaded, engine, wal, local, &mut scratch)?;
         }
         // Page tables with no schema anywhere in the log were dropped after
@@ -586,7 +573,7 @@ impl Database {
     /// heaps, idempotently (see [`Database::paged_recover`]).
     #[allow(clippy::too_many_arguments)]
     fn paged_redo(
-        rec: &LogRecord,
+        rec: LogRecord,
         tables: &mut Catalog,
         loaded: &mut std::collections::BTreeMap<String, Vec<(RowId, Row)>>,
         engine: &mut PagedEngine,
@@ -598,7 +585,7 @@ impl Database {
             LogRecord::CreateTable { schema, .. } => {
                 let name = schema.name.clone();
                 engine.create_table(&name);
-                let mut table = Table::new(schema.clone())?;
+                let mut table = Table::new(schema)?;
                 // The table may have been created (and flushed) after the
                 // checkpoint: adopt whatever rows its pages already held.
                 if let Some(rows) = loaded.remove(&name) {
@@ -609,18 +596,18 @@ impl Database {
                 tables.insert(name, table);
             }
             LogRecord::DropTable { table, .. } => {
-                tables.remove(table);
-                loaded.remove(table);
-                engine.drop_table(table, wal, local)?;
+                tables.remove(&*table);
+                loaded.remove(&*table);
+                engine.drop_table(&table, wal, local)?;
             }
             LogRecord::Insert {
                 table, row_id, row, ..
             } => {
                 let t = tables
-                    .get_mut(table)
+                    .get_mut(&*table)
                     .ok_or_else(|| Error::Wal(format!("insert into unknown table {table}")))?;
-                t.restore(*row_id, row.clone())?;
-                engine.upsert(table, *row_id, row, wal, local)?;
+                t.restore(row_id, row.clone())?;
+                engine.upsert(&table, row_id, &row, wal, local)?;
             }
             LogRecord::Update {
                 table,
@@ -629,18 +616,18 @@ impl Database {
                 ..
             } => {
                 let t = tables
-                    .get_mut(table)
+                    .get_mut(&*table)
                     .ok_or_else(|| Error::Wal(format!("update of unknown table {table}")))?;
-                t.restore(*row_id, after.clone())?;
-                engine.upsert(table, *row_id, after, wal, local)?;
+                t.restore(row_id, after.clone())?;
+                engine.upsert(&table, row_id, &after, wal, local)?;
             }
             LogRecord::Delete { table, row_id, .. } => {
-                if let Some(t) = tables.get_mut(table) {
-                    if t.get(*row_id).is_some() {
-                        t.remove_physical(*row_id, scratch)?;
+                if let Some(t) = tables.get_mut(&*table) {
+                    if t.get(row_id).is_some() {
+                        t.remove_physical(row_id, scratch)?;
                     }
                 }
-                engine.remove(table, *row_id, wal, local)?;
+                engine.remove(&table, row_id, wal, local)?;
             }
             LogRecord::Batch { changes, .. } => {
                 for change in changes {
@@ -653,33 +640,6 @@ impl Database {
             | LogRecord::Checkpoint { .. } => {}
         }
         Ok(())
-    }
-
-    /// Reconstructs a database from a write-ahead log, as after a crash.
-    pub fn recover_from(wal: Wal) -> Result<Self> {
-        let sw = Stopwatch::start();
-        let catalog = wal.recover()?;
-        let db = Database::new();
-        *db.catalog.write() = catalog;
-        let wal_records = wal.len();
-        {
-            let mut ctl = db.ctl.lock();
-            ctl.wal = wal;
-            ctl.wal.set_obs(Arc::clone(&db.obs));
-        }
-        db.obs.events.record_span(
-            "recovery",
-            format!("replayed {wal_records} WAL record(s)"),
-            sw,
-        );
-        Ok(db)
-    }
-
-    /// Returns a copy of the current write-ahead log (what a crash would find
-    /// on disk). Used by recovery tests and failure-injection experiments.
-    /// The copy is always in-memory: it never owns the durable device.
-    pub fn snapshot_wal(&self) -> Wal {
-        self.ctl.lock().wal.clone()
     }
 
     // --- durability -----------------------------------------------------------
@@ -774,11 +734,6 @@ impl Database {
         self.catalog.read().values().map(Table::approx_size).sum()
     }
 
-    /// Number of records currently retained in the write-ahead log.
-    pub fn wal_len(&self) -> usize {
-        self.ctl.lock().wal.len()
-    }
-
     /// Number of transactions committed so far.
     pub fn committed_txns(&self) -> u64 {
         self.ctl.lock().txns.committed_count()
@@ -852,7 +807,7 @@ impl Database {
                 // evict frames, whose write-back must flush this same WAL
                 // first (WAL-before-data).
                 let c = &mut *ctl;
-                c.wal.append(LogRecord::Commit { txn }, local);
+                c.wal.append(&LogRecord::Commit { txn }, local);
                 let forced = match c.paged.as_mut() {
                     Some(p) => p.apply_commit(txn, &mut c.wal, local),
                     None => Ok(()),
@@ -943,17 +898,17 @@ impl Database {
             for undo in state.undo.iter().rev() {
                 match undo {
                     UndoRecord::Insert { table, row_id } => {
-                        if let Some(t) = catalog.get_mut(table) {
+                        if let Some(t) = catalog.get_mut(&**table) {
                             t.undo_insert(*row_id);
                         }
                     }
-                    UndoRecord::Delete { table, row_id, .. } => {
-                        if let Some(t) = catalog.get_mut(table) {
+                    UndoRecord::Delete { table, row_id } => {
+                        if let Some(t) = catalog.get_mut(&**table) {
                             t.undo_delete(*row_id, txn);
                         }
                     }
-                    UndoRecord::Update { table, row_id, .. } => {
-                        if let Some(t) = catalog.get_mut(table) {
+                    UndoRecord::Update { table, row_id } => {
+                        if let Some(t) = catalog.get_mut(&**table) {
                             t.undo_update(*row_id, txn);
                         }
                     }
@@ -963,7 +918,7 @@ impl Database {
                 }
             }
             if state.wal_begun {
-                ctl.wal.append(LogRecord::Abort { txn }, local);
+                ctl.wal.append(&LogRecord::Abort { txn }, local);
             }
             if let Some(p) = ctl.paged.as_mut() {
                 p.discard(txn);
@@ -1014,7 +969,8 @@ impl Database {
     /// statement cache — the per-statement rows of the `rel_statements`
     /// system table, unsorted. Bounded by the cache capacity; an evicted
     /// entry's profile leaves the list (a re-prepare starts fresh) and its
-    /// totals move to the table's `'(evicted)'` row.
+    /// totals — with whatever a handle that outlives it records later —
+    /// move to the table's `'(evicted)'` row.
     pub fn statement_profiles(&self) -> Vec<StmtProfileSnapshot> {
         self.stmt_cache.lock().profiles()
     }
@@ -1480,7 +1436,7 @@ impl Database {
             "rel_histograms" => systables::histograms_table(&self.obs.histograms),
             "rel_statements" => {
                 let cache = self.stmt_cache.lock();
-                systables::statements_table(cache.profiles(), cache.evicted)
+                systables::statements_table(cache.profiles(), cache.evicted.totals())
             }
             "rel_slow_queries" => systables::slow_queries_table(self.obs.slow_log.entries()),
             "rel_events" => systables::events_table(self.obs.events.entries()),
@@ -1701,9 +1657,9 @@ impl Database {
         }
         Self::wal_begin_if_needed(ctl, txn, stats)?;
         if as_batch && log.len() > 1 {
-            ctl.wal.append(LogRecord::Batch { txn, changes: log }, stats);
+            ctl.wal.append(&LogRecord::Batch { txn, changes: log }, stats);
         } else {
-            for rec in log {
+            for rec in &log {
                 ctl.wal.append(rec, stats);
             }
         }
@@ -1964,7 +1920,10 @@ impl Database {
                 catalog
                     .remove(&name)
                     .ok_or_else(|| Error::not_found(format!("table {table}")))?;
-                log.push(LogRecord::DropTable { txn, table: name });
+                log.push(LogRecord::DropTable {
+                    txn,
+                    table: name.into(),
+                });
                 Ok(ExecResult::Ack)
             }
             Statement::Insert(ins) => {
@@ -2009,7 +1968,7 @@ impl Database {
         let state = ctl.txns.get_active(txn)?;
         if !state.wal_begun {
             state.wal_begun = true;
-            ctl.wal.append(LogRecord::Begin { txn }, stats);
+            ctl.wal.append(&LogRecord::Begin { txn }, stats);
         }
         Ok(())
     }
@@ -2025,13 +1984,15 @@ impl Database {
         log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let name = ins.table.to_ascii_lowercase();
+        /// What a VALUES expression may refer to: no column at all.
+        static VALUES_SCOPE: LazyLock<Schema> =
+            LazyLock::new(|| Schema::new("values", Vec::new()));
+        let name = lower_name(&ins.table);
         ctl.locks.acquire(txn, &name, LockMode::Exclusive)?;
         let table = catalog
-            .get_mut(&name)
+            .get_mut(name.as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", ins.table)))?;
-        let schema = table.schema.clone();
-        let empty_schema = Schema::new("values", Vec::new());
+        let name = Arc::clone(table.name());
         let empty_row = Row::default();
         let mut inserted = 0usize;
         for row_exprs in &ins.rows {
@@ -2039,9 +2000,10 @@ impl Database {
             // Evaluate the literal expressions for this VALUES row.
             let mut provided = Vec::with_capacity(row_exprs.len());
             for e in row_exprs {
-                provided.push(e.eval_with(&empty_schema, &empty_row, params)?);
+                provided.push(e.eval_with(&VALUES_SCOPE, &empty_row, params)?);
             }
             // Rearrange into schema order.
+            let schema = &table.schema;
             let values: Vec<Value> = if ins.columns.is_empty() {
                 if provided.len() != schema.arity() {
                     return Err(Error::type_err(format!(
@@ -2073,12 +2035,17 @@ impl Database {
             })?;
             log.push(LogRecord::Insert {
                 txn,
-                table: name.clone(),
+                table: Arc::clone(&name),
                 row_id,
                 row,
             });
-            ctl.txns
-                .push_undo(txn, UndoRecord::Insert { table: name.clone(), row_id })?;
+            ctl.txns.push_undo(
+                txn,
+                UndoRecord::Insert {
+                    table: Arc::clone(&name),
+                    row_id,
+                },
+            )?;
             inserted += 1;
         }
         Ok(ExecResult::Affected(inserted))
@@ -2095,41 +2062,40 @@ impl Database {
         log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let name = upd.table.to_ascii_lowercase();
+        let name = lower_name(&upd.table);
         ctl.locks.acquire(txn, &name, LockMode::Exclusive)?;
         let table = catalog
-            .get_mut(&name)
+            .get_mut(name.as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", upd.table)))?;
+        let name = Arc::clone(table.name());
         let ids =
             matching_row_ids_with(table, upd.filter.as_ref(), params, Snapshot::latest(), stats, gov)?;
-        let schema = table.schema.clone();
         let mut affected = 0usize;
         for id in ids {
             gov.tick()?;
+            // The assignments read the current version where it sits; the
+            // one new image is built by `Table::update`.
             let current = table
                 .get(id)
-                .cloned()
                 .ok_or_else(|| Error::internal("matched row vanished during update"))?;
             let mut assignments = Vec::with_capacity(upd.assignments.len());
             for (col, expr) in &upd.assignments {
-                let idx = schema.column_index(col)?;
-                let value = expr.eval_with(&schema, &current, params)?;
+                let idx = table.schema.column_index(col)?;
+                let value = expr.eval_with(&table.schema, current, params)?;
                 assignments.push((idx, value));
             }
-            let (before, after) = table.update(id, &assignments, txn, stats)?;
+            let after = table.update(id, &assignments, txn, stats)?;
             log.push(LogRecord::Update {
                 txn,
-                table: name.clone(),
+                table: Arc::clone(&name),
                 row_id: id,
-                before: before.clone(),
                 after,
             });
             ctl.txns.push_undo(
                 txn,
                 UndoRecord::Update {
-                    table: name.clone(),
+                    table: Arc::clone(&name),
                     row_id: id,
-                    before,
                 },
             )?;
             affected += 1;
@@ -2148,29 +2114,28 @@ impl Database {
         log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let name = del.table.to_ascii_lowercase();
+        let name = lower_name(&del.table);
         ctl.locks.acquire(txn, &name, LockMode::Exclusive)?;
         let table = catalog
-            .get_mut(&name)
+            .get_mut(name.as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", del.table)))?;
+        let name = Arc::clone(table.name());
         let ids =
             matching_row_ids_with(table, del.filter.as_ref(), params, Snapshot::latest(), stats, gov)?;
         let mut affected = 0usize;
         for id in ids {
             gov.tick()?;
-            let before = table.delete(id, txn, stats)?;
+            table.delete(id, txn, stats)?;
             log.push(LogRecord::Delete {
                 txn,
-                table: name.clone(),
+                table: Arc::clone(&name),
                 row_id: id,
-                before: before.clone(),
             });
             ctl.txns.push_undo(
                 txn,
                 UndoRecord::Delete {
-                    table: name.clone(),
+                    table: Arc::clone(&name),
                     row_id: id,
-                    before,
                 },
             )?;
             affected += 1;
@@ -2180,12 +2145,15 @@ impl Database {
 
     // --- maintenance ----------------------------------------------------------
 
-    /// Takes a checkpoint: snapshots every table into the log and truncates
-    /// the records before it. Returns the number of bytes written. Runs under
-    /// the shared catalog guard, so checkpoints do not block readers.
+    /// Takes a checkpoint: a durable log is rotated onto a fresh segment
+    /// holding a snapshot of every table in place of the records so far.
+    /// Returns the snapshot's size in bytes (what it costs to write; a
+    /// database without a log device writes nothing and reports the same
+    /// figure). Runs under the shared catalog guard, so checkpoints do not
+    /// block readers.
     ///
     /// A checkpoint while any transaction is active would snapshot its
-    /// uncommitted changes and truncate the very records recovery needs to
+    /// uncommitted changes and replace the very records recovery needs to
     /// discard them, so it fails with a **retryable** [`Error::Busy`] until
     /// the engine is quiescent — distinguishable from a successful checkpoint
     /// of an empty log (`Ok(bytes)`), so callers retry instead of misreading
@@ -2202,37 +2170,23 @@ impl Database {
                     "checkpoint deferred: {active} active transaction(s)"
                 )));
             }
-            let mut scratch = OpStats::default();
-            let paged = ctl.paged.is_some();
+            let mut local = OpStats::default();
             // No transactions are active, so the latest state is exactly the
             // committed state: the snapshot carries one version per live row.
             // A paged database snapshots schemas only — the rows already live
-            // in the page file, which `checkpoint_flush` below makes current.
-            let snapshot: Vec<TableSnapshot> = catalog
-                .values()
-                .map(|t| TableSnapshot {
-                    schema: t.schema.clone(),
-                    rows: if paged {
-                        Vec::new()
-                    } else {
-                        t.scan(Snapshot::latest(), &mut scratch)
-                            .map(|r| (r.id, r.row.clone()))
-                            .collect()
-                    },
-                })
-                .collect();
-            let mut local = OpStats::default();
+            // in the page file, which `checkpoint_flush` makes current.
+            //
             // On a durable log this rotates the segment (write the new one,
-            // fsync, atomic rename) before the old records are discarded; a
-            // failure leaves the old log intact and surfaces here. Paged
-            // databases flush every dirty page *first*: once the old records
-            // are gone, the page file is the only copy of the rows.
+            // fsync, atomic rename) over the old records; a failure leaves
+            // the old log intact and surfaces here. Paged databases flush
+            // every dirty page *first*: once the old records are gone, the
+            // page file is the only copy of the rows.
             let c = &mut *ctl;
             let rotated = match c.paged.as_mut() {
                 Some(p) => p.checkpoint_flush(&mut c.wal, &mut local),
                 None => Ok(()),
             }
-            .and_then(|_| c.wal.checkpoint(snapshot, &mut local));
+            .and_then(|_| c.wal.checkpoint(catalog.values(), c.paged.is_none(), &mut local));
             wal_bytes = local.wal_bytes;
             drop(ctl);
             drop(catalog);
@@ -2341,10 +2295,32 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::MemDevice;
     use std::time::Duration;
 
     fn setup() -> Database {
-        let db = Database::new();
+        setup_in(Database::new())
+    }
+
+    /// [`setup`] over an in-memory log device, for the tests that crash and
+    /// [`reopen`].
+    fn setup_durable() -> Database {
+        setup_in(
+            Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always)
+                .unwrap(),
+        )
+    }
+
+    /// Crashes `db` and recovers: a new database over every record `db`
+    /// appended so far, those of uncommitted transactions included.
+    fn reopen(db: &Database) -> Database {
+        db.flush_log().unwrap();
+        let log = db.durable_log_bytes().unwrap();
+        Database::open_with_device(Box::new(MemDevice::with_contents(log)), DurabilityPolicy::Always)
+            .unwrap()
+    }
+
+    fn setup_in(db: Database) -> Database {
         db.execute(
             "CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT NOT NULL, state TEXT, runtime DOUBLE)",
         )
@@ -2411,6 +2387,39 @@ mod tests {
         txn.commit().unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 4);
         db.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn rollback_restores_rows_and_index_entries_without_an_undo_image() {
+        // Undo records name the row only: the image to restore is the
+        // version still under the aborted one in the chain.
+        let db = setup();
+        let all = "SELECT * FROM jobs ORDER BY job_id";
+        let before = db.query(all).unwrap();
+        let txn = db.transaction();
+        // The same row updated twice, then deleted; another updated; a
+        // third deleted — all through the indexed `state` column.
+        txn.execute("UPDATE jobs SET state = 'held', runtime = 1 WHERE job_id = 1", ()).unwrap();
+        txn.execute("UPDATE jobs SET state = 'gone' WHERE job_id = 1", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE job_id = 1", ()).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 2", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE state = 'running'", ()).unwrap();
+        assert_eq!(txn.query(all, ()).unwrap().len(), 1);
+        txn.rollback().unwrap();
+
+        assert_eq!(db.query(all).unwrap(), before);
+        let by_state = |state: &str| {
+            db.query(&format!("SELECT job_id FROM jobs WHERE state = '{state}' ORDER BY job_id"))
+                .unwrap()
+                .len()
+        };
+        assert_eq!((by_state("idle"), by_state("running")), (2, 1));
+        assert_eq!((by_state("held"), by_state("gone")), (0, 0));
+        assert_eq!(db.table_versions("jobs").unwrap(), 3, "no aborted version is left");
+        assert_eq!(db.table_dirty_chains("jobs").unwrap(), 0);
+        db.check_consistency().unwrap();
+        // The primary key the aborted delete would have freed is still taken.
+        assert!(db.execute("INSERT INTO jobs (job_id, owner) VALUES (1, 'x')").is_err());
     }
 
     #[test]
@@ -2486,14 +2495,13 @@ mod tests {
 
     #[test]
     fn recovery_restores_committed_state() {
-        let db = setup();
+        let db = setup_durable();
         db.execute("UPDATE jobs SET state = 'done' WHERE job_id = 3").unwrap();
         // An uncommitted transaction at crash time must disappear.
         let txn = db.transaction();
         txn.execute("DELETE FROM jobs", ()).unwrap();
 
-        let wal = db.snapshot_wal();
-        let recovered = Database::recover_from(wal).unwrap();
+        let recovered = reopen(&db);
         assert_eq!(recovered.table_len("jobs").unwrap(), 3);
         let r = recovered.query("SELECT state FROM jobs WHERE job_id = 3").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("done".into())));
@@ -2502,14 +2510,40 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_wal_and_preserves_recovery() {
-        let db = setup();
-        let before = db.wal_len();
+        let db = setup_durable();
+        // Churn one row so the log holds far more than the live state.
+        for i in 0..20 {
+            db.execute(&format!("UPDATE jobs SET runtime = {i} WHERE job_id = 1")).unwrap();
+        }
+        let before = db.durable_log_bytes().unwrap().len();
         db.checkpoint().unwrap();
-        assert!(db.wal_len() < before);
+        assert!(db.durable_log_bytes().unwrap().len() < before);
         db.execute("INSERT INTO jobs (job_id, owner) VALUES (9, 'zoe')").unwrap();
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = reopen(&db);
         assert_eq!(recovered.table_len("jobs").unwrap(), 4);
+        let r = recovered.query("SELECT runtime FROM jobs WHERE job_id = 1").unwrap();
+        assert_eq!(r.first_value("runtime"), Some(&Value::Double(19.0)));
         assert!(db.stats().checkpoints >= 1);
+    }
+
+    #[test]
+    fn a_checkpoint_reports_the_same_bytes_with_and_without_a_device() {
+        // Without a device no snapshot is built — it is sized off the
+        // borrowed rows — and the figure must not depend on that.
+        let (mem, durable) = (setup(), setup_durable());
+        for db in [&mem, &durable] {
+            db.execute("UPDATE jobs SET state = NULL, runtime = 7.5 WHERE job_id = 2").unwrap();
+            db.execute("DELETE FROM jobs WHERE job_id = 3").unwrap();
+            db.execute("CREATE TABLE empty (id INT PRIMARY KEY)").unwrap();
+        }
+        let s0 = (mem.stats(), durable.stats());
+        let bytes = mem.checkpoint().unwrap();
+        assert!(bytes > 0);
+        assert_eq!(bytes, durable.checkpoint().unwrap());
+        for (db, s0) in [(&mem, &s0.0), (&durable, &s0.1)] {
+            let d = db.stats().delta_since(s0);
+            assert_eq!((d.checkpoints, d.wal_records, d.wal_bytes), (1, 1, bytes));
+        }
     }
 
     #[test]
@@ -2679,22 +2713,25 @@ mod tests {
 
     #[test]
     fn checkpoint_waits_out_active_transactions() {
-        let db = setup();
+        let db = setup_durable();
         let txn = db.transaction();
         txn.execute("INSERT INTO jobs (job_id, owner) VALUES (8, 'eve')", ()).unwrap();
-        let wal_before = db.wal_len();
+        db.flush_log().unwrap();
+        let wal_before = db.durable_log_bytes().unwrap();
+        let s0 = db.stats();
         // Checkpointing now would snapshot the uncommitted row and truncate
         // the records recovery needs to discard it; it must refuse with a
         // retryable busy error, not a silent "0 bytes written".
         let err = db.checkpoint().unwrap_err();
         assert!(matches!(err, Error::Busy(_)));
         assert!(err.is_retryable());
-        assert_eq!(db.wal_len(), wal_before);
+        assert_eq!(db.durable_log_bytes().unwrap(), wal_before);
+        assert_eq!(db.stats().delta_since(&s0).wal_records, 0);
         txn.rollback().unwrap();
 
         // The rolled-back insert must not survive a checkpoint + recovery.
         assert!(db.checkpoint().unwrap() > 0);
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = reopen(&db);
         assert_eq!(recovered.table_len("jobs").unwrap(), 3);
         assert_eq!(
             recovered.count("jobs", Some(&Expr::col_eq("job_id", 8))).unwrap(),
@@ -2704,31 +2741,32 @@ mod tests {
 
     #[test]
     fn read_only_explicit_txns_never_touch_the_wal() {
-        let db = setup();
-        let before = db.wal_len();
+        let db = setup_durable();
+        let before = db.stats();
+        let appended = |db: &Database| db.stats().delta_since(&before).wal_records;
 
         // A transaction that only reads appends neither Begin nor Commit.
         let txn = db.transaction();
         txn.execute("SELECT * FROM jobs", ()).unwrap();
         txn.commit().unwrap();
-        assert_eq!(db.wal_len(), before, "read-only commit must not touch the WAL");
+        assert_eq!(appended(&db), 0, "read-only commit must not touch the WAL");
 
         let txn = db.transaction();
         txn.execute("SELECT COUNT(*) FROM jobs", ()).unwrap();
         txn.rollback().unwrap();
-        assert_eq!(db.wal_len(), before, "read-only rollback must not touch the WAL");
+        assert_eq!(appended(&db), 0, "read-only rollback must not touch the WAL");
 
         // A writing transaction appends Begin lazily, with its first change.
         let s1 = db.stats();
         let txn = db.transaction();
-        assert_eq!(db.wal_len(), before, "Begin is deferred until the first write");
+        assert_eq!(appended(&db), 0, "Begin is deferred until the first write");
         txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
         txn.commit().unwrap();
         let d = db.stats().delta_since(&s1);
         assert_eq!(d.wal_records, 3, "Begin + Update + Commit");
 
         // Recovery honours the lazily-begun transaction.
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = reopen(&db);
         let r = recovered.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
     }

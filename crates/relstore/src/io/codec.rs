@@ -175,19 +175,17 @@ pub fn put_record(buf: &mut Vec<u8>, record: &LogRecord) {
             put_u64(buf, row_id.0);
             put_row(buf, row);
         }
-        LogRecord::Delete { txn, table, row_id, before } => {
+        LogRecord::Delete { txn, table, row_id } => {
             put_u8(buf, 7);
             put_u64(buf, txn.0);
             put_str(buf, table);
             put_u64(buf, row_id.0);
-            put_row(buf, before);
         }
-        LogRecord::Update { txn, table, row_id, before, after } => {
+        LogRecord::Update { txn, table, row_id, after } => {
             put_u8(buf, 8);
             put_u64(buf, txn.0);
             put_str(buf, table);
             put_u64(buf, row_id.0);
-            put_row(buf, before);
             put_row(buf, after);
         }
         LogRecord::Batch { txn, changes } => {
@@ -420,25 +418,23 @@ impl<'a> Reader<'a> {
             }),
             5 => Ok(LogRecord::DropTable {
                 txn: TxnId(self.u64()?),
-                table: self.str()?.to_string(),
+                table: self.str()?.into(),
             }),
             6 => Ok(LogRecord::Insert {
                 txn: TxnId(self.u64()?),
-                table: self.str()?.to_string(),
+                table: self.str()?.into(),
                 row_id: RowId(self.u64()?),
                 row: self.row()?,
             }),
             7 => Ok(LogRecord::Delete {
                 txn: TxnId(self.u64()?),
-                table: self.str()?.to_string(),
+                table: self.str()?.into(),
                 row_id: RowId(self.u64()?),
-                before: self.row()?,
             }),
             8 => Ok(LogRecord::Update {
                 txn: TxnId(self.u64()?),
-                table: self.str()?.to_string(),
+                table: self.str()?.into(),
                 row_id: RowId(self.u64()?),
-                before: self.row()?,
                 after: self.row()?,
             }),
             9 => {
@@ -529,14 +525,12 @@ mod tests {
                 txn: TxnId(1),
                 table: "jobs".into(),
                 row_id: RowId(1),
-                before: row.clone(),
                 after: Row::new(vec![Value::Null]),
             },
             LogRecord::Delete {
                 txn: TxnId(1),
                 table: "jobs".into(),
                 row_id: RowId(1),
-                before: row.clone(),
             },
             LogRecord::Batch {
                 txn: TxnId(2),

@@ -29,6 +29,18 @@
 //!   CRC-valid payload that decodes to garbage. Because `header_crc` covers
 //!   the length field, a bit flip in `payload_len` can never masquerade as
 //!   a torn tail. Recovery fails loudly with [`Error::Corruption`].
+//!
+//! # Format version
+//!
+//! [`SEGMENT_VERSION`] is **2**. Version 1 wrote the before-image of the row
+//! into every `Delete` and `Update` payload; no replay path ever read it
+//! (redo installs the after-image, rollback works on the in-memory version
+//! chains), so version 2 drops it: a `Delete` is the row id alone, an
+//! `Update` the row id plus the new image. There is one decoder and no
+//! upgrade path — a segment whose header names any other version is refused
+//! with [`Error::Corruption`] naming both versions. No version-1 log exists
+//! outside a test's temporary directory: the format never shipped, and
+//! every test and benchmark writes the log it later reads.
 
 use crate::error::{Error, Result};
 use crate::stats::OpStats;
@@ -41,7 +53,7 @@ use super::crc::crc32;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RWAL";
 
 /// Current segment format version.
-pub const SEGMENT_VERSION: u16 = 1;
+pub const SEGMENT_VERSION: u16 = 2;
 
 /// Size of the fixed segment header.
 pub const SEGMENT_HEADER_LEN: usize = 8;
@@ -349,5 +361,45 @@ mod tests {
         versioned[4] = 9;
         let err = decode_segment(&versioned, &mut stats).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn a_version_1_segment_is_refused_not_misread() {
+        // Version 1 records carried before-images; there is no second
+        // decoder, so the header check is what keeps one from being misread.
+        let mut bytes = encode(&sample_log());
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let mut stats = OpStats::default();
+        let err = decode_segment(&bytes, &mut stats).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("reads 2"), "{msg}");
+        assert_eq!(stats.corruption_detected, 1);
+    }
+
+    #[test]
+    fn an_update_record_carries_one_row_image() {
+        let row = Row::new((0..8).map(Value::Int).collect());
+        let insert = LogRecord::Insert {
+            txn: TxnId(1),
+            table: "machines".into(),
+            row_id: RowId(1),
+            row: row.clone(),
+        };
+        let update = LogRecord::Update {
+            txn: TxnId(1),
+            table: "machines".into(),
+            row_id: RowId(1),
+            after: row,
+        };
+        let delete = LogRecord::Delete {
+            txn: TxnId(1),
+            table: "machines".into(),
+            row_id: RowId(1),
+        };
+        // Same fields as the insert: a second image would add ≥ 8 × 9 bytes.
+        assert!(encode_record(&update).len() < encode_record(&insert).len() + 8);
+        assert!(encode_record(&delete).len() < encode_record(&update).len());
+        assert!(update.approx_size() <= insert.approx_size());
     }
 }

@@ -228,10 +228,12 @@
 //!
 //! ## Durability & recovery
 //!
-//! By default the engine is embedded and volatile: [`Database::new`] keeps
-//! the WAL in memory, which is exactly right for the simulation workloads.
-//! [`Database::open_durable`](db::Database::open_durable) instead backs the
-//! WAL with a real on-disk log — length-prefixed, CRC-checksummed records
+//! By default the engine is embedded and volatile: [`Database::new`] has no
+//! log device, so a log record is counted (`wal_records`, `wal_bytes` — what
+//! the simulation's cost model charges IO for) and dropped, which is exactly
+//! right for the simulation workloads.
+//! [`Database::open_durable`](db::Database::open_durable) instead writes the
+//! WAL to a real on-disk log — length-prefixed, CRC-checksummed records
 //! behind the pluggable [`LogDevice`] trait (see [`io`]) — and replays it on
 //! open, so the catalog survives a crash:
 //!
@@ -271,6 +273,15 @@
 //!   the commit that needed it returns [`Error::Io`] and every later commit
 //!   fails too — the engine never acknowledges a commit whose bytes may not
 //!   have reached disk. Reopening the database recovers the durable prefix.
+//! * **The log is the device.** The engine keeps no decoded copy of the
+//!   log: records are framed onto the device as they are appended, decoded
+//!   once when a database opens ([`wal::recover`]), and dropped before the
+//!   first statement runs. There is one way to recover — open over a
+//!   [`LogDevice`]; tests that crash and reopen do it over a [`MemDevice`]
+//!   holding [`durable_log_bytes`](db::Database::durable_log_bytes). A
+//!   record carries what replay reads: an `Update` is the row's new image,
+//!   a `Delete` its id (rollback needs neither — it pops the in-memory
+//!   version chain).
 //! * **Checkpoints rotate atomically.** [`Database::checkpoint`](db::Database::checkpoint)
 //!   writes the compacted snapshot to a fresh segment and swaps it in with an
 //!   atomic rename, so a crash mid-checkpoint always leaves one intact log:
@@ -311,7 +322,10 @@
 //!
 //! Reopen verifies every page checksum (a damaged page is a typed
 //! [`Error::Corruption`], never a panic or a silent wrong read) and replays
-//! only the committed WAL suffix past the last page-consistent checkpoint:
+//! only the committed WAL suffix past the last page-consistent checkpoint —
+//! decoded for the open and consumed by the replay, like every log; what the
+//! running engine holds of the WAL is the device and its unsynced flag (the
+//! WAL-before-data gate):
 //!
 //! ```
 //! use relstore::Database;

@@ -30,6 +30,7 @@ pub mod systables;
 
 pub use clock::Stopwatch;
 pub use hist::{HistogramSnapshot, LatencyHistogram};
+pub(crate) use profile::ProfileCounters;
 pub use profile::{EvictedTotals, StmtProfile, StmtProfileSnapshot};
 pub use ring::{Event, EventRing, SlowQueryEntry, SlowQueryLog};
 

@@ -9,24 +9,60 @@
 //! table's one `'(evicted)'` row ([`EvictedTotals`]) so the table's sums
 //! keep covering ad-hoc statements that ran once and aged out; a later
 //! re-prepare of the same text starts a fresh profile. A `Prepared` handle
-//! that outlives the eviction keeps recording into its (now unlisted)
-//! profile; those later counts are not lost, just no longer visible, which
-//! is the standard trade of an LRU-bounded profile table.
+//! that outlives the eviction — every long-held handle does, once enough
+//! ad-hoc texts have run — records into the `'(evicted)'` row from then on,
+//! so that row and the table's sums keep covering it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::StmtKind;
+
+/// Lock-free cumulative execution counters: what one `rel_statements` row
+/// counts.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileCounters {
+    calls: AtomicU64,
+    rows: AtomicU64,
+    total_nanos: AtomicU64,
+    max_nanos: AtomicU64,
+}
+
+impl ProfileCounters {
+    /// Records one execution: relaxed adds for calls/time, a rows add only
+    /// when rows were touched, and a `fetch_max` only on a new maximum.
+    #[inline]
+    fn record(&self, nanos: u64, rows: u64) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
+        if rows != 0 {
+            self.rows.fetch_add(rows, Ordering::Relaxed);
+        }
+        if nanos > self.max_nanos.load(Ordering::Relaxed) {
+            self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        }
+    }
+
+    /// Copies the counters out.
+    pub(crate) fn totals(&self) -> EvictedTotals {
+        EvictedTotals {
+            calls: self.calls.load(Ordering::Relaxed),
+            rows: self.rows.load(Ordering::Relaxed),
+            total_nanos: self.total_nanos.load(Ordering::Relaxed),
+            max_nanos: self.max_nanos.load(Ordering::Relaxed),
+        }
+    }
+}
 
 /// Lock-free cumulative execution counters for one normalized SQL text.
 #[derive(Debug)]
 pub struct StmtProfile {
     sql: Arc<str>,
     kind: StmtKind,
-    calls: AtomicU64,
-    rows: AtomicU64,
-    total_nanos: AtomicU64,
-    max_nanos: AtomicU64,
+    counters: ProfileCounters,
+    /// Set when the statement cache drops this profile: the `'(evicted)'`
+    /// counters, which take every later sample.
+    evicted_into: OnceLock<Arc<ProfileCounters>>,
 }
 
 impl StmtProfile {
@@ -35,10 +71,8 @@ impl StmtProfile {
         StmtProfile {
             sql,
             kind,
-            calls: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            total_nanos: AtomicU64::new(0),
-            max_nanos: AtomicU64::new(0),
+            counters: ProfileCounters::default(),
+            evicted_into: OnceLock::new(),
         }
     }
 
@@ -53,29 +87,46 @@ impl StmtProfile {
         self.kind
     }
 
-    /// Records one execution: relaxed adds for calls/time, a rows add only
-    /// when rows were touched, and a `fetch_max` only on a new maximum.
+    /// Records one execution — into this profile, or into the `'(evicted)'`
+    /// counters once the statement cache has dropped it.
     #[inline]
     pub(crate) fn record(&self, nanos: u64, rows: u64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        if rows != 0 {
-            self.rows.fetch_add(rows, Ordering::Relaxed);
-        }
-        if nanos > self.max_nanos.load(Ordering::Relaxed) {
-            self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        match self.evicted_into.get() {
+            None => self.counters.record(nanos, rows),
+            Some(evicted) => evicted.record(nanos, rows),
         }
     }
 
-    /// Copies the counters into an immutable snapshot.
+    /// The statement cache is dropping this profile: moves what it recorded
+    /// into `evicted` and sends every later sample of a handle that outlives
+    /// the cache entry there too. (A sample recorded by another thread at
+    /// this very instant may stay behind in the unlisted profile.)
+    pub(crate) fn evict_into(&self, evicted: &Arc<ProfileCounters>) {
+        if self.evicted_into.set(Arc::clone(evicted)).is_ok() {
+            let mine = self.counters.totals();
+            evicted.calls.fetch_add(mine.calls, Ordering::Relaxed);
+            evicted.rows.fetch_add(mine.rows, Ordering::Relaxed);
+            evicted.total_nanos.fetch_add(mine.total_nanos, Ordering::Relaxed);
+            evicted.max_nanos.fetch_max(mine.max_nanos, Ordering::Relaxed);
+        }
+    }
+
+    /// Copies the counters into an immutable snapshot (frozen as of the
+    /// eviction for a profile the statement cache has dropped).
     pub fn snapshot(&self) -> StmtProfileSnapshot {
+        let EvictedTotals {
+            calls,
+            rows,
+            total_nanos,
+            max_nanos,
+        } = self.counters.totals();
         StmtProfileSnapshot {
             sql: Arc::clone(&self.sql),
             kind: self.kind,
-            calls: self.calls.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            total_nanos: self.total_nanos.load(Ordering::Relaxed),
-            max_nanos: self.max_nanos.load(Ordering::Relaxed),
+            calls,
+            rows,
+            total_nanos,
+            max_nanos,
         }
     }
 }
@@ -108,8 +159,9 @@ impl StmtProfileSnapshot {
     }
 }
 
-/// What the profiles evicted from the statement cache had recorded when
-/// they left it, summed: the `'(evicted)'` row of `rel_statements`.
+/// What the profiles evicted from the statement cache recorded — before
+/// they left it and, through handles that outlived their entry, since —
+/// summed: the `'(evicted)'` row of `rel_statements`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictedTotals {
     /// Executions recorded by evicted profiles.
@@ -120,16 +172,6 @@ pub struct EvictedTotals {
     pub total_nanos: u64,
     /// The slowest single execution among them, in nanoseconds.
     pub max_nanos: u64,
-}
-
-impl EvictedTotals {
-    /// Adds a profile that is leaving the cache.
-    pub(crate) fn fold(&mut self, evicted: &StmtProfileSnapshot) {
-        self.calls += evicted.calls;
-        self.rows += evicted.rows;
-        self.total_nanos += evicted.total_nanos;
-        self.max_nanos = self.max_nanos.max(evicted.max_nanos);
-    }
 }
 
 #[cfg(test)]
@@ -150,6 +192,25 @@ mod tests {
         assert_eq!(s.total_nanos, 600);
         assert_eq!(s.max_nanos, 300);
         assert!((s.mean_nanos() - 200.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn an_evicted_profile_hands_over_its_totals_and_its_later_samples() {
+        let evicted = Arc::new(ProfileCounters::default());
+        let p = StmtProfile::new(Arc::from("q"), StmtKind::Update);
+        p.record(100, 1);
+        p.record(300, 1);
+        p.evict_into(&evicted);
+        p.evict_into(&evicted); // a second eviction must not double-count
+        p.record(200, 5);
+        let expected = EvictedTotals {
+            calls: 3,
+            rows: 7,
+            total_nanos: 600,
+            max_nanos: 300,
+        };
+        assert_eq!(evicted.totals(), expected);
+        assert_eq!(p.snapshot().calls, 2, "frozen as of the eviction");
     }
 
     #[test]

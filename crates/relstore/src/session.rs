@@ -478,7 +478,15 @@ mod tests {
     use crate::value::Value;
 
     fn setup() -> Database {
-        let db = Database::new();
+        setup_in(Database::new())
+    }
+
+    fn on_mem_device(log: Vec<u8>) -> Database {
+        let device = crate::MemDevice::with_contents(log);
+        Database::open_with_device(Box::new(device), crate::DurabilityPolicy::Always).unwrap()
+    }
+
+    fn setup_in(db: Database) -> Database {
         db.execute(
             "CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT NOT NULL, state TEXT, runtime DOUBLE)",
         )
@@ -710,7 +718,7 @@ mod tests {
 
     #[test]
     fn execute_batch_equals_the_statement_loop() {
-        let batched = setup();
+        let batched = setup_in(on_mem_device(Vec::new()));
         let looped = setup();
         let ins = "INSERT INTO jobs (job_id, owner, state) VALUES (?, ?, ?)";
         let bindings: Vec<(i64, String, String)> = (10..40)
@@ -744,7 +752,7 @@ mod tests {
         batched.check_consistency().unwrap();
 
         // A batched database recovers identically from its WAL.
-        let recovered = Database::recover_from(batched.snapshot_wal()).unwrap();
+        let recovered = on_mem_device(batched.durable_log_bytes().unwrap());
         assert_eq!(recovered.query(q).unwrap(), batched.query(q).unwrap());
     }
 

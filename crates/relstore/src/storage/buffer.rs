@@ -252,7 +252,7 @@ mod tests {
             512,
         )
         .unwrap();
-        let wal = Wal::open_device(
+        let (wal, _) = Wal::open_device(
             Box::new(MemDevice::new()),
             DurabilityPolicy::Always,
             Arc::new(Failpoints::new()),

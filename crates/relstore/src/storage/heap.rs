@@ -567,7 +567,7 @@ mod tests {
             512,
         )
         .unwrap();
-        let wal = Wal::open_device(
+        let (wal, _) = Wal::open_device(
             Box::new(MemDevice::new()),
             DurabilityPolicy::Always,
             Arc::new(Failpoints::new()),
@@ -588,7 +588,7 @@ mod tests {
         )
         .unwrap();
         let mut fresh = PagedEngine::new(BufferPool::new(store, 4));
-        let mut wal = Wal::open_device(
+        let (mut wal, _) = Wal::open_device(
             Box::new(MemDevice::new()),
             DurabilityPolicy::Always,
             Arc::new(Failpoints::new()),

@@ -42,6 +42,9 @@ use std::sync::Arc;
 pub struct Table {
     /// The table schema.
     pub schema: Schema,
+    /// `schema.name`, interned: every log and undo record of a change to
+    /// this table shares it instead of allocating a copy.
+    name: Arc<str>,
     rows: BTreeMap<RowId, VersionChain>,
     next_row_id: u64,
     /// Unique index over the primary-key column, when one is declared.
@@ -97,6 +100,7 @@ impl Table {
             .map(|c| format!("{}.{}", schema.name, c.name).into())
             .collect();
         Ok(Table {
+            name: schema.name.as_str().into(),
             schema,
             rows: BTreeMap::new(),
             next_row_id: 1,
@@ -111,6 +115,11 @@ impl Table {
             stats: None,
             version: 0,
         })
+    }
+
+    /// The table's name (`schema.name`), shared.
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
     }
 
     /// The physical version counter; see the field docs.
@@ -309,16 +318,15 @@ impl Table {
         self.rows.get(&id).and_then(VersionChain::current)
     }
 
-    /// Deletes the row with id `id` on behalf of `txn`, returning its prior
-    /// contents. The version is only tombstoned — snapshots that do not see
-    /// `txn` keep reading it until vacuum.
-    pub fn delete(&mut self, id: RowId, txn: TxnId, stats: &mut OpStats) -> Result<Row> {
+    /// Deletes the row with id `id` on behalf of `txn`. The version is only
+    /// tombstoned — snapshots that do not see `txn` keep reading it until
+    /// vacuum.
+    pub fn delete(&mut self, id: RowId, txn: TxnId, stats: &mut OpStats) -> Result<()> {
         let chain = self
             .rows
             .get_mut(&id)
             .filter(|c| c.is_live())
             .ok_or_else(|| Error::not_found(format!("row {id} in table {}", self.schema.name)))?;
-        let before = chain.newest().row.clone();
         chain.mark_deleted(txn);
         self.live -= 1;
         self.dead_versions += 1;
@@ -326,22 +334,26 @@ impl Table {
         self.min_dead_end = self.min_dead_end.min(txn.0);
         self.version += 1;
         stats.rows_deleted += 1;
-        Ok(before)
+        Ok(())
     }
 
     /// Applies column assignments to the row with id `id` on behalf of
-    /// `txn`, pushing a new version onto its chain.
-    /// Returns the row contents before and after the update.
+    /// `txn`, pushing a new version onto its chain. Returns the new version's
+    /// contents (the image the log records); the row is copied twice — once
+    /// to build the new version from the current one, once for the caller.
     pub fn update(
         &mut self,
         id: RowId,
         assignments: &[(usize, Value)],
         txn: TxnId,
         stats: &mut OpStats,
-    ) -> Result<(Row, Row)> {
+    ) -> Result<Row> {
+        // Borrowed through the field, so the index maintenance below can
+        // take `&mut` on the indexes while the current version is compared.
         let before = self
-            .get(id)
-            .cloned()
+            .rows
+            .get(&id)
+            .and_then(VersionChain::current)
             .ok_or_else(|| Error::not_found(format!("row {id} in table {}", self.schema.name)))?;
         let mut after = before.clone();
         for (col, value) in assignments {
@@ -420,7 +432,7 @@ impl Table {
         stats.rows_updated += 1;
         stats.versions_created += 1;
         stats.max_version_chain = stats.max_version_chain.max(chain.len() as u64);
-        Ok((before, after))
+        Ok(after)
     }
 
     // --- rollback (version-aware undo) ---------------------------------------
@@ -465,7 +477,7 @@ impl Table {
     /// Physically removes a row and all its versions. Used by WAL recovery
     /// (which replays committed history into flat, single-version state) and
     /// by insert rollback.
-    pub(crate) fn remove_physical(&mut self, id: RowId, stats: &mut OpStats) -> Result<Row> {
+    pub(crate) fn remove_physical(&mut self, id: RowId, stats: &mut OpStats) -> Result<()> {
         let chain = self
             .rows
             .remove(&id)
@@ -473,14 +485,13 @@ impl Table {
         if chain.is_live() {
             self.live -= 1;
         }
-        let newest = chain.newest().row.clone();
         let versions: Vec<RowVersion> = chain.versions().cloned().collect();
         self.dead_versions -= versions.iter().filter(|v| v.end.is_some()).count();
         self.dirty.remove(&id);
         self.retire_chain_entries(id, &versions);
         self.version += 1;
         stats.rows_deleted += 1;
-        Ok(newest)
+        Ok(())
     }
 
     /// Restores a row to exact prior contents as a committed single version.
@@ -1038,8 +1049,7 @@ mod tests {
         let mut t = machines_table();
         let mut stats = OpStats::default();
         let id = t.insert(row(1, "node01", "idle", 0.1), SETUP, &mut stats).unwrap();
-        let removed = t.delete(id, TxnId(5), &mut stats).unwrap();
-        assert_eq!(removed.get(1), &Value::Text("node01".into()));
+        t.delete(id, TxnId(5), &mut stats).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.dead_versions(), 1);
         // The tombstoned version stays visible to a snapshot predating txn 5.
@@ -1072,11 +1082,11 @@ mod tests {
         let mut stats = OpStats::default();
         let id = t.insert(row(1, "node01", "idle", 0.1), SETUP, &mut stats).unwrap();
         let state_col = t.schema.column_index("state").unwrap();
-        let (before, after) = t
+        let after = t
             .update(id, &[(state_col, Value::Text("busy".into()))], TxnId(7), &mut stats)
             .unwrap();
-        assert_eq!(before.get(state_col), &Value::Text("idle".into()));
         assert_eq!(after.get(state_col), &Value::Text("busy".into()));
+        assert_eq!(t.get(id), Some(&after));
         assert_eq!(t.max_chain_len(), 2);
         assert_eq!(stats.max_version_chain, 2);
 

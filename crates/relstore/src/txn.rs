@@ -16,9 +16,10 @@
 
 use crate::error::{Error, Result};
 use crate::mvcc::Snapshot;
-use crate::tuple::{Row, RowId};
+use crate::tuple::RowId;
 use crate::wal::TxnId;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The lock modes supported by the table-level lock manager.
@@ -118,24 +119,18 @@ impl LockManager {
     }
 }
 
-/// One undo entry recorded by an in-flight transaction.
+/// One undo entry recorded by an in-flight transaction. Row-level entries
+/// name the row only: rollback is version-aware, and the image to restore is
+/// the version still sitting under the aborted one in the row's chain.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum UndoRecord {
-    /// Undo an insert by deleting the row.
-    Insert { table: String, row_id: RowId },
-    /// Undo a delete by restoring the row.
-    Delete {
-        table: String,
-        row_id: RowId,
-        before: Row,
-    },
-    /// Undo an update by restoring the prior image.
-    Update {
-        table: String,
-        row_id: RowId,
-        before: Row,
-    },
+    /// Undo an insert by removing the row's chain.
+    Insert { table: Arc<str>, row_id: RowId },
+    /// Undo a delete by clearing the tombstone.
+    Delete { table: Arc<str>, row_id: RowId },
+    /// Undo an update by popping the version it pushed.
+    Update { table: Arc<str>, row_id: RowId },
     /// Undo a CREATE TABLE by dropping it.
     CreateTable { table: String },
 }
@@ -352,7 +347,6 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     #[test]
     fn shared_locks_are_compatible() {
@@ -467,7 +461,6 @@ mod tests {
                 UndoRecord::Delete {
                     table: "jobs".into(),
                     row_id: RowId(2),
-                    before: Row::new(vec![Value::Int(1)]),
                 }
             )
             .is_err());

@@ -7,10 +7,19 @@
 //! persistent job-queue log for exactly the same reason (the paper notes it is
 //! "used only for recovery"); here the log covers *all* operational state, not
 //! just the job queue.
+//!
+//! Because the log is read only by recovery, the running engine keeps no copy
+//! of it: a record is sized, counted, framed onto the [`LogDevice`] (when
+//! there is one) and dropped. The decoded records exist as a value only while
+//! a database opens — [`Wal::open_device`] hands them to [`recover`] — and a
+//! record carries only what replay reads: the *new* image of an updated row
+//! and the id of a deleted one. Rollback needs no image either; it is
+//! version-aware and works on the in-memory chains.
 
 use crate::error::{Error, Result};
 use crate::io::record::{encode_record, encode_segment, segment_header};
 use crate::io::{decode_segment, points, DurabilityPolicy, FailAction, Failpoints, LogDevice};
+use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
 use crate::obs::Observability;
 use crate::schema::Schema;
@@ -18,7 +27,7 @@ use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::{Row, RowId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// Transaction identifier.
@@ -30,10 +39,6 @@ impl std::fmt::Display for TxnId {
         write!(f, "txn{}", self.0)
     }
 }
-
-/// Log sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Lsn(pub u64);
 
 /// A snapshot of one table taken at checkpoint time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -57,27 +62,25 @@ pub enum LogRecord {
     /// A table was created.
     CreateTable { txn: TxnId, schema: Schema },
     /// A table was dropped.
-    DropTable { txn: TxnId, table: String },
+    DropTable { txn: TxnId, table: Arc<str> },
     /// A row was inserted.
     Insert {
         txn: TxnId,
-        table: String,
+        table: Arc<str>,
         row_id: RowId,
         row: Row,
     },
     /// A row was deleted.
     Delete {
         txn: TxnId,
-        table: String,
+        table: Arc<str>,
         row_id: RowId,
-        before: Row,
     },
-    /// A row was updated in place.
+    /// A row was updated: `after` is its complete new image.
     Update {
         txn: TxnId,
-        table: String,
+        table: Arc<str>,
         row_id: RowId,
-        before: Row,
         after: Row,
     },
     /// Several row-level changes produced by one batched statement execution
@@ -99,22 +102,16 @@ impl LogRecord {
             LogRecord::CreateTable { schema, .. } => 64 + schema.columns.len() * 24,
             LogRecord::DropTable { table, .. } => 16 + table.len(),
             LogRecord::Insert { row, table, .. } => 24 + table.len() + row.approx_size(),
-            LogRecord::Delete { before, table, .. } => 24 + table.len() + before.approx_size(),
-            LogRecord::Update {
-                before,
-                after,
-                table,
-                ..
-            } => 24 + table.len() + before.approx_size() + after.approx_size(),
+            LogRecord::Delete { table, .. } => 24 + table.len(),
+            LogRecord::Update { after, table, .. } => 24 + table.len() + after.approx_size(),
             LogRecord::Batch { changes, .. } => {
                 16 + changes.iter().map(LogRecord::approx_size).sum::<usize>()
             }
-            LogRecord::Checkpoint { snapshot } => {
-                64 + snapshot
+            LogRecord::Checkpoint { snapshot } => checkpoint_size(
+                snapshot
                     .iter()
-                    .map(|t| t.rows.iter().map(|(_, r)| r.approx_size()).sum::<usize>() + 64)
-                    .sum::<usize>()
-            }
+                    .map(|t| t.rows.iter().map(|(_, r)| r.approx_size()).sum()),
+            ),
         }
     }
 
@@ -135,10 +132,16 @@ impl LogRecord {
     }
 }
 
+/// [`LogRecord::approx_size`] of a checkpoint, from the summed row sizes of
+/// each table it snapshots.
+fn checkpoint_size(table_row_bytes: impl Iterator<Item = usize>) -> usize {
+    64 + table_row_bytes.map(|rows| rows + 64).sum::<usize>()
+}
+
 /// The durable sink behind a [`Wal`], present only for databases opened
 /// through [`crate::Database::open_durable`] and friends.
 ///
-/// Device failures do not surface from [`Wal::append`] (whose ~30 call sites
+/// Device failures do not surface from [`Wal::append`] (whose call sites
 /// treat appending as infallible); instead the first failure **poisons** the
 /// sink, and every later [`Wal::commit_sync`] / [`Wal::flush`] /
 /// [`Wal::checkpoint`] returns that error. The net effect is the guarantee
@@ -172,7 +175,7 @@ impl DurableLog {
         }
     }
 
-    /// Mirrors one record onto the device. Errors poison the sink instead of
+    /// Frames one record onto the device. Errors poison the sink instead of
     /// propagating; `commit_sync` surfaces them before any acknowledgement.
     fn append_record(&mut self, record: &LogRecord, stats: &mut OpStats) {
         if self.poisoned.is_some() {
@@ -317,41 +320,28 @@ impl DurableLog {
 
 /// The write-ahead log.
 ///
-/// By default the log is in-memory only — the simulated deployment models
-/// durability by the IO cycle cost the application-server cost model charges
-/// per appended byte. A database opened through
-/// [`crate::Database::open_durable`] additionally mirrors every record onto a
-/// [`LogDevice`] as a checksummed binary segment (see [`crate::io`]), from
-/// which [`Wal::open_device`] rebuilds the log after a crash.
+/// At run time the log is a sink, not a store: [`Wal::append`] sizes a
+/// record into the `wal_records` / `wal_bytes` counters, frames it onto the
+/// durable [`LogDevice`] when there is one, and keeps nothing. By default
+/// there is no device — the simulated deployment models durability by the IO
+/// cycle cost the application-server cost model charges per appended byte. A
+/// database opened through [`crate::Database::open_durable`] writes every
+/// record as a checksummed binary segment (see [`crate::io`]), which
+/// [`Wal::open_device`] decodes once, on open, for [`recover`].
 #[derive(Debug, Default)]
 pub struct Wal {
-    records: Vec<(Lsn, LogRecord)>,
-    next_lsn: u64,
-    total_bytes: u64,
     durable: Option<DurableLog>,
 }
 
-impl Clone for Wal {
-    /// Clones the retained records only: the clone is a mem-only snapshot of
-    /// the log (used by [`crate::Database::snapshot_wal`]) and never owns
-    /// the durable device.
-    fn clone(&self) -> Self {
-        Wal {
-            records: self.records.clone(),
-            next_lsn: self.next_lsn,
-            total_bytes: self.total_bytes,
-            durable: None,
-        }
-    }
-}
-
 impl Wal {
-    /// Creates an empty in-memory log.
+    /// Creates a log with no durable device.
     pub fn new() -> Self {
         Wal::default()
     }
 
-    /// Opens a durable log over `device`, recovering its retained records.
+    /// Opens a durable log over `device` and returns it together with the
+    /// records the device held — the input of [`recover`], owned by the
+    /// caller and dropped when the open is done.
     ///
     /// The device's durable contents are scanned with
     /// [`decode_segment`]: a torn tail is truncated off the device (counted
@@ -362,7 +352,7 @@ impl Wal {
         policy: DurabilityPolicy,
         failpoints: Arc<Failpoints>,
         stats: &mut OpStats,
-    ) -> Result<Wal> {
+    ) -> Result<(Wal, Vec<LogRecord>)> {
         let bytes = device.durable_contents()?;
         let decoded = decode_segment(&bytes, stats)?;
         if decoded.valid_len < device.len() {
@@ -371,10 +361,7 @@ impl Wal {
         if decoded.valid_len == 0 {
             device.append(&segment_header())?;
         }
-        let mut wal = Wal {
-            records: Vec::new(),
-            next_lsn: 0,
-            total_bytes: 0,
+        let wal = Wal {
             durable: Some(DurableLog {
                 device,
                 policy,
@@ -385,23 +372,17 @@ impl Wal {
                 obs: None,
             }),
         };
-        // Replaying into the in-memory view is not new appended work; keep
-        // it out of the caller-visible wal_records/wal_bytes counters.
-        let mut scratch = OpStats::default();
-        for record in decoded.records {
-            wal.push_mem(record, &mut scratch);
-        }
-        Ok(wal)
+        Ok((wal, decoded.records))
     }
 
-    /// True when this log mirrors appends onto a durable device.
+    /// True when this log writes appends onto a durable device.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
 
     /// Attaches the owning database's observability state so device syncs
-    /// record `wal.fsync` histogram samples. A no-op for in-memory logs,
-    /// which never fsync.
+    /// record `wal.fsync` histogram samples. A no-op without a device:
+    /// nothing ever fsyncs.
     pub(crate) fn set_obs(&mut self, obs: Arc<Observability>) {
         if let Some(d) = &mut self.durable {
             d.obs = Some(obs);
@@ -409,7 +390,7 @@ impl Wal {
     }
 
     /// The bytes a crash right now would leave on the durable device, or
-    /// [`Error::Wal`] for an in-memory log. Works even after the device has
+    /// [`Error::Wal`] for a log without one. Works even after the device has
     /// died (it is the post-mortem view used by crash tests).
     pub fn durable_contents(&self) -> Result<Vec<u8>> {
         match &self.durable {
@@ -418,45 +399,17 @@ impl Wal {
         }
     }
 
-    /// The largest transaction id mentioned anywhere in the retained
-    /// records. After recovery the transaction manager must allocate past
-    /// this, or a new transaction could collide with a logged one and make
-    /// its uncommitted changes look committed.
-    pub fn max_txn_id(&self) -> u64 {
-        fn walk(rec: &LogRecord) -> u64 {
-            let own = rec.txn().map(|t| t.0).unwrap_or(0);
-            match rec {
-                LogRecord::Batch { changes, .. } => {
-                    changes.iter().map(walk).fold(own, u64::max)
-                }
-                _ => own,
-            }
-        }
-        self.records.iter().map(|(_, r)| walk(r)).max().unwrap_or(0)
-    }
-
-    fn push_mem(&mut self, record: LogRecord, stats: &mut OpStats) -> Lsn {
-        let lsn = Lsn(self.next_lsn);
-        self.next_lsn += 1;
-        let size = record.approx_size() as u64;
-        self.total_bytes += size;
-        stats.wal_records += 1;
-        stats.wal_bytes += size;
-        self.records.push((lsn, record));
-        lsn
-    }
-
-    /// Appends a record, returning its LSN.
-    ///
-    /// For a durable log the record is also framed and written to the
-    /// device. A device failure does **not** surface here — it poisons the
-    /// writer, and [`Wal::commit_sync`] reports it before the enclosing
-    /// commit can be acknowledged.
-    pub fn append(&mut self, record: LogRecord, stats: &mut OpStats) -> Lsn {
+    /// Appends a record: counts it (`wal_records`, and its
+    /// [`LogRecord::approx_size`] into `wal_bytes`) and, for a durable log,
+    /// frames it onto the device. A device failure does **not** surface
+    /// here — it poisons the writer, and [`Wal::commit_sync`] reports it
+    /// before the enclosing commit can be acknowledged.
+    pub fn append(&mut self, record: &LogRecord, stats: &mut OpStats) {
         if let Some(d) = &mut self.durable {
-            d.append_record(&record, stats);
+            d.append_record(record, stats);
         }
-        self.push_mem(record, stats)
+        stats.wal_records += 1;
+        stats.wal_bytes += record.approx_size() as u64;
     }
 
     /// Called by the database once per commit, after the Commit record is
@@ -470,8 +423,8 @@ impl Wal {
         }
     }
 
-    /// Forces everything appended so far onto stable storage (no-op for an
-    /// in-memory log).
+    /// Forces everything appended so far onto stable storage (no-op without
+    /// a device).
     pub fn flush(&mut self, stats: &mut OpStats) -> Result<()> {
         match &mut self.durable {
             Some(d) => d.sync(stats),
@@ -479,8 +432,8 @@ impl Wal {
         }
     }
 
-    /// True when every appended record is already durable (always true for
-    /// an in-memory log). The paged engine's WAL-before-data gate: page
+    /// True when every appended record is already durable (always true
+    /// without a device). The paged engine's WAL-before-data gate: page
     /// write-back calls [`Wal::flush`] first whenever this is false.
     pub fn is_synced(&self) -> bool {
         match &self.durable {
@@ -489,155 +442,174 @@ impl Wal {
         }
     }
 
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total bytes ever appended (not reduced by truncation).
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Iterates over retained records in LSN order.
-    pub fn records(&self) -> impl Iterator<Item = &(Lsn, LogRecord)> {
-        self.records.iter()
-    }
-
-    /// Writes a checkpoint record containing `snapshot` and discards all
-    /// earlier records. Returns the LSN of the checkpoint.
+    /// Takes a checkpoint of `tables` (every live row, or the schemas alone
+    /// when `with_rows` is false — a paged database's rows live in its page
+    /// file), counted as one record of the snapshot's
+    /// [`LogRecord::approx_size`].
     ///
     /// On a durable log this is a **segment rotation**: the new segment
     /// (holding just the checkpoint record) is written beside the old one,
-    /// fsynced, and atomically renamed over it *before* the retained records
-    /// are discarded — a crash at any instant finds either the old complete
-    /// log or the new complete snapshot, never neither.
-    pub fn checkpoint(
+    /// fsynced, and atomically renamed over it — a crash at any instant
+    /// finds either the old complete log or the new complete snapshot, never
+    /// neither. Without a device nothing would ever read the snapshot, so
+    /// none is built: it is sized off the borrowed rows.
+    pub fn checkpoint<'a>(
         &mut self,
-        snapshot: Vec<TableSnapshot>,
+        tables: impl Iterator<Item = &'a Table>,
+        with_rows: bool,
         stats: &mut OpStats,
-    ) -> Result<Lsn> {
-        let record = LogRecord::Checkpoint { snapshot };
-        if let Some(d) = &mut self.durable {
-            d.rotate(&record, stats)?;
-        }
-        // Only now, with the new segment durable (or trivially, in memory),
-        // is it safe to drop the old records.
-        self.records.clear();
-        stats.checkpoints += 1;
-        // The rotation already wrote the record to the device; mirror it
-        // into the in-memory view only.
-        Ok(self.push_mem(record, stats))
-    }
-
-    /// Rebuilds the full set of tables implied by the retained log records:
-    /// the latest checkpoint (if any) plus all *committed* transactions after
-    /// it. Changes from unfinished or aborted transactions are discarded.
-    ///
-    /// Recovery replays through the tables' **physical** operations, so the
-    /// rebuilt catalog holds exactly one committed version per live row
-    /// (stamped [`crate::mvcc::COMMITTED_TXN`], visible to every snapshot of
-    /// the recovered database) — uncommitted versions, tombstones and
-    /// version chains never survive a crash.
-    pub fn recover(&self) -> Result<BTreeMap<String, Table>> {
-        // Pass 1: find committed transactions.
-        let mut committed = std::collections::HashSet::new();
-        for (_, rec) in &self.records {
-            if let LogRecord::Commit { txn } = rec {
-                committed.insert(*txn);
-            }
-        }
-
-        // Pass 2: start from the latest checkpoint.
-        let mut tables: BTreeMap<String, Table> = BTreeMap::new();
-        let mut start = 0usize;
-        for (i, (_, rec)) in self.records.iter().enumerate() {
-            if let LogRecord::Checkpoint { snapshot } = rec {
-                tables.clear();
-                for snap in snapshot {
-                    let mut table = Table::new(snap.schema.clone())?;
-                    let mut scratch = OpStats::default();
-                    for (id, row) in &snap.rows {
-                        table.insert_with_id(*id, row.clone(), &mut scratch)?;
-                    }
-                    tables.insert(snap.schema.name.clone(), table);
-                }
-                start = i + 1;
-            }
-        }
-
-        // Pass 3: redo committed work after the checkpoint.
-        let mut scratch = OpStats::default();
-        for (_, rec) in &self.records[start..] {
-            let Some(txn) = rec.txn() else { continue };
-            if !committed.contains(&txn) {
-                continue;
-            }
-            Self::redo(rec, &mut tables, &mut scratch)?;
-        }
-        Ok(tables)
-    }
-
-    /// Replays one committed record into `tables`, recursing into batches.
-    fn redo(
-        rec: &LogRecord,
-        tables: &mut BTreeMap<String, Table>,
-        scratch: &mut OpStats,
     ) -> Result<()> {
-        match rec {
-            LogRecord::CreateTable { schema, .. } => {
-                tables.insert(schema.name.clone(), Table::new(schema.clone())?);
+        let mut scratch = OpStats::default();
+        let mut live_rows =
+            |t: &'a Table| with_rows.then(|| t.scan(Snapshot::latest(), &mut scratch));
+        let size = match &mut self.durable {
+            Some(d) => {
+                let snapshot = tables
+                    .map(|t| TableSnapshot {
+                        schema: t.schema.clone(),
+                        rows: live_rows(t)
+                            .map(|rows| rows.map(|r| (r.id, r.row.clone())).collect())
+                            .unwrap_or_default(),
+                    })
+                    .collect();
+                let record = LogRecord::Checkpoint { snapshot };
+                d.rotate(&record, stats)?;
+                record.approx_size()
             }
-            LogRecord::DropTable { table, .. } => {
-                tables.remove(table);
-            }
-            LogRecord::Insert {
-                table, row_id, row, ..
-            } => {
-                let t = tables
-                    .get_mut(table)
-                    .ok_or_else(|| Error::Wal(format!("insert into unknown table {table}")))?;
-                t.insert_with_id(*row_id, row.clone(), scratch)?;
-            }
-            LogRecord::Delete { table, row_id, .. } => {
-                let t = tables
-                    .get_mut(table)
-                    .ok_or_else(|| Error::Wal(format!("delete from unknown table {table}")))?;
-                t.remove_physical(*row_id, scratch)?;
-            }
-            LogRecord::Update {
-                table,
-                row_id,
-                after,
-                ..
-            } => {
-                let t = tables
-                    .get_mut(table)
-                    .ok_or_else(|| Error::Wal(format!("update of unknown table {table}")))?;
-                t.restore(*row_id, after.clone())?;
-            }
-            LogRecord::Batch { changes, .. } => {
-                for change in changes {
-                    Self::redo(change, tables, scratch)?;
-                }
-            }
-            LogRecord::Begin { .. }
-            | LogRecord::Commit { .. }
-            | LogRecord::Abort { .. }
-            | LogRecord::Checkpoint { .. } => {}
-        }
+            None => checkpoint_size(tables.map(|t| {
+                live_rows(t).map_or(0, |rows| rows.map(|r| r.row.approx_size()).sum())
+            })),
+        };
+        stats.checkpoints += 1;
+        stats.wal_records += 1;
+        stats.wal_bytes += size as u64;
         Ok(())
     }
+}
+
+/// The largest transaction id mentioned anywhere in `records`. After
+/// recovery the transaction manager must allocate past this, or a new
+/// transaction could collide with a logged one and make its uncommitted
+/// changes look committed.
+pub fn max_txn_id(records: &[LogRecord]) -> u64 {
+    fn walk(rec: &LogRecord) -> u64 {
+        let own = rec.txn().map(|t| t.0).unwrap_or(0);
+        match rec {
+            LogRecord::Batch { changes, .. } => changes.iter().map(walk).fold(own, u64::max),
+            _ => own,
+        }
+    }
+    records.iter().map(walk).max().unwrap_or(0)
+}
+
+/// What recovery replays of a decoded log: the last checkpoint's snapshot
+/// (empty when there is none) and, in log order, the records after it that
+/// belong to *committed* transactions. Changes of unfinished or aborted
+/// transactions are dropped here.
+pub(crate) fn committed_suffix(
+    records: Vec<LogRecord>,
+) -> (Vec<TableSnapshot>, impl Iterator<Item = LogRecord>) {
+    let committed: HashSet<TxnId> = records
+        .iter()
+        .filter_map(|r| match r {
+            LogRecord::Commit { txn } => Some(*txn),
+            _ => None,
+        })
+        .collect();
+    let last_checkpoint = records
+        .iter()
+        .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
+    let mut rest = records.into_iter();
+    let snapshot = match last_checkpoint.and_then(|i| rest.nth(i)) {
+        Some(LogRecord::Checkpoint { snapshot }) => snapshot,
+        _ => Vec::new(),
+    };
+    let suffix = rest.filter(move |r| r.txn().is_some_and(|txn| committed.contains(&txn)));
+    (snapshot, suffix)
+}
+
+/// Rebuilds the full set of tables implied by `records`: the latest
+/// checkpoint (if any) plus all *committed* transactions after it.
+///
+/// Recovery replays through the tables' **physical** operations, so the
+/// rebuilt catalog holds exactly one committed version per live row
+/// (stamped [`crate::mvcc::COMMITTED_TXN`], visible to every snapshot of
+/// the recovered database) — uncommitted versions, tombstones and
+/// version chains never survive a crash.
+pub fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
+    let (snapshot, suffix) = committed_suffix(records);
+    let mut scratch = OpStats::default();
+    let mut tables: BTreeMap<String, Table> = BTreeMap::new();
+    for snap in snapshot {
+        let name = snap.schema.name.clone();
+        let mut table = Table::new(snap.schema)?;
+        for (id, row) in snap.rows {
+            table.insert_with_id(id, row, &mut scratch)?;
+        }
+        tables.insert(name, table);
+    }
+    for rec in suffix {
+        redo(rec, &mut tables, &mut scratch)?;
+    }
+    Ok(tables)
+}
+
+/// Replays one committed record into `tables`, recursing into batches.
+fn redo(
+    rec: LogRecord,
+    tables: &mut BTreeMap<String, Table>,
+    scratch: &mut OpStats,
+) -> Result<()> {
+    let unknown = |verb: &str, table: &str| Error::Wal(format!("{verb} unknown table {table}"));
+    match rec {
+        LogRecord::CreateTable { schema, .. } => {
+            tables.insert(schema.name.clone(), Table::new(schema)?);
+        }
+        LogRecord::DropTable { table, .. } => {
+            tables.remove(&*table);
+        }
+        LogRecord::Insert {
+            table, row_id, row, ..
+        } => {
+            let t = tables
+                .get_mut(&*table)
+                .ok_or_else(|| unknown("insert into", &table))?;
+            t.insert_with_id(row_id, row, scratch)?;
+        }
+        LogRecord::Delete { table, row_id, .. } => {
+            let t = tables
+                .get_mut(&*table)
+                .ok_or_else(|| unknown("delete from", &table))?;
+            t.remove_physical(row_id, scratch)?;
+        }
+        LogRecord::Update {
+            table,
+            row_id,
+            after,
+            ..
+        } => {
+            let t = tables
+                .get_mut(&*table)
+                .ok_or_else(|| unknown("update of", &table))?;
+            t.restore(row_id, after)?;
+        }
+        LogRecord::Batch { changes, .. } => {
+            for change in changes {
+                redo(change, tables, scratch)?;
+            }
+        }
+        LogRecord::Begin { .. }
+        | LogRecord::Commit { .. }
+        | LogRecord::Abort { .. }
+        | LogRecord::Checkpoint { .. } => {}
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::MemDevice;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
 
@@ -661,29 +633,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recovery_replays_only_committed_transactions() {
-        let mut wal = Wal::new();
-        let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(
+    /// `Begin` + `CREATE TABLE jobs` + the given inserts + `Commit`, as txn 1.
+    fn committed_create(inserts: Vec<LogRecord>) -> Vec<LogRecord> {
+        let mut log = vec![
+            LogRecord::Begin { txn: TxnId(1) },
             LogRecord::CreateTable {
                 txn: TxnId(1),
                 schema: schema(),
             },
-            &mut stats,
-        );
-        wal.append(insert_rec(1, 1, 100, "idle"), &mut stats);
-        wal.append(LogRecord::Commit { txn: TxnId(1) }, &mut stats);
+        ];
+        log.extend(inserts);
+        log.push(LogRecord::Commit { txn: TxnId(1) });
+        log
+    }
 
+    #[test]
+    fn recovery_replays_only_committed_transactions() {
+        let mut log = committed_create(vec![insert_rec(1, 1, 100, "idle")]);
         // Txn 2 inserts but never commits; txn 3 inserts and aborts.
-        wal.append(LogRecord::Begin { txn: TxnId(2) }, &mut stats);
-        wal.append(insert_rec(2, 2, 200, "idle"), &mut stats);
-        wal.append(LogRecord::Begin { txn: TxnId(3) }, &mut stats);
-        wal.append(insert_rec(3, 3, 300, "idle"), &mut stats);
-        wal.append(LogRecord::Abort { txn: TxnId(3) }, &mut stats);
+        log.extend([
+            LogRecord::Begin { txn: TxnId(2) },
+            insert_rec(2, 2, 200, "idle"),
+            LogRecord::Begin { txn: TxnId(3) },
+            insert_rec(3, 3, 300, "idle"),
+            LogRecord::Abort { txn: TxnId(3) },
+        ]);
+        assert_eq!(max_txn_id(&log), 3);
 
-        let tables = wal.recover().unwrap();
+        let tables = recover(log).unwrap();
         let jobs = tables.get("jobs").unwrap();
         assert_eq!(jobs.len(), 1);
         assert!(jobs.get(RowId(1)).is_some());
@@ -693,46 +670,34 @@ mod tests {
 
     #[test]
     fn recovery_applies_updates_and_deletes() {
-        let mut wal = Wal::new();
-        let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(
-            LogRecord::CreateTable {
-                txn: TxnId(1),
-                schema: schema(),
-            },
-            &mut stats,
-        );
-        wal.append(insert_rec(1, 1, 100, "idle"), &mut stats);
-        wal.append(insert_rec(1, 2, 200, "idle"), &mut stats);
-        wal.append(
+        let mut log = committed_create(vec![
+            insert_rec(1, 1, 100, "idle"),
+            insert_rec(1, 2, 200, "idle"),
+        ]);
+        let commit = log.pop().unwrap();
+        log.extend([
             LogRecord::Update {
                 txn: TxnId(1),
                 table: "jobs".into(),
                 row_id: RowId(1),
-                before: Row::new(vec![Value::Int(100), Value::Text("idle".into())]),
                 after: Row::new(vec![Value::Int(100), Value::Text("running".into())]),
             },
-            &mut stats,
-        );
-        wal.append(
             LogRecord::Delete {
                 txn: TxnId(1),
                 table: "jobs".into(),
                 row_id: RowId(2),
-                before: Row::new(vec![Value::Int(200), Value::Text("idle".into())]),
             },
-            &mut stats,
-        );
-        wal.append(LogRecord::Commit { txn: TxnId(1) }, &mut stats);
+            commit,
+        ]);
 
-        let tables = wal.recover().unwrap();
+        let tables = recover(log).unwrap();
         let jobs = tables.get("jobs").unwrap();
         assert_eq!(jobs.len(), 1);
         assert_eq!(
             jobs.get(RowId(1)).unwrap().get(1),
             &Value::Text("running".into())
         );
+        jobs.check_consistency().unwrap();
     }
 
     #[test]
@@ -740,107 +705,82 @@ mod tests {
         // A duplicated/corrupt log (two committed inserts sharing a primary
         // key) must fail recovery loudly, not rebuild a catalog that
         // violates its unique constraints.
-        let mut wal = Wal::new();
-        let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(
-            LogRecord::CreateTable {
-                txn: TxnId(1),
-                schema: schema(),
-            },
-            &mut stats,
-        );
-        wal.append(insert_rec(1, 1, 100, "idle"), &mut stats);
-        wal.append(insert_rec(1, 2, 100, "held"), &mut stats);
-        wal.append(LogRecord::Commit { txn: TxnId(1) }, &mut stats);
-        assert!(matches!(wal.recover(), Err(Error::Constraint(_))));
+        let log = committed_create(vec![
+            insert_rec(1, 1, 100, "idle"),
+            insert_rec(1, 2, 100, "held"),
+        ]);
+        assert!(matches!(recover(log), Err(Error::Constraint(_))));
     }
 
     #[test]
     fn checkpoint_truncates_and_recovery_uses_it() {
-        let mut wal = Wal::new();
         let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(
-            LogRecord::CreateTable {
-                txn: TxnId(1),
-                schema: schema(),
-            },
+        let (mut wal, found) = Wal::open_device(
+            Box::new(MemDevice::new()),
+            DurabilityPolicy::Always,
+            Arc::new(Failpoints::new()),
             &mut stats,
-        );
-        wal.append(insert_rec(1, 1, 100, "idle"), &mut stats);
-        wal.append(LogRecord::Commit { txn: TxnId(1) }, &mut stats);
-        let before_len = wal.len();
+        )
+        .unwrap();
+        assert!(found.is_empty(), "a fresh device holds no records");
+        let log = committed_create(vec![insert_rec(1, 1, 100, "idle")]);
+        for rec in &log {
+            wal.append(rec, &mut stats);
+        }
 
-        // Build the snapshot the checkpoint would capture.
-        let recovered = wal.recover().unwrap();
-        let snapshot: Vec<TableSnapshot> = recovered
-            .values()
-            .map(|t| TableSnapshot {
-                schema: t.schema.clone(),
-                rows: {
-                    let mut s = OpStats::default();
-                    t.scan(crate::mvcc::Snapshot::latest(), &mut s)
-                        .map(|r| (r.id, r.row.clone()))
-                        .collect()
-                },
-            })
-            .collect();
-        wal.checkpoint(snapshot, &mut stats).unwrap();
-        assert!(wal.len() < before_len);
+        let tables = recover(log).unwrap();
+        wal.checkpoint(tables.values(), true, &mut stats).unwrap();
         assert_eq!(stats.checkpoints, 1);
+        // The rotated segment holds the checkpoint record and nothing else.
+        let rotated = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();
+        assert!(matches!(rotated.records[..], [LogRecord::Checkpoint { .. }]));
 
-        // Post-checkpoint committed work still replays.
-        wal.append(LogRecord::Begin { txn: TxnId(2) }, &mut stats);
-        wal.append(insert_rec(2, 2, 200, "held"), &mut stats);
-        wal.append(LogRecord::Commit { txn: TxnId(2) }, &mut stats);
-
-        let tables = wal.recover().unwrap();
-        let jobs = tables.get("jobs").unwrap();
-        assert_eq!(jobs.len(), 2);
+        // Post-checkpoint committed work still replays on top of it.
+        for rec in [
+            LogRecord::Begin { txn: TxnId(2) },
+            insert_rec(2, 2, 200, "held"),
+            LogRecord::Commit { txn: TxnId(2) },
+        ] {
+            wal.append(&rec, &mut stats);
+        }
+        wal.flush(&mut stats).unwrap();
+        let reopened = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();
+        assert_eq!(reopened.records.len(), 4);
+        let tables = recover(reopened.records).unwrap();
+        assert_eq!(tables.get("jobs").unwrap().len(), 2);
     }
 
     #[test]
     fn recovery_replays_batch_records() {
-        let mut wal = Wal::new();
-        let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(
-            LogRecord::CreateTable {
-                txn: TxnId(1),
-                schema: schema(),
-            },
-            &mut stats,
-        );
-        // One append carries three inserts; a later nested batch updates one.
-        wal.append(
-            LogRecord::Batch {
-                txn: TxnId(1),
-                changes: vec![
-                    insert_rec(1, 1, 100, "idle"),
-                    insert_rec(1, 2, 200, "idle"),
-                    insert_rec(1, 3, 300, "idle"),
-                ],
-            },
-            &mut stats,
-        );
-        wal.append(LogRecord::Commit { txn: TxnId(1) }, &mut stats);
+        // One record carries three inserts.
+        let mut log = committed_create(vec![LogRecord::Batch {
+            txn: TxnId(1),
+            changes: vec![
+                insert_rec(1, 1, 100, "idle"),
+                insert_rec(1, 2, 200, "idle"),
+                insert_rec(1, 3, 300, "idle"),
+            ],
+        }]);
         // An uncommitted batch must not replay.
-        wal.append(LogRecord::Begin { txn: TxnId(2) }, &mut stats);
-        wal.append(
+        log.extend([
+            LogRecord::Begin { txn: TxnId(2) },
             LogRecord::Batch {
                 txn: TxnId(2),
                 changes: vec![insert_rec(2, 4, 400, "idle")],
             },
-            &mut stats,
-        );
+        ]);
+        // The batch counts as a single WAL record.
+        let mut wal = Wal::new();
+        let mut stats = OpStats::default();
+        for rec in &log {
+            wal.append(rec, &mut stats);
+        }
+        assert_eq!(stats.wal_records, 6);
 
-        let tables = wal.recover().unwrap();
+        let tables = recover(log).unwrap();
         let jobs = tables.get("jobs").unwrap();
         assert_eq!(jobs.len(), 3);
         assert!(jobs.get(RowId(4)).is_none());
-        // The batch counted as a single WAL record.
-        assert_eq!(wal.len(), 6);
         let batch = LogRecord::Batch {
             txn: TxnId(1),
             changes: vec![insert_rec(1, 1, 100, "idle")],
@@ -853,10 +793,12 @@ mod tests {
     fn wal_counts_bytes() {
         let mut wal = Wal::new();
         let mut stats = OpStats::default();
-        wal.append(LogRecord::Begin { txn: TxnId(1) }, &mut stats);
-        wal.append(insert_rec(1, 1, 100, "idle"), &mut stats);
-        assert!(wal.total_bytes() > 0);
+        let records = [LogRecord::Begin { txn: TxnId(1) }, insert_rec(1, 1, 100, "idle")];
+        for rec in &records {
+            wal.append(rec, &mut stats);
+        }
         assert_eq!(stats.wal_records, 2);
-        assert_eq!(stats.wal_bytes, wal.total_bytes());
+        let sized: usize = records.iter().map(LogRecord::approx_size).sum();
+        assert_eq!(stats.wal_bytes, sized as u64);
     }
 }

@@ -4,8 +4,15 @@
 use cluster_sim::{ClusterSpec, JobSpec, SimDuration, SimTime};
 use condor::{CondorConfig, CondorSimulation};
 use condorj2::{CasState, CondorJ2Config, CondorJ2Simulation, HeartbeatReply, HeartbeatReport};
-use relstore::Database;
+use relstore::{Database, DurabilityPolicy, MemDevice};
 use std::sync::Arc;
+
+/// A database over an in-memory log device holding `log`: empty for a new
+/// database, another database's `durable_log_bytes()` to recover it.
+fn on_mem_device(log: Vec<u8>) -> Database {
+    Database::open_with_device(Box::new(MemDevice::with_contents(log)), DurabilityPolicy::Always)
+        .unwrap()
+}
 
 /// Both systems are given the identical workload and cluster; both must
 /// complete every job.
@@ -51,7 +58,9 @@ fn condorj2_uses_fewer_entities_and_channels() {
 #[test]
 fn condorj2_state_survives_cas_crash_via_wal_recovery() {
     let spec = ClusterSpec::uniform_fast(4, 2);
-    let mut pool = CondorJ2Simulation::new(CondorJ2Config::default(), &spec, 9);
+    let durable = Arc::new(on_mem_device(Vec::new()));
+    let mut pool =
+        CondorJ2Simulation::with_database(CondorJ2Config::default(), &spec, 9, durable);
     pool.submit(JobSpec::fixed_batch(30, SimDuration::from_mins(5), "resilient"));
     pool.run_until(SimTime::from_mins(2));
 
@@ -61,7 +70,7 @@ fn condorj2_state_survives_cas_crash_via_wal_recovery() {
     assert!(jobs_before > 0);
 
     // Simulate a CAS/DBMS crash and restart: recover from the log only.
-    let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+    let recovered = on_mem_device(db.durable_log_bytes().unwrap());
     assert_eq!(recovered.table_len("jobs").unwrap(), jobs_before);
     assert_eq!(recovered.table_len("runs").unwrap(), running_before);
     assert_eq!(recovered.table_len("machines").unwrap(), 8);

@@ -3,7 +3,7 @@
 //! vacuum shrinking version chains once the snapshots pinning them close.
 
 use proptest::prelude::*;
-use relstore::{Database, Value};
+use relstore::{Database, DurabilityPolicy, MemDevice, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A table of (a, b) pairs with the invariant `a == b` in every committed
@@ -12,8 +12,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// shows up as `a != b`.
 const PAIRS: i64 = 16;
 
+/// A database over an in-memory log device holding `log`: empty for a new
+/// database, another database's `durable_log_bytes()` to recover it.
+fn on_mem_device(log: Vec<u8>) -> Database {
+    Database::open_with_device(Box::new(MemDevice::with_contents(log)), DurabilityPolicy::Always)
+        .unwrap()
+}
+
 fn pairs_db() -> Database {
-    let db = Database::new();
+    let db = on_mem_device(Vec::new());
     db.execute("CREATE TABLE pairs (id INT PRIMARY KEY, a INT, b INT)").unwrap();
     let ins = db.prepare("INSERT INTO pairs VALUES (?, ?, ?)").unwrap();
     db.session()
@@ -178,7 +185,7 @@ fn vacuum_shrinks_chains_once_the_pinning_snapshot_closes() {
     db.check_consistency().unwrap();
 
     // Recovery from the WAL carries committed versions only.
-    let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+    let recovered = on_mem_device(db.durable_log_bytes().unwrap());
     assert_eq!(recovered.table_max_chain("pairs").unwrap(), 1);
     let r = recovered.query("SELECT a FROM pairs WHERE id = 0").unwrap();
     assert_eq!(r.first_value("a"), Some(&Value::Int(10)));

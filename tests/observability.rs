@@ -245,3 +245,30 @@ fn recovery_records_an_event() {
         other => panic!("unexpected {other:?}"),
     }
 }
+
+/// A prepared handle that outlives its statement-cache entry — every
+/// long-held handle, once 256 ad-hoc texts have run — keeps its executions in
+/// `rel_statements`: they land in the `'(evicted)'` row.
+#[test]
+fn a_handle_that_outlives_its_cache_entry_records_into_the_evicted_row() {
+    let db = Database::new();
+    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)").unwrap();
+    db.execute("INSERT INTO jobs VALUES (1, 'idle')").unwrap();
+    let held = db.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
+    db.session().execute(&held, ("busy", 1i64)).unwrap();
+    for i in 0..256 {
+        db.query(&format!("SELECT state FROM jobs WHERE job_id = {i}")).unwrap();
+    }
+    let listed = "SELECT COUNT(*) AS n FROM rel_statements WHERE sql = 'UPDATE jobs SET state = ? WHERE job_id = ?'";
+    assert_eq!(first_int(&db, listed, "n"), 0, "the held statement's entry aged out");
+
+    // Probed once up front so the probe's own text is cached: from here on
+    // nothing is prepared, so nothing else is evicted.
+    let evicted = "SELECT calls FROM rel_statements WHERE sql = '(evicted)'";
+    first_int(&db, evicted, "calls");
+    let before = first_int(&db, evicted, "calls");
+    for _ in 0..10 {
+        db.session().execute(&held, ("idle", 1i64)).unwrap();
+    }
+    assert_eq!(first_int(&db, evicted, "calls"), before + 10);
+}

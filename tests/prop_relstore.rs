@@ -3,7 +3,7 @@
 //! sequences, WAL recovery equivalence, and rollback isolation.
 
 use proptest::prelude::*;
-use relstore::{Database, OpStats, Row, Value};
+use relstore::{Database, DurabilityPolicy, MemDevice, OpStats, Row, Value};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -46,8 +46,15 @@ fn score_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// A database over an in-memory log device holding `log`: empty for a new
+/// database, another database's `durable_log_bytes()` to recover it.
+fn on_mem_device(log: Vec<u8>) -> Database {
+    Database::open_with_device(Box::new(MemDevice::with_contents(log)), DurabilityPolicy::Always)
+        .unwrap()
+}
+
 fn notes_db() -> Database {
-    let db = Database::new();
+    let db = on_mem_device(Vec::new());
     db.execute("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT, score INT)")
         .unwrap();
     db.execute("CREATE INDEX ON notes (score)").unwrap();
@@ -55,7 +62,7 @@ fn notes_db() -> Database {
 }
 
 fn fresh_db() -> Database {
-    let db = Database::new();
+    let db = on_mem_device(Vec::new());
     db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT NOT NULL, runtime_ms INT)")
         .unwrap();
     db.execute("CREATE INDEX ON jobs (state)").unwrap();
@@ -133,7 +140,7 @@ proptest! {
                 }
             }
         }
-        let recovered = Database::recover_from(db.snapshot_wal()).unwrap();
+        let recovered = on_mem_device(db.durable_log_bytes().unwrap());
         recovered.check_consistency().unwrap();
         let original = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
         let replayed = recovered.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
@@ -291,8 +298,8 @@ proptest! {
 
         // The single WAL batch record recovers to the same state the loop's
         // per-row records do.
-        let from_batched = Database::recover_from(batched.snapshot_wal()).unwrap();
-        let from_looped = Database::recover_from(looped.snapshot_wal()).unwrap();
+        let from_batched = on_mem_device(batched.durable_log_bytes().unwrap());
+        let from_looped = on_mem_device(looped.durable_log_bytes().unwrap());
         prop_assert_eq!(from_batched.query(q).unwrap(), from_looped.query(q).unwrap());
     }
 
