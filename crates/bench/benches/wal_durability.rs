@@ -12,10 +12,18 @@
 //! it: 8 machines carried through register → submit → match → accept →
 //! running → completed by the CAS service methods on an `Always` log — 49
 //! service calls, each one transaction, so 49 log forces per iteration.
+//!
+//! `reopen_checkpointed_130k` / `reopen_log_only_130k` time
+//! `Database::open_with_device` over an in-memory device holding the same
+//! 130 k-row database (4 columns, one secondary index, 2,000 single-row
+//! updates on top): once as a checkpoint image plus the 2 k-update suffix,
+//! once as the plain log that produced it. It is the engine-side twin of the
+//! end-to-end `call.recovery_s`, and the baseline an automatic checkpoint
+//! policy is judged against.
 
 use condorj2::{CasState, HeartbeatReply, HeartbeatReport};
 use criterion::{criterion_group, criterion_main, Criterion};
-use relstore::{Database, DurabilityPolicy};
+use relstore::{Database, DurabilityPolicy, MemDevice};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -127,5 +135,49 @@ fn bench_cas_lifecycle(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
-criterion_group!(benches, bench_wal_durability, bench_cas_lifecycle);
+const REOPEN_ROWS: i64 = 130_000;
+const REOPEN_SUFFIX_UPDATES: i64 = 2_000;
+
+fn open_mem(bytes: Vec<u8>) -> Database {
+    Database::open_with_device(Box::new(MemDevice::with_contents(bytes)), DurabilityPolicy::Always)
+        .unwrap()
+}
+
+/// The log bytes of a 130 k-row database with 2,000 single-row updates on
+/// top; with `checkpoint`, the bulk load is rotated into one image first.
+fn reopen_log(checkpoint: bool) -> Vec<u8> {
+    let db = open_mem(Vec::new());
+    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT, state TEXT, runtime_ms INT)")
+        .unwrap();
+    db.execute("CREATE INDEX ON jobs (state)").unwrap();
+    let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, ?, ?)").unwrap();
+    let mut sql = db.session();
+    for chunk in 0..REOPEN_ROWS / 1_000 {
+        let ids = chunk * 1_000..(chunk + 1) * 1_000;
+        sql.execute_batch(&ins, ids.map(|i| (i, format!("user{}", i % 50), "idle", 60_000i64)))
+            .unwrap();
+    }
+    if checkpoint {
+        db.checkpoint().unwrap();
+    }
+    let upd = db.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
+    for i in 0..REOPEN_SUFFIX_UPDATES {
+        sql.execute(&upd, ("running", i * (REOPEN_ROWS / REOPEN_SUFFIX_UPDATES))).unwrap();
+    }
+    db.durable_log_bytes().unwrap()
+}
+
+fn bench_reopen(c: &mut Criterion) {
+    for (name, checkpoint) in [("reopen_checkpointed_130k", true), ("reopen_log_only_130k", false)] {
+        let bytes = reopen_log(checkpoint);
+        let reopened = open_mem(bytes.clone());
+        assert_eq!(reopened.table_len("jobs").unwrap() as i64, REOPEN_ROWS);
+        drop(reopened);
+        // The device takes its contents by value; the ~10 MB copy is under
+        // 1 % of an open.
+        c.bench_function(name, |b| b.iter(|| open_mem(black_box(bytes.clone()))));
+    }
+}
+
+criterion_group!(benches, bench_wal_durability, bench_cas_lifecycle, bench_reopen);
 criterion_main!(benches);

@@ -23,12 +23,6 @@ pub mod points {
     /// Fires inside checkpoint segment rotation, before the new segment
     /// replaces the old one.
     pub const WAL_ROTATE: &str = "wal.rotate";
-    /// Fires inside the page store, once per page write of a batch, before
-    /// the page image reaches the block device.
-    pub const PAGE_WRITE: &str = "page.write";
-    /// Fires inside the page store's batch fsync, before the block device
-    /// syncs.
-    pub const PAGE_SYNC: &str = "page.sync";
 }
 
 /// What an armed failpoint does when the IO path reaches it.

@@ -286,80 +286,18 @@
 //!   writes the compacted snapshot to a fresh segment and swaps it in with an
 //!   atomic rename, so a crash mid-checkpoint always leaves one intact log:
 //!   either the full old one or the complete new one.
+//! * **Checkpoint image + log suffix is the one durable form.** Every table
+//!   lives in memory; an open replays the last checkpoint's image and the
+//!   committed records appended since, so recovery time follows the live
+//!   data plus whatever was logged after the last checkpoint. Nothing
+//!   checkpoints on its own yet — what grows without bound is the log
+//!   *between* checkpoints, so a long-running service calls
+//!   [`checkpoint`](db::Database::checkpoint) from its maintenance tick.
 //! * **Fault injection is built in.** [`Failpoints`]
 //!   ([`Database::failpoints`](db::Database::failpoints)) arms named IO
 //!   failure modes — short writes, torn writes, fsync errors, crashes — for
 //!   deterministic crash-recovery tests; disarmed checks are a single atomic
 //!   load.
-//!
-//! ## Paged storage
-//!
-//! [`Database::open_durable`](db::Database::open_durable) keeps every table
-//! in memory and replays the whole log on open, so recovery time and memory
-//! both grow with the dataset. [`Database::open_paged`](db::Database::open_paged)
-//! adds the [`storage`] subsystem behind the same `Table` seam: table row
-//! heaps live in fixed-size, CRC-checksummed slotted pages in a file-backed
-//! page store (with overflow chains for rows bigger than a page), cached by
-//! a clock-eviction buffer pool whose memory ceiling is
-//! `page_size * pool_pages` ([`PagedConfig`]). The SQL surface, MVCC,
-//! indexes and executors are untouched — and [`Database::new`] remains the
-//! purely in-memory engine, byte for byte.
-//!
-//! The write path keeps three invariants:
-//!
-//! * **WAL before data.** A dirty page is written back only after the log
-//!   records that produced it are synced; [`Database::checkpoint`](db::Database::checkpoint)
-//!   flushes all dirty pages *before* rotating the log segment, so the WAL
-//!   suffix past the last checkpoint always covers any page-file drift.
-//! * **No steal, doublewrite.** Uncommitted changes never reach the page
-//!   file (per-transaction buffers apply at commit), and every page batch
-//!   is journaled before the in-place writes — a torn page write
-//!   ([`Failpoints`] `page.write` / `page.sync`) heals from the journal on
-//!   reopen instead of surfacing as corruption.
-//! * **Deferred frees.** A freed page becomes reusable only after the
-//!   checkpoint that makes its deletion durable, so a crash can never leave
-//!   a stale reference pointing into recycled storage.
-//!
-//! Reopen verifies every page checksum (a damaged page is a typed
-//! [`Error::Corruption`], never a panic or a silent wrong read) and replays
-//! only the committed WAL suffix past the last page-consistent checkpoint —
-//! decoded for the open and consumed by the replay, like every log; what the
-//! running engine holds of the WAL is the device and its unsynced flag (the
-//! WAL-before-data gate):
-//!
-//! ```
-//! use relstore::Database;
-//!
-//! let base = std::env::temp_dir().join(format!("relstore_doc_paged_{}", std::process::id()));
-//! # let files: Vec<std::path::PathBuf> = [".wal", ".pages", ".journal"].iter().map(|ext| {
-//! #     let mut p = base.clone().into_os_string(); p.push(ext); p.into()
-//! # }).collect();
-//! # for f in &files { let _ = std::fs::remove_file(f); }
-//! {
-//!     // Creates base.wal, base.pages and base.journal next to each other.
-//!     let db = Database::open_paged(&base)?;
-//!     assert!(db.is_paged());
-//!     db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)")?;
-//!     db.execute("INSERT INTO jobs VALUES (1, 'idle')")?;
-//!     db.checkpoint()?; // flushes dirty pages, then rotates the log
-//!     db.execute("INSERT INTO jobs VALUES (2, 'running')")?;
-//!     // The process "crashes" here: row 2 may exist only in the WAL.
-//! }
-//! // Reopen loads the page file, verifies checksums, and replays the
-//! // committed suffix — both rows are back.
-//! let db = Database::open_paged(&base)?;
-//! assert_eq!(db.table_len("jobs")?, 2);
-//! # drop(db);
-//! # for f in &files { let _ = std::fs::remove_file(f); }
-//! # Ok::<(), relstore::Error>(())
-//! ```
-//!
-//! Pool behaviour is observable: `pages_read` / `pages_written`,
-//! `buffer_hits` / `buffer_evictions` and the `overflow_pages` gauge in
-//! [`OpStats`]. [`Database::open_paged_with`](db::Database::open_paged_with)
-//! picks the [`DurabilityPolicy`] and [`PagedConfig`];
-//! [`Database::open_paged_with_devices`](db::Database::open_paged_with_devices)
-//! swaps in in-memory devices ([`MemDevice`], [`MemBlockDevice`]) for tests.
 //!
 //! ## Resource governance
 //!
@@ -438,8 +376,7 @@
 //! fixed-capacity slow-query ring with a wait breakdown
 //! ([`Database::set_slow_query_threshold`](db::Database::set_slow_query_threshold);
 //! disarmed by default and then one relaxed load per statement), and an
-//! event ring of coarse spans (checkpoints, vacuum sweeps, recovery,
-//! eviction storms).
+//! event ring of coarse spans (checkpoints, vacuum sweeps, recovery).
 //!
 //! All of it is served through the normal SELECT path as **virtual system
 //! tables** — `rel_stats`, `rel_histograms`, `rel_statements`,
@@ -639,7 +576,6 @@ pub mod schema;
 pub mod session;
 pub mod sql;
 pub mod stats;
-pub mod storage;
 pub mod table;
 pub mod tuple;
 pub mod txn;
@@ -661,7 +597,6 @@ pub use predicate::{CmpOp, Expr};
 pub use schema::{Column, Schema};
 pub use session::{retry_with_backoff, retry_with_backoff_deadline, Session, Transaction};
 pub use stats::OpStats;
-pub use storage::{BlockDevice, FsBlockDevice, MemBlockDevice, PagedConfig};
 pub use tuple::{Row, RowId};
 pub use value::{DataType, Value};
 pub use wal::TxnId;

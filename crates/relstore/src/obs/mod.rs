@@ -7,7 +7,7 @@
 //! statement carries a [cumulative profile](profile::StmtProfile), statements
 //! that cross an armed threshold are captured in a [slow-query
 //! ring](ring::SlowQueryLog) with a wait breakdown, and coarse engine spans
-//! (checkpoints, vacuum sweeps, recovery, eviction storms) land in an [event
+//! (checkpoints, vacuum sweeps, recovery) land in an [event
 //! ring](ring::EventRing). All of it is served back through the normal SELECT
 //! path as [virtual system tables](systables) — `rel_stats`,
 //! `rel_histograms`, `rel_statements`, `rel_slow_queries`, `rel_events` — so
@@ -147,19 +147,14 @@ impl Histograms {
     }
 }
 
-/// Where a statement's time went, for the slow-query breakdown and the
-/// eviction-storm detector. Built from the statement's private [`OpStats`]
-/// delta, so it costs nothing to produce.
+/// Where a statement's time went, for the slow-query breakdown. Built from
+/// the statement's private [`OpStats`] delta, so it costs nothing to produce.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WaitBreakdown {
     /// Nanoseconds blocked on table locks.
     pub lock_wait_nanos: u64,
     /// Nanoseconds inside durable-log fsyncs.
     pub fsync_nanos: u64,
-    /// Nanoseconds recycling buffer-pool frames.
-    pub eviction_nanos: u64,
-    /// Buffer-pool frames recycled.
-    pub evictions: u64,
 }
 
 impl WaitBreakdown {
@@ -168,8 +163,6 @@ impl WaitBreakdown {
         WaitBreakdown {
             lock_wait_nanos: local.lock_wait_nanos,
             fsync_nanos: local.wal_fsync_nanos,
-            eviction_nanos: local.eviction_nanos,
-            evictions: local.buffer_evictions,
         }
     }
 
@@ -179,15 +172,9 @@ impl WaitBreakdown {
         WaitBreakdown {
             lock_wait_nanos: self.lock_wait_nanos.saturating_sub(earlier.lock_wait_nanos),
             fsync_nanos: self.fsync_nanos.saturating_sub(earlier.fsync_nanos),
-            eviction_nanos: self.eviction_nanos.saturating_sub(earlier.eviction_nanos),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
         }
     }
 }
-
-/// A single statement recycling this many buffer-pool frames is recorded as
-/// an `eviction_storm` event: the working set no longer fits the pool.
-pub const EVICTION_STORM_THRESHOLD: u64 = 64;
 
 /// The engine's observability state: histograms, slow-query log, event ring.
 /// One per [`Database`](crate::Database), shared via `Arc` with the WAL (for
@@ -198,15 +185,15 @@ pub struct Observability {
     pub histograms: Histograms,
     /// The slow-query ring (disarmed until a threshold is set).
     pub slow_log: SlowQueryLog,
-    /// Coarse engine spans: checkpoints, vacuums, recovery, eviction storms.
+    /// Coarse engine spans: checkpoints, vacuums, recovery.
     pub events: EventRing,
 }
 
 impl Observability {
     /// Records a finished statement: one histogram sample, the optional
-    /// prepared-statement profile, the slow-query check, and eviction-storm
-    /// detection. `local` is the statement's private counter delta; the
-    /// `slow_queries` counter is bumped in it when the statement is captured.
+    /// prepared-statement profile and the slow-query check. `local` is the
+    /// statement's private counter delta; the `slow_queries` counter is
+    /// bumped in it when the statement is captured.
     #[inline]
     pub(crate) fn record_statement(
         &self,
@@ -231,19 +218,7 @@ impl Observability {
                 rows,
                 lock_wait_nanos: wait.lock_wait_nanos,
                 fsync_nanos: wait.fsync_nanos,
-                eviction_nanos: wait.eviction_nanos,
             });
-        }
-        if wait.evictions >= EVICTION_STORM_THRESHOLD {
-            self.events.record(
-                "eviction_storm",
-                format!(
-                    "one {} statement recycled {} buffer frame(s)",
-                    kind.name(),
-                    wait.evictions
-                ),
-                wait.eviction_nanos,
-            );
         }
     }
 }
@@ -322,28 +297,6 @@ mod tests {
         assert_eq!(captured[0].lock_wait_nanos, 200);
         assert_eq!(captured[0].sql.as_deref(), Some("SELECT 1"));
         assert_eq!(local.slow_queries, 1);
-    }
-
-    #[test]
-    fn eviction_storms_become_events() {
-        let obs = Observability::default();
-        let mut local = OpStats::default();
-        obs.record_statement(
-            StmtKind::Insert,
-            1_000,
-            1,
-            None,
-            WaitBreakdown {
-                evictions: EVICTION_STORM_THRESHOLD,
-                eviction_nanos: 777,
-                ..Default::default()
-            },
-            &mut local,
-        );
-        let events = obs.events.entries();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "eviction_storm");
-        assert_eq!(events[0].duration_nanos, 777);
     }
 
     #[test]

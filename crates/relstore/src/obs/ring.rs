@@ -43,8 +43,6 @@ pub struct SlowQueryEntry {
     pub lock_wait_nanos: u64,
     /// Nanoseconds of the duration spent in durable-log fsyncs.
     pub fsync_nanos: u64,
-    /// Nanoseconds of the duration spent recycling buffer-pool frames.
-    pub eviction_nanos: u64,
 }
 
 /// A bounded ring of the most recent statements that crossed the armed
@@ -117,14 +115,13 @@ impl SlowQueryLog {
     }
 }
 
-/// One coarse engine event — a checkpoint, vacuum sweep, recovery, or
-/// eviction storm — with its duration and a human-readable detail line.
+/// One coarse engine event — a checkpoint, vacuum sweep or recovery — with
+/// its duration and a human-readable detail line.
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Monotonic capture sequence number.
     pub seq: u64,
-    /// Event kind tag, e.g. `"checkpoint"`, `"vacuum"`, `"recovery"`,
-    /// `"eviction_storm"`.
+    /// Event kind tag, e.g. `"checkpoint"`, `"vacuum"`, `"recovery"`.
     pub kind: &'static str,
     /// Human-readable phase/size breakdown.
     pub detail: String,
@@ -179,7 +176,6 @@ mod tests {
             rows: 1,
             lock_wait_nanos: 0,
             fsync_nanos: 0,
-            eviction_nanos: 0,
         }
     }
 

@@ -204,7 +204,7 @@ pub fn statements_table(profiles: Vec<StmtProfileSnapshot>, evicted: EvictedTota
 }
 
 /// `rel_slow_queries(seq INT, sql TEXT, kind TEXT, duration_us DOUBLE,
-/// rows INT, lock_wait_us, fsync_us, eviction_us DOUBLE)` — the slow-query
+/// rows INT, lock_wait_us, fsync_us DOUBLE)` — the slow-query
 /// ring, oldest first. `sql` is NULL for programmatic (AST) execution.
 pub fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
     let rows = entries
@@ -221,7 +221,6 @@ pub fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
                 int(e.rows),
                 nanos_to_us(e.lock_wait_nanos),
                 nanos_to_us(e.fsync_nanos),
-                nanos_to_us(e.eviction_nanos),
             ]
         })
         .collect();
@@ -235,7 +234,6 @@ pub fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
             Column::not_null("rows", DataType::Int),
             Column::not_null("lock_wait_us", DataType::Double),
             Column::not_null("fsync_us", DataType::Double),
-            Column::not_null("eviction_us", DataType::Double),
         ],
         rows,
     )

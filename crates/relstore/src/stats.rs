@@ -203,27 +203,10 @@ define_stats! {
          the oldest live snapshot trails the newest transaction. A gauge like \
          [`OpStats::max_version_chain`]: `merge` takes the max and \
          `delta_since` reports the current mark, not a difference.",
-    counter pages_read:
-        "Pages read from the page store (buffer-pool misses and recovery \
-         scans). Always zero for purely in-memory databases.",
-    counter pages_written:
-        "Pages written to the page store (evictions and checkpoint flushes).",
-    counter buffer_hits:
-        "Buffer-pool hits: page accesses satisfied without touching the store.",
-    counter buffer_evictions:
-        "Buffer-pool evictions: frames recycled to make room for another page.",
-    counter eviction_nanos:
-        "Cumulative nanoseconds spent recycling buffer-pool frames (including \
-         the write-back of dirty pages, whose WAL flush also lands in \
-         [`OpStats::wal_fsync_nanos`] — the two overlap by design).",
     counter slow_queries:
         "Statements whose total duration met the armed slow-query threshold \
          and were captured in the slow-query ring (see `rel_slow_queries`). \
          Always zero while the slow-query log is disarmed.",
-    gauge overflow_pages:
-        "High-water mark of live overflow pages (rows larger than a page). A \
-         gauge like [`OpStats::max_version_chain`]: `merge` takes the max and \
-         `delta_since` reports the current mark, not a difference.",
     counter tables_analyzed:
         "Tables whose planner statistics were (re)collected by ANALYZE.",
     counter plans_built:
@@ -535,47 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn paging_counters_and_the_overflow_gauge() {
-        let mut a = OpStats {
-            pages_read: 10,
-            buffer_hits: 50,
-            overflow_pages: 3,
-            ..Default::default()
-        };
-        let b = OpStats {
-            pages_read: 5,
-            pages_written: 7,
-            buffer_evictions: 4,
-            overflow_pages: 2,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.pages_read, 15);
-        assert_eq!(a.pages_written, 7);
-        assert_eq!(a.buffer_hits, 50);
-        assert_eq!(a.buffer_evictions, 4);
-        assert_eq!(a.overflow_pages, 3, "merge keeps the high-water mark");
-
-        let shared = SharedStats::default();
-        shared.record(&a);
-        shared.record(&OpStats {
-            pages_written: 1,
-            overflow_pages: 9,
-            ..Default::default()
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap.pages_read, 15);
-        assert_eq!(snap.pages_written, 8);
-        assert_eq!(snap.overflow_pages, 9, "record keeps the larger mark");
-        let d = snap.delta_since(&OpStats {
-            pages_read: 10,
-            ..Default::default()
-        });
-        assert_eq!(d.pages_read, 5);
-        assert_eq!(d.overflow_pages, 9, "delta reports the current mark");
-    }
-
-    #[test]
     fn total_mutations_sums_writes() {
         let s = OpStats {
             rows_inserted: 2,
@@ -599,7 +541,6 @@ mod tests {
         assert_eq!(fields.first(), Some(&("rows_inserted", 7)));
         assert_eq!(fields.last(), Some(&("rows_materialized", 5)));
         assert!(fields.contains(&("slow_queries", 2)));
-        assert!(fields.contains(&("overflow_pages", 0)));
         assert!(fields.contains(&("wal_fsync_nanos", 0)));
         // One entry per struct field, no duplicates.
         let names: std::collections::BTreeSet<_> = fields.iter().map(|(n, _)| *n).collect();
@@ -612,7 +553,6 @@ mod tests {
             "max_version_chain",
             "active_connections",
             "horizon_lag",
-            "overflow_pages",
         ] {
             assert!(OpStats::is_gauge(gauge), "{gauge} should be a gauge");
         }
@@ -621,7 +561,6 @@ mod tests {
             "statements_executed",
             "wal_fsync_nanos",
             "lock_wait_nanos",
-            "eviction_nanos",
             "slow_queries",
         ] {
             assert!(!OpStats::is_gauge(counter), "{counter} should be a counter");
@@ -638,14 +577,12 @@ mod tests {
         };
         let b = OpStats {
             lock_wait_nanos: 500,
-            eviction_nanos: 300,
             slow_queries: 1,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.lock_wait_nanos, 1_500);
         assert_eq!(a.wal_fsync_nanos, 2_000);
-        assert_eq!(a.eviction_nanos, 300);
         assert_eq!(a.slow_queries, 1);
 
         let shared = SharedStats::default();

@@ -18,29 +18,19 @@ use crate::error::{Error, Result};
 use crate::mvcc::Snapshot;
 use crate::tuple::RowId;
 use crate::wal::TxnId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The lock modes supported by the table-level lock manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockMode {
-    /// Shared (read) lock.
-    Shared,
-    /// Exclusive (write) lock.
-    Exclusive,
-}
-
-#[derive(Debug, Default, Clone)]
-struct TableLock {
-    readers: HashSet<TxnId>,
-    writer: Option<TxnId>,
-}
-
-/// Table-granularity lock manager.
-#[derive(Debug, Default, Clone)]
+/// Table-granularity write locks: each table maps to the transaction
+/// writing it, if any. There is no shared mode — readers resolve visibility
+/// against snapshots and never come here.
+#[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<String, TableLock>,
+    /// Keyed by lower-cased table name. An entry is allocated the first time
+    /// a table is ever locked and kept (with its writer cleared) on release,
+    /// so a steady-state acquire is one `&str` lookup and no allocation.
+    writers: HashMap<String, Option<TxnId>>,
 }
 
 impl LockManager {
@@ -49,73 +39,31 @@ impl LockManager {
         LockManager::default()
     }
 
-    /// Acquires `mode` on `table` for `txn`, upgrading a held shared lock to
-    /// exclusive when possible. Fails with `LockConflict` when another
-    /// transaction holds an incompatible lock.
-    pub fn acquire(&mut self, txn: TxnId, table: &str, mode: LockMode) -> Result<()> {
-        let entry = self.locks.entry(table.to_string()).or_default();
-        match mode {
-            LockMode::Shared => {
-                if let Some(w) = entry.writer {
-                    if w != txn {
-                        return Err(Error::LockConflict(format!(
-                            "table {table} write-locked by {w}"
-                        )));
-                    }
-                }
-                entry.readers.insert(txn);
+    /// Takes the write lock on `table` for `txn`; a no-op if `txn` already
+    /// holds it. Fails with `LockConflict` when another transaction does.
+    pub fn acquire(&mut self, txn: TxnId, table: &str) -> Result<()> {
+        match self.writers.get_mut(table) {
+            Some(Some(w)) if *w != txn => {
+                Err(Error::LockConflict(format!("table {table} write-locked by {w}")))
+            }
+            Some(writer) => {
+                *writer = Some(txn);
                 Ok(())
             }
-            LockMode::Exclusive => {
-                if let Some(w) = entry.writer {
-                    if w != txn {
-                        return Err(Error::LockConflict(format!(
-                            "table {table} write-locked by {w}"
-                        )));
-                    }
-                    return Ok(());
-                }
-                let other_readers = entry.readers.iter().any(|r| *r != txn);
-                if other_readers {
-                    return Err(Error::LockConflict(format!(
-                        "table {table} read-locked by another transaction"
-                    )));
-                }
-                entry.readers.remove(&txn);
-                entry.writer = Some(txn);
+            None => {
+                self.writers.insert(table.to_string(), Some(txn));
                 Ok(())
             }
         }
-    }
-
-    /// The transaction currently holding an exclusive lock on `table` (keyed
-    /// lower-case), if any. Used by the read-only autocommit fast path to
-    /// detect conflicts without registering a lock.
-    pub fn writer_of(&self, table: &str) -> Option<TxnId> {
-        self.locks.get(table).and_then(|l| l.writer)
     }
 
     /// Releases every lock held by `txn`.
     pub fn release_all(&mut self, txn: TxnId) {
-        for lock in self.locks.values_mut() {
-            lock.readers.remove(&txn);
-            if lock.writer == Some(txn) {
-                lock.writer = None;
+        for writer in self.writers.values_mut() {
+            if *writer == Some(txn) {
+                *writer = None;
             }
         }
-        self.locks.retain(|_, l| l.writer.is_some() || !l.readers.is_empty());
-    }
-
-    /// Number of tables with at least one lock held.
-    pub fn locked_tables(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// True if `txn` currently holds any lock.
-    pub fn holds_any(&self, txn: TxnId) -> bool {
-        self.locks
-            .values()
-            .any(|l| l.writer == Some(txn) || l.readers.contains(&txn))
     }
 }
 
@@ -349,36 +297,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_locks_are_compatible() {
+    fn exclusive_conflicts_with_other_holders() {
         let mut lm = LockManager::new();
-        lm.acquire(TxnId(1), "jobs", LockMode::Shared).unwrap();
-        lm.acquire(TxnId(2), "jobs", LockMode::Shared).unwrap();
-        assert_eq!(lm.locked_tables(), 1);
-        assert!(lm.holds_any(TxnId(1)));
+        lm.acquire(TxnId(1), "jobs").unwrap();
+        let err = lm.acquire(TxnId(2), "jobs").unwrap_err();
+        assert!(
+            matches!(&err, Error::LockConflict(m) if m == "table jobs write-locked by txn1"),
+            "{err}"
+        );
+        // Locks are per table: another table is free.
+        lm.acquire(TxnId(2), "machines").unwrap();
+        assert!(lm.acquire(TxnId(1), "machines").is_err());
     }
 
     #[test]
-    fn exclusive_conflicts_with_other_holders() {
+    fn reacquiring_a_held_lock_is_a_no_op() {
         let mut lm = LockManager::new();
-        lm.acquire(TxnId(1), "jobs", LockMode::Shared).unwrap();
-        assert!(lm.acquire(TxnId(2), "jobs", LockMode::Exclusive).is_err());
-        // Upgrade by the sole reader succeeds.
-        lm.acquire(TxnId(1), "jobs", LockMode::Exclusive).unwrap();
-        assert!(lm.acquire(TxnId(2), "jobs", LockMode::Shared).is_err());
-        // Re-acquisition by the writer is idempotent.
-        lm.acquire(TxnId(1), "jobs", LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(1), "jobs", LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), "jobs").unwrap();
+        lm.acquire(TxnId(1), "jobs").unwrap();
+        assert!(lm.acquire(TxnId(2), "jobs").is_err(), "still held once");
+        lm.release_all(TxnId(1));
+        lm.acquire(TxnId(2), "jobs").unwrap();
     }
 
     #[test]
     fn release_all_frees_tables() {
         let mut lm = LockManager::new();
-        lm.acquire(TxnId(1), "jobs", LockMode::Exclusive).unwrap();
-        lm.acquire(TxnId(1), "machines", LockMode::Shared).unwrap();
+        lm.acquire(TxnId(1), "jobs").unwrap();
+        lm.acquire(TxnId(1), "machines").unwrap();
+        lm.acquire(TxnId(2), "users").unwrap();
         lm.release_all(TxnId(1));
-        assert_eq!(lm.locked_tables(), 0);
-        assert!(!lm.holds_any(TxnId(1)));
-        lm.acquire(TxnId(2), "jobs", LockMode::Exclusive).unwrap();
+        lm.acquire(TxnId(3), "jobs").unwrap();
+        lm.acquire(TxnId(3), "machines").unwrap();
+        assert!(lm.acquire(TxnId(3), "users").is_err(), "txn2's lock is untouched");
+        // Releasing a transaction that holds nothing is harmless.
+        lm.release_all(TxnId(9));
+        assert!(lm.acquire(TxnId(1), "jobs").is_err());
     }
 
     #[test]

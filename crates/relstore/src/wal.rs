@@ -156,11 +156,6 @@ struct DurableLog {
     poisoned: Option<Error>,
     /// Commits acknowledged since the last successful sync.
     unsynced_commits: usize,
-    /// True when record bytes have been appended since the last successful
-    /// sync or rotation — the paged engine's WAL-before-data gate
-    /// ([`Wal::is_synced`]) flushes before any page write-back while this
-    /// is set.
-    unsynced: bool,
     /// The owning database's observability state, attached after open so
     /// every successful device sync lands one sample in the `wal.fsync`
     /// latency histogram.
@@ -182,7 +177,6 @@ impl DurableLog {
             return;
         }
         let bytes = encode_record(record);
-        self.unsynced = true;
         let result = match self.failpoints.check(points::WAL_APPEND) {
             Some(action) => {
                 stats.failpoints_hit += 1;
@@ -251,7 +245,6 @@ impl DurableLog {
             Ok(()) => {
                 self.note_fsync(sw, stats);
                 self.unsynced_commits = 0;
-                self.unsynced = false;
                 Ok(())
             }
             Err(e) => {
@@ -307,7 +300,6 @@ impl DurableLog {
                 self.note_fsync(sw, stats);
                 stats.wal_segments_rotated += 1;
                 self.unsynced_commits = 0;
-                self.unsynced = false;
                 Ok(())
             }
             Err(e) => {
@@ -368,7 +360,6 @@ impl Wal {
                 failpoints,
                 poisoned: None,
                 unsynced_commits: 0,
-                unsynced: false,
                 obs: None,
             }),
         };
@@ -432,20 +423,8 @@ impl Wal {
         }
     }
 
-    /// True when every appended record is already durable (always true
-    /// without a device). The paged engine's WAL-before-data gate: page
-    /// write-back calls [`Wal::flush`] first whenever this is false.
-    pub fn is_synced(&self) -> bool {
-        match &self.durable {
-            Some(d) => !d.unsynced,
-            None => true,
-        }
-    }
-
-    /// Takes a checkpoint of `tables` (every live row, or the schemas alone
-    /// when `with_rows` is false — a paged database's rows live in its page
-    /// file), counted as one record of the snapshot's
-    /// [`LogRecord::approx_size`].
+    /// Takes a checkpoint of `tables` — every live row — counted as one
+    /// record of the snapshot's [`LogRecord::approx_size`].
     ///
     /// On a durable log this is a **segment rotation**: the new segment
     /// (holding just the checkpoint record) is written beside the old one,
@@ -456,29 +435,25 @@ impl Wal {
     pub fn checkpoint<'a>(
         &mut self,
         tables: impl Iterator<Item = &'a Table>,
-        with_rows: bool,
         stats: &mut OpStats,
     ) -> Result<()> {
         let mut scratch = OpStats::default();
-        let mut live_rows =
-            |t: &'a Table| with_rows.then(|| t.scan(Snapshot::latest(), &mut scratch));
+        let mut live_rows = |t: &'a Table| t.scan(Snapshot::latest(), &mut scratch);
         let size = match &mut self.durable {
             Some(d) => {
                 let snapshot = tables
                     .map(|t| TableSnapshot {
                         schema: t.schema.clone(),
-                        rows: live_rows(t)
-                            .map(|rows| rows.map(|r| (r.id, r.row.clone())).collect())
-                            .unwrap_or_default(),
+                        rows: live_rows(t).map(|r| (r.id, r.row.clone())).collect(),
                     })
                     .collect();
                 let record = LogRecord::Checkpoint { snapshot };
                 d.rotate(&record, stats)?;
                 record.approx_size()
             }
-            None => checkpoint_size(tables.map(|t| {
-                live_rows(t).map_or(0, |rows| rows.map(|r| r.row.approx_size()).sum())
-            })),
+            None => checkpoint_size(
+                tables.map(|t| live_rows(t).map(|r| r.row.approx_size()).sum()),
+            ),
         };
         stats.checkpoints += 1;
         stats.wal_records += 1;
@@ -506,7 +481,7 @@ pub fn max_txn_id(records: &[LogRecord]) -> u64 {
 /// (empty when there is none) and, in log order, the records after it that
 /// belong to *committed* transactions. Changes of unfinished or aborted
 /// transactions are dropped here.
-pub(crate) fn committed_suffix(
+fn committed_suffix(
     records: Vec<LogRecord>,
 ) -> (Vec<TableSnapshot>, impl Iterator<Item = LogRecord>) {
     let committed: HashSet<TxnId> = records
@@ -729,7 +704,7 @@ mod tests {
         }
 
         let tables = recover(log).unwrap();
-        wal.checkpoint(tables.values(), true, &mut stats).unwrap();
+        wal.checkpoint(tables.values(), &mut stats).unwrap();
         assert_eq!(stats.checkpoints, 1);
         // The rotated segment holds the checkpoint record and nothing else.
         let rotated = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();

@@ -429,165 +429,3 @@ fn chaos_soak_conserves_money_through_faults_and_crashes() {
         "abandoners ran but the reaper never fired (seed {seed})"
     );
 }
-
-/// Arms one random failpoint partway through a paged round — the WAL set
-/// plus the page-write/page-sync points, so the doublewrite journal and
-/// page-store poisoning are part of the chaos.
-fn paged_saboteur(db: &Database, stop: &AtomicBool, mut rng: Rng) {
-    let delay = Duration::from_millis(30 + rng.below(120));
-    let until = Instant::now() + delay;
-    while Instant::now() < until {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let (point, action) = match rng.below(6) {
-        0 => (points::WAL_SYNC, FailAction::Err),
-        1 => (points::WAL_APPEND, FailAction::ShortWrite(rng.below(24) as usize)),
-        2 => (points::WAL_APPEND, FailAction::TornWrite(rng.below(40) as usize)),
-        3 => (points::PAGE_WRITE, FailAction::TornWrite(rng.below(300) as usize)),
-        4 => (points::PAGE_SYNC, FailAction::Crash),
-        _ => (points::WAL_SYNC, FailAction::Crash),
-    };
-    db.failpoints().arm(point, action);
-}
-
-/// The soak again, but over the paged storage engine: every round reopens
-/// the page file + journal + WAL triple with real page-aware recovery, and
-/// the saboteur also tears page writes and kills page syncs. Same
-/// invariants: zero panics, conserved money, typed errors only.
-#[test]
-fn paged_chaos_soak_conserves_money_through_faults_and_crashes() {
-    let seed = env_u64("CHAOS_SEED", 0xB00C_2026_0808);
-    let soak = Duration::from_secs(env_u64("CHAOS_PAGED_SECS", 3));
-    println!("paged chaos soak: CHAOS_SEED={seed} CHAOS_PAGED_SECS={}", soak.as_secs());
-    let mut rng = Rng(seed);
-
-    let base = std::env::temp_dir().join(format!(
-        "relstore_chaos_paged_{}_{seed:x}",
-        std::process::id()
-    ));
-    let cleanup = || {
-        for ext in ["wal", "pages", "journal"] {
-            let mut p = base.clone().into_os_string();
-            p.push(format!(".{ext}"));
-            let _ = std::fs::remove_file(p);
-        }
-    };
-    cleanup();
-
-    {
-        let db = Database::open_paged(&base).unwrap();
-        db.execute("CREATE TABLE accounts (id INT PRIMARY KEY, balance INT)").unwrap();
-        let ins = db.prepare("INSERT INTO accounts VALUES (?, ?)").unwrap();
-        db.session()
-            .execute_batch(&ins, (0..ACCOUNTS).map(|id| (id, OPENING)))
-            .unwrap();
-    }
-
-    let deadline = Instant::now() + soak;
-    let total_commits = AtomicU64::new(0);
-    let total_reads = AtomicU64::new(0);
-    let total_obs_reads = AtomicU64::new(0);
-    let mut rounds = 0u32;
-    loop {
-        rounds += 1;
-
-        let db = Arc::new(Database::open_paged(&base).unwrap_or_else(|e| {
-            panic!("paged round {rounds}: recovery failed (seed {seed}): {e}")
-        }));
-        assert!(db.is_paged());
-        db.check_consistency().unwrap_or_else(|e| {
-            panic!("paged round {rounds}: inconsistent after recovery (seed {seed}): {e}")
-        });
-        assert_eq!(
-            bank_sum(&db),
-            TOTAL,
-            "paged round {rounds}: money not conserved through crash recovery (seed {seed})"
-        );
-        if Instant::now() >= deadline {
-            cleanup();
-            break;
-        }
-
-        let server = serve_with(
-            Arc::clone(&db),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 6,
-                max_connections: 32,
-                poll_interval: Duration::from_millis(5),
-                statement_deadline: Some(Duration::from_secs(2)),
-                lock_wait_timeout: Duration::from_millis(25),
-                idle_txn_timeout: Some(Duration::from_millis(40)),
-                reap_interval: Duration::from_millis(10),
-                slow_query_threshold: Some(Duration::from_millis(5)),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        let obs_baseline = db.stats();
-
-        let round_ms = 150 + rng.below(200);
-        let fault_round = rng.chance(50);
-        let stop = AtomicBool::new(false);
-        let mut seeds = [0u64; 8];
-        for s in &mut seeds {
-            *s = rng.next();
-        }
-
-        std::thread::scope(|s| {
-            let stop = &stop;
-            let commits = &total_commits;
-            let reads = &total_reads;
-            let obs = &total_obs_reads;
-            s.spawn(move || committer(addr, stop, Rng(seeds[0]), seed, commits));
-            s.spawn(move || committer(addr, stop, Rng(seeds[1]), seed, commits));
-            s.spawn(move || scanner(addr, stop, seed, reads));
-            s.spawn(move || abandoner(addr, stop, Rng(seeds[2]), seed));
-            s.spawn(move || disconnector(addr, stop, Rng(seeds[3])));
-            s.spawn(move || monitor(addr, stop, seed, obs));
-            let dbref = &db;
-            if fault_round {
-                s.spawn(move || paged_saboteur(dbref, stop, Rng(seeds[4])));
-            }
-            std::thread::sleep(Duration::from_millis(round_ms));
-            stop.store(true, Ordering::SeqCst);
-        });
-        server.shutdown();
-        assert_obs_invariants(&db, &obs_baseline, rounds, seed);
-
-        db.reap_idle(Duration::ZERO);
-        db.vacuum_all();
-        db.check_consistency().unwrap_or_else(|e| {
-            panic!("paged round {rounds}: inconsistent after round (seed {seed}): {e}")
-        });
-        assert_eq!(
-            bank_sum(&db),
-            TOTAL,
-            "paged round {rounds}: money not conserved in memory (seed {seed})"
-        );
-
-        if !fault_round && rng.chance(50) {
-            let _ = db.checkpoint();
-        }
-        drop(db);
-    }
-
-    let commits = total_commits.load(Ordering::Relaxed);
-    let reads = total_reads.load(Ordering::Relaxed);
-    let obs_reads = total_obs_reads.load(Ordering::Relaxed);
-    println!(
-        "paged chaos soak: {rounds} round(s), {commits} commit(s), {reads} invariant read(s), \
-         {obs_reads} system-table read(s)"
-    );
-    assert!(rounds >= 2, "the paged soak must complete at least one full round");
-    assert!(commits > 0, "committers made no progress at all (seed {seed})");
-    assert!(reads > 0, "scanners made no progress at all (seed {seed})");
-    assert!(
-        obs_reads > 0,
-        "the system-table monitor made no progress at all (seed {seed})"
-    );
-}

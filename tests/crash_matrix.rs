@@ -9,8 +9,11 @@ use relstore::wal::LogRecord;
 use relstore::{Database, DurabilityPolicy, MemDevice, OpStats};
 use std::collections::BTreeMap;
 
+/// Every table's sorted rows, by table name.
+type Dump = BTreeMap<String, Vec<String>>;
+
 /// A stable, order-independent fingerprint of every table's contents.
-fn dump(db: &Database) -> BTreeMap<String, Vec<String>> {
+fn dump(db: &Database) -> Dump {
     let mut out = BTreeMap::new();
     let mut names = db.table_names();
     names.sort();
@@ -38,7 +41,7 @@ fn commits_in(bytes: &[u8]) -> usize {
 /// Runs the mixed workload against a fresh durable database and returns the
 /// state fingerprint after each commit (`dumps[k]` = state once `k` commits
 /// are on the log) together with the final log bytes.
-fn run_workload() -> (Vec<BTreeMap<String, Vec<String>>>, Vec<u8>) {
+fn run_workload() -> (Vec<Dump>, Vec<u8>) {
     let db =
         Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always).unwrap();
     let mut dumps = vec![dump(&db)];
@@ -196,57 +199,24 @@ fn torn_tails_between_boundaries_recover_the_last_full_record_prefix() {
     }
 }
 
-// --- the paged engine's crash matrix ---------------------------------------
+// --- crashes around checkpoints ----------------------------------------------
 //
-// A paged database crashes as three coupled artifacts: WAL, page file and
-// doublewrite journal. The meaningful crash states are the triples the
-// devices actually held together, so the workload snapshots all three after
-// every commit — interleaving checkpoints (schemas-only WAL, pages
-// authoritative) and overflow-sized rows — and recovery from each triple
-// must reproduce exactly that commit's state.
-
-use relstore::{DurabilityPolicy as Policy, MemBlockDevice, PagedConfig};
-
-fn paged_cfg() -> PagedConfig {
-    PagedConfig {
-        page_size: 512,
-        pool_pages: 4,
-    }
-}
-
-type CrashTriple = (Vec<u8>, Vec<u8>, Vec<u8>);
-
-fn crash_view(db: &Database) -> CrashTriple {
-    (
-        db.durable_log_bytes().unwrap(),
-        db.durable_page_bytes().unwrap(),
-        db.durable_journal_bytes().unwrap(),
-    )
-}
-
-fn open_triple((wal, pages, journal): &CrashTriple) -> relstore::Result<Database> {
-    Database::open_paged_with_devices(
-        Box::new(MemDevice::with_contents(wal.clone())),
-        Box::new(MemBlockDevice::with_contents(pages.clone())),
-        Box::new(MemDevice::with_contents(journal.clone())),
-        Policy::Always,
-        paged_cfg(),
-    )
-}
+// `run_workload` never checkpoints, so the matrix above only ever replays a
+// plain log. Here the script interleaves two checkpoints (segment rotations)
+// with a committed transaction, a rolled-back one, a table that lives and
+// dies and a 1,400-byte row, and snapshots the crash view — the bytes the
+// log device would hold — after every commit. Recovery from each view
+// (checkpoint image + committed suffix) must reproduce exactly that
+// commit's state.
 
 #[test]
-fn every_paged_commit_snapshot_recovers_its_exact_state() {
-    let db = Database::open_paged_with_devices(
-        Box::new(MemDevice::new()),
-        Box::new(MemBlockDevice::new()),
-        Box::new(MemDevice::new()),
-        Policy::Always,
-        paged_cfg(),
-    )
-    .unwrap();
+fn every_commit_snapshot_recovers_its_exact_state_across_checkpoints() {
+    let db =
+        Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always).unwrap();
 
-    let mut snapshots: Vec<(BTreeMap<String, Vec<String>>, CrashTriple)> = Vec::new();
-    let mut committed = |db: &Database| snapshots.push((dump(db), crash_view(db)));
+    let mut snapshots: Vec<(Dump, Vec<u8>)> = Vec::new();
+    let mut committed =
+        |db: &Database| snapshots.push((dump(db), db.durable_log_bytes().unwrap()));
 
     db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT, blob TEXT)").unwrap();
     committed(&db);
@@ -254,11 +224,10 @@ fn every_paged_commit_snapshot_recovers_its_exact_state() {
         db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'idle', 'b{i}')")).unwrap();
         committed(&db);
     }
-    // An overflow row: bigger than a whole 512-byte page.
     let big = "y".repeat(1400);
     db.execute(&format!("INSERT INTO jobs VALUES (100, 'big', '{big}')")).unwrap();
     committed(&db);
-    // Checkpoint: schemas-only WAL record, pages become the authority.
+    // Checkpoint: the segment is rotated onto one image of every table.
     db.checkpoint().unwrap();
     committed(&db);
     // Post-checkpoint traffic, including a transaction and a rollback.
@@ -287,17 +256,20 @@ fn every_paged_commit_snapshot_recovers_its_exact_state() {
     db.execute("DELETE FROM jobs WHERE job_id = 100").unwrap();
     committed(&db);
 
-    eprintln!("paged crash matrix: {} commit snapshots", snapshots.len());
-    for (i, (expected, triple)) in snapshots.iter().enumerate() {
-        let recovered = open_triple(triple)
-            .unwrap_or_else(|e| panic!("snapshot {i}: paged recovery failed: {e}"));
+    eprintln!("checkpointed crash matrix: {} commit snapshots", snapshots.len());
+    for (i, (expected, bytes)) in snapshots.iter().enumerate() {
+        let recovered = Database::open_with_device(
+            Box::new(MemDevice::with_contents(bytes.clone())),
+            DurabilityPolicy::Always,
+        )
+        .unwrap_or_else(|e| panic!("snapshot {i}: recovery failed: {e}"));
         assert_eq!(
             &dump(&recovered),
             expected,
             "snapshot {i}: recovered state must equal the state at that commit"
         );
         recovered.check_consistency().unwrap();
-        assert!(recovered.is_paged());
+        assert_eq!(recovered.stats().recovery_truncated_bytes, 0, "snapshot {i}: clean log");
 
         // The recovered database keeps working end to end.
         recovered.execute("CREATE TABLE probe (id INT PRIMARY KEY)").unwrap();

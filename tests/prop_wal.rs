@@ -1,8 +1,9 @@
 //! Property-based tests of durable-log recovery: arbitrary single-byte
 //! corruption in the committed region is always detected as
 //! [`Error::Corruption`] (never a panic, never a silently wrong catalog),
-//! and arbitrary tail truncation always recovers exactly the last
-//! full-record prefix.
+//! arbitrary tail truncation always recovers exactly the last full-record
+//! prefix, and a durable database fed a random schedule of writes,
+//! checkpoints and reopens behaves exactly like the in-memory engine.
 
 use proptest::prelude::*;
 use relstore::io::{record_boundaries, SEGMENT_HEADER_LEN};
@@ -111,5 +112,100 @@ proptest! {
             (cut - base) as u64
         );
         truncated.check_consistency().unwrap();
+    }
+}
+
+const CREATE: &str = "CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT NOT NULL, payload TEXT)";
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// `big` payloads are ~1.5 KB, so checkpoint images and suffix records
+    /// mix rows of very different sizes.
+    Insert { id: i64, state: u8, big: bool },
+    Update { id: i64, state: u8 },
+    Delete { id: i64 },
+    Checkpoint,
+    Reopen,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..64i64, 0..4u8, 0..5u8)
+            .prop_map(|(id, state, big)| Op::Insert { id, state, big: big == 0 }),
+        (0..64i64, 0..4u8, 0..5u8)
+            .prop_map(|(id, state, big)| Op::Insert { id, state, big: big == 0 }),
+        (0..64i64, 0..4u8).prop_map(|(id, state)| Op::Update { id, state }),
+        (0..64i64, 0..4u8).prop_map(|(id, state)| Op::Update { id, state }),
+        (0..64i64).prop_map(|id| Op::Delete { id }),
+        Just(Op::Checkpoint),
+        Just(Op::Reopen),
+    ]
+}
+
+fn op_sql(op: &Op) -> String {
+    let state_name = |state: u8| ["idle", "matched", "running", "held"][state as usize];
+    match op {
+        Op::Insert { id, state, big } => {
+            let payload = if *big { format!("p{id}-").repeat(300) } else { format!("p{id}") };
+            format!("INSERT INTO jobs VALUES ({id}, '{}', '{payload}')", state_name(*state))
+        }
+        Op::Update { id, state } => {
+            format!("UPDATE jobs SET state = '{}' WHERE job_id = {id}", state_name(*state))
+        }
+        Op::Delete { id } => format!("DELETE FROM jobs WHERE job_id = {id}"),
+        Op::Checkpoint | Op::Reopen => unreachable!("not SQL ops"),
+    }
+}
+
+/// Clean restart: commits are durable under `DurabilityPolicy::Always`, so
+/// the device's durable bytes are the whole log.
+fn reopen(db: &Database) -> Database {
+    open_bytes(db.durable_log_bytes().unwrap()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A durable database and the in-memory engine, fed the same random
+    /// schedule, answer identically at every step — same affected counts,
+    /// same errors — across checkpoints (segment rotation) and reopens
+    /// (checkpoint image + committed suffix) of the durable side.
+    #[test]
+    fn durable_database_matches_in_memory_oracle_across_checkpoints_and_reopens(
+        ops in prop::collection::vec(op_strategy(), 1..60),
+    ) {
+        let mut durable = open_bytes(Vec::new()).unwrap();
+        let oracle = Database::new();
+        durable.execute(CREATE).unwrap();
+        oracle.execute(CREATE).unwrap();
+
+        for op in &ops {
+            match op {
+                Op::Checkpoint => {
+                    // No transactions are open, so neither side may refuse.
+                    durable.checkpoint().unwrap();
+                    oracle.checkpoint().unwrap();
+                }
+                Op::Reopen => durable = reopen(&durable),
+                sql_op => {
+                    let d = durable.execute(&op_sql(sql_op));
+                    let o = oracle.execute(&op_sql(sql_op));
+                    match (&d, &o) {
+                        (Ok(dr), Ok(or)) => prop_assert_eq!(dr.affected(), or.affected()),
+                        (Err(de), Err(oe)) => prop_assert_eq!(de.to_string(), oe.to_string()),
+                        _ => prop_assert!(false, "divergent results: durable={d:?} oracle={o:?}"),
+                    }
+                }
+            }
+        }
+
+        durable.check_consistency().unwrap();
+        let q = "SELECT * FROM jobs ORDER BY job_id";
+        prop_assert_eq!(durable.query(q).unwrap(), oracle.query(q).unwrap());
+
+        // One final restart: recovery must land on the same committed state.
+        let recovered = reopen(&durable);
+        recovered.check_consistency().unwrap();
+        prop_assert_eq!(recovered.query(q).unwrap(), oracle.query(q).unwrap());
     }
 }

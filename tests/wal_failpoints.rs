@@ -219,151 +219,3 @@ fn arm_after_skips_early_hits_and_failpoint_hits_are_counted() {
     let recovered = reopen(&db);
     assert_eq!(recovered.table_len("jobs").unwrap(), 1);
 }
-
-// --- the paged storage engine under the same faults ------------------------
-//
-// Page writes have their own failure surface: a torn page write must heal
-// through the doublewrite journal, a crash between the WAL fsync and the
-// page flush must recover from the WAL suffix, and a crash mid-checkpoint
-// must leave the committed prefix intact. In every case recovery is typed —
-// never a panic.
-
-use relstore::{DurabilityPolicy as Policy, MemBlockDevice, PagedConfig};
-
-fn paged_cfg() -> PagedConfig {
-    PagedConfig {
-        page_size: 512,
-        pool_pages: 4,
-    }
-}
-
-fn paged_db() -> Database {
-    let db = Database::open_paged_with_devices(
-        Box::new(MemDevice::new()),
-        Box::new(MemBlockDevice::new()),
-        Box::new(MemDevice::new()),
-        Policy::Always,
-        paged_cfg(),
-    )
-    .unwrap();
-    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)").unwrap();
-    db.execute("INSERT INTO jobs VALUES (1, 'idle')").unwrap();
-    db
-}
-
-/// Reopens a paged database from the crash view of all three devices.
-fn reopen_paged(db: &Database) -> Database {
-    Database::open_paged_with_devices(
-        Box::new(MemDevice::with_contents(db.durable_log_bytes().unwrap())),
-        Box::new(MemBlockDevice::with_contents(db.durable_page_bytes().unwrap())),
-        Box::new(MemDevice::with_contents(db.durable_journal_bytes().unwrap())),
-        Policy::Always,
-        paged_cfg(),
-    )
-    .unwrap()
-}
-
-#[test]
-fn a_torn_page_write_heals_through_the_doublewrite_journal() {
-    let db = paged_db();
-    for i in 2..20 {
-        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'idle')")).unwrap();
-    }
-    // The checkpoint's page flush tears mid-page: the device dies with a
-    // half-written page, but the journal already holds the full batch.
-    db.failpoints().arm(points::PAGE_WRITE, FailAction::TornWrite(100));
-    let err = db.checkpoint().unwrap_err();
-    assert!(matches!(err, Error::Io(_)), "{err}");
-
-    // The engine is poisoned — further commits refuse with a typed error.
-    let err = db.execute("INSERT INTO jobs VALUES (90, 'x')").unwrap_err();
-    assert!(matches!(err, Error::Io(_)), "{err}");
-
-    // Reopen: the journal replay rewrites the torn page; every committed
-    // row is there and the store verifies clean.
-    let recovered = reopen_paged(&db);
-    assert_eq!(recovered.table_len("jobs").unwrap(), 19);
-    recovered.check_consistency().unwrap();
-    recovered.execute("INSERT INTO jobs VALUES (90, 'fresh')").unwrap();
-    assert_eq!(recovered.table_len("jobs").unwrap(), 20);
-}
-
-#[test]
-fn a_crash_between_wal_sync_and_page_flush_recovers_from_the_suffix() {
-    let db = paged_db();
-    db.checkpoint().unwrap();
-    // These commits are WAL-durable but their pages were never flushed:
-    // the page file still shows the checkpoint-time state.
-    for i in 2..10 {
-        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'recent')")).unwrap();
-    }
-    db.execute("UPDATE jobs SET state = 'done' WHERE job_id = 1").unwrap();
-
-    let recovered = reopen_paged(&db);
-    assert_eq!(recovered.table_len("jobs").unwrap(), 9);
-    let state = recovered
-        .query("SELECT state FROM jobs WHERE job_id = 1")
-        .unwrap();
-    assert_eq!(
-        format!("{:?}", state.rows[0].get(0)),
-        format!("{:?}", relstore::Value::Text("done".into())),
-        "the WAL suffix replays over the stale page image"
-    );
-    recovered.check_consistency().unwrap();
-}
-
-#[test]
-fn a_crash_at_the_page_sync_barrier_keeps_the_committed_prefix() {
-    let db = paged_db();
-    for i in 2..12 {
-        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'idle')")).unwrap();
-    }
-    db.failpoints().arm(points::PAGE_SYNC, FailAction::Crash);
-    let err = db.checkpoint().unwrap_err();
-    assert!(matches!(err, Error::Io(_)), "{err}");
-
-    let recovered = reopen_paged(&db);
-    assert_eq!(recovered.table_len("jobs").unwrap(), 11);
-    recovered.check_consistency().unwrap();
-}
-
-#[test]
-fn a_page_write_error_fails_the_checkpoint_and_poisons_the_store() {
-    let db = paged_db();
-    for i in 2..12 {
-        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'idle')")).unwrap();
-    }
-    db.failpoints().arm(points::PAGE_WRITE, FailAction::Err);
-    let err = db.checkpoint().unwrap_err();
-    assert!(matches!(err, Error::Io(_)), "{err}");
-    let err = db.checkpoint().unwrap_err();
-    assert!(err.to_string().contains("poisoned"), "{err}");
-
-    let recovered = reopen_paged(&db);
-    assert_eq!(recovered.table_len("jobs").unwrap(), 11);
-    recovered.check_consistency().unwrap();
-}
-
-#[test]
-fn an_unjournaled_byte_flip_is_typed_corruption_never_a_panic() {
-    let db = paged_db();
-    for i in 2..20 {
-        db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'idle')")).unwrap();
-    }
-    db.checkpoint().unwrap();
-
-    let mut pages = db.durable_page_bytes().unwrap();
-    assert!(pages.len() > 1024, "checkpoint flushed data pages");
-    // Flip one byte inside the first data page: the journal knows nothing
-    // about it, so reopen must refuse with typed corruption.
-    pages[512 + 40] ^= 0xFF;
-    let err = Database::open_paged_with_devices(
-        Box::new(MemDevice::with_contents(db.durable_log_bytes().unwrap())),
-        Box::new(MemBlockDevice::with_contents(pages)),
-        Box::new(MemDevice::with_contents(db.durable_journal_bytes().unwrap())),
-        Policy::Always,
-        paged_cfg(),
-    )
-    .unwrap_err();
-    assert!(matches!(err, Error::Corruption(_)), "{err}");
-}
