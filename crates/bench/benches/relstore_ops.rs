@@ -128,6 +128,70 @@ fn bench_relstore(c: &mut Criterion) {
             })
         });
     }
+    // `operator_queries`' `agg` at its shape: a prepared `COUNT/SUM` behind
+    // an equality on an indexed column, 100 k rows / 50 owners — a 2 k-id
+    // posting list whose ids lie 50 apart, so nearly every row is reached in
+    // a different part of the heap and evaluates nothing once there. Per row
+    // it is the cost of getting from a row id to its visible version.
+    {
+        let history = Database::new();
+        history
+            .execute("CREATE TABLE job_history (job_id INT PRIMARY KEY, owner TEXT NOT NULL, runtime_ms INT)")
+            .unwrap();
+        history.execute("CREATE INDEX ON job_history (owner)").unwrap();
+        let ins = history.prepare("INSERT INTO job_history VALUES (?, ?, ?)").unwrap();
+        history
+            .session()
+            .execute_batch(&ins, (0..100_000i64).map(|i| (i, format!("user{}", i % 50), 60_000i64)))
+            .unwrap();
+        let agg = history
+            .prepare("SELECT COUNT(*), SUM(runtime_ms) FROM job_history WHERE owner = ?")
+            .unwrap();
+        c.bench_function("indexed_agg_strided_100k", |b| {
+            let mut session = history.session();
+            b.iter(|| {
+                let r = session.query(black_box(&agg), black_box(("user7",))).unwrap();
+                assert_eq!(r.rows[0].get(0), &relstore::Value::Int(2_000));
+                r
+            })
+        });
+    }
+    // A queue that churns forever: one row in, the oldest out, the engine's
+    // threshold vacuum behind them — a steady window of 10 k live rows, with
+    // a million ids issued before the clock starts. One iteration is one
+    // insert + one delete; the heap must hold memory for the window, not for
+    // every id it ever issued.
+    {
+        const WINDOW: i64 = 10_000;
+        let queue = Database::new();
+        queue.execute("CREATE TABLE queue (job_id INT PRIMARY KEY, state TEXT)").unwrap();
+        let push = queue.prepare("INSERT INTO queue VALUES (?, 'idle')").unwrap();
+        let pop = queue.prepare("DELETE FROM queue WHERE job_id = ?").unwrap();
+        let mut session = queue.session();
+        let mut next = 0i64;
+        let mut churn = move || {
+            session.execute(&push, (next,)).unwrap();
+            if next >= WINDOW {
+                session.execute(&pop, (next - WINDOW,)).unwrap();
+            }
+            next += 1;
+            next
+        };
+        while churn() < WINDOW {}
+        let window_bytes = queue.approx_size();
+        while churn() < 1_000_000 {}
+        let bounded = |when: &str| {
+            assert_eq!(queue.table_len("queue").unwrap(), WINDOW as usize);
+            assert!(
+                queue.approx_size() <= 2 * window_bytes,
+                "{when}: {} bytes for a window that took {window_bytes}",
+                queue.approx_size()
+            );
+        };
+        bounded("after 1 M ids");
+        c.bench_function("heap_churn_reclaim", |b| b.iter(&mut churn));
+        bounded("after the timed churn");
+    }
     c.bench_function("single_row_update", |b| {
         b.iter(|| {
             db.execute(black_box("UPDATE jobs SET state = 'running' WHERE job_id = 123")).unwrap()

@@ -7,7 +7,8 @@
 //! express every system action as SQL. This crate provides the pieces that
 //! move requires:
 //!
-//! * typed tables with primary keys and secondary indexes ([`table`], [`schema`]),
+//! * typed tables with primary keys and secondary indexes over a row heap
+//!   addressed by row id ([`table`], [`schema`], [`heap`]),
 //! * a SQL subset with a lexer, parser and executor ([`sql`], [`exec`]),
 //! * prepared statements with `?` placeholders and an LRU statement cache
 //!   ([`db::Prepared`], [`Database::prepare`](db::Database::prepare)),
@@ -91,6 +92,36 @@
 //! assert_eq!(r.first_value("state"), Some(&"running".into()));
 //! # Ok::<(), relstore::Error>(())
 //! ```
+//!
+//! ## Storage: a row is reached from its id without a search
+//!
+//! Everything above the table — an index hit, an `UPDATE`, an undo, a
+//! replayed log record — names a row by its [`RowId`], so that is what the
+//! heap is organised around ([`heap`]):
+//!
+//! * **A slab, not a tree.** Row `n` lives in slot `n % 1024` of segment
+//!   `n / 1024`; the only lookup structure is a small ordered directory of
+//!   the segments that exist (130 k rows is 128 entries). An index lookup
+//!   that yields 2,000 ids pays 2,000 slot reads, not 2,000 tree descents.
+//! * **The newest version is in the slot.** A slot holds the row's
+//!   [`mvcc::VersionChain`]: its newest [`mvcc::RowVersion`] inline — the
+//!   one nearly every snapshot sees — and the superseded versions in a side
+//!   vector that is empty, hence unallocated, for any row nobody has updated
+//!   since the last vacuum. An `UPDATE` moves the inline version to the side
+//!   and writes its replacement in place; vacuum hands the side vector back.
+//! * **Ids are never reused — that is the invariant that makes it sound.**
+//!   A table issues ids monotonically and recovery only ever raises the
+//!   counter, so ids are dense where rows are live, a vacated slot is never
+//!   wanted again, and `(key, RowId)` in an index can never come to mean a
+//!   different row. A log record naming an id that would exhaust the counter
+//!   is refused as [`Error::Corruption`].
+//! * **Memory follows the live rows.** A segment is freed the moment its
+//!   last slot is vacated (rollback of an insert, or vacuum dropping a
+//!   tombstone), so a queue that churns through a million ids holds memory
+//!   for its window, not for its history; ids far apart cost one segment
+//!   each, never an allocation proportional to the id.
+//!   [`Table::approx_size`](table::Table::approx_size) counts slots and
+//!   directory as well as row bytes, so the claim is checkable.
 //!
 //! ## The typed session API
 //!
@@ -566,6 +597,7 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod govern;
+pub mod heap;
 pub mod index;
 pub mod io;
 pub mod mvcc;

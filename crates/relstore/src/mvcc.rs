@@ -10,6 +10,14 @@
 //! A version is visible to a snapshot exactly when its `begin` is visible
 //! and its `end` (if any) is not.
 //!
+//! A chain is laid out for the reader that wants the newest version, which
+//! is nearly every reader: it *is* the table's heap slot
+//! ([`crate::heap::Heap`]), the newest version sits inline in it, and the
+//! superseded versions wait for vacuum in a side vector that a row nobody
+//! has updated since the last sweep does not even allocate. Visibility
+//! therefore costs one slot read in the common case, and a second hop only
+//! for a snapshot old enough to need history.
+//!
 //! Writers still serialise through the table-level lock manager for
 //! write-write conflicts; MVCC only removes readers from the conflict graph.
 //!
@@ -127,44 +135,62 @@ impl Snapshot {
     }
 }
 
-/// All retained versions of one row, stored oldest → newest so that the hot
-/// write path (pushing a new current version) is an O(1) `Vec::push`.
+/// All retained versions of one row: the newest **inline**, the superseded
+/// ones in a side vector, oldest first.
+///
+/// See the module docs for why: the chain is a heap slot, and `older` stays
+/// unallocated for a row nobody has updated since the last vacuum. The hot
+/// write path (an UPDATE) moves the inline version to the side and writes
+/// the replacement in its place.
 ///
 /// Invariants (maintained by [`crate::table::Table`] under the catalog write
 /// guard): only the newest version may have `end == None`; every older
 /// version's `end` is set. A chain whose newest version has `end` set is a
 /// *tombstone* — the row is deleted in the latest state but still visible to
-/// older snapshots until vacuumed.
+/// older snapshots until vacuumed. `newest` is `None` only for the empty
+/// chain a fully vacuumed tombstone leaves, which the table drops at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionChain {
-    versions: Vec<RowVersion>,
+    newest: Option<RowVersion>,
+    /// Superseded versions, oldest → newest.
+    older: Vec<RowVersion>,
 }
+
+/// A later field must not silently undo the slab's layout: a heap slot is
+/// one inline version plus the side vector's header.
+const _: () = assert!(std::mem::size_of::<Option<VersionChain>>() <= 72);
 
 impl VersionChain {
     /// Creates a chain holding a single new version written by `txn`.
     pub fn new(txn: TxnId, row: Row) -> Self {
         VersionChain {
-            versions: vec![RowVersion {
+            newest: Some(RowVersion {
                 begin: txn,
                 end: None,
                 row,
-            }],
+            }),
+            older: Vec::new(),
         }
     }
 
     /// Number of retained versions.
     pub fn len(&self) -> usize {
-        self.versions.len()
+        self.older.len() + usize::from(self.newest.is_some())
     }
 
     /// True when no versions remain (only transiently, during vacuum).
     pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
+        self.newest.is_none()
     }
 
     /// The newest version.
+    #[inline]
     pub fn newest(&self) -> &RowVersion {
-        self.versions.last().expect("chains are never empty")
+        self.newest.as_ref().expect("chains are never empty")
+    }
+
+    fn newest_mut(&mut self) -> &mut RowVersion {
+        self.newest.as_mut().expect("chains are never empty")
     }
 
     /// The current row — the newest version if it has not been ended.
@@ -180,14 +206,19 @@ impl VersionChain {
 
     /// True when some retained version has been ended (vacuum candidate).
     pub fn has_dead(&self) -> bool {
-        self.versions.len() > 1 || !self.is_live()
+        !self.older.is_empty() || !self.is_live()
     }
 
     /// The row this snapshot observes, if any version is visible to it.
     /// Searched newest-first: the common case (current version visible)
-    /// checks exactly one version.
+    /// checks exactly the inline version.
+    #[inline]
     pub fn visible(&self, snapshot: &Snapshot) -> Option<&Row> {
-        self.versions
+        let newest = self.newest.as_ref()?;
+        if snapshot.visible(newest) {
+            return Some(&newest.row);
+        }
+        self.older
             .iter()
             .rev()
             .find(|v| snapshot.visible(v))
@@ -196,34 +227,35 @@ impl VersionChain {
 
     /// Iterates all retained versions (oldest first).
     pub fn versions(&self) -> impl Iterator<Item = &RowVersion> {
-        self.versions.iter()
+        self.older.iter().chain(&self.newest)
+    }
+
+    /// Consumes the chain into its versions (oldest first).
+    pub(crate) fn into_versions(self) -> impl Iterator<Item = RowVersion> {
+        self.older.into_iter().chain(self.newest)
     }
 
     /// Ends the newest version (an UPDATE superseding it) and pushes the
     /// replacement written by `txn`.
     pub(crate) fn push_version(&mut self, txn: TxnId, row: Row) {
-        self.versions
-            .last_mut()
-            .expect("chains are never empty")
-            .end = Some(txn);
-        self.versions.push(RowVersion {
+        let replacement = RowVersion {
             begin: txn,
             end: None,
             row,
-        });
+        };
+        let mut superseded = std::mem::replace(self.newest_mut(), replacement);
+        superseded.end = Some(txn);
+        self.older.push(superseded);
     }
 
     /// Marks the newest version deleted by `txn`.
     pub(crate) fn mark_deleted(&mut self, txn: TxnId) {
-        self.versions
-            .last_mut()
-            .expect("chains are never empty")
-            .end = Some(txn);
+        self.newest_mut().end = Some(txn);
     }
 
     /// Rollback helper: clears a deletion mark left by `txn`.
     pub(crate) fn unmark_deleted(&mut self, txn: TxnId) {
-        let newest = self.versions.last_mut().expect("chains are never empty");
+        let newest = self.newest_mut();
         debug_assert_eq!(newest.end, Some(txn));
         newest.end = None;
     }
@@ -232,9 +264,10 @@ impl VersionChain {
     /// `txn`) and re-opens the version it superseded. Returns the popped
     /// version so the table can retire its index entries.
     pub(crate) fn pop_version(&mut self, txn: TxnId) -> RowVersion {
-        let popped = self.versions.pop().expect("chains are never empty");
+        let popped = self.newest.take().expect("chains are never empty");
         debug_assert_eq!(popped.begin, txn);
-        if let Some(prev) = self.versions.last_mut() {
+        self.newest = self.older.pop();
+        if let Some(prev) = &mut self.newest {
             if prev.end == Some(txn) {
                 prev.end = None;
             }
@@ -243,28 +276,42 @@ impl VersionChain {
     }
 
     /// Prunes versions no live snapshot can still observe: every version
-    /// whose `end` transaction id is below `horizon` (see the module docs).
-    /// Returns the pruned versions so the table can retire index entries.
-    /// After vacuuming with `horizon == u64::MAX` (no live snapshots) a live
-    /// chain is exactly one version long and a tombstoned chain is empty.
+    /// whose `end` transaction id is below `horizon` (see the module docs),
+    /// in one pass however long the chain. Returns the pruned versions
+    /// (oldest first) so the table can retire index entries. After
+    /// vacuuming with `horizon == u64::MAX` (no live snapshots) a live chain
+    /// is exactly one version long, its side vector unallocated again, and a
+    /// tombstoned chain is empty.
     pub(crate) fn vacuum(&mut self, horizon: u64) -> Vec<RowVersion> {
-        let mut pruned = Vec::new();
-        let mut i = 0;
-        while i < self.versions.len() {
-            match self.versions[i].end {
-                Some(end) if end.0 < horizon => pruned.push(self.versions.remove(i)),
-                _ => i += 1,
-            }
+        let prunable = |v: &RowVersion| v.end.is_some_and(|end| end.0 < horizon);
+        let mut pruned = if self.older.iter().all(prunable) {
+            // The common sweep: no snapshot pins anything. Hands over the
+            // side vector whole and leaves an unallocated one behind.
+            std::mem::take(&mut self.older)
+        } else {
+            let (pruned, kept) = std::mem::take(&mut self.older)
+                .into_iter()
+                .partition(prunable);
+            self.older = kept;
+            pruned
+        };
+        if self.newest.as_ref().is_some_and(prunable) {
+            pruned.extend(self.newest.take());
+            // A transaction that began earlier may have written later, so
+            // an older version can outlive the tombstone: the last survivor
+            // is then the chain's newest, as it was when all sat in one list.
+            self.newest = self.older.pop();
         }
         pruned
     }
 
-    /// Approximate resident size of all retained versions, in bytes.
+    /// Approximate bytes the chain holds outside its heap slot: every
+    /// version's row contents, plus the side vector (the slot itself — the
+    /// inline version's stamps and the vector's header — is the heap's to
+    /// count, see [`crate::heap::Heap::approx_overhead`]).
     pub fn approx_size(&self) -> usize {
-        self.versions
-            .iter()
-            .map(|v| v.row.approx_size() + 24)
-            .sum()
+        self.versions().map(|v| v.row.approx_size()).sum::<usize>()
+            + self.older.capacity() * std::mem::size_of::<RowVersion>()
     }
 }
 
@@ -384,6 +431,125 @@ mod tests {
         let pruned = chain.vacuum(u64::MAX);
         assert_eq!(pruned.len(), 1);
         assert!(chain.is_empty());
+    }
+
+    fn contents(chain: &VersionChain) -> Vec<(u64, Option<u64>, Row)> {
+        chain
+            .versions()
+            .map(|v| (v.begin.0, v.end.map(|t| t.0), v.row.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn push_pop_push_moves_versions_between_the_slot_and_the_side() {
+        let mut chain = VersionChain::new(TxnId(1), row(1));
+        assert_eq!(chain.older.capacity(), 0, "a fresh row has no side vector");
+        chain.push_version(TxnId(2), row(2));
+        assert_eq!(
+            contents(&chain),
+            vec![(1, Some(2), row(1)), (2, None, row(2))],
+            "versions() stays oldest-first across the inline/side split"
+        );
+        assert_eq!(chain.newest().row, row(2));
+
+        // Undo: the superseded version comes back inline, re-opened.
+        assert_eq!(chain.pop_version(TxnId(2)).row, row(2));
+        assert_eq!(contents(&chain), vec![(1, None, row(1))]);
+        assert!(chain.older.is_empty());
+        assert!(!chain.has_dead());
+
+        // And the chain takes writes again as if nothing had happened.
+        chain.push_version(TxnId(3), row(3));
+        chain.push_version(TxnId(4), row(4));
+        assert_eq!(
+            contents(&chain),
+            vec![(1, Some(3), row(1)), (3, Some(4), row(3)), (4, None, row(4))]
+        );
+        assert_eq!(chain.len(), 3);
+        assert_eq!(chain.visible(&snapshot(4, &[], None)), Some(&row(3)));
+        assert_eq!(chain.visible(&snapshot(3, &[], None)), Some(&row(1)));
+        assert_eq!(chain.visible(&snapshot(1, &[], None)), None);
+        // Popping a version of an older writer's leaves its end mark alone.
+        chain.pop_version(TxnId(4));
+        assert_eq!(chain.current(), Some(&row(3)));
+    }
+
+    #[test]
+    fn delete_then_undo_on_an_updated_row() {
+        let mut chain = VersionChain::new(TxnId(1), row(1));
+        chain.push_version(TxnId(2), row(2));
+        chain.mark_deleted(TxnId(5));
+        assert!(!chain.is_live());
+        assert_eq!(chain.current(), None);
+        assert_eq!(chain.visible(Snapshot::latest()), None);
+        assert_eq!(chain.visible(&snapshot(5, &[], None)), Some(&row(2)));
+        assert_eq!(chain.len(), 2, "a tombstone is a mark, not a version");
+        chain.unmark_deleted(TxnId(5));
+        assert_eq!(chain.current(), Some(&row(2)));
+        assert_eq!(contents(&chain), vec![(1, Some(2), row(1)), (2, None, row(2))]);
+    }
+
+    #[test]
+    fn vacuum_with_the_horizon_between_two_dead_versions() {
+        let mut chain = VersionChain::new(TxnId(1), row(1));
+        chain.push_version(TxnId(5), row(2));
+        chain.push_version(TxnId(9), row(3));
+        chain.mark_deleted(TxnId(12));
+        // Ends are 5, 9, 12: horizon 9 takes the first only, and keeps the
+        // order of what stays.
+        let pruned = chain.vacuum(9);
+        assert_eq!(pruned.len(), 1);
+        assert_eq!(pruned[0].row, row(1));
+        assert_eq!(
+            contents(&chain),
+            vec![(5, Some(9), row(2)), (9, Some(12), row(3))]
+        );
+        // Horizon 12 takes the second; the tombstone is still pinned.
+        let pruned = chain.vacuum(12);
+        assert_eq!(pruned.len(), 1);
+        assert_eq!(pruned[0].row, row(2));
+        assert_eq!(chain.older.capacity(), 0, "the side vector is handed over whole");
+        assert!(!chain.is_empty());
+        assert!(!chain.is_live());
+        assert!(chain.vacuum(12).is_empty(), "nothing more below the horizon");
+        // Past it, the tombstone is fully pruned and the chain is empty.
+        let pruned = chain.vacuum(13);
+        assert_eq!(pruned.len(), 1);
+        assert_eq!(pruned[0].end, Some(TxnId(12)));
+        assert!(chain.is_empty());
+        assert_eq!(chain.len(), 0);
+        assert_eq!(chain.versions().count(), 0);
+    }
+
+    #[test]
+    fn vacuum_keeps_a_chain_whose_tombstone_goes_before_an_older_version() {
+        // Txn 5 began before txn 7 but deleted the row after 7 had updated
+        // it and committed: ends do not rise along this chain.
+        let mut chain = VersionChain::new(TxnId(1), row(1));
+        chain.push_version(TxnId(7), row(2));
+        chain.mark_deleted(TxnId(5));
+        let pruned = chain.vacuum(6);
+        assert_eq!(pruned.len(), 1);
+        assert_eq!(pruned[0].row, row(2));
+        assert_eq!(contents(&chain), vec![(1, Some(7), row(1))]);
+        assert!(!chain.is_empty() && !chain.is_live());
+    }
+
+    #[test]
+    fn vacuum_prunes_a_long_chain_in_order() {
+        // The chain a heartbeat row grows under a pinning snapshot.
+        let mut chain = VersionChain::new(TxnId(1), row(0));
+        for n in 1..=10_000u64 {
+            chain.push_version(TxnId(n + 1), row(n as i64));
+        }
+        let pruned = chain.vacuum(5_002);
+        assert_eq!(pruned.len(), 5_000);
+        assert!(pruned.iter().map(|v| v.begin.0).eq(1..=5_000), "oldest first");
+        assert_eq!(chain.len(), 5_001);
+        assert!(chain.versions().map(|v| v.begin.0).eq(5_001..=10_001));
+        assert_eq!(chain.vacuum(u64::MAX).len(), 5_000);
+        assert_eq!(chain.len(), 1);
+        assert_eq!(chain.current(), Some(&row(10_000)));
     }
 
     #[test]

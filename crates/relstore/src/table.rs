@@ -8,6 +8,16 @@
 //! a snapshot to the access paths ([`Table::scan`], the index lookups) and
 //! the [`RowIter`] resolves each chain to the version their snapshot sees.
 //!
+//! The heap is a slab ([`crate::heap::Heap`]): a chain sits in the slot its
+//! [`RowId`] addresses, with its newest version inline, so every path that
+//! arrives with an id — an index hit, an `UPDATE`, an undo, a replayed log
+//! record — reaches the version it wants without a search. The table issues
+//! ids monotonically and **never reuses one** ([`Table::insert`] only counts
+//! up; recovery's `insert_with_id` only raises the counter), which
+//! is what lets a vacated slot stay vacant and lets the heap free a segment
+//! the moment its last chain goes — by insert rollback, physical removal, or
+//! vacuum dropping a fully pruned tombstone.
+//!
 //! Indexes are **multi-version**: they cover the keys of every retained
 //! version, not just the current one, so a snapshot reader probing an index
 //! still finds rows whose current version has moved to a different key.
@@ -16,6 +26,7 @@
 //! against *live* rows — an index entry alone no longer implies a conflict.
 
 use crate::error::{Error, Result};
+use crate::heap::{self, Heap};
 use crate::index::Index;
 use crate::mvcc::{RowVersion, Snapshot, VersionChain, COMMITTED_TXN};
 use crate::plan::TableStats;
@@ -24,8 +35,6 @@ use crate::stats::OpStats;
 use crate::tuple::{Row, RowId, StoredRowRef};
 use crate::value::Value;
 use crate::wal::TxnId;
-use std::collections::btree_map;
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -45,7 +54,8 @@ pub struct Table {
     /// `schema.name`, interned: every log and undo record of a change to
     /// this table shares it instead of allocating a copy.
     name: Arc<str>,
-    rows: BTreeMap<RowId, VersionChain>,
+    /// Row id → version chain; see [`crate::heap`].
+    rows: Heap<VersionChain>,
     next_row_id: u64,
     /// Unique index over the primary-key column, when one is declared.
     pk_index: Option<Index>,
@@ -102,7 +112,7 @@ impl Table {
         Ok(Table {
             name: schema.name.as_str().into(),
             schema,
-            rows: BTreeMap::new(),
+            rows: Heap::new(),
             next_row_id: 1,
             pk_index,
             secondary,
@@ -213,7 +223,7 @@ impl Table {
             exclude != Some(id)
                 && self
                     .rows
-                    .get(&id)
+                    .get(id)
                     .and_then(VersionChain::current)
                     .is_some_and(|row| row.get(idx.column_idx) == key)
         })
@@ -252,7 +262,9 @@ impl Table {
         }
 
         let id = RowId(self.next_row_id);
-        self.next_row_id += 1;
+        self.next_row_id = self.next_row_id.checked_add(1).ok_or_else(|| {
+            Error::ResourceExhausted(format!("table {} has issued every row id", self.schema.name))
+        })?;
         if let Some(pk) = &mut self.pk_index {
             pk.insert(&values[pk.column_idx], id);
             stats.index_maintenance += 1;
@@ -273,12 +285,20 @@ impl Table {
     /// version. Physical (non-transactional): used by WAL recovery, which
     /// replays committed history only.
     pub(crate) fn insert_with_id(&mut self, id: RowId, row: Row, stats: &mut OpStats) -> Result<()> {
-        if self.rows.contains_key(&id) {
+        if self.rows.contains(id) {
             return Err(Error::internal(format!(
                 "recovery inserted duplicate row id {id} into {}",
                 self.schema.name
             )));
         }
+        // The id comes off the log: one that leaves no successor would wrap
+        // the counter and hand out ids already in use.
+        let next_row_id = id.0.checked_add(1).ok_or_else(|| {
+            Error::corruption(format!(
+                "row id {id} in table {} leaves no id to issue next",
+                self.schema.name
+            ))
+        })?;
         // A duplicated or corrupt WAL must fail recovery loudly, not recover
         // silently into a state that violates unique constraints.
         if let Some(pk) = &self.pk_index {
@@ -305,7 +325,7 @@ impl Table {
         for idx in &mut self.secondary {
             idx.insert(row.get(idx.column_idx), id);
         }
-        self.next_row_id = self.next_row_id.max(id.0 + 1);
+        self.next_row_id = self.next_row_id.max(next_row_id);
         self.rows.insert(id, VersionChain::new(COMMITTED_TXN, row));
         self.live += 1;
         self.version += 1;
@@ -315,7 +335,7 @@ impl Table {
 
     /// Returns the current (latest-state) row with id `id`, if it is live.
     pub fn get(&self, id: RowId) -> Option<&Row> {
-        self.rows.get(&id).and_then(VersionChain::current)
+        self.rows.get(id).and_then(VersionChain::current)
     }
 
     /// Deletes the row with id `id` on behalf of `txn`. The version is only
@@ -324,7 +344,7 @@ impl Table {
     pub fn delete(&mut self, id: RowId, txn: TxnId, stats: &mut OpStats) -> Result<()> {
         let chain = self
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .filter(|c| c.is_live())
             .ok_or_else(|| Error::not_found(format!("row {id} in table {}", self.schema.name)))?;
         chain.mark_deleted(txn);
@@ -352,7 +372,7 @@ impl Table {
         // take `&mut` on the indexes while the current version is compared.
         let before = self
             .rows
-            .get(&id)
+            .get(id)
             .and_then(VersionChain::current)
             .ok_or_else(|| Error::not_found(format!("row {id} in table {}", self.schema.name)))?;
         let mut after = before.clone();
@@ -423,7 +443,7 @@ impl Table {
                 stats.index_maintenance += 1;
             }
         }
-        let chain = self.rows.get_mut(&id).expect("checked live above");
+        let chain = self.rows.get_mut(id).expect("checked live above");
         chain.push_version(txn, after.clone());
         self.dead_versions += 1;
         self.dirty.insert(id);
@@ -447,7 +467,7 @@ impl Table {
     /// Undoes an UPDATE by `txn`: pops the newest version and re-opens the
     /// version it superseded.
     pub(crate) fn undo_update(&mut self, id: RowId, txn: TxnId) {
-        let Some(chain) = self.rows.get_mut(&id) else {
+        let Some(chain) = self.rows.get_mut(id) else {
             return;
         };
         let popped = chain.pop_version(txn);
@@ -461,7 +481,7 @@ impl Table {
 
     /// Undoes a DELETE by `txn`: clears the tombstone mark.
     pub(crate) fn undo_delete(&mut self, id: RowId, txn: TxnId) {
-        if let Some(chain) = self.rows.get_mut(&id) {
+        if let Some(chain) = self.rows.get_mut(id) {
             chain.unmark_deleted(txn);
             self.live += 1;
             self.dead_versions -= 1;
@@ -480,15 +500,21 @@ impl Table {
     pub(crate) fn remove_physical(&mut self, id: RowId, stats: &mut OpStats) -> Result<()> {
         let chain = self
             .rows
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| Error::not_found(format!("row {id} in table {}", self.schema.name)))?;
         if chain.is_live() {
             self.live -= 1;
         }
-        let versions: Vec<RowVersion> = chain.versions().cloned().collect();
-        self.dead_versions -= versions.iter().filter(|v| v.end.is_some()).count();
         self.dirty.remove(&id);
-        self.retire_chain_entries(id, &versions);
+        // The whole chain is gone, so every key any version held goes too.
+        for v in chain.into_versions() {
+            if v.end.is_some() {
+                self.dead_versions -= 1;
+            }
+            for idx in self.pk_index.iter_mut().chain(&mut self.secondary) {
+                idx.remove(v.row.get(idx.column_idx), id);
+            }
+        }
         self.version += 1;
         stats.rows_deleted += 1;
         Ok(())
@@ -498,7 +524,7 @@ impl Table {
     /// Physical, like [`Table::remove_physical`]: used by WAL recovery redo.
     pub(crate) fn restore(&mut self, id: RowId, row: Row) -> Result<()> {
         let mut scratch = OpStats::default();
-        if self.rows.contains_key(&id) {
+        if self.rows.contains(id) {
             self.remove_physical(id, &mut scratch)?;
         }
         self.insert_with_id(id, row, &mut scratch)
@@ -507,11 +533,8 @@ impl Table {
     /// Removes the index entries of `versions` (versions popped from the
     /// chain of `id`) whose keys no longer appear in any retained version.
     fn retire_version_entries(&mut self, id: RowId, versions: &[RowVersion]) {
-        let remaining = self.rows.get(&id);
-        let mut indexes: Vec<&mut Index> = Vec::with_capacity(1 + self.secondary.len());
-        indexes.extend(self.pk_index.iter_mut());
-        indexes.extend(self.secondary.iter_mut());
-        for idx in indexes {
+        let remaining = self.rows.get(id);
+        for idx in self.pk_index.iter_mut().chain(&mut self.secondary) {
             for v in versions {
                 let key = v.row.get(idx.column_idx);
                 let still_held = remaining.is_some_and(|chain| {
@@ -522,12 +545,6 @@ impl Table {
                 }
             }
         }
-    }
-
-    /// Removes every index entry of a fully-removed chain.
-    fn retire_chain_entries(&mut self, id: RowId, versions: &[RowVersion]) {
-        debug_assert!(!self.rows.contains_key(&id));
-        self.retire_version_entries(id, versions);
     }
 
     // --- vacuum ---------------------------------------------------------------
@@ -552,7 +569,7 @@ impl Table {
         for &id in &self.dirty {
             let chain = self
                 .rows
-                .get_mut(&id)
+                .get_mut(id)
                 .expect("dirty chains always exist in the heap");
             let pruned = chain.vacuum(horizon);
             let mut has_dead = false;
@@ -574,8 +591,8 @@ impl Table {
         self.min_dead_end = min_dead_end;
         // Phase 2: drop emptied chains and retire stale index entries.
         for (id, pruned) in shrunk {
-            if self.rows.get(&id).is_some_and(VersionChain::is_empty) {
-                self.rows.remove(&id);
+            if self.rows.get(id).is_some_and(VersionChain::is_empty) {
+                self.rows.remove(id);
             }
             self.retire_version_entries(id, &pruned);
         }
@@ -693,7 +710,7 @@ impl Table {
         let col = idx.column_idx;
         Some(idx.entries_in_key_order(descending).map(move |(key, id)| {
             self.rows
-                .get(&id)
+                .get(id)
                 .and_then(|chain| chain.visible(vis))
                 .filter(|row| row.get(col) == key)
         }))
@@ -746,7 +763,7 @@ impl Table {
         let mut idx = Index::new(def.name.clone(), col, def.unique);
         for (id, chain) in &self.rows {
             for v in chain.versions() {
-                idx.insert(v.row.get(col), *id);
+                idx.insert(v.row.get(col), id);
                 stats.index_maintenance += 1;
             }
         }
@@ -756,10 +773,12 @@ impl Table {
         Ok(())
     }
 
-    /// Approximate resident size of the table in bytes (all retained
-    /// versions + index entries).
+    /// Approximate resident size of the table in bytes: the heap's slots
+    /// and directory, what the retained versions hold outside their slots,
+    /// and the index entries.
     pub fn approx_size(&self) -> usize {
-        let heap: usize = self.rows.values().map(VersionChain::approx_size).sum();
+        let heap = self.rows.approx_overhead()
+            + self.rows.values().map(VersionChain::approx_size).sum::<usize>();
         let index_entries = self.pk_index.as_ref().map(|i| i.len()).unwrap_or(0)
             + self.secondary.iter().map(|i| i.len()).sum::<usize>();
         heap + index_entries * 24
@@ -802,7 +821,7 @@ impl Table {
         // The dirty-chain list is exactly the set of chains retaining a
         // dead version — no stale entries, nothing missed.
         for id in &self.dirty {
-            if !self.rows.contains_key(id) {
+            if !self.rows.contains(*id) {
                 return Err(Error::internal(format!(
                     "dirty-chain list names removed row {id}"
                 )));
@@ -810,7 +829,7 @@ impl Table {
         }
         for (id, chain) in &self.rows {
             let has_dead = chain.versions().any(|v| v.end.is_some());
-            if has_dead != self.dirty.contains(id) {
+            if has_dead != self.dirty.contains(&id) {
                 return Err(Error::internal(format!(
                     "dirty-chain list out of sync for row {id} (has_dead = {has_dead})"
                 )));
@@ -833,7 +852,7 @@ impl Table {
                     }
                     keys.push(key);
                     expected_entries += 1;
-                    if !idx.lookup_set(key).is_some_and(|s| s.contains(id)) {
+                    if !idx.lookup_set(key).is_some_and(|s| s.contains(&id)) {
                         return Err(Error::internal(format!(
                             "row {id} version key {key} missing from index {}",
                             idx.name
@@ -878,14 +897,14 @@ pub enum RowIter<'a> {
     /// Full heap scan.
     Scan {
         /// Chains in row-id order.
-        iter: btree_map::Iter<'a, RowId, VersionChain>,
+        iter: heap::Iter<'a, VersionChain>,
         /// The snapshot versions are resolved against.
         vis: &'a Snapshot,
     },
     /// Rows named by an index lookup, resolved lazily against the heap.
     Ids {
         /// The table heap the ids point into.
-        rows: &'a BTreeMap<RowId, VersionChain>,
+        rows: &'a Heap<VersionChain>,
         /// Ids produced by the index, in ascending row-id order and free of
         /// duplicates (see [`crate::index::Index::range`]).
         ids: IdSource<'a>,
@@ -948,14 +967,14 @@ impl<'a> Iterator for RowIter<'a> {
     fn next(&mut self) -> Option<StoredRowRef<'a>> {
         match self {
             RowIter::Scan { iter, vis } => iter.find_map(|(id, chain)| {
-                chain.visible(vis).map(|row| StoredRowRef { id: *id, row })
+                chain.visible(vis).map(|row| StoredRowRef { id, row })
             }),
             RowIter::Ids { rows, ids, vis } => {
                 // An index entry may point at a chain whose visible version
                 // has a different key (or none at all); the caller re-applies
                 // its filter, this just resolves visibility.
                 ids.find_map(|id| {
-                    rows.get(&id)
+                    rows.get(id)
                         .and_then(|chain| chain.visible(vis))
                         .map(|row| StoredRowRef { id, row })
                 })
@@ -965,7 +984,7 @@ impl<'a> Iterator for RowIter<'a> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            RowIter::Scan { iter, .. } => (0, iter.size_hint().1),
+            RowIter::Scan { .. } => (0, None),
             RowIter::Ids { ids, .. } => (0, Some(ids.len())),
         }
     }
@@ -1370,6 +1389,50 @@ mod tests {
             "check_consistency took {:?} on 50k rows under one key",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn a_deleted_and_vacuumed_table_gives_its_memory_back() {
+        let schema = Schema::new(
+            "jobs",
+            vec![
+                Column::not_null("job_id", DataType::Int),
+                Column::new("state", DataType::Text),
+            ],
+        )
+        .with_primary_key("job_id")
+        .with_index("state");
+        let mut t = Table::new(schema).unwrap();
+        let mut stats = OpStats::default();
+        let empty = t.approx_size();
+        let idle = || Value::Text("idle".into());
+        let mut ids = Vec::new();
+        for i in 0..100_000 {
+            ids.push(t.insert(vec![Value::Int(i), idle()], SETUP, &mut stats).unwrap());
+        }
+        let full = t.approx_size();
+        assert!(
+            full > empty + 100_000 * std::mem::size_of::<Option<VersionChain>>(),
+            "the size counts the slots, not just the row bytes ({full})"
+        );
+        for id in &ids {
+            t.delete(*id, TxnId(2), &mut stats).unwrap();
+        }
+        assert!(t.approx_size() >= full, "tombstones hold their slots until vacuum");
+        assert_eq!(t.vacuum(u64::MAX, &mut stats), 100_000);
+        assert!(
+            t.approx_size() <= empty + 1024,
+            "every segment went with its last row: {} vs {empty} empty",
+            t.approx_size()
+        );
+        t.check_consistency().unwrap();
+
+        // Ids continue past everything ever issued: a vacated slot is never
+        // handed out again.
+        let next = t.insert(vec![Value::Int(0), idle()], TxnId(3), &mut stats).unwrap();
+        assert_eq!(next, RowId(ids.last().unwrap().0 + 1));
+        assert_eq!(t.scan(latest(), &mut stats).count(), 1);
+        t.check_consistency().unwrap();
     }
 
     #[test]

@@ -688,6 +688,54 @@ mod tests {
     }
 
     #[test]
+    fn recovery_refuses_a_row_id_with_no_successor() {
+        // CRC-valid but hostile: replaying it would wrap the table's id
+        // counter to 0 and hand out ids already in use.
+        let log = committed_create(vec![
+            insert_rec(1, 1, 100, "idle"),
+            insert_rec(1, u64::MAX, 200, "idle"),
+        ]);
+        assert!(matches!(recover(log), Err(Error::Corruption(_))));
+
+        // The largest id that does recover leaves none to issue: the next
+        // insert is refused, typed, with the table untouched.
+        let log = committed_create(vec![insert_rec(1, u64::MAX - 1, 100, "idle")]);
+        let mut tables = recover(log).unwrap();
+        let jobs = tables.get_mut("jobs").unwrap();
+        let row = vec![Value::Int(300), Value::Text("idle".into())];
+        let refused = jobs.insert(row, TxnId(2), &mut OpStats::default());
+        assert!(matches!(refused, Err(Error::ResourceExhausted(_))));
+        assert_eq!(jobs.len(), 1);
+        jobs.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn recovery_of_an_absurd_row_id_allocates_by_rows_not_by_id() {
+        let log = committed_create(vec![
+            insert_rec(1, 1, 100, "idle"),
+            insert_rec(1, 1 << 62, 200, "idle"),
+        ]);
+        let mut tables = recover(log).unwrap();
+        let jobs = tables.get_mut("jobs").unwrap();
+        assert_eq!(jobs.len(), 2);
+        assert!(jobs.get(RowId(1 << 62)).is_some());
+        assert!(
+            jobs.approx_size() < 1 << 20,
+            "two rows, two segments: {} bytes",
+            jobs.approx_size()
+        );
+        let next = jobs
+            .insert(
+                vec![Value::Int(300), Value::Text("idle".into())],
+                TxnId(2),
+                &mut OpStats::default(),
+            )
+            .unwrap();
+        assert_eq!(next, RowId((1 << 62) + 1), "ids continue past the largest seen");
+        jobs.check_consistency().unwrap();
+    }
+
+    #[test]
     fn checkpoint_truncates_and_recovery_uses_it() {
         let mut stats = OpStats::default();
         let (mut wal, found) = Wal::open_device(

@@ -1,0 +1,115 @@
+#!/usr/bin/env bash
+# The ROADMAP's gate for a perf (or deletion) PR, written once: alternating
+# parent/change runs of the end-to-end benchmark, checked and summarised.
+#
+# Usage: scripts/pairs.sh <parent-checkout> <workload|all> [pairs=10] [seconds=10] [seed=20070107]
+#
+#   <parent-checkout>  a second copy of the repository at the parent commit
+#                      (git clone / git archive, not this working tree)
+#   <workload>         a name from BENCHMARK.json, or `all` for every one
+#
+# Each side is run through its own `benchmark/run.sh --workload W --seed N
+# --seconds S --trace 0` — the documented single-run form, which builds into
+# that checkout's own target/ (never two checkouts into one target dir) —
+# with CARGO_TARGET_DIR unset so neither side inherits the other's. Pair i
+# runs parent first when i is odd and change first when i is even. Every
+# run must report `correct: true` and 0 failed, and every run of a workload,
+# on both sides, must print the same op-stream hash; the script exits
+# non-zero otherwise. Then, per end-to-end metric: each side's median and
+# quartiles, change/parent, in how many pairs the change read better, and a
+# verdict by the rule of BENCHMARK.json's bounds — `gain` when the change
+# wins at least nine tenths of the pairs and the medians differ by more than
+# the parent's interquartile distance, `WORSE` when its median is worse than
+# the parent's by more than the metric's bound. Whole-run logs are kept in
+# the directory printed at the end.
+set -euo pipefail
+
+[ $# -ge 2 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
+change="$(cd "$(dirname "$0")/.." && pwd)"
+parent="$(cd "$1" && pwd)"
+workload="$2"
+pairs="${3:-10}"
+seconds="${4:-10}"
+seed="${5:-20070107}"
+[ "$parent" != "$change" ] || { echo "error: the parent checkout is this working tree" >&2; exit 2; }
+unset CARGO_TARGET_DIR
+
+if [ "$workload" = all ]; then
+    workloads="$(python3 -c 'import json, sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$change/BENCHMARK.json")"
+else
+    workloads="$workload"
+fi
+logs="$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")"
+
+run() { # side checkout workload pair
+    "$2/benchmark/run.sh" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 \
+        > "$logs/$3.$4.$1.log"
+}
+
+for w in $workloads; do
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$parent" "$w" "$i"; run change "$change" "$w" "$i"
+        else
+            run change "$change" "$w" "$i"; run parent "$parent" "$w" "$i"
+        fi
+        echo "# $w pair $i/$pairs done" >&2
+    done
+done
+
+python3 - "$change/BENCHMARK.json" "$logs" "$pairs" "$seed" "$seconds" $workloads <<'EOF'
+import json, statistics, sys
+
+definition, logs, pairs, seed, seconds, *workloads = sys.argv[1:]
+pairs = int(pairs)
+metrics = json.load(open(definition))["end_to_end"]
+ok = True
+
+def read(workload, pair, side):
+    global ok
+    lines = open(f"{logs}/{workload}.{pair}.{side}.log").read().splitlines()
+    hashes = [l.split()[4].rstrip(",") for l in lines if l.startswith("# op stream hash")]
+    result = json.loads(lines[-1])
+    if result["correct"] is not True or result["failed"] != 0 or not hashes:
+        print(f"FAILED CHECK: {workload} pair {pair} {side}: correct={result['correct']} "
+              f"failed={result['failed']} hash={hashes[:1]}")
+        ok = False
+    return hashes[0] if hashes else None, {k: v["value"] for k, v in result["metrics"].items()}
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+for w in workloads:
+    runs = {side: [read(w, i, side) for i in range(1, pairs + 1)] for side in ("parent", "change")}
+    hashes = {h for side in runs.values() for h, _ in side}
+    if len(hashes) != 1:
+        print(f"FAILED CHECK: {w}: op-stream hashes differ: {sorted(map(str, hashes))}")
+        ok = False
+    print(f"\n## {w}: {pairs} alternating pairs, seed {seed}, {seconds} s, op-stream hash {'/'.join(sorted(map(str, hashes)))}")
+    print(f"{'metric':<15} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} {'ratio':>6} {'better':>7}  verdict")
+    for m in metrics:
+        name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
+        p = [r[name] for _, r in runs["parent"] if name in r]
+        c = [r[name] for _, r in runs["change"] if name in r]
+        if len(p) != pairs or len(c) != pairs:
+            continue
+        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        losses = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
+        better_by = (pm - cm) if lower else (cm - pm)
+        verdict = "-"
+        if wins >= 0.9 * pairs and better_by > (p3 - p1):
+            verdict = "gain"
+        elif pm and -better_by / abs(pm) > bound:
+            verdict = f"WORSE (bound {bound:.0%})"
+        elif losses >= 0.9 * pairs and -better_by > (p3 - p1):
+            verdict = "worse, inside its bound"
+        ratio = cm / pm if pm else float("nan")
+        print(f"{name:<15} {pm:>14.4g} [{p1:>8.4g}, {p3:>8.4g}] {cm:>14.4g} [{c1:>8.4g}, {c3:>8.4g}] {ratio:>6.3f} {wins:>4}/{pairs:<2}  {verdict}")
+
+print(f"\nlogs: {logs}")
+sys.exit(0 if ok else 1)
+EOF

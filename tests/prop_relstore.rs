@@ -316,3 +316,88 @@ proptest! {
         let _ = OpStats::default();
     }
 }
+
+#[derive(Debug, Clone)]
+enum HeapOp {
+    /// Insert under the next id in sequence (how a table issues them).
+    Push(u32),
+    /// Insert under a given id (how recovery does): anywhere, in any order.
+    InsertAt(u64, u32),
+    Remove(u64),
+    Get(u64),
+    Bump(u64),
+}
+
+/// Ids that collide often enough to matter: a dense band spanning a few
+/// segments, and a sparse set spread over the whole id space.
+fn heap_id_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0..3_000u64,
+        0..3_000u64,
+        (0..8u64, 0..4u64).prop_map(|(hi, lo)| (hi << 60) | (lo * 1_023)),
+        Just(u64::MAX),
+    ]
+}
+
+fn heap_op_strategy() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        (0..1_000u32).prop_map(HeapOp::Push),
+        (0..1_000u32).prop_map(HeapOp::Push),
+        (heap_id_strategy(), 0..1_000u32).prop_map(|(id, v)| HeapOp::InsertAt(id, v)),
+        heap_id_strategy().prop_map(HeapOp::Remove),
+        heap_id_strategy().prop_map(HeapOp::Remove),
+        heap_id_strategy().prop_map(HeapOp::Get),
+        heap_id_strategy().prop_map(HeapOp::Bump),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The slab heap is a map from row id to value: after every step of a
+    /// random schedule it agrees with an ordered-map model on what each
+    /// operation returned, on `len`, and on in-order iteration.
+    #[test]
+    fn heap_agrees_with_an_ordered_map_model(ops in prop::collection::vec(heap_op_strategy(), 1..250)) {
+        use relstore::heap::Heap;
+        use relstore::RowId;
+        let mut heap: Heap<u32> = Heap::new();
+        let mut model: std::collections::BTreeMap<RowId, u32> = std::collections::BTreeMap::new();
+        let mut next = 0u64;
+        for op in ops {
+            match op {
+                HeapOp::Push(v) => {
+                    prop_assert_eq!(heap.insert(RowId(next), v), model.insert(RowId(next), v));
+                    next += 1;
+                }
+                HeapOp::InsertAt(id, v) => {
+                    prop_assert_eq!(heap.insert(RowId(id), v), model.insert(RowId(id), v));
+                }
+                HeapOp::Remove(id) => {
+                    prop_assert_eq!(heap.remove(RowId(id)), model.remove(&RowId(id)));
+                }
+                HeapOp::Get(id) => {
+                    prop_assert_eq!(heap.get(RowId(id)), model.get(&RowId(id)));
+                    prop_assert_eq!(heap.contains(RowId(id)), model.contains_key(&RowId(id)));
+                }
+                HeapOp::Bump(id) => {
+                    let (got, want) = (heap.get_mut(RowId(id)), model.get_mut(&RowId(id)));
+                    prop_assert_eq!(got.is_some(), want.is_some());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        *got += 1;
+                        *want += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(heap.len(), model.len());
+            prop_assert_eq!(heap.is_empty(), model.is_empty());
+            prop_assert!(heap.iter().eq(model.iter().map(|(id, v)| (*id, v))));
+            prop_assert!(heap.values().eq(model.values()));
+        }
+        // Emptying it, in whatever order, gives every segment back.
+        for id in model.keys() {
+            prop_assert!(heap.remove(*id).is_some());
+        }
+        prop_assert_eq!(heap.approx_overhead(), 0);
+    }
+}
