@@ -1142,20 +1142,71 @@ mod tests {
     }
 
     /// The log as a budget: the commonest call, a heartbeat with nothing to
-    /// report, appends `Begin`, one `Update` of the machine's row and
-    /// `Commit` — and the `Update` carries one image of that row, not two.
+    /// report, appends one record — its transaction, holding one `Update` of
+    /// the machine's row — and the `Update` carries one image of that row,
+    /// not two.
     #[test]
-    fn an_idle_heartbeat_logs_three_records_within_its_byte_budget() {
+    fn an_idle_heartbeat_logs_one_record_within_its_byte_budget() {
         let mut cas = cas();
         cas.register_machine(1, "vm1.cluster.example", 1.0, 0, 2048).unwrap();
         cas.heartbeat(1, HeartbeatReport::Idle).unwrap();
         let before = cas.database().stats();
         cas.heartbeat(1, HeartbeatReport::Idle).unwrap();
         let d = cas.database().stats().delta_since(&before);
-        assert_eq!((d.commits, d.wal_records), (1, 3));
-        // 151 today (32 for `Begin` + `Commit`, 119 for the `Update`); a
-        // second row image would make it 238.
+        assert_eq!((d.commits, d.wal_records), (1, 1));
+        // 135 today (16 for the transaction, 119 for the `Update`); a
+        // second row image would make it 222.
         assert!(d.wal_bytes <= 160, "{} bytes for one heartbeat", d.wal_bytes);
+    }
+
+    /// A restarted CAS is the CAS that crashed: the indexes the schema
+    /// creates by `CREATE INDEX` come back with the log, so the statements
+    /// that relied on them still do.
+    #[test]
+    fn a_cas_restarted_from_its_log_keeps_its_indexes() {
+        use relstore::{DurabilityPolicy, MemDevice};
+        let open = |log: Vec<u8>| {
+            let device = Box::new(MemDevice::with_contents(log));
+            Arc::new(Database::open_with_device(device, DurabilityPolicy::Always).unwrap())
+        };
+        let plans = |db: &Database| -> Vec<String> {
+            [
+                "SELECT job_id FROM matches WHERE machine_id = 1 ORDER BY match_id LIMIT 1",
+                "SELECT COUNT(*) FROM jobs WHERE state = 'idle'",
+            ]
+            .iter()
+            .map(|sql| {
+                // The access path (`detail` of the first step), not its
+                // row estimate: dead versions do not survive a restart.
+                let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+                plan.rows[0].get(2).to_string()
+            })
+            .collect()
+        };
+        let db = open(Vec::new());
+        let mut cas = CasState::new(Arc::clone(&db)).unwrap();
+        db.execute("CREATE UNIQUE INDEX ON machines (name)").unwrap();
+        for m in 1..=4 {
+            cas.register_machine(m, &format!("vm{m}"), 1.0, 0, 1024).unwrap();
+        }
+        cas.submit_jobs("alice", 1000, 3).unwrap();
+        assert_eq!(cas.run_scheduler().unwrap(), 3);
+        let before = plans(&db);
+        assert!(before[0].contains("matches.machine_id"), "{before:?}");
+        assert!(before[1].contains("point lookup on jobs.state"), "{before:?}");
+
+        // Crash; no checkpoint was ever taken.
+        let db = open(db.durable_log_bytes().unwrap());
+        let mut cas = CasState::new(Arc::clone(&db)).unwrap();
+        assert_eq!(plans(&db), before);
+        let s0 = db.stats();
+        cas.heartbeat(4, HeartbeatReport::Idle).unwrap();
+        let d = db.stats().delta_since(&s0);
+        assert_eq!(d.rows_scanned, 0, "an idle heartbeat scans nothing");
+        assert!(d.index_lookups >= 1);
+        let dup = cas.register_machine(9, "vm1", 1.0, 0, 1024).unwrap_err();
+        assert_eq!(dup.class(), relstore::ErrorClass::Constraint, "{dup}");
+        db.check_consistency().unwrap();
     }
 
     /// A CAS started over a database that already holds a pool carries on

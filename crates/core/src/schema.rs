@@ -99,29 +99,18 @@ pub const TABLES: &[&str] = &[
     "provenance",
 ];
 
-/// Deploys the schema into a database (idempotent: existing tables are kept).
+/// Deploys the schema into a database as one transaction — a fresh durable
+/// deployment is one commit — and idempotently: a table or index that
+/// already exists is kept as it is.
 pub fn deploy(db: &relstore::Database) -> relstore::Result<()> {
-    let existing = db.table_names();
+    let txn = db.transaction();
     for ddl in DDL {
-        // Skip statements whose target table already exists.
-        let target = ddl
-            .split_whitespace()
-            .skip_while(|w| !w.eq_ignore_ascii_case("TABLE") && !w.eq_ignore_ascii_case("ON"))
-            .nth(1)
-            .unwrap_or("")
-            .trim_start_matches('(')
-            .to_ascii_lowercase();
-        let is_create_table = ddl.trim_start().to_ascii_uppercase().starts_with("CREATE TABLE");
-        if is_create_table && existing.contains(&target) {
-            continue;
+        match txn.execute(*ddl, ()) {
+            Ok(_) | Err(relstore::Error::AlreadyExists(_)) => {}
+            Err(e) => return Err(e),
         }
-        if !is_create_table && existing.contains(&target) {
-            // Index on a pre-existing table: assume it was created with it.
-            continue;
-        }
-        db.execute(ddl)?;
     }
-    Ok(())
+    txn.commit()
 }
 
 #[cfg(test)]
@@ -150,6 +139,29 @@ mod tests {
             .unwrap();
         deploy(&db).unwrap();
         assert_eq!(db.table_len("jobs").unwrap(), 1, "redeploy must not drop data");
+    }
+
+    #[test]
+    fn a_durable_deployment_is_one_commit_and_a_redeployment_none() {
+        use relstore::{DurabilityPolicy, MemDevice};
+        let db = Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always)
+            .unwrap();
+        deploy(&db).unwrap();
+        let fresh = db.stats();
+        assert_eq!((fresh.commits, fresh.wal_records, fresh.wal_fsyncs), (1, 1, 1));
+        deploy(&db).unwrap();
+        let again = db.stats().delta_since(&fresh);
+        assert_eq!((again.wal_records, again.wal_fsyncs), (0, 0));
+
+        // A deployment that lost an index (an older one never logged them)
+        // gets it back without touching what is there.
+        let bare = Database::new();
+        bare.execute(DDL[1]).unwrap();
+        bare.execute("INSERT INTO jobs (job_id, owner, state) VALUES (1, 'alice', 'idle')").unwrap();
+        deploy(&bare).unwrap();
+        assert_eq!(bare.table_len("jobs").unwrap(), 1);
+        let plan = bare.query("EXPLAIN SELECT job_id FROM jobs WHERE state = 'idle'").unwrap();
+        assert!(format!("{:?}", plan.rows).contains("point lookup on jobs.state"), "{plan:?}");
     }
 
     #[test]

@@ -71,9 +71,9 @@ use crate::sql::parser::parse;
 use crate::stats::{OpStats, SharedStats};
 use crate::table::Table;
 use crate::tuple::Row;
-use crate::txn::{LockManager, TxnManager, UndoRecord};
+use crate::txn::{LockManager, TxnManager};
 use crate::value::Value;
-use crate::wal::{self, LogRecord, TxnId, Wal};
+use crate::wal::{self, Change, TxnId, Wal};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -352,10 +352,6 @@ impl Database {
         let (mut wal, records) =
             Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
         let wal_records = records.len();
-        // New transactions must not reuse ids already in the log: a
-        // colliding Commit record from a previous run would make this run's
-        // uncommitted changes look committed at the next recovery.
-        let max_txn = wal::max_txn_id(&records);
         let catalog = wal::recover(records)?;
         let db = Database {
             catalog: RwLock::new(catalog),
@@ -363,11 +359,7 @@ impl Database {
             ..Database::default()
         };
         wal.set_obs(Arc::clone(&db.obs));
-        {
-            let mut ctl = db.ctl.lock();
-            ctl.txns.advance_past(max_txn);
-            ctl.wal = wal;
-        }
+        db.ctl.lock().wal = wal;
         db.obs.events.record_span(
             "recovery",
             format!(
@@ -454,9 +446,8 @@ impl Database {
     // --- transaction control -------------------------------------------------
 
     /// Begins an explicit transaction, stamping it with the MVCC snapshot
-    /// all its reads will resolve against. No WAL record is written yet:
-    /// the `Begin` record is appended lazily with the transaction's first
-    /// logged change, so read-only transactions never touch the log.
+    /// all its reads will resolve against. Nothing is logged until it
+    /// commits, and nothing then if it changed nothing.
     pub(crate) fn begin(&self) -> TxnId {
         let mut local = OpStats::default();
         let id = self.begin_local(&mut local);
@@ -487,17 +478,20 @@ impl Database {
         }
     }
 
-    /// Commits an explicit transaction and releases its locks. Transactions
-    /// that logged no changes append no Commit record.
+    /// Commits an explicit transaction and releases its locks: its change
+    /// list reaches the log as one record, with one append. A transaction
+    /// that changed nothing appends nothing.
     ///
-    /// On a durable database the Commit record is forced to disk according
-    /// to the [`DurabilityPolicy`] before this returns. An [`Error::Io`]
-    /// here means the commit was **not** acknowledged as durable: the log
-    /// writer is poisoned (an earlier write failed, or this commit's fsync
+    /// On a durable database the record is forced to disk according to the
+    /// [`DurabilityPolicy`] before this returns. An [`Error::Io`] here means
+    /// the commit was **not** acknowledged as durable: the log writer is
+    /// poisoned (an earlier write failed, or this commit's append or fsync
     /// did) and recovery from the on-disk log may not include this
     /// transaction. The in-memory state keeps the commit and stays readable,
     /// but every further commit fails the same way until the database is
-    /// reopened from disk.
+    /// reopened from disk. An [`Error::ResourceExhausted`] means the change
+    /// list is larger than a log record may be: nothing was written, and the
+    /// transaction has been rolled back instead.
     pub(crate) fn commit(&self, txn: TxnId) -> Result<()> {
         let mut local = OpStats::default();
         let synced = self.commit_local(txn, &mut local);
@@ -506,28 +500,37 @@ impl Database {
     }
 
     /// [`Database::commit`] counting into a caller-owned [`OpStats`] delta.
-    /// Commits that logged changes record their WAL-append-to-fsync span in
+    /// Commits that changed something record their append-to-fsync span in
     /// the `txn.commit` latency histogram.
     fn commit_local(&self, txn: TxnId, local: &mut OpStats) -> Result<()> {
-        let synced;
-        {
-            let mut ctl = self.ctl.lock();
-            let state = ctl.txns.finish_commit(txn)?;
-            synced = if state.wal_begun {
+        let mut guard = self.ctl.lock();
+        let ctl = &mut *guard;
+        // Framed while the transaction is still active: a change list the
+        // log cannot hold must not be marked committed.
+        let frame = match ctl.wal.frame(&ctl.txns.get_active(txn)?.changes) {
+            Ok(frame) => frame,
+            Err(e) => {
+                drop(guard);
+                let _ = self.rollback_impl(txn, None, local);
+                return Err(e);
+            }
+        };
+        ctl.txns.finish_commit(txn)?;
+        let synced = match frame {
+            Some(frame) => {
                 let sw = Stopwatch::start();
-                ctl.wal.append(&LogRecord::Commit { txn }, local);
-                let forced = ctl.wal.commit_sync(local);
+                let forced = ctl.wal.commit(frame, local);
                 self.obs.histograms.commit.record(sw.elapsed_nanos());
                 forced
-            } else {
-                // Read-only: nothing was logged, nothing needs forcing.
-                Ok(())
-            };
-            // Locks are released even when the sync failed — the engine
-            // stays usable for reads and rollbacks.
-            ctl.locks.release_all(txn);
-            local.horizon_lag = local.horizon_lag.max(Self::horizon_lag_of(&ctl));
-        }
+            }
+            // Read-only: nothing to log, nothing needs forcing.
+            None => Ok(()),
+        };
+        // Locks are released even when the sync failed — the engine stays
+        // usable for reads and rollbacks.
+        ctl.locks.release_all(txn);
+        local.horizon_lag = local.horizon_lag.max(Self::horizon_lag_of(ctl));
+        drop(guard);
         local.commits += 1;
         synced
     }
@@ -546,8 +549,8 @@ impl Database {
     }
 
     /// Aborts every transaction idle (no statement executed through it) for
-    /// at least `idle_for`, releasing its locks, undoing its versions and
-    /// appending its WAL `Abort` record — the reaper that keeps an abandoned
+    /// at least `idle_for`, releasing its locks and undoing its versions
+    /// (the log never heard of it) — the reaper that keeps an abandoned
     /// client from pinning the vacuum horizon or blocking checkpoints
     /// forever. Returns the number of transactions reaped (counted in
     /// [`OpStats::txns_reaped`]).
@@ -595,31 +598,8 @@ impl Database {
                 }
             }
             let state = ctl.txns.finish_abort(txn)?;
-            // Undo in reverse order.
-            for undo in state.undo.iter().rev() {
-                match undo {
-                    UndoRecord::Insert { table, row_id } => {
-                        if let Some(t) = catalog.get_mut(&**table) {
-                            t.undo_insert(*row_id);
-                        }
-                    }
-                    UndoRecord::Delete { table, row_id } => {
-                        if let Some(t) = catalog.get_mut(&**table) {
-                            t.undo_delete(*row_id, txn);
-                        }
-                    }
-                    UndoRecord::Update { table, row_id } => {
-                        if let Some(t) = catalog.get_mut(&**table) {
-                            t.undo_update(*row_id, txn);
-                        }
-                    }
-                    UndoRecord::CreateTable { table } => {
-                        catalog.remove(table);
-                    }
-                }
-            }
-            if state.wal_begun {
-                ctl.wal.append(&LogRecord::Abort { txn }, local);
+            for change in state.changes.into_iter().rev() {
+                change.undo(&mut catalog, txn);
             }
             ctl.locks.release_all(txn);
         }
@@ -803,9 +783,12 @@ impl Database {
                 // wait breakdown includes the commit fsync and the shared
                 // stats merge happens once.
                 let sw = Stopwatch::start();
-                let mut local = OpStats::default();
+                let mut local = OpStats {
+                    statements_executed: 1,
+                    ..Default::default()
+                };
                 let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
-                    self.write_stmt_in(txn, stmt, params, ctx.gov, local)
+                    self.write_in(txn, stmt, std::iter::once(params), None, ctx.gov, local)
                 });
                 if let Err(e) = &result {
                     Self::attribute_failure(&mut local, e);
@@ -1151,22 +1134,36 @@ impl Database {
         Ok(())
     }
 
-    /// The body of the write arm inside its transaction: bounded lock wait,
-    /// the write itself under both guards, the WAL append and the targeted
-    /// vacuum. Mutating statements hold the catalog write guard for their
-    /// duration. Counts into `local` but neither attributes failures nor
-    /// merges stats — the caller owns the single
-    /// [`Database::finish_statement`] per statement.
-    fn write_stmt_in(
+    /// The body of the write arm inside its transaction: the bounded lock
+    /// wait, then — holding the catalog write guard and the control mutex
+    /// **once** — the statement applied once per binding, each change pushed
+    /// onto the transaction's change list as it applies, and the targeted
+    /// vacuum. Nothing reaches the log here; the change list does, at commit.
+    ///
+    /// A single statement is the one-binding case with `per_binding` unset:
+    /// its caller counts it and times it (begin through commit in autocommit
+    /// mode, so the sample includes the fsync), owning the single
+    /// [`Database::finish_statement`]. A batch passes its statement's
+    /// profile, and every binding is then counted and sampled here as one
+    /// statement — its own execution only, the deadline and cancellation
+    /// checked between bindings — with the batch's commit landing in the
+    /// `txn.commit` / `wal.fsync` histograms instead. Either way failures
+    /// are neither attributed nor are stats merged here.
+    ///
+    /// Returns the last binding's result, with the affected-row counts of
+    /// all bindings summed. Changes applied before an error stay on the
+    /// change list: rollback undoes them, and should the transaction commit
+    /// anyway they are logged.
+    fn write_in<'p>(
         &self,
         txn: TxnId,
         stmt: &Statement,
-        params: &[Value],
+        bindings: impl Iterator<Item = &'p [Value]>,
+        per_binding: Option<&Arc<StmtProfile>>,
         gov: &Governance,
         local: &mut OpStats,
     ) -> Result<ExecResult> {
         let mut governor = Governor::arm(gov);
-        local.statements_executed += 1;
         // Bounded lock wait happens *before* the catalog write guard
         // is taken, so a waiting writer never blocks readers or the
         // holder's own commit/rollback.
@@ -1175,38 +1172,68 @@ impl Database {
             self.wait_for_table_lock(txn, &name, wait, &mut governor, local)?;
         }
         let mut catalog = self.catalog.write();
-        let mut ctl = self.ctl.lock();
-        ctl.txns.touch(txn);
-        let mut log = Vec::new();
-        let result = Self::run_write(
-            &mut catalog,
-            &mut ctl,
-            txn,
-            stmt,
-            params,
-            local,
-            &mut log,
-            &mut governor,
-        );
-        // Changes that were applied before an error are still logged:
-        // their undo records exist and rollback discards them, so the
-        // WAL must carry them in case the transaction commits anyway.
-        let flushed = Self::append_changes(&mut ctl, txn, log, false, local);
-        self.vacuum_if_bloated(&mut catalog, &ctl, stmt, local);
-        drop(ctl);
+        let mut guard = self.ctl.lock();
+        let ctl = &mut *guard;
+        let state = match ctl.txns.get_active(txn) {
+            Ok(state) => state,
+            Err(e) => {
+                // A finished (say, reaped) transaction never releases
+                // anything again: give back the lock the wait just took.
+                ctl.locks.release_all(txn);
+                return Err(e);
+            }
+        };
+        state.last_activity = Instant::now();
+        let mut done = Ok(ExecResult::Ack);
+        for params in bindings {
+            let mut apply = |stats: &mut OpStats, governor: &mut Governor| {
+                let changes = &mut state.changes;
+                Self::run_write(&mut catalog, txn, changes, stmt, params, stats, governor)
+            };
+            let result = match per_binding {
+                None => apply(local, &mut governor),
+                Some(profile) => {
+                    let sw = Stopwatch::start();
+                    local.statements_executed += 1;
+                    let before = WaitBreakdown::of(local);
+                    let result = governor.check_now().and_then(|()| apply(local, &mut governor));
+                    let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
+                    self.obs.record_statement(
+                        StmtKind::of(stmt),
+                        sw.elapsed_nanos(),
+                        rows,
+                        Some(profile),
+                        WaitBreakdown::of(local).delta_since(&before),
+                        local,
+                    );
+                    result
+                }
+            };
+            done = match (done, result) {
+                (Ok(ExecResult::Affected(a)), Ok(ExecResult::Affected(b))) => {
+                    Ok(ExecResult::Affected(a + b))
+                }
+                (_, result) => result,
+            };
+            if done.is_err() {
+                break;
+            }
+        }
+        self.vacuum_if_bloated(&mut catalog, ctl, stmt, local);
+        drop(guard);
         drop(catalog);
-        let result = result?;
-        flushed?;
-        if matches!(
-            stmt,
-            Statement::CreateTable(_) | Statement::CreateIndex { .. } | Statement::DropTable(_)
-        ) {
+        if done.is_ok()
+            && matches!(
+                stmt,
+                Statement::CreateTable(_) | Statement::CreateIndex { .. } | Statement::DropTable(_)
+            )
+        {
             // Schema changed under cached plans; force a replan on next
             // execution. (A later rollback of this DDL leaves the bump in
             // place — harmlessly conservative.)
             self.plan_gen.fetch_add(1, Ordering::Release);
         }
-        Ok(result)
+        done
     }
 
     /// Counts a governance failure in the right statement-level counter.
@@ -1331,49 +1358,22 @@ impl Database {
         }
     }
 
-    /// Appends buffered row-level change records to the WAL: the
-    /// transaction's lazy `Begin` first if needed, then either each record
-    /// individually (single-statement execution, preserving the one record
-    /// per change cadence) or everything wrapped into one
-    /// [`LogRecord::Batch`] append (batched execution — one WAL append for N
-    /// bindings).
-    fn append_changes(
-        ctl: &mut Control,
-        txn: TxnId,
-        log: Vec<LogRecord>,
-        as_batch: bool,
-        stats: &mut OpStats,
-    ) -> Result<()> {
-        if log.is_empty() {
-            return Ok(());
-        }
-        Self::wal_begin_if_needed(ctl, txn, stats)?;
-        if as_batch && log.len() > 1 {
-            ctl.wal.append(&LogRecord::Batch { txn, changes: log }, stats);
-        } else {
-            for rec in &log {
-                ctl.wal.append(rec, stats);
-            }
-        }
-        Ok(())
-    }
-
     // --- batched execution ----------------------------------------------------
 
     /// Executes a prepared DML statement once per parameter binding, taking
     /// the catalog write guard and the control mutex **once** for the whole
-    /// batch and appending **one** WAL record for all of its changes. The
-    /// batch is one governed unit: its deadline, cancellation token and
-    /// budgets span all bindings.
+    /// batch ([`Database::write_in`]). The batch is one governed unit: its
+    /// deadline, cancellation token and budgets span all bindings.
     ///
     /// On success the stored data is identical to running the statement
     /// once per binding — same rows affected, same constraint checks — with
-    /// only the locking and logging cadence differing. On error an
+    /// only the locking cadence (and, in autocommit mode, the single commit)
+    /// differing. On error an
     /// autocommit batch is **stricter** than the loop: it runs as one
     /// implicit transaction and rolls back entirely, whereas a loop of
     /// autocommit statements would leave the bindings before the failure
     /// committed. Inside an explicit transaction the bindings already
-    /// applied stay pending (their undo records exist), exactly as a failed
+    /// applied stay pending (on its change list), exactly as a failed
     /// statement in a loop would; the caller decides whether to roll back.
     /// Returns the total number of rows affected.
     pub(crate) fn run_batch(
@@ -1395,87 +1395,14 @@ impl Database {
         }
         let mut local = OpStats::default();
         let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
-            self.write_batch_in(txn, prepared, bindings, ctx.gov, local)
+            let bindings = bindings.iter().map(Vec::as_slice);
+            self.write_in(txn, &prepared.stmt, bindings, Some(&prepared.profile), ctx.gov, local)
         });
         if let Err(e) = &result {
             Self::attribute_failure(&mut local, e);
         }
         self.stats.record(&local);
-        result
-    }
-
-    /// The body of a DML batch inside its transaction; the batch counterpart
-    /// of [`Database::write_stmt_in`].
-    fn write_batch_in(
-        &self,
-        txn: TxnId,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-        gov: &Governance,
-        local: &mut OpStats,
-    ) -> Result<usize> {
-        let mut governor = Governor::arm(gov);
-        if let Some(name) = Self::write_target(&prepared.stmt) {
-            let wait = gov.lock_wait.unwrap_or_else(|| self.lock_wait_timeout());
-            self.wait_for_table_lock(txn, &name, wait, &mut governor, local)?;
-        }
-        let kind = StmtKind::of(&prepared.stmt);
-        let mut catalog = self.catalog.write();
-        let mut ctl = self.ctl.lock();
-        ctl.txns.touch(txn);
-        let mut log = Vec::new();
-        let mut affected = 0usize;
-        let mut failed = None;
-        for binding in bindings {
-            let sw = Stopwatch::start();
-            local.statements_executed += 1;
-            let before = WaitBreakdown::of(local);
-            // Deadline/cancellation boundary between bindings, in addition
-            // to the per-row ticks inside run_write.
-            let result = governor.check_now().and_then(|()| {
-                Self::run_write(
-                    &mut catalog,
-                    &mut ctl,
-                    txn,
-                    &prepared.stmt,
-                    binding,
-                    local,
-                    &mut log,
-                    &mut governor,
-                )
-            });
-            // Each binding counts as one statement, so each lands one
-            // histogram/profile sample. The binding sees only its own wait
-            // delta; the batch's single WAL append and the commit land in
-            // the wal.fsync / txn.commit histograms, not here.
-            let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
-            self.obs.record_statement(
-                kind,
-                sw.elapsed_nanos(),
-                rows,
-                Some(&prepared.profile),
-                WaitBreakdown::of(local).delta_since(&before),
-                local,
-            );
-            match result {
-                Ok(result) => affected += result.affected(),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        // Changes applied before an error are still logged, as in
-        // `write_stmt_in`.
-        let flushed = Self::append_changes(&mut ctl, txn, log, true, local);
-        self.vacuum_if_bloated(&mut catalog, &ctl, &prepared.stmt, local);
-        drop(ctl);
-        drop(catalog);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        flushed?;
-        Ok(affected)
+        result.map(|done| done.affected())
     }
 
     /// Executes a prepared SELECT once per parameter binding under a
@@ -1546,37 +1473,28 @@ impl Database {
     }
 
     /// Executes a mutating statement while holding the catalog write guard
-    /// and the control mutex. Row-level change records are pushed onto `log`
-    /// rather than appended to the WAL directly, so the caller controls the
-    /// append cadence (per record for single statements, one batch record for
-    /// batched execution).
-    #[allow(clippy::too_many_arguments)]
+    /// and the control mutex, for the active transaction `txn`, which holds
+    /// the lock of the statement's table ([`Database::write_target`]). Every
+    /// change is pushed onto `changes`, the transaction's change list, as it
+    /// is applied.
     fn run_write(
         catalog: &mut Catalog,
-        ctl: &mut Control,
         txn: TxnId,
+        changes: &mut Vec<Change>,
         stmt: &Statement,
         params: &[Value],
         stats: &mut OpStats,
-        log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        ctl.txns.get_active(txn)?;
         match stmt {
             Statement::CreateTable(schema) => {
-                let name = schema.name.clone();
-                ctl.locks.acquire(txn, &name)?;
-                if catalog.contains_key(&name) {
-                    return Err(Error::AlreadyExists(format!("table {name}")));
+                if catalog.contains_key(&schema.name) {
+                    return Err(Error::AlreadyExists(format!("table {}", schema.name)));
                 }
-                let table = Table::new(schema.clone())?;
-                catalog.insert(name.clone(), table);
-                log.push(LogRecord::CreateTable {
-                    txn,
+                catalog.insert(schema.name.clone(), Table::new(schema.clone())?);
+                changes.push(Change::CreateTable {
                     schema: schema.clone(),
                 });
-                ctl.txns
-                    .push_undo(txn, UndoRecord::CreateTable { table: name })?;
                 Ok(ExecResult::Ack)
             }
             Statement::CreateIndex {
@@ -1585,47 +1503,46 @@ impl Database {
                 unique,
             } => {
                 let name = table.to_ascii_lowercase();
-                ctl.locks.acquire(txn, &name)?;
                 let t = catalog
                     .get_mut(&name)
                     .ok_or_else(|| Error::not_found(format!("table {table}")))?;
                 let prefix = if *unique { "uidx" } else { "idx" };
-                let idx_name = format!("{prefix}_{name}_{column}");
-                if t.schema.indexes.iter().any(|i| i.name == idx_name) {
-                    return Err(Error::AlreadyExists(format!("index {idx_name}")));
+                let def = IndexDef {
+                    name: format!("{prefix}_{name}_{column}"),
+                    column: column.to_ascii_lowercase(),
+                    unique: *unique,
+                };
+                if t.schema.indexes.iter().any(|i| i.name == def.name) {
+                    return Err(Error::AlreadyExists(format!("index {}", def.name)));
                 }
                 // Built in place over every retained version, so snapshot
                 // readers probing the new index still see their rows.
-                t.add_index(
-                    IndexDef {
-                        name: idx_name,
-                        column: column.to_ascii_lowercase(),
-                        unique: *unique,
-                    },
-                    stats,
-                )?;
+                t.add_index(def.clone(), stats)?;
+                changes.push(Change::CreateIndex {
+                    table: Arc::clone(t.name()),
+                    def,
+                });
                 Ok(ExecResult::Ack)
             }
             Statement::DropTable(table) => {
                 let name = table.to_ascii_lowercase();
-                ctl.locks.acquire(txn, &name)?;
-                catalog
+                let dropped = catalog
                     .remove(&name)
                     .ok_or_else(|| Error::not_found(format!("table {table}")))?;
-                log.push(LogRecord::DropTable {
-                    txn,
-                    table: name.into(),
+                changes.push(Change::DropTable {
+                    table: Arc::clone(dropped.name()),
+                    dropped: Some(Box::new(dropped)),
                 });
                 Ok(ExecResult::Ack)
             }
             Statement::Insert(ins) => {
-                Self::run_insert(catalog, ctl, txn, ins, params, stats, log, gov)
+                Self::run_insert(catalog, txn, changes, ins, params, stats, gov)
             }
             Statement::Update(upd) => {
-                Self::run_update(catalog, ctl, txn, upd, params, stats, log, gov)
+                Self::run_update(catalog, txn, changes, upd, params, stats, gov)
             }
             Statement::Delete(del) => {
-                Self::run_delete(catalog, ctl, txn, del, params, stats, log, gov)
+                Self::run_delete(catalog, txn, changes, del, params, stats, gov)
             }
             Statement::Begin
             | Statement::Commit
@@ -1654,35 +1571,20 @@ impl Database {
         )
     }
 
-    /// Appends the transaction's `Begin` record if this is its first logged
-    /// change (Begin records are lazy; see [`Database::begin`]).
-    fn wal_begin_if_needed(ctl: &mut Control, txn: TxnId, stats: &mut OpStats) -> Result<()> {
-        let state = ctl.txns.get_active(txn)?;
-        if !state.wal_begun {
-            state.wal_begun = true;
-            ctl.wal.append(&LogRecord::Begin { txn }, stats);
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_insert(
         catalog: &mut Catalog,
-        ctl: &mut Control,
         txn: TxnId,
+        changes: &mut Vec<Change>,
         ins: &InsertStmt,
         params: &[Value],
         stats: &mut OpStats,
-        log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
         /// What a VALUES expression may refer to: no column at all.
         static VALUES_SCOPE: LazyLock<Schema> =
             LazyLock::new(|| Schema::new("values", Vec::new()));
-        let name = lower_name(&ins.table);
-        ctl.locks.acquire(txn, &name)?;
         let table = catalog
-            .get_mut(name.as_ref())
+            .get_mut(lower_name(&ins.table).as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", ins.table)))?;
         let name = Arc::clone(table.name());
         let empty_row = Row::default();
@@ -1725,39 +1627,27 @@ impl Database {
             let row = table.get(row_id).cloned().ok_or_else(|| {
                 Error::internal("row missing immediately after insert")
             })?;
-            log.push(LogRecord::Insert {
-                txn,
+            changes.push(Change::Insert {
                 table: Arc::clone(&name),
                 row_id,
                 row,
             });
-            ctl.txns.push_undo(
-                txn,
-                UndoRecord::Insert {
-                    table: Arc::clone(&name),
-                    row_id,
-                },
-            )?;
             inserted += 1;
         }
         Ok(ExecResult::Affected(inserted))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_update(
         catalog: &mut Catalog,
-        ctl: &mut Control,
         txn: TxnId,
+        changes: &mut Vec<Change>,
         upd: &UpdateStmt,
         params: &[Value],
         stats: &mut OpStats,
-        log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let name = lower_name(&upd.table);
-        ctl.locks.acquire(txn, &name)?;
         let table = catalog
-            .get_mut(name.as_ref())
+            .get_mut(lower_name(&upd.table).as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", upd.table)))?;
         let name = Arc::clone(table.name());
         let ids =
@@ -1777,39 +1667,27 @@ impl Database {
                 assignments.push((idx, value));
             }
             let after = table.update(id, &assignments, txn, stats)?;
-            log.push(LogRecord::Update {
-                txn,
+            changes.push(Change::Update {
                 table: Arc::clone(&name),
                 row_id: id,
                 after,
             });
-            ctl.txns.push_undo(
-                txn,
-                UndoRecord::Update {
-                    table: Arc::clone(&name),
-                    row_id: id,
-                },
-            )?;
             affected += 1;
         }
         Ok(ExecResult::Affected(affected))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_delete(
         catalog: &mut Catalog,
-        ctl: &mut Control,
         txn: TxnId,
+        changes: &mut Vec<Change>,
         del: &DeleteStmt,
         params: &[Value],
         stats: &mut OpStats,
-        log: &mut Vec<LogRecord>,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let name = lower_name(&del.table);
-        ctl.locks.acquire(txn, &name)?;
         let table = catalog
-            .get_mut(name.as_ref())
+            .get_mut(lower_name(&del.table).as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", del.table)))?;
         let name = Arc::clone(table.name());
         let ids =
@@ -1818,18 +1696,10 @@ impl Database {
         for id in ids {
             gov.tick()?;
             table.delete(id, txn, stats)?;
-            log.push(LogRecord::Delete {
-                txn,
+            changes.push(Change::Delete {
                 table: Arc::clone(&name),
                 row_id: id,
             });
-            ctl.txns.push_undo(
-                txn,
-                UndoRecord::Delete {
-                    table: Arc::clone(&name),
-                    row_id: id,
-                },
-            )?;
             affected += 1;
         }
         Ok(ExecResult::Affected(affected))
@@ -1997,7 +1867,7 @@ mod tests {
     }
 
     /// Crashes `db` and recovers: a new database over every record `db`
-    /// appended so far, those of uncommitted transactions included.
+    /// appended so far.
     fn reopen(db: &Database) -> Database {
         db.flush_log().unwrap();
         let log = db.durable_log_bytes().unwrap();
@@ -2076,8 +1946,8 @@ mod tests {
 
     #[test]
     fn rollback_restores_rows_and_index_entries_without_an_undo_image() {
-        // Undo records name the row only: the image to restore is the
-        // version still under the aborted one in the chain.
+        // Undoing a change reads no image off the change list: what to
+        // restore is the version still under the aborted one in the chain.
         let db = setup();
         let all = "SELECT * FROM jobs ORDER BY job_id";
         let before = db.query(all).unwrap();
@@ -2253,7 +2123,7 @@ mod tests {
         assert!(d.rows_read >= 3);
         assert_eq!(d.rows_updated, 2);
         assert!(d.statements_executed >= 2);
-        assert!(d.wal_records >= 2);
+        assert_eq!(d.wal_records, 1, "the update's transaction; the read logs nothing");
     }
 
     #[test]
@@ -2430,7 +2300,7 @@ mod tests {
         let before = db.stats();
         let appended = |db: &Database| db.stats().delta_since(&before).wal_records;
 
-        // A transaction that only reads appends neither Begin nor Commit.
+        // A transaction that only reads has nothing to log.
         let txn = db.transaction();
         txn.execute("SELECT * FROM jobs", ()).unwrap();
         txn.commit().unwrap();
@@ -2441,19 +2311,225 @@ mod tests {
         txn.rollback().unwrap();
         assert_eq!(appended(&db), 0, "read-only rollback must not touch the WAL");
 
-        // A writing transaction appends Begin lazily, with its first change.
-        let s1 = db.stats();
+        // A writing transaction reaches the log at commit, as one record.
         let txn = db.transaction();
-        assert_eq!(appended(&db), 0, "Begin is deferred until the first write");
         txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 2", ()).unwrap();
+        assert_eq!(appended(&db), 0, "nothing is logged ahead of the commit");
         txn.commit().unwrap();
-        let d = db.stats().delta_since(&s1);
-        assert_eq!(d.wal_records, 3, "Begin + Update + Commit");
+        assert_eq!(appended(&db), 1, "one record for the whole transaction");
 
-        // Recovery honours the lazily-begun transaction.
         let recovered = reopen(&db);
         let r = recovered.query("SELECT state FROM jobs WHERE job_id = 1").unwrap();
         assert_eq!(r.first_value("state"), Some(&Value::Text("held".into())));
+    }
+
+    /// A [`MemDevice`] that counts the appends and syncs it is asked for.
+    #[derive(Debug, Default)]
+    struct CountingDevice {
+        inner: MemDevice,
+        calls: Arc<(AtomicU64, AtomicU64)>,
+    }
+
+    impl LogDevice for CountingDevice {
+        fn append(&mut self, bytes: &[u8]) -> Result<()> {
+            self.calls.0.fetch_add(1, Ordering::Relaxed);
+            self.inner.append(bytes)
+        }
+        fn sync(&mut self) -> Result<()> {
+            self.calls.1.fetch_add(1, Ordering::Relaxed);
+            self.inner.sync()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn durable_contents(&self) -> Result<Vec<u8>> {
+            self.inner.durable_contents()
+        }
+        fn truncate(&mut self, len: u64) -> Result<()> {
+            self.inner.truncate(len)
+        }
+        fn replace(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner.replace(bytes)
+        }
+        fn crash(&mut self) {
+            self.inner.crash()
+        }
+    }
+
+    #[test]
+    fn a_committed_transaction_is_one_append_and_one_sync() {
+        let device = CountingDevice::default();
+        let calls = Arc::clone(&device.calls);
+        let db = setup_in(
+            Database::open_with_device(Box::new(device), DurabilityPolicy::Always).unwrap(),
+        );
+        let count = || (calls.0.load(Ordering::Relaxed), calls.1.load(Ordering::Relaxed));
+        let (appends, syncs) = count();
+
+        // Autocommit statements, a batch, and an explicit transaction of
+        // three statements: each is one transaction, whatever it changes.
+        db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+        db.execute("INSERT INTO jobs (job_id, owner) VALUES (4, 'dan'), (5, 'eve')").unwrap();
+        db.execute("DELETE FROM jobs WHERE owner = 'alice'").unwrap();
+        let ins = db.prepare("INSERT INTO jobs (job_id, owner) VALUES (?, ?)").unwrap();
+        db.session().execute_batch(&ins, (10..20i64).map(|i| (i, "zoe"))).unwrap();
+        let txn = db.transaction();
+        txn.execute("UPDATE jobs SET runtime = 1 WHERE job_id = 2", ()).unwrap();
+        txn.execute("INSERT INTO jobs (job_id, owner) VALUES (6, 'fay')", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE job_id = 4", ()).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(count(), (appends + 5, syncs + 5), "5 writing transactions");
+
+        // Reading, failing and rolling back ask nothing of the device.
+        let txn = db.transaction();
+        txn.query("SELECT * FROM jobs", ()).unwrap();
+        txn.commit().unwrap();
+        db.query("SELECT COUNT(*) FROM jobs").unwrap();
+        assert!(db.execute("INSERT INTO jobs (job_id, owner) VALUES (7, 'x'), (2, 'dup')").is_err());
+        let txn = db.transaction();
+        txn.execute("DELETE FROM jobs", ()).unwrap();
+        txn.rollback().unwrap();
+        assert_eq!(count(), (appends + 5, syncs + 5));
+        assert_eq!(reopen(&db).query("SELECT * FROM jobs ORDER BY job_id").unwrap(),
+            db.query("SELECT * FROM jobs ORDER BY job_id").unwrap());
+    }
+
+    #[test]
+    fn a_transaction_that_does_not_commit_adds_nothing_to_the_log() {
+        let db = setup_durable();
+        let log_of = |db: &Database| {
+            db.flush_log().unwrap();
+            let s = db.stats();
+            (db.durable_log_bytes().unwrap(), s.wal_records, s.wal_bytes)
+        };
+        let before = log_of(&db);
+        let all = db.query("SELECT * FROM jobs ORDER BY job_id").unwrap();
+
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs (job_id, owner) VALUES (4, 'dan')", ()).unwrap();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
+        txn.execute("DELETE FROM jobs WHERE job_id = 2", ()).unwrap();
+        assert_eq!(log_of(&db), before, "nothing is logged ahead of commit");
+        txn.rollback().unwrap();
+        assert_eq!(log_of(&db), before, "a rolled-back transaction leaves no trace");
+
+        // One the reaper aborts: the abandoned guard is still in scope.
+        let abandoned = db.transaction();
+        abandoned.execute("UPDATE jobs SET state = 'ghost'", ()).unwrap();
+        assert_eq!(db.reap_idle(Duration::ZERO), 1);
+        assert_eq!(log_of(&db), before, "nor does a reaped one");
+        assert!(abandoned.commit().is_err());
+        assert_eq!(log_of(&db), before);
+        assert_eq!(db.query("SELECT * FROM jobs ORDER BY job_id").unwrap(), all);
+        assert_eq!(db.stats().aborts, 2);
+    }
+
+    #[test]
+    fn a_write_through_a_reaped_transaction_takes_no_lock() {
+        let db = setup();
+        let abandoned = db.transaction();
+        assert_eq!(db.reap_idle(Duration::ZERO), 1);
+        let err = abandoned.execute("UPDATE jobs SET state = 'x'", ()).unwrap_err();
+        assert!(matches!(err, Error::TxnClosed(_)), "{err}");
+        drop(abandoned);
+        // The dead transaction's statement must not have left `jobs` locked.
+        db.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1").unwrap();
+    }
+
+    fn explain(db: &Database, select: &str) -> String {
+        let plan = db.query(&format!("EXPLAIN {select}")).unwrap();
+        plan.rows.iter().map(|r| format!("{}", r.get(2))).collect::<Vec<_>>().join("; ")
+    }
+
+    #[test]
+    fn an_index_created_by_sql_survives_log_replay() {
+        let db = setup_durable();
+        db.execute("CREATE UNIQUE INDEX ON jobs (runtime)").unwrap();
+        let by_state = "SELECT job_id FROM jobs WHERE state = 'idle'";
+        let before = explain(&db, by_state);
+        assert!(before.contains("point lookup on jobs.state"), "{before}");
+
+        // No checkpoint: the catalog is rebuilt from the log alone.
+        let recovered = reopen(&db);
+        assert_eq!(explain(&recovered, by_state), before);
+        let dup = recovered.execute("INSERT INTO jobs (job_id, owner, runtime) VALUES (9, 'x', 60)");
+        assert_eq!(dup.unwrap_err().class(), crate::ErrorClass::Constraint);
+        recovered.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn rollback_undoes_ddl() {
+        let db = setup_durable();
+        let all = "SELECT * FROM jobs ORDER BY job_id";
+        let by_state = "SELECT job_id FROM jobs WHERE state = 'idle'";
+        let (rows, plan) = (db.query(all).unwrap(), explain(&db, by_state));
+
+        // DROP TABLE: the table comes back, rows and indexes intact.
+        let txn = db.transaction();
+        txn.execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ()).unwrap();
+        txn.execute("DROP TABLE jobs", ()).unwrap();
+        assert!(txn.query(all, ()).is_err());
+        txn.rollback().unwrap();
+        assert_eq!(db.query(all).unwrap(), rows);
+        assert_eq!(explain(&db, by_state), plan);
+        db.check_consistency().unwrap();
+
+        // CREATE UNIQUE INDEX: neither the index nor its constraint stays.
+        let txn = db.transaction();
+        txn.execute("CREATE UNIQUE INDEX ON jobs (owner)", ()).unwrap_err();
+        txn.execute("CREATE UNIQUE INDEX ON jobs (runtime)", ()).unwrap();
+        assert!(txn.execute("INSERT INTO jobs (job_id, owner, runtime) VALUES (8, 'x', 60)", ()).is_err());
+        txn.rollback().unwrap();
+        db.execute("INSERT INTO jobs (job_id, owner, runtime) VALUES (8, 'x', 60)").unwrap();
+        assert!(explain(&db, "SELECT * FROM jobs WHERE runtime = 60").contains("full scan"));
+
+        // A table created, filled, dropped and rolled back was never there;
+        // and the same history committed replays to the same catalog.
+        let txn = db.transaction();
+        txn.execute("CREATE TABLE scratch (id INT PRIMARY KEY)", ()).unwrap();
+        txn.execute("INSERT INTO scratch VALUES (1)", ()).unwrap();
+        txn.execute("DROP TABLE scratch", ()).unwrap();
+        txn.rollback().unwrap();
+        assert_eq!(db.table_names(), ["jobs"]);
+        let txn = db.transaction();
+        txn.execute("CREATE TABLE scratch (id INT PRIMARY KEY)", ()).unwrap();
+        txn.execute("INSERT INTO scratch VALUES (1)", ()).unwrap();
+        txn.execute("DROP TABLE scratch", ()).unwrap();
+        txn.execute("DROP TABLE jobs", ()).unwrap();
+        txn.commit().unwrap();
+        assert!(reopen(&db).table_names().is_empty());
+    }
+
+    #[test]
+    fn a_transaction_too_large_to_log_rolls_back_instead_of_committing() {
+        let db = setup_durable();
+        db.ctl.lock().wal.set_payload_limit(256);
+        let all = "SELECT * FROM jobs ORDER BY job_id";
+        let (rows, log) = (db.query(all).unwrap(), db.durable_log_bytes().unwrap());
+        let s0 = db.stats();
+
+        let ins = db.prepare("INSERT INTO jobs (job_id, owner) VALUES (?, ?)").unwrap();
+        let big = (10..40i64).map(|i| (i, "zoe"));
+        let err = db.session().execute_batch(&ins, big.clone()).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        let txn = db.transaction();
+        txn.execute_batch(&ins, big).unwrap();
+        let err = txn.commit().unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+
+        // Neither was acknowledged, applied or logged; their locks are gone.
+        let d = db.stats().delta_since(&s0);
+        assert_eq!((d.commits, d.aborts, d.wal_records), (0, 2, 0));
+        assert_eq!(db.query(all).unwrap(), rows);
+        assert_eq!(db.durable_log_bytes().unwrap(), log);
+        db.check_consistency().unwrap();
+        // A checkpoint image over the limit is refused the same way, and
+        // the writer stays healthy for a transaction that fits.
+        db.ctl.lock().wal.set_payload_limit(64);
+        assert!(matches!(db.checkpoint(), Err(Error::ResourceExhausted(_))));
+        db.execute("INSERT INTO jobs (job_id, owner) VALUES (4, 'dan')").unwrap();
+        assert_eq!(reopen(&db).table_len("jobs").unwrap(), 4);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! untouched. The layering, bottom up:
 //!
 //! - [`crc`] — hand-rolled CRC-32, no dependencies.
-//! - [`codec`] — serde-free binary encoding of [`crate::wal::LogRecord`],
-//!   mirroring the `crates/wire` codec idiom (the wire crate depends on this
-//!   one, so the codec is duplicated in spirit, not imported).
+//! - [`codec`] — the one serde-free binary codec: the bounds-checked
+//!   primitives, value and row encodings the `wire` protocol also frames
+//!   with, and on top of them [`crate::wal::LogRecord`].
 //! - [`record`] — the segment layout: versioned header plus CRC-framed
 //!   records, and the recovery scanner that repairs a **torn tail** by
 //!   truncation but refuses **mid-log corruption** with

@@ -32,28 +32,38 @@
 //!
 //! # Format version
 //!
-//! [`SEGMENT_VERSION`] is **2**. Version 1 wrote the before-image of the row
-//! into every `Delete` and `Update` payload; no replay path ever read it
-//! (redo installs the after-image, rollback works on the in-memory version
-//! chains), so version 2 drops it: a `Delete` is the row id alone, an
-//! `Update` the row id plus the new image. There is one decoder and no
-//! upgrade path — a segment whose header names any other version is refused
-//! with [`Error::Corruption`] naming both versions. No version-1 log exists
-//! outside a test's temporary directory: the format never shipped, and
-//! every test and benchmark writes the log it later reads.
+//! [`SEGMENT_VERSION`] is **3**: a record is a whole committed transaction
+//! ([`LogRecord::Txn`], its changes in execution order) or a checkpoint
+//! image. Version 2 framed every change on its own between `Begin` and
+//! `Commit` records, each carrying a transaction id, so that an engine which
+//! wrote changes ahead of commit could sort the committed from the torn at
+//! recovery; this engine never writes a change before its commit, so a torn
+//! transaction is simply a torn tail. There is one decoder and no upgrade
+//! path — a segment whose header names any other version is refused with
+//! [`Error::Corruption`] naming both versions. No older log exists outside a
+//! test's temporary directory: the format never shipped, and every test and
+//! benchmark writes the log it later reads.
+//!
+//! # The writer honours the reader's bound
+//!
+//! A payload longer than [`MAX_RECORD_PAYLOAD`] (or than the frame's `u32`
+//! length field can say) is refused by [`encode_record`], and by the commit
+//! path's `encode_txn`, with [`Error::ResourceExhausted`] — before a byte is
+//! written — because the decoder would refuse it as corruption on the next
+//! open.
 
 use crate::error::{Error, Result};
 use crate::stats::OpStats;
-use crate::wal::LogRecord;
+use crate::wal::{Change, LogRecord};
 
-use super::codec::{put_record, put_u32, Reader};
+use super::codec::{put_record, put_txn, Reader};
 use super::crc::crc32;
 
 /// Magic bytes opening every segment.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RWAL";
 
 /// Current segment format version.
-pub const SEGMENT_VERSION: u16 = 2;
+pub const SEGMENT_VERSION: u16 = 3;
 
 /// Size of the fixed segment header.
 pub const SEGMENT_HEADER_LEN: usize = 8;
@@ -61,9 +71,9 @@ pub const SEGMENT_HEADER_LEN: usize = 8;
 /// Size of the per-record frame header.
 pub const RECORD_HEADER_LEN: usize = 12;
 
-/// Hard upper bound on a single record payload. The engine never writes
-/// anything close to this; it bounds allocation against damaged headers
-/// whose CRC happens to collide.
+/// Hard upper bound on a single record payload, enforced by the writer and
+/// the reader alike. It bounds allocation against damaged headers whose CRC
+/// happens to collide.
 pub const MAX_RECORD_PAYLOAD: usize = 256 * 1024 * 1024;
 
 /// The 8 header bytes opening every segment.
@@ -75,26 +85,41 @@ pub fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
 }
 
 /// Frames one logical record: 12-byte checksummed header + payload.
-pub fn encode_record(record: &LogRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_record(&mut payload, record);
-    let mut framed = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    put_u32(&mut framed, payload.len() as u32);
-    put_u32(&mut framed, crc32(&payload));
-    let header_crc = crc32(&framed[..8]);
-    put_u32(&mut framed, header_crc);
-    framed.extend_from_slice(&payload);
-    framed
+pub fn encode_record(record: &LogRecord) -> Result<Vec<u8>> {
+    encode_record_within(record, MAX_RECORD_PAYLOAD)
 }
 
-/// Encodes a whole segment (header + records) — used when a checkpoint
-/// rotates the log onto a fresh segment.
-pub fn encode_segment<'a>(records: impl IntoIterator<Item = &'a LogRecord>) -> Vec<u8> {
-    let mut bytes = segment_header().to_vec();
-    for record in records {
-        bytes.extend_from_slice(&encode_record(record));
-    }
-    bytes
+/// [`encode_record`] against the log writer's payload limit
+/// ([`MAX_RECORD_PAYLOAD`] outside tests).
+pub(crate) fn encode_record_within(record: &LogRecord, limit: usize) -> Result<Vec<u8>> {
+    frame(limit, |buf| put_record(buf, record))
+}
+
+/// Frames a committing transaction's change list as one [`LogRecord::Txn`]
+/// record, off the borrowed list.
+pub(crate) fn encode_txn(changes: &[Change], limit: usize) -> Result<Vec<u8>> {
+    frame(limit, |buf| put_txn(buf, changes))
+}
+
+/// Writes a payload behind a frame header, refusing one over `limit` bytes.
+fn frame(limit: usize, put_payload: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>> {
+    let mut framed = vec![0u8; RECORD_HEADER_LEN];
+    put_payload(&mut framed);
+    let payload_len = framed.len() - RECORD_HEADER_LEN;
+    let len = u32::try_from(payload_len)
+        .ok()
+        .filter(|_| payload_len <= limit)
+        .ok_or_else(|| {
+            Error::ResourceExhausted(format!(
+                "log record payload of {payload_len} byte(s) exceeds the {limit}-byte limit"
+            ))
+        })?;
+    let payload_crc = crc32(&framed[RECORD_HEADER_LEN..]);
+    framed[0..4].copy_from_slice(&len.to_le_bytes());
+    framed[4..8].copy_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = crc32(&framed[..8]);
+    framed[8..12].copy_from_slice(&header_crc.to_le_bytes());
+    Ok(framed)
 }
 
 /// The result of scanning a segment image at recovery.
@@ -231,8 +256,7 @@ pub fn record_boundaries(bytes: &[u8]) -> Result<Vec<u64>> {
     let mut boundaries = vec![SEGMENT_HEADER_LEN as u64];
     let mut offset = SEGMENT_HEADER_LEN as u64;
     for record in &decoded.records {
-        let framed = encode_record(record);
-        offset += framed.len() as u64;
+        offset += encode_record(record)?.len() as u64;
         boundaries.push(offset);
     }
     Ok(boundaries)
@@ -243,23 +267,35 @@ mod tests {
     use super::*;
     use crate::tuple::{Row, RowId};
     use crate::value::Value;
-    use crate::wal::TxnId;
+
+    fn txn_of(change: Change) -> LogRecord {
+        LogRecord::Txn { changes: vec![change] }
+    }
+
+    fn insert(id: u64, row: Row) -> Change {
+        Change::Insert { table: "jobs".into(), row_id: RowId(id), row }
+    }
 
     fn sample_log() -> Vec<LogRecord> {
+        let row = |n: i64, owner: &str| Row::new(vec![Value::Int(n), Value::Text(owner.into())]);
         vec![
-            LogRecord::Begin { txn: TxnId(1) },
-            LogRecord::Insert {
-                txn: TxnId(1),
-                table: "jobs".into(),
-                row_id: RowId(1),
-                row: Row::new(vec![Value::Int(7), Value::Text("alice".into())]),
+            txn_of(insert(1, row(7, "alice"))),
+            LogRecord::Txn {
+                changes: vec![
+                    insert(2, row(8, "bob")),
+                    Change::Delete { table: "jobs".into(), row_id: RowId(1) },
+                ],
             },
-            LogRecord::Commit { txn: TxnId(1) },
+            txn_of(insert(3, row(9, "carol"))),
         ]
     }
 
     fn encode(records: &[LogRecord]) -> Vec<u8> {
-        encode_segment(records.iter())
+        let mut bytes = segment_header().to_vec();
+        for record in records {
+            bytes.extend_from_slice(&encode_record(record).unwrap());
+        }
+        bytes
     }
 
     #[test]
@@ -364,42 +400,57 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_segment_is_refused_not_misread() {
-        // Version 1 records carried before-images; there is no second
+    fn an_older_segment_version_is_refused_not_misread() {
+        // Versions 1 and 2 framed each change on its own; there is no second
         // decoder, so the header check is what keeps one from being misread.
-        let mut bytes = encode(&sample_log());
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let mut stats = OpStats::default();
-        let err = decode_segment(&bytes, &mut stats).unwrap_err();
-        assert!(matches!(err, Error::Corruption(_)), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains("version 1") && msg.contains("reads 2"), "{msg}");
-        assert_eq!(stats.corruption_detected, 1);
+        for old in [1u16, 2] {
+            let mut bytes = encode(&sample_log());
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            let mut stats = OpStats::default();
+            let err = decode_segment(&bytes, &mut stats).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {old}")) && msg.contains("reads 3"), "{msg}");
+            assert_eq!(stats.corruption_detected, 1);
+        }
     }
 
     #[test]
     fn an_update_record_carries_one_row_image() {
         let row = Row::new((0..8).map(Value::Int).collect());
-        let insert = LogRecord::Insert {
-            txn: TxnId(1),
+        let insert = txn_of(Change::Insert {
             table: "machines".into(),
             row_id: RowId(1),
             row: row.clone(),
-        };
-        let update = LogRecord::Update {
-            txn: TxnId(1),
-            table: "machines".into(),
-            row_id: RowId(1),
-            after: row,
-        };
-        let delete = LogRecord::Delete {
-            txn: TxnId(1),
-            table: "machines".into(),
-            row_id: RowId(1),
-        };
+        });
+        let update =
+            txn_of(Change::Update { table: "machines".into(), row_id: RowId(1), after: row });
+        let delete = txn_of(Change::Delete { table: "machines".into(), row_id: RowId(1) });
+        let len = |r: &LogRecord| encode_record(r).unwrap().len();
         // Same fields as the insert: a second image would add ≥ 8 × 9 bytes.
-        assert!(encode_record(&update).len() < encode_record(&insert).len() + 8);
-        assert!(encode_record(&delete).len() < encode_record(&update).len());
+        assert!(len(&update) < len(&insert) + 8);
+        assert!(len(&delete) < len(&update));
         assert!(update.approx_size() <= insert.approx_size());
+    }
+
+    #[test]
+    fn encode_txn_is_the_txn_record_off_a_borrowed_list() {
+        for record in sample_log() {
+            let LogRecord::Txn { changes } = &record else { unreachable!() };
+            let framed = encode_txn(changes, MAX_RECORD_PAYLOAD).unwrap();
+            assert_eq!(framed, encode_record(&record).unwrap());
+        }
+    }
+
+    #[test]
+    fn the_writer_refuses_a_payload_the_reader_would_refuse() {
+        let put = |n: usize| move |buf: &mut Vec<u8>| buf.resize(buf.len() + n, 7);
+        // At the limit a payload frames; one byte over is refused, typed,
+        // with nothing to write.
+        let framed = frame(64, put(64)).unwrap();
+        assert_eq!(framed.len(), RECORD_HEADER_LEN + 64);
+        let err = frame(64, put(65)).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert!(err.to_string().contains("65 byte(s)"), "{err}");
     }
 }

@@ -37,9 +37,9 @@
 //!   [`tuple::StoredRowRef`]s (no row clones); the executor clones only the
 //!   values that survive projection, and [`QueryResult`] column names are
 //!   `Arc<str>`s shared with the schema.
-//! * **WAL records are lazy.** `Begin` is appended with a transaction's
-//!   first logged change; read-only explicit transactions never touch the
-//!   log, and their Commit/Abort records are elided too.
+//! * **The log hears of a transaction once.** A transaction's changes
+//!   collect on one list and reach the WAL at commit, as one record;
+//!   read-only, rolled-back and reaped transactions never touch the log.
 //!
 //! ## MVCC: readers never block or abort on writers
 //!
@@ -208,12 +208,15 @@
 //! ## Batched execution
 //!
 //! A scheduler pass writes N near-identical rows. Executing them one
-//! statement at a time pays N catalog write guards and ~3N WAL appends;
-//! [`Session::execute_batch`] (and [`Transaction::execute_batch`]) runs all
-//! bindings of one prepared statement under **one** guard with **one** WAL
-//! append ([`wal::LogRecord::Batch`]), with the same all-or-nothing outcome
-//! as the loop. [`Session::query_batch`] is the read-side analogue: N point
-//! selects pipelined under a single shared catalog guard.
+//! autocommit statement at a time pays N catalog write guards and N commits
+//! (N log appends, N forces); [`Session::execute_batch`] (and
+//! [`Transaction::execute_batch`]) runs all bindings of one prepared
+//! statement under **one** guard — and, in autocommit mode, as **one**
+//! transaction: one log record, one force — with the same all-or-nothing
+//! outcome as the loop. How often the log is appended to is not the
+//! batch's choice or the statement's: a transaction is one append, whatever
+//! ran inside it. [`Session::query_batch`] is the read-side analogue: N
+//! point selects pipelined under a single shared catalog guard.
 //!
 //! ```
 //! use relstore::Database;
@@ -266,7 +269,8 @@
 //! [`Database::open_durable`](db::Database::open_durable) instead writes the
 //! WAL to a real on-disk log — length-prefixed, CRC-checksummed records
 //! behind the pluggable [`LogDevice`] trait (see [`io`]) — and replays it on
-//! open, so the catalog survives a crash:
+//! open, so the catalog — tables, rows, and the indexes `CREATE INDEX`
+//! added — survives a crash:
 //!
 //! ```
 //! use relstore::Database;
@@ -294,23 +298,39 @@
 //!   every `n` commits — bounded loss, group-commit throughput), or
 //!   [`Checkpoint`](DurabilityPolicy::Checkpoint) (sync only at checkpoints
 //!   and explicit [`flush_log`](db::Database::flush_log) calls).
+//! * **A log record is a committed transaction.** A transaction's changes
+//!   — row changes and DDL alike — are framed at commit as one
+//!   [`wal::LogRecord::Txn`]: one checksummed frame, one device append, then
+//!   the policy's sync. A transaction that does not commit never reaches the
+//!   log, so recovery has nothing to filter: it replays the last
+//!   [`Checkpoint`](wal::LogRecord::Checkpoint) image and then every `Txn`
+//!   after it, in order. Atomicity is by frame — a transaction is on the
+//!   device whole or not at all. (Segment version 3; earlier versions framed
+//!   each change between `Begin` and `Commit` records. There is no upgrade
+//!   path because no such log exists outside a test's temporary directory:
+//!   a segment of another version is refused as [`Error::Corruption`].) A
+//!   transaction whose frame would exceed what the decoder accepts
+//!   (256 MiB) fails its commit with [`Error::ResourceExhausted`] and rolls
+//!   back, rather than write a log the next open would refuse.
 //! * **Torn tails are repaired; corruption is refused.** A crash mid-append
-//!   leaves a partial record at the tail: recovery truncates it and yields
+//!   leaves a partial record at the tail — a transaction that was never
+//!   acknowledged: recovery truncates it and yields
 //!   exactly the committed prefix (`recovery_truncated_bytes` in [`OpStats`]
 //!   records how much). A checksum mismatch *before* the tail is damage, not
 //!   a torn write — recovery fails loudly with [`Error::Corruption`] rather
 //!   than guess; it never panics and never silently drops committed data.
-//! * **A failed fsync poisons the writer.** If the device errors on sync,
+//! * **A failed append or fsync poisons the writer.** If the device errors,
 //!   the commit that needed it returns [`Error::Io`] and every later commit
 //!   fails too — the engine never acknowledges a commit whose bytes may not
 //!   have reached disk. Reopening the database recovers the durable prefix.
 //! * **The log is the device.** The engine keeps no decoded copy of the
-//!   log: records are framed onto the device as they are appended, decoded
-//!   once when a database opens ([`wal::recover`]), and dropped before the
-//!   first statement runs. There is one way to recover — open over a
+//!   log: a transaction's frame is written onto the device at commit (the
+//!   change list it is encoded from is the undo list the transaction needed
+//!   anyway, and goes with it), decoded once when a database opens
+//!   ([`wal::recover`]), and dropped before the first statement runs. There is one way to recover — open over a
 //!   [`LogDevice`]; tests that crash and reopen do it over a [`MemDevice`]
 //!   holding [`durable_log_bytes`](db::Database::durable_log_bytes). A
-//!   record carries what replay reads: an `Update` is the row's new image,
+//!   change carries what replay reads: an `Update` is the row's new image,
 //!   a `Delete` its id (rollback needs neither — it pops the in-memory
 //!   version chain).
 //! * **Checkpoints rotate atomically.** [`Database::checkpoint`](db::Database::checkpoint)
@@ -319,7 +339,7 @@
 //!   either the full old one or the complete new one.
 //! * **Checkpoint image + log suffix is the one durable form.** Every table
 //!   lives in memory; an open replays the last checkpoint's image and the
-//!   committed records appended since, so recovery time follows the live
+//!   transactions committed since, so recovery time follows the live
 //!   data plus whatever was logged after the last checkpoint. Nothing
 //!   checkpoints on its own yet — what grows without bound is the log
 //!   *between* checkpoints, so a long-running service calls

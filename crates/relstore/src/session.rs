@@ -12,8 +12,9 @@
 //! * transactions are RAII guards: [`Transaction::commit`] consumes the
 //!   guard, and dropping it — on early return or mid-panic — rolls back;
 //! * batches ([`Session::execute_batch`], [`Session::query_batch`]) run N
-//!   bindings of one prepared statement under a single catalog guard with a
-//!   single WAL append, for scheduler-sweep-shaped write bursts.
+//!   bindings of one prepared statement under a single catalog guard (and,
+//!   in autocommit mode, one commit), for scheduler-sweep-shaped write
+//!   bursts.
 
 use crate::convert::{FromRow, FromValue, IntoParams, ToStatement};
 use crate::db::{Database, ExecCtx, ExecResult, Prepared};
@@ -232,9 +233,9 @@ impl<'a> Session<'a> {
     }
 
     /// Executes a prepared DML statement once per binding under one catalog
-    /// guard and one WAL append — same stored data as the statement loop,
-    /// different locking and logging cadence. The batch is one governed
-    /// unit: the session's limits span all bindings.
+    /// guard — same stored data as the statement loop, different locking
+    /// cadence. The batch is one governed unit: the session's limits span
+    /// all bindings.
     ///
     /// Runs inside the session's open transaction if there is one (a
     /// mid-batch error leaves the bindings already applied pending, like a
@@ -428,7 +429,7 @@ impl<'a> Transaction<'a> {
     }
 
     /// Executes a prepared DML statement once per binding inside the
-    /// transaction — one catalog guard, one WAL append for the whole batch.
+    /// transaction, under one catalog guard for the whole batch.
     pub fn execute_batch<P: IntoParams>(
         &self,
         stmt: &Prepared,
@@ -733,8 +734,8 @@ mod tests {
             .unwrap();
         assert_eq!(n, 30);
         let delta = batched.stats().delta_since(&before);
-        // One WAL append carries all 30 inserts: Begin + Batch + Commit.
-        assert_eq!(delta.wal_records, 3, "batch must append one change record");
+        // One log record carries all 30 inserts: the batch's transaction.
+        assert_eq!(delta.wal_records, 1, "an autocommit batch is one transaction");
         assert_eq!(delta.rows_inserted, 30);
 
         let stmt = looped.prepare(ins).unwrap();
@@ -744,7 +745,7 @@ mod tests {
         }
         let delta = looped.stats().delta_since(&before);
         assert_eq!(delta.rows_inserted, 30);
-        assert!(delta.wal_records >= 90, "the loop pays 3 records per insert");
+        assert_eq!(delta.wal_records, 30, "the loop commits once per insert");
 
         // Same data in both databases.
         let q = "SELECT job_id, owner, state FROM jobs ORDER BY job_id";

@@ -51,8 +51,8 @@ use std::sync::Arc;
 pub struct Table {
     /// The table schema.
     pub schema: Schema,
-    /// `schema.name`, interned: every log and undo record of a change to
-    /// this table shares it instead of allocating a copy.
+    /// `schema.name`, interned: every logged change to this table shares it
+    /// instead of allocating a copy.
     name: Arc<str>,
     /// Row id → version chain; see [`crate::heap`].
     rows: Heap<VersionChain>,
@@ -771,6 +771,14 @@ impl Table {
         self.secondary.push(idx);
         self.version += 1;
         Ok(())
+    }
+
+    /// Removes the secondary index `name` and its schema entry: the undo of
+    /// [`Table::add_index`].
+    pub(crate) fn drop_index(&mut self, name: &str) {
+        self.schema.indexes.retain(|def| def.name != name);
+        self.secondary.retain(|idx| idx.name != name);
+        self.version += 1;
     }
 
     /// Approximate resident size of the table in bytes: the heap's slots

@@ -1,5 +1,12 @@
-//! Transactions: table-level write locking, MVCC snapshots and undo
-//! management.
+//! Transactions: table-level write locking, MVCC snapshots and the change
+//! list.
+//!
+//! A transaction keeps **one** ordered list of what it changed
+//! ([`TxnState::changes`]): statements push onto it as they apply, rollback
+//! walks it backwards, and commit frames it forwards as the transaction's
+//! single log record (see [`crate::wal`]). Nothing is logged before commit,
+//! so a transaction that rolls back — or is reaped, or is open at a crash —
+//! leaves no trace on the log.
 //!
 //! Writers use strict two-phase locking at table granularity. The lock
 //! manager itself fails fast with [`crate::error::Error::LockConflict`]; the
@@ -16,10 +23,8 @@
 
 use crate::error::{Error, Result};
 use crate::mvcc::Snapshot;
-use crate::tuple::RowId;
-use crate::wal::TxnId;
+use crate::wal::{Change, TxnId};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Table-granularity write locks: each table maps to the transaction
@@ -67,22 +72,6 @@ impl LockManager {
     }
 }
 
-/// One undo entry recorded by an in-flight transaction. Row-level entries
-/// name the row only: rollback is version-aware, and the image to restore is
-/// the version still sitting under the aborted one in the row's chain.
-#[derive(Debug, Clone)]
-#[allow(missing_docs)] // variant fields are self-describing
-pub enum UndoRecord {
-    /// Undo an insert by removing the row's chain.
-    Insert { table: Arc<str>, row_id: RowId },
-    /// Undo a delete by clearing the tombstone.
-    Delete { table: Arc<str>, row_id: RowId },
-    /// Undo an update by popping the version it pushed.
-    Update { table: Arc<str>, row_id: RowId },
-    /// Undo a CREATE TABLE by dropping it.
-    CreateTable { table: String },
-}
-
 /// The lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnStatus {
@@ -101,13 +90,10 @@ pub struct TxnState {
     pub id: TxnId,
     /// Current lifecycle state.
     pub status: TxnStatus,
-    /// Undo records in execution order (rolled back in reverse).
-    pub undo: Vec<UndoRecord>,
-    /// Whether a `Begin` record has been appended to the WAL. Begin records
-    /// are written lazily, on the transaction's first logged change, so
-    /// read-only explicit transactions never touch the log (and need no
-    /// Commit/Abort record either).
-    pub wal_begun: bool,
+    /// What the transaction changed, in execution order: undone newest
+    /// first by rollback, framed oldest first by commit. Empty for a
+    /// read-only transaction, which therefore never touches the log.
+    pub changes: Vec<Change>,
     /// The MVCC snapshot taken at begin: every read this transaction
     /// performs resolves row visibility against it, giving repeatable reads
     /// for the transaction's whole lifetime.
@@ -134,15 +120,6 @@ impl TxnManager {
         TxnManager::default()
     }
 
-    /// Ensures every future transaction id is greater than `id`. Called
-    /// after recovery: the replayed log already mentions ids up to `id`, and
-    /// a new transaction reusing one would collide with a logged Commit
-    /// record, making its uncommitted changes look committed on the next
-    /// recovery.
-    pub fn advance_past(&mut self, id: u64) {
-        self.next_id = self.next_id.max(id);
-    }
-
     /// Begins a new transaction, stamping it with a snapshot of the current
     /// commit state: transactions in flight right now (and any that begin
     /// later) stay invisible to it for its whole lifetime.
@@ -159,8 +136,7 @@ impl TxnManager {
             TxnState {
                 id,
                 status: TxnStatus::Active,
-                undo: Vec::new(),
-                wal_begun: false,
+                changes: Vec::new(),
                 snapshot,
                 last_activity: Instant::now(),
             },
@@ -242,12 +218,6 @@ impl TxnManager {
         }
     }
 
-    /// Records an undo entry against an active transaction.
-    pub fn push_undo(&mut self, id: TxnId, undo: UndoRecord) -> Result<()> {
-        self.get_active(id)?.undo.push(undo);
-        Ok(())
-    }
-
     /// Marks the transaction committed and returns its state.
     pub fn finish_commit(&mut self, id: TxnId) -> Result<TxnState> {
         let mut state = self
@@ -262,7 +232,8 @@ impl TxnManager {
         Ok(state)
     }
 
-    /// Marks the transaction aborted and returns its state (with undo list).
+    /// Marks the transaction aborted and returns its state (with the change
+    /// list to undo).
     pub fn finish_abort(&mut self, id: TxnId) -> Result<TxnState> {
         let mut state = self
             .active
@@ -388,17 +359,13 @@ mod tests {
         assert_ne!(t1, t2);
         assert_eq!(tm.active_count(), 2);
 
-        tm.push_undo(
-            t1,
-            UndoRecord::Insert {
-                table: "jobs".into(),
-                row_id: RowId(1),
-            },
-        )
-        .unwrap();
+        tm.get_active(t1).unwrap().changes.push(Change::Delete {
+            table: "jobs".into(),
+            row_id: crate::tuple::RowId(1),
+        });
         let state = tm.finish_commit(t1).unwrap();
         assert_eq!(state.status, TxnStatus::Committed);
-        assert_eq!(state.undo.len(), 1);
+        assert_eq!(state.changes.len(), 1);
         assert_eq!(tm.committed_count(), 1);
 
         let state = tm.finish_abort(t2).unwrap();
@@ -409,14 +376,5 @@ mod tests {
         // Operating on a finished transaction fails.
         assert!(tm.get_active(t1).is_err());
         assert!(tm.finish_commit(t2).is_err());
-        assert!(tm
-            .push_undo(
-                t1,
-                UndoRecord::Delete {
-                    table: "jobs".into(),
-                    row_id: RowId(2),
-                }
-            )
-            .is_err());
     }
 }

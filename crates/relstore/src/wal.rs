@@ -1,33 +1,43 @@
 //! Write-ahead logging, checkpointing and recovery.
 //!
-//! The log is logical: each record describes one row-level change plus the
-//! transaction boundaries around it. Recovery rebuilds the catalog by
-//! restoring the most recent checkpoint snapshot and replaying the changes of
-//! every transaction that committed after it. The schedd in Condor keeps a
-//! persistent job-queue log for exactly the same reason (the paper notes it is
-//! "used only for recovery"); here the log covers *all* operational state, not
-//! just the job queue.
+//! The log is a list of committed transactions. A transaction keeps one
+//! ordered list of its [`Change`]s while it runs (see [`crate::txn`]);
+//! rollback walks that list backwards (`Change::undo`), and commit frames
+//! it forwards as **one** [`LogRecord::Txn`] — one CRC frame, one device
+//! append, then the [`DurabilityPolicy`]'s sync. A transaction reaches the
+//! log once, at commit, as one frame; a transaction that does not commit
+//! never reaches it. So the log's vocabulary is `Txn` and `Checkpoint`, a
+//! torn transaction is a torn tail, and [`recover`] is "the last checkpoint
+//! image, then every `Txn` after it, in order" — commit order is a correct
+//! replay order under the strict table-level two-phase locking writers run
+//! under. A frame carries no transaction id: nothing in replay reads one
+//! (recovered rows are stamped [`crate::mvcc::COMMITTED_TXN`]).
+//!
+//! The schedd in Condor keeps a persistent job-queue log for exactly the
+//! same reason (the paper notes it is "used only for recovery"); here the log
+//! covers *all* operational state, not just the job queue — DDL included: a
+//! `CREATE INDEX` is a change like any other.
 //!
 //! Because the log is read only by recovery, the running engine keeps no copy
-//! of it: a record is sized, counted, framed onto the [`LogDevice`] (when
+//! of it: a frame is sized, counted, written onto the [`LogDevice`] (when
 //! there is one) and dropped. The decoded records exist as a value only while
 //! a database opens — [`Wal::open_device`] hands them to [`recover`] — and a
-//! record carries only what replay reads: the *new* image of an updated row
+//! change carries only what replay reads: the *new* image of an updated row
 //! and the id of a deleted one. Rollback needs no image either; it is
 //! version-aware and works on the in-memory chains.
 
 use crate::error::{Error, Result};
-use crate::io::record::{encode_record, encode_segment, segment_header};
+use crate::io::record::{encode_record_within, encode_txn, segment_header, MAX_RECORD_PAYLOAD};
 use crate::io::{decode_segment, points, DurabilityPolicy, FailAction, Failpoints, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
 use crate::obs::Observability;
-use crate::schema::Schema;
+use crate::schema::{IndexDef, Schema};
 use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::{Row, RowId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Transaction identifier.
@@ -49,47 +59,134 @@ pub struct TableSnapshot {
     pub rows: Vec<(RowId, Row)>,
 }
 
-/// A single write-ahead log record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One change a transaction made to the catalog, as all three of its readers
+/// want it: rollback undoes it (`Change::undo`), commit encodes it into the
+/// transaction's log frame, recovery replays it (`Change::redo`).
+#[derive(Debug)]
 #[allow(missing_docs)] // variant fields are self-describing
-pub enum LogRecord {
-    /// A transaction started.
-    Begin { txn: TxnId },
-    /// A transaction committed; its effects are durable.
-    Commit { txn: TxnId },
-    /// A transaction aborted; its effects must be discarded on recovery.
-    Abort { txn: TxnId },
+pub enum Change {
     /// A table was created.
-    CreateTable { txn: TxnId, schema: Schema },
-    /// A table was dropped.
-    DropTable { txn: TxnId, table: Arc<str> },
+    CreateTable { schema: Schema },
+    /// A table was dropped. `dropped` is the table as it was removed, kept
+    /// so rollback can put it back with its rows and indexes; only the name
+    /// is logged, and a decoded change holds `None`.
+    DropTable {
+        table: Arc<str>,
+        dropped: Option<Box<Table>>,
+    },
+    /// A secondary index was added to a table.
+    CreateIndex { table: Arc<str>, def: IndexDef },
     /// A row was inserted.
     Insert {
-        txn: TxnId,
         table: Arc<str>,
         row_id: RowId,
         row: Row,
     },
     /// A row was deleted.
-    Delete {
-        txn: TxnId,
-        table: Arc<str>,
-        row_id: RowId,
-    },
+    Delete { table: Arc<str>, row_id: RowId },
     /// A row was updated: `after` is its complete new image.
     Update {
-        txn: TxnId,
         table: Arc<str>,
         row_id: RowId,
         after: Row,
     },
-    /// Several row-level changes produced by one batched statement execution
-    /// ([`crate::Session::execute_batch`]): one log append covers every
-    /// binding of the batch instead of one append per row.
-    Batch {
-        txn: TxnId,
-        changes: Vec<LogRecord>,
-    },
+}
+
+impl Change {
+    /// Approximate serialized size in bytes (used for IO cost accounting).
+    pub fn approx_size(&self) -> usize {
+        match self {
+            Change::CreateTable { schema } => 64 + schema.columns.len() * 24,
+            Change::DropTable { table, .. } => 16 + table.len(),
+            Change::CreateIndex { table, def } => {
+                24 + table.len() + def.name.len() + def.column.len()
+            }
+            Change::Insert { row, table, .. } => 24 + table.len() + row.approx_size(),
+            Change::Delete { table, .. } => 24 + table.len(),
+            Change::Update { after, table, .. } => 24 + table.len() + after.approx_size(),
+        }
+    }
+
+    /// Takes the change back out of `tables` — rollback, called on a
+    /// transaction's changes newest first. Row-level undo is version-aware:
+    /// `txn`'s versions are removed from the chains physically and the
+    /// versions they superseded re-opened.
+    pub(crate) fn undo(self, tables: &mut BTreeMap<String, Table>, txn: TxnId) {
+        match self {
+            Change::CreateTable { schema } => {
+                tables.remove(&schema.name);
+            }
+            Change::DropTable { table, dropped } => {
+                if let Some(dropped) = dropped {
+                    tables.insert(table.to_string(), *dropped);
+                }
+            }
+            Change::CreateIndex { table, def } => {
+                if let Some(t) = tables.get_mut(&*table) {
+                    t.drop_index(&def.name);
+                }
+            }
+            Change::Insert { table, row_id, .. } => {
+                if let Some(t) = tables.get_mut(&*table) {
+                    t.undo_insert(row_id);
+                }
+            }
+            Change::Delete { table, row_id } => {
+                if let Some(t) = tables.get_mut(&*table) {
+                    t.undo_delete(row_id, txn);
+                }
+            }
+            Change::Update { table, row_id, .. } => {
+                if let Some(t) = tables.get_mut(&*table) {
+                    t.undo_update(row_id, txn);
+                }
+            }
+        }
+    }
+
+    /// Replays the change into `tables` — recovery, through the tables'
+    /// **physical** operations.
+    fn redo(self, tables: &mut BTreeMap<String, Table>, scratch: &mut OpStats) -> Result<()> {
+        fn target<'t>(
+            tables: &'t mut BTreeMap<String, Table>,
+            verb: &str,
+            table: &str,
+        ) -> Result<&'t mut Table> {
+            tables
+                .get_mut(table)
+                .ok_or_else(|| Error::Wal(format!("{verb} unknown table {table}")))
+        }
+        match self {
+            Change::CreateTable { schema } => {
+                tables.insert(schema.name.clone(), Table::new(schema)?);
+                Ok(())
+            }
+            Change::DropTable { table, .. } => {
+                tables.remove(&*table);
+                Ok(())
+            }
+            Change::CreateIndex { table, def } => {
+                target(tables, "index on", &table)?.add_index(def, scratch)
+            }
+            Change::Insert { table, row_id, row } => {
+                target(tables, "insert into", &table)?.insert_with_id(row_id, row, scratch)
+            }
+            Change::Delete { table, row_id } => {
+                target(tables, "delete from", &table)?.remove_physical(row_id, scratch)
+            }
+            Change::Update { table, row_id, after } => {
+                target(tables, "update of", &table)?.restore(row_id, after)
+            }
+        }
+    }
+}
+
+/// A single write-ahead log record.
+#[derive(Debug)]
+#[allow(missing_docs)] // variant fields are self-describing
+pub enum LogRecord {
+    /// A committed transaction: its changes, in execution order.
+    Txn { changes: Vec<Change> },
     /// A checkpoint: a consistent snapshot of every table.
     Checkpoint { snapshot: Vec<TableSnapshot> },
 }
@@ -98,15 +195,7 @@ impl LogRecord {
     /// Approximate serialized size in bytes (used for IO cost accounting).
     pub fn approx_size(&self) -> usize {
         match self {
-            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => 16,
-            LogRecord::CreateTable { schema, .. } => 64 + schema.columns.len() * 24,
-            LogRecord::DropTable { table, .. } => 16 + table.len(),
-            LogRecord::Insert { row, table, .. } => 24 + table.len() + row.approx_size(),
-            LogRecord::Delete { table, .. } => 24 + table.len(),
-            LogRecord::Update { after, table, .. } => 24 + table.len() + after.approx_size(),
-            LogRecord::Batch { changes, .. } => {
-                16 + changes.iter().map(LogRecord::approx_size).sum::<usize>()
-            }
+            LogRecord::Txn { changes } => txn_size(changes),
             LogRecord::Checkpoint { snapshot } => checkpoint_size(
                 snapshot
                     .iter()
@@ -114,22 +203,12 @@ impl LogRecord {
             ),
         }
     }
+}
 
-    /// The transaction that wrote this record, if any.
-    pub fn txn(&self) -> Option<TxnId> {
-        match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn }
-            | LogRecord::CreateTable { txn, .. }
-            | LogRecord::DropTable { txn, .. }
-            | LogRecord::Insert { txn, .. }
-            | LogRecord::Delete { txn, .. }
-            | LogRecord::Update { txn, .. }
-            | LogRecord::Batch { txn, .. } => Some(*txn),
-            LogRecord::Checkpoint { .. } => None,
-        }
-    }
+/// [`LogRecord::approx_size`] of a transaction: a 16-byte header plus its
+/// changes.
+fn txn_size(changes: &[Change]) -> usize {
+    16 + changes.iter().map(Change::approx_size).sum::<usize>()
 }
 
 /// [`LogRecord::approx_size`] of a checkpoint, from the summed row sizes of
@@ -141,12 +220,11 @@ fn checkpoint_size(table_row_bytes: impl Iterator<Item = usize>) -> usize {
 /// The durable sink behind a [`Wal`], present only for databases opened
 /// through [`crate::Database::open_durable`] and friends.
 ///
-/// Device failures do not surface from [`Wal::append`] (whose call sites
-/// treat appending as infallible); instead the first failure **poisons** the
-/// sink, and every later [`Wal::commit_sync`] / [`Wal::flush`] /
-/// [`Wal::checkpoint`] returns that error. The net effect is the guarantee
-/// that matters: once a write or fsync has failed, no commit is ever again
-/// acknowledged, even though the in-memory engine stays readable.
+/// The first device failure **poisons** the sink: that `Wal::commit` and
+/// every later `commit` / [`Wal::flush`] / [`Wal::checkpoint`] returns the
+/// error. The net effect is the guarantee that matters: once a write or
+/// fsync has failed, no commit is ever again acknowledged, even though the
+/// in-memory engine stays readable.
 #[derive(Debug)]
 struct DurableLog {
     device: Box<dyn LogDevice>,
@@ -156,6 +234,9 @@ struct DurableLog {
     poisoned: Option<Error>,
     /// Commits acknowledged since the last successful sync.
     unsynced_commits: usize,
+    /// The largest record payload this writer frames: what the decoder
+    /// accepts, [`MAX_RECORD_PAYLOAD`] (tests lower it).
+    payload_limit: usize,
     /// The owning database's observability state, attached after open so
     /// every successful device sync lands one sample in the `wal.fsync`
     /// latency histogram.
@@ -170,23 +251,20 @@ impl DurableLog {
         }
     }
 
-    /// Frames one record onto the device. Errors poison the sink instead of
-    /// propagating; `commit_sync` surfaces them before any acknowledgement.
-    fn append_record(&mut self, record: &LogRecord, stats: &mut OpStats) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        let bytes = encode_record(record);
+    /// Writes one framed record onto the device; a failure poisons the sink.
+    fn append(&mut self, frame: &[u8], stats: &mut OpStats) -> Result<()> {
+        self.check_poisoned()?;
         let result = match self.failpoints.check(points::WAL_APPEND) {
             Some(action) => {
                 stats.failpoints_hit += 1;
-                self.injected_append(action, &bytes)
+                self.injected_append(action, frame)
             }
-            None => self.device.append(&bytes),
+            None => self.device.append(frame),
         };
-        if let Err(e) = result {
-            self.poisoned = Some(e);
+        if let Err(e) = &result {
+            self.poisoned = Some(e.clone());
         }
+        result
     }
 
     fn injected_append(&mut self, action: FailAction, bytes: &[u8]) -> Result<()> {
@@ -265,10 +343,9 @@ impl DurableLog {
         }
     }
 
-    /// Called once per commit: surfaces any poisoning, then syncs if the
-    /// policy's window is full.
+    /// Called once per appended commit: syncs if the policy's window is
+    /// full.
     fn note_commit(&mut self, stats: &mut OpStats) -> Result<()> {
-        self.check_poisoned()?;
         self.unsynced_commits += 1;
         match self.policy.commits_per_sync() {
             Some(n) if self.unsynced_commits >= n => self.sync(stats),
@@ -280,7 +357,10 @@ impl DurableLog {
     /// (the checkpoint) and atomically swaps it over the old one.
     fn rotate(&mut self, record: &LogRecord, stats: &mut OpStats) -> Result<()> {
         self.check_poisoned()?;
-        let bytes = encode_segment(std::iter::once(record));
+        // An image the decoder would refuse is refused here, typed, with the
+        // old segment in place and the writer healthy.
+        let mut bytes = segment_header().to_vec();
+        bytes.extend_from_slice(&encode_record_within(record, self.payload_limit)?);
         let sw = Stopwatch::start();
         let result = match self.failpoints.check(points::WAL_ROTATE) {
             Some(FailAction::Crash) | Some(FailAction::TornWrite(_)) => {
@@ -312,17 +392,27 @@ impl DurableLog {
 
 /// The write-ahead log.
 ///
-/// At run time the log is a sink, not a store: [`Wal::append`] sizes a
-/// record into the `wal_records` / `wal_bytes` counters, frames it onto the
-/// durable [`LogDevice`] when there is one, and keeps nothing. By default
-/// there is no device — the simulated deployment models durability by the IO
-/// cycle cost the application-server cost model charges per appended byte. A
-/// database opened through [`crate::Database::open_durable`] writes every
-/// record as a checksummed binary segment (see [`crate::io`]), which
-/// [`Wal::open_device`] decodes once, on open, for [`recover`].
+/// At run time the log is a sink, not a store: `Wal::commit` sizes a
+/// transaction's frame into the `wal_records` / `wal_bytes` counters, writes
+/// it onto the durable [`LogDevice`] when there is one, and keeps nothing.
+/// By default there is no device — the simulated deployment models
+/// durability by the IO cycle cost the application-server cost model charges
+/// per appended byte. A database opened through
+/// [`crate::Database::open_durable`] writes every record as a checksummed
+/// binary segment (see [`crate::io`]), which [`Wal::open_device`] decodes
+/// once, on open, for [`recover`].
 #[derive(Debug, Default)]
 pub struct Wal {
     durable: Option<DurableLog>,
+}
+
+/// A committing transaction's change list as `Wal::commit` will log it:
+/// sized, and — for a durable log — already encoded, so everything that can
+/// refuse the transaction has happened before it is marked committed.
+#[derive(Debug)]
+pub(crate) struct TxnFrame {
+    size: usize,
+    bytes: Option<Vec<u8>>,
 }
 
 impl Wal {
@@ -360,10 +450,18 @@ impl Wal {
                 failpoints,
                 poisoned: None,
                 unsynced_commits: 0,
+                payload_limit: MAX_RECORD_PAYLOAD,
                 obs: None,
             }),
         };
         Ok((wal, decoded.records))
+    }
+
+    /// Lowers the durable writer's record payload limit so a test can reach
+    /// it without a 256 MiB transaction.
+    #[cfg(test)]
+    pub(crate) fn set_payload_limit(&mut self, limit: usize) {
+        self.durable.as_mut().expect("a durable log").payload_limit = limit;
     }
 
     /// True when this log writes appends onto a durable device.
@@ -390,27 +488,37 @@ impl Wal {
         }
     }
 
-    /// Appends a record: counts it (`wal_records`, and its
-    /// [`LogRecord::approx_size`] into `wal_bytes`) and, for a durable log,
-    /// frames it onto the device. A device failure does **not** surface
-    /// here — it poisons the writer, and [`Wal::commit_sync`] reports it
-    /// before the enclosing commit can be acknowledged.
-    pub fn append(&mut self, record: &LogRecord, stats: &mut OpStats) {
-        if let Some(d) = &mut self.durable {
-            d.append_record(record, stats);
+    /// Frames a transaction's changes for `Wal::commit`; `None` for a
+    /// transaction that changed nothing, which never touches the log. Fails
+    /// with [`Error::ResourceExhausted`] — nothing written, the writer
+    /// healthy — when the frame would exceed what a log record may hold
+    /// ([`crate::io::record::MAX_RECORD_PAYLOAD`]): the transaction cannot
+    /// commit and must roll back.
+    pub(crate) fn frame(&self, changes: &[Change]) -> Result<Option<TxnFrame>> {
+        if changes.is_empty() {
+            return Ok(None);
         }
-        stats.wal_records += 1;
-        stats.wal_bytes += record.approx_size() as u64;
+        let bytes = match &self.durable {
+            Some(d) => Some(encode_txn(changes, d.payload_limit)?),
+            None => None,
+        };
+        Ok(Some(TxnFrame { size: txn_size(changes), bytes }))
     }
 
-    /// Called by the database once per commit, after the Commit record is
-    /// appended: surfaces any poisoning and applies the
-    /// [`DurabilityPolicy`]'s fsync schedule. An `Err` here means the commit
-    /// was **not** acknowledged as durable.
-    pub fn commit_sync(&mut self, stats: &mut OpStats) -> Result<()> {
-        match &mut self.durable {
-            Some(d) => d.note_commit(stats),
-            None => Ok(()),
+    /// Logs one committing transaction: counts the frame (`wal_records`,
+    /// and its [`LogRecord::approx_size`] into `wal_bytes`) and, for a
+    /// durable log, appends it to the device — one append — and applies the
+    /// [`DurabilityPolicy`]'s fsync schedule. An `Err` means the commit was
+    /// **not** acknowledged as durable, and the writer is poisoned.
+    pub(crate) fn commit(&mut self, frame: TxnFrame, stats: &mut OpStats) -> Result<()> {
+        stats.wal_records += 1;
+        stats.wal_bytes += frame.size as u64;
+        match (&mut self.durable, frame.bytes) {
+            (Some(d), Some(bytes)) => {
+                d.append(&bytes, stats)?;
+                d.note_commit(stats)
+            }
+            _ => Ok(()),
         }
     }
 
@@ -462,35 +570,18 @@ impl Wal {
     }
 }
 
-/// The largest transaction id mentioned anywhere in `records`. After
-/// recovery the transaction manager must allocate past this, or a new
-/// transaction could collide with a logged one and make its uncommitted
-/// changes look committed.
-pub fn max_txn_id(records: &[LogRecord]) -> u64 {
-    fn walk(rec: &LogRecord) -> u64 {
-        let own = rec.txn().map(|t| t.0).unwrap_or(0);
-        match rec {
-            LogRecord::Batch { changes, .. } => changes.iter().map(walk).fold(own, u64::max),
-            _ => own,
-        }
-    }
-    records.iter().map(walk).max().unwrap_or(0)
-}
-
-/// What recovery replays of a decoded log: the last checkpoint's snapshot
-/// (empty when there is none) and, in log order, the records after it that
-/// belong to *committed* transactions. Changes of unfinished or aborted
-/// transactions are dropped here.
-fn committed_suffix(
-    records: Vec<LogRecord>,
-) -> (Vec<TableSnapshot>, impl Iterator<Item = LogRecord>) {
-    let committed: HashSet<TxnId> = records
-        .iter()
-        .filter_map(|r| match r {
-            LogRecord::Commit { txn } => Some(*txn),
-            _ => None,
-        })
-        .collect();
+/// Rebuilds the full set of tables implied by `records`: the latest
+/// checkpoint image (if any), then every transaction after it, in log
+/// order. Every record on the log is a committed transaction — an
+/// unfinished one never reached it, a torn one was truncated off with the
+/// tail — so there is nothing to filter.
+///
+/// Recovery replays through the tables' **physical** operations, so the
+/// rebuilt catalog holds exactly one committed version per live row
+/// (stamped [`crate::mvcc::COMMITTED_TXN`], visible to every snapshot of
+/// the recovered database) — tombstones and version chains never survive a
+/// crash.
+pub fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
     let last_checkpoint = records
         .iter()
         .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
@@ -499,20 +590,6 @@ fn committed_suffix(
         Some(LogRecord::Checkpoint { snapshot }) => snapshot,
         _ => Vec::new(),
     };
-    let suffix = rest.filter(move |r| r.txn().is_some_and(|txn| committed.contains(&txn)));
-    (snapshot, suffix)
-}
-
-/// Rebuilds the full set of tables implied by `records`: the latest
-/// checkpoint (if any) plus all *committed* transactions after it.
-///
-/// Recovery replays through the tables' **physical** operations, so the
-/// rebuilt catalog holds exactly one committed version per live row
-/// (stamped [`crate::mvcc::COMMITTED_TXN`], visible to every snapshot of
-/// the recovered database) — uncommitted versions, tombstones and
-/// version chains never survive a crash.
-pub fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
-    let (snapshot, suffix) = committed_suffix(records);
     let mut scratch = OpStats::default();
     let mut tables: BTreeMap<String, Table> = BTreeMap::new();
     for snap in snapshot {
@@ -523,62 +600,14 @@ pub fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
         }
         tables.insert(name, table);
     }
-    for rec in suffix {
-        redo(rec, &mut tables, &mut scratch)?;
-    }
-    Ok(tables)
-}
-
-/// Replays one committed record into `tables`, recursing into batches.
-fn redo(
-    rec: LogRecord,
-    tables: &mut BTreeMap<String, Table>,
-    scratch: &mut OpStats,
-) -> Result<()> {
-    let unknown = |verb: &str, table: &str| Error::Wal(format!("{verb} unknown table {table}"));
-    match rec {
-        LogRecord::CreateTable { schema, .. } => {
-            tables.insert(schema.name.clone(), Table::new(schema)?);
-        }
-        LogRecord::DropTable { table, .. } => {
-            tables.remove(&*table);
-        }
-        LogRecord::Insert {
-            table, row_id, row, ..
-        } => {
-            let t = tables
-                .get_mut(&*table)
-                .ok_or_else(|| unknown("insert into", &table))?;
-            t.insert_with_id(row_id, row, scratch)?;
-        }
-        LogRecord::Delete { table, row_id, .. } => {
-            let t = tables
-                .get_mut(&*table)
-                .ok_or_else(|| unknown("delete from", &table))?;
-            t.remove_physical(row_id, scratch)?;
-        }
-        LogRecord::Update {
-            table,
-            row_id,
-            after,
-            ..
-        } => {
-            let t = tables
-                .get_mut(&*table)
-                .ok_or_else(|| unknown("update of", &table))?;
-            t.restore(row_id, after)?;
-        }
-        LogRecord::Batch { changes, .. } => {
+    for record in rest {
+        if let LogRecord::Txn { changes } = record {
             for change in changes {
-                redo(change, tables, scratch)?;
+                change.redo(&mut tables, &mut scratch)?;
             }
         }
-        LogRecord::Begin { .. }
-        | LogRecord::Commit { .. }
-        | LogRecord::Abort { .. }
-        | LogRecord::Checkpoint { .. } => {}
     }
-    Ok(())
+    Ok(tables)
 }
 
 #[cfg(test)]
@@ -599,71 +628,72 @@ mod tests {
         .with_primary_key("job_id")
     }
 
-    fn insert_rec(txn: u64, id: u64, job: i64, state: &str) -> LogRecord {
-        LogRecord::Insert {
-            txn: TxnId(txn),
+    fn insert(id: u64, job: i64, state: &str) -> Change {
+        Change::Insert {
             table: "jobs".into(),
             row_id: RowId(id),
             row: Row::new(vec![Value::Int(job), Value::Text(state.into())]),
         }
     }
 
-    /// `Begin` + `CREATE TABLE jobs` + the given inserts + `Commit`, as txn 1.
-    fn committed_create(inserts: Vec<LogRecord>) -> Vec<LogRecord> {
-        let mut log = vec![
-            LogRecord::Begin { txn: TxnId(1) },
-            LogRecord::CreateTable {
-                txn: TxnId(1),
-                schema: schema(),
-            },
-        ];
-        log.extend(inserts);
-        log.push(LogRecord::Commit { txn: TxnId(1) });
-        log
+    /// One transaction: `CREATE TABLE jobs` plus `changes`.
+    fn create_then(changes: Vec<Change>) -> LogRecord {
+        let mut all = vec![Change::CreateTable { schema: schema() }];
+        all.extend(changes);
+        LogRecord::Txn { changes: all }
+    }
+
+    fn open_mem(stats: &mut OpStats) -> Wal {
+        let (wal, found) = Wal::open_device(
+            Box::new(MemDevice::new()),
+            DurabilityPolicy::Always,
+            Arc::new(Failpoints::new()),
+            stats,
+        )
+        .unwrap();
+        assert!(found.is_empty(), "a fresh device holds no records");
+        wal
+    }
+
+    /// Commits `record`'s changes through `wal`, as a transaction would.
+    fn commit(wal: &mut Wal, record: &LogRecord, stats: &mut OpStats) {
+        let LogRecord::Txn { changes } = record else { panic!("not a transaction") };
+        let frame = wal.frame(changes).unwrap().expect("a writing transaction");
+        wal.commit(frame, stats).unwrap();
     }
 
     #[test]
     fn recovery_replays_only_committed_transactions() {
-        let mut log = committed_create(vec![insert_rec(1, 1, 100, "idle")]);
-        // Txn 2 inserts but never commits; txn 3 inserts and aborts.
-        log.extend([
-            LogRecord::Begin { txn: TxnId(2) },
-            insert_rec(2, 2, 200, "idle"),
-            LogRecord::Begin { txn: TxnId(3) },
-            insert_rec(3, 3, 300, "idle"),
-            LogRecord::Abort { txn: TxnId(3) },
-        ]);
-        assert_eq!(max_txn_id(&log), 3);
-
+        // Every record is a committed transaction; they replay in log order.
+        let log = vec![
+            create_then(vec![insert(1, 100, "idle")]),
+            LogRecord::Txn { changes: vec![insert(2, 200, "idle")] },
+            LogRecord::Txn {
+                changes: vec![Change::Delete { table: "jobs".into(), row_id: RowId(1) }],
+            },
+        ];
         let tables = recover(log).unwrap();
         let jobs = tables.get("jobs").unwrap();
         assert_eq!(jobs.len(), 1);
-        assert!(jobs.get(RowId(1)).is_some());
-        assert!(jobs.get(RowId(2)).is_none());
-        assert!(jobs.get(RowId(3)).is_none());
+        assert!(jobs.get(RowId(1)).is_none());
+        assert!(jobs.get(RowId(2)).is_some());
+
+        // A transaction that changed nothing has no frame to commit.
+        assert!(Wal::new().frame(&[]).unwrap().is_none());
     }
 
     #[test]
     fn recovery_applies_updates_and_deletes() {
-        let mut log = committed_create(vec![
-            insert_rec(1, 1, 100, "idle"),
-            insert_rec(1, 2, 200, "idle"),
-        ]);
-        let commit = log.pop().unwrap();
-        log.extend([
-            LogRecord::Update {
-                txn: TxnId(1),
+        let log = vec![create_then(vec![
+            insert(1, 100, "idle"),
+            insert(2, 200, "idle"),
+            Change::Update {
                 table: "jobs".into(),
                 row_id: RowId(1),
                 after: Row::new(vec![Value::Int(100), Value::Text("running".into())]),
             },
-            LogRecord::Delete {
-                txn: TxnId(1),
-                table: "jobs".into(),
-                row_id: RowId(2),
-            },
-            commit,
-        ]);
+            Change::Delete { table: "jobs".into(), row_id: RowId(2) },
+        ])];
 
         let tables = recover(log).unwrap();
         let jobs = tables.get("jobs").unwrap();
@@ -676,14 +706,44 @@ mod tests {
     }
 
     #[test]
+    fn recovery_replays_ddl_like_any_other_change() {
+        let unique = IndexDef { name: "uidx_jobs_state".into(), column: "state".into(), unique: true };
+        let log = vec![
+            create_then(vec![insert(1, 100, "idle")]),
+            LogRecord::Txn {
+                changes: vec![Change::CreateIndex { table: "jobs".into(), def: unique }],
+            },
+        ];
+        let mut tables = recover(log).unwrap();
+        let jobs = tables.get_mut("jobs").unwrap();
+        assert!(jobs.has_index_on("state"));
+        let dup = vec![Value::Int(200), Value::Text("idle".into())];
+        let refused = jobs.insert(dup, TxnId(2), &mut OpStats::default());
+        assert!(matches!(refused, Err(Error::Constraint(_))), "the index is still unique");
+
+        // An index over rows that already break it does not replay silently.
+        let broken = vec![
+            create_then(vec![insert(1, 100, "idle"), insert(2, 200, "idle")]),
+            LogRecord::Txn {
+                changes: vec![Change::CreateIndex {
+                    table: "jobs".into(),
+                    def: IndexDef { name: "u".into(), column: "state".into(), unique: true },
+                }],
+            },
+        ];
+        assert!(matches!(recover(broken), Err(Error::Constraint(_))));
+        let orphan = vec![LogRecord::Txn {
+            changes: vec![Change::DropTable { table: "jobs".into(), dropped: None }, insert(1, 1, "x")],
+        }];
+        assert!(matches!(recover(orphan), Err(Error::Wal(_))));
+    }
+
+    #[test]
     fn recovery_rejects_duplicate_committed_keys() {
         // A duplicated/corrupt log (two committed inserts sharing a primary
         // key) must fail recovery loudly, not rebuild a catalog that
         // violates its unique constraints.
-        let log = committed_create(vec![
-            insert_rec(1, 1, 100, "idle"),
-            insert_rec(1, 2, 100, "held"),
-        ]);
+        let log = vec![create_then(vec![insert(1, 100, "idle"), insert(2, 100, "held")])];
         assert!(matches!(recover(log), Err(Error::Constraint(_))));
     }
 
@@ -691,15 +751,12 @@ mod tests {
     fn recovery_refuses_a_row_id_with_no_successor() {
         // CRC-valid but hostile: replaying it would wrap the table's id
         // counter to 0 and hand out ids already in use.
-        let log = committed_create(vec![
-            insert_rec(1, 1, 100, "idle"),
-            insert_rec(1, u64::MAX, 200, "idle"),
-        ]);
+        let log = vec![create_then(vec![insert(1, 100, "idle"), insert(u64::MAX, 200, "idle")])];
         assert!(matches!(recover(log), Err(Error::Corruption(_))));
 
         // The largest id that does recover leaves none to issue: the next
         // insert is refused, typed, with the table untouched.
-        let log = committed_create(vec![insert_rec(1, u64::MAX - 1, 100, "idle")]);
+        let log = vec![create_then(vec![insert(u64::MAX - 1, 100, "idle")])];
         let mut tables = recover(log).unwrap();
         let jobs = tables.get_mut("jobs").unwrap();
         let row = vec![Value::Int(300), Value::Text("idle".into())];
@@ -711,10 +768,7 @@ mod tests {
 
     #[test]
     fn recovery_of_an_absurd_row_id_allocates_by_rows_not_by_id() {
-        let log = committed_create(vec![
-            insert_rec(1, 1, 100, "idle"),
-            insert_rec(1, 1 << 62, 200, "idle"),
-        ]);
+        let log = vec![create_then(vec![insert(1, 100, "idle"), insert(1 << 62, 200, "idle")])];
         let mut tables = recover(log).unwrap();
         let jobs = tables.get_mut("jobs").unwrap();
         assert_eq!(jobs.len(), 2);
@@ -738,20 +792,11 @@ mod tests {
     #[test]
     fn checkpoint_truncates_and_recovery_uses_it() {
         let mut stats = OpStats::default();
-        let (mut wal, found) = Wal::open_device(
-            Box::new(MemDevice::new()),
-            DurabilityPolicy::Always,
-            Arc::new(Failpoints::new()),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(found.is_empty(), "a fresh device holds no records");
-        let log = committed_create(vec![insert_rec(1, 1, 100, "idle")]);
-        for rec in &log {
-            wal.append(rec, &mut stats);
-        }
+        let mut wal = open_mem(&mut stats);
+        let first = create_then(vec![insert(1, 100, "idle")]);
+        commit(&mut wal, &first, &mut stats);
 
-        let tables = recover(log).unwrap();
+        let tables = recover(vec![first]).unwrap();
         wal.checkpoint(tables.values(), &mut stats).unwrap();
         assert_eq!(stats.checkpoints, 1);
         // The rotated segment holds the checkpoint record and nothing else.
@@ -759,69 +804,74 @@ mod tests {
         assert!(matches!(rotated.records[..], [LogRecord::Checkpoint { .. }]));
 
         // Post-checkpoint committed work still replays on top of it.
-        for rec in [
-            LogRecord::Begin { txn: TxnId(2) },
-            insert_rec(2, 2, 200, "held"),
-            LogRecord::Commit { txn: TxnId(2) },
-        ] {
-            wal.append(&rec, &mut stats);
-        }
-        wal.flush(&mut stats).unwrap();
+        let second = LogRecord::Txn { changes: vec![insert(2, 200, "held")] };
+        commit(&mut wal, &second, &mut stats);
         let reopened = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();
-        assert_eq!(reopened.records.len(), 4);
+        assert_eq!(reopened.records.len(), 2);
         let tables = recover(reopened.records).unwrap();
         assert_eq!(tables.get("jobs").unwrap().len(), 2);
     }
 
     #[test]
-    fn recovery_replays_batch_records() {
-        // One record carries three inserts.
-        let mut log = committed_create(vec![LogRecord::Batch {
-            txn: TxnId(1),
-            changes: vec![
-                insert_rec(1, 1, 100, "idle"),
-                insert_rec(1, 2, 200, "idle"),
-                insert_rec(1, 3, 300, "idle"),
-            ],
-        }]);
-        // An uncommitted batch must not replay.
-        log.extend([
-            LogRecord::Begin { txn: TxnId(2) },
-            LogRecord::Batch {
-                txn: TxnId(2),
-                changes: vec![insert_rec(2, 4, 400, "idle")],
-            },
-        ]);
-        // The batch counts as a single WAL record.
-        let mut wal = Wal::new();
+    fn a_commit_is_one_append_and_one_sync_under_always() {
         let mut stats = OpStats::default();
-        for rec in &log {
-            wal.append(rec, &mut stats);
-        }
-        assert_eq!(stats.wal_records, 6);
+        let mut wal = open_mem(&mut stats);
+        let txn = create_then(vec![insert(1, 100, "idle"), insert(2, 200, "idle")]);
+        commit(&mut wal, &txn, &mut stats);
+        assert_eq!((stats.wal_records, stats.wal_fsyncs), (1, 1));
+        // Durable without a flush: the commit forced its own frame.
+        let image = wal.durable_contents().unwrap();
+        let LogRecord::Txn { changes } = &txn else { unreachable!() };
+        let framed = encode_txn(changes, MAX_RECORD_PAYLOAD).unwrap();
+        assert_eq!(image.len(), segment_header().len() + framed.len());
+        let decoded = decode_segment(&image, &mut stats).unwrap();
+        assert!(matches!(&decoded.records[..], [LogRecord::Txn { changes }] if changes.len() == 3));
+    }
 
-        let tables = recover(log).unwrap();
-        let jobs = tables.get("jobs").unwrap();
-        assert_eq!(jobs.len(), 3);
-        assert!(jobs.get(RowId(4)).is_none());
-        let batch = LogRecord::Batch {
-            txn: TxnId(1),
-            changes: vec![insert_rec(1, 1, 100, "idle")],
-        };
-        assert!(batch.approx_size() > insert_rec(1, 1, 100, "idle").approx_size());
-        assert_eq!(batch.txn(), Some(TxnId(1)));
+    #[test]
+    fn an_oversized_frame_is_refused_before_anything_is_written() {
+        let mut stats = OpStats::default();
+        let mut wal = open_mem(&mut stats);
+        let small = create_then(vec![insert(1, 100, "idle")]);
+        commit(&mut wal, &small, &mut stats);
+        let before = wal.durable_contents().unwrap();
+        wal.set_payload_limit(64);
+
+        // A transaction over the limit: typed refusal, nothing counted,
+        // nothing on the device, the writer not poisoned.
+        let big: Vec<Change> = (2..20).map(|i| insert(i, i as i64, "idle")).collect();
+        let err = wal.frame(&big).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        // So is a checkpoint image over it, with the old segment in place.
+        let tables = recover(vec![small, LogRecord::Txn { changes: big }]).unwrap();
+        let err = wal.checkpoint(tables.values(), &mut stats).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        assert_eq!((stats.wal_records, stats.checkpoints), (1, 0));
+        assert_eq!(wal.durable_contents().unwrap(), before);
+
+        // A transaction under it still commits.
+        let next = LogRecord::Txn { changes: vec![insert(2, 200, "idle")] };
+        commit(&mut wal, &next, &mut stats);
+        wal.flush(&mut stats).unwrap();
+        let image = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();
+        assert_eq!(image.records.len(), 2);
     }
 
     #[test]
     fn wal_counts_bytes() {
         let mut wal = Wal::new();
         let mut stats = OpStats::default();
-        let records = [LogRecord::Begin { txn: TxnId(1) }, insert_rec(1, 1, 100, "idle")];
+        let records = [
+            create_then(vec![insert(1, 100, "idle")]),
+            LogRecord::Txn { changes: vec![insert(2, 200, "idle")] },
+        ];
         for rec in &records {
-            wal.append(rec, &mut stats);
+            commit(&mut wal, rec, &mut stats);
         }
         assert_eq!(stats.wal_records, 2);
         let sized: usize = records.iter().map(LogRecord::approx_size).sum();
         assert_eq!(stats.wal_bytes, sized as u64);
+        // A transaction is a 16-byte header plus its changes.
+        assert_eq!(records[1].approx_size(), 16 + insert(2, 200, "idle").approx_size());
     }
 }

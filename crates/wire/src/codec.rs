@@ -1,233 +1,56 @@
-//! Low-level binary encoding: hand-rolled put/get over byte buffers.
+//! Low-level binary encoding of frames: the engine's codec, with this
+//! protocol's error.
 //!
-//! Like the WAL, the codec avoids any serialization framework: every frame
-//! is written by appending little-endian fixed-width integers and
+//! Like the WAL, the protocol avoids any serialization framework: every
+//! frame is written by appending little-endian fixed-width integers and
 //! length-prefixed byte strings to a `Vec<u8>`, and read back through a
-//! bounds-checked [`Reader`]. Decoding untrusted input **never panics**: a
-//! truncated buffer, an oversized length prefix or an unknown tag surfaces
-//! as a clean [`Error::Net`].
+//! bounds-checked [`Reader`]. The writers and the cursor are
+//! [`relstore::io::codec`]'s — one implementation for the log and the wire,
+//! the same bytes as ever on both — and what this module adds is the frame
+//! bound and a [`Reader`] whose failures are [`Error::Net`]: decoding
+//! untrusted input **never panics**, and a truncated buffer, an oversized
+//! length prefix or an unknown tag is a clean protocol error.
 
-use relstore::{Error, Result, Row, Value};
+pub use relstore::io::codec::{
+    put_f64, put_i64, put_row, put_str, put_u16, put_u32, put_u64, put_u8, put_value, put_values,
+};
+use relstore::Error;
 
 /// Hard upper bound on a single frame's payload, applied on both encode
 /// (before writing to the socket) and decode (before allocating). Large
 /// results stream as row pages well below this.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-// --- writing -----------------------------------------------------------------
-
-/// Appends one byte.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-/// Appends a little-endian u16.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian u32.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian u64.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian i64 (two's complement).
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an f64 by bit pattern — non-finite values (±inf, NaN payloads)
-/// round-trip exactly.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Appends a length-prefixed UTF-8 string (u32 length + bytes).
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Appends one [`Value`] as a tag byte plus its payload.
-pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(buf, 0),
-        Value::Int(i) => {
-            put_u8(buf, 1);
-            put_i64(buf, *i);
-        }
-        Value::Double(d) => {
-            put_u8(buf, 2);
-            put_f64(buf, *d);
-        }
-        Value::Text(s) => {
-            put_u8(buf, 3);
-            put_str(buf, s);
-        }
-        Value::Bool(b) => {
-            put_u8(buf, 4);
-            put_u8(buf, u8::from(*b));
-        }
-        Value::Timestamp(t) => {
-            put_u8(buf, 5);
-            put_i64(buf, *t);
-        }
-    }
-}
-
-/// Appends a parameter/row value list (u16 count + values).
-pub fn put_values(buf: &mut Vec<u8>, values: &[Value]) {
-    put_u16(buf, values.len() as u16);
-    for v in values {
-        put_value(buf, v);
-    }
-}
-
-/// Appends one result row (its values, u16-counted).
-pub fn put_row(buf: &mut Vec<u8>, row: &Row) {
-    put_values(buf, &row.values);
-}
-
-// --- reading -----------------------------------------------------------------
-
-/// A bounds-checked cursor over a received frame payload.
-///
-/// Every accessor returns [`Error::Net`] instead of panicking when the
-/// buffer is shorter than the encoding claims, and collection counts are
-/// validated against the bytes actually remaining before anything is
-/// allocated, so a hostile length prefix cannot force a huge allocation.
+/// A bounds-checked cursor over a received frame payload: the engine's
+/// reader, failing with [`Error::Net`].
 #[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+pub struct Reader<'a>(relstore::io::codec::Reader<'a>);
 
 impl<'a> Reader<'a> {
     /// Creates a reader over one frame payload.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader(relstore::io::codec::Reader::over(buf, "frame", Error::Net))
     }
+}
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+impl<'a> std::ops::Deref for Reader<'a> {
+    type Target = relstore::io::codec::Reader<'a>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(Error::net(format!(
-                "truncated frame: wanted {n} more byte(s), {} remain",
-                self.remaining()
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian u16.
-    pub fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian i64.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an f64 by bit pattern.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(Error::net(format!(
-                "truncated frame: string claims {n} byte(s), {} remain",
-                self.remaining()
-            )));
-        }
-        std::str::from_utf8(self.take(n)?)
-            .map_err(|e| Error::net(format!("frame carries invalid UTF-8: {e}")))
-    }
-
-    /// Reads one [`Value`].
-    pub fn value(&mut self) -> Result<Value> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.i64()?)),
-            2 => Ok(Value::Double(self.f64()?)),
-            3 => Ok(Value::Text(self.str()?.into())),
-            4 => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(Error::net(format!("invalid BOOL byte {other}"))),
-            },
-            5 => Ok(Value::Timestamp(self.i64()?)),
-            tag => Err(Error::net(format!("unknown value tag {tag}"))),
-        }
-    }
-
-    /// Reads a u16-counted value list, validating the count against the
-    /// bytes remaining before allocating.
-    pub fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.u16()? as usize;
-        if n > self.remaining() {
-            return Err(Error::net(format!(
-                "truncated frame: value list claims {n} element(s), {} byte(s) remain",
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.value()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads one result row.
-    pub fn row(&mut self) -> Result<Row> {
-        Ok(Row::new(self.values()?))
-    }
-
-    /// Fails unless every byte of the payload was consumed — a frame with
-    /// trailing garbage is a protocol error, not silently ignored data.
-    pub fn expect_end(&self) -> Result<()> {
-        if self.remaining() != 0 {
-            return Err(Error::net(format!(
-                "frame carries {} unexpected trailing byte(s)",
-                self.remaining()
-            )));
-        }
-        Ok(())
+impl std::ops::DerefMut for Reader<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relstore::Value;
 
     #[test]
     fn primitives_round_trip() {

@@ -1,7 +1,9 @@
 //! The CAS-level crash matrix: a scripted job lifecycle is driven through
 //! the `CasState` service methods over a durable database, and the resulting
-//! log is recovered from **every** record boundary. A service call is one
-//! transaction, so a crash can only ever land *between* calls: each prefix
+//! log is recovered from **every** record boundary and from byte offsets
+//! *inside* every record. A service call is one transaction and a
+//! transaction is one log frame, so a crash can only ever land *between*
+//! calls — a frame that tore is a call that never happened: each prefix
 //! must recover exactly the state some whole number of calls left behind —
 //! never a job that is `matched` with no match, `running` with no run, or
 //! missing from both `jobs` and `job_history`.
@@ -28,14 +30,14 @@ fn dump(db: &Database) -> Dump {
         .collect()
 }
 
-/// Commit records in a log prefix.
+/// Committed transactions in a log prefix: its whole `Txn` records.
 fn commits_in(bytes: &[u8]) -> usize {
     let mut scratch = OpStats::default();
     decode_segment(bytes, &mut scratch)
         .unwrap()
         .records
         .iter()
-        .filter(|r| matches!(r, LogRecord::Commit { .. }))
+        .filter(|r| matches!(r, LogRecord::Txn { .. }))
         .count()
 }
 
@@ -155,7 +157,7 @@ fn run_lifecycle() -> (Vec<Dump>, usize, Vec<u8>) {
     let mut cas = CasState::new(Arc::clone(&db)).unwrap();
     let startup_commits = commits_in(&db.durable_log_bytes().unwrap());
     let dumps = std::cell::RefCell::new(vec![dump(&db)]);
-    // Every call must put exactly one Commit on the log.
+    // Every call must put exactly one record on the log.
     let called = |what: &str| {
         dumps.borrow_mut().push(dump(&db));
         assert_eq!(
@@ -212,7 +214,8 @@ fn run_lifecycle() -> (Vec<Dump>, usize, Vec<u8>) {
     called("failed heartbeat");
 
     // A faulted call in the middle: it must leave neither state nor a
-    // commit behind (its records, if any, end in an Abort).
+    // byte of log behind.
+    let log_before = db.durable_log_bytes().unwrap();
     assert!(cas.accept_match(1, 999).is_err());
     assert!(cas
         .heartbeat(1, HeartbeatReport::Completed { job_id: 999 })
@@ -221,6 +224,12 @@ fn run_lifecycle() -> (Vec<Dump>, usize, Vec<u8>) {
         Some(&dump(&db)),
         dumps.borrow().last(),
         "a faulted call changes nothing"
+    );
+    db.flush_log().unwrap();
+    assert_eq!(
+        db.durable_log_bytes().unwrap(),
+        log_before,
+        "a faulted call logs nothing"
     );
 
     // The requeued job and the fourth one go round again, to completion.
@@ -270,33 +279,56 @@ fn every_log_prefix_recovers_a_whole_number_of_service_calls() {
         dumps.len() - 1
     );
 
-    let mut checked = 0usize;
-    for &b in &boundaries {
-        let prefix = bytes[..b as usize].to_vec();
-        let commits = commits_in(&prefix);
-        let db = Database::open_with_device(
-            Box::new(MemDevice::with_contents(prefix)),
-            DurabilityPolicy::Always,
-        )
-        .unwrap_or_else(|e| panic!("recovery failed at boundary {b}: {e}"));
-        db.check_consistency().unwrap();
-        // A crash during CAS start-up recovers some prefix of the schema;
-        // the next start redeploys it. The matrix proper starts once the
-        // CAS was up.
-        let Some(calls) = commits.checked_sub(startup_commits) else {
-            continue;
-        };
-        assert_eq!(
-            dump(&db),
-            dumps[calls],
-            "boundary {b}: recovered state must equal the state after exactly {calls} calls"
-        );
-        check_cas_invariants(&db, &format!("boundary {b}"));
-        checked += 1;
+    // Atomicity is by frame. Every byte prefix decodes to the whole frames
+    // before the cut, with exactly the bytes past the last one to truncate…
+    for cut in boundaries[0] as usize..=bytes.len() {
+        let whole = boundaries.iter().rposition(|&b| b as usize <= cut).unwrap();
+        let mut scratch = OpStats::default();
+        let seg = decode_segment(&bytes[..cut], &mut scratch).unwrap();
+        assert_eq!(seg.records.len(), whole, "cut {cut}");
+        assert_eq!(seg.truncated_bytes, cut as u64 - boundaries[whole], "cut {cut}");
     }
-    assert!(
-        checked > dumps.len(),
-        "the matrix covered {checked} prefixes"
+
+    // …and recovery from every boundary, and from the first, middle and
+    // last byte inside the frame that follows it, is the state at that
+    // boundary: the torn call never happened.
+    let mut checked = 0usize;
+    for (i, &b) in boundaries.iter().enumerate() {
+        let frame = boundaries.get(i + 1).map_or(0, |next| (next - b) as usize);
+        let mut torn = vec![0, 1, frame / 2, frame.saturating_sub(1)];
+        torn.retain(|&d| d == 0 || d < frame);
+        torn.dedup();
+        for d in torn {
+            let at = format!("boundary {b} + {d} torn byte(s)");
+            let prefix = bytes[..b as usize + d].to_vec();
+            let commits = commits_in(&prefix);
+            let db = Database::open_with_device(
+                Box::new(MemDevice::with_contents(prefix)),
+                DurabilityPolicy::Always,
+            )
+            .unwrap_or_else(|e| panic!("recovery failed at {at}: {e}"));
+            db.check_consistency().unwrap();
+            assert_eq!(db.stats().recovery_truncated_bytes, d as u64, "{at}");
+            // A crash during CAS start-up recovers a whole number of its
+            // start-up transactions (the schema is one of them); the next
+            // start redeploys the rest. The matrix proper starts once the
+            // CAS was up.
+            let Some(calls) = commits.checked_sub(startup_commits) else {
+                continue;
+            };
+            assert_eq!(
+                dump(&db),
+                dumps[calls],
+                "{at}: recovered state must equal the state after exactly {calls} calls"
+            );
+            check_cas_invariants(&db, &at);
+            checked += 1;
+        }
+    }
+    assert_eq!(
+        checked,
+        dumps.len() + 3 * (dumps.len() - 1),
+        "every call boundary, and three cuts inside every call's frame"
     );
 }
 

@@ -1,8 +1,9 @@
 //! The crash-recovery matrix: a mixed workload is run against a durable
 //! database, and the resulting log is replayed from **every** record
-//! boundary — plus sampled torn tails in between — asserting that recovery
-//! always yields exactly the committed prefix, never panics, and never
-//! resurrects rolled-back or unfinished transactions.
+//! boundary — a record is one committed transaction — plus sampled torn
+//! tails inside each, asserting that recovery always yields exactly the
+//! committed prefix, never panics, and never resurrects rolled-back or
+//! unfinished transactions (which never reach the log at all).
 
 use relstore::io::{decode_segment, record_boundaries};
 use relstore::wal::LogRecord;
@@ -26,15 +27,15 @@ fn dump(db: &Database) -> Dump {
     out
 }
 
-/// Commit records in a decoded prefix — the index into the dump history
-/// that a recovery from this prefix must reproduce.
+/// Committed transactions in a decoded prefix — the index into the dump
+/// history that a recovery from this prefix must reproduce.
 fn commits_in(bytes: &[u8]) -> usize {
     let mut scratch = OpStats::default();
     decode_segment(bytes, &mut scratch)
         .unwrap()
         .records
         .iter()
-        .filter(|r| matches!(r, LogRecord::Commit { .. }))
+        .filter(|r| matches!(r, LogRecord::Txn { .. }))
         .count()
 }
 
@@ -59,7 +60,7 @@ fn run_workload() -> (Vec<Dump>, Vec<u8>) {
     db.execute("INSERT INTO jobs VALUES (2, 'running', 12.5)").unwrap();
     committed(&db);
 
-    // A batched insert: one Batch record, one commit.
+    // A batched insert: eight rows, one commit.
     let ins = db.prepare("INSERT INTO machines VALUES (?, ?)").unwrap();
     db.session()
         .execute_batch(&ins, (0..8i64).map(|i| (i, format!("node{i:02}"))))
@@ -75,8 +76,8 @@ fn run_workload() -> (Vec<Dump>, Vec<u8>) {
     }
     committed(&db);
 
-    // An explicit transaction that rolls back: its records (Begin, Update,
-    // Abort) hit the log but must never be replayed.
+    // An explicit transaction that rolls back: nothing of it may reach the
+    // log, let alone be replayed.
     {
         let txn = db.transaction();
         txn.execute("UPDATE jobs SET state = ? WHERE job_id = ?", ("ghost", 2i64)).unwrap();
@@ -97,8 +98,8 @@ fn run_workload() -> (Vec<Dump>, Vec<u8>) {
     db.execute("DROP TABLE scratch").unwrap();
     committed(&db);
 
-    // A transaction left open at the crash: Begin + Update with no
-    // Commit/Abort ever written. Recovery must ignore it entirely.
+    // A transaction left open at the crash: it never committed, so the log
+    // must not know it.
     let open = db.transaction();
     let upd = db.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
     open.execute(&upd, ("limbo", 3i64)).unwrap();
@@ -112,12 +113,12 @@ fn run_workload() -> (Vec<Dump>, Vec<u8>) {
 fn every_record_boundary_prefix_recovers_the_committed_state() {
     let (dumps, bytes) = run_workload();
     let boundaries = record_boundaries(&bytes).unwrap();
-    assert!(
-        boundaries.len() > 30,
-        "workload should produce a substantial log, got {} records",
-        boundaries.len() - 1
-    );
     assert_eq!(commits_in(&bytes), dumps.len() - 1, "one dump per commit on the log");
+    assert_eq!(
+        boundaries.len(),
+        dumps.len(),
+        "the log is its committed transactions and nothing else"
+    );
     eprintln!(
         "crash matrix: {} byte log, {} records, {} boundary prefixes, {} commits",
         bytes.len(),

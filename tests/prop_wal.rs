@@ -117,44 +117,88 @@ proptest! {
 
 const CREATE: &str = "CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT NOT NULL, payload TEXT)";
 
+/// One SQL statement of the schedule.
 #[derive(Debug, Clone)]
-enum Op {
+enum Write {
     /// `big` payloads are ~1.5 KB, so checkpoint images and suffix records
-    /// mix rows of very different sizes.
+    /// mix rows of very different sizes. Sixteen ids share a payload, so
+    /// once `payload` is uniquely indexed most inserts collide on it.
     Insert { id: i64, state: u8, big: bool },
     Update { id: i64, state: u8 },
     Delete { id: i64 },
+    /// `CREATE UNIQUE INDEX ON jobs (payload)`: refused while two rows share
+    /// a payload, `AlreadyExists` the second time — and, logged like any
+    /// other change, still enforced after a reopen.
+    CreateUniqueIndex,
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// One autocommit statement.
+    Auto(Write),
+    /// One explicit transaction, committed or rolled back.
+    Txn { writes: Vec<Write>, commit: bool },
     Checkpoint,
     Reopen,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn write_strategy() -> impl Strategy<Value = Write> {
     prop_oneof![
         (0..64i64, 0..4u8, 0..5u8)
-            .prop_map(|(id, state, big)| Op::Insert { id, state, big: big == 0 }),
+            .prop_map(|(id, state, big)| Write::Insert { id, state, big: big == 0 }),
         (0..64i64, 0..4u8, 0..5u8)
-            .prop_map(|(id, state, big)| Op::Insert { id, state, big: big == 0 }),
-        (0..64i64, 0..4u8).prop_map(|(id, state)| Op::Update { id, state }),
-        (0..64i64, 0..4u8).prop_map(|(id, state)| Op::Update { id, state }),
-        (0..64i64).prop_map(|id| Op::Delete { id }),
+            .prop_map(|(id, state, big)| Write::Insert { id, state, big: big == 0 }),
+        (0..64i64, 0..4u8).prop_map(|(id, state)| Write::Update { id, state }),
+        (0..64i64, 0..4u8).prop_map(|(id, state)| Write::Update { id, state }),
+        (0..64i64).prop_map(|id| Write::Delete { id }),
+        (0..64i64).prop_map(|id| Write::Delete { id }),
+        Just(Write::CreateUniqueIndex),
+    ]
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        write_strategy().prop_map(Op::Auto),
+        write_strategy().prop_map(Op::Auto),
+        write_strategy().prop_map(Op::Auto),
+        write_strategy().prop_map(Op::Auto),
+        (prop::collection::vec(write_strategy(), 1..5), 0..3u8)
+            .prop_map(|(writes, roll)| Op::Txn { writes, commit: roll != 0 }),
+        (prop::collection::vec(write_strategy(), 1..5), 0..3u8)
+            .prop_map(|(writes, roll)| Op::Txn { writes, commit: roll != 0 }),
         Just(Op::Checkpoint),
         Just(Op::Reopen),
     ]
 }
 
-fn op_sql(op: &Op) -> String {
+fn write_sql(write: &Write) -> String {
     let state_name = |state: u8| ["idle", "matched", "running", "held"][state as usize];
-    match op {
-        Op::Insert { id, state, big } => {
-            let payload = if *big { format!("p{id}-").repeat(300) } else { format!("p{id}") };
+    match write {
+        Write::Insert { id, state, big } => {
+            let key = id % 16;
+            let payload = if *big { format!("p{key}-").repeat(300) } else { format!("p{key}") };
             format!("INSERT INTO jobs VALUES ({id}, '{}', '{payload}')", state_name(*state))
         }
-        Op::Update { id, state } => {
+        Write::Update { id, state } => {
             format!("UPDATE jobs SET state = '{}' WHERE job_id = {id}", state_name(*state))
         }
-        Op::Delete { id } => format!("DELETE FROM jobs WHERE job_id = {id}"),
-        Op::Checkpoint | Op::Reopen => unreachable!("not SQL ops"),
+        Write::Delete { id } => format!("DELETE FROM jobs WHERE job_id = {id}"),
+        Write::CreateUniqueIndex => "CREATE UNIQUE INDEX ON jobs (payload)".to_string(),
     }
+}
+
+/// Both sides must answer a statement alike: same affected count, or the
+/// same error.
+fn same_answer(
+    d: relstore::Result<relstore::ExecResult>,
+    o: relstore::Result<relstore::ExecResult>,
+) -> Result<(), TestCaseError> {
+    match (&d, &o) {
+        (Ok(dr), Ok(or)) => prop_assert_eq!(dr.affected(), or.affected()),
+        (Err(de), Err(oe)) => prop_assert_eq!(de.to_string(), oe.to_string()),
+        _ => prop_assert!(false, "divergent results: durable={d:?} oracle={o:?}"),
+    }
+    Ok(())
 }
 
 /// Clean restart: commits are durable under `DurabilityPolicy::Always`, so
@@ -167,9 +211,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A durable database and the in-memory engine, fed the same random
-    /// schedule, answer identically at every step — same affected counts,
-    /// same errors — across checkpoints (segment rotation) and reopens
-    /// (checkpoint image + committed suffix) of the durable side.
+    /// schedule — autocommit statements, explicit transactions that commit
+    /// or roll back, a unique index created along the way — answer
+    /// identically at every step — same affected counts, same errors —
+    /// across checkpoints (segment rotation) and reopens (checkpoint image
+    /// + the transactions after it) of the durable side.
     #[test]
     fn durable_database_matches_in_memory_oracle_across_checkpoints_and_reopens(
         ops in prop::collection::vec(op_strategy(), 1..60),
@@ -187,14 +233,21 @@ proptest! {
                     oracle.checkpoint().unwrap();
                 }
                 Op::Reopen => durable = reopen(&durable),
-                sql_op => {
-                    let d = durable.execute(&op_sql(sql_op));
-                    let o = oracle.execute(&op_sql(sql_op));
-                    match (&d, &o) {
-                        (Ok(dr), Ok(or)) => prop_assert_eq!(dr.affected(), or.affected()),
-                        (Err(de), Err(oe)) => prop_assert_eq!(de.to_string(), oe.to_string()),
-                        _ => prop_assert!(false, "divergent results: durable={d:?} oracle={o:?}"),
+                Op::Auto(write) => {
+                    let sql = write_sql(write);
+                    same_answer(durable.execute(&sql), oracle.execute(&sql))?;
+                }
+                Op::Txn { writes, commit } => {
+                    let (d, o) = (durable.transaction(), oracle.transaction());
+                    for write in writes {
+                        let sql = write_sql(write);
+                        same_answer(d.execute(sql.as_str(), ()), o.execute(sql.as_str(), ()))?;
                     }
+                    if *commit {
+                        d.commit().unwrap();
+                        o.commit().unwrap();
+                    }
+                    // Otherwise both guards drop here: rolled back.
                 }
             }
         }

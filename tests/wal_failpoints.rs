@@ -59,8 +59,8 @@ fn a_failed_fsync_poisons_the_writer_and_no_later_commit_is_acknowledged() {
 #[test]
 fn a_short_write_poisons_the_commit_and_leaves_no_durable_trace() {
     let db = durable_db();
-    // 5 bytes of the Begin record reach the (volatile) buffer, then the
-    // write errors; nothing was synced, so recovery sees the prior state.
+    // 5 bytes of the transaction's frame reach the (volatile) buffer, then
+    // the write errors; nothing was synced, so recovery sees the prior state.
     db.failpoints().arm(points::WAL_APPEND, FailAction::ShortWrite(5));
 
     let err = db.execute("INSERT INTO jobs VALUES (2, 'lost')").unwrap_err();
@@ -81,8 +81,8 @@ fn a_torn_write_of_k_bytes_is_truncated_exactly_on_recovery() {
     const K: u64 = 10;
     let db = durable_db();
     db.flush_log().unwrap();
-    // Power loss mid-append: K bytes of the next record are persisted, then
-    // the device dies. The canonical torn tail.
+    // Power loss mid-append: K bytes of the transaction's frame are
+    // persisted, then the device dies. The canonical torn tail.
     db.failpoints().arm(points::WAL_APPEND, FailAction::TornWrite(K as usize));
 
     let err = db.execute("INSERT INTO jobs VALUES (2, 'torn')").unwrap_err();
@@ -101,7 +101,7 @@ fn a_torn_write_of_k_bytes_is_truncated_exactly_on_recovery() {
 #[test]
 fn a_crash_after_write_before_sync_loses_the_unacknowledged_commit() {
     let db = durable_db();
-    // The records all reach the volatile buffer, then the machine dies at
+    // The whole frame reaches the volatile buffer, then the machine dies at
     // the durability barrier: the commit was never acknowledged, and
     // recovery must not surface it.
     db.failpoints().arm(points::WAL_SYNC, FailAction::Crash);
@@ -206,16 +206,52 @@ fn a_successful_checkpoint_rotates_the_segment_and_survives_reopen() {
 #[test]
 fn arm_after_skips_early_hits_and_failpoint_hits_are_counted() {
     let db = durable_db();
-    // Skip the Begin and Insert appends; strike the Commit append.
+    // A transaction is one append: skip two commits' appends, strike the
+    // third's. Rolling back and reading in between append nothing, so they
+    // do not use the skips up.
     db.failpoints()
         .arm_after(points::WAL_APPEND, 2, FailAction::Err);
-    let err = db.execute("INSERT INTO jobs VALUES (2, 'x')").unwrap_err();
+    db.execute("INSERT INTO jobs VALUES (2, 'kept')").unwrap();
+    {
+        let txn = db.transaction();
+        txn.execute("INSERT INTO jobs VALUES (7, 'rolled back')", ()).unwrap();
+    }
+    db.query("SELECT * FROM jobs").unwrap();
+    let txn = db.transaction();
+    txn.execute("INSERT INTO jobs VALUES (3, 'kept')", ()).unwrap();
+    txn.execute("UPDATE jobs SET state = 'busy' WHERE job_id = 1", ()).unwrap();
+    txn.commit().unwrap();
+    assert_eq!(db.failpoints().hits(), 0);
+
+    let err = db.execute("INSERT INTO jobs VALUES (4, 'x')").unwrap_err();
     assert!(matches!(err, Error::Io(_)), "{err}");
     assert_eq!(db.failpoints().hits(), 1);
     assert_eq!(db.stats().failpoints_hit, 1);
+    // The failed append poisoned the writer: nothing after it is
+    // acknowledged either, and nothing of it is durable.
+    let err = db.execute("INSERT INTO jobs VALUES (5, 'y')").unwrap_err();
+    assert!(err.to_string().contains("poisoned"), "{err}");
 
-    // Begin and Insert were appended but the sync never ran (the commit
-    // path surfaced the poison first): none of it is durable.
+    let recovered = reopen(&db);
+    assert_eq!(recovered.table_len("jobs").unwrap(), 3);
+    assert_eq!(recovered.stats().recovery_truncated_bytes, 0);
+    recovered.check_consistency().unwrap();
+}
+
+#[test]
+fn a_crash_right_after_the_append_leaves_no_trace_of_the_transaction() {
+    let db = durable_db();
+    // The frame is written whole, then the machine dies before the sync: a
+    // multi-statement transaction is on the device entirely or not at all.
+    db.failpoints().arm(points::WAL_APPEND, FailAction::Crash);
+    let txn = db.transaction();
+    txn.execute("INSERT INTO jobs VALUES (2, 'a')", ()).unwrap();
+    txn.execute("INSERT INTO jobs VALUES (3, 'b')", ()).unwrap();
+    let err = txn.commit().unwrap_err();
+    assert!(matches!(err, Error::Io(_)), "{err}");
+
     let recovered = reopen(&db);
     assert_eq!(recovered.table_len("jobs").unwrap(), 1);
+    assert_eq!(recovered.stats().recovery_truncated_bytes, 0);
+    recovered.check_consistency().unwrap();
 }

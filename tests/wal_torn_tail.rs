@@ -114,12 +114,13 @@ fn decoder_and_recovery_agree_on_the_committed_prefix() {
         let mut scratch = OpStats::default();
         let seg = decode_segment(&bytes[..t], &mut scratch).unwrap();
         assert_eq!(seg.valid_len + seg.truncated_bytes, t as u64);
-        // Commits visible to the decoder are exactly the commits recovery
-        // replays — no off-by-one at any cut.
+        // Commits visible to the decoder — every record is one whole
+        // transaction — are exactly the commits recovery replays: no
+        // off-by-one at any cut.
         let commits = seg
             .records
             .iter()
-            .filter(|r| matches!(r, LogRecord::Commit { .. }))
+            .filter(|r| matches!(r, LogRecord::Txn { .. }))
             .count();
         let db = Database::open_with_device(
             Box::new(MemDevice::with_contents(bytes[..t].to_vec())),
