@@ -6,7 +6,6 @@
 //!
 //! * [`message`] — SOAP-style request/response envelopes (the gSOAP stand-in),
 //! * [`pool`] — bounded database connection pooling,
-//! * [`entity`] — container-managed persistence (entity beans ↔ tuples),
 //! * [`service`] — the two-layer service registry (fine-grained persistence
 //!   operations wrapped by coarse-grained application-logic services),
 //! * [`container`] — request dispatch with per-request CPU cost accounting and
@@ -14,8 +13,9 @@
 //! * [`cost`] — the calibrated HTTP→SQL→storage cost model.
 //!
 //! The `condorj2` crate builds the actual CondorJ2 Application Server (CAS) on
-//! top of these pieces; the `condor` baseline reuses [`cost`] so that both
-//! systems' CPU numbers are produced by the same accounting.
+//! top of these pieces — its prepared statements are the paper's
+//! "HTTP-to-SQL transformation" — and the `condor` baseline reuses [`cost`]
+//! so that both systems' CPU numbers are produced by the same accounting.
 //!
 //! The container's database ([`AppContainer::database`]) is an
 //! `Arc<relstore::Database>`, so the same engine instance the container
@@ -30,65 +30,12 @@
 
 pub mod container;
 pub mod cost;
-pub mod entity;
 pub mod message;
 pub mod pool;
 pub mod service;
 
 pub use container::{AppContainer, OperationMetrics};
 pub use cost::{CostModel, RequestCost};
-pub use entity::{Entity, EntityDef, EntityManager};
 pub use message::{SoapRequest, SoapResponse, SoapStatus};
 pub use pool::{ConnectionPool, PoolStats};
 pub use service::{ServiceKind, ServiceRegistry};
-
-use relstore::Value;
-
-/// Renders a [`Value`] as a SQL literal, escaping embedded quotes in text.
-///
-/// The entity layer and the CondorJ2 services build SQL text with this helper
-/// — the "HTTP-to-SQL transformation" the paper identifies as the application
-/// server's most basic function.
-pub fn sql_literal(value: &Value) -> String {
-    match value {
-        Value::Null => "NULL".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Double(d) => {
-            if d.fract() == 0.0 && d.is_finite() {
-                format!("{d:.1}")
-            } else {
-                format!("{d}")
-            }
-        }
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        Value::Timestamp(t) => t.to_string(),
-        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn literals_round_trip_through_the_parser() {
-        assert_eq!(sql_literal(&Value::Null), "NULL");
-        assert_eq!(sql_literal(&Value::Int(-3)), "-3");
-        assert_eq!(sql_literal(&Value::Bool(true)), "TRUE");
-        assert_eq!(sql_literal(&Value::Double(2.5)), "2.5");
-        assert_eq!(sql_literal(&Value::Double(4.0)), "4.0");
-        assert_eq!(sql_literal(&Value::Timestamp(99)), "99");
-        assert_eq!(sql_literal(&Value::Text("it's".into())), "'it''s'");
-    }
-
-    #[test]
-    fn escaped_text_survives_a_real_insert() {
-        let db = relstore::Database::new();
-        db.execute("CREATE TABLE t (a INT PRIMARY KEY, b TEXT)").unwrap();
-        let tricky = Value::Text("O'Brien's job -- weird".into());
-        db.execute(&format!("INSERT INTO t VALUES (1, {})", sql_literal(&tricky)))
-            .unwrap();
-        let r = db.query("SELECT b FROM t WHERE a = 1").unwrap();
-        assert_eq!(r.first_value("b"), Some(&tricky));
-    }
-}

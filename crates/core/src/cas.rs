@@ -16,7 +16,7 @@
 //! their own transaction at autocommit.
 
 use crate::schema;
-use appserver::{EntityDef, EntityManager, ServiceKind, ServiceRegistry, SoapRequest, SoapResponse};
+use appserver::{ServiceKind, ServiceRegistry, SoapRequest, SoapResponse};
 use relstore::{Database, Error, FromRow, Prepared, Result, RowView, Transaction};
 use std::sync::Arc;
 
@@ -146,9 +146,10 @@ impl FromRow for ProvenanceRecord {
 
 /// The prepared statements behind every hot CAS service call.
 ///
-/// The paper's "HTTP-to-SQL transformation" is the hot path of the whole
-/// system: each heartbeat, submission and scheduler pass used to build SQL
-/// text with `format!` and re-parse it. Preparing once at deployment and
+/// These handles *are* the paper's "HTTP-to-SQL transformation" — what it
+/// calls the application server's most basic function, and the hot path of
+/// the whole system: each heartbeat, submission and scheduler pass used to
+/// build SQL text with `format!` and re-parse it. Preparing once at deployment and
 /// binding parameters per call removes the lexer/parser from every service
 /// invocation (and sidesteps literal escaping entirely).
 struct CasPrepared {
@@ -276,7 +277,6 @@ impl CasPrepared {
 pub struct CasState {
     db: Arc<Database>,
     prepared: CasPrepared,
-    entities: EntityManager,
     /// The current simulated time in milliseconds (set by the event loop
     /// before each dispatch so handlers can timestamp their writes).
     pub now_ms: i64,
@@ -303,7 +303,6 @@ impl CasState {
     /// table holds instead of colliding with its own history at 1.
     pub fn new(db: Arc<Database>) -> Result<Self> {
         schema::deploy(&db)?;
-        let entities = EntityManager::new(Arc::clone(&db));
         let prepared = CasPrepared::new(&db)?;
         // `ORDER BY <pk> DESC LIMIT 1` is one step of the ordered index
         // walk. A finished job's id lives on only in `job_history`, which
@@ -329,7 +328,6 @@ impl CasState {
             jobs_requeued: 0,
             db,
             prepared,
-            entities,
         };
         state.set_config_if_absent("heartbeat_interval_secs", "60")?;
         state.set_config_if_absent("scheduler", "fifo")?;
@@ -340,21 +338,6 @@ impl CasState {
     /// The underlying database (used by reports and tests).
     pub fn database(&self) -> &Arc<Database> {
         &self.db
-    }
-
-    /// The container-managed persistence manager for the CondorJ2 entities.
-    pub fn entities(&self) -> &EntityManager {
-        &self.entities
-    }
-
-    /// The entity definition of the jobs table.
-    pub fn job_entity() -> EntityDef {
-        EntityDef::new("jobs", "job_id")
-    }
-
-    /// The entity definition of the machines table.
-    pub fn machine_entity() -> EntityDef {
-        EntityDef::new("machines", "machine_id")
     }
 
     // --- the unit of work --------------------------------------------------------

@@ -15,9 +15,6 @@
 //!   commit, one log force, all of its statements or none — which is what
 //!   lets a crashed CAS restart over the recovered database
 //!   ([`CasState::new`] resumes its id counters from the tables),
-//! * [`concurrent`] — multi-threaded read drivers: the harness that runs
-//!   service-call SELECTs from N OS threads against the shared database
-//!   (the engine's shared-lock read path makes them scale with cores),
 //! * [`config`] — deployment parameters (poll intervals, pool sizing),
 //! * [`pool`] — the event-driven simulation of a full pool: execute nodes
 //!   *pull* work from the CAS over web services, the DB2-style maintenance
@@ -38,12 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod cas;
-pub mod concurrent;
 pub mod config;
 pub mod pool;
 pub mod schema;
 
 pub use cas::{CasState, HeartbeatReply, HeartbeatReport, PoolStatus};
-pub use concurrent::{drive_reads, ReadThroughput};
 pub use config::CondorJ2Config;
 pub use pool::{CondorJ2Report, CondorJ2Simulation};

@@ -64,7 +64,6 @@ use crate::obs::{
     WaitBreakdown,
 };
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
-use crate::predicate::Expr;
 use crate::schema::{lower_name, IndexDef, Schema};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
 use crate::sql::parser::parse;
@@ -160,7 +159,7 @@ impl Prepared {
 /// transaction `txn` or in autocommit mode, under the statement limits
 /// `gov`. [`Session`](crate::Session) and
 /// [`Transaction`](crate::Transaction) build one per call for
-/// [`Database::run`] and its two batch forms.
+/// [`Database::run`], [`Database::run_read`] and [`Database::run_batch`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
     pub(crate) txn: Option<TxnId>,
@@ -408,6 +407,14 @@ impl Database {
     /// Cumulative operation statistics.
     pub fn stats(&self) -> OpStats {
         self.stats.snapshot()
+    }
+
+    /// Merges counts taken outside the engine into these statistics — the
+    /// `wire` server's `net_bytes_in`, `net_bytes_out`, `frames_decoded` and
+    /// `active_connections` — so [`Database::stats`] and `rel_stats` report
+    /// them beside the engine's own.
+    pub fn record_stats(&self, delta: &OpStats) {
+        self.stats.record(delta);
     }
 
     /// The *current* horizon lag: how far the transaction-id high watermark
@@ -729,35 +736,26 @@ impl Database {
     /// Each statement is stopwatch-timed and lands one sample in its kind's
     /// latency histogram and in its profile via
     /// [`Observability::record_statement`].
+    ///
+    /// A SELECT or EXPLAIN is [`Database::run_read`] with one binding; a
+    /// write is [`Database::write_in`] with one binding.
     pub(crate) fn run(
         &self,
         ctx: ExecCtx<'_>,
         prepared: &Prepared,
         params: &[Value],
     ) -> Result<ExecResult> {
+        let stmt = prepared.stmt.as_ref();
+        if let Statement::Select(_) | Statement::Explain { .. } = stmt {
+            let mut result = None;
+            self.run_read(ctx, prepared, std::slice::from_ref(&params), |q| result = Some(q))?;
+            return Ok(ExecResult::Query(result.expect("one binding yields one result")));
+        }
         Self::check_arity(prepared, params)?;
-        match prepared.stmt.as_ref() {
+        match stmt {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
                 "transaction control goes through a Session or a Transaction guard",
             )),
-            Statement::Select(sel) => {
-                self.run_read(ctx, prepared, |catalog, snapshot, local, governor| {
-                    self.run_select_planned(
-                        catalog,
-                        sel,
-                        params,
-                        snapshot,
-                        local,
-                        governor,
-                        &prepared.plan,
-                    )
-                })
-            }
-            Statement::Explain { analyze, select } => {
-                self.run_read(ctx, prepared, |catalog, snapshot, local, governor| {
-                    self.run_explain(catalog, *analyze, select, params, snapshot, local, governor)
-                })
-            }
             Statement::Analyze(target) => {
                 // ANALYZE refreshes shared planner statistics in place; it is
                 // deliberately non-transactional (never WAL-logged, not
@@ -811,34 +809,93 @@ impl Database {
         Ok(())
     }
 
-    /// The read arm, shared by SELECT and EXPLAIN: `body` runs under the
-    /// *shared* catalog guard against `ctx`'s snapshot, without registering
-    /// locks or appending WAL records. Any number of reads execute in
-    /// parallel, and none ever fails against in-flight writers — a read
-    /// simply observes what its snapshot sees.
-    #[inline]
-    fn run_read(
+    /// The read path, shared by SELECT and EXPLAIN, single or batched: the
+    /// statement runs once per binding under **one** *shared* catalog guard,
+    /// one MVCC snapshot of `ctx` and one armed [`Governor`], without
+    /// registering locks or appending WAL records, and each result goes to
+    /// `emit` in binding order. Any number of reads execute in parallel, and
+    /// none ever fails against in-flight writers — a read simply observes
+    /// what its snapshot sees.
+    ///
+    /// A single statement is the one-binding case ([`Database::run`]). A
+    /// batch ([`Session::query_batch`](crate::Session::query_batch)) is one
+    /// governed unit — deadline, cancellation and the row/byte budgets span
+    /// all bindings combined, with the deadline and cancellation also checked
+    /// between bindings — while each binding stays one statement: counted in
+    /// `statements_executed`, one `stmt.select` sample and one profile
+    /// record. Binding spans tile the run: the first starts before the guard
+    /// is taken, each ends where the next begins. The first failing binding
+    /// ends the run with its error.
+    pub(crate) fn run_read<B: AsRef<[Value]>>(
         &self,
         ctx: ExecCtx<'_>,
         prepared: &Prepared,
-        body: impl FnOnce(&Catalog, &Snapshot, &mut OpStats, &mut Governor) -> Result<QueryResult>,
-    ) -> Result<ExecResult> {
-        let sw = Stopwatch::start();
+        bindings: &[B],
+        mut emit: impl FnMut(QueryResult),
+    ) -> Result<()> {
+        let (sel, explain) = match prepared.stmt.as_ref() {
+            Statement::Select(sel) => (sel, None),
+            Statement::Explain { analyze, select } => (select, Some(*analyze)),
+            _ => return Err(Error::type_err("query_batch expects a SELECT or EXPLAIN statement")),
+        };
+        for params in bindings {
+            Self::check_arity(prepared, params.as_ref())?;
+        }
+        let mut sw = Stopwatch::start();
         let mut governor = Governor::arm(ctx.gov);
         let catalog = self.catalog.read();
         let mut local = OpStats::default();
         // An inactive transaction fails here, before anything is counted:
-        // the statement never executed.
+        // no statement executed.
         let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
-        local.statements_executed = 1;
-        let result = body(&catalog, &snapshot, &mut local, &mut governor);
+        let mut failed = None;
+        for (i, params) in bindings.iter().enumerate() {
+            let params = params.as_ref();
+            local.statements_executed += 1;
+            let checked = if i == 0 { Ok(()) } else { governor.check_now() };
+            let result = checked.and_then(|()| match explain {
+                None => self.run_select_planned(
+                    &catalog,
+                    sel,
+                    params,
+                    &snapshot,
+                    &mut local,
+                    &mut governor,
+                    &prepared.plan,
+                ),
+                Some(analyze) => self.run_explain(
+                    &catalog,
+                    analyze,
+                    sel,
+                    params,
+                    &snapshot,
+                    &mut local,
+                    &mut governor,
+                ),
+            });
+            let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
+            self.obs.record_statement(
+                StmtKind::Select,
+                sw.lap(),
+                rows,
+                Some(&prepared.profile),
+                WaitBreakdown::of(&local),
+                &mut local,
+            );
+            match result {
+                Ok(q) => emit(q),
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            }
+        }
         drop(catalog);
-        if let Err(e) = &result {
+        if let Some(e) = &failed {
             Self::attribute_failure(&mut local, e);
         }
-        let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-        self.finish_statement(StmtKind::Select, sw, rows, &prepared.profile, &mut local);
-        Ok(ExecResult::Query(result?))
+        self.stats.record(&local);
+        failed.map_or(Ok(()), Err)
     }
 
     /// The MVCC snapshot a read resolves against: a fresh one per autocommit
@@ -1405,73 +1462,6 @@ impl Database {
         result.map(|done| done.affected())
     }
 
-    /// Executes a prepared SELECT once per parameter binding under a
-    /// **single** shared catalog guard and a single MVCC snapshot (see
-    /// [`Database::snapshot_for`]) — the pipelined form of a point-select
-    /// loop. Results are returned in binding order. Like every read, the
-    /// batch never conflicts with in-flight writers. The batch is one
-    /// governed unit: deadline, cancellation and row/byte budgets span all
-    /// bindings' results combined.
-    pub(crate) fn run_query_batch(
-        &self,
-        ctx: ExecCtx<'_>,
-        prepared: &Prepared,
-        bindings: &[Vec<Value>],
-    ) -> Result<Vec<QueryResult>> {
-        let Statement::Select(sel) = prepared.stmt.as_ref() else {
-            return Err(Error::type_err("query_batch expects a SELECT statement"));
-        };
-        for binding in bindings {
-            Self::check_arity(prepared, binding)?;
-        }
-        let mut governor = Governor::arm(ctx.gov);
-        let catalog = self.catalog.read();
-        let mut local = OpStats::default();
-        let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
-        let mut out = Vec::with_capacity(bindings.len());
-        let mut failed = None;
-        for binding in bindings {
-            let sw = Stopwatch::start();
-            local.statements_executed += 1;
-            let result = governor.check_now().and_then(|()| {
-                self.run_select_planned(
-                    &catalog,
-                    sel,
-                    binding,
-                    &snapshot,
-                    &mut local,
-                    &mut governor,
-                    &prepared.plan,
-                )
-            });
-            let rows = result.as_ref().map_or(0, |q| q.rows.len() as u64);
-            self.obs.record_statement(
-                StmtKind::Select,
-                sw.elapsed_nanos(),
-                rows,
-                Some(&prepared.profile),
-                WaitBreakdown::default(),
-                &mut local,
-            );
-            match result {
-                Ok(q) => out.push(q),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        drop(catalog);
-        if let Some(e) = &failed {
-            Self::attribute_failure(&mut local, e);
-        }
-        self.stats.record(&local);
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
     /// Executes a mutating statement while holding the catalog write guard
     /// and the control mutex, for the active transaction `txn`, which holds
     /// the lock of the statement's table ([`Database::write_target`]). Every
@@ -1553,22 +1543,6 @@ impl Database {
                 unreachable!("Database::run dispatches only DML and DDL to run_write")
             }
         }
-    }
-
-    /// Convenience wrapper: runs `SELECT COUNT(*) FROM table [WHERE ...]`
-    /// expressed programmatically and returns the count, observed through a
-    /// fresh read snapshot (committed state only).
-    pub fn count(&self, table: &str, filter: Option<&Expr>) -> Result<i64> {
-        let catalog = self.catalog.read();
-        let snapshot = self.ctl.lock().txns.read_snapshot();
-        let t = catalog
-            .get(&table.to_ascii_lowercase())
-            .ok_or_else(|| Error::not_found(format!("table {table}")))?;
-        let mut stats = OpStats::default();
-        Ok(
-            matching_row_ids_with(t, filter, &[], &snapshot, &mut stats, &mut Governor::disarmed())?
-                .len() as i64,
-        )
     }
 
     fn run_insert(
@@ -1918,7 +1892,8 @@ mod tests {
         let err = db.execute("INSERT INTO jobs (job_id, owner) VALUES (10, 'x'), (1, 'y')");
         assert!(err.is_err());
         assert_eq!(db.table_len("jobs").unwrap(), 3);
-        assert_eq!(db.count("jobs", Some(&Expr::col_eq("job_id", 10))).unwrap(), 0);
+        let r = db.query("SELECT COUNT(*) FROM jobs WHERE job_id = 10").unwrap();
+        assert_eq!(r.scalar_int(), Some(0));
         db.check_consistency().unwrap();
     }
 
@@ -2288,10 +2263,8 @@ mod tests {
         assert!(db.checkpoint().unwrap() > 0);
         let recovered = reopen(&db);
         assert_eq!(recovered.table_len("jobs").unwrap(), 3);
-        assert_eq!(
-            recovered.count("jobs", Some(&Expr::col_eq("job_id", 8))).unwrap(),
-            0
-        );
+        let r = recovered.query("SELECT COUNT(*) FROM jobs WHERE job_id = 8").unwrap();
+        assert_eq!(r.scalar_int(), Some(0));
     }
 
     #[test]

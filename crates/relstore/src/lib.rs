@@ -215,8 +215,18 @@
 //! transaction: one log record, one force — with the same all-or-nothing
 //! outcome as the loop. How often the log is appended to is not the
 //! batch's choice or the statement's: a transaction is one append, whatever
-//! ran inside it. [`Session::query_batch`] is the read-side analogue: N
-//! point selects pipelined under a single shared catalog guard.
+//! ran inside it.
+//!
+//! [`Session::query_batch`] (and [`Transaction::query_batch`]) is the read
+//! path with N bindings instead of one — a single statement is its
+//! one-binding case. The whole batch runs under **one** shared catalog
+//! guard, **one** MVCC snapshot and **one** armed governor: the session's
+//! deadline, cancellation token and row/byte budgets apply to all bindings
+//! combined, so a budget bounds the request (a `wire` server's
+//! `max_result_bytes` included), never each binding; the deadline and token
+//! are also checked between bindings. Each binding is still one statement:
+//! it counts once in `statements_executed`, lands one `stmt.select` sample
+//! and one profile record.
 //!
 //! ```
 //! use relstore::Database;

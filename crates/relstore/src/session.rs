@@ -12,9 +12,9 @@
 //! * transactions are RAII guards: [`Transaction::commit`] consumes the
 //!   guard, and dropping it — on early return or mid-panic — rolls back;
 //! * batches ([`Session::execute_batch`], [`Session::query_batch`]) run N
-//!   bindings of one prepared statement under a single catalog guard (and,
-//!   in autocommit mode, one commit), for scheduler-sweep-shaped write
-//!   bursts.
+//!   bindings of one prepared statement under a single catalog guard and
+//!   one governor (and, in autocommit mode, one commit or one snapshot),
+//!   for scheduler-sweep-shaped bursts.
 
 use crate::convert::{FromRow, FromValue, IntoParams, ToStatement};
 use crate::db::{Database, ExecCtx, ExecResult, Prepared};
@@ -250,17 +250,22 @@ impl<'a> Session<'a> {
         self.db.run_batch(self.ctx(), stmt, &bindings)
     }
 
-    /// Executes a prepared SELECT once per binding under a single shared
-    /// catalog guard and a single MVCC snapshot — the pipelined form of a
-    /// point-select loop, results in binding order. The session's row/byte
-    /// budgets span all bindings' results combined.
+    /// Executes a prepared SELECT once per binding under one shared catalog
+    /// guard, one MVCC snapshot and one armed governor — the pipelined form
+    /// of a point-select loop, results in binding order.
+    ///
+    /// The batch is one governed unit: the session's deadline, cancellation
+    /// token and row/byte budgets apply to all bindings combined (a budget
+    /// is per request, not per binding), and the deadline and token are
+    /// also checked between bindings. Each binding still counts as one
+    /// statement — in `statements_executed`, the `stmt.select` histogram
+    /// and the statement's profile.
     pub fn query_batch<P: IntoParams>(
         &mut self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.run_query_batch(self.ctx(), stmt, &bindings)
+        query_batch(self.db, self.ctx(), stmt, bindings)
     }
 
     /// Begins an explicit transaction and returns its RAII guard. While the
@@ -439,15 +444,15 @@ impl<'a> Transaction<'a> {
         self.db.run_batch(self.ctx(), stmt, &bindings)
     }
 
-    /// Executes a prepared SELECT once per binding inside the transaction
-    /// under a single shared catalog guard.
+    /// Executes a prepared SELECT once per binding inside the transaction,
+    /// under the batch contract of [`Session::query_batch`]: one catalog
+    /// guard, the transaction's snapshot, one governor for the whole batch.
     pub fn query_batch<P: IntoParams>(
         &self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.run_query_batch(self.ctx(), stmt, &bindings)
+        query_batch(self.db, self.ctx(), stmt, bindings)
     }
 
     /// Commits the transaction, consuming the guard.
@@ -470,6 +475,19 @@ impl<'a> Drop for Transaction<'a> {
             let _ = self.db.rollback(self.id);
         }
     }
+}
+
+/// The body of both `query_batch`es: the read path with N bindings.
+fn query_batch<P: IntoParams>(
+    db: &Database,
+    ctx: ExecCtx<'_>,
+    stmt: &Prepared,
+    bindings: impl IntoIterator<Item = P>,
+) -> Result<Vec<QueryResult>> {
+    let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
+    let mut results = Vec::with_capacity(bindings.len());
+    db.run_read(ctx, stmt, &bindings, |q| results.push(q))?;
+    Ok(results)
 }
 
 #[cfg(test)]

@@ -231,19 +231,15 @@ impl Client {
         }
     }
 
-    /// Executes a SELECT and returns its rows.
+    /// Executes a SELECT and returns its rows, exactly like
+    /// [`relstore::Session::query`]: any other statement runs and is then
+    /// the same type error.
     pub fn query<S: Into<StmtRef>, P: IntoParams>(
         &mut self,
         stmt: S,
         params: P,
     ) -> Result<QueryResult> {
-        self.send(&Request::Query {
-            stmt: stmt.into(),
-            params: params.into_params(),
-            deadline_ms: self.deadline_ms(),
-        })?;
-        let first = self.recv()?;
-        self.read_query_result(first)
+        self.execute(stmt, params)?.query()
     }
 
     /// Executes a SELECT and decodes every row into `T`.
@@ -321,31 +317,20 @@ impl Client {
         Ok(results)
     }
 
-    fn txn_request(&mut self, req: Request) -> Result<()> {
-        self.send(&req)?;
-        match self.recv()? {
-            Response::Ack { txn_open } => {
-                self.in_txn = txn_open;
-                Ok(())
-            }
-            Response::Err(e) => Err(e),
-            other => Err(self.unexpected("transaction control", &other)),
-        }
-    }
-
-    /// Opens the connection's transaction (at most one may be open).
+    /// Opens the connection's transaction (at most one may be open): an
+    /// `Execute` of `BEGIN`.
     pub fn begin(&mut self) -> Result<()> {
-        self.txn_request(Request::Begin)
+        self.execute("BEGIN", ()).map(drop)
     }
 
-    /// Commits the connection's transaction.
+    /// Commits the connection's transaction: an `Execute` of `COMMIT`.
     pub fn commit(&mut self) -> Result<()> {
-        self.txn_request(Request::Commit)
+        self.execute("COMMIT", ()).map(drop)
     }
 
-    /// Rolls back the connection's transaction.
+    /// Rolls back the connection's transaction: an `Execute` of `ROLLBACK`.
     pub fn rollback(&mut self) -> Result<()> {
-        self.txn_request(Request::Rollback)
+        self.execute("ROLLBACK", ()).map(drop)
     }
 
     /// Begins a transaction and returns its RAII guard: `commit()` consumes

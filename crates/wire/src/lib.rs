@@ -5,10 +5,11 @@
 //! database that is a *network peer*, not a linked library. This crate gives
 //! the embedded [`relstore`] engine that front door:
 //!
-//! * a **length-prefixed binary protocol** ([`protocol`]) with a versioned
-//!   handshake, frames for `Prepare` / `Execute` / `Query` /
-//!   `ExecuteBatch` / `QueryBatch` / `Begin` / `Commit` / `Rollback`,
-//!   streamed row pages for large results, and an error frame that carries
+//! * a **length-prefixed binary protocol** ([`protocol`], [`VERSION`] 3)
+//!   with a versioned handshake, five requests — `Prepare`, `Execute`,
+//!   `ExecuteBatch`, `QueryBatch`, `CloseStmt` (a query, `BEGIN`, `COMMIT`
+//!   and `ROLLBACK` are each an `Execute` through the connection's session)
+//!   — streamed row pages for large results, and an error frame that carries
 //!   the engine's [`Error`](relstore::Error) variant *and* class — a remote
 //!   write-write conflict is just as retryable as an embedded one. The
 //!   codec ([`codec`]) is hand-rolled put/get over byte buffers (like the
@@ -77,12 +78,13 @@
 //!
 //! ## Observability
 //!
-//! The server counts its transport work in the engine's
-//! [`OpStats`](relstore::OpStats): `net_bytes_in` / `net_bytes_out` /
-//! `frames_decoded`, plus the `active_connections` high-water gauge
-//! (merge = max, like `max_version_chain`). Read them from
-//! [`ServerHandle::stats`]; engine work done on behalf of remote statements
-//! lands on the database's own stats as usual.
+//! The server counts its transport work in the served database's
+//! [`OpStats`](relstore::OpStats) — one registry, not two:
+//! `net_bytes_in` / `net_bytes_out` / `frames_decoded`, plus the
+//! `active_connections` high-water gauge (merge = max, like
+//! `max_version_chain`). Any client reads them from `rel_stats`; in process
+//! [`ServerHandle::stats`] returns the same counters, beside the engine work
+//! done on behalf of remote statements.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,14 @@
 //! the [`crate::codec`] primitives. A connection starts with a versioned
 //! handshake (magic + protocol version from the client, a status byte back
 //! from the server), after which the client sends [`Request`] frames and the
-//! server answers each with one or more [`Response`] frames:
+//! server answers each with one or more [`Response`] frames.
+//!
+//! Version 3 has five requests: [`Request::Prepare`], [`Request::Execute`],
+//! [`Request::ExecuteBatch`], [`Request::QueryBatch`] and
+//! [`Request::CloseStmt`]. A connection is a [`relstore::Session`], so a
+//! query is an `Execute` of a SELECT and transaction control is an `Execute`
+//! of `BEGIN` / `COMMIT` / `ROLLBACK`; the opcodes version 2 spent on those
+//! (3, 6, 7 and 8) decode as unknown.
 //!
 //! * most requests produce exactly one response;
 //! * a query produces a [`Response::RowsHeader`] followed by one or more
@@ -29,10 +36,11 @@ pub const MAGIC: [u8; 4] = *b"RSTW";
 /// version differs (the protocol has no negotiation yet — versions are
 /// expected to move in lockstep within one deployment).
 ///
-/// Version 2 added the optional per-statement deadline to the four
+/// Version 2 added the optional per-statement deadline to the
 /// statement-carrying requests and the `Timeout` / `ResourceExhausted`
-/// error tags.
-pub const VERSION: u16 = 2;
+/// error tags; version 3 dropped the `Query`, `Begin`, `Commit` and
+/// `Rollback` requests, which were each an [`Request::Execute`].
+pub const VERSION: u16 = 3;
 
 /// A statement reference in a request: raw SQL text (resolved through the
 /// server's statement cache) or a handle returned by a prior
@@ -54,7 +62,8 @@ pub enum Request {
         /// The SQL text, which may contain `?` placeholders.
         sql: String,
     },
-    /// Execute any statement (DML, DDL, SELECT, or transaction control).
+    /// Execute any statement (DML, DDL, SELECT, or transaction control)
+    /// through the connection's session.
     Execute {
         /// The statement to run.
         stmt: StmtRef,
@@ -62,15 +71,6 @@ pub enum Request {
         params: Vec<Value>,
         /// Client-requested statement deadline in milliseconds; the server
         /// enforces the *minimum* of this and its own configured default.
-        deadline_ms: Option<u32>,
-    },
-    /// Execute a SELECT; a non-query statement is an error.
-    Query {
-        /// The statement to run.
-        stmt: StmtRef,
-        /// Positional parameter bindings.
-        params: Vec<Value>,
-        /// Client-requested statement deadline in milliseconds.
         deadline_ms: Option<u32>,
     },
     /// Execute a prepared DML statement once per binding under one catalog
@@ -83,7 +83,8 @@ pub enum Request {
         /// Client-requested deadline for the whole batch in milliseconds.
         deadline_ms: Option<u32>,
     },
-    /// Execute a prepared SELECT once per binding under one shared guard.
+    /// Execute a prepared SELECT once per binding under one shared guard,
+    /// one snapshot and one governor (see [`relstore::Session::query_batch`]).
     QueryBatch {
         /// The statement to run.
         stmt: StmtRef,
@@ -92,12 +93,6 @@ pub enum Request {
         /// Client-requested deadline for the whole batch in milliseconds.
         deadline_ms: Option<u32>,
     },
-    /// Open the connection's transaction (at most one may be open).
-    Begin,
-    /// Commit the connection's transaction.
-    Commit,
-    /// Roll back the connection's transaction.
-    Rollback,
     /// Drop a prepared-statement handle.
     CloseStmt {
         /// The handle to drop.
@@ -312,16 +307,6 @@ impl Request {
                 codec::put_values(&mut buf, params);
                 put_deadline(&mut buf, *deadline_ms);
             }
-            Request::Query {
-                stmt,
-                params,
-                deadline_ms,
-            } => {
-                codec::put_u8(&mut buf, 3);
-                put_stmt(&mut buf, stmt);
-                codec::put_values(&mut buf, params);
-                put_deadline(&mut buf, *deadline_ms);
-            }
             Request::ExecuteBatch {
                 stmt,
                 bindings,
@@ -342,9 +327,6 @@ impl Request {
                 put_bindings(&mut buf, bindings);
                 put_deadline(&mut buf, *deadline_ms);
             }
-            Request::Begin => codec::put_u8(&mut buf, 6),
-            Request::Commit => codec::put_u8(&mut buf, 7),
-            Request::Rollback => codec::put_u8(&mut buf, 8),
             Request::CloseStmt { id } => {
                 codec::put_u8(&mut buf, 9);
                 codec::put_u32(&mut buf, *id);
@@ -365,11 +347,6 @@ impl Request {
                 params: r.values()?,
                 deadline_ms: get_deadline(&mut r)?,
             },
-            3 => Request::Query {
-                stmt: get_stmt(&mut r)?,
-                params: r.values()?,
-                deadline_ms: get_deadline(&mut r)?,
-            },
             4 => Request::ExecuteBatch {
                 stmt: get_stmt(&mut r)?,
                 bindings: get_bindings(&mut r)?,
@@ -380,9 +357,6 @@ impl Request {
                 bindings: get_bindings(&mut r)?,
                 deadline_ms: get_deadline(&mut r)?,
             },
-            6 => Request::Begin,
-            7 => Request::Commit,
-            8 => Request::Rollback,
             9 => Request::CloseStmt { id: r.u32()? },
             op => return Err(Error::net(format!("unknown request opcode {op}"))),
         };
@@ -669,7 +643,7 @@ mod tests {
                 params: vec![],
                 deadline_ms: Some(250),
             },
-            Request::Query {
+            Request::Execute {
                 stmt: StmtRef::Id(7),
                 params: vec![Value::Int(1), Value::Null, Value::Text("x'y".into())],
                 deadline_ms: Some(5_000),
@@ -684,9 +658,6 @@ mod tests {
                 bindings: vec![vec![]],
                 deadline_ms: Some(1),
             },
-            Request::Begin,
-            Request::Commit,
-            Request::Rollback,
             Request::CloseStmt { id: 3 },
         ];
         for req in reqs {
@@ -695,6 +666,20 @@ mod tests {
             // Every strict prefix fails cleanly.
             for cut in 0..payload.len() {
                 assert!(Request::decode(&payload[..cut]).is_err());
+            }
+        }
+        // The opcodes of version 2's Query, Begin, Commit and Rollback are
+        // unknown now: a transport error, whatever follows them.
+        let execute = Request::Execute {
+            stmt: StmtRef::Sql("BEGIN".into()),
+            params: vec![],
+            deadline_ms: None,
+        }
+        .encode();
+        for op in [3u8, 6, 7, 8] {
+            for payload in [vec![op], [&[op], &execute[1..]].concat()] {
+                let err = Request::decode(&payload).unwrap_err();
+                assert!(matches!(err, Error::Net(_)), "opcode {op}: {err}");
             }
         }
     }
@@ -755,7 +740,7 @@ mod tests {
 
     #[test]
     fn frame_io_round_trips_and_enforces_limits() {
-        let payload = Request::Begin.encode();
+        let payload = Request::CloseStmt { id: 1 }.encode();
         let mut buf = Vec::new();
         let written = write_frame(&mut buf, &payload).unwrap();
         assert_eq!(written as usize, payload.len() + 4);

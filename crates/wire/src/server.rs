@@ -32,7 +32,6 @@
 use crate::protocol::{
     self, write_frame, HandshakeStatus, Request, Response, StmtRef, VERSION,
 };
-use relstore::stats::SharedStats;
 use relstore::{
     Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Session,
 };
@@ -130,7 +129,6 @@ struct Shared {
     shutdown: AtomicBool,
     /// Connections currently admitted (being served or queued for a worker).
     active: AtomicUsize,
-    stats: SharedStats,
 }
 
 /// A running server: its address, live counters, and the shutdown switch.
@@ -189,7 +187,6 @@ pub fn serve_with(
         config,
         shutdown: AtomicBool::new(false),
         active: AtomicUsize::new(0),
-        stats: SharedStats::default(),
     });
 
     let (tx, rx) = mpsc::channel::<TcpStream>();
@@ -246,12 +243,13 @@ impl ServerHandle {
         self.shared.active.load(Ordering::Relaxed)
     }
 
-    /// Cumulative server-side counters: the network fields
-    /// (`net_bytes_in` / `net_bytes_out` / `frames_decoded` and the
-    /// `active_connections` high-water gauge) plus nothing else — engine
-    /// work is accounted on the database's own stats as usual.
+    /// The served database's cumulative counters. The server records its
+    /// network fields (`net_bytes_in` / `net_bytes_out` / `frames_decoded`
+    /// and the `active_connections` high-water gauge) there too, beside the
+    /// engine work its statements did, so `rel_stats` reports them to any
+    /// client; servers sharing one database share those fields.
     pub fn stats(&self) -> OpStats {
-        self.shared.stats.snapshot()
+        self.shared.db.stats()
     }
 
     /// The served database.
@@ -309,7 +307,7 @@ fn accept_loop(shared: Arc<Shared>, listener: &TcpListener, tx: &mpsc::Sender<Tc
             continue;
         }
         // High-water connection gauge (merge = max, like max_version_chain).
-        shared.stats.record(&OpStats {
+        shared.db.record_stats(&OpStats {
             active_connections: admitted as u64,
             ..Default::default()
         });
@@ -337,7 +335,7 @@ fn reject_busy(shared: &Shared, mut stream: TcpStream) {
         ),
     )
     .unwrap_or(0);
-    shared.stats.record(&OpStats {
+    shared.db.record_stats(&OpStats {
         net_bytes_in: hello.len() as u64,
         net_bytes_out: written,
         ..Default::default()
@@ -407,11 +405,11 @@ fn serve_frames(
             HandshakeStatus::Rejected,
             &format!("server speaks protocol version {VERSION}, client spoke {version}"),
         )?;
-        shared.stats.record(&local);
+        shared.db.record_stats(&local);
         return Ok(());
     }
     local.net_bytes_out += protocol::write_handshake_response(stream, HandshakeStatus::Ok, "")?;
-    shared.stats.record(&local);
+    shared.db.record_stats(&local);
 
     loop {
         let Some(payload) = read_frame_polling(stream, shared)? else {
@@ -429,13 +427,13 @@ fn serve_frames(
             Err(e) => {
                 // A malformed frame poisons the stream: answer and close.
                 local.net_bytes_out += write_frame(stream, &Response::Err(e).encode())?;
-                shared.stats.record(&local);
+                shared.db.record_stats(&local);
                 return Ok(());
             }
         };
         let outcome = handle_request(shared, conn, req);
         local.net_bytes_out += write_outcome(stream, outcome, shared.config.page_rows)?;
-        shared.stats.record(&local);
+        shared.db.record_stats(&local);
     }
 }
 
@@ -478,17 +476,6 @@ fn handle_request(shared: &Shared, conn: &mut ConnState<'_>, req: Request) -> Ou
                 Err(e) => Outcome::One(Response::Err(e)),
             }
         }
-        Request::Query {
-            stmt,
-            params,
-            deadline_ms,
-        } => {
-            session.set_governance(governance_for(shared, deadline_ms));
-            match resolve_stmt(stmts, db, stmt).and_then(|p| session.query(&*p, params)) {
-                Ok(q) => Outcome::Rows(q),
-                Err(e) => Outcome::One(Response::Err(e)),
-            }
-        }
         Request::ExecuteBatch {
             stmt,
             bindings,
@@ -515,9 +502,6 @@ fn handle_request(shared: &Shared, conn: &mut ConnState<'_>, req: Request) -> Ou
                 Err(e) => Outcome::One(Response::Err(e)),
             }
         }
-        Request::Begin => Outcome::One(txn_control(session, "BEGIN")),
-        Request::Commit => Outcome::One(txn_control(session, "COMMIT")),
-        Request::Rollback => Outcome::One(txn_control(session, "ROLLBACK")),
         Request::CloseStmt { id } => Outcome::One(match stmts.remove(&id) {
             Some(_) => ack(session),
             None => Response::Err(Error::not_found(format!(
@@ -552,15 +536,6 @@ fn governance_for(shared: &Shared, deadline_ms: Option<u32>) -> Governance {
 fn ack(session: &Session<'_>) -> Response {
     Response::Ack {
         txn_open: session.in_transaction(),
-    }
-}
-
-/// A transaction-control frame is the session's SQL-level statement of the
-/// same name.
-fn txn_control(session: &mut Session<'_>, sql: &str) -> Response {
-    match session.execute(sql, ()) {
-        Ok(_) => ack(session),
-        Err(e) => Response::Err(e),
     }
 }
 

@@ -73,7 +73,7 @@ proptest! {
         let requests = [
             Request::Prepare { sql: sql.clone() },
             Request::Execute { stmt: StmtRef::Sql(sql.clone()), params: params.clone(), deadline_ms },
-            Request::Query { stmt: StmtRef::Id(id), params: params.clone(), deadline_ms },
+            Request::Execute { stmt: StmtRef::Id(id), params: params.clone(), deadline_ms },
             Request::ExecuteBatch { stmt: StmtRef::Id(id), bindings: bindings.clone(), deadline_ms },
             Request::QueryBatch { stmt: StmtRef::Sql(sql), bindings, deadline_ms },
         ];
@@ -121,6 +121,12 @@ proptest! {
         let mut reader = Reader::new(&bytes);
         let _ = reader.values();
         let _ = read_frame(&mut bytes.as_slice());
+        // Version 2's Query, Begin, Commit and Rollback opcodes are unknown
+        // now: a clean transport error whatever body follows.
+        for op in [3u8, 6, 7, 8] {
+            let retired = [&[op][..], &bytes].concat();
+            prop_assert!(matches!(Request::decode(&retired), Err(Error::Net(_))));
+        }
     }
 }
 

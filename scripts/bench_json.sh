@@ -8,7 +8,8 @@
 # time out of every "time: [lo med hi]" line, and writes OUT — by default
 # the next free BENCH_<n>.json in the repo root — with one entry per bench,
 # all times normalised to nanoseconds, stamped with the commit and host the
-# numbers were taken on. The file is the durable record of a bench run;
+# numbers were taken on. Targets that produced no median are listed under
+# "unmeasured" (and on stderr). The file is the durable record of a bench run;
 # regenerate it on a quiet machine when the numbers need refreshing.
 set -euo pipefail
 
@@ -79,6 +80,16 @@ if ! [ -s "$log.medians" ]; then
     exit 1
 fi
 
+# A target that printed no criterion time line measured nothing: name it
+# here and in the record, so a print-only bench is visible the day it lands.
+unmeasured=""
+for bench in $benches; do
+    if ! grep -q "^$bench/" "$log.medians"; then
+        echo "warning: bench target $bench produced no median" >&2
+        unmeasured="$unmeasured $bench"
+    fi
+done
+
 {
     echo '{'
     echo '  "generated_by": "scripts/bench_json.sh",'
@@ -87,6 +98,7 @@ fi
         "$(git -C "$repo_root" diff --quiet HEAD 2>/dev/null || echo +dirty)"
     printf '  "host": {"nproc": %s, "kernel": "%s"},\n' "$(nproc)" "$(uname -sr)"
     printf '  "benches": [%s],\n' "$(printf '%s\n' $benches | sed 's/.*/"&"/' | paste -sd, -)"
+    printf '  "unmeasured": [%s],\n' "$(printf '%s\n' $unmeasured | sed '/^$/d; s/.*/"&"/' | paste -sd, -)"
     echo '  "unit": "ns",'
     echo '  "medians": {'
     total=$(wc -l < "$log.medians")

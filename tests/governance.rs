@@ -125,6 +125,20 @@ fn row_and_byte_budgets_trip_before_rows_are_returned() {
         .query("SELECT state FROM jobs WHERE job_id = 7", ())
         .unwrap();
     assert_eq!(got.rows.len(), 1);
+
+    // A batch is one governed unit: four one-row selects overrun a
+    // three-row budget that each of them alone fits.
+    let point = db.prepare("SELECT state FROM jobs WHERE job_id = ?").unwrap();
+    let three = Governance {
+        max_rows: Some(3),
+        ..Governance::default()
+    };
+    let err = governed(&db, &three)
+        .query_batch(&point, (0..4i64).map(|id| (id,)))
+        .unwrap_err();
+    assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+    let fits = governed(&db, &three).query_batch(&point, (0..3i64).map(|id| (id,)));
+    assert_eq!(fits.unwrap().len(), 3);
 }
 
 #[test]
@@ -309,6 +323,22 @@ fn wire_deadline_and_budgets_surface_typed_errors() {
     assert_eq!(one.rows.len(), 1);
     assert!(db.stats().statements_timed_out >= 1);
     assert!(db.stats().statements_over_budget >= 1);
+    drop(client);
+    server.shutdown();
+
+    // The server's row cap bounds a whole batch request, not each binding.
+    let server = governed_server(
+        Arc::clone(&db),
+        ServerConfig {
+            max_result_rows: Some(3),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let point = client.prepare("SELECT state FROM jobs WHERE job_id = ?").unwrap();
+    let err = client.query_batch(point, (0..4i64).map(|id| (id,))).unwrap_err();
+    assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+    assert_eq!(client.query_batch(point, (0..3i64).map(|id| (id,))).unwrap().len(), 3);
     drop(client);
     server.shutdown();
 }

@@ -598,6 +598,73 @@ fn stalled_mid_frame_client_cannot_pin_the_worker() {
     server.shutdown();
 }
 
+/// `Client::query` is `execute(..)?.query()`, as `Session::query` is: a
+/// statement that is not a SELECT still runs — `BEGIN` opens the
+/// connection's transaction — and then fails with the session's typed error.
+#[test]
+fn client_query_of_a_non_select_is_the_session_error() {
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut session = db.session();
+
+    let insert = "INSERT INTO t VALUES (?)";
+    let remote = client.query(insert, (1i64,)).unwrap_err();
+    let embedded = session.query(insert, (2i64,)).unwrap_err();
+    assert!(matches!(remote, Error::Type(_)), "{remote}");
+    assert_eq!(remote, embedded);
+    assert_eq!(db.table_len("t").unwrap(), 2, "both inserts ran");
+
+    let remote = client.query("BEGIN", ()).unwrap_err();
+    assert_eq!(remote, session.query("BEGIN", ()).unwrap_err());
+    assert!(client.in_transaction(), "the Ack's txn_open reached the client");
+    assert!(session.in_transaction());
+    client.execute("DELETE FROM t WHERE id = 1", ()).unwrap();
+    client.rollback().unwrap();
+    assert!(!client.in_transaction());
+    assert_eq!(db.table_len("t").unwrap(), 2, "the delete rolled back");
+    drop(client);
+    server.shutdown();
+}
+
+/// Version 3 speaks to version 3 only: a version 2 hello is refused with a
+/// transport error naming both versions, and a frame carrying one of the
+/// opcodes version 3 retired is answered with a transport error.
+#[test]
+fn a_version_2_peer_and_its_retired_opcodes_are_refused() {
+    use std::io::Write;
+
+    let db = Arc::new(Database::new());
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+
+    let mut v2 = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    v2.write_all(&wire::MAGIC).unwrap();
+    v2.write_all(&2u16.to_le_bytes()).unwrap();
+    let err = wire::protocol::read_handshake_response(&mut v2).unwrap_err();
+    assert!(matches!(err, Error::Net(_)), "{err}");
+    let msg = err.to_string();
+    assert!(msg.contains("version 3") && msg.contains("spoke 2"), "{msg}");
+    assert_eq!(wire::VERSION, 3);
+
+    for op in [3u8, 6, 7, 8] {
+        let mut peer = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        wire::protocol::write_hello(&mut peer).unwrap();
+        wire::protocol::read_handshake_response(&mut peer).unwrap();
+        wire::protocol::write_frame(&mut peer, &[op]).unwrap();
+        let reply = wire::protocol::read_frame(&mut peer).unwrap();
+        match wire::Response::decode(&reply).unwrap() {
+            wire::Response::Err(Error::Net(msg)) => assert!(msg.contains("opcode"), "{msg}"),
+            other => panic!("opcode {op}: {other:?}"),
+        }
+    }
+    // The server is unharmed.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.query("SELECT COUNT(*) FROM rel_stats", ()).unwrap().len(), 1);
+    drop(client);
+    server.shutdown();
+}
+
 /// EXPLAIN is served through the ordinary query path, so a plan rendered
 /// over TCP must be byte-identical to the embedded one — and ANALYZE issued
 /// by a remote client refreshes the same statistics the embedded planner

@@ -216,6 +216,29 @@ fn wire_clients_see_the_same_system_tables() {
         other => panic!("unexpected {other:?}"),
     }
 
+    // The server counts its frames in the database's own counters, so a
+    // client watching `rel_stats` sees its own requests arrive.
+    let frames = "SELECT value FROM rel_stats WHERE name = 'frames_decoded'";
+    let first: Vec<i64> = client.query_scalars(frames, ()).unwrap();
+    let second: Vec<i64> = client.query_scalars(frames, ()).unwrap();
+    assert!(second[0] > first[0], "frames_decoded {first:?} then {second:?}");
+
+    // A batch of N bindings is N statements on either transport: N more
+    // in `statements_executed`, N more `stmt.select` samples. Each reading
+    // also counts the two reads of the reading before it.
+    let executed = "SELECT value FROM rel_stats WHERE name = 'statements_executed'";
+    let selects = "SELECT count FROM rel_histograms WHERE name = 'stmt.select'";
+    let counts = || (first_int(&db, executed, "value"), first_int(&db, selects, "count"));
+    let point = db.prepare("SELECT state FROM jobs WHERE job_id = ?").unwrap();
+    let remote_point = client.prepare("SELECT state FROM jobs WHERE job_id = ?").unwrap();
+    let before = counts();
+    db.session().query_batch(&point, (0..5i64).map(|id| (id,))).unwrap();
+    let embedded = counts();
+    client.query_batch(remote_point, (0..5i64).map(|id| (id,))).unwrap();
+    let remote = counts();
+    assert_eq!((embedded.0 - before.0, embedded.1 - before.1), (5 + 2, 5 + 2));
+    assert_eq!((remote.0 - embedded.0, remote.1 - embedded.1), (5 + 2, 5 + 2));
+
     server.shutdown();
 }
 

@@ -138,7 +138,7 @@ proptest! {
     #[test]
     fn request_deadlines_round_trip(deadline_seed in 0u64..u64::MAX) {
         let deadline_ms = (deadline_seed % 5 != 0).then_some((deadline_seed >> 32) as u32);
-        let req = wire::Request::Query {
+        let req = wire::Request::Execute {
             stmt: wire::StmtRef::Sql("SELECT 1".into()),
             params: vec![Value::Int(deadline_seed as i64)],
             deadline_ms,

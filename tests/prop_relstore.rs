@@ -30,6 +30,47 @@ fn state_name(state: u8) -> &'static str {
     }
 }
 
+/// Renders a [`Value`] as a SQL literal, escaping embedded quotes in text:
+/// the literal-SQL oracle that prepared execution is compared against.
+fn sql_literal(value: &Value) -> String {
+    match value {
+        Value::Null => "NULL".to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Double(d) => {
+            if d.fract() == 0.0 && d.is_finite() {
+                format!("{d:.1}")
+            } else {
+                format!("{d}")
+            }
+        }
+        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        Value::Timestamp(t) => t.to_string(),
+        Value::Text(s) => format!("'{}'", s.replace('\'', "''")),
+    }
+}
+
+#[test]
+fn literals_round_trip_through_the_parser() {
+    assert_eq!(sql_literal(&Value::Null), "NULL");
+    assert_eq!(sql_literal(&Value::Int(-3)), "-3");
+    assert_eq!(sql_literal(&Value::Bool(true)), "TRUE");
+    assert_eq!(sql_literal(&Value::Double(2.5)), "2.5");
+    assert_eq!(sql_literal(&Value::Double(4.0)), "4.0");
+    assert_eq!(sql_literal(&Value::Timestamp(99)), "99");
+    assert_eq!(sql_literal(&Value::Text("it's".into())), "'it''s'");
+}
+
+#[test]
+fn escaped_text_survives_a_real_insert() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (a INT PRIMARY KEY, b TEXT)").unwrap();
+    let tricky = Value::Text("O'Brien's job -- weird".into());
+    db.execute(&format!("INSERT INTO t VALUES (1, {})", sql_literal(&tricky)))
+        .unwrap();
+    let r = db.query("SELECT b FROM t WHERE a = 1").unwrap();
+    assert_eq!(r.first_value("b"), Some(&tricky));
+}
+
 /// Values storable in a TEXT column, biased toward SQL-hostile text.
 fn body_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -194,8 +235,8 @@ proptest! {
         for (i, (body, score)) in rows.iter().enumerate() {
             lit_db.execute(&format!(
                 "INSERT INTO notes (id, body, score) VALUES ({i}, {}, {})",
-                appserver::sql_literal(body),
-                appserver::sql_literal(score),
+                sql_literal(body),
+                sql_literal(score),
             )).unwrap();
             prep_db
                 .session()
@@ -209,7 +250,7 @@ proptest! {
         // Equality over text, including quoted strings and NULL probes.
         let lit = lit_db.query(&format!(
             "SELECT id FROM notes WHERE body = {} ORDER BY id",
-            appserver::sql_literal(&probe_body)
+            sql_literal(&probe_body)
         )).unwrap();
         let q = prep_db.prepare("SELECT id FROM notes WHERE body = ? ORDER BY id").unwrap();
         let prep = prep_db.session().query(&q, (probe_body.clone(),)).unwrap();
@@ -229,7 +270,7 @@ proptest! {
         // DML parity: deleting by bound text affects the same rows.
         let lit_n = lit_db.execute(&format!(
             "DELETE FROM notes WHERE body = {}",
-            appserver::sql_literal(&probe_body)
+            sql_literal(&probe_body)
         )).unwrap().affected();
         let del = prep_db.prepare("DELETE FROM notes WHERE body = ?").unwrap();
         let prep_n = prep_db
@@ -304,12 +345,12 @@ proptest! {
     }
 
     /// SQL-literal escaping survives arbitrary text round-trips through the
-    /// parser and the storage engine (the entity layer depends on this).
+    /// parser and the storage engine (the literal oracle depends on this).
     #[test]
     fn text_values_round_trip_through_sql(text in "\\PC{0,40}") {
         let db = Database::new();
         db.execute("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)").unwrap();
-        let literal = appserver::sql_literal(&Value::Text(text.clone().into()));
+        let literal = sql_literal(&Value::Text(text.clone().into()));
         db.execute(&format!("INSERT INTO notes VALUES (1, {literal})")).unwrap();
         let r = db.query("SELECT body FROM notes WHERE id = 1").unwrap();
         prop_assert_eq!(r.rows[0].clone(), Row::new(vec![Value::Text(text.into())]));
