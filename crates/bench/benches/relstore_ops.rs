@@ -156,6 +156,51 @@ fn bench_relstore(c: &mut Criterion) {
             })
         });
     }
+    // `pool_status`' idle count at its shape: `COUNT(*)` under an index
+    // equality, 10 k postings of 20 k rows, counted off the posting list.
+    // `_churned` re-keys every row once while a transaction pins the old
+    // versions: 20 k postings, every chain two versions long, so each entry
+    // takes the fallback that resolves the visible version and re-checks
+    // its key. Both assert the count equals the forced scan's.
+    {
+        let queue = Database::new();
+        queue.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT NOT NULL)").unwrap();
+        queue.execute("CREATE INDEX ON jobs (state)").unwrap();
+        let ins = queue.prepare("INSERT INTO jobs VALUES (?, ?)").unwrap();
+        queue
+            .session()
+            .execute_batch(&ins, (0..20_000i64).map(|i| (i, if i % 2 == 0 { "idle" } else { "held" })))
+            .unwrap();
+        let count = queue.prepare("SELECT COUNT(*) FROM jobs WHERE state = ?").unwrap();
+        let scanned = || {
+            queue.set_force_scan(true);
+            let n = queue.session().query(&count, ("idle",)).unwrap().scalar_int();
+            queue.set_force_scan(false);
+            n
+        };
+        let mut bench_count = |name: &str| {
+            let expected = scanned();
+            assert_eq!(expected, Some(10_000));
+            c.bench_function(name, |b| {
+                let mut session = queue.session();
+                b.iter(|| {
+                    let r = session.query(black_box(&count), black_box(("idle",))).unwrap();
+                    assert_eq!(r.scalar_int(), expected, "index-only count disagrees with the scan");
+                    r
+                })
+            });
+        };
+        bench_count("indexed_count_10k");
+        let pin = queue.transaction();
+        assert_eq!(pin.query(&count, ("idle",)).unwrap().scalar_int(), Some(10_000));
+        let rekey = queue.prepare("UPDATE jobs SET state = ? WHERE job_id = ?").unwrap();
+        queue
+            .session()
+            .execute_batch(&rekey, (0..20_000i64).map(|i| (if i % 2 == 0 { "held" } else { "idle" }, i)))
+            .unwrap();
+        bench_count("indexed_count_10k_churned");
+        pin.commit().unwrap();
+    }
     // A queue that churns forever: one row in, the oldest out, the engine's
     // threshold vacuum behind them — a steady window of 10 k live rows, with
     // a million ids issued before the clock starts. One iteration is one

@@ -1078,7 +1078,7 @@ impl Database {
         local.plans_built += 1;
         let limit = sel.limit_with(params)?;
         if !analyze {
-            return Ok(plan::explain_result(&planned, sel, limit, None));
+            return Ok(plan::explain_result(cat, &planned, sel, limit, None));
         }
         let mut prof = PlanProfile::default();
         let opts = ExecOptions {
@@ -1089,7 +1089,7 @@ impl Database {
             ..Default::default()
         };
         execute_select_opts(cat, sel, params, snapshot, local, governor, opts)?;
-        Ok(plan::explain_result(&planned, sel, limit, Some(&prof)))
+        Ok(plan::explain_result(cat, &planned, sel, limit, Some(&prof)))
     }
 
     /// Runs `ANALYZE [table]`: scans the named table (or every table) at the

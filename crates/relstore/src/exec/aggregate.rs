@@ -4,6 +4,16 @@
 //! nothing of a tuple but references: group keys and `MIN`/`MAX` candidates
 //! point into the rows they came from, and the only rows allocated are the
 //! output's, one per group.
+//!
+//! Feeding a tuple is two steps, and a caller that knows more than the
+//! aggregator may take them apart: [`Aggregator::group_of`] hashes the
+//! tuple's group key to a dense group number, [`Aggregator::fold`] folds
+//! the tuple into that group's states. [`Aggregator::push`] is both. A
+//! hash join whose build side holds every grouping column (the *groupjoin*)
+//! asks for the group of a build row once, the first time it matches, and
+//! folds every later match of that row by number — no key is hashed per
+//! joined tuple. A `COUNT(*)` whose rows were counted without being read
+//! is folded in as one number ([`Aggregator::count_rows`]).
 
 use super::QueryResult;
 use crate::error::{Error, Result};
@@ -120,15 +130,16 @@ pub(super) struct Aggregator<'r> {
     out_cols: Vec<(Arc<str>, OutCol)>,
     /// ORDER BY keys as output ordinals.
     order: Vec<(usize, SortOrder)>,
-    /// Group key → aggregate states. The key borrows its values from the
-    /// first tuple of the group, and is looked up by slice, so a tuple that
-    /// joins an existing group allocates nothing.
-    groups: HashMap<Vec<&'r Value>, Vec<AggState<'r>>>,
-    /// The states of the one group a statement without GROUP BY has (even
-    /// over no input, which yields one row of zero/NULL aggregates); it is
-    /// folded into without a lookup.
-    ungrouped: Vec<AggState<'r>>,
-    /// Scratch for the key of the tuple being pushed.
+    /// Group key → group number. The key borrows its values from the first
+    /// tuple of the group, and is looked up by slice, so a tuple that joins
+    /// an existing group allocates nothing.
+    groups: HashMap<Vec<&'r Value>, usize>,
+    /// The aggregate states of every group, `aggs.len()` per group, in
+    /// group-number order. A statement without GROUP BY has exactly one
+    /// group, number 0, present even over no input (which yields one row of
+    /// zero/NULL aggregates) and folded into without a lookup.
+    states: Vec<AggState<'r>>,
+    /// Scratch for the key of the tuple being grouped.
     key: Vec<&'r Value>,
 }
 
@@ -215,9 +226,10 @@ impl<'r> Aggregator<'r> {
             })
             .collect::<Result<_>>()?;
 
+        let states = if group_cols.is_empty() { new_states(&aggs) } else { Vec::new() };
         Ok(Aggregator {
             key: Vec::with_capacity(group_cols.len()),
-            ungrouped: new_states(&aggs),
+            states,
             group_cols,
             aggs,
             out_cols,
@@ -226,35 +238,62 @@ impl<'r> Aggregator<'r> {
         })
     }
 
-    /// Folds one tuple into its group.
-    pub(super) fn push(&mut self, tuple: &[&'r Row]) -> Result<()> {
-        let states = if self.group_cols.is_empty() {
-            &mut self.ungrouped
-        } else {
-            self.key.clear();
-            self.key.extend(self.group_cols.iter().map(|c| c.of(tuple)));
-            match self.groups.get_mut(self.key.as_slice()) {
-                Some(states) => states,
-                None => self
-                    .groups
-                    .entry(self.key.clone())
-                    .or_insert(new_states(&self.aggs)),
-            }
-        };
-        for (state, (_, col)) in states.iter_mut().zip(&self.aggs) {
+    /// The number of the group `tuple` belongs to, opening the group when
+    /// it is new. Numbers are dense, from 0, in order of first appearance.
+    pub(super) fn group_of(&mut self, tuple: &[&'r Row]) -> usize {
+        if self.group_cols.is_empty() {
+            return 0;
+        }
+        self.key.clear();
+        self.key.extend(self.group_cols.iter().map(|c| c.of(tuple)));
+        if let Some(&g) = self.groups.get(self.key.as_slice()) {
+            return g;
+        }
+        let g = self.groups.len();
+        self.groups.insert(self.key.clone(), g);
+        self.states.extend(new_states(&self.aggs));
+        g
+    }
+
+    /// Folds `tuple` into the states of group `group` (a number
+    /// [`Aggregator::group_of`] returned for a tuple of the same key).
+    pub(super) fn fold(&mut self, group: usize, tuple: &[&'r Row]) -> Result<()> {
+        let n = self.aggs.len();
+        for (state, (_, col)) in self.states[group * n..][..n].iter_mut().zip(&self.aggs) {
             state.update(col.map(|c| c.of(tuple)))?;
         }
         Ok(())
+    }
+
+    /// Folds one tuple into its group.
+    pub(super) fn push(&mut self, tuple: &[&'r Row]) -> Result<()> {
+        let group = self.group_of(tuple);
+        self.fold(group, tuple)
+    }
+
+    /// Folds `rows` tuples, counted but never read, into an aggregate
+    /// that is nothing but `COUNT(*)`s with no GROUP BY.
+    pub(super) fn count_rows(&mut self, rows: u64) {
+        debug_assert!(
+            self.group_cols.is_empty() && self.aggs.iter().all(|agg| *agg == (AggFunc::Count, None))
+        );
+        for state in &mut self.states {
+            state.count += rows;
+        }
     }
 
     /// One output row per group — the only rows an aggregation allocates —
     /// in group-key order unless ORDER BY says otherwise, cut to `limit`.
     pub(super) fn finish(self, limit: Option<usize>, stats: &mut OpStats) -> Result<QueryResult> {
         // Group-key order is the output order ORDER BY refines.
-        let mut groups: Vec<(&[&Value], &Vec<AggState<'_>>)> = if self.group_cols.is_empty() {
-            vec![(&[], &self.ungrouped)]
+        let n = self.aggs.len();
+        let mut groups: Vec<(&[&Value], &[AggState<'_>])> = if self.group_cols.is_empty() {
+            vec![(&[], &self.states)]
         } else {
-            self.groups.iter().map(|(key, states)| (key.as_slice(), states)).collect()
+            self.groups
+                .iter()
+                .map(|(key, &g)| (key.as_slice(), &self.states[g * n..][..n]))
+                .collect()
         };
         groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut out_rows = Vec::with_capacity(groups.len());

@@ -25,6 +25,20 @@
 //! the executor allocates are the ones it returns, plus the owned build
 //! side of a hash join (kept owned so a prepared statement can reuse it
 //! across executions); `OpStats::rows_materialized` counts exactly those.
+//!
+//! Aggregates go further and fold where the data already is. A GROUP BY
+//! whose every column belongs to the table of the last join step, when
+//! that step is a hash join, is a *groupjoin*: the probe loop folds each
+//! match straight into its group's states — no tuple vector is built — and
+//! each build row is mapped to its group once, the first time it matches,
+//! after which its matches reach their group by the build row's dense
+//! number ([`CachedBuild`] numbers them), no group key hashed per tuple.
+//! And `COUNT(*) … WHERE <indexed column> = <key>` on its point lookup
+//! counts the posting list ([`Table::count_postings`]) without reading the
+//! rows. Both are replacements inside the operators they speed up: every
+//! row read, tuple charged, governor tick and statistic stays what the
+//! general path would have recorded (the count ticks once per posting
+//! entry), and EXPLAIN says which path ran.
 //! Output column names are `Arc<str>`s interned on the table, bare and
 //! `table.column`-qualified, so no name is formatted per execution either.
 
@@ -35,8 +49,9 @@ use crate::govern::{approx_row_bytes, approx_tuple_bytes, Governor};
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::plan::{
-    choose_access_ref, choose_select_access_ref, plan_select, AccessPath, AccessPlan, CachedBuild,
-    JoinStep, JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan, StepActuals,
+    choose_access_ref, choose_select_access_ref, counts_postings, plan_select, AccessPath, AccessPlan,
+    BuildBucket, CachedBuild, JoinStep, JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan,
+    StepActuals,
 };
 use crate::predicate::{resolve_column, BoundExpr, ColRef, Expr};
 use crate::schema::Schema;
@@ -656,19 +671,42 @@ fn execute_single_table(
             PathChoice::Ordered(_) => choose_access_ref(table, filter).0,
             filter_driven => filter_driven,
         };
-        let rows = access_chosen(table, choice, filter, params, vis, stats);
-        // An aggregate folds each survivor where it lies; anything else
-        // keeps the reference.
-        touched += match &mut agg {
-            Some(agg) => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
-                survivors += 1;
-                agg.push(&[stored.row])
-            })?,
-            None => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
-                survivors += 1;
-                matched.push(stored.row);
-                Ok(())
-            })?,
+        // `SELECT COUNT(*) … WHERE <indexed column> = <key>` on its point
+        // lookup: the posting list is the answer, read entry by entry.
+        let count_key = match (choice, filter) {
+            (PathChoice::Point(col, _), Some(f)) if agg.is_some() && counts_postings(stmt) => {
+                f.equality_lookup_on(&table.schema.name, col, params).map(|key| (col, key))
+            }
+            _ => None,
+        };
+        let postings = count_key
+            .as_ref()
+            .and_then(|(col, key)| table.count_postings(col, key, vis, stats));
+        match (&mut agg, postings) {
+            (Some(agg), Some(postings)) => {
+                for counts in postings {
+                    gov.tick()?;
+                    survivors += u64::from(counts);
+                }
+                touched = survivors;
+                agg.count_rows(survivors);
+            }
+            (agg, _) => {
+                let rows = access_chosen(table, choice, filter, params, vis, stats);
+                // An aggregate folds each survivor where it lies; anything
+                // else keeps the reference.
+                touched += match agg {
+                    Some(agg) => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
+                        survivors += 1;
+                        agg.push(&[stored.row])
+                    })?,
+                    None => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
+                        survivors += 1;
+                        matched.push(stored.row);
+                        Ok(())
+                    })?,
+                };
+            }
         };
     }
     if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
@@ -702,6 +740,73 @@ fn emit<'r>(joined: &mut Vec<&'r Row>, left: &[&'r Row], right: &'r Row, gov: &m
     gov.charge_row(|| approx_tuple_bytes(&joined[mark..]))
 }
 
+/// What a groupjoin leaves behind: the aggregate, folded; the matches the
+/// probe found; and how many of them passed the filter.
+struct Folded<'r> {
+    agg: Aggregator<'r>,
+    matches: u64,
+    kept: u64,
+}
+
+/// The groupjoin: probes `side` with the `stride`-wide tuples of `rows`
+/// and folds each match that passes `filter` straight into its group of
+/// `agg`, whose grouping columns all belong to the build side. Nothing is
+/// collected: the tuple `left ++ [right]` lives in one scratch vector while
+/// it is charged, filtered and folded. A build row's group is looked up
+/// the first time it survives the filter and kept under its dense number,
+/// so no group key is hashed per match. Ticks, charges and `rows_read` are
+/// those of the probe, the residual filter and the fold it replaces.
+#[allow(clippy::too_many_arguments)]
+fn probe_and_fold<'r>(
+    rows: &[&'r Row],
+    stride: usize,
+    probe: ColRef,
+    side: &'r CachedBuild,
+    filter: Option<&BoundExpr<'_>>,
+    mut agg: Aggregator<'r>,
+    params: &[Value],
+    stats: &mut OpStats,
+    gov: &mut Governor,
+) -> Result<Folded<'r>> {
+    const UNMAPPED: usize = usize::MAX;
+    let mut group_of = vec![UNMAPPED; side.rows];
+    let mut tuple: Vec<&Row> = Vec::with_capacity(stride + 1);
+    let (mut matches, mut kept) = (0, 0);
+    for left in rows.chunks_exact(stride) {
+        gov.tick()?;
+        let key = probe.of(left);
+        if key.is_null() {
+            continue;
+        }
+        let Some(bucket) = side.map.get(key) else {
+            continue;
+        };
+        for (i, right) in bucket.rows.iter().enumerate() {
+            gov.tick()?;
+            tuple.clear();
+            tuple.extend_from_slice(left);
+            tuple.push(right);
+            gov.charge_row(|| approx_tuple_bytes(&tuple))?;
+            stats.rows_read += 1;
+            matches += 1;
+            if let Some(filter) = filter {
+                gov.tick()?;
+                if !filter.matches(&tuple, params)? {
+                    continue;
+                }
+            }
+            gov.tick()?;
+            kept += 1;
+            let group = &mut group_of[bucket.first + i];
+            if *group == UNMAPPED {
+                *group = agg.group_of(&tuple);
+            }
+            agg.fold(*group, &tuple)?;
+        }
+    }
+    Ok(Folded { agg, matches, kept })
+}
+
 /// The join path, driven by the plan: joins run in planned order — hash
 /// join or index-nested-loop join on the single join equality, nested loop
 /// evaluating the full `ON` otherwise — with single-table WHERE conjuncts
@@ -719,7 +824,9 @@ fn emit<'r>(joined: &mut Vec<&'r Row>, left: &[&'r Row], right: &'r Row, gov: &m
 /// for what is returned. Every row visited ticks the governor and every
 /// tuple produced is charged against its budgets at the size its values
 /// would have as one row, so a pathological cross-product hits its
-/// deadline or budget *while* joining, not after.
+/// deadline or budget *while* joining, not after. When the plan folds the
+/// GROUP BY into the last step's build rows, that step collects no tuple:
+/// [`probe_and_fold`] filters and aggregates as it probes.
 #[allow(clippy::too_many_arguments)]
 fn execute_joined(
     catalog: &Catalog,
@@ -781,22 +888,18 @@ fn execute_joined(
                 let scope = &schemas[si + 1..=si + 1];
                 let key = resolve_column(scope, build)?.ord;
                 let pred = bind_pushdown(step, scope)?;
-                let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
+                let mut map: HashMap<Value, BuildBucket> = HashMap::new();
                 let rows = access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats);
                 for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
                     let key = stored.row.get(key);
                     if !key.is_null() {
                         gov.charge_row(|| approx_row_bytes(stored.row))?;
-                        map.entry(key.clone()).or_default().push(stored.row.clone());
+                        map.entry(key.clone()).or_default().rows.push(stored.row.clone());
                         stats.rows_materialized += 1;
                     }
                     Ok(())
                 })?;
-                let built = Arc::new(CachedBuild {
-                    table_version: right.version(),
-                    snapshot: vis.clone(),
-                    map,
-                });
+                let built = Arc::new(CachedBuild::new(right.version(), vis.clone(), map));
                 if step.cacheable {
                     if let Some(slot) = builds.as_deref_mut().and_then(|b| b.get_mut(si)) {
                         *slot = Some(Arc::clone(&built));
@@ -827,15 +930,30 @@ fn execute_joined(
         };
     }
 
+    let fold = plan.folds_into_build(stmt, &schemas);
+    let mut folded: Option<Folded<'_>> = None;
     for (si, step) in plan.steps.iter().enumerate() {
         let sw = clock(&profile);
         let stride = si + 1;
         let right = tables[si + 1];
         let right_scope = &schemas[si + 1..=si + 1];
-        // Sized for one match per left tuple, the shape of a foreign-key join.
-        let mut joined: Vec<&Row> = Vec::with_capacity(rows.len() / stride * (stride + 1));
+        // Sized for one match per left tuple, the shape of a foreign-key
+        // join, unless the step folds instead of collecting.
+        let mut joined: Vec<&Row> = Vec::new();
+        let last = si + 1 == plan.steps.len();
+        if !(fold && last) {
+            joined.reserve(rows.len() / stride * (stride + 1));
+        }
 
         match &step.strategy {
+            JoinStrategy::Hash { probe, .. } if fold && last => {
+                let probe = resolve_column(&schemas[..stride], probe)?;
+                let side = sides[si].as_deref().expect("hash build sides are built first");
+                let agg = Aggregator::new(stmt, &schemas, |c| layout.label(c))?;
+                let filter = filter.map(|f| f.bind(&schemas)).transpose()?;
+                let filter = filter.as_ref();
+                folded = Some(probe_and_fold(&rows, stride, probe, side, filter, agg, params, stats, gov)?);
+            }
             JoinStrategy::Hash { probe, .. } => {
                 let probe = resolve_column(&schemas[..stride], probe)?;
                 let side = sides[si].as_deref().expect("hash build sides are built first");
@@ -845,7 +963,7 @@ fn execute_joined(
                     if key.is_null() {
                         continue;
                     }
-                    for right_row in side.map.get(key).into_iter().flatten() {
+                    for right_row in side.map.get(key).into_iter().flat_map(|b| &b.rows) {
                         gov.tick()?;
                         emit(&mut joined, left, right_row, gov)?;
                         stats.rows_read += 1;
@@ -919,9 +1037,22 @@ fn execute_joined(
 
         rows = joined;
         if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
-            p.joins[si].rows = (rows.len() / (stride + 1)) as u64;
+            p.joins[si].rows = match &folded {
+                Some(folded) => folded.matches,
+                None => (rows.len() / (stride + 1)) as u64,
+            };
             p.joins[si].nanos += sw.elapsed_nanos();
         }
+    }
+    if let Some(Folded { agg, kept, .. }) = folded {
+        // Filtered while probing, so its time is the join's.
+        if let Some(p) = profile.as_deref_mut() {
+            p.filter.rows = kept;
+        }
+        let sw = clock(&profile);
+        let result = agg.finish(limit, stats)?;
+        note_output(&mut profile, sw, result.len());
+        return Ok(result);
     }
     let stride = tables.len();
 

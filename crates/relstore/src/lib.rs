@@ -560,6 +560,28 @@
 //! step loses its `sort`, and under `EXPLAIN ANALYZE` the access step's
 //! `actual_rows` is the number of rows the walk visited.
 //!
+//! **Aggregates fold where the data already is.** Two aggregate shapes
+//! skip work the general path does, with the same results, counters,
+//! governor ticks and budget charges:
+//!
+//! * a `GROUP BY` whose columns all belong to the table of the *last* join
+//!   step, when that step is a hash join, is a **groupjoin**: the probe
+//!   folds each match into its group as it finds it — no joined tuple is
+//!   kept, and each build row is mapped to its group once, so no group key
+//!   is hashed per matched row. `EXPLAIN` appends `, fold GROUP BY into
+//!   build rows` to that `HashJoin` step; under `EXPLAIN ANALYZE` its
+//!   `actual_rows` are the matches folded. `usage_by_owner`'s
+//!   `history ⋈ users GROUP BY users.name` is the case it is for.
+//! * `SELECT COUNT(*) FROM t WHERE c = <literal or ?>` on the point lookup
+//!   of `c` **counts the posting list**: an index entry `(k, id)` exists
+//!   only while a retained version of `id` holds `k`, so a row with one
+//!   version counts iff that version is visible, decided from its stamps
+//!   without reading the row; a row with older versions is resolved and
+//!   its key re-checked. `EXPLAIN` appends `, index-only count` to the
+//!   access step; under `EXPLAIN ANALYZE` its `actual_rows` are the rows
+//!   counted. Another conjunct, another aggregate or a GROUP BY takes the
+//!   general path.
+//!
 //! `EXPLAIN <select>` renders the chosen plan as an ordinary result set —
 //! embedded, via every [`Session`], and over the wire alike — and
 //! `EXPLAIN ANALYZE` additionally executes the statement and annotates
@@ -575,6 +597,7 @@
 //!
 //! let db = Database::new();
 //! db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, owner TEXT, state TEXT)")?;
+//! db.execute("CREATE INDEX ON jobs (state)")?;
 //! db.execute("CREATE TABLE runs (run_id INT PRIMARY KEY, job_id INT)")?;
 //! for i in 0..50i64 {
 //!     db.execute(&format!("INSERT INTO jobs VALUES ({i}, 'astro', 'running')"))?;
@@ -592,6 +615,19 @@
 //!     "EXPLAIN ANALYZE SELECT * FROM jobs JOIN runs ON jobs.job_id = runs.job_id",
 //! )?;
 //! assert!(plan.column_names().contains(&"actual_rows"));
+//!
+//! // Aggregates that fold where the data is say so.
+//! let detail = |sql: &str, step: usize| -> relstore::Result<String> {
+//!     Ok(db.query(sql)?.rows[step].get(2).to_string())
+//! };
+//! let counted = detail("EXPLAIN SELECT COUNT(*) FROM jobs WHERE state = 'running'", 0)?;
+//! assert!(counted.ends_with(", index-only count'"), "{counted}");
+//! let folded = detail(
+//!     "EXPLAIN SELECT runs.job_id, COUNT(*) FROM jobs JOIN runs ON jobs.job_id = runs.job_id \
+//!      GROUP BY runs.job_id",
+//!     1,
+//! )?;
+//! assert!(folded.ends_with(", fold GROUP BY into build rows'"), "{folded}");
 //!
 //! // The statistics themselves are a virtual table.
 //! let stats = db.query(

@@ -225,6 +225,13 @@ impl VersionChain {
             .map(|v| &v.row)
     }
 
+    /// The chain's only version, when it retains exactly one: read off the
+    /// slot the chain lives in, no row behind it touched.
+    #[inline]
+    pub fn sole(&self) -> Option<&RowVersion> {
+        self.newest.as_ref().filter(|_| self.older.is_empty())
+    }
+
     /// Iterates all retained versions (oldest first).
     pub fn versions(&self) -> impl Iterator<Item = &RowVersion> {
         self.older.iter().chain(&self.newest)

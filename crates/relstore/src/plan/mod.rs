@@ -63,8 +63,9 @@
 use crate::error::{Error, Result};
 use crate::exec::{Catalog, QueryResult};
 use crate::mvcc::Snapshot;
-use crate::predicate::Expr;
-use crate::sql::ast::{SelectItem, SelectStmt, SortOrder};
+use crate::predicate::{resolve_column, CmpOp, Expr};
+use crate::schema::Schema;
+use crate::sql::ast::{AggFunc, SelectItem, SelectStmt, SortOrder};
 use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::Row;
@@ -503,6 +504,40 @@ impl SelectPlan {
             .iter()
             .any(|s| s.cacheable && matches!(s.strategy, JoinStrategy::Hash { .. }))
     }
+
+    /// True when the executor folds `stmt`'s aggregates into the build rows
+    /// of the last step (the *groupjoin*): the statement has a GROUP BY,
+    /// the last step executed is a hash join, and every grouping column
+    /// belongs to that step's table — so a joined tuple's group is a
+    /// function of its build row alone. `scope` holds the schemas of the
+    /// plan's tables in execution order, base first.
+    pub(crate) fn folds_into_build(&self, stmt: &SelectStmt, scope: &[&Schema]) -> bool {
+        let build_slot = self.steps.len();
+        matches!(self.steps.last(), Some(JoinStep { strategy: JoinStrategy::Hash { .. }, .. }))
+            && stmt.has_aggregates()
+            && !stmt.group_by.is_empty()
+            && stmt
+                .group_by
+                .iter()
+                .all(|c| resolve_column(scope, c).is_ok_and(|c| c.slot == build_slot))
+    }
+}
+
+/// True when `stmt` is `SELECT COUNT(*) FROM t WHERE c = <literal or ?>`
+/// (any number of `COUNT(*)` items, nothing else): no join, no GROUP BY and
+/// no other conjunct. When its access path is the point lookup on `c`, the
+/// executor counts the posting list instead of reading rows.
+pub(crate) fn counts_postings(stmt: &SelectStmt) -> bool {
+    let key_side = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
+    stmt.joins.is_empty()
+        && stmt.group_by.is_empty()
+        && !stmt.items.is_empty()
+        && stmt.items.iter().all(|item| {
+            matches!(item, SelectItem::Aggregate { func: AggFunc::Count, column: None, .. })
+        })
+        && matches!(&stmt.filter, Some(Expr::Cmp(CmpOp::Eq, l, r))
+            if matches!(l.as_ref(), Expr::Column(_)) && key_side(r)
+                || matches!(r.as_ref(), Expr::Column(_)) && key_side(l))
 }
 
 fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
@@ -797,7 +832,11 @@ pub struct PlanProfile {
 /// [`QueryResult`] means EXPLAIN is transport-agnostic for free: the wire
 /// protocol ships it like any other result set. `limit` is the statement's
 /// `LIMIT` as bound for this execution (`LIMIT ?` has no count of its own).
+/// `catalog` is the one the plan was made against; it resolves the
+/// grouping columns that decide whether the last hash join folds the
+/// aggregates.
 pub fn explain_result(
+    catalog: &Catalog,
     plan: &SelectPlan,
     stmt: &SelectStmt,
     limit: Option<usize>,
@@ -834,6 +873,9 @@ pub fn explain_result(
     if let Some(pd) = &plan.base_pushdown {
         detail.push_str(&format!(", pushdown {pd}"));
     }
+    if counts_postings(stmt) && matches!(plan.base.path, AccessPath::Point { .. }) {
+        detail.push_str(", index-only count");
+    }
     push(
         &mut rows,
         format!("Access({})", plan.base_table),
@@ -842,6 +884,11 @@ pub fn explain_result(
         actuals.map(|a| a.base),
     );
 
+    let scope: Option<Vec<&Schema>> = std::iter::once(&plan.base_table)
+        .chain(plan.steps.iter().map(|s| &s.table))
+        .map(|t| catalog.get(t.as_str()).map(|t| &t.schema))
+        .collect();
+    let folds = scope.is_some_and(|scope| plan.folds_into_build(stmt, &scope));
     let mut last_est = plan.base.est_rows;
     for (i, step) in plan.steps.iter().enumerate() {
         let (op, mut detail) = match &step.strategy {
@@ -868,6 +915,9 @@ pub fn explain_result(
         };
         if let Some(pd) = &step.pushdown {
             detail.push_str(&format!(", pushdown {pd}"));
+        }
+        if folds && i + 1 == plan.steps.len() {
+            detail.push_str(", fold GROUP BY into build rows");
         }
         push(
             &mut rows,
@@ -930,11 +980,42 @@ pub struct CachedBuild {
     pub table_version: u64,
     /// The snapshot the build was made under.
     pub snapshot: Snapshot,
-    /// Build-key value → owned right-table rows (post-pushdown).
-    pub map: HashMap<Value, Vec<Row>>,
+    /// Build-key value → the owned right-table rows holding it
+    /// (post-pushdown).
+    pub map: HashMap<Value, BuildBucket>,
+    /// Rows in all buckets. The build rows are numbered `0..rows`, each
+    /// bucket's consecutively from its [`BuildBucket::first`].
+    pub rows: usize,
+}
+
+/// The build rows sharing one key. Row `i` of the bucket is build row
+/// `first + i`: a probe that lands here names its match by a dense number
+/// without hashing anything, which is what lets a groupjoin keep one slot
+/// per build row.
+#[derive(Debug, Default)]
+pub struct BuildBucket {
+    /// The number of the bucket's first row.
+    pub first: usize,
+    /// The rows, in build order.
+    pub rows: Vec<Row>,
 }
 
 impl CachedBuild {
+    /// Seals a freshly built map: numbers the buckets' rows densely.
+    pub fn new(table_version: u64, snapshot: Snapshot, mut map: HashMap<Value, BuildBucket>) -> Self {
+        let mut rows = 0;
+        for bucket in map.values_mut() {
+            bucket.first = rows;
+            rows += bucket.rows.len();
+        }
+        CachedBuild {
+            table_version,
+            snapshot,
+            map,
+            rows,
+        }
+    }
+
     /// True when the cached build still describes exactly the rows the
     /// caller would see: the table has had no physical change and the
     /// snapshot is the same visible set.
@@ -1337,7 +1418,7 @@ mod tests {
              WHERE machines.arch = 'x86' ORDER BY jobs.owner LIMIT 5",
         );
         let plan = plan_select(&cat, &stmt, &[], true).unwrap();
-        let r = explain_result(&plan, &stmt, Some(5), None);
+        let r = explain_result(&cat, &plan, &stmt, Some(5), None);
         assert_eq!(r.column_names(), vec!["step", "operator", "detail", "est_rows"]);
         let ops: Vec<String> = r
             .rows
@@ -1352,7 +1433,7 @@ mod tests {
             "'project 1 columns, sort, limit 5'"
         );
         // EXPLAIN ANALYZE adds actual columns.
-        let r = explain_result(&plan, &stmt, Some(5), Some(&PlanProfile::default()));
+        let r = explain_result(&cat, &plan, &stmt, Some(5), Some(&PlanProfile::default()));
         assert_eq!(
             r.column_names(),
             vec!["step", "operator", "detail", "est_rows", "actual_rows", "time_us"]
@@ -1371,11 +1452,7 @@ mod tests {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
         let vis = Snapshot::latest();
-        let build = CachedBuild {
-            table_version: jobs.version(),
-            snapshot: vis.clone(),
-            map: HashMap::new(),
-        };
+        let build = CachedBuild::new(jobs.version(), vis.clone(), HashMap::new());
         assert!(build.valid_for(jobs, vis));
         let other = Snapshot {
             high: vis.high.wrapping_sub(1),

@@ -24,6 +24,13 @@
 //! Entries are retired when the last version holding their key is removed
 //! (rollback or vacuum). Uniqueness is therefore enforced by the table
 //! against *live* rows — an index entry alone no longer implies a conflict.
+//!
+//! The invariant every index keeps, both ways, is: **an entry `(k, id)`
+//! exists exactly while some retained version of row `id` holds key `k`**
+//! (NULL keys are never indexed). [`Table::check_consistency`] verifies
+//! it. It is what lets [`Table::count_postings`] count a row whose chain
+//! holds a single version by that version's visibility stamps alone: the
+//! entry proves the version holds the key.
 
 use crate::error::{Error, Result};
 use crate::heap::{self, Heap};
@@ -647,15 +654,55 @@ impl Table {
         vis: &'a Snapshot,
         stats: &mut OpStats,
     ) -> Option<RowIter<'a>> {
-        let idx = self.index_on(column)?;
-        stats.index_lookups += 1;
-        let set = idx.lookup_set(key);
-        stats.rows_read += set.map_or(0, BTreeSet::len) as u64;
+        let (_, set) = self.postings(column, key, stats)?;
         Some(RowIter::Ids {
             rows: &self.rows,
             ids: set.into(),
             vis,
         })
+    }
+
+    /// The posting list of exactly `key` in the first index covering
+    /// `column`, beside the indexed column's ordinal, accounted as one
+    /// index lookup that reads every entry. `None` without an index.
+    fn postings(
+        &self,
+        column: &str,
+        key: &Value,
+        stats: &mut OpStats,
+    ) -> Option<(usize, Option<&BTreeSet<RowId>>)> {
+        let idx = self.index_on(column)?;
+        stats.index_lookups += 1;
+        let set = idx.lookup_set(key);
+        stats.rows_read += set.map_or(0, BTreeSet::len) as u64;
+        Some((idx.column_idx, set))
+    }
+
+    /// Walks the posting list of exactly `key` in the first index covering
+    /// `column`, one item per entry: whether the row it names counts
+    /// towards `COUNT(*) … WHERE column = key` under `vis`. By the index
+    /// invariant (module docs) a chain of one version holds `key`, so it
+    /// counts iff that version is visible — its stamps decide, its row is
+    /// never dereferenced. Any other chain counts iff the version `vis`
+    /// sees holds `key`, the re-check every index read makes. Accounted like
+    /// [`Table::lookup_indexed`]: one lookup, one row read per entry.
+    /// `None` without an index.
+    pub fn count_postings<'a>(
+        &'a self,
+        column: &str,
+        key: &'a Value,
+        vis: &'a Snapshot,
+        stats: &mut OpStats,
+    ) -> Option<impl Iterator<Item = bool> + 'a> {
+        let (col, set) = self.postings(column, key, stats)?;
+        Some(set.into_iter().flatten().map(move |&id| {
+            self.rows.get(id).is_some_and(|chain| match chain.sole() {
+                Some(version) => vis.visible(version),
+                None => chain
+                    .visible(vis)
+                    .is_some_and(|row| row.get(col).sql_eq(key) == Some(true)),
+            })
+        }))
     }
 
     /// Range lookup through the first index (primary or secondary) covering

@@ -565,3 +565,75 @@ fn deadline_and_row_budget_fire_inside_a_join_feeding_an_aggregate() {
         assert!(inputs < read && read < full, "{operator} stopped after {read} of {full} rows");
     }
 }
+
+/// The CAS usage report folds its GROUP BY into the `users` build rows
+/// instead of collecting joined tuples, and is governed exactly as when it
+/// collected them: every match is charged as the tuple it stands for. A
+/// row budget the inputs fit but the matches overrun fails the report.
+#[test]
+fn the_folded_usage_report_charges_every_match() {
+    let db = Database::new();
+    db.execute("CREATE TABLE users (name TEXT PRIMARY KEY, priority DOUBLE)").unwrap();
+    db.execute("CREATE TABLE job_history (history_id INT PRIMARY KEY, owner TEXT, runtime_ms INT)")
+        .unwrap();
+    let user = db.prepare("INSERT INTO users VALUES (?, 0.5)").unwrap();
+    db.session()
+        .execute_batch(&user, (0..5).map(|u| (format!("user{u}"),)))
+        .unwrap();
+    let done = db.prepare("INSERT INTO job_history VALUES (?, ?, 60000)").unwrap();
+    db.session()
+        .execute_batch(&done, (0..400i64).map(|i| (i, format!("user{}", i % 5))))
+        .unwrap();
+    // `CasState::usage_by_owner`'s statement.
+    let report = "SELECT users.name AS owner, users.priority AS priority, \
+                  COUNT(*) AS jobs, SUM(job_history.runtime_ms) AS total_ms \
+                  FROM job_history JOIN users ON job_history.owner = users.name \
+                  GROUP BY users.name, users.priority ORDER BY owner";
+    let plan = db.query(&format!("EXPLAIN {report}")).unwrap();
+    assert!(plan.rows[1].get(2).to_string().ends_with(", fold GROUP BY into build rows'"), "{plan:?}");
+
+    // 400 history rows and 5 users are charged as they are read, then the
+    // 400 matches: 805 charges. A 600-row budget covers the inputs and
+    // half the matches; 804 all but the last match.
+    let budget = |max_rows| Governance {
+        max_rows: Some(max_rows),
+        ..Governance::default()
+    };
+    for max_rows in [600, 804] {
+        let err = governed(&db, &budget(max_rows)).query(report, ()).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{max_rows}: {err}");
+    }
+    assert_eq!(governed(&db, &budget(805)).query(report, ()).unwrap().rows.len(), 5);
+    // That run cached the `users` build side; a rerun reuses it, so only
+    // the 400 history rows and the 400 matches are charged.
+    assert_eq!(governed(&db, &budget(800)).query(report, ()).unwrap().rows.len(), 5);
+    let err = governed(&db, &budget(799)).query(report, ()).unwrap_err();
+    assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+}
+
+/// `COUNT(*)` under an index equality counts the posting list without
+/// reading rows, and ticks the governor once per posting entry: a
+/// cancellation flag stops it inside the list, and a check interval one
+/// past the list's length never fires.
+#[test]
+fn a_cancelled_index_only_count_stops_inside_the_posting_list() {
+    let db = db_with_rows(400);
+    db.execute("CREATE INDEX ON jobs (state)").unwrap();
+    let count = "SELECT COUNT(*) FROM jobs WHERE state = 'idle'";
+    let plan = db.query(&format!("EXPLAIN {count}")).unwrap();
+    assert!(plan.rows[0].get(2).to_string().ends_with(", index-only count'"), "{plan:?}");
+
+    let cancelled = |check_interval| Governance {
+        cancel: Some(Arc::new(AtomicBool::new(true))),
+        check_interval: Some(check_interval),
+        ..Governance::default()
+    };
+    for interval in [1, 200, 400] {
+        let err = governed(&db, &cancelled(interval)).query(count, ()).unwrap_err();
+        assert!(matches!(err, Error::Timeout { kind: TimeoutKind::Statement, .. }), "{err}");
+    }
+    let before = db.stats().rows_read;
+    let r = governed(&db, &cancelled(401)).query(count, ()).unwrap();
+    assert_eq!(r.scalar_int(), Some(400));
+    assert_eq!(db.stats().rows_read - before, 400, "rows_read: the posting entries visited");
+}

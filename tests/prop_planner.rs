@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use relstore::exec::{execute_select_opts, Catalog, ExecOptions};
 use relstore::mvcc::COMMITTED_TXN;
-use relstore::plan::{plan_select, JoinStrategy, SelectPlan};
+use relstore::plan::{explain_result, plan_select, JoinStrategy, SelectPlan};
 use relstore::sql::ast::SelectStmt;
 use relstore::sql::{parse, Statement};
 use relstore::table::Table;
@@ -656,6 +656,7 @@ const STAR: &str = "FROM runs JOIN jobs ON runs.job_id = jobs.job_id \
 const PAIR: &str = "FROM runs JOIN jobs ON runs.job_id = jobs.job_id";
 // Ordinals in the syntactic `SELECT *` layout `[runs][jobs][machines]`.
 const RUN_ID: usize = 0;
+const MACHINE_ID: usize = 2;
 const OWNER: usize = RUN_ARITY + 1;
 const RUNTIME: usize = RUN_ARITY + 3;
 
@@ -720,6 +721,39 @@ fn fold_by_owner(joined: &[Row]) -> Vec<Row> {
         .collect()
 }
 
+/// The rows of `joined` that pass `WHERE jobs.runtime > 100 OR
+/// runs.machine_id > 2`, a filter reading both sides of the join, under
+/// SQL's three-valued logic (a NULL comparison keeps nothing on its own).
+fn runtime_or_machine(joined: &[Row]) -> Vec<Row> {
+    let gt = |v: &Value, k: i64| matches!(v, Value::Int(i) if *i > k);
+    joined
+        .iter()
+        .filter(|r| gt(r.get(RUNTIME), 100) || gt(r.get(MACHINE_ID), 2))
+        .cloned()
+        .collect()
+}
+
+/// `SELECT owner, runs.machine_id, COUNT(*) … GROUP BY jobs.owner,
+/// runs.machine_id`, in group-key order, over the same rows.
+fn count_by_owner_and_machine(joined: &[Row]) -> Vec<Row> {
+    let mut groups: std::collections::BTreeMap<(Value, Value), i64> = Default::default();
+    for row in joined {
+        *groups.entry((row.get(OWNER).clone(), row.get(MACHINE_ID).clone())).or_default() += 1;
+    }
+    groups
+        .into_iter()
+        .map(|((owner, machine), n)| Row::new(vec![owner, machine, Value::Int(n)]))
+        .collect()
+}
+
+/// True when EXPLAIN of `plan` says its last step folds the GROUP BY.
+fn folds_into_build(cat: &Catalog, stmt: &SelectStmt, plan: &SelectPlan) -> bool {
+    explain_result(cat, plan, stmt, None, None)
+        .rows
+        .iter()
+        .any(|row| text(row.get(2)).ends_with(", fold GROUP BY into build rows"))
+}
+
 /// `SELECT run_id, owner, runtime + 1 … WHERE runtime > 100 ORDER BY
 /// runtime DESC, run_id LIMIT 5`, computed here over the same rows.
 fn top_runtimes(joined: &[Row]) -> Vec<Row> {
@@ -753,7 +787,10 @@ proptest! {
     /// duplicate and dangling keys, from a snapshot older than a batch of
     /// re-keys and deletes, from a newer one, and after vacuum. `SELECT *`
     /// itself is checked against the nested-loop model, so its column
-    /// order under a reordered plan is the syntactic layout.
+    /// order under a reordered plan is the syntactic layout. A GROUP BY on
+    /// `jobs` columns alone folds into the build rows whenever the hash
+    /// join onto `jobs` runs last — with and without a filter reading both
+    /// sides — and one that also groups on a `runs` column never does.
     #[test]
     fn aggregates_and_projections_over_join_tuples_match_a_fold_of_select_star(
         d in dataset_strategy(),
@@ -820,20 +857,38 @@ proptest! {
             }
             for (from, strategies, swap) in &shapes {
                 let at = format!("{from} {strategies:?} swap {swap} ({view})");
-                let run = |items_and_tail: (&str, &str)| {
+                let run_folded = |items_and_tail: (&str, &str)| {
                     let stmt = select_stmt(&format!("SELECT {} {from} {}", items_and_tail.0, items_and_tail.1));
                     let plan = forced_plan(&cat, &stmt, strategies, *swap);
-                    run_plan(&cat, &stmt, &plan, &vis)
+                    (run_plan(&cat, &stmt, &plan, &vis), folds_into_build(&cat, &stmt, &plan))
                 };
+                let run = |items_and_tail: (&str, &str)| run_folded(items_and_tail).0;
                 let joined = run(("*", ""));
                 prop_assert_eq!(rows_multiset(&joined), model(runs, *from == STAR), "SELECT * {}", &at);
 
-                let grouped = run((
-                    "jobs.owner, COUNT(*), COUNT(jobs.runtime), SUM(jobs.runtime), \
-                     MIN(jobs.runtime), MAX(jobs.runtime), AVG(jobs.runtime)",
-                    "GROUP BY jobs.owner",
-                ));
+                // The hash join onto `jobs` runs last: in the pair, and in
+                // the star once its steps are exchanged.
+                let jobs_hashed_last = matches!(strategies[0], JoinStrategy::Hash { .. })
+                    && (*from == PAIR || *swap);
+                let all_aggregates = "jobs.owner, COUNT(*), COUNT(jobs.runtime), SUM(jobs.runtime), \
+                                      MIN(jobs.runtime), MAX(jobs.runtime), AVG(jobs.runtime)";
+                let (grouped, folded) = run_folded((all_aggregates, "GROUP BY jobs.owner"));
                 prop_assert_eq!(grouped, fold_by_owner(&joined), "GROUP BY {}", &at);
+                prop_assert_eq!(folded, jobs_hashed_last, "GROUP BY folds {}", &at);
+
+                let (grouped, folded) = run_folded((
+                    all_aggregates,
+                    "WHERE jobs.runtime > 100 OR runs.machine_id > 2 GROUP BY jobs.owner",
+                ));
+                prop_assert_eq!(grouped, fold_by_owner(&runtime_or_machine(&joined)), "WHERE … GROUP BY {}", &at);
+                prop_assert_eq!(folded, jobs_hashed_last, "WHERE … GROUP BY folds {}", &at);
+
+                let (grouped, folded) = run_folded((
+                    "jobs.owner, runs.machine_id, COUNT(*)",
+                    "GROUP BY jobs.owner, runs.machine_id",
+                ));
+                prop_assert_eq!(grouped, count_by_owner_and_machine(&joined), "mixed GROUP BY {}", &at);
+                prop_assert!(!folded, "a GROUP BY on a base column never folds {}", &at);
 
                 let top = run((
                     "runs.run_id, jobs.owner, jobs.runtime + 1",
@@ -1057,6 +1112,156 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// COUNT(*) under an index equality: posting count against the forced scan
+// ---------------------------------------------------------------------------
+
+/// Every `(column, key)` the count differential asks about: each key the
+/// rows or the writes give an indexed column of `q`, and one nobody holds.
+fn count_keys(rows: &[QueueRow], writes: &[QueueWrite]) -> Vec<(&'static str, Value)> {
+    let mut keys: Vec<(&'static str, Value)> = Vec::new();
+    let mut add = |col: &'static str, v: Value| {
+        if !v.is_null() && !keys.contains(&(col, v.clone())) {
+            keys.push((col, v));
+        }
+    };
+    for (id, k, n, grp, _) in rows {
+        add("id", Value::Int(*id));
+        add("k", Value::Int(*k));
+        add("n", n.map_or(Value::Null, Value::Int));
+        add("grp", Value::Text(grp.as_str().into()));
+        add("d", Value::Double(*k as f64));
+    }
+    for w in writes {
+        match w {
+            QueueWrite::Rekey { k, n, grp, .. } => {
+                add("k", Value::Int(*k));
+                add("n", n.map_or(Value::Null, Value::Int));
+                add("grp", Value::Text(grp.as_str().into()));
+                add("d", Value::Double(*k as f64));
+            }
+            QueueWrite::Renumber { id } => add("id", Value::Int(id + 100)),
+            QueueWrite::Delete { .. } => {}
+        }
+    }
+    for (col, absent) in [
+        ("id", Value::Int(-1)),
+        ("k", Value::Int(99)),
+        ("n", Value::Int(99)),
+        ("grp", Value::Text("zz".into())),
+        ("d", Value::Double(99.5)),
+    ] {
+        add(col, absent);
+    }
+    keys
+}
+
+/// Applies `w` through `exec`; a write to a row that is gone (or a
+/// renumbering onto a taken id) affects nothing or fails, both fine here.
+fn apply_queue_write(exec: &dyn Fn(&str, Vec<Value>) -> relstore::Result<()>, w: &QueueWrite) {
+    let _ = match w {
+        QueueWrite::Rekey { id, k, n, grp } => exec(
+            "UPDATE q SET k = ?, n = ?, grp = ?, d = ? WHERE id = ?",
+            vec![
+                Value::Int(*k),
+                n.map_or(Value::Null, Value::Int),
+                Value::Text(grp.as_str().into()),
+                Value::Double(*k as f64),
+                Value::Int(*id),
+            ],
+        ),
+        QueueWrite::Renumber { id } => {
+            exec("UPDATE q SET id = ? WHERE id = ?", vec![Value::Int(id + 100), Value::Int(*id)])
+        }
+        QueueWrite::Delete { id } => exec("DELETE FROM q WHERE id = ?", vec![Value::Int(*id)]),
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `SELECT COUNT(*) FROM q WHERE <indexed column> = ?` counts the
+    /// posting list — by visibility stamps where a row holds one version,
+    /// by the visible version's key where it holds several — and must
+    /// equal the forced scan's count for every key in the data and one
+    /// nobody holds: from a snapshot older than a batch of re-keys,
+    /// renumberings and deletes, from a newer one, inside a writer that has
+    /// re-keyed rows again without committing (its own versions visible to
+    /// it alone), after that writer rolled back, and after vacuum.
+    #[test]
+    fn index_only_count_matches_the_forced_scan(
+        rows in queue_strategy(),
+        writes in queue_writes_strategy(),
+    ) {
+        let db = load_queue(&rows);
+        let keys = count_keys(&rows, &writes);
+        let old = db.transaction();
+        for w in &writes {
+            apply_queue_write(&|sql, params| db.session().execute(sql, params).map(drop), w);
+        }
+
+        let check = |view: &str, run: &dyn Fn(&str, &[Value]) -> QueryResult| {
+            for (col, key) in &keys {
+                let sql = format!("SELECT COUNT(*) FROM q WHERE {col} = ?");
+                let params = std::slice::from_ref(key);
+                let counted = run(&sql, params);
+                db.set_force_scan(true);
+                let scanned = run(&sql, params);
+                db.set_force_scan(false);
+                prop_assert_eq!(&counted.rows, &scanned.rows, "{} = {:?} ({})", col, key, view);
+                let access = text(run(&format!("EXPLAIN {sql}"), params).rows[0].get(2));
+                prop_assert!(access.ends_with(", index-only count"), "{} ({}): {}", sql, view, access);
+            }
+            Ok(())
+        };
+        check("old snapshot", &|sql, params| old.query(sql, params).unwrap())?;
+        check("new snapshot", &|sql, params| db.session().query(sql, params).unwrap())?;
+        let writer = db.transaction();
+        for w in writes.iter().rev() {
+            apply_queue_write(&|sql, params| writer.execute(sql, params).map(drop), w);
+        }
+        check("own", &|sql, params| writer.query(sql, params).unwrap())?;
+        writer.rollback().unwrap();
+        check("after rollback", &|sql, params| db.session().query(sql, params).unwrap())?;
+        old.commit().unwrap();
+        db.vacuum_all();
+        check("after vacuum", &|sql, params| db.session().query(sql, params).unwrap())?;
+    }
+}
+
+/// The corners of the index-only count, each against the forced scan: the
+/// key on the left, a NULL key, a DOUBLE key for an INT column, a key of
+/// the wrong type, `LIMIT 0`, an alias, and `COUNT(col)` — which counts
+/// non-NULL values and so never takes the path.
+#[test]
+fn index_only_count_corners_match_the_forced_scan() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, owner TEXT, rt INT)").unwrap();
+    db.execute("CREATE INDEX ON t (owner)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'a', 10), (2, 'a', NULL), (3, 'b', 30), (4, NULL, 40)")
+        .unwrap();
+    let cases: [(&str, Option<i64>, &str, bool); 7] = [
+        ("SELECT COUNT(*) FROM t WHERE 'a' = owner", Some(2), "count(*)", true),
+        ("SELECT COUNT(*) FROM t WHERE owner = NULL", Some(0), "count(*)", true),
+        ("SELECT COUNT(*) FROM t WHERE id = 1.0", Some(1), "count(*)", true),
+        ("SELECT COUNT(*) FROM t WHERE owner = 1", Some(0), "count(*)", true),
+        ("SELECT COUNT(*) FROM t WHERE owner = 'a' LIMIT 0", None, "count(*)", true),
+        ("SELECT COUNT(*) AS n FROM t WHERE owner = 'a'", Some(2), "n", true),
+        ("SELECT COUNT(rt) FROM t WHERE owner = 'a'", Some(1), "count(rt)", false),
+    ];
+    for (sql, count, label, index_only) in cases {
+        let counted = db.query(sql).unwrap();
+        db.set_force_scan(true);
+        let scanned = db.query(sql).unwrap();
+        db.set_force_scan(false);
+        assert_eq!(counted, scanned, "{sql}");
+        assert_eq!(counted.column_names(), vec![label], "{sql}");
+        assert_eq!(counted.rows.first().map(|r| r.get(0)), count.map(Value::Int).as_ref(), "{sql}");
+        let access = text(db.query(&format!("EXPLAIN {sql}")).unwrap().rows[0].get(2));
+        assert_eq!(access.ends_with(", index-only count"), index_only, "{sql}: {access}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // EXPLAIN snapshots
 // ---------------------------------------------------------------------------
 
@@ -1217,6 +1422,64 @@ fn explain_analyze_runs_the_ordered_walk_and_counts_rows_visited() {
     let after = db.stats();
     assert_eq!(after.rows_read - before.rows_read, 5);
     assert_eq!(after.rows_scanned - before.rows_scanned, 0);
+}
+
+/// Three registered users and twelve history rows, every fourth by an
+/// owner who never registered; a third of the rows are idle.
+fn usage_db() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE users (name TEXT PRIMARY KEY, priority DOUBLE)").unwrap();
+    db.execute("CREATE TABLE history (id INT PRIMARY KEY, owner TEXT, state TEXT, runtime INT)")
+        .unwrap();
+    db.execute("CREATE INDEX ON history (state)").unwrap();
+    db.execute("INSERT INTO users VALUES ('user0', 0.5), ('user1', 0.5), ('user2', 1.0)").unwrap();
+    let ins = db.prepare("INSERT INTO history VALUES (?, ?, ?, ?)").unwrap();
+    db.session()
+        .execute_batch(
+            &ins,
+            (0..12i64).map(|i| (i, format!("user{}", i % 4), if i % 3 == 0 { "idle" } else { "done" }, i)),
+        )
+        .unwrap();
+    db
+}
+
+/// Both aggregate paths name themselves by a suffix on the step they
+/// replace, and under EXPLAIN ANALYZE count what they folded: the matches
+/// of the groupjoin, the rows of the index-only count.
+#[test]
+fn explain_names_the_groupjoin_and_the_index_only_count() {
+    let db = usage_db();
+    let report = "SELECT users.name AS owner, users.priority AS priority, COUNT(*) AS jobs, \
+                  SUM(history.runtime) AS total FROM history JOIN users ON history.owner = users.name \
+                  GROUP BY users.name, users.priority ORDER BY owner";
+    assert_eq!(
+        explain_lines(&db, &format!("EXPLAIN {report}")),
+        vec![
+            "Access(history) | full scan of history".to_string(),
+            "HashJoin(users) | build users on users.name via full scan of users, probe history.owner, \
+             fold GROUP BY into build rows"
+                .to_string(),
+            "Output | aggregate, sort".to_string(),
+        ]
+    );
+    let r = db.query(&format!("EXPLAIN ANALYZE {report}")).unwrap();
+    let actual = r.column_index("actual_rows").unwrap();
+    assert_eq!(r.rows[1].get(actual), &Value::Int(9), "join step: the matches folded");
+    assert_eq!(r.rows[2].get(actual), &Value::Int(3), "output: one row per user");
+
+    let count = "SELECT COUNT(*) FROM history WHERE state = 'idle'";
+    assert_eq!(
+        explain_lines(&db, &format!("EXPLAIN {count}")),
+        vec![
+            "Access(history) | point lookup on history.state, pushdown (state = 'idle'), index-only count"
+                .to_string(),
+            "Filter | (state = 'idle')".to_string(),
+            "Output | aggregate".to_string(),
+        ]
+    );
+    let r = db.query(&format!("EXPLAIN ANALYZE {count}")).unwrap();
+    assert_eq!(r.rows[0].get(actual), &Value::Int(4), "access step: the rows counted");
+    assert_eq!(r.rows[2].get(actual), &Value::Int(1), "output");
 }
 
 #[test]
