@@ -1,20 +1,33 @@
-//! Network throughput bench: prepared point selects over loopback TCP at
-//! 1/2/4/8 client threads, against the in-process `Session` baseline on the
-//! same table. The interesting numbers are (a) the per-op cost of one wire
-//! round trip vs an embedded call and (b) how aggregate remote throughput
-//! scales as client threads are added (each client is its own connection,
-//! served by its own worker thread).
+//! The wire against the embedded engine, one operation shape at a time.
 //!
-//! Batching is the wire's answer to round-trip cost, so the bench also
-//! measures a 64-select `query_batch` pipeline — one request frame, one
-//! shared server-side guard — against 64 single-query round trips.
+//! Every target runs twice — `embedded_*` through an in-process `Session`,
+//! `loopback_*` through a `Client` over loopback TCP to a server over the
+//! same database — so the gap between a pair is the cost of the wire for
+//! that shape: a prepared point select, a prepared point update, a 64-
+//! binding `query_batch` (one request frame, 129 reply frames), and a
+//! 1,000-row result streamed in pages. The `loopback_point_select_threads_*`
+//! sweep runs 256 point selects on each of 1, 2, 4 and 8 connections at
+//! once, each served by its own worker thread; an iteration is the whole
+//! round, so throughput is `threads × 256 / time`.
+//!
+//! Each routine asserts its answer while it is measured — a point select
+//! returns its row, an update one affected row, a batch 64 results, a
+//! stream 1,000 rows — so a bench-smoke run fails on a wrong answer rather
+//! than timing it.
 
-use relstore::Database;
+use criterion::{criterion_group, criterion_main, Criterion};
+use relstore::{Database, ExecResult, QueryResult, Value};
+use std::hint::black_box;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
-use wire::{serve_with, Client, ServerConfig};
+use wire::{serve_with, Client, RemoteStatement, ServerConfig};
 
 const ROWS: i64 = 5_000;
+const POINT_SELECT: &str = "SELECT * FROM jobs WHERE job_id = ?";
+const POINT_UPDATE: &str = "UPDATE jobs SET runtime_ms = ? WHERE job_id = ?";
+const BATCH_SELECT: &str = "SELECT owner FROM jobs WHERE job_id = ?";
+const STREAM: &str = "SELECT * FROM jobs WHERE job_id >= ? AND job_id < ?";
+const SWEEP_OPS: u64 = 256;
 
 fn setup_db() -> Arc<Database> {
     let db = Arc::new(Database::new());
@@ -31,85 +44,141 @@ fn setup_db() -> Arc<Database> {
     db
 }
 
-/// In-process baseline: single-thread prepared point selects via Session.
-fn bench_in_process(db: &Database, iters: u64) -> f64 {
-    let select = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
+/// The `i`-th key of a walk that visits every row.
+fn key(i: u64) -> i64 {
+    ((i * 40_503) % ROWS as u64) as i64
+}
+
+fn assert_point(result: &QueryResult, id: i64) {
+    assert_eq!(result.rows.len(), 1, "point select of {id}");
+    assert_eq!(result.rows[0].get(0), &Value::Int(id));
+}
+
+fn assert_batch(results: &[QueryResult]) {
+    assert_eq!(results.len(), 64);
+    assert!(results.iter().all(|r| r.rows.len() == 1));
+}
+
+fn batch_bindings() -> Vec<(i64,)> {
+    (0..64i64).map(|i| ((i * 79) % ROWS,)).collect()
+}
+
+fn bench_embedded(c: &mut Criterion, db: &Database) {
     let mut session = db.session();
-    let start = Instant::now();
-    for i in 0..iters {
-        let id = ((i * 40_503) % ROWS as u64) as i64;
-        let r = session.query(&select, (id,)).unwrap();
-        std::hint::black_box(r);
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// `threads` clients, each on its own connection, doing point selects.
-fn bench_remote(addr: std::net::SocketAddr, threads: usize, iters_per_thread: u64) -> f64 {
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let mut secs = 0.0;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let barrier = &barrier;
-            handles.push(s.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                let select = client
-                    .prepare("SELECT * FROM jobs WHERE job_id = ?")
-                    .unwrap();
-                barrier.wait();
-                for i in 0..iters_per_thread {
-                    let id = ((t as u64 * 2_654_435_761 + i * 40_503) % ROWS as u64) as i64;
-                    let r = client.query(select, (id,)).unwrap();
-                    std::hint::black_box(r);
-                }
-            }));
-        }
-        barrier.wait();
-        let start = Instant::now();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        secs = start.elapsed().as_secs_f64();
+    let select = db.prepare(POINT_SELECT).unwrap();
+    let update = db.prepare(POINT_UPDATE).unwrap();
+    let batch = db.prepare(BATCH_SELECT).unwrap();
+    let stream = db.prepare(STREAM).unwrap();
+    let bindings = batch_bindings();
+    let mut i = 0u64;
+    c.bench_function("embedded_point_select", |b| {
+        b.iter(|| {
+            i += 1;
+            let r = session.query(&select, (key(i),)).unwrap();
+            assert_point(&r, key(i));
+            r
+        })
     });
-    secs
+    c.bench_function("embedded_point_update", |b| {
+        b.iter(|| {
+            i += 1;
+            let n = session.execute(&update, (i as i64, key(i))).unwrap();
+            assert!(matches!(n, ExecResult::Affected(1)));
+        })
+    });
+    c.bench_function("embedded_query_batch_64", |b| {
+        b.iter(|| {
+            let results = session.query_batch(&batch, bindings.clone()).unwrap();
+            assert_batch(&results);
+            results
+        })
+    });
+    c.bench_function("embedded_stream_1000_rows", |b| {
+        b.iter(|| {
+            let r = session.query(&stream, (1_000i64, 2_000i64)).unwrap();
+            assert_eq!(r.rows.len(), 1_000);
+            r
+        })
+    });
 }
 
-/// One 64-select pipelined batch per iteration vs 64 single round trips.
-fn bench_remote_batch(addr: std::net::SocketAddr, iters: u64) -> (f64, f64) {
+fn bench_loopback(c: &mut Criterion, addr: SocketAddr) {
     let mut client = Client::connect(addr).unwrap();
-    let select = client
-        .prepare("SELECT owner FROM jobs WHERE job_id = ?")
-        .unwrap();
-    let bindings: Vec<(i64,)> = (0..64i64).map(|i| ((i * 79) % ROWS,)).collect();
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        let results = client.query_batch(select, bindings.clone()).unwrap();
-        assert_eq!(results.len(), 64);
-        std::hint::black_box(results);
-    }
-    let batched = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        for b in &bindings {
-            let r = client.query(select, *b).unwrap();
-            std::hint::black_box(r);
-        }
-    }
-    let looped = start.elapsed().as_secs_f64();
-    (batched, looped)
+    let select = client.prepare(POINT_SELECT).unwrap();
+    let update = client.prepare(POINT_UPDATE).unwrap();
+    let batch = client.prepare(BATCH_SELECT).unwrap();
+    let stream = client.prepare(STREAM).unwrap();
+    let bindings = batch_bindings();
+    let mut i = 0u64;
+    c.bench_function("loopback_point_select", |b| {
+        b.iter(|| {
+            i += 1;
+            let r = client.query(select, (key(i),)).unwrap();
+            assert_point(&r, key(i));
+            r
+        })
+    });
+    c.bench_function("loopback_point_update", |b| {
+        b.iter(|| {
+            i += 1;
+            let n = client.execute(update, (i as i64, key(i))).unwrap();
+            assert!(matches!(n, ExecResult::Affected(1)));
+        })
+    });
+    c.bench_function("loopback_query_batch_64", |b| {
+        b.iter(|| {
+            let results = client.query_batch(batch, bindings.clone()).unwrap();
+            assert_batch(&results);
+            results
+        })
+    });
+    c.bench_function("loopback_stream_1000_rows", |b| {
+        b.iter(|| {
+            let r = client.query(stream, (1_000i64, 2_000i64)).unwrap();
+            assert_eq!(r.rows.len(), 1_000);
+            r
+        })
+    });
 }
 
-fn main() {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "net_throughput: loopback prepared point selects vs in-process, \
-         {ROWS}-row jobs table, host parallelism = {parallelism}"
-    );
+/// One round of the thread sweep: `SWEEP_OPS` point selects on each
+/// connection, all connections at once.
+fn sweep_round(clients: &mut [(Client, RemoteStatement)], round: u64) {
+    std::thread::scope(|s| {
+        for (t, (client, select)) in clients.iter_mut().enumerate() {
+            let select = *select;
+            s.spawn(move || {
+                for i in 0..SWEEP_OPS {
+                    let id = key(round * SWEEP_OPS + i + t as u64 * 2_654_435_761);
+                    let r = client.query(select, (id,)).unwrap();
+                    assert_point(&r, id);
+                    black_box(r);
+                }
+            });
+        }
+    });
+}
+
+fn bench_thread_sweep(c: &mut Criterion, addr: SocketAddr) {
+    for threads in [1usize, 2, 4, 8] {
+        let mut clients: Vec<(Client, RemoteStatement)> = (0..threads)
+            .map(|_| {
+                let mut client = Client::connect(addr).unwrap();
+                let select = client.prepare(POINT_SELECT).unwrap();
+                (client, select)
+            })
+            .collect();
+        let mut round = 0u64;
+        c.bench_function(&format!("loopback_point_select_threads_{threads}"), |b| {
+            b.iter(|| {
+                round += 1;
+                sweep_round(&mut clients, round);
+            })
+        });
+    }
+}
+
+fn bench_net_throughput(c: &mut Criterion) {
     let db = setup_db();
     let server = serve_with(
         Arc::clone(&db),
@@ -121,54 +190,12 @@ fn main() {
         },
     )
     .unwrap();
-    let addr = server.local_addr();
-
-    // Warm up: statement caches, connections, branch predictors.
-    bench_in_process(&db, 2_000);
-    bench_remote(addr, 1, 1_000);
-
-    let iters = 30_000u64;
-    let secs = bench_in_process(&db, iters);
-    println!(
-        "in_process_point_select              {:>12.0} ops/s  {:>10.2} µs/op",
-        iters as f64 / secs,
-        secs * 1e6 / iters as f64
-    );
-
-    let total_remote = 40_000u64;
-    for &threads in &[1usize, 2, 4, 8] {
-        let iters = (total_remote / threads as u64).max(1);
-        let secs = bench_remote(addr, threads, iters);
-        let ops = threads as u64 * iters;
-        println!(
-            "net_point_select threads={threads}            {:>12.0} ops/s  {:>10.2} µs/op",
-            ops as f64 / secs,
-            secs * 1e6 / iters as f64
-        );
-    }
-
-    let batch_iters = 300u64;
-    let (batched, looped) = bench_remote_batch(addr, batch_iters);
-    println!(
-        "net_query_batch_64                   {:>12.2} µs/batch  ({:.2} µs/select)",
-        batched * 1e6 / batch_iters as f64,
-        batched * 1e6 / (batch_iters * 64) as f64
-    );
-    println!(
-        "net_query_loop_64                    {:>12.2} µs/loop   ({:.2} µs/select, {:.1}x the batch)",
-        looped * 1e6 / batch_iters as f64,
-        looped * 1e6 / (batch_iters * 64) as f64,
-        looped / batched
-    );
-
-    let stats = server.stats();
-    println!(
-        "server: {} frames decoded, {:.1} MB in, {:.1} MB out, {} connections at peak",
-        stats.frames_decoded,
-        stats.net_bytes_in as f64 / 1e6,
-        stats.net_bytes_out as f64 / 1e6,
-        stats.active_connections,
-    );
+    bench_embedded(c, &db);
+    bench_loopback(c, server.local_addr());
+    bench_thread_sweep(c, server.local_addr());
     server.shutdown();
     db.check_consistency().expect("consistency after the bench");
 }
+
+criterion_group!(benches, bench_net_throughput);
+criterion_main!(benches);

@@ -15,10 +15,9 @@
 //! transaction still open — the server rolls that transaction back when the
 //! socket closes.
 
-use crate::protocol::{
-    self, read_frame, write_frame, Request, Response, StmtRef,
-};
+use crate::protocol::{self, frame_into, read_frame_into, Request, Response, StmtRef};
 use relstore::{Error, ExecResult, FromRow, FromValue, IntoParams, QueryResult, Result, Row};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -66,9 +65,18 @@ impl From<String> for StmtRef {
 /// One client is one TCP connection with its own prepared-statement handles
 /// and at most one open transaction; it is `Send` but not shareable — open
 /// one per thread (or take them from a [`ClientPool`]).
+///
+/// A request leaves in one write, framed in a reused buffer; replies are
+/// read through a buffer, so a reply's frames — however many the server
+/// sent in its one write — take about one `recv`, and each payload lands in
+/// a second reused buffer.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    /// The request being sent, framed.
+    out: Vec<u8>,
+    /// The payload of the frame last received.
+    frame: Vec<u8>,
     /// Set when the transport failed: the connection's state is unknown and
     /// it must not be reused (a pool discards it).
     broken: bool,
@@ -88,9 +96,12 @@ impl Client {
         let mut stream = TcpStream::connect(addr).map_err(protocol::io_err)?;
         stream.set_nodelay(true).map_err(protocol::io_err)?;
         protocol::write_hello(&mut stream)?;
-        protocol::read_handshake_response(&mut stream)?;
+        let mut reader = BufReader::new(stream);
+        protocol::read_handshake_response(&mut reader)?;
         Ok(Client {
-            stream,
+            reader,
+            out: Vec::new(),
+            frame: Vec::new(),
             broken: false,
             in_txn: false,
             deadline: None,
@@ -129,14 +140,20 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
-        write_frame(&mut self.stream, &req.encode())
-            .map(|_| ())
+        self.out.clear();
+        frame_into(&mut self.out, |buf| req.encode_into(buf))
+            .and_then(|_| {
+                self.reader
+                    .get_mut()
+                    .write_all(&self.out)
+                    .map_err(protocol::io_err)
+            })
             .inspect_err(|_| self.broken = true)
     }
 
     fn recv(&mut self) -> Result<Response> {
-        read_frame(&mut self.stream)
-            .and_then(|payload| Response::decode(&payload))
+        read_frame_into(&mut self.reader, &mut self.frame)
+            .and_then(|()| Response::decode(&self.frame))
             .inspect_err(|_| self.broken = true)
     }
 
@@ -380,11 +397,13 @@ impl Client {
             return;
         }
         let bound = Some(Duration::from_millis(250));
-        let _ = self.stream.set_write_timeout(bound);
-        let _ = self.stream.set_read_timeout(bound);
+        let stream = self.reader.get_ref();
+        let _ = stream.set_write_timeout(bound);
+        let _ = stream.set_read_timeout(bound);
         let _ = self.rollback();
-        let _ = self.stream.set_write_timeout(None);
-        let _ = self.stream.set_read_timeout(None);
+        let stream = self.reader.get_ref();
+        let _ = stream.set_write_timeout(None);
+        let _ = stream.set_read_timeout(None);
     }
 }
 

@@ -24,9 +24,18 @@
 //!   engine's [`Error`] variant **and** its [`ErrorClass`], so a remote
 //!   caller can branch on [`Error::is_retryable`] exactly like an embedded
 //!   one (a write-write conflict stays retryable across the wire).
+//!
+//! A frame is always its prefix and its payload, but frames are not written
+//! one by one: [`frame_into`] appends a frame to a buffer and back-patches
+//! its prefix, and [`write_outcome`] encodes a request's whole reply —
+//! header, row pages, every result of a batch — into one buffer and sends
+//! it with one write (large results in writes of [`REPLY_FLUSH_BYTES`]).
+//! The bytes on the wire are exactly those of one [`write_frame`] per
+//! frame; only the number of writes — and of TCP segments, since both ends
+//! set `TCP_NODELAY` — changes.
 
 use crate::codec::{self, Reader, MAX_FRAME};
-use relstore::{Error, ErrorClass, Result, Row, TimeoutKind, Value};
+use relstore::{Error, ErrorClass, QueryResult, Result, Row, TimeoutKind, Value};
 use std::io::{Read, Write};
 
 /// The four magic bytes opening every handshake.
@@ -292,47 +301,52 @@ impl Request {
     /// Encodes the request as one frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the request's frame payload (opcode + body) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Prepare { sql } => {
-                codec::put_u8(&mut buf, 1);
-                codec::put_str(&mut buf, sql);
+                codec::put_u8(buf, 1);
+                codec::put_str(buf, sql);
             }
             Request::Execute {
                 stmt,
                 params,
                 deadline_ms,
             } => {
-                codec::put_u8(&mut buf, 2);
-                put_stmt(&mut buf, stmt);
-                codec::put_values(&mut buf, params);
-                put_deadline(&mut buf, *deadline_ms);
+                codec::put_u8(buf, 2);
+                put_stmt(buf, stmt);
+                codec::put_values(buf, params);
+                put_deadline(buf, *deadline_ms);
             }
             Request::ExecuteBatch {
                 stmt,
                 bindings,
                 deadline_ms,
             } => {
-                codec::put_u8(&mut buf, 4);
-                put_stmt(&mut buf, stmt);
-                put_bindings(&mut buf, bindings);
-                put_deadline(&mut buf, *deadline_ms);
+                codec::put_u8(buf, 4);
+                put_stmt(buf, stmt);
+                put_bindings(buf, bindings);
+                put_deadline(buf, *deadline_ms);
             }
             Request::QueryBatch {
                 stmt,
                 bindings,
                 deadline_ms,
             } => {
-                codec::put_u8(&mut buf, 5);
-                put_stmt(&mut buf, stmt);
-                put_bindings(&mut buf, bindings);
-                put_deadline(&mut buf, *deadline_ms);
+                codec::put_u8(buf, 5);
+                put_stmt(buf, stmt);
+                put_bindings(buf, bindings);
+                put_deadline(buf, *deadline_ms);
             }
             Request::CloseStmt { id } => {
-                codec::put_u8(&mut buf, 9);
-                codec::put_u32(&mut buf, *id);
+                codec::put_u8(buf, 9);
+                codec::put_u32(buf, *id);
             }
         }
-        buf
     }
 
     /// Decodes one frame payload into a request.
@@ -369,40 +383,37 @@ impl Response {
     /// Encodes the response as one frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the response's frame payload (opcode + body) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Prepared { id, params } => {
-                codec::put_u8(&mut buf, 1);
-                codec::put_u32(&mut buf, *id);
-                codec::put_u16(&mut buf, *params);
+                codec::put_u8(buf, 1);
+                codec::put_u32(buf, *id);
+                codec::put_u16(buf, *params);
             }
             Response::Affected(n) => {
-                codec::put_u8(&mut buf, 2);
-                codec::put_u64(&mut buf, *n);
+                codec::put_u8(buf, 2);
+                codec::put_u64(buf, *n);
             }
             Response::Ack { txn_open } => {
-                codec::put_u8(&mut buf, 3);
-                codec::put_u8(&mut buf, u8::from(*txn_open));
+                codec::put_u8(buf, 3);
+                codec::put_u8(buf, u8::from(*txn_open));
             }
-            Response::RowsHeader { columns } => {
-                codec::put_u8(&mut buf, 4);
-                codec::put_u16(&mut buf, columns.len() as u16);
-                for c in columns {
-                    codec::put_str(&mut buf, c);
-                }
-            }
-            Response::RowPage { rows, last } => {
-                return encode_row_page(rows, *last);
-            }
+            Response::RowsHeader { columns } => encode_rows_header_into(buf, columns),
+            Response::RowPage { rows, last } => encode_row_page_into(buf, rows, *last),
             Response::BatchHeader { count } => {
-                codec::put_u8(&mut buf, 6);
-                codec::put_u32(&mut buf, *count);
+                codec::put_u8(buf, 6);
+                codec::put_u32(buf, *count);
             }
             Response::Err(e) => {
-                codec::put_u8(&mut buf, 7);
-                put_error(&mut buf, e);
+                codec::put_u8(buf, 7);
+                put_error(buf, e);
             }
         }
-        buf
     }
 
     /// Decodes one frame payload into a response.
@@ -471,13 +482,29 @@ impl Response {
 /// server can stream pages of a materialised result without cloning them.
 pub fn encode_row_page(rows: &[Row], last: bool) -> Vec<u8> {
     let mut buf = Vec::new();
-    codec::put_u8(&mut buf, 5);
-    codec::put_u8(&mut buf, u8::from(last));
-    codec::put_u32(&mut buf, rows.len() as u32);
-    for row in rows {
-        codec::put_row(&mut buf, row);
-    }
+    encode_row_page_into(&mut buf, rows, last);
     buf
+}
+
+/// Appends a [`Response::RowPage`] frame payload to `buf` (see
+/// [`encode_row_page`]).
+pub fn encode_row_page_into(buf: &mut Vec<u8>, rows: &[Row], last: bool) {
+    codec::put_u8(buf, 5);
+    codec::put_u8(buf, u8::from(last));
+    codec::put_u32(buf, rows.len() as u32);
+    for row in rows {
+        codec::put_row(buf, row);
+    }
+}
+
+/// Appends a [`Response::RowsHeader`] frame payload to `buf` from borrowed
+/// column names — a result's `Arc<str>` columns go out without a copy.
+fn encode_rows_header_into(buf: &mut Vec<u8>, columns: &[impl AsRef<str>]) {
+    codec::put_u8(buf, 4);
+    codec::put_u16(buf, columns.len() as u16);
+    for c in columns {
+        codec::put_str(buf, c.as_ref());
+    }
 }
 
 /// Parses an already-read 6-byte client hello (magic + version).
@@ -499,36 +526,181 @@ pub(crate) fn io_err(e: std::io::Error) -> Error {
     }
 }
 
-/// Writes one frame (length prefix + payload), refusing oversized payloads
-/// before anything reaches the socket. Returns the bytes written.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
-    if payload.is_empty() || payload.len() > MAX_FRAME {
-        return Err(Error::net(format!(
-            "refusing to send a frame of {} byte(s) (limit {MAX_FRAME})",
-            payload.len()
-        )));
+/// Appends one frame to `out`: a length prefix, then the payload `encode`
+/// appends, the prefix back-patched once the payload's size is known. An
+/// empty or oversized payload is refused exactly as [`write_frame`] refuses
+/// it, and `out` is truncated back to where it was. Returns the frame's
+/// size in bytes.
+pub fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - start - 4;
+    if let Err(e) = sendable(len) {
+        out.truncate(start);
+        return Err(e);
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())
-        .map_err(io_err)?;
-    w.write_all(payload).map_err(io_err)?;
-    w.flush().map_err(io_err)?;
-    Ok(payload.len() as u64 + 4)
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(len as u64 + 4)
 }
 
-/// Reads one frame payload, rejecting empty and oversized length prefixes
-/// before allocating.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len).map_err(io_err)?;
-    let len = u32::from_le_bytes(len) as usize;
+fn sendable(len: usize) -> Result<()> {
+    if len == 0 || len > MAX_FRAME {
+        return Err(Error::net(format!(
+            "refusing to send a frame of {len} byte(s) (limit {MAX_FRAME})"
+        )));
+    }
+    Ok(())
+}
+
+/// Writes one frame (length prefix + payload) with one `write_all`,
+/// refusing oversized payloads before anything reaches the socket. Returns
+/// the bytes written.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
+    sendable(payload.len())?;
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    let written = frame_into(&mut frame, |buf| buf.extend_from_slice(payload))?;
+    w.write_all(&frame).map_err(io_err)?;
+    w.flush().map_err(io_err)?;
+    Ok(written)
+}
+
+/// The payload length a received prefix announces, refused when empty or
+/// over [`MAX_FRAME`] — before anything is allocated for it.
+pub(crate) fn announced_len(prefix: [u8; 4]) -> Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(Error::net(format!(
             "peer announced a frame of {len} byte(s) (limit {MAX_FRAME})"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(io_err)?;
+    Ok(len)
+}
+
+/// Reads one frame payload, rejecting empty and oversized length prefixes
+/// before allocating.
+pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload)?;
     Ok(payload)
+}
+
+/// Reads one frame payload into `payload`, replacing its contents, so a
+/// connection reuses one buffer for every frame it receives.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<()> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix).map_err(io_err)?;
+    let len = announced_len(prefix)?;
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload).map_err(io_err)
+}
+
+// --- replies -----------------------------------------------------------------
+
+/// How many encoded bytes a reply gathers before [`write_outcome`] sends
+/// them: a large result leaves in writes of about this size, so the encode
+/// buffer is bounded by this plus one page rather than by the result.
+pub const REPLY_FLUSH_BYTES: usize = 64 * 1024;
+
+/// What one request produces: a single response frame, a streamed query
+/// result, or a streamed batch of results.
+#[derive(Debug)]
+pub enum Outcome {
+    /// One response frame.
+    One(Response),
+    /// A [`Response::RowsHeader`] followed by the result's row pages.
+    Rows(QueryResult),
+    /// A [`Response::BatchHeader`] followed by one streamed result per
+    /// binding, in binding order.
+    Batch(Vec<QueryResult>),
+}
+
+/// Writes one request's outcome: the same bytes as one [`write_frame`] per
+/// frame, but encoded into `out` and sent with a single `write_all` — or,
+/// for a result larger than [`REPLY_FLUSH_BYTES`], one per that many bytes.
+/// Query results are paged `page_rows` rows to a [`Response::RowPage`].
+/// `out` is the connection's reused buffer: it is left empty, and shrunk
+/// back to [`REPLY_FLUSH_BYTES`] if a huge page grew it. Returns the bytes
+/// sent.
+pub fn write_outcome(
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    outcome: &Outcome,
+    page_rows: usize,
+) -> Result<u64> {
+    out.clear();
+    let sent = encode_outcome(w, out, outcome, page_rows.max(1)).and_then(|sent| {
+        send(w, out)?;
+        w.flush().map_err(io_err)?;
+        Ok(sent)
+    });
+    recycle(out);
+    sent
+}
+
+/// Empties a connection's reused buffer, shrinking it back to
+/// [`REPLY_FLUSH_BYTES`] if one huge frame grew it, so an idle connection
+/// does not keep the memory of its largest frame.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    if buf.capacity() > REPLY_FLUSH_BYTES {
+        buf.shrink_to(REPLY_FLUSH_BYTES);
+    }
+}
+
+fn encode_outcome(
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    outcome: &Outcome,
+    page_rows: usize,
+) -> Result<u64> {
+    match outcome {
+        Outcome::One(resp) => frame_into(out, |buf| resp.encode_into(buf)),
+        Outcome::Rows(q) => encode_query(w, out, q, page_rows),
+        Outcome::Batch(results) => {
+            let header = Response::BatchHeader {
+                count: results.len() as u32,
+            };
+            let mut sent = frame_into(out, |buf| header.encode_into(buf))?;
+            for q in results {
+                sent += encode_query(w, out, q, page_rows)?;
+            }
+            Ok(sent)
+        }
+    }
+}
+
+/// Appends a result's header and pages (an empty result is one empty last
+/// page), sending `out` whenever it passes [`REPLY_FLUSH_BYTES`].
+fn encode_query(
+    w: &mut impl Write,
+    out: &mut Vec<u8>,
+    q: &QueryResult,
+    page_rows: usize,
+) -> Result<u64> {
+    let mut sent = frame_into(out, |buf| encode_rows_header_into(buf, &q.columns))?;
+    let mut pages = q.rows.chunks(page_rows);
+    let mut page = pages.next().unwrap_or(&[]);
+    loop {
+        let next = pages.next();
+        sent += frame_into(out, |buf| encode_row_page_into(buf, page, next.is_none()))?;
+        if out.len() >= REPLY_FLUSH_BYTES {
+            send(w, out)?;
+        }
+        match next {
+            Some(p) => page = p,
+            None => return Ok(sent),
+        }
+    }
+}
+
+fn send(w: &mut impl Write, out: &mut Vec<u8>) -> Result<()> {
+    if !out.is_empty() {
+        w.write_all(out).map_err(io_err)?;
+        out.clear();
+    }
+    Ok(())
 }
 
 // --- handshake ---------------------------------------------------------------
@@ -755,6 +927,110 @@ mod tests {
         assert!(read_frame(&mut empty.as_slice()).is_err());
         // A truncated stream errors instead of blocking forever (EOF).
         assert!(read_frame(&mut [4u8, 0, 0, 0, 1].as_slice()).is_err());
+    }
+
+    /// A `Write` that keeps the bytes and counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+        largest: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.largest = self.largest.max(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn result(rows: impl Iterator<Item = Row>) -> QueryResult {
+        QueryResult {
+            columns: vec!["job_id".into(), "owner".into()].into(),
+            rows: rows.collect(),
+        }
+    }
+
+    fn row(i: i64, text_len: usize) -> Row {
+        Row::new(vec![Value::Int(i), Value::Text("x".repeat(text_len).into())])
+    }
+
+    fn write_counted(outcome: &Outcome, out: &mut Vec<u8>, page_rows: usize) -> CountingWriter {
+        let mut w = CountingWriter::default();
+        let sent = write_outcome(&mut w, out, outcome, page_rows).unwrap();
+        assert_eq!(sent as usize, w.bytes.len(), "the reported size is the bytes sent");
+        assert!(out.is_empty());
+        w
+    }
+
+    #[test]
+    fn a_reply_leaves_in_one_write_and_a_large_one_in_flush_sized_writes() {
+        let point = result(std::iter::once(row(7, 8)));
+        let mut out = Vec::new();
+        for (outcome, frames) in [
+            (Outcome::One(Response::Affected(1)), 1),
+            (Outcome::Rows(point.clone()), 2),
+            (Outcome::Batch(vec![point; 64]), 129),
+        ] {
+            let w = write_counted(&outcome, &mut out, 256);
+            assert_eq!(w.writes, 1, "{frames}-frame reply took {} writes", w.writes);
+            let mut stream = w.bytes.as_slice();
+            for _ in 0..frames {
+                Response::decode(&read_frame(&mut stream).unwrap()).unwrap();
+            }
+            assert!(stream.is_empty());
+        }
+
+        // 1,000 rows in 16-row pages (about 2 KiB each): the reply goes out
+        // in writes of about REPLY_FLUSH_BYTES, never one per page.
+        let rows = Outcome::Rows(result((0..1_000).map(|i| row(i, 120))));
+        let w = write_counted(&rows, &mut out, 16);
+        assert!(w.bytes.len() > 2 * REPLY_FLUSH_BYTES);
+        assert!(
+            w.writes <= w.bytes.len().div_ceil(REPLY_FLUSH_BYTES) + 1,
+            "{} writes for {} bytes",
+            w.writes,
+            w.bytes.len()
+        );
+    }
+
+    #[test]
+    fn the_reply_buffer_is_bounded_by_a_page_not_by_the_result() {
+        // 10 MB in 256-row pages of about 256 KiB: every write — so the
+        // buffer at its fullest — stays under the flush size plus one page,
+        // and the buffer comes back no larger than that.
+        let rows = result((0..10_000).map(|i| row(i, 1_000)));
+        let page = encode_row_page(&rows.rows[..256], false).len() + 4;
+        let mut out = Vec::new();
+        let w = write_counted(&Outcome::Rows(rows.clone()), &mut out, 256);
+        assert!(w.bytes.len() > 10_000_000);
+        assert!(w.largest < REPLY_FLUSH_BYTES + page, "a write of {} B", w.largest);
+        assert!(out.capacity() < REPLY_FLUSH_BYTES + page);
+
+        // One 10 MB page must grow the buffer past it; afterwards the
+        // buffer shrinks back to the flush size.
+        let w = write_counted(&Outcome::Rows(rows), &mut out, usize::MAX);
+        assert_eq!(w.writes, 1);
+        assert!(out.capacity() <= REPLY_FLUSH_BYTES, "kept {} B", out.capacity());
+    }
+
+    #[test]
+    fn frame_into_refuses_what_write_frame_refuses_and_leaves_the_buffer() {
+        let mut out = vec![9u8; 3];
+        assert!(frame_into(&mut out, |_| {}).is_err());
+        assert!(frame_into(&mut out, |buf| buf.resize(buf.len() + MAX_FRAME + 1, 0)).is_err());
+        assert_eq!(out, [9, 9, 9]);
+        let payload = Request::CloseStmt { id: 1 }.encode();
+        let written = frame_into(&mut out, |buf| buf.extend_from_slice(&payload)).unwrap();
+        let mut framed = Vec::new();
+        assert_eq!(write_frame(&mut framed, &payload).unwrap(), written);
+        assert_eq!(out[3..], framed[..]);
     }
 
     #[test]

@@ -22,6 +22,16 @@
 //! the shutdown flag at frame boundaries; a frame whose bytes have started
 //! arriving is always read and answered before the connection closes.
 //!
+//! A connection reads through a buffer: a frame usually arrives in one
+//! `recv`, and frames a client pipelined back to back are served from the
+//! buffer without touching the socket again. Each frame's payload lands in
+//! one reused per-connection buffer, and each request's whole reply — the
+//! header and pages of a result, every result of a batch — is encoded into
+//! a second reused buffer and sent with one write (see
+//! [`protocol::write_outcome`]); a result past
+//! [`protocol::REPLY_FLUSH_BYTES`] (64 KiB) leaves in writes of about that
+//! size, so the buffer is bounded by a page, not by the result.
+//!
 //! A stalled or vanished client cannot pin a worker thread: a connection
 //! silent past [`ServerConfig::idle_timeout`] at a frame boundary is reaped
 //! (closed quietly, its open transaction rolled back), a peer that stalls
@@ -30,14 +40,12 @@
 //! response write may block on a full receive window.
 
 use crate::protocol::{
-    self, write_frame, HandshakeStatus, Request, Response, StmtRef, VERSION,
+    self, write_outcome, HandshakeStatus, Outcome, Request, Response, StmtRef, VERSION,
 };
-use relstore::{
-    Database, Error, ExecResult, Governance, OpStats, Prepared, QueryResult, Result, Session,
-};
+use relstore::{Database, Error, ExecResult, Governance, OpStats, Prepared, Result, Session};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -169,8 +177,10 @@ pub fn serve_with(
         workers: config.workers.max(1),
         max_connections: config.max_connections.max(1),
         page_rows: config.page_rows.max(1),
-        // Zero would disarm the OS write timeout (set_write_timeout rejects
-        // it) or make every boundary wait an instant reap.
+        // Zero would disarm the OS read and write timeouts (the setters
+        // reject it, leaving reads blocked forever) or make every boundary
+        // wait an instant reap.
+        poll_interval: config.poll_interval.max(Duration::from_millis(1)),
         idle_timeout: config.idle_timeout.max(Duration::from_millis(1)),
         read_timeout: config.read_timeout.max(Duration::from_millis(1)),
         write_timeout: config.write_timeout.max(Duration::from_millis(1)),
@@ -368,7 +378,7 @@ struct ConnState<'a> {
     session: Session<'a>,
 }
 
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
+fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
@@ -377,7 +387,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         next_stmt: 1,
         session: shared.db.session(),
     };
-    let _ = serve_frames(shared, &mut stream, &mut conn);
+    let _ = serve_frames(shared, &mut BufReader::new(stream), &mut conn);
     // Whatever ended the connection — clean close, protocol error, shutdown
     // — an open transaction must not outlive it: dropping the session rolls
     // it back and releases its locks.
@@ -386,12 +396,12 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 
 fn serve_frames(
     shared: &Shared,
-    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     conn: &mut ConnState<'_>,
 ) -> Result<()> {
     // Handshake: magic + version in, status out.
     let mut hello = [0u8; 6];
-    if !read_full(stream, &mut hello, shared, true)? {
+    if !read_full(reader, &mut hello, shared, true)? {
         return Ok(());
     }
     let version = protocol::client_version(&hello)?;
@@ -401,20 +411,26 @@ fn serve_frames(
     };
     if version != VERSION {
         local.net_bytes_out += protocol::write_handshake_response(
-            stream,
+            reader.get_mut(),
             HandshakeStatus::Rejected,
             &format!("server speaks protocol version {VERSION}, client spoke {version}"),
         )?;
         shared.db.record_stats(&local);
         return Ok(());
     }
-    local.net_bytes_out += protocol::write_handshake_response(stream, HandshakeStatus::Ok, "")?;
+    local.net_bytes_out +=
+        protocol::write_handshake_response(reader.get_mut(), HandshakeStatus::Ok, "")?;
     shared.db.record_stats(&local);
 
+    // One payload buffer and one reply buffer serve every frame of the
+    // connection.
+    let mut payload = Vec::new();
+    let mut out = Vec::new();
+    let page_rows = shared.config.page_rows;
     loop {
-        let Some(payload) = read_frame_polling(stream, shared)? else {
+        if !read_frame_polling(reader, &mut payload, shared)? {
             return Ok(()); // clean disconnect or shutdown at a frame boundary
-        };
+        }
         let mut local = OpStats {
             net_bytes_in: payload.len() as u64 + 4,
             ..Default::default()
@@ -426,23 +442,17 @@ fn serve_frames(
             }
             Err(e) => {
                 // A malformed frame poisons the stream: answer and close.
-                local.net_bytes_out += write_frame(stream, &Response::Err(e).encode())?;
+                let outcome = Outcome::One(Response::Err(e));
+                local.net_bytes_out +=
+                    write_outcome(reader.get_mut(), &mut out, &outcome, page_rows)?;
                 shared.db.record_stats(&local);
                 return Ok(());
             }
         };
         let outcome = handle_request(shared, conn, req);
-        local.net_bytes_out += write_outcome(stream, outcome, shared.config.page_rows)?;
+        local.net_bytes_out += write_outcome(reader.get_mut(), &mut out, &outcome, page_rows)?;
         shared.db.record_stats(&local);
     }
-}
-
-/// What one request produces: a single response frame, a streamed query
-/// result, or a streamed batch of results.
-enum Outcome {
-    One(Response),
-    Rows(QueryResult),
-    Batch(Vec<QueryResult>),
 }
 
 fn handle_request(shared: &Shared, conn: &mut ConnState<'_>, req: Request) -> Outcome {
@@ -552,43 +562,6 @@ fn resolve_stmt<'c>(
     }
 }
 
-/// Writes one request's outcome, paging query results. Returns bytes sent.
-fn write_outcome(stream: &mut TcpStream, outcome: Outcome, page_rows: usize) -> Result<u64> {
-    match outcome {
-        Outcome::One(resp) => write_frame(stream, &resp.encode()),
-        Outcome::Rows(q) => write_query(stream, &q, page_rows),
-        Outcome::Batch(results) => {
-            let mut sent = write_frame(
-                stream,
-                &Response::BatchHeader {
-                    count: results.len() as u32,
-                }
-                .encode(),
-            )?;
-            for q in &results {
-                sent += write_query(stream, q, page_rows)?;
-            }
-            Ok(sent)
-        }
-    }
-}
-
-fn write_query(stream: &mut TcpStream, q: &QueryResult, page_rows: usize) -> Result<u64> {
-    let header = Response::RowsHeader {
-        columns: q.columns.iter().map(|c| c.to_string()).collect(),
-    };
-    let mut sent = write_frame(stream, &header.encode())?;
-    if q.rows.is_empty() {
-        return Ok(sent + write_frame(stream, &protocol::encode_row_page(&[], true))?);
-    }
-    let mut pages = q.rows.chunks(page_rows).peekable();
-    while let Some(page) = pages.next() {
-        let last = pages.peek().is_none();
-        sent += write_frame(stream, &protocol::encode_row_page(page, last))?;
-    }
-    Ok(sent)
-}
-
 // --- polled socket reads -----------------------------------------------------
 
 /// Reads exactly `buf.len()` bytes, looping over the read timeout. Returns
@@ -601,7 +574,7 @@ fn write_query(stream: &mut TcpStream, q: &QueryResult, page_rows: usize) -> Res
 /// shutdown nor a vanished client can truncate an in-flight frame or pin a
 /// worker thread forever.
 fn read_full(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     shared: &Shared,
     allow_idle_exit: bool,
@@ -647,27 +620,26 @@ fn read_full(
     Ok(true)
 }
 
-/// Reads one frame, honouring shutdown and clean disconnects only at frame
-/// boundaries. `Ok(None)` means the connection should close quietly.
-fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> Result<Option<Vec<u8>>> {
+/// Reads one frame's payload into `payload`, honouring shutdown and clean
+/// disconnects only at frame boundaries. `Ok(false)` means the connection
+/// should close quietly.
+fn read_frame_polling(
+    reader: &mut BufReader<TcpStream>,
+    payload: &mut Vec<u8>,
+    shared: &Shared,
+) -> Result<bool> {
     // Check the flag *before* reading, not only on an idle timeout: a
     // client pipelining requests back-to-back keeps the socket readable, so
     // a timeout-only check would never drain that connection.
     if shared.shutdown.load(Ordering::SeqCst) {
-        return Ok(None);
+        return Ok(false);
     }
-    let mut len = [0u8; 4];
-    if !read_full(stream, &mut len, shared, true)? {
-        return Ok(None);
+    let mut prefix = [0u8; 4];
+    if !read_full(reader, &mut prefix, shared, true)? {
+        return Ok(false);
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > crate::codec::MAX_FRAME {
-        return Err(Error::net(format!(
-            "peer announced a frame of {len} byte(s) (limit {})",
-            crate::codec::MAX_FRAME
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    read_full(stream, &mut payload, shared, false)?;
-    Ok(Some(payload))
+    let len = protocol::announced_len(prefix)?;
+    protocol::recycle(payload);
+    payload.resize(len, 0);
+    read_full(reader, payload, shared, false)
 }

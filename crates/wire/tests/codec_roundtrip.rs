@@ -1,11 +1,17 @@
 //! Property tests of the wire codec: every [`Value`] shape round-trips
-//! bit-exactly, and hostile bytes — truncations, oversized length prefixes,
-//! flipped tags — are rejected with a clean [`Error::Net`], never a panic.
+//! bit-exactly, hostile bytes — truncations, oversized length prefixes,
+//! flipped tags — are rejected with a clean [`Error::Net`], never a panic,
+//! and a reply encoded into one buffer is byte for byte the stream of one
+//! [`write_frame`] per frame.
 
 use proptest::prelude::*;
-use relstore::{Error, Row, Value};
+use relstore::{Error, QueryResult, Row, Value};
+use std::sync::Arc;
 use wire::codec::{put_value, put_values, Reader, MAX_FRAME};
-use wire::protocol::{encode_row_page, read_frame, write_frame, Request, Response, StmtRef};
+use wire::protocol::{
+    encode_row_page, read_frame, write_frame, write_outcome, Outcome, Request, Response, StmtRef,
+    REPLY_FLUSH_BYTES,
+};
 
 /// Every value shape the engine stores, biased toward the encodings most
 /// likely to break a codec: NULL, extreme and negative integers, doubles by
@@ -126,6 +132,84 @@ proptest! {
         for op in [3u8, 6, 7, 8] {
             let retired = [&[op][..], &bytes].concat();
             prop_assert!(matches!(Request::decode(&retired), Err(Error::Net(_))));
+        }
+    }
+}
+
+/// The reference encoding of an outcome: each frame encoded on its own and
+/// framed by [`write_frame`], the way replies were written frame by frame.
+fn per_frame_stream(outcome: &Outcome, page_rows: usize) -> Vec<u8> {
+    let mut frames = Vec::new();
+    match outcome {
+        Outcome::One(resp) => frames.push(resp.encode()),
+        Outcome::Rows(q) => push_query_frames(&mut frames, q, page_rows),
+        Outcome::Batch(results) => {
+            frames.push(
+                Response::BatchHeader {
+                    count: results.len() as u32,
+                }
+                .encode(),
+            );
+            for q in results {
+                push_query_frames(&mut frames, q, page_rows);
+            }
+        }
+    }
+    let mut stream = Vec::new();
+    for frame in frames {
+        write_frame(&mut stream, &frame).unwrap();
+    }
+    stream
+}
+
+fn push_query_frames(frames: &mut Vec<Vec<u8>>, q: &QueryResult, page_rows: usize) {
+    let columns = q.columns.iter().map(|c| c.to_string()).collect();
+    frames.push(Response::RowsHeader { columns }.encode());
+    let pages: Vec<&[Row]> = if q.rows.is_empty() {
+        vec![&[]]
+    } else {
+        q.rows.chunks(page_rows).collect()
+    };
+    for (i, page) in pages.iter().enumerate() {
+        frames.push(encode_row_page(page, i + 1 == pages.len()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn buffered_replies_equal_the_per_frame_stream(
+        rows in prop::collection::vec(prop::collection::vec(value_strategy(), 0..4), 0..24),
+        wide_rows in 0..4usize,
+        page_sel in 0..3usize,
+        code in 0..u64::MAX,
+    ) {
+        let page_rows = [1, 3, 256][page_sel];
+        // Up to three 30 KB rows take the result past REPLY_FLUSH_BYTES, so
+        // mid-reply flushes are covered as well as single-write replies.
+        let mut rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
+        rows.extend((0..wide_rows).map(|i| {
+            Row::new(vec![Value::Int(i as i64), Value::Text("w".repeat(30_000).into())])
+        }));
+        let columns: Arc<[Arc<str>]> = vec!["id".into(), "jobs.state".into()].into();
+        let result = QueryResult { columns: Arc::clone(&columns), rows };
+        let empty = QueryResult { columns, rows: Vec::new() };
+        let outcomes = [
+            Outcome::One(Response::Affected(code)),
+            Outcome::One(Response::Err(Error::LockConflict(format!("table t{code}")))),
+            Outcome::Rows(empty.clone()),
+            Outcome::Rows(result.clone()),
+            Outcome::Batch(vec![empty.clone(), result.clone(), empty, result]),
+        ];
+        let mut out = Vec::new();
+        for outcome in &outcomes {
+            let mut stream = Vec::new();
+            let sent = write_outcome(&mut stream, &mut out, outcome, page_rows).unwrap();
+            let oracle = per_frame_stream(outcome, page_rows);
+            prop_assert_eq!(sent as usize, oracle.len());
+            prop_assert!(stream == oracle, "a {}-byte reply diverged from its frames", oracle.len());
+            prop_assert!(out.is_empty() && out.capacity() <= REPLY_FLUSH_BYTES);
         }
     }
 }

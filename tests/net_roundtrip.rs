@@ -728,3 +728,204 @@ fn explain_and_analyze_are_transport_agnostic() {
 
     server.shutdown();
 }
+
+/// The server-side connection of a raw socket: the handshake done by hand,
+/// so a test can put frames on the wire exactly as it wants them.
+fn raw_connection(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    wire::protocol::write_hello(&mut raw).unwrap();
+    wire::protocol::read_handshake_response(&mut raw).unwrap();
+    raw
+}
+
+/// Appends the frame of a point select of `id` from `t` to `out`.
+fn point_select_frame(out: &mut Vec<u8>, id: i64) {
+    let req = wire::Request::Execute {
+        stmt: wire::StmtRef::Sql("SELECT id FROM t WHERE id = ?".into()),
+        params: vec![Value::Int(id)],
+        deadline_ms: None,
+    };
+    wire::protocol::frame_into(out, |buf| req.encode_into(buf)).unwrap();
+}
+
+/// Reads a point select's reply off a raw socket and returns its one id.
+fn read_point_reply(raw: &mut std::net::TcpStream) -> i64 {
+    use wire::protocol::read_frame;
+    use wire::Response;
+
+    match Response::decode(&read_frame(raw).unwrap()).unwrap() {
+        Response::RowsHeader { columns } => assert_eq!(columns, vec!["id".to_string()]),
+        other => panic!("expected a rows header, got {other:?}"),
+    }
+    match Response::decode(&read_frame(raw).unwrap()).unwrap() {
+        Response::RowPage { rows, last: true } if rows.len() == 1 => match rows[0].get(0) {
+            Value::Int(id) => *id,
+            other => panic!("expected an id, got {other:?}"),
+        },
+        other => panic!("expected one last page of one row, got {other:?}"),
+    }
+}
+
+fn table_of_ids(ids: std::ops::Range<i64>) -> Arc<Database> {
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
+    let ins = db.prepare("INSERT INTO t VALUES (?)").unwrap();
+    db.session().execute_batch(&ins, ids.map(|i| (i,))).unwrap();
+    db
+}
+
+/// Two requests that arrive in one segment are both answered, in order,
+/// straight from the connection's read buffer: the second one must not
+/// sit until the next poll of the socket.
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    use std::io::Write;
+
+    let db = table_of_ids(1..3);
+    let poll_interval = std::time::Duration::from_secs(2);
+    let server = serve_with(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            poll_interval,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = raw_connection(server.local_addr());
+    let mut two = Vec::new();
+    point_select_frame(&mut two, 2);
+    point_select_frame(&mut two, 1);
+    let start = std::time::Instant::now();
+    raw.write_all(&two).unwrap();
+    assert_eq!(read_point_reply(&mut raw), 2);
+    assert_eq!(read_point_reply(&mut raw), 1);
+    assert!(
+        start.elapsed() < poll_interval / 2,
+        "the pipelined request waited {:?}",
+        start.elapsed()
+    );
+    drop(raw);
+    server.shutdown();
+}
+
+/// A frame dribbled one byte at a time — every pause longer than the poll
+/// interval but shorter than `read_timeout`, the whole frame far longer —
+/// is read to the end and answered: progress resets the stall timer.
+#[test]
+fn a_frame_dribbled_byte_by_byte_is_answered() {
+    use std::io::Write;
+
+    let db = table_of_ids(1..3);
+    let read_timeout = std::time::Duration::from_millis(200);
+    let server = serve_with(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            poll_interval: std::time::Duration::from_millis(5),
+            read_timeout,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut raw = raw_connection(server.local_addr());
+    let mut frame = Vec::new();
+    point_select_frame(&mut frame, 2);
+    let start = std::time::Instant::now();
+    for byte in &frame {
+        raw.write_all(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(15));
+    }
+    assert!(start.elapsed() > read_timeout, "the dribble must outlast the stall timeout");
+    assert_eq!(read_point_reply(&mut raw), 2);
+    drop(raw);
+    server.shutdown();
+}
+
+/// The byte accounting behind the benchmark's `wire.bytes_*_per_rt`: N
+/// prepared point selects add exactly N encoded request frames to
+/// `net_bytes_in`, N replies (header + one page) to `net_bytes_out`, and N
+/// to `frames_decoded` — however many writes the replies took.
+#[test]
+fn point_selects_account_their_frames_exactly() {
+    use wire::protocol::encode_row_page;
+    use wire::{Request, Response, StmtRef};
+
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, owner TEXT)").unwrap();
+    let ins = db.prepare("INSERT INTO t VALUES (?, ?)").unwrap();
+    db.session()
+        .execute_batch(&ins, (0..50i64).map(|i| (i, format!("user{}", i % 7))))
+        .unwrap();
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let stmt = client.prepare("SELECT id, owner FROM t WHERE id = ?").unwrap();
+    // The server records a frame's counters just after sending its reply:
+    // wait until what was sent so far is on the books.
+    let settled = |frames: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let stats = server.stats();
+            if stats.frames_decoded == frames {
+                return stats;
+            }
+            assert!(std::time::Instant::now() < deadline, "{stats:?}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    };
+    let before = settled(1);
+
+    const N: u64 = 40;
+    let (mut bytes_in, mut bytes_out) = (0u64, 0u64);
+    for i in 0..N as i64 {
+        let id = (i * 13) % 50;
+        let result = client.query(stmt, (id,)).unwrap();
+        assert_eq!(result.rows.len(), 1);
+        assert_eq!(result.rows[0].get(0), &Value::Int(id));
+        let req = Request::Execute {
+            stmt: StmtRef::from(stmt),
+            params: vec![Value::Int(id)],
+            deadline_ms: None,
+        };
+        bytes_in += req.encode().len() as u64 + 4;
+        let header = Response::RowsHeader {
+            columns: result.column_names().iter().map(|c| c.to_string()).collect(),
+        };
+        bytes_out += header.encode().len() as u64 + 4;
+        bytes_out += encode_row_page(&result.rows, true).len() as u64 + 4;
+    }
+    let after = settled(1 + N);
+    assert_eq!(after.net_bytes_in - before.net_bytes_in, bytes_in);
+    assert_eq!(after.net_bytes_out - before.net_bytes_out, bytes_out);
+    drop(client);
+    server.shutdown();
+}
+
+/// A zero poll interval is clamped like every other duration: unclamped,
+/// the socket's read timeout could not be set, an idle connection blocked
+/// its worker in `read` for good, and shutdown never returned.
+#[test]
+fn a_zero_poll_interval_cannot_hang_shutdown() {
+    let db = table_of_ids(0..1);
+    let server = serve_with(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            poll_interval: std::time::Duration::ZERO,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let idle = Client::connect(server.local_addr()).unwrap();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    let outcome = finished.recv_timeout(std::time::Duration::from_secs(1));
+    drop(idle); // unblocks a hung worker so the process can exit
+    assert!(outcome.is_ok(), "shutdown hung behind an idle connection");
+}
