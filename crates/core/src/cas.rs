@@ -1338,6 +1338,72 @@ mod tests {
         assert_eq!(second.rows_materialized, USERS - 1, "the groups alone");
     }
 
+    /// Exact-repeat budgets: what each call of a scripted lifecycle costs
+    /// the engine — statements, rows read, rows scanned, index lookups — in
+    /// a pool of 10 machines and of 1,000, each machine with one job
+    /// queued. Every call but the scheduler pass costs the same at both
+    /// sizes; the pass reads the idle machines and jobs it pairs and writes
+    /// one match per pair. A point lookup that degrades to a scan, or a
+    /// statement that grows with the pool, changes a number here.
+    #[test]
+    fn service_calls_cost_exactly_their_budget_at_two_pool_sizes() {
+        // (statements_executed, rows_read, rows_scanned, index_lookups)
+        type Budget = (u64, u64, u64, u64);
+        let per_machine: [(&str, Budget); 7] = [
+            ("register", (3, 0, 0, 1)),
+            ("submit", (2, 1, 0, 1)),
+            ("idle heartbeat, matched", (2, 2, 0, 2)),
+            ("accept", (5, 4, 0, 4)),
+            ("running heartbeat", (2, 2, 0, 2)),
+            ("completed heartbeat", (5, 5, 0, 5)),
+            ("idle heartbeat, unmatched", (2, 2, 0, 2)),
+        ];
+        let scheduler_pass: [(i64, Budget); 2] =
+            [(10, (32, 40, 0, 22)), (1_000, (3_002, 4_000, 0, 2_002))];
+        for (machines, pass) in scheduler_pass {
+            let mut cas = cas();
+            let mut got: Vec<(&str, Budget)> = Vec::new();
+            let mut cost = |cas: &mut CasState, kind, call: &mut dyn FnMut(&mut CasState)| {
+                let before = cas.database().stats();
+                call(cas);
+                let d = cas.database().stats().delta_since(&before);
+                let budget = (d.statements_executed, d.rows_read, d.rows_scanned, d.index_lookups);
+                got.push((kind, budget));
+            };
+            for m in 1..machines {
+                cas.register_machine(m, &format!("vm{m}"), 1.0, 0, 1024).unwrap();
+            }
+            cost(&mut cas, "register", &mut |cas| {
+                cas.register_machine(machines, "last", 1.0, 0, 1024).unwrap()
+            });
+            cas.submit_jobs("alice", 1_000, machines - 1).unwrap();
+            let mut job = 0;
+            cost(&mut cas, "submit", &mut |cas| job = cas.submit_job("alice", 1_000).unwrap());
+            cost(&mut cas, "scheduler pass", &mut |cas| {
+                assert_eq!(cas.run_scheduler().unwrap(), machines as usize)
+            });
+            // FIFO: machine 1 holds the oldest job.
+            let first = job - machines + 1;
+            cost(&mut cas, "idle heartbeat, matched", &mut |cas| {
+                let reply = cas.heartbeat(1, HeartbeatReport::Idle).unwrap();
+                assert_eq!(reply, HeartbeatReply::MatchInfo { job_id: first })
+            });
+            cost(&mut cas, "accept", &mut |cas| cas.accept_match(1, first).unwrap());
+            cost(&mut cas, "running heartbeat", &mut |cas| {
+                cas.heartbeat(1, HeartbeatReport::Running { job_id: first }).unwrap();
+            });
+            cost(&mut cas, "completed heartbeat", &mut |cas| {
+                cas.heartbeat(1, HeartbeatReport::Completed { job_id: first }).unwrap();
+            });
+            cost(&mut cas, "idle heartbeat, unmatched", &mut |cas| {
+                assert_eq!(cas.heartbeat(1, HeartbeatReport::Idle).unwrap(), HeartbeatReply::Ok)
+            });
+            let mut want: Vec<(&str, Budget)> = per_machine.to_vec();
+            want.insert(2, ("scheduler pass", pass));
+            assert_eq!(got, want, "{machines} machines");
+        }
+    }
+
     #[test]
     fn provenance_answers_the_papers_question() {
         let mut cas = cas();

@@ -52,7 +52,7 @@
 
 use crate::error::{Error, Result, TimeoutKind};
 use crate::exec::{
-    execute_select_opts, execute_select_with, matching_row_ids_with, Catalog, ExecOptions,
+    execute_select_opts, matching_row_ids_with, Catalog, ExecOptions,
     QueryResult,
 };
 use crate::govern::{Governance, Governor};
@@ -980,9 +980,9 @@ impl Database {
     /// [`Database::plan_gen`] (DDL, `ANALYZE`, planner-knob change) is
     /// replanned from scratch.
     ///
-    /// Single-table selects never touch the cell — their access-path choice
-    /// is allocation-free, so caching would only add a lock to the
-    /// point-select hot path.
+    /// Single-table selects never touch the cell — their access path is
+    /// chosen per execution, allocation-free, so caching would only add a
+    /// lock to the point-select hot path.
     #[allow(clippy::too_many_arguments)]
     fn run_select_planned(
         &self,
@@ -997,7 +997,8 @@ impl Database {
         let base = lower_name(&sel.table);
         if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
             let virt = self.system_catalog(catalog, sel)?;
-            return execute_select_with(&virt, sel, params, snapshot, local, governor);
+            let opts = ExecOptions::default();
+            return execute_select_opts(&virt, sel, params, snapshot, local, governor, opts);
         }
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
         let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
@@ -1013,7 +1014,7 @@ impl Database {
         let (shared, mut builds) = {
             let mut slot = cell.lock();
             if slot.gen != gen || slot.plan.is_none() {
-                let planned = plan_select(catalog, sel, params, !no_reorder)?;
+                let planned = plan_select(catalog, sel, params, !no_reorder, force_scan)?;
                 local.plans_built += 1;
                 let steps = planned.steps.len();
                 *slot = PlanSlot {
@@ -1036,8 +1037,6 @@ impl Database {
         let opts = ExecOptions {
             plan: Some(&shared),
             builds: builds.as_mut(),
-            no_reorder,
-            force_scan,
             ..Default::default()
         };
         let result = execute_select_opts(catalog, sel, params, snapshot, local, governor, opts)?;
@@ -1074,7 +1073,8 @@ impl Database {
             catalog
         };
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
-        let planned = plan_select(cat, sel, params, !no_reorder)?;
+        let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
+        let planned = plan_select(cat, sel, params, !no_reorder, force_scan)?;
         local.plans_built += 1;
         let limit = sel.limit_with(params)?;
         if !analyze {
@@ -1084,8 +1084,6 @@ impl Database {
         let opts = ExecOptions {
             plan: Some(&planned),
             profile: Some(&mut prof),
-            no_reorder,
-            force_scan: self.planner_force_scan.load(Ordering::Relaxed),
             ..Default::default()
         };
         execute_select_opts(cat, sel, params, snapshot, local, governor, opts)?;
@@ -1143,8 +1141,11 @@ impl Database {
         self.plan_gen.fetch_add(1, Ordering::Release);
     }
 
-    /// Bench/test knob: forces full scans of the base table, ignoring the
-    /// cost-based access-path choice. Invalidates cached plans.
+    /// Bench/test knob: reads every table of a SELECT by a full scan — the
+    /// base table and every join input, in execution and in `EXPLAIN` —
+    /// ignoring the cost-based access-path choice. Join strategies and
+    /// UPDATE/DELETE row matching are left as they are. The de-optimized
+    /// oracle the planner's tests compare against. Invalidates cached plans.
     pub fn set_force_scan(&self, force: bool) {
         self.planner_force_scan.store(force, Ordering::Relaxed);
         self.plan_gen.fetch_add(1, Ordering::Release);

@@ -9,10 +9,7 @@
 mod aggregate;
 mod select;
 
-pub use select::{
-    execute_select, execute_select_opts, execute_select_with, matching_row_ids,
-    matching_row_ids_with, Catalog, ExecOptions,
-};
+pub use select::{execute_select_opts, matching_row_ids_with, Catalog, ExecOptions};
 
 use crate::convert::{resolve_column, FromRow, RowView};
 use crate::error::Result;

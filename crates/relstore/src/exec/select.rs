@@ -2,6 +2,10 @@
 //! rewriting, filtering, sorting, projection; plus the shared row-matching
 //! helper used by UPDATE/DELETE.
 //!
+//! Every table is read the same way: an [`AccessPath`] from the planner's
+//! one chooser ([`choose_access`]: per execution for a single table, cached
+//! in the plan for a join's inputs) handed to the one streamer, which keys
+//! the path from the filter and falls back to a full scan where it cannot.
 //! Execution is driven by the planner in [`crate::plan`]: joins run in the
 //! planned order, each by the strategy the planner costed — for a
 //! single-equality `ON`, a hash join (build a map of the right table) or an
@@ -49,9 +53,8 @@ use crate::govern::{approx_row_bytes, approx_tuple_bytes, Governor};
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::plan::{
-    choose_access_ref, choose_select_access_ref, counts_postings, plan_select, AccessPath, AccessPlan,
-    BuildBucket, CachedBuild, JoinStep, JoinStrategy, OrderedWalk, PathChoice, PlanProfile, SelectPlan,
-    StepActuals,
+    choose_access, counts_postings, plan_select, walk_order, AccessPath, BuildBucket, CachedBuild,
+    JoinStep, JoinStrategy, PlanProfile, SelectPlan, StepActuals,
 };
 use crate::predicate::{resolve_column, BoundExpr, ColRef, Expr};
 use crate::schema::Schema;
@@ -76,96 +79,34 @@ fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
         .ok_or_else(|| Error::not_found(format!("table {name}")))
 }
 
-/// Streams the base table through the cost-chosen access path (see
-/// [`choose_access_ref`]): the most selective of the point lookups and
-/// range scans the filter permits, or a full scan. Every path yields a
-/// *superset* of the matching rows — the caller re-applies the filter — and
-/// path choice borrows candidate columns from the schema, so planning and
-/// row access allocate nothing beyond the id list of an index probe.
-/// `force_scan` pins a full scan (bench baseline knob).
-fn access_base_table<'a>(
+/// The one streamer: reads `table` through `path`, taking the point or
+/// range key for the path's column from `filter` — the statement's filter
+/// for a single table, the pushed-down conjuncts for a join input, each
+/// with `?` resolved from `params` now, since a cached plan was chosen
+/// before they were bound. Every path only has to yield a *superset* of
+/// the matching rows, because the caller re-applies the filter, so
+/// anything that cannot be keyed — no key in the filter, no index on the
+/// column, an ordered walk — is a full scan.
+fn stream<'a>(
     table: &'a Table,
+    path: AccessPath,
     filter: Option<&Expr>,
     params: &[Value],
     vis: &'a Snapshot,
     stats: &mut OpStats,
-    force_scan: bool,
 ) -> RowIter<'a> {
-    let choice = if force_scan {
-        PathChoice::Scan
-    } else {
-        choose_access_ref(table, filter).0
+    let name = &*table.schema.name;
+    let column_name = |c: usize| table.schema.columns.get(c).map(|c| &*c.name);
+    let keyed = match (path, filter) {
+        (AccessPath::Point { column, .. }, Some(f)) => column_name(column)
+            .and_then(|c| f.equality_lookup_on(name, c, params))
+            .and_then(|key| table.lookup_indexed(column, &key, vis, stats)),
+        (AccessPath::Range { column }, Some(f)) => column_name(column)
+            .and_then(|c| f.range_bounds_on(name, c, params))
+            .and_then(|(lo, hi)| table.lookup_range(column, lo.as_ref(), hi.as_ref(), vis, stats)),
+        _ => None,
     };
-    access_chosen(table, choice, filter, params, vis, stats)
-}
-
-/// Streams the base table through an already-chosen filter-driven path,
-/// extracting the point/range keys from `filter`. A scan is what any other
-/// choice degrades to, since every path only has to yield a superset.
-fn access_chosen<'a>(
-    table: &'a Table,
-    choice: PathChoice<'_>,
-    filter: Option<&Expr>,
-    params: &[Value],
-    vis: &'a Snapshot,
-    stats: &mut OpStats,
-) -> RowIter<'a> {
-    let name = &*table.schema.name;
-    match (choice, filter) {
-        (PathChoice::Point(col, _), Some(filter)) => {
-            if let Some(key) = filter.equality_lookup_on(name, col, params) {
-                if let Some(rows) = table.lookup_indexed(col, &key, vis, stats) {
-                    return rows;
-                }
-            }
-        }
-        (PathChoice::Range(col), Some(filter)) => {
-            if let Some((lo, hi)) = filter.range_bounds_on(name, col, params) {
-                if let Some(rows) = table.lookup_range(col, lo.as_ref(), hi.as_ref(), vis, stats) {
-                    return rows;
-                }
-            }
-        }
-        _ => {}
-    }
-    table.scan(vis, stats)
-}
-
-/// Streams one join input through the access path its plan chose,
-/// extracting point/range keys from the pushed-down predicate at execution
-/// time (plans for prepared statements are built before `?` parameters are
-/// bound). Falls back to a scan when the key cannot be extracted — the
-/// pushdown predicate is still applied by the caller, so this is only a
-/// cost difference.
-fn access_planned<'a>(
-    table: &'a Table,
-    access: &AccessPlan,
-    pred: Option<&Expr>,
-    params: &[Value],
-    vis: &'a Snapshot,
-    stats: &mut OpStats,
-) -> RowIter<'a> {
-    let name = &*table.schema.name;
-    match (&access.path, pred) {
-        (AccessPath::Point { column, .. }, Some(pred)) => {
-            if let Some(key) = pred.equality_lookup_on(name, column, params) {
-                if let Some(rows) = table.lookup_indexed(column, &key, vis, stats) {
-                    return rows;
-                }
-            }
-            table.scan(vis, stats)
-        }
-        (AccessPath::Range { column }, Some(pred)) => {
-            if let Some((lo, hi)) = pred.range_bounds_on(name, column, params) {
-                if let Some(rows) = table.lookup_range(column, lo.as_ref(), hi.as_ref(), vis, stats)
-                {
-                    return rows;
-                }
-            }
-            table.scan(vis, stats)
-        }
-        _ => table.scan(vis, stats),
-    }
+    keyed.unwrap_or_else(|| table.scan(vis, stats))
 }
 
 /// Executes every subquery in `expr` against the caller's snapshot and
@@ -256,27 +197,10 @@ pub struct ExecOptions<'a> {
     /// Keep joins in syntactic order (oracle / bench baseline). Only
     /// consulted when `plan` is `None`.
     pub no_reorder: bool,
-    /// Force a full scan of the base table (bench baseline).
+    /// Read every table by a full scan (oracle / bench baseline). Only
+    /// consulted when `plan` is `None`: a plan carries the paths it was
+    /// chosen with.
     pub force_scan: bool,
-}
-
-/// Executes a SELECT statement against the catalog with no bound parameters,
-/// observing the latest physical state (no snapshot isolation). Used by
-/// tests and programmatic helpers; statement execution goes through
-/// [`execute_select_with`] with a real snapshot.
-pub fn execute_select(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    stats: &mut OpStats,
-) -> Result<QueryResult> {
-    execute_select_with(
-        catalog,
-        stmt,
-        &[],
-        Snapshot::latest(),
-        stats,
-        &mut Governor::disarmed(),
-    )
 }
 
 /// The tables a statement's tuples are drawn from and how its output is
@@ -445,23 +369,10 @@ fn for_each_match<'a>(
 
 /// Executes a SELECT statement against the catalog, resolving `?`
 /// placeholders from `params` during planning and evaluation (prepared
-/// execution never clones the statement) and resolving row visibility
-/// against `vis` — the caller's MVCC snapshot, or
-/// [`Snapshot::latest`] for writer-side row matching.
-pub fn execute_select_with(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    params: &[Value],
-    vis: &Snapshot,
-    stats: &mut OpStats,
-    gov: &mut Governor,
-) -> Result<QueryResult> {
-    execute_select_opts(catalog, stmt, params, vis, stats, gov, ExecOptions::default())
-}
-
-/// As [`execute_select_with`], with explicit planner/executor knobs — the
-/// entry point the database layer uses for cached plans, EXPLAIN ANALYZE
-/// profiling, and bench baselines.
+/// execution never clones the statement) and row visibility against `vis`,
+/// the caller's MVCC snapshot. `opts` carries the planner/executor knobs
+/// the database layer sets for cached plans, EXPLAIN ANALYZE profiling and
+/// oracle baselines; `ExecOptions::default()` plans per execution.
 pub fn execute_select_opts(
     catalog: &Catalog,
     stmt: &SelectStmt,
@@ -486,16 +397,25 @@ pub fn execute_select_opts(
         None => None,
     };
     if stmt.joins.is_empty() {
+        // A single-table path is chosen per execution, against this
+        // execution's filter and bindings, unless a plan is handed in.
+        let path = match opts.plan {
+            Some(plan) => plan.base.path,
+            None => {
+                let order = walk_order(stmt, limit);
+                choose_access(base, filter.as_deref(), order, params, opts.force_scan).path
+            }
+        };
         execute_single_table(
             base,
             stmt,
             filter.as_deref(),
             limit,
+            path,
             params,
             vis,
             stats,
             gov,
-            opts.force_scan,
             opts.profile,
         )
     } else {
@@ -503,7 +423,7 @@ pub fn execute_select_opts(
         let plan = match opts.plan {
             Some(p) => p,
             None => {
-                planned = plan_select(catalog, stmt, params, !opts.no_reorder)?;
+                planned = plan_select(catalog, stmt, params, !opts.no_reorder, opts.force_scan)?;
                 stats.plans_built += 1;
                 &planned
             }
@@ -541,31 +461,41 @@ fn note_output(profile: &mut Option<&mut PlanProfile>, sw: Option<Stopwatch>, ro
     }
 }
 
-/// Reads the head of an `ORDER BY … LIMIT`: walks the sort column's index
-/// in key order, keeping the first `walk.limit` rows that pass visibility
-/// and `filter` — already sorted, nothing past the head read. Every entry
-/// visited ticks the governor and counts as a row read; the count is
-/// returned beside the rows. Gives up (`None`) once `walk.driven` entries
-/// have been visited without filling the limit: the planner assumed the
-/// survivors were spread evenly through the order, and past that many rows
-/// the filter-driven path is the cheaper one.
+/// Reads the head of an `ORDER BY … LIMIT` when `path` is the ordered
+/// walk: walks the sort column's index in key order, keeping the first
+/// `limit` rows that pass visibility and `filter` — already sorted, nothing
+/// past the head read. Every entry visited ticks the governor and counts as
+/// a row read; the count is returned beside the rows. Gives up (`None`)
+/// once `driven` entries have been visited without filling the limit: the
+/// planner assumed the survivors were spread evenly through the order, and
+/// past that many rows the filter-driven path is the cheaper one. Any
+/// other path reads nothing here (`None`, 0).
 fn ordered_head<'a>(
     table: &'a Table,
-    walk: OrderedWalk<'_>,
+    path: AccessPath,
     filter: Option<&BoundExpr<'_>>,
     params: &[Value],
     vis: &'a Snapshot,
     stats: &mut OpStats,
     gov: &mut Governor,
 ) -> Result<(Option<Vec<&'a Row>>, u64)> {
-    let Some(mut entries) = table.walk_ordered(walk.column, walk.descending, vis, stats) else {
+    let AccessPath::Ordered {
+        column,
+        descending,
+        limit,
+        driven,
+    } = path
+    else {
+        return Ok((None, 0));
+    };
+    let Some(mut entries) = table.walk_ordered(column, descending, vis, stats) else {
         return Ok((None, 0));
     };
     let mut visited = 0u64;
     let mut head: Vec<&Row> = Vec::new();
-    while head.len() < walk.limit {
+    while head.len() < limit {
         let Some(entry) = entries.next() else { break };
-        if visited >= walk.driven as u64 {
+        if visited >= driven as u64 {
             return Ok((None, visited));
         }
         gov.tick()?;
@@ -593,11 +523,11 @@ fn execute_single_table(
     stmt: &SelectStmt,
     filter: Option<&Expr>,
     limit: Option<usize>,
+    path: AccessPath,
     params: &[Value],
     vis: &Snapshot,
     stats: &mut OpStats,
     gov: &mut Governor,
-    force_scan: bool,
     mut profile: Option<&mut PlanProfile>,
 ) -> Result<QueryResult> {
     let layout = Layout {
@@ -622,7 +552,7 @@ fn execute_single_table(
         let limit = limit.unwrap_or(usize::MAX);
         let mut rows: Vec<Row> = Vec::new();
         if limit > 0 {
-            for StoredRowRef { row, .. } in access_base_table(table, filter, params, vis, stats, force_scan) {
+            for StoredRowRef { row, .. } in stream(table, path, filter, params, vis, stats) {
                 gov.tick()?;
                 let keep = match &bound {
                     Some(f) => f.matches(&[row], params)?,
@@ -650,15 +580,7 @@ fn execute_single_table(
     // the path the filter drives. Every row read is a cancellation point,
     // and `touched` counts them on either path.
     let sw = clock(&profile);
-    let choice = if force_scan {
-        PathChoice::Scan
-    } else {
-        choose_select_access_ref(table, stmt, filter, limit, params).0
-    };
-    let (head, mut touched) = match choice {
-        PathChoice::Ordered(walk) => ordered_head(table, walk, bound.as_ref(), params, vis, stats, gov)?,
-        _ => (None, 0),
-    };
+    let (head, mut touched) = ordered_head(table, path, bound.as_ref(), params, vis, stats, gov)?;
     let sorted = head.is_some();
     let mut agg = stmt
         .has_aggregates()
@@ -667,21 +589,24 @@ fn execute_single_table(
     let mut matched: Vec<&Row> = head.unwrap_or_default();
     let mut survivors = matched.len() as u64;
     if !sorted {
-        let choice = match choice {
-            PathChoice::Ordered(_) => choose_access_ref(table, filter).0,
+        // A walk that gave up falls back to the filter-driven path. It was
+        // not forced: a forced chooser never picks the walk.
+        let path = match path {
+            AccessPath::Ordered { .. } => choose_access(table, filter, None, params, false).path,
             filter_driven => filter_driven,
         };
         // `SELECT COUNT(*) … WHERE <indexed column> = <key>` on its point
         // lookup: the posting list is the answer, read entry by entry.
-        let count_key = match (choice, filter) {
-            (PathChoice::Point(col, _), Some(f)) if agg.is_some() && counts_postings(stmt) => {
-                f.equality_lookup_on(&table.schema.name, col, params).map(|key| (col, key))
+        let count_key = match (path, filter) {
+            (AccessPath::Point { column, .. }, Some(f)) if agg.is_some() && counts_postings(stmt) => {
+                let name = &*table.schema.columns[column].name;
+                f.equality_lookup_on(&table.schema.name, name, params).map(|key| (column, key))
             }
             _ => None,
         };
         let postings = count_key
             .as_ref()
-            .and_then(|(col, key)| table.count_postings(col, key, vis, stats));
+            .and_then(|(column, key)| table.count_postings(*column, key, vis, stats));
         match (&mut agg, postings) {
             (Some(agg), Some(postings)) => {
                 for counts in postings {
@@ -692,7 +617,7 @@ fn execute_single_table(
                 agg.count_rows(survivors);
             }
             (agg, _) => {
-                let rows = access_chosen(table, choice, filter, params, vis, stats);
+                let rows = stream(table, path, filter, params, vis, stats);
                 // An aggregate folds each survivor where it lies; anything
                 // else keeps the reference.
                 touched += match agg {
@@ -889,7 +814,7 @@ fn execute_joined(
                 let key = resolve_column(scope, build)?.ord;
                 let pred = bind_pushdown(step, scope)?;
                 let mut map: HashMap<Value, BuildBucket> = HashMap::new();
-                let rows = access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats);
+                let rows = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
                 for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
                     let key = stored.row.get(key);
                     if !key.is_null() {
@@ -917,7 +842,7 @@ fn execute_joined(
     let sw = clock(&profile);
     let base_pred = plan.base_pushdown.as_ref().map(|p| p.bind(&schemas[..1])).transpose()?;
     let mut rows: Vec<&Row> = Vec::new();
-    let base_rows = access_planned(base, &plan.base, plan.base_pushdown.as_ref(), params, vis, stats);
+    let base_rows = stream(base, plan.base.path, plan.base_pushdown.as_ref(), params, vis, stats);
     for_each_match(base_rows, base_pred.as_ref(), params, gov, |stored, gov| {
         gov.charge_row(|| approx_row_bytes(stored.row))?;
         rows.push(stored.row);
@@ -973,7 +898,6 @@ fn execute_joined(
             JoinStrategy::IndexLoop { probe, lookup, index } => {
                 let probe = resolve_column(&schemas[..stride], probe)?;
                 let lookup = resolve_column(right_scope, lookup)?.ord;
-                let lookup_name = &*right.schema.columns[lookup].name;
                 let right_pred = bind_pushdown(step, right_scope)?;
                 for left in rows.chunks_exact(stride) {
                     gov.tick()?;
@@ -983,13 +907,12 @@ fn execute_joined(
                     }
                     // DDL invalidates cached plans, so a planned index
                     // that is gone means a malformed hand-built plan.
-                    let candidates =
-                        right.lookup_indexed(lookup_name, key, vis, stats).ok_or_else(|| {
-                            Error::internal(format!(
-                                "index-loop join: no index {index} on {}.{lookup_name}",
-                                step.table
-                            ))
-                        })?;
+                    let candidates = right.lookup_indexed(lookup, key, vis, stats).ok_or_else(|| {
+                        Error::internal(format!(
+                            "index-loop join: no index {index} on {}.{}",
+                            step.table, right.schema.columns[lookup].name
+                        ))
+                    })?;
                     for_each_match(candidates, right_pred.as_ref(), params, gov, |stored, gov| {
                         // Index entries cover every retained version's key,
                         // so the version this snapshot sees may hold another.
@@ -1005,7 +928,7 @@ fn execute_joined(
                 // evaluate the ON predicate over every row pair.
                 let right_pred = bind_pushdown(step, right_scope)?;
                 let mut right_rows: Vec<&Row> = Vec::new();
-                let scanned = access_planned(right, &step.access, step.pushdown.as_ref(), params, vis, stats);
+                let scanned = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
                 for_each_match(scanned, right_pred.as_ref(), params, gov, |stored, gov| {
                     gov.charge_row(|| approx_row_bytes(stored.row))?;
                     right_rows.push(stored.row);
@@ -1094,29 +1017,12 @@ fn execute_joined(
     Ok(result)
 }
 
-/// Returns the ids of the current rows of `table` matched by `filter` (all
-/// rows when `filter` is `None`). Shared by UPDATE and DELETE execution,
-/// which operate on the latest state: under the table's exclusive lock the
-/// only uncommitted versions are the writer's own, so
-/// [`Snapshot::latest`] *is* the writer's view.
-pub fn matching_row_ids(
-    table: &Table,
-    filter: Option<&Expr>,
-    stats: &mut OpStats,
-) -> Result<Vec<RowId>> {
-    matching_row_ids_with(
-        table,
-        filter,
-        &[],
-        Snapshot::latest(),
-        stats,
-        &mut Governor::disarmed(),
-    )
-}
-
-/// As [`matching_row_ids`], resolving `?` placeholders from `params` and row
-/// visibility against `vis`. Candidate rows are streamed by reference;
-/// nothing is cloned. Each candidate row is a cancellation point.
+/// Returns the ids of the rows of `table` visible to `vis` and matched by
+/// `filter` (all rows when `filter` is `None`), resolving `?` placeholders
+/// from `params` — the row matching of UPDATE and DELETE, read through the
+/// same chooser and streamer as a SELECT. Candidate rows are streamed by
+/// reference; nothing is cloned. Each candidate row is a cancellation
+/// point.
 pub fn matching_row_ids_with(
     table: &Table,
     filter: Option<&Expr>,
@@ -1127,7 +1033,8 @@ pub fn matching_row_ids_with(
 ) -> Result<Vec<RowId>> {
     let bound = filter.map(|f| f.bind(&[&table.schema])).transpose()?;
     let mut out = Vec::new();
-    let rows = access_base_table(table, filter, params, vis, stats, false);
+    let path = choose_access(table, filter, None, params, false).path;
+    let rows = stream(table, path, filter, params, vis, stats);
     for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
         out.push(stored.id);
         Ok(())
@@ -1222,11 +1129,24 @@ mod tests {
         cat
     }
 
+    /// Runs `stmt` with no bindings against the latest state, planned per
+    /// execution.
+    fn run_select(cat: &Catalog, stmt: &SelectStmt, stats: &mut OpStats) -> Result<QueryResult> {
+        let gov = &mut Governor::disarmed();
+        execute_select_opts(cat, stmt, &[], Snapshot::latest(), stats, gov, ExecOptions::default())
+    }
+
+    /// UPDATE/DELETE row matching with no bindings against the latest state.
+    fn matching_ids(table: &Table, filter: Option<&Expr>, stats: &mut OpStats) -> Result<Vec<RowId>> {
+        let gov = &mut Governor::disarmed();
+        matching_row_ids_with(table, filter, &[], Snapshot::latest(), stats, gov)
+    }
+
     fn select(cat: &Catalog, sql: &str) -> QueryResult {
         let Statement::Select(stmt) = parse(sql).unwrap() else {
             panic!("not a select: {sql}");
         };
-        execute_select(cat, &stmt, &mut OpStats::default()).unwrap()
+        run_select(cat, &stmt, &mut OpStats::default()).unwrap()
     }
 
     #[test]
@@ -1337,7 +1257,7 @@ mod tests {
         let Statement::Select(stmt) = parse("SELECT * FROM jobs WHERE job_id = 3").unwrap() else {
             unreachable!()
         };
-        let r = execute_select(&cat, &stmt, &mut stats).unwrap();
+        let r = run_select(&cat, &stmt, &mut stats).unwrap();
         assert_eq!(r.len(), 1);
         assert!(stats.index_lookups >= 1);
         assert_eq!(stats.rows_scanned, 0);
@@ -1352,7 +1272,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = execute_select(&cat, &stmt, &mut stats).unwrap();
+        let r = run_select(&cat, &stmt, &mut stats).unwrap();
         assert_eq!(r.len(), 2);
         assert!(stats.index_lookups >= 1);
     }
@@ -1367,7 +1287,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = execute_select(&cat, &stmt, &mut stats).unwrap();
+        let r = run_select(&cat, &stmt, &mut stats).unwrap();
         assert_eq!(r.len(), 2, "strict upper bound re-checked by the filter");
         assert_eq!(r.value(0, "job_id"), Some(&Value::Int(2)));
         assert_eq!(r.value(1, "job_id"), Some(&Value::Int(3)));
@@ -1384,7 +1304,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = execute_select(&cat, &stmt, &mut stats).unwrap();
+        let r = run_select(&cat, &stmt, &mut stats).unwrap();
         assert_eq!(r.len(), 2);
         assert!(stats.index_lookups >= 1);
         assert_eq!(stats.rows_scanned, 0);
@@ -1411,7 +1331,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = execute_select(&cat, &stmt, &mut stats).unwrap();
+        let r = run_select(&cat, &stmt, &mut stats).unwrap();
         assert_eq!(r.len(), 2);
         assert!(stats.index_lookups >= 1);
         assert_eq!(stats.rows_scanned, 0);
@@ -1471,7 +1391,7 @@ mod tests {
             let Statement::Select(stmt) = parse(sql).unwrap() else {
                 unreachable!()
             };
-            let err = execute_select(&cat, &stmt, &mut OpStats::default()).unwrap_err();
+            let err = run_select(&cat, &stmt, &mut OpStats::default()).unwrap_err();
             assert!(matches!(&err, Error::Type(m) if m.contains("ambiguous column state")), "{err}");
         }
         // Qualified, it groups.
@@ -1497,16 +1417,16 @@ mod tests {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
         let mut stats = OpStats::default();
-        let all = matching_row_ids(jobs, None, &mut stats).unwrap();
+        let all = matching_ids(jobs, None, &mut stats).unwrap();
         assert_eq!(all.len(), 4);
-        let idle = matching_row_ids(
+        let idle = matching_ids(
             jobs,
             Some(&Expr::col_eq("state", "idle")),
             &mut stats,
         )
         .unwrap();
         assert_eq!(idle.len(), 2);
-        let none = matching_row_ids(
+        let none = matching_ids(
             jobs,
             Some(&Expr::col_cmp("job_id", CmpOp::Gt, 100)),
             &mut stats,
@@ -1521,10 +1441,10 @@ mod tests {
         let Statement::Select(stmt) = parse("SELECT * FROM nope").unwrap() else {
             unreachable!()
         };
-        assert!(execute_select(&cat, &stmt, &mut OpStats::default()).is_err());
+        assert!(run_select(&cat, &stmt, &mut OpStats::default()).is_err());
         let Statement::Select(stmt) = parse("SELECT missing FROM jobs").unwrap() else {
             unreachable!()
         };
-        assert!(execute_select(&cat, &stmt, &mut OpStats::default()).is_err());
+        assert!(run_select(&cat, &stmt, &mut OpStats::default()).is_err());
     }
 }

@@ -508,6 +508,16 @@
 //! statement and splice in as literals, with SQL's three-valued `IN`
 //! semantics preserved.
 //!
+//! Every table read — a single-table `SELECT`, each input of a join, the
+//! rows an `UPDATE` or `DELETE` matches — takes its access path from one
+//! chooser ([`plan::choose_access`]) and is read by one streamer.
+//! [`Database::set_force_scan`](db::Database::set_force_scan) is read by
+//! that chooser alone, so it pins every `SELECT`'s table reads to full
+//! scans: the base table and every join input, in execution and in
+//! `EXPLAIN` / `EXPLAIN ANALYZE` alike. (It leaves the join strategies and
+//! `UPDATE` / `DELETE` matching as they are: an index-loop join still
+//! probes its index once per left row.)
+//!
 //! **What flows between the operators is references.** An access path
 //! streams rows borrowed from the table heap; a join step hands on *tuples*
 //! — one `&Row` per table joined so far, appended to a flat `Vec<&Row>` —

@@ -52,6 +52,15 @@
 //! key qualifies, on an indexed column that cannot hold NULL (NULL keys are
 //! not indexed) and is not DOUBLE (a NaN key mis-orders its neighbours).
 //!
+//! Every table read — a single-table SELECT, each input of a join, the rows
+//! an UPDATE or DELETE matches — takes its path from one chooser,
+//! [`choose_access`], as one [`AccessPath`] that names its column by
+//! ordinal, so a path holds no string and the executor's one streamer reads
+//! it without resolving a name. The chooser is also the only code that
+//! reads the force-scan knob (`Database::set_force_scan`): under it every
+//! table it is asked about is a full scan, so the planned join inputs and
+//! EXPLAIN show and run the same scans a forced single-table SELECT does.
+//!
 //! Estimates come from two sources, both optional: `ANALYZE`-collected
 //! [`TableStats`] (exact at collection time, stale afterwards) and live
 //! index metadata ([`Table::index_stats_on`], never stale but
@@ -65,7 +74,7 @@ use crate::exec::{Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::predicate::{resolve_column, CmpOp, Expr};
 use crate::schema::Schema;
-use crate::sql::ast::{AggFunc, SelectItem, SelectStmt, SortOrder};
+use crate::sql::ast::{AggFunc, OrderKey, SelectItem, SelectStmt, SortOrder};
 use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::Row;
@@ -163,15 +172,14 @@ pub fn analyze_table(table: &Table) -> TableStats {
     }
 }
 
-/// Best available distinct-value estimate for `column`: `ANALYZE` stats
-/// when present (live-accurate at collection time), otherwise the covering
-/// index's distinct key count (an upper bound that needs no `ANALYZE`).
-fn distinct_estimate(table: &Table, column: &str) -> Option<usize> {
-    if let Some(stats) = table.table_stats() {
-        if let Some(cs) = stats.column(column) {
-            if cs.distinct > 0 {
-                return Some(cs.distinct);
-            }
+/// Best available distinct-value estimate for the column at ordinal
+/// `column`: `ANALYZE` stats when present (live-accurate at collection
+/// time), otherwise the covering index's distinct key count (an upper
+/// bound that needs no `ANALYZE`).
+fn distinct_estimate(table: &Table, column: usize) -> Option<usize> {
+    if let Some(cs) = table.table_stats().and_then(|stats| stats.columns.get(column)) {
+        if cs.distinct > 0 {
+            return Some(cs.distinct);
         }
     }
     table.index_stats_on(column).map(|(d, _)| d.max(1))
@@ -193,20 +201,22 @@ fn index_probe_is_exact(left: Option<DataType>, right: Option<DataType>) -> bool
     matches!((left, right), (Some(l), Some(r)) if l != DataType::Double && r != DataType::Double)
 }
 
-/// How the executor reads one table.
-#[derive(Debug, Clone, PartialEq)]
+/// How the executor reads one table. A column is its ordinal in the
+/// table's schema, so a path holds no string and is `Copy`; EXPLAIN
+/// renders the names from the schema.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPath {
     /// Index point lookup: a top-level conjunct pins `column` with equality.
     Point {
-        /// The pinned indexed column (bare name).
-        column: String,
+        /// The pinned indexed column.
+        column: usize,
         /// Whether the covering index is unique (est. one row).
         unique: bool,
     },
     /// Ordered index range scan: a conjunct bounds `column`.
     Range {
-        /// The bounded indexed column (bare name).
-        column: String,
+        /// The bounded indexed column.
+        column: usize,
     },
     /// Full heap scan.
     Scan,
@@ -214,17 +224,33 @@ pub enum AccessPath {
     /// after `limit` rows survive visibility and the filter. The output is
     /// already in `ORDER BY` order.
     Ordered {
-        /// The `ORDER BY` column (bare name), indexed and never NULL.
-        column: String,
+        /// The `ORDER BY` column, indexed and never NULL.
+        column: usize,
         /// `ORDER BY … DESC`.
         descending: bool,
         /// The statement's `LIMIT`, as bound for this execution.
         limit: usize,
+        /// Rows the filter-driven path would touch: what the walk was
+        /// costed against, and how many rows it may visit before the
+        /// executor gives up on it.
+        driven: usize,
     },
 }
 
+impl AccessPath {
+    /// Tie-break among paths of equal estimate: point, then range, then
+    /// the rest.
+    fn rank(&self) -> u8 {
+        match self {
+            AccessPath::Point { .. } => 0,
+            AccessPath::Range { .. } => 1,
+            AccessPath::Scan | AccessPath::Ordered { .. } => 2,
+        }
+    }
+}
+
 /// A chosen access path plus its estimated output cardinality.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPlan {
     /// The path the executor should take.
     pub path: AccessPath,
@@ -234,193 +260,137 @@ pub struct AccessPlan {
 
 impl AccessPlan {
     /// Human-readable form for EXPLAIN, e.g. `point lookup on jobs.job_id
-    /// (unique)`.
-    pub fn describe(&self, table: &str) -> String {
-        match &self.path {
-            AccessPath::Point { column, unique } => {
-                let u = if *unique { " (unique)" } else { "" };
-                format!("point lookup on {table}.{column}{u}")
+    /// (unique)`, naming the columns of `schema`, the table read.
+    pub fn describe(&self, schema: &Schema) -> String {
+        let table = &schema.name;
+        let column = |c: usize| schema.columns.get(c).map_or("?", |c| &*c.name);
+        match self.path {
+            AccessPath::Point { column: c, unique } => {
+                let u = if unique { " (unique)" } else { "" };
+                format!("point lookup on {table}.{}{u}", column(c))
             }
-            AccessPath::Range { column } => format!("range scan on {table}.{column}"),
+            AccessPath::Range { column: c } => format!("range scan on {table}.{}", column(c)),
             AccessPath::Scan => format!("full scan of {table}"),
             AccessPath::Ordered {
-                column,
+                column: c,
                 descending,
                 limit,
+                ..
             } => {
-                let dir = if *descending { "desc" } else { "asc" };
-                format!("ordered walk of {table}.{column} ({dir}), stop after {limit}")
+                let dir = if descending { "desc" } else { "asc" };
+                format!("ordered walk of {table}.{} ({dir}), stop after {limit}", column(c))
             }
         }
     }
 }
 
-/// Borrowed form of [`AccessPath`] used on the single-table hot path, where
-/// the chosen column can stay a borrow of the table's schema (no
-/// allocation per query).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum PathChoice<'a> {
-    /// Point lookup on the named indexed column.
-    Point(&'a str, bool),
-    /// Range scan on the named indexed column.
-    Range(&'a str),
-    /// Full scan.
-    Scan,
-    /// Ordered index walk (see [`AccessPath::Ordered`]). Chosen only by
-    /// [`choose_select_access_ref`], never by the filter alone.
-    Ordered(OrderedWalk<'a>),
-}
-
-/// What the executor needs to run an ordered walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrderedWalk<'a> {
-    /// The `ORDER BY` column.
-    pub column: &'a str,
-    /// `ORDER BY … DESC`.
-    pub descending: bool,
-    /// Survivors to stop after.
-    pub limit: usize,
-    /// Rows the filter-driven path would touch: what the walk was costed
-    /// against, and how many rows it may visit before the executor gives
-    /// up on it.
-    pub driven: usize,
-}
-
-impl PathChoice<'_> {
-    fn rank(&self) -> u8 {
-        match self {
-            PathChoice::Point(..) => 0,
-            PathChoice::Range(_) => 1,
-            PathChoice::Scan | PathChoice::Ordered(_) => 2,
-        }
-    }
-
-    /// The owned form, for plans that outlive the catalog borrow.
-    fn into_plan(self, est_rows: f64) -> AccessPlan {
-        let path = match self {
-            PathChoice::Point(c, unique) => AccessPath::Point {
-                column: c.to_string(),
-                unique,
-            },
-            PathChoice::Range(c) => AccessPath::Range {
-                column: c.to_string(),
-            },
-            PathChoice::Scan => AccessPath::Scan,
-            PathChoice::Ordered(walk) => AccessPath::Ordered {
-                column: walk.column.to_string(),
-                descending: walk.descending,
-                limit: walk.limit,
-            },
-        };
-        AccessPlan { path, est_rows }
+/// The `ORDER BY … LIMIT` of a single-table `stmt` an ordered walk could
+/// serve: one sort key and a bound `limit`, with no aggregate to fold.
+pub(crate) fn walk_order(stmt: &SelectStmt, limit: Option<usize>) -> Option<(&OrderKey, usize)> {
+    match (limit, stmt.order_by.as_slice(), stmt.has_aggregates()) {
+        (Some(limit), [key], false) => Some((key, limit)),
+        _ => None,
     }
 }
 
-/// Cost-based access-path selection: estimates the output of every index
-/// the filter can use and picks the cheapest, preferring point over range
-/// over scan on ties. Replaces the seed's first-match heuristic — with two
-/// usable indexes the planner now takes the more selective one, not the one
-/// that happens to come first in the index list.
-pub(crate) fn choose_access_ref<'t>(
-    table: &'t Table,
-    filter: Option<&Expr>,
-) -> (PathChoice<'t>, f64) {
-    let rows = table.len() as f64;
-    let name = &*table.schema.name;
-    let mut best = (PathChoice::Scan, rows);
-    let Some(filter) = filter else { return best };
-    for col in table.indexed_columns() {
-        let cand = if filter.pins_column(name, col) {
-            let unique = table
-                .index_stats_on(col)
-                .map(|(_, unique)| unique)
-                .unwrap_or(false);
-            let est = if unique {
-                rows.min(1.0)
-            } else {
-                let d = distinct_estimate(table, col).unwrap_or(1) as f64;
-                (rows / d).min(rows)
-            };
-            Some((PathChoice::Point(col, unique), est))
-        } else if filter.ranges_column(name, col) {
-            Some((PathChoice::Range(col), rows / 3.0))
-        } else {
-            None
-        };
-        if let Some((path, est)) = cand {
-            if est < best.1 || (est == best.1 && path.rank() < best.0.rank()) {
-                best = (path, est);
-            }
-        }
-    }
-    best
-}
-
-/// Owned `choose_access_ref` for plans that outlive the catalog borrow
-/// (cached plans, EXPLAIN output).
-pub fn choose_access(table: &Table, filter: Option<&Expr>) -> AccessPlan {
-    let (path, est_rows) = choose_access_ref(table, filter);
-    path.into_plan(est_rows)
-}
-
-/// The column of `table` an `ORDER BY` on `name` (bare or qualified, as
-/// written) can be served from by an index walk: it must resolve to this
-/// table, be covered by an index, be unable to hold NULL (NULL keys are not
-/// indexed, so those rows would be missing from the walk) and not be DOUBLE
-/// (index order around a NaN key is not `ORDER BY` order).
-fn walkable_column<'t>(table: &'t Table, name: &str) -> Option<&'t str> {
+/// The ordinal of the column of `table` an `ORDER BY` on `name` (bare or
+/// qualified, as written) can be served from by an index walk: it must
+/// resolve to this table, be covered by an index, be unable to hold NULL
+/// (NULL keys are not indexed, so those rows would be missing from the
+/// walk) and not be DOUBLE (index order around a NaN key is not `ORDER BY`
+/// order).
+fn walkable_column(table: &Table, name: &str) -> Option<usize> {
     let bare = match name.split_once('.') {
         Some((t, c)) if t.eq_ignore_ascii_case(&table.schema.name) => c,
         Some(_) => return None,
         None => name,
     };
-    let col = table.schema.column(bare).ok()?;
+    let ord = table.schema.column_index(bare).ok()?;
+    let col = &table.schema.columns[ord];
     let never_null = col.not_null || table.schema.primary_key.as_deref() == Some(&*col.name);
-    (never_null && col.ty != DataType::Double && table.has_index_on(&col.name)).then_some(&*col.name)
+    let indexed = table.indexed_columns().any(|c| c == ord);
+    (never_null && col.ty != DataType::Double && indexed).then_some(ord)
 }
 
-/// Access-path selection for a single-table SELECT: the filter-driven
-/// choice of [`choose_access_ref`], or — for `ORDER BY <walkable column>
-/// LIMIT k` — the ordered walk when it touches fewer rows (see the module
-/// docs for the cost rule). `limit` and `params` are this execution's
-/// bindings, which is fine for a decision that is never cached:
-/// single-table selects choose their path per execution.
-pub(crate) fn choose_select_access_ref<'t>(
-    table: &'t Table,
-    stmt: &SelectStmt,
+/// The one access-path chooser, for every table read: a single-table
+/// SELECT, each input of a join, and the rows an UPDATE or DELETE matches.
+///
+/// With `force_scan` set every table is a full scan — the de-optimized
+/// oracle, and the only place that flag is read. Otherwise it estimates
+/// the output of every index `filter` can use and picks the cheapest,
+/// preferring point over range over scan on ties. Given `order` — the one
+/// `ORDER BY` key and the bound `LIMIT` of a single-table, non-aggregate
+/// SELECT — it then costs the ordered walk against that filter-driven path
+/// (see the module docs for the rule). `params` are read only for that,
+/// for the length of the pinned key's posting list: a path chosen with an
+/// `order` is never cached, and a join input (no `order`) does not depend
+/// on them.
+pub fn choose_access(
+    table: &Table,
     filter: Option<&Expr>,
-    limit: Option<usize>,
+    order: Option<(&OrderKey, usize)>,
     params: &[Value],
-) -> (PathChoice<'t>, f64) {
-    let (best, est) = choose_access_ref(table, filter);
-    let (Some(limit), [key], false) = (limit, stmt.order_by.as_slice(), stmt.has_aggregates())
-    else {
-        return (best, est);
+    force_scan: bool,
+) -> AccessPlan {
+    let rows = table.len() as f64;
+    let mut best = AccessPlan {
+        path: AccessPath::Scan,
+        est_rows: rows,
     };
+    if force_scan {
+        return best;
+    }
+    let name = &*table.schema.name;
+    let column_name = |c: usize| &*table.schema.columns[c].name;
+    if let Some(filter) = filter {
+        for column in table.indexed_columns() {
+            let cand = if filter.pins_column(name, column_name(column)) {
+                let unique = table.index_stats_on(column).is_some_and(|(_, unique)| unique);
+                let est = if unique {
+                    rows.min(1.0)
+                } else {
+                    let d = distinct_estimate(table, column).unwrap_or(1) as f64;
+                    (rows / d).min(rows)
+                };
+                Some((AccessPath::Point { column, unique }, est))
+            } else if filter.ranges_column(name, column_name(column)) {
+                Some((AccessPath::Range { column }, rows / 3.0))
+            } else {
+                None
+            };
+            if let Some((path, est)) = cand {
+                if est < best.est_rows || (est == best.est_rows && path.rank() < best.path.rank()) {
+                    best = AccessPlan { path, est_rows: est };
+                }
+            }
+        }
+    }
+    let Some((key, limit)) = order else { return best };
     let Some(column) = walkable_column(table, &key.column) else {
-        return (best, est);
+        return best;
     };
-    let rows = table.len();
-    let driven = match best {
-        PathChoice::Point(col, _) => filter
-            .and_then(|f| f.equality_lookup_on(&table.schema.name, col, params))
-            .and_then(|pinned| table.posting_len(col, &pinned)),
-        PathChoice::Scan => Some(rows),
+    let driven = match best.path {
+        AccessPath::Point { column: pinned, .. } => filter
+            .and_then(|f| f.equality_lookup_on(name, column_name(pinned), params))
+            .and_then(|key| table.posting_len(pinned, &key)),
+        AccessPath::Scan => Some(table.len()),
         _ => None,
     }
-    .unwrap_or(est.ceil() as usize);
+    .unwrap_or(best.est_rows.ceil() as usize);
     // `limit × rows ÷ driven < driven`, without the division (an empty
     // posting list must read as "the filter-driven path costs nothing").
-    if (limit as f64) * (rows as f64) < (driven as f64) * (driven as f64) {
-        let walk = OrderedWalk {
-            column,
-            descending: key.order == SortOrder::Desc,
-            limit,
-            driven,
-        };
-        (PathChoice::Ordered(walk), est.min(limit as f64))
+    if (limit as f64) * rows < (driven as f64) * (driven as f64) {
+        AccessPlan {
+            path: AccessPath::Ordered {
+                column,
+                descending: key.order == SortOrder::Desc,
+                limit,
+                driven,
+            },
+            est_rows: best.est_rows.min(limit as f64),
+        }
     } else {
-        (best, est)
+        best
     }
 }
 
@@ -642,12 +612,14 @@ fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> H
 /// *single-table* `ORDER BY … LIMIT` (the bound limit, the length of the
 /// pinned key's posting list), whose plan is never cached. A join plan —
 /// which a prepared statement does cache across bindings — does not depend
-/// on them.
+/// on them. Every table's path comes from [`choose_access`], so
+/// `force_scan` makes every one of them a full scan.
 pub fn plan_select(
     catalog: &Catalog,
     stmt: &SelectStmt,
     params: &[Value],
     reorder: bool,
+    force_scan: bool,
 ) -> Result<SelectPlan> {
     let base = get_table(catalog, &stmt.table)?;
     let base_name = crate::schema::lower_name(&stmt.table).into_owned();
@@ -662,14 +634,10 @@ pub fn plan_select(
     let mut pushdown = pushdown_map(catalog, &scope, stmt.filter.as_ref());
 
     let base_pushdown = pushdown.remove(&base_name);
-    let base_access = if stmt.joins.is_empty() {
-        let limit = stmt.limit_with(params)?;
-        let (path, est_rows) =
-            choose_select_access_ref(base, stmt, base_pushdown.as_ref(), limit, params);
-        path.into_plan(est_rows)
-    } else {
-        choose_access(base, base_pushdown.as_ref())
-    };
+    // A join's rows come out of its last step, not in any index's order.
+    let limit = if stmt.joins.is_empty() { stmt.limit_with(params)? } else { None };
+    let order = walk_order(stmt, limit);
+    let base_access = choose_access(base, base_pushdown.as_ref(), order, params, force_scan);
     let mut left_est = base_access.est_rows;
 
     let mut placed = vec![base_name.clone()];
@@ -717,12 +685,14 @@ pub fn plan_select(
             };
 
             let pd = pushdown.get(&right_name).cloned();
-            let access = choose_access(right, pd.as_ref());
+            let access = choose_access(right, pd.as_ref(), None, params, force_scan);
             let (strategy, est_out) = match equi {
                 None => (JoinStrategy::NestedLoop, left_est * access.est_rows),
                 Some((probe, probe_table, right_col)) => {
                     let bare = right_col.rsplit('.').next().unwrap_or(right_col);
-                    let distinct = distinct_estimate(right, bare)
+                    let right_ord = right.schema.column_index(bare).ok();
+                    let distinct = right_ord
+                        .and_then(|c| distinct_estimate(right, c))
                         .unwrap_or(access.est_rows as usize)
                         .max(1) as f64;
                     let est_out = (left_est * access.est_rows / distinct).max(0.0);
@@ -730,7 +700,7 @@ pub fn plan_select(
                     // why a tie goes to the index loop.
                     let hash_cost = access.est_rows + left_est;
                     let loop_cost = left_est * (1.0 + right.len() as f64 / distinct);
-                    let index = right.index_name_on(bare).filter(|_| {
+                    let index = right_ord.and_then(|c| right.index_name_on(c)).filter(|_| {
                         loop_cost <= hash_cost
                             && index_probe_is_exact(
                                 catalog.get(probe_table).and_then(|t| column_type(t, probe)),
@@ -832,9 +802,13 @@ pub struct PlanProfile {
 /// [`QueryResult`] means EXPLAIN is transport-agnostic for free: the wire
 /// protocol ships it like any other result set. `limit` is the statement's
 /// `LIMIT` as bound for this execution (`LIMIT ?` has no count of its own).
-/// `catalog` is the one the plan was made against; it resolves the
-/// grouping columns that decide whether the last hash join folds the
-/// aggregates.
+/// `catalog` is the one the plan was made against; it names the columns
+/// of each access path and resolves the grouping columns that decide
+/// whether the last hash join folds the aggregates.
+///
+/// # Panics
+///
+/// If the plan names a table `catalog` does not hold.
 pub fn explain_result(
     catalog: &Catalog,
     plan: &SelectPlan,
@@ -869,7 +843,13 @@ pub fn explain_result(
         rows.push(Row::new(values));
     };
 
-    let mut detail = plan.base.describe(&plan.base_table);
+    let schema = |table: &str| {
+        &catalog
+            .get(table)
+            .expect("a plan names tables of the catalog it was made against")
+            .schema
+    };
+    let mut detail = plan.base.describe(schema(&plan.base_table));
     if let Some(pd) = &plan.base_pushdown {
         detail.push_str(&format!(", pushdown {pd}"));
     }
@@ -884,11 +864,11 @@ pub fn explain_result(
         actuals.map(|a| a.base),
     );
 
-    let scope: Option<Vec<&Schema>> = std::iter::once(&plan.base_table)
+    let scope: Vec<&Schema> = std::iter::once(&plan.base_table)
         .chain(plan.steps.iter().map(|s| &s.table))
-        .map(|t| catalog.get(t.as_str()).map(|t| &t.schema))
+        .map(|t| schema(t))
         .collect();
-    let folds = scope.is_some_and(|scope| plan.folds_into_build(stmt, &scope));
+    let folds = plan.folds_into_build(stmt, &scope);
     let mut last_est = plan.base.est_rows;
     for (i, step) in plan.steps.iter().enumerate() {
         let (op, mut detail) = match &step.strategy {
@@ -897,7 +877,7 @@ pub fn explain_result(
                 format!(
                     "build {} on {build} via {}, probe {probe}",
                     step.table,
-                    step.access.describe(&step.table)
+                    step.access.describe(schema(&step.table))
                 ),
             ),
             JoinStrategy::IndexLoop { probe, lookup, index } => (
@@ -909,7 +889,7 @@ pub fn explain_result(
                 format!(
                     "on {} via {}",
                     stmt.joins[step.clause].on,
-                    step.access.describe(&step.table)
+                    step.access.describe(schema(&step.table))
                 ),
             ),
         };
@@ -1057,6 +1037,10 @@ mod tests {
         t
     }
 
+    /// Ordinals of `jobs`' `job_id` and `state` columns.
+    const JOB_ID: usize = 0;
+    const STATE: usize = 2;
+
     /// jobs: 100 rows; matches: 100 rows; machines: 4 rows.
     fn catalog() -> Catalog {
         let jobs = table(
@@ -1159,11 +1143,11 @@ mod tests {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
         let stmt = select_stmt("SELECT * FROM jobs WHERE job_id = 7");
-        let plan = choose_access(jobs, stmt.filter.as_ref());
+        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
         assert_eq!(
             plan.path,
             AccessPath::Point {
-                column: "job_id".into(),
+                column: JOB_ID,
                 unique: true
             }
         );
@@ -1177,38 +1161,36 @@ mod tests {
         // Both state (2 distinct) and job_id (unique) are pinned: the unique
         // index wins regardless of index declaration order.
         let stmt = select_stmt("SELECT * FROM jobs WHERE state = 'idle' AND job_id = 3");
-        let plan = choose_access(jobs, stmt.filter.as_ref());
-        assert!(matches!(plan.path, AccessPath::Point { ref column, .. } if column == "job_id"));
+        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        assert!(matches!(plan.path, AccessPath::Point { column: JOB_ID, .. }));
         // Range beats scan, loses to point.
         let stmt = select_stmt("SELECT * FROM jobs WHERE job_id > 50");
-        let plan = choose_access(jobs, stmt.filter.as_ref());
-        assert!(matches!(plan.path, AccessPath::Range { ref column } if column == "job_id"));
+        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        assert!(matches!(plan.path, AccessPath::Range { column: JOB_ID }));
         // Unindexed predicate: full scan.
         let stmt = select_stmt("SELECT * FROM jobs WHERE owner = 'owner1'");
-        let plan = choose_access(jobs, stmt.filter.as_ref());
+        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
         assert_eq!(plan.path, AccessPath::Scan);
         assert_eq!(plan.est_rows, 100.0);
     }
 
-    /// `choose_select_access_ref` for a single-table statement, as the
-    /// executor calls it.
-    fn select_access<'t>(table: &'t Table, sql: &str, params: &[Value]) -> PathChoice<'t> {
+    /// `choose_access` for a single-table statement, as the executor calls
+    /// it.
+    fn select_access(table: &Table, sql: &str, params: &[Value]) -> AccessPath {
         let stmt = select_stmt(sql);
         let limit = stmt.limit_with(params).unwrap();
-        choose_select_access_ref(table, &stmt, stmt.filter.as_ref(), limit, params).0
+        choose_access(table, stmt.filter.as_ref(), walk_order(&stmt, limit), params, false).path
     }
 
     #[test]
     fn ordered_walk_is_costed_against_the_filter_driven_path() {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
-        let walk = |limit, driven, descending| {
-            PathChoice::Ordered(OrderedWalk {
-                column: "job_id",
-                descending,
-                limit,
-                driven,
-            })
+        let walk = |limit, driven, descending| AccessPath::Ordered {
+            column: JOB_ID,
+            descending,
+            limit,
+            driven,
         };
         // 50 of 100 rows are idle (the exact posting list, no ANALYZE):
         // 5 x 100 / 50 = 10 rows walked against 50 fetched and sorted.
@@ -1223,7 +1205,7 @@ mod tests {
         for limit in [25, 26, 1_000] {
             assert_eq!(
                 select_access(jobs, &format!("{idle} LIMIT {limit}"), &[]),
-                PathChoice::Point("state", false),
+                AccessPath::Point { column: STATE, unique: false },
                 "limit {limit}"
             );
         }
@@ -1237,7 +1219,7 @@ mod tests {
             select_access(jobs, "SELECT * FROM jobs WHERE state = ? ORDER BY job_id LIMIT 1", &[
                 Value::Text("gone".into())
             ]),
-            PathChoice::Point("state", false)
+            AccessPath::Point { column: STATE, unique: false }
         );
         // What cannot be walked: no LIMIT, a nullable or unindexed sort
         // column, two sort keys, an aggregate.
@@ -1249,7 +1231,7 @@ mod tests {
             "SELECT COUNT(*) FROM jobs ORDER BY job_id LIMIT 1",
             "SELECT job_id, COUNT(*) FROM jobs GROUP BY job_id ORDER BY job_id LIMIT 1",
         ] {
-            assert_eq!(select_access(jobs, sql, &[]), PathChoice::Scan, "{sql}");
+            assert_eq!(select_access(jobs, sql, &[]), AccessPath::Scan, "{sql}");
         }
     }
 
@@ -1277,12 +1259,12 @@ mod tests {
         // Two of 100 rows per machine: 1 x 100 / 2 walked against 2 fetched.
         assert_eq!(
             select_access(&matches, sql, &[Value::Int(7)]),
-            PathChoice::Point("machine_id", false)
+            AccessPath::Point { column: 2, unique: false }
         );
         // The same statement with nothing to narrow it is the walk's case.
         assert!(matches!(
             select_access(&matches, "SELECT job_id FROM matches ORDER BY match_id LIMIT 1", &[]),
-            PathChoice::Ordered(_)
+            AccessPath::Ordered { .. }
         ));
     }
 
@@ -1294,7 +1276,7 @@ mod tests {
         );
         assert_eq!(
             select_access(&t, "SELECT * FROM loads ORDER BY load LIMIT 1", &[]),
-            PathChoice::Scan
+            AccessPath::Scan
         );
     }
 
@@ -1308,7 +1290,7 @@ mod tests {
              JOIN matches ON jobs.job_id = matches.job_id \
              JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert_eq!(plan.steps.len(), 2);
         // machines cannot be placed first (its ON references matches), so
         // ordering only kicks in when both are placeable — here the join
@@ -1318,12 +1300,12 @@ mod tests {
              JOIN jobs ON matches.job_id = jobs.job_id \
              JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert_eq!(plan.steps[0].table, "machines", "smallest build side first");
         assert_eq!(plan.steps[1].table, "jobs");
         assert!(plan.reordered);
         // Without reordering the syntactic order is kept.
-        let plan = plan_select(&cat, &stmt, &[], false).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], false, false).unwrap();
         assert_eq!(plan.steps[0].table, "jobs");
         assert!(!plan.reordered);
     }
@@ -1335,7 +1317,7 @@ mod tests {
             "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
              WHERE jobs.job_id = 3 AND matches.machine_id > 1",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert!(plan.base_pushdown.is_some(), "matches conjunct pushed to base");
         let step = &plan.steps[0];
         assert_eq!(step.table, "jobs");
@@ -1350,7 +1332,7 @@ mod tests {
             "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
              WHERE jobs.state = ?",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert!(!plan.steps[0].cacheable, "param-dependent build must rebuild");
     }
 
@@ -1360,14 +1342,14 @@ mod tests {
         let stmt = select_stmt(
             "SELECT * FROM jobs JOIN matches ON jobs.job_id < matches.job_id",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert_eq!(plan.steps[0].strategy, JoinStrategy::NestedLoop);
         // Compound ON predicates also fall back to nested loop.
         let stmt = select_stmt(
             "SELECT * FROM jobs JOIN matches \
              ON jobs.job_id = matches.job_id AND matches.machine_id > 1",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert_eq!(plan.steps[0].strategy, JoinStrategy::NestedLoop);
     }
 
@@ -1379,7 +1361,7 @@ mod tests {
             "SELECT * FROM jobs JOIN matches ON jobs.job_id = matches.job_id \
              WHERE jobs.job_id = 3",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert_eq!(
             plan.steps[0].strategy,
             JoinStrategy::IndexLoop {
@@ -1395,7 +1377,7 @@ mod tests {
         let stmt = select_stmt(
             "SELECT * FROM matches JOIN machines ON matches.machine_id = machines.machine_id",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
         assert!(plan.caches_builds());
 
@@ -1404,7 +1386,7 @@ mod tests {
             "SELECT * FROM machines JOIN jobs ON machines.arch = jobs.owner \
              WHERE machines.machine_id = 1",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
     }
 
@@ -1417,7 +1399,7 @@ mod tests {
              JOIN machines ON matches.machine_id = machines.machine_id \
              WHERE machines.arch = 'x86' ORDER BY jobs.owner LIMIT 5",
         );
-        let plan = plan_select(&cat, &stmt, &[], true).unwrap();
+        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         let r = explain_result(&cat, &plan, &stmt, Some(5), None);
         assert_eq!(r.column_names(), vec!["step", "operator", "detail", "est_rows"]);
         let ops: Vec<String> = r
@@ -1444,7 +1426,7 @@ mod tests {
     fn unknown_table_errors_at_plan_time() {
         let cat = catalog();
         let stmt = select_stmt("SELECT * FROM nope");
-        assert!(plan_select(&cat, &stmt, &[], true).is_err());
+        assert!(plan_select(&cat, &stmt, &[], true, false).is_err());
     }
 
     #[test]

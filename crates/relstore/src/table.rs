@@ -157,14 +157,16 @@ impl Table {
     }
 
     /// Planner probe: `(distinct keys, unique)` of the first index covering
-    /// `column`. Distinct keys count retained versions' keys, so this is an
-    /// upper-bound estimate of live-row distinctness that needs no ANALYZE.
-    pub fn index_stats_on(&self, column: &str) -> Option<(usize, bool)> {
+    /// the column at ordinal `column`. Distinct keys count retained
+    /// versions' keys, so this is an upper-bound estimate of live-row
+    /// distinctness that needs no ANALYZE.
+    pub fn index_stats_on(&self, column: usize) -> Option<(usize, bool)> {
         self.index_on(column).map(|i| (i.distinct_keys(), i.unique))
     }
 
-    /// Planner probe: the name of the first index covering `column`.
-    pub fn index_name_on(&self, column: &str) -> Option<&str> {
+    /// Planner probe: the name of the first index covering the column at
+    /// ordinal `column`.
+    pub fn index_name_on(&self, column: usize) -> Option<&str> {
         self.index_on(column).map(|i| i.name.as_str())
     }
 
@@ -645,16 +647,16 @@ impl Table {
     }
 
     /// Point lookup through the first index (primary or secondary) covering
-    /// `column`, streaming visible borrowed rows. Returns `None` if no such
-    /// index exists.
+    /// the column at ordinal `column`, streaming visible borrowed rows.
+    /// Returns `None` if no such index exists.
     pub fn lookup_indexed<'a>(
         &'a self,
-        column: &str,
+        column: usize,
         key: &Value,
         vis: &'a Snapshot,
         stats: &mut OpStats,
     ) -> Option<RowIter<'a>> {
-        let (_, set) = self.postings(column, key, stats)?;
+        let set = self.postings(column, key, stats)?;
         Some(RowIter::Ids {
             rows: &self.rows,
             ids: set.into(),
@@ -662,24 +664,24 @@ impl Table {
         })
     }
 
-    /// The posting list of exactly `key` in the first index covering
-    /// `column`, beside the indexed column's ordinal, accounted as one
-    /// index lookup that reads every entry. `None` without an index.
+    /// The posting list of exactly `key` in the first index covering the
+    /// column at ordinal `column`, accounted as one index lookup that reads
+    /// every entry. `None` without an index.
     fn postings(
         &self,
-        column: &str,
+        column: usize,
         key: &Value,
         stats: &mut OpStats,
-    ) -> Option<(usize, Option<&BTreeSet<RowId>>)> {
+    ) -> Option<Option<&BTreeSet<RowId>>> {
         let idx = self.index_on(column)?;
         stats.index_lookups += 1;
         let set = idx.lookup_set(key);
         stats.rows_read += set.map_or(0, BTreeSet::len) as u64;
-        Some((idx.column_idx, set))
+        Some(set)
     }
 
     /// Walks the posting list of exactly `key` in the first index covering
-    /// `column`, one item per entry: whether the row it names counts
+    /// the column at ordinal `column`, one item per entry: whether the row it names counts
     /// towards `COUNT(*) … WHERE column = key` under `vis`. By the index
     /// invariant (module docs) a chain of one version holds `key`, so it
     /// counts iff that version is visible — its stamps decide, its row is
@@ -689,28 +691,29 @@ impl Table {
     /// `None` without an index.
     pub fn count_postings<'a>(
         &'a self,
-        column: &str,
+        column: usize,
         key: &'a Value,
         vis: &'a Snapshot,
         stats: &mut OpStats,
     ) -> Option<impl Iterator<Item = bool> + 'a> {
-        let (col, set) = self.postings(column, key, stats)?;
+        let set = self.postings(column, key, stats)?;
         Some(set.into_iter().flatten().map(move |&id| {
             self.rows.get(id).is_some_and(|chain| match chain.sole() {
                 Some(version) => vis.visible(version),
                 None => chain
                     .visible(vis)
-                    .is_some_and(|row| row.get(col).sql_eq(key) == Some(true)),
+                    .is_some_and(|row| row.get(column).sql_eq(key) == Some(true)),
             })
         }))
     }
 
     /// Range lookup through the first index (primary or secondary) covering
-    /// `column`: streams the visible rows whose key lies in `[lo, hi]`
-    /// (either bound may be open). Returns `None` if no such index exists.
+    /// the column at ordinal `column`: streams the visible rows whose key
+    /// lies in `[lo, hi]` (either bound may be open). Returns `None` if no
+    /// such index exists.
     pub fn lookup_range<'a>(
         &'a self,
-        column: &str,
+        column: usize,
         lo: Option<&Value>,
         hi: Option<&Value>,
         vis: &'a Snapshot,
@@ -727,18 +730,19 @@ impl Table {
         })
     }
 
-    /// Planner probe: how many entries the first index covering `column`
-    /// holds under exactly `key` — the rows a point lookup on that key
-    /// touches, stale entries of retained versions included. O(log n) and
-    /// exact at any time; no `ANALYZE` involved. `None` without an index.
-    pub fn posting_len(&self, column: &str, key: &Value) -> Option<usize> {
+    /// Planner probe: how many entries the first index covering the column
+    /// at ordinal `column` holds under exactly `key` — the rows a point
+    /// lookup on that key touches, stale entries of retained versions
+    /// included. O(log n) and exact at any time; no `ANALYZE` involved.
+    /// `None` without an index.
+    pub fn posting_len(&self, column: usize, key: &Value) -> Option<usize> {
         let idx = self.index_on(column)?;
         Some(idx.lookup_set(key).map_or(0, BTreeSet::len))
     }
 
-    /// Walks the first index covering `column` in key order (descending when
-    /// asked; rows of equal key in ascending row-id order both ways), lazily,
-    /// one item per index entry visited: the row, when the version `vis`
+    /// Walks the first index covering the column at ordinal `column` in key
+    /// order (descending when asked; rows of equal key in ascending row-id
+    /// order both ways), lazily, one item per index entry visited: the row, when the version `vis`
     /// sees holds that entry's key, and `None` for an entry that is stale or
     /// invisible to this snapshot. Entries cover every retained version, so
     /// emitting a row only under its visible key is also what yields it
@@ -747,45 +751,40 @@ impl Table {
     /// `rows_read` per item it takes.
     pub fn walk_ordered<'a>(
         &'a self,
-        column: &str,
+        column: usize,
         descending: bool,
         vis: &'a Snapshot,
         stats: &mut OpStats,
     ) -> Option<impl Iterator<Item = Option<&'a Row>> + 'a> {
         let idx = self.index_on(column)?;
         stats.index_lookups += 1;
-        let col = idx.column_idx;
         Some(idx.entries_in_key_order(descending).map(move |(key, id)| {
             self.rows
                 .get(id)
                 .and_then(|chain| chain.visible(vis))
-                .filter(|row| row.get(col) == key)
+                .filter(|row| row.get(column) == key)
         }))
     }
 
-    /// The first index (primary or secondary) covering `column`, if any.
-    fn index_on(&self, column: &str) -> Option<&Index> {
-        let col = self.schema.column_index(column).ok()?;
+    /// The first index (primary or secondary) covering the column at
+    /// ordinal `column`, if any.
+    fn index_on(&self, column: usize) -> Option<&Index> {
         match &self.pk_index {
-            Some(pk) if pk.column_idx == col => Some(pk),
-            _ => self.secondary.iter().find(|i| i.column_idx == col),
+            Some(pk) if pk.column_idx == column => Some(pk),
+            _ => self.secondary.iter().find(|i| i.column_idx == column),
         }
     }
 
-    /// The names of the indexed columns (primary key first, then secondary
-    /// indexes in declaration order), borrowed from the schema.
-    pub fn indexed_columns(&self) -> impl Iterator<Item = &str> {
-        self.pk_index
-            .iter()
-            .chain(self.secondary.iter())
-            .filter_map(|idx| self.schema.columns.get(idx.column_idx))
-            .map(|c| &*c.name)
+    /// The ordinals of the indexed columns: primary key first, then
+    /// secondary indexes in declaration order.
+    pub fn indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pk_index.iter().chain(self.secondary.iter()).map(|idx| idx.column_idx)
     }
 
-    /// True when some index (primary or secondary) covers `column`.
+    /// True when some index (primary or secondary) covers the column named
+    /// `column`.
     pub fn has_index_on(&self, column: &str) -> bool {
-        self.indexed_columns()
-            .any(|c| c.eq_ignore_ascii_case(column))
+        self.schema.column_index(column).is_ok_and(|c| self.index_on(c).is_some())
     }
 
     /// Adds a secondary index in place, covering the keys of every retained
@@ -1052,6 +1051,9 @@ mod tests {
     use crate::value::DataType;
 
     const SETUP: TxnId = COMMITTED_TXN;
+    /// Ordinals of `machines_table`'s `state` and `load` columns.
+    const STATE: usize = 2;
+    const LOAD: usize = 3;
 
     fn machines_table() -> Table {
         let schema = Schema::new(
@@ -1135,7 +1137,7 @@ mod tests {
         assert_eq!(t.scan(&old, &mut stats).count(), 1);
         // ...but not to the latest view.
         assert!(t
-            .lookup_indexed("state", &Value::Text("idle".into()), latest(), &mut stats)
+            .lookup_indexed(STATE, &Value::Text("idle".into()), latest(), &mut stats)
             .unwrap()
             .next()
             .is_none());
@@ -1168,7 +1170,7 @@ mod tests {
         // index yields a superset; callers re-apply their filter), but the
         // version it resolves to carries the new key.
         let stale: Vec<_> = t
-            .lookup_indexed("state", &Value::Text("idle".into()), latest(), &mut stats)
+            .lookup_indexed(STATE, &Value::Text("idle".into()), latest(), &mut stats)
             .unwrap()
             .collect();
         assert_eq!(stale.len(), 1);
@@ -1178,7 +1180,7 @@ mod tests {
             "a filter on state = 'idle' would reject the resolved version"
         );
         assert_eq!(
-            t.lookup_indexed("state", &Value::Text("busy".into()), latest(), &mut stats)
+            t.lookup_indexed(STATE, &Value::Text("busy".into()), latest(), &mut stats)
                 .unwrap()
                 .count(),
             1
@@ -1192,7 +1194,7 @@ mod tests {
             own: None,
         };
         let via_old_key: Vec<_> = t
-            .lookup_indexed("state", &Value::Text("idle".into()), &old, &mut stats)
+            .lookup_indexed(STATE, &Value::Text("idle".into()), &old, &mut stats)
             .unwrap()
             .collect();
         assert_eq!(via_old_key.len(), 1);
@@ -1203,7 +1205,7 @@ mod tests {
         assert_eq!(t.vacuum(u64::MAX, &mut stats), 1);
         assert_eq!(t.max_chain_len(), 1);
         assert!(t
-            .lookup_indexed("state", &Value::Text("idle".into()), &old, &mut stats)
+            .lookup_indexed(STATE, &Value::Text("idle".into()), &old, &mut stats)
             .unwrap()
             .next()
             .is_none());
@@ -1224,11 +1226,11 @@ mod tests {
         t.update(RowId(1), &[(state_col, Value::Text("zzz".into()))], TxnId(7), &mut stats)
             .unwrap();
         t.delete(RowId(3), TxnId(8), &mut stats).unwrap();
-        assert_eq!(t.posting_len("state", &Value::Text("idle".into())), Some(2));
-        assert_eq!(t.posting_len("load", &Value::Int(0)), None, "no index on load");
+        assert_eq!(t.posting_len(STATE, &Value::Text("idle".into())), Some(2));
+        assert_eq!(t.posting_len(LOAD, &Value::Int(0)), None, "no index on load");
 
         let walk = |vis: &Snapshot, descending: bool| -> Vec<Option<i64>> {
-            t.walk_ordered("state", descending, vis, &mut OpStats::default())
+            t.walk_ordered(STATE, descending, vis, &mut OpStats::default())
                 .unwrap()
                 .map(|r| r.map(|r| r.get(0).as_int().unwrap()))
                 .collect()
@@ -1245,7 +1247,7 @@ mod tests {
         };
         assert_eq!(walk(&old, false), vec![Some(2), Some(1), Some(3), None]);
         assert!(t
-            .walk_ordered("load", false, latest(), &mut stats)
+            .walk_ordered(LOAD, false, latest(), &mut stats)
             .is_none());
     }
 

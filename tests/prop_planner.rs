@@ -493,7 +493,7 @@ fn select_stmt(sql: &str) -> SelectStmt {
 /// The planner's plan for `stmt` with its single join step's strategy
 /// replaced — the only way to pin a strategy, by design.
 fn with_strategy(cat: &Catalog, stmt: &SelectStmt, strategy: JoinStrategy) -> SelectPlan {
-    let mut plan = plan_select(cat, stmt, &[], true).unwrap();
+    let mut plan = plan_select(cat, stmt, &[], true, false).unwrap();
     assert_eq!(plan.steps.len(), 1);
     plan.steps[0].strategy = strategy;
     plan
@@ -664,7 +664,7 @@ const RUNTIME: usize = RUN_ARITY + 3;
 /// replaced by `strategies` and — `swap` — its two steps exchanged, which
 /// makes it a reordered plan (both steps of [`STAR`] join onto the base).
 fn forced_plan(cat: &Catalog, stmt: &SelectStmt, strategies: &[JoinStrategy], swap: bool) -> SelectPlan {
-    let mut plan = plan_select(cat, stmt, &[], false).unwrap();
+    let mut plan = plan_select(cat, stmt, &[], false, false).unwrap();
     assert_eq!(plan.steps.len(), strategies.len());
     for (step, strategy) in plan.steps.iter_mut().zip(strategies) {
         step.strategy = strategy.clone();
@@ -1771,4 +1771,184 @@ fn in_subquery_composes_with_joins() {
     // mid.fk = id % 4 ∈ {0, 1} keeps half of mid's 40 rows; each mid row
     // matches 5 big rows.
     assert_eq!(r.scalar_int().unwrap(), 100);
+}
+
+// ---------------------------------------------------------------------------
+// Access-path accounting
+// ---------------------------------------------------------------------------
+
+/// `a`: 100 rows, `grp` = id % 10 indexed, `val` = id % 7 unindexed.
+/// `b`: 1,000 rows, `aid` = id % 100 indexed. `c`: 4 rows. `q`: 1,000 rows
+/// whose last 100 are idle, `state` indexed.
+fn access_db() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE a (id INT PRIMARY KEY, grp INT, val INT)").unwrap();
+    db.execute("CREATE INDEX ON a (grp)").unwrap();
+    db.execute("CREATE TABLE b (id INT PRIMARY KEY, aid INT)").unwrap();
+    db.execute("CREATE INDEX ON b (aid)").unwrap();
+    db.execute("CREATE TABLE c (id INT PRIMARY KEY, label TEXT)").unwrap();
+    db.execute("CREATE TABLE q (id INT PRIMARY KEY, state TEXT NOT NULL)").unwrap();
+    db.execute("CREATE INDEX ON q (state)").unwrap();
+    let ins = db.prepare("INSERT INTO a VALUES (?, ?, ?)").unwrap();
+    db.session().execute_batch(&ins, (0..100i64).map(|i| (i, i % 10, i % 7))).unwrap();
+    let ins = db.prepare("INSERT INTO b VALUES (?, ?)").unwrap();
+    db.session().execute_batch(&ins, (0..1_000i64).map(|i| (i, i % 100))).unwrap();
+    let ins = db.prepare("INSERT INTO c VALUES (?, 'tag')").unwrap();
+    db.session().execute_batch(&ins, (0..4i64).map(|i| (i,))).unwrap();
+    let ins = db.prepare("INSERT INTO q VALUES (?, ?)").unwrap();
+    db.session()
+        .execute_batch(&ins, (0..1_000i64).map(|i| (i, if i >= 900 { "idle" } else { "done" })))
+        .unwrap();
+    db
+}
+
+/// The details of EXPLAIN's access and join steps, joined by `" ; "`.
+fn access_text(db: &Database, sql: &str) -> String {
+    let r = db.query(&format!("EXPLAIN {sql}")).unwrap();
+    r.rows
+        .iter()
+        .filter(|row| {
+            let op = text(row.get(1));
+            op.starts_with("Access(") || op.contains("Join(")
+        })
+        .map(|row| text(row.get(2)))
+        .collect::<Vec<_>>()
+        .join(" ; ")
+}
+
+/// What every way of reading a table costs, in the counters that say how
+/// it was read: `rows_read`, `rows_scanned`, `index_lookups`,
+/// `rows_materialized` and `plans_built` of one execution, beside the
+/// access text EXPLAIN gives the same statement (none for UPDATE and
+/// DELETE, which EXPLAIN does not take). A changed number here is a
+/// changed access path.
+#[test]
+fn every_access_shape_reads_exactly_what_it_did() {
+    let db = access_db();
+    // (statement, rows_read, rows_scanned, index_lookups, rows_materialized,
+    // plans_built, EXPLAIN access text)
+    type Shape = (&'static str, u64, u64, u64, u64, u64, Option<&'static str>);
+    let shapes: [Shape; 15] = [
+        (
+            "SELECT * FROM a WHERE id = 5",
+            1, 0, 1, 1, 0,
+            Some("point lookup on a.id (unique), pushdown (id = 5)"),
+        ),
+        (
+            "SELECT * FROM a WHERE grp = 3",
+            10, 0, 1, 10, 0,
+            Some("point lookup on a.grp, pushdown (grp = 3)"),
+        ),
+        (
+            "SELECT id FROM a WHERE id >= 10 AND id < 20",
+            11, 0, 1, 10, 0,
+            Some("range scan on a.id, pushdown ((id >= 10) AND (id < 20))"),
+        ),
+        (
+            "SELECT id FROM a WHERE val = 3",
+            100, 100, 0, 14, 0,
+            Some("full scan of a, pushdown (val = 3)"),
+        ),
+        // The walk fills its limit from the head of the index.
+        (
+            "SELECT id FROM a ORDER BY id LIMIT 5",
+            5, 0, 1, 5, 0,
+            Some("ordered walk of a.id (asc), stop after 5"),
+        ),
+        // The idle rows sit at the far end: the walk visits its budget of
+        // 100 entries, gives up, and the lookup it was costed against reads
+        // the 100 postings.
+        (
+            "SELECT id FROM q WHERE state = 'idle' ORDER BY id LIMIT 5",
+            200, 0, 2, 5, 0,
+            Some("ordered walk of q.id (asc), stop after 5, pushdown (state = 'idle')"),
+        ),
+        (
+            "SELECT COUNT(*) FROM a WHERE grp = 4",
+            10, 0, 1, 1, 0,
+            Some("point lookup on a.grp, pushdown (grp = 4), index-only count"),
+        ),
+        (
+            "SELECT a.id, c.label FROM a JOIN c ON a.grp = c.id",
+            144, 104, 0, 44, 1,
+            Some("full scan of a ; build c on c.id via full scan of c, probe a.grp"),
+        ),
+        (
+            "SELECT * FROM a JOIN b ON a.id = b.aid WHERE a.id = 5",
+            11, 0, 2, 10, 1,
+            Some(
+                "point lookup on a.id (unique), pushdown (a.id = 5) ; \
+                 probe index idx_b_aid on b.aid with a.id",
+            ),
+        ),
+        (
+            "SELECT c.id, a.id FROM c JOIN a ON c.id > a.grp WHERE a.id < 20",
+            37, 4, 1, 12, 1,
+            Some("full scan of c ; on (c.id > a.grp) via range scan on a.id, pushdown (a.id < 20)"),
+        ),
+        ("UPDATE a SET val = 0 WHERE id = 7", 1, 0, 1, 0, 0, None),
+        ("UPDATE a SET val = 1 WHERE grp = 3", 10, 0, 1, 0, 0, None),
+        ("UPDATE a SET grp = 0 WHERE val = 5", 100, 100, 0, 0, 0, None),
+        ("DELETE FROM b WHERE aid = 99", 10, 0, 1, 0, 0, None),
+        ("DELETE FROM q WHERE id > 990", 10, 0, 1, 0, 0, None),
+    ];
+    let mut got = Vec::new();
+    for (sql, ..) in shapes {
+        let explained = sql.starts_with("SELECT").then(|| access_text(&db, sql));
+        let before = db.stats();
+        db.execute(sql).unwrap();
+        let d = db.stats().delta_since(&before);
+        got.push(format!(
+            "(\"{sql}\", {}, {}, {}, {}, {}, {:?}),",
+            d.rows_read, d.rows_scanned, d.index_lookups, d.rows_materialized, d.plans_built, explained
+        ));
+    }
+    let want: Vec<String> = shapes
+        .iter()
+        .map(|(sql, read, scanned, lookups, materialized, plans, explained)| {
+            format!(
+                "(\"{sql}\", {read}, {scanned}, {lookups}, {materialized}, {plans}, {:?}),",
+                explained.map(str::to_string)
+            )
+        })
+        .collect();
+    assert_eq!(got, want, "\n{}", got.join("\n"));
+}
+
+/// `set_force_scan(true)` reaches a join's inputs: the base table of a
+/// `WHERE a.id = ?` join is scanned, not looked up.
+#[test]
+fn force_scan_scans_the_base_of_a_join() {
+    let db = access_db();
+    let join = db.prepare("SELECT a.id, b.id FROM a JOIN b ON a.id = b.id WHERE a.id = ?").unwrap();
+    let run = || {
+        let before = db.stats();
+        let r = db.session().query(&join, (5i64,)).unwrap();
+        (r, db.stats().delta_since(&before).rows_scanned)
+    };
+    let (looked_up, scanned_rows) = run();
+    assert_eq!(scanned_rows, 0, "unforced, the base is a point lookup");
+    db.set_force_scan(true);
+    let (forced, scanned_rows) = run();
+    db.set_force_scan(false);
+    assert_eq!(forced, looked_up);
+    assert_eq!(scanned_rows, 100, "forced, the base table is scanned whole");
+}
+
+/// EXPLAIN under `set_force_scan(true)` shows the path that runs: a forced
+/// point select is a full scan, and EXPLAIN ANALYZE's access step counts
+/// the rows that scan visited.
+#[test]
+fn explain_under_force_scan_names_the_scan_it_runs() {
+    let db = access_db();
+    let sql = "SELECT * FROM a WHERE id = 5";
+    db.set_force_scan(true);
+    let r = db.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    db.set_force_scan(false);
+    let actual = r.column_index("actual_rows").unwrap();
+    assert_eq!(text(r.rows[0].get(2)), "full scan of a, pushdown (id = 5)");
+    assert_eq!(r.rows[0].get(actual), &Value::Int(100), "access step: rows the scan visited");
+    assert_eq!(r.rows[2].get(actual), &Value::Int(1), "output");
+    assert_eq!(text(db.query(&format!("EXPLAIN {sql}")).unwrap().rows[0].get(2)),
+        "point lookup on a.id (unique), pushdown (id = 5)");
 }
