@@ -4,17 +4,17 @@
 //! application server". This crate is the application-server half of that
 //! sentence, rebuilt in Rust for the reproduction:
 //!
-//! * [`message`] — SOAP-style request/response envelopes (the gSOAP stand-in),
-//! * [`pool`] — bounded database connection pooling,
-//! * [`service`] — the two-layer service registry (fine-grained persistence
+//! * `message` — SOAP-style request/response envelopes (the gSOAP stand-in),
+//! * `pool` — bounded database connection pooling,
+//! * `service` — the two-layer service registry (fine-grained persistence
 //!   operations wrapped by coarse-grained application-logic services),
-//! * [`container`] — request dispatch with per-request CPU cost accounting and
+//! * `container` — request dispatch with per-request CPU cost accounting and
 //!   the periodic database maintenance task,
-//! * [`cost`] — the calibrated HTTP→SQL→storage cost model.
+//! * `cost` — the calibrated HTTP→SQL→storage cost model.
 //!
 //! The `condorj2` crate builds the actual CondorJ2 Application Server (CAS) on
 //! top of these pieces — its prepared statements are the paper's
-//! "HTTP-to-SQL transformation" — and the `condor` baseline reuses [`cost`]
+//! "HTTP-to-SQL transformation" — and the `condor` baseline reuses `cost`
 //! so that both systems' CPU numbers are produced by the same accounting.
 //!
 //! The container's database ([`AppContainer::database`]) is an
@@ -28,14 +28,14 @@
 
 #![warn(missing_docs)]
 
-pub mod container;
-pub mod cost;
-pub mod message;
-pub mod pool;
-pub mod service;
+mod container;
+mod cost;
+mod message;
+mod pool;
+mod service;
 
 pub use container::{AppContainer, OperationMetrics};
 pub use cost::{CostModel, RequestCost};
 pub use message::{SoapRequest, SoapResponse, SoapStatus};
-pub use pool::{ConnectionPool, PoolStats};
+pub use pool::PoolStats;
 pub use service::{ServiceKind, ServiceRegistry};

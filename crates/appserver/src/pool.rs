@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Statistics reported by a [`ConnectionPool`].
+/// Statistics reported by a `ConnectionPool`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
     /// Total successful acquisitions.
@@ -44,21 +44,6 @@ impl ConnectionPool {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of connections currently checked out.
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Number of connections currently available.
-    pub fn available(&self) -> usize {
-        self.capacity - self.in_use
-    }
-
     /// Attempts to acquire a connection. Returns `false` (and records an
     /// exhaustion event) when every connection is in use.
     pub fn try_acquire(&mut self) -> bool {
@@ -88,6 +73,20 @@ impl ConnectionPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ConnectionPool {
+        fn capacity(&self) -> usize {
+            self.capacity
+        }
+
+        fn in_use(&self) -> usize {
+            self.in_use
+        }
+
+        fn available(&self) -> usize {
+            self.capacity - self.in_use
+        }
+    }
 
     #[test]
     fn acquire_release_cycle() {

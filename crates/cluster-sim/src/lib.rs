@@ -12,19 +12,19 @@
 //! Both cluster managers in the reproduction — the process-centric `condor`
 //! baseline and the data-centric `condorj2` system — are built as event-driven
 //! state machines over [`event::EventQueue`] and report their behaviour
-//! through [`cpu::CpuAccountant`] and [`metrics`].
+//! through [`cpu::CpuAccountant`] and `metrics`.
 
 #![warn(missing_docs)]
 
-pub mod cpu;
-pub mod event;
-pub mod failure;
-pub mod job;
-pub mod machine;
-pub mod metrics;
-pub mod rng;
-pub mod time;
-pub mod trace;
+mod cpu;
+mod event;
+mod failure;
+mod job;
+mod machine;
+mod metrics;
+mod rng;
+mod time;
+mod trace;
 
 pub use cpu::{CpuAccountant, CpuCategory, CpuSample};
 pub use event::EventQueue;

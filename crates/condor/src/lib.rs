@@ -17,16 +17,11 @@
 
 #![warn(missing_docs)]
 
-pub mod classad;
-pub mod config;
-pub mod matchmaker;
-pub mod pool;
-pub mod schedd;
-pub mod startd;
+mod config;
+mod matchmaker;
+mod pool;
+mod schedd;
+mod startd;
 
-pub use classad::{AdValue, ClassAd, ReqOp, Requirement};
 pub use config::CondorConfig;
-pub use matchmaker::{Allocation, Collector, Negotiator, SlotState};
 pub use pool::{CondorReport, CondorSimulation};
-pub use schedd::{QueuedJob, Schedd, Shadow};
-pub use startd::{ExecNode, NodeState};

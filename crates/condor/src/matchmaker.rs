@@ -8,7 +8,6 @@
 //! daemon is down and resumes when both are back — exactly the behaviour the
 //! paper describes — which the failure-injection tests exercise.
 
-use crate::classad::ClassAd;
 use cluster_sim::{SimTime, VmId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -29,8 +28,6 @@ pub enum SlotState {
 pub struct SlotAd {
     /// Current state.
     pub state: SlotState,
-    /// The machine's ClassAd (attributes used for matchmaking).
-    pub ad: ClassAd,
     /// Time of the last status update received.
     pub last_update: SimTime,
 }
@@ -63,7 +60,7 @@ impl Collector {
     }
 
     /// Handles a periodic status update from a startd.
-    pub fn update_slot(&mut self, now: SimTime, vm: VmId, state: SlotState, ad: ClassAd) {
+    pub fn update_slot(&mut self, now: SimTime, vm: VmId, state: SlotState) {
         if self.down {
             return;
         }
@@ -72,7 +69,6 @@ impl Collector {
             vm,
             SlotAd {
                 state,
-                ad,
                 last_update: now,
             },
         );
@@ -101,11 +97,6 @@ impl Collector {
             .filter(|(_, s)| s.state == SlotState::Unclaimed)
             .map(|(vm, s)| (*vm, s))
             .collect()
-    }
-
-    /// The latest summary for a schedd.
-    pub fn schedd_summary(&self, schedd: usize) -> Option<ScheddSummary> {
-        self.schedds.get(&schedd).copied()
     }
 
     /// Total updates ever absorbed (a proxy for collector message load).
@@ -173,17 +164,12 @@ impl Negotiator {
         self.down = false;
     }
 
-    /// True when the daemon is running.
-    pub fn is_up(&self) -> bool {
-        !self.down
-    }
-
     /// Runs one negotiation cycle.
     ///
     /// `demands` describes each schedd as `(idle_jobs, currently_claimed,
-    /// claim_limit)`; `job_ad` is the representative ad of the schedd's idle
-    /// jobs (all jobs in the paper's experiments are homogeneous, so one ad
-    /// per schedd suffices). Free slots are taken from the collector.
+    /// claim_limit)`. Free slots are taken from the collector in id order;
+    /// every job in the paper's experiments fits every slot, so any free slot
+    /// serves any schedd.
     ///
     /// The allocation policy reproduces the behaviour behind Figure 15: the
     /// negotiator serves schedds in priority (index) order and gives the first
@@ -194,13 +180,12 @@ impl Negotiator {
         &mut self,
         collector: &Collector,
         demands: &[(usize, usize, Option<usize>)],
-        job_ads: &[ClassAd],
     ) -> Vec<Allocation> {
         if self.down || !collector.is_up() {
             return Vec::new();
         }
         self.cycles += 1;
-        let mut free: Vec<(VmId, &SlotAd)> = collector.unclaimed_slots();
+        let mut free = collector.unclaimed_slots();
         let mut out = Vec::new();
         for (schedd_idx, &(idle, claimed, limit)) in demands.iter().enumerate() {
             if idle == 0 || free.is_empty() {
@@ -213,22 +198,11 @@ impl Negotiator {
             if want == 0 {
                 continue;
             }
-            let default_ad = ClassAd::new();
-            let job_ad = job_ads.get(schedd_idx).unwrap_or(&default_ad);
-            let mut granted = 0usize;
-            let mut remaining = Vec::new();
-            for (vm, slot) in free.into_iter() {
-                if granted < want && job_ad.matches(&slot.ad) {
-                    out.push(Allocation {
-                        schedd: schedd_idx,
-                        vm,
-                    });
-                    granted += 1;
-                } else {
-                    remaining.push((vm, slot));
-                }
-            }
-            free = remaining;
+            let granted = want.min(free.len());
+            out.extend(free.drain(..granted).map(|(vm, _)| Allocation {
+                schedd: schedd_idx,
+                vm,
+            }));
         }
         out
     }
@@ -238,10 +212,16 @@ impl Negotiator {
 mod tests {
     use super::*;
 
+    impl Collector {
+        fn schedd_summary(&self, schedd: usize) -> Option<ScheddSummary> {
+            self.schedds.get(&schedd).copied()
+        }
+    }
+
     fn collector_with_slots(n: u32) -> Collector {
         let mut c = Collector::new();
         for i in 0..n {
-            c.update_slot(SimTime::ZERO, VmId(i), SlotState::Unclaimed, ClassAd::new());
+            c.update_slot(SimTime::ZERO, VmId(i), SlotState::Unclaimed);
         }
         c
     }
@@ -249,7 +229,7 @@ mod tests {
     #[test]
     fn collector_tracks_slots_and_schedds() {
         let mut c = collector_with_slots(3);
-        c.update_slot(SimTime::from_secs(5), VmId(1), SlotState::Busy, ClassAd::new());
+        c.update_slot(SimTime::from_secs(5), VmId(1), SlotState::Busy);
         c.update_schedd(SimTime::from_secs(5), 0, 10, 2);
         assert_eq!(c.known_slots(), 3);
         assert_eq!(c.unclaimed_slots().len(), 2);
@@ -264,10 +244,10 @@ mod tests {
         c.fail();
         assert!(!c.is_up());
         // Updates while down are dropped.
-        c.update_slot(SimTime::from_secs(1), VmId(9), SlotState::Unclaimed, ClassAd::new());
+        c.update_slot(SimTime::from_secs(1), VmId(9), SlotState::Unclaimed);
         assert_eq!(c.known_slots(), 0);
         c.restart();
-        c.update_slot(SimTime::from_secs(2), VmId(9), SlotState::Unclaimed, ClassAd::new());
+        c.update_slot(SimTime::from_secs(2), VmId(9), SlotState::Unclaimed);
         assert_eq!(c.known_slots(), 1);
     }
 
@@ -278,7 +258,6 @@ mod tests {
         let allocs = n.negotiate(
             &c,
             &[(10, 0, None), (10, 0, None)],
-            &[ClassAd::new(), ClassAd::new()],
         );
         assert_eq!(allocs.len(), 6);
         assert!(allocs.iter().all(|a| a.schedd == 0));
@@ -292,7 +271,6 @@ mod tests {
         let allocs = n.negotiate(
             &c,
             &[(10, 0, Some(2)), (10, 0, Some(2)), (10, 0, Some(2))],
-            &[ClassAd::new(), ClassAd::new(), ClassAd::new()],
         );
         assert_eq!(allocs.len(), 6);
         for s in 0..3 {
@@ -304,9 +282,9 @@ mod tests {
     fn idle_job_count_bounds_allocations() {
         let c = collector_with_slots(6);
         let mut n = Negotiator::new();
-        let allocs = n.negotiate(&c, &[(2, 0, None)], &[ClassAd::new()]);
+        let allocs = n.negotiate(&c, &[(2, 0, None)]);
         assert_eq!(allocs.len(), 2);
-        let allocs = n.negotiate(&c, &[(0, 0, None)], &[ClassAd::new()]);
+        let allocs = n.negotiate(&c, &[(0, 0, None)]);
         assert!(allocs.is_empty());
     }
 
@@ -316,42 +294,19 @@ mod tests {
         let mut n = Negotiator::new();
         n.fail();
         assert!(n
-            .negotiate(&c, &[(5, 0, None)], &[ClassAd::new()])
+            .negotiate(&c, &[(5, 0, None)])
             .is_empty());
         n.restart();
         c.fail();
         assert!(n
-            .negotiate(&c, &[(5, 0, None)], &[ClassAd::new()])
+            .negotiate(&c, &[(5, 0, None)])
             .is_empty());
         c.restart();
         // Collector lost its state; it must hear from the startds again first.
         assert!(n
-            .negotiate(&c, &[(5, 0, None)], &[ClassAd::new()])
+            .negotiate(&c, &[(5, 0, None)])
             .is_empty());
-        c.update_slot(SimTime::from_secs(60), VmId(0), SlotState::Unclaimed, ClassAd::new());
-        assert_eq!(n.negotiate(&c, &[(5, 0, None)], &[ClassAd::new()]).len(), 1);
-    }
-
-    #[test]
-    fn requirements_filter_candidate_slots() {
-        use crate::classad::{AdValue, ReqOp};
-        let mut c = Collector::new();
-        c.update_slot(
-            SimTime::ZERO,
-            VmId(0),
-            SlotState::Unclaimed,
-            ClassAd::new().with_number("memory", 512.0),
-        );
-        c.update_slot(
-            SimTime::ZERO,
-            VmId(1),
-            SlotState::Unclaimed,
-            ClassAd::new().with_number("memory", 4096.0),
-        );
-        let mut n = Negotiator::new();
-        let picky = ClassAd::new().require("memory", ReqOp::Ge, AdValue::Number(1024.0));
-        let allocs = n.negotiate(&c, &[(5, 0, None)], &[picky]);
-        assert_eq!(allocs.len(), 1);
-        assert_eq!(allocs[0].vm, VmId(1));
+        c.update_slot(SimTime::from_secs(60), VmId(0), SlotState::Unclaimed);
+        assert_eq!(n.negotiate(&c, &[(5, 0, None)]).len(), 1);
     }
 }

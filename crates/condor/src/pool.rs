@@ -8,7 +8,6 @@
 //! The simulation produces the measurements behind Figures 13–16, Table 1 and
 //! the Section 5.3.2 large-cluster crash observation.
 
-use crate::classad::ClassAd;
 use crate::config::CondorConfig;
 use crate::matchmaker::{Collector, Negotiator, SlotState};
 use crate::schedd::{QueuedJob, Schedd};
@@ -306,15 +305,6 @@ impl CondorSimulation {
         }
     }
 
-    fn machine_ad(&self, vm: VmId) -> ClassAd {
-        let phys = self.cluster.phys_of(vm);
-        ClassAd::new()
-            .with_number("memory", 2048.0)
-            .with_number("slowdown", phys.speed.slowdown)
-            .with_str("name", self.cluster.vm_name(vm))
-            .with_bool("start", true)
-    }
-
     fn handle_collector_updates(&mut self, now: SimTime) {
         // Every startd and every schedd refreshes its state at the collector.
         for node in &self.nodes {
@@ -325,8 +315,7 @@ impl CondorSimulation {
             } else {
                 SlotState::Unclaimed
             };
-            let ad = self.machine_ad(node.vm);
-            self.collector.update_slot(now, node.vm, state, ad);
+            self.collector.update_slot(now, node.vm, state);
         }
         for schedd in &self.schedds {
             self.collector
@@ -357,8 +346,7 @@ impl CondorSimulation {
         // from stalling between full refresh cycles).
         for node in &self.nodes {
             if node.claiming_schedd().is_none() {
-                let ad = self.machine_ad(node.vm);
-                self.collector.update_slot(now, node.vm, SlotState::Unclaimed, ad);
+                self.collector.update_slot(now, node.vm, SlotState::Unclaimed);
             }
         }
         let demands: Vec<(usize, usize, Option<usize>)> = self
@@ -372,8 +360,7 @@ impl CondorSimulation {
                 )
             })
             .collect();
-        let job_ads: Vec<ClassAd> = self.schedds.iter().map(|_| ClassAd::new()).collect();
-        let allocations = self.negotiator.negotiate(&self.collector, &demands, &job_ads);
+        let allocations = self.negotiator.negotiate(&self.collector, &demands);
 
         // The negotiator walks machine and job ads in memory.
         let effort = (demands.iter().map(|d| d.0).sum::<usize>() + self.collector.known_slots()) as f64;

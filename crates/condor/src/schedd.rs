@@ -97,16 +97,6 @@ impl Schedd {
         self.shadows.len()
     }
 
-    /// Jobs completed by this schedd.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Total writes to the persistent job log.
-    pub fn log_writes(&self) -> u64 {
-        self.log_writes
-    }
-
     /// When the schedd crashed, if it did.
     pub fn crashed_at(&self) -> Option<SimTime> {
         self.crashed_at
@@ -252,6 +242,16 @@ impl Schedd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Schedd {
+        fn completed(&self) -> u64 {
+            self.completed
+        }
+
+        fn log_writes(&self) -> u64 {
+            self.log_writes
+        }
+    }
 
     fn schedd() -> Schedd {
         Schedd::new(0, CondorConfig::default())

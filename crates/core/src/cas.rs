@@ -122,28 +122,6 @@ impl FromRow for OwnerUsage {
     }
 }
 
-/// One provenance lineage record: which executable and input produced an
-/// output data set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvenanceRecord {
-    /// The producing job.
-    pub job_id: i64,
-    /// The executable that ran.
-    pub executable: String,
-    /// The input data set it consumed.
-    pub input_dataset: String,
-}
-
-impl FromRow for ProvenanceRecord {
-    fn from_row(row: &RowView<'_>) -> Result<Self> {
-        Ok(ProvenanceRecord {
-            job_id: row.get("job_id")?,
-            executable: row.get("executable")?,
-            input_dataset: row.get("input_dataset")?,
-        })
-    }
-}
-
 /// The prepared statements behind every hot CAS service call.
 ///
 /// These handles *are* the paper's "HTTP-to-SQL transformation" — what it
@@ -181,7 +159,6 @@ struct CasPrepared {
     config_update: Prepared,
     config_insert: Prepared,
     provenance_insert: Prepared,
-    provenance_query: Prepared,
 }
 
 impl CasPrepared {
@@ -265,10 +242,6 @@ impl CasPrepared {
                 "INSERT INTO provenance (record_id, job_id, executable, input_dataset, output_dataset, recorded) \
                  VALUES (?, ?, ?, ?, ?, ?)",
             )?,
-            provenance_query: db.prepare(
-                "SELECT job_id, executable, input_dataset FROM provenance \
-                 WHERE output_dataset = ? ORDER BY record_id",
-            )?,
         })
     }
 }
@@ -329,8 +302,6 @@ impl CasState {
             db,
             prepared,
         };
-        state.set_config_if_absent("heartbeat_interval_secs", "60")?;
-        state.set_config_if_absent("scheduler", "fifo")?;
         state.set_config_if_absent("max_requeues", "5")?;
         Ok(state)
     }
@@ -618,7 +589,7 @@ impl CasState {
     /// `job_history ⋈ users` query, where the old report left the `users`
     /// attributes to a follow-up lookup per owner. Inner join semantics:
     /// history rows of unregistered owners are not reported (LEFT OUTER
-    /// JOIN is still future work — see ROADMAP).
+    /// JOIN is still future work — ROADMAP item 17 (e)).
     pub fn usage_by_owner(&self) -> Result<Vec<OwnerUsage>> {
         self.db.session().query_as(
             "SELECT users.name AS owner, users.priority AS priority, \
@@ -630,7 +601,7 @@ impl CasState {
     }
 
     /// Reads a configuration policy value.
-    pub fn get_config(&self, name: &str) -> Result<Option<String>> {
+    pub(crate) fn get_config(&self, name: &str) -> Result<Option<String>> {
         let value: Option<(Option<String>,)> = self
             .db
             .session()
@@ -678,14 +649,6 @@ impl CasState {
             ),
         )?;
         Ok(self.next_provenance_id)
-    }
-
-    /// Answers the paper's provenance question: "what executable and input
-    /// data generated this particular output data set?"
-    pub fn provenance_of(&self, output_dataset: &str) -> Result<Vec<ProvenanceRecord>> {
-        self.db
-            .session()
-            .query_as(&self.prepared.provenance_query, (output_dataset,))
     }
 }
 
@@ -895,6 +858,37 @@ pub fn register_services(registry: &mut ServiceRegistry<CasState>) {
 mod tests {
     use super::*;
     use relstore::Value;
+
+    /// One provenance lineage record: which executable and input produced an
+    /// output data set.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ProvenanceRecord {
+        job_id: i64,
+        executable: String,
+        input_dataset: String,
+    }
+
+    impl FromRow for ProvenanceRecord {
+        fn from_row(row: &RowView<'_>) -> Result<Self> {
+            Ok(ProvenanceRecord {
+                job_id: row.get("job_id")?,
+                executable: row.get("executable")?,
+                input_dataset: row.get("input_dataset")?,
+            })
+        }
+    }
+
+    impl CasState {
+        /// Answers the paper's provenance question: "what executable and
+        /// input data generated this particular output data set?"
+        fn provenance_of(&self, output_dataset: &str) -> Result<Vec<ProvenanceRecord>> {
+            self.db.session().query_as(
+                "SELECT job_id, executable, input_dataset FROM provenance \
+                 WHERE output_dataset = ? ORDER BY record_id",
+                (output_dataset,),
+            )
+        }
+    }
 
     fn cas() -> CasState {
         CasState::new(Arc::new(Database::new())).unwrap()
@@ -1227,7 +1221,7 @@ mod tests {
     #[test]
     fn configuration_management_round_trip() {
         let cas = cas();
-        assert_eq!(cas.get_config("scheduler").unwrap().as_deref(), Some("fifo"));
+        assert_eq!(cas.get_config("max_requeues").unwrap().as_deref(), Some("5"));
         cas.set_config("scheduler", "priority").unwrap();
         assert_eq!(cas.get_config("scheduler").unwrap().as_deref(), Some("priority"));
         assert_eq!(cas.get_config("nonexistent").unwrap(), None);

@@ -15,8 +15,8 @@
 //!   commit, one log force, all of its statements or none — which is what
 //!   lets a crashed CAS restart over the recovered database
 //!   ([`CasState::new`] resumes its id counters from the tables),
-//! * [`config`] — deployment parameters (poll intervals, pool sizing),
-//! * [`pool`] — the event-driven simulation of a full pool: execute nodes
+//! * `config` — deployment parameters (poll intervals, pool sizing),
+//! * `pool` — the event-driven simulation of a full pool: execute nodes
 //!   *pull* work from the CAS over web services, the DB2-style maintenance
 //!   task runs in the background, and CPU/throughput metrics are collected for
 //!   the paper's figures.
@@ -35,8 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod cas;
-pub mod config;
-pub mod pool;
+mod config;
+mod pool;
 pub mod schema;
 
 pub use cas::{CasState, HeartbeatReply, HeartbeatReport, PoolStatus};

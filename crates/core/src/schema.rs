@@ -8,7 +8,7 @@
 //! historical machine information are sizeable subsystems of the prototype).
 
 /// DDL for every CondorJ2 table, executed at CAS startup.
-pub const DDL: &[&str] = &[
+pub(crate) const DDL: &[&str] = &[
     "CREATE TABLE users (
         name TEXT PRIMARY KEY,
         priority DOUBLE,
@@ -86,7 +86,7 @@ pub const DDL: &[&str] = &[
     "CREATE INDEX ON provenance (output_dataset)",
 ];
 
-/// Names of every table created by [`DDL`], in creation order.
+/// Names of every table created by `DDL`, in creation order.
 pub const TABLES: &[&str] = &[
     "users",
     "jobs",
@@ -102,7 +102,7 @@ pub const TABLES: &[&str] = &[
 /// Deploys the schema into a database as one transaction — a fresh durable
 /// deployment is one commit — and idempotently: a table or index that
 /// already exists is kept as it is.
-pub fn deploy(db: &relstore::Database) -> relstore::Result<()> {
+pub(crate) fn deploy(db: &relstore::Database) -> relstore::Result<()> {
     let txn = db.transaction();
     for ddl in DDL {
         match txn.execute(*ddl, ()) {

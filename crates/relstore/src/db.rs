@@ -399,7 +399,7 @@ impl Database {
 
     /// The fault-injection registry for this database's durable IO path.
     /// Arm named points ([`crate::io::points`]) to inject short writes, torn
-    /// writes, fsync errors or crashes; see [`crate::io::failpoint`].
+    /// writes, fsync errors or crashes; see `crate::io::failpoint`.
     pub fn failpoints(&self) -> &Arc<Failpoints> {
         &self.failpoints
     }
@@ -1778,7 +1778,7 @@ impl Database {
 
     /// Number of version chains in `table` retaining at least one dead
     /// version — exactly the chains the next vacuum pass will visit (the
-    /// dirty-chain list; see [`Table::dirty_chain_count`]).
+    /// dirty-chain list; see `Table::dirty_chain_count`).
     pub fn table_dirty_chains(&self, table: &str) -> Result<usize> {
         self.catalog
             .read()

@@ -9,7 +9,8 @@
 mod aggregate;
 mod select;
 
-pub use select::{execute_select_opts, matching_row_ids_with, Catalog, ExecOptions};
+pub(crate) use select::matching_row_ids_with;
+pub use select::{execute_select_opts, Catalog, ExecOptions};
 
 use crate::convert::{resolve_column, FromRow, RowView};
 use crate::error::Result;
@@ -78,12 +79,6 @@ impl QueryResult {
         self.view(0).map(|v| T::from_row(&v)).transpose()
     }
 
-    /// Returns the value at (`row`, `column`), if present.
-    pub fn value(&self, row: usize, column: &str) -> Option<&Value> {
-        let idx = self.column_index(column)?;
-        self.rows.get(row).map(|r| r.get(idx))
-    }
-
     /// Convenience: the single integer produced by an aggregate query such as
     /// `SELECT COUNT(*) FROM ...`.
     pub fn scalar_int(&self) -> Option<i64> {
@@ -139,6 +134,14 @@ impl QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QueryResult {
+        /// The value at (`row`, `column`), if present.
+        pub(crate) fn value(&self, row: usize, column: &str) -> Option<&Value> {
+            let idx = self.column_index(column)?;
+            self.rows.get(row).map(|r| r.get(idx))
+        }
+    }
 
     fn result() -> QueryResult {
         QueryResult {

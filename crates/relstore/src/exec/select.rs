@@ -1023,7 +1023,7 @@ fn execute_joined(
 /// same chooser and streamer as a SELECT. Candidate rows are streamed by
 /// reference; nothing is cloned. Each candidate row is a cancellation
 /// point.
-pub fn matching_row_ids_with(
+pub(crate) fn matching_row_ids_with(
     table: &Table,
     filter: Option<&Expr>,
     params: &[Value],

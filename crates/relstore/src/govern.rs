@@ -72,7 +72,7 @@ pub struct Governance {
     /// statement bails at its next row-check boundary.
     pub cancel: Option<Arc<AtomicBool>>,
     /// Rows between deadline/cancellation checks; `None` means
-    /// [`DEFAULT_CHECK_INTERVAL`]. Tests use small intervals to exercise
+    /// `DEFAULT_CHECK_INTERVAL`. Tests use small intervals to exercise
     /// every check boundary.
     pub check_interval: Option<u32>,
 }

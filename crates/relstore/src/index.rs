@@ -45,11 +45,6 @@ impl Index {
         self.len
     }
 
-    /// True when the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.entries.len()
@@ -82,9 +77,8 @@ impl Index {
         }
     }
 
-    /// Iterates the rows holding exactly `key` without allocating (the
-    /// zero-copy form of [`Index::lookup`], used by the hot uniqueness
-    /// checks on the write path).
+    /// Iterates the rows holding exactly `key` without allocating (used by
+    /// the hot uniqueness checks on the write path).
     pub fn rows_with_key<'a>(&'a self, key: &Value) -> impl Iterator<Item = RowId> + 'a {
         self.entries
             .get(key)
@@ -92,16 +86,8 @@ impl Index {
             .flat_map(|s| s.iter().copied())
     }
 
-    /// Returns the rows holding exactly `key`.
-    pub fn lookup(&self, key: &Value) -> Vec<RowId> {
-        self.lookup_set(key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Returns the entry set for exactly `key`, borrowed from the index —
-    /// the allocation-free form of [`Index::lookup`] the point-read access
-    /// path streams from.
+    /// what the point-read access path streams from.
     pub fn lookup_set(&self, key: &Value) -> Option<&BTreeSet<RowId>> {
         if key.is_null() {
             return None;
@@ -157,22 +143,33 @@ impl Index {
         std::iter::from_fn(move || if descending { keys.next_back() } else { keys.next() })
             .flat_map(|(key, rows)| rows.iter().map(move |id| (key, *id)))
     }
-
-    /// True if any row holds `key`.
-    pub fn contains_key(&self, key: &Value) -> bool {
-        !key.is_null() && self.entries.contains_key(key)
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference forms of the probes, used only to check the index.
+    impl Index {
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        fn lookup(&self, key: &Value) -> Vec<RowId> {
+            self.lookup_set(key)
+                .map(|s| s.iter().copied().collect())
+                .unwrap_or_default()
+        }
+
+        fn contains_key(&self, key: &Value) -> bool {
+            !key.is_null() && self.entries.contains_key(key)
+        }
+
+        fn clear(&mut self) {
+            self.entries.clear();
+            self.len = 0;
+        }
+    }
 
     #[test]
     fn insert_lookup_remove() {

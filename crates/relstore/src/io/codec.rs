@@ -3,13 +3,13 @@
 //! Little-endian fixed-width integers and length-prefixed strings appended
 //! to a `Vec<u8>`, read back through a bounds-checked [`Reader`]. Both byte
 //! formats the system has are written with it: the payload of a WAL record
-//! (this module's `put_record` / [`Reader::record`]) and the frames of the
+//! (this module's `put_record` / `Reader::record`) and the frames of the
 //! `wire` protocol, which builds on the primitives, [`put_value`] and
 //! [`put_row`] here and supplies only its own error. Decoding **never
 //! panics**: a truncated buffer, an oversized length prefix or an unknown
 //! tag surfaces as the error the reader was built with —
-//! [`Error::Corruption`] for a log payload ([`Reader::new`]). (The record
-//! framing in [`super::record`] decides whether damage is a repairable torn
+//! [`Error::Corruption`] for a log payload (`Reader::new`). (The record
+//! framing in `super::record` decides whether damage is a repairable torn
 //! tail or hard corruption; by the time payload decoding runs, the payload
 //! has already passed its CRC, so any decode failure here is corruption.)
 //!
@@ -126,7 +126,7 @@ fn put_data_type(buf: &mut Vec<u8>, ty: DataType) {
 }
 
 /// Appends a full table schema: name, columns, primary key, index defs.
-pub fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
+pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     put_str(buf, &schema.name);
     put_u16(buf, schema.columns.len() as u16);
     for col in &schema.columns {
@@ -154,7 +154,7 @@ fn put_index_def(buf: &mut Vec<u8>, idx: &IndexDef) {
 }
 
 /// Appends a checkpoint table snapshot: schema plus every visible row.
-pub fn put_snapshot(buf: &mut Vec<u8>, snap: &TableSnapshot) {
+pub(crate) fn put_snapshot(buf: &mut Vec<u8>, snap: &TableSnapshot) {
     put_schema(buf, &snap.schema);
     put_u64(buf, snap.rows.len() as u64);
     for (row_id, row) in &snap.rows {
@@ -211,7 +211,7 @@ pub(crate) fn put_txn(buf: &mut Vec<u8>, changes: &[Change]) {
 }
 
 /// Appends one logical [`LogRecord`] (kind tag + fields).
-pub fn put_record(buf: &mut Vec<u8>, record: &LogRecord) {
+pub(crate) fn put_record(buf: &mut Vec<u8>, record: &LogRecord) {
     match record {
         LogRecord::Txn { changes } => put_txn(buf, changes),
         LogRecord::Checkpoint { snapshot } => {
@@ -247,7 +247,7 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// Creates a reader over one WAL record payload; its failures are
     /// [`Error::Corruption`].
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader::over(buf, "record payload", Error::Corruption)
     }
 
@@ -400,7 +400,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one table schema.
-    pub fn schema(&mut self) -> Result<Schema> {
+    pub(crate) fn schema(&mut self) -> Result<Schema> {
         let name = self.str()?.to_string();
         let col_count = self.u16()?;
         let col_count = self.count(col_count.into(), "schema column list")?;
@@ -434,7 +434,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one checkpoint table snapshot.
-    pub fn snapshot(&mut self) -> Result<TableSnapshot> {
+    pub(crate) fn snapshot(&mut self) -> Result<TableSnapshot> {
         let schema = self.schema()?;
         let row_count = self.u64()?;
         let row_count = self.count(row_count, "snapshot")?;
@@ -469,7 +469,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one logical [`LogRecord`].
-    pub fn record(&mut self) -> Result<LogRecord> {
+    pub(crate) fn record(&mut self) -> Result<LogRecord> {
         match self.u8()? {
             1 => {
                 let count = self.u32()?;

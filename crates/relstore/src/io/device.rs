@@ -93,11 +93,6 @@ impl MemDevice {
         let synced = bytes.len();
         MemDevice { buf: bytes, synced, dead: false }
     }
-
-    /// Bytes appended but not yet covered by a sync (would be lost now).
-    pub fn unsynced_len(&self) -> usize {
-        self.buf.len() - self.synced
-    }
 }
 
 impl LogDevice for MemDevice {
@@ -173,7 +168,7 @@ fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> Error {
 
 impl FsDevice {
     /// Opens (creating if absent) the segment file at `path`.
-    pub fn open(path: impl AsRef<Path>) -> Result<FsDevice> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<FsDevice> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
@@ -186,11 +181,6 @@ impl FsDevice {
             .seek(SeekFrom::End(0))
             .map_err(|e| io_err("seek log", &path, e))?;
         Ok(FsDevice { path, file, len, dead: false })
-    }
-
-    /// The segment file this device writes.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Fsyncs the directory containing the segment, making a just-renamed
@@ -294,6 +284,13 @@ impl LogDevice for FsDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemDevice {
+        /// Bytes appended but not yet covered by a sync (would be lost now).
+        fn unsynced_len(&self) -> usize {
+            self.buf.len() - self.synced
+        }
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()

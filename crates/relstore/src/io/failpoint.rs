@@ -64,7 +64,7 @@ pub struct Failpoints {
 
 impl Failpoints {
     /// Creates a registry with nothing armed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Failpoints::default()
     }
 
@@ -82,14 +82,6 @@ impl Failpoints {
         }
     }
 
-    /// Disarms `name` if armed.
-    pub fn disarm(&self, name: &'static str) {
-        let mut points = self.points.lock();
-        if points.remove(name).is_some() {
-            self.armed.fetch_sub(1, Ordering::Release);
-        }
-    }
-
     /// Total number of times any point has fired.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -98,7 +90,7 @@ impl Failpoints {
     /// Consulted by the IO path: returns the action to perform at `name`,
     /// or `None` (the overwhelmingly common case) to proceed normally.
     /// Firing disarms the point.
-    pub fn check(&self, name: &'static str) -> Option<FailAction> {
+    pub(crate) fn check(&self, name: &'static str) -> Option<FailAction> {
         if self.armed.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -119,6 +111,16 @@ impl Failpoints {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Failpoints {
+        /// Disarms `name` if armed.
+        fn disarm(&self, name: &'static str) {
+            let mut points = self.points.lock();
+            if points.remove(name).is_some() {
+                self.armed.fetch_sub(1, Ordering::Release);
+            }
+        }
+    }
 
     #[test]
     fn disarmed_points_never_fire() {

@@ -4,17 +4,17 @@
 //! crash-safe on-disk log while keeping the default in-memory engine
 //! untouched. The layering, bottom up:
 //!
-//! - [`crc`] — hand-rolled CRC-32, no dependencies.
+//! - `crc` — hand-rolled CRC-32, no dependencies.
 //! - [`codec`] — the one serde-free binary codec: the bounds-checked
 //!   primitives, value and row encodings the `wire` protocol also frames
 //!   with, and on top of them [`crate::wal::LogRecord`].
-//! - [`record`] — the segment layout: versioned header plus CRC-framed
+//! - `record` — the segment layout: versioned header plus CRC-framed
 //!   records, and the recovery scanner that repairs a **torn tail** by
 //!   truncation but refuses **mid-log corruption** with
 //!   [`crate::Error::Corruption`].
-//! - [`device`] — the [`LogDevice`] byte-log trait with a real-file
+//! - `device` — the [`LogDevice`] byte-log trait with a real-file
 //!   [`FsDevice`] and a crash-modelling [`MemDevice`].
-//! - [`failpoint`] — named, one-shot fault injection for the IO path,
+//! - `failpoint` — named, one-shot fault injection for the IO path,
 //!   free when disarmed.
 //!
 //! The WAL consumes all of this through `Wal`'s optional durable sink; see
@@ -23,16 +23,14 @@
 //! poisoning rules).
 
 pub mod codec;
-pub mod crc;
-pub mod device;
-pub mod failpoint;
-pub mod record;
+pub(crate) mod crc;
+pub(crate) mod device;
+pub(crate) mod failpoint;
+pub(crate) mod record;
 
 pub use device::{FsDevice, LogDevice, MemDevice};
 pub use failpoint::{points, FailAction, Failpoints};
-pub use record::{
-    decode_segment, record_boundaries, DecodedSegment, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
-};
+pub use record::{decode_segment, record_boundaries, DecodedSegment, SEGMENT_HEADER_LEN};
 
 /// When the durable log fsyncs, trading commit latency for crash-loss
 /// exposure. Every policy syncs at checkpoints and on an explicit
@@ -57,7 +55,7 @@ pub enum DurabilityPolicy {
 impl DurabilityPolicy {
     /// How many commits may be acknowledged between fsyncs (`None` =
     /// unbounded, i.e. [`DurabilityPolicy::Checkpoint`]).
-    pub fn commits_per_sync(&self) -> Option<usize> {
+    pub(crate) fn commits_per_sync(&self) -> Option<usize> {
         match self {
             DurabilityPolicy::Always => Some(1),
             DurabilityPolicy::Batch(n) => Some((*n).max(1)),

@@ -60,24 +60,24 @@ use super::codec::{put_record, put_txn, Reader};
 use super::crc::crc32;
 
 /// Magic bytes opening every segment.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"RWAL";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"RWAL";
 
 /// Current segment format version.
-pub const SEGMENT_VERSION: u16 = 3;
+pub(crate) const SEGMENT_VERSION: u16 = 3;
 
 /// Size of the fixed segment header.
 pub const SEGMENT_HEADER_LEN: usize = 8;
 
 /// Size of the per-record frame header.
-pub const RECORD_HEADER_LEN: usize = 12;
+pub(crate) const RECORD_HEADER_LEN: usize = 12;
 
 /// Hard upper bound on a single record payload, enforced by the writer and
 /// the reader alike. It bounds allocation against damaged headers whose CRC
 /// happens to collide.
-pub const MAX_RECORD_PAYLOAD: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_RECORD_PAYLOAD: usize = 256 * 1024 * 1024;
 
 /// The 8 header bytes opening every segment.
-pub fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
+pub(crate) fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
     let mut header = [0u8; SEGMENT_HEADER_LEN];
     header[..4].copy_from_slice(&SEGMENT_MAGIC);
     header[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -85,7 +85,7 @@ pub fn segment_header() -> [u8; SEGMENT_HEADER_LEN] {
 }
 
 /// Frames one logical record: 12-byte checksummed header + payload.
-pub fn encode_record(record: &LogRecord) -> Result<Vec<u8>> {
+pub(crate) fn encode_record(record: &LogRecord) -> Result<Vec<u8>> {
     encode_record_within(record, MAX_RECORD_PAYLOAD)
 }
 

@@ -8,14 +8,14 @@
 //! move requires:
 //!
 //! * typed tables with primary keys and secondary indexes over a row heap
-//!   addressed by row id ([`table`], [`schema`], [`heap`]),
+//!   addressed by row id ([`table`], `schema`, [`heap`]),
 //! * a SQL subset with a lexer, parser and executor ([`sql`], [`exec`]),
 //! * prepared statements with `?` placeholders and an LRU statement cache
 //!   ([`db::Prepared`], [`Database::prepare`](db::Database::prepare)),
 //! * MVCC snapshot isolation over per-row version chains ([`mvcc`]),
-//! * transactions with table-level write locking and rollback ([`txn`]),
+//! * transactions with table-level write locking and rollback (`txn`),
 //! * a write-ahead log with checkpointing and recovery ([`wal`]),
-//! * operation statistics for the simulation cost model ([`stats`]).
+//! * operation statistics for the simulation cost model (`stats`).
 //!
 //! ## Concurrency model
 //!
@@ -32,9 +32,9 @@
 //!   sit under a separate short-lived mutex, and the statement cache under a
 //!   third, so cache probes and commit processing never serialise row
 //!   access. Statistics accumulate into a stack-local [`OpStats`] per
-//!   statement and merge into lock-free [`stats::SharedStats`] atomics.
+//!   statement and merge into lock-free `stats::SharedStats` atomics.
 //! * **Rows are borrowed, names are interned.** Table access paths stream
-//!   [`tuple::StoredRowRef`]s (no row clones); the executor clones only the
+//!   `tuple::StoredRowRef`s (no row clones); the executor clones only the
 //!   values that survive projection, and [`QueryResult`] column names are
 //!   `Arc<str>`s shared with the schema.
 //! * **The log hears of a transaction once.** A transaction's changes
@@ -63,7 +63,7 @@
 //! * old versions are pruned by **vacuum** once no live snapshot can see
 //!   them: [`Database::checkpoint`](db::Database::checkpoint) sweeps every
 //!   table, and a write that leaves a table with more than
-//!   [`db::VACUUM_DEAD_THRESHOLD`] dead versions triggers a targeted sweep.
+//!   `db::VACUUM_DEAD_THRESHOLD` dead versions triggers a targeted sweep.
 //!   `versions_created` / `versions_vacuumed` / `snapshots_taken` /
 //!   `max_version_chain` in [`OpStats`] make the version store observable.
 //!
@@ -104,7 +104,7 @@
 //!   the segments that exist (130 k rows is 128 entries). An index lookup
 //!   that yields 2,000 ids pays 2,000 slot reads, not 2,000 tree descents.
 //! * **The newest version is in the slot.** A slot holds the row's
-//!   [`mvcc::VersionChain`]: its newest [`mvcc::RowVersion`] inline — the
+//!   `mvcc::VersionChain`: its newest [`mvcc::RowVersion`] inline — the
 //!   one nearly every snapshot sees — and the superseded versions in a side
 //!   vector that is empty, hence unallocated, for any row nobody has updated
 //!   since the last vacuum. An `UPDATE` moves the inline version to the side
@@ -120,7 +120,7 @@
 //!   tombstone), so a queue that churns through a million ids holds memory
 //!   for its window, not for its history; ids far apart cost one segment
 //!   each, never an allocation proportional to the id.
-//!   [`Table::approx_size`](table::Table::approx_size) counts slots and
+//!   `Table::approx_size` counts slots and
 //!   directory as well as row bytes, so the claim is checkable.
 //!
 //! ## The typed session API
@@ -337,7 +337,7 @@
 //!   log: a transaction's frame is written onto the device at commit (the
 //!   change list it is encoded from is the undo list the transaction needed
 //!   anyway, and goes with it), decoded once when a database opens
-//!   ([`wal::recover`]), and dropped before the first statement runs. There is one way to recover — open over a
+//!   (`wal::recover`), and dropped before the first statement runs. There is one way to recover — open over a
 //!   [`LogDevice`]; tests that crash and reopen do it over a [`MemDevice`]
 //!   holding [`durable_log_bytes`](db::Database::durable_log_bytes). A
 //!   change carries what replay reads: an `Update` is the row's new image,
@@ -373,7 +373,7 @@
 //!   [`Governance::deadline`] bounds one statement's wall-clock time and
 //!   [`Governance::cancel`] lets any thread stop it; every executor loop
 //!   (scan, filter, join, sort boundary, aggregate, batch) checks both
-//!   every [`govern::DEFAULT_CHECK_INTERVAL`] rows (tunable via
+//!   every `govern::DEFAULT_CHECK_INTERVAL` rows (tunable via
 //!   [`Governance::check_interval`]) and bails with [`Error::Timeout`]
 //!   (kind [`TimeoutKind::Statement`], class `Logic`). A cancelled
 //!   autocommit write rolls back cleanly — never a partial apply.
@@ -510,7 +510,7 @@
 //!
 //! Every table read — a single-table `SELECT`, each input of a join, the
 //! rows an `UPDATE` or `DELETE` matches — takes its access path from one
-//! chooser ([`plan::choose_access`]) and is read by one streamer.
+//! chooser (`plan::choose_access`) and is read by one streamer.
 //! [`Database::set_force_scan`](db::Database::set_force_scan) is read by
 //! that chooser alone, so it pins every `SELECT`'s table reads to full
 //! scans: the base table and every join input, in execution and in
@@ -526,7 +526,7 @@
 //! keys, grouping columns, aggregate inputs, projections) is *bound* once
 //! per execution ([`Expr::bind`](predicate::Expr::bind)): each column
 //! reference becomes a (tuple slot, column ordinal) pair, found by the one
-//! resolver ([`predicate::resolve_column`]: a bare name must belong to
+//! resolver (`predicate::resolve_column`: a bare name must belong to
 //! exactly one table in scope, else it is the *ambiguous column* type
 //! error), and evaluation borrows out of the rows without comparing a name
 //! or cloning a value. Aggregates fold straight off the references — a
@@ -668,26 +668,26 @@
 
 #![warn(missing_docs)]
 
-pub mod convert;
-pub mod db;
-pub mod error;
+mod convert;
+mod db;
+mod error;
 pub mod exec;
-pub mod govern;
+mod govern;
 pub mod heap;
-pub mod index;
+mod index;
 pub mod io;
 pub mod mvcc;
 pub mod obs;
 pub mod plan;
-pub mod predicate;
-pub mod schema;
-pub mod session;
+mod predicate;
+mod schema;
+mod session;
 pub mod sql;
-pub mod stats;
+mod stats;
 pub mod table;
-pub mod tuple;
-pub mod txn;
-pub mod value;
+mod tuple;
+mod txn;
+mod value;
 pub mod wal;
 
 pub use convert::{FromRow, FromValue, IntoParams, RowView, ToStatement};

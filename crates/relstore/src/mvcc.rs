@@ -4,7 +4,7 @@
 //! writers. Instead of conflict-checking the lock table, every SELECT
 //! (autocommit, in-transaction, and batched) carries a [`Snapshot`]: a
 //! transaction-id watermark plus the set of writers that were in flight when
-//! the snapshot was taken. Each table row is a [`VersionChain`] of
+//! the snapshot was taken. Each table row is a `VersionChain` of
 //! [`RowVersion`]s stamped with the transaction that created them (`begin`)
 //! and, once superseded or deleted, the transaction that ended them (`end`).
 //! A version is visible to a snapshot exactly when its `begin` is visible
@@ -42,7 +42,7 @@
 //! ([`crate::table::Table::vacuum`]) — invoked from
 //! [`crate::db::Database::checkpoint`] and, per table, when the count
 //! of dead versions crosses a threshold after a write. The cutoff is the
-//! [`TxnManager::snapshot_horizon`](crate::txn::TxnManager::snapshot_horizon):
+//! `TxnManager::snapshot_horizon`:
 //! the smallest transaction id some live snapshot does *not* see.
 
 use crate::tuple::Row;
@@ -102,13 +102,13 @@ impl Snapshot {
     /// The all-seeing snapshot (current physical state): it considers every
     /// transaction committed, so a version is visible exactly when its
     /// `end` is unset.
-    pub fn latest() -> &'static Snapshot {
+    pub(crate) fn latest() -> &'static Snapshot {
         &LATEST
     }
 
     /// True when this snapshot considers `txn`'s effects committed-and-visible.
     #[inline]
-    pub fn sees(&self, txn: TxnId) -> bool {
+    pub(crate) fn sees(&self, txn: TxnId) -> bool {
         if self.own == Some(txn) {
             return true;
         }
@@ -117,7 +117,7 @@ impl Snapshot {
 
     /// True when `version` is the row state this snapshot should observe.
     #[inline]
-    pub fn visible(&self, version: &RowVersion) -> bool {
+    pub(crate) fn visible(&self, version: &RowVersion) -> bool {
         self.sees(version.begin)
             && match version.end {
                 None => true,
@@ -127,7 +127,7 @@ impl Snapshot {
 
     /// The smallest transaction id this snapshot does **not** see (ignoring
     /// `own`): the lower bound used to compute the global vacuum horizon.
-    pub fn low_watermark(&self) -> u64 {
+    pub(crate) fn low_watermark(&self) -> u64 {
         match self.in_flight.first() {
             Some(t) => t.0.min(self.high),
             None => self.high,
@@ -150,7 +150,7 @@ impl Snapshot {
 /// older snapshots until vacuumed. `newest` is `None` only for the empty
 /// chain a fully vacuumed tombstone leaves, which the table drops at once.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VersionChain {
+pub(crate) struct VersionChain {
     newest: Option<RowVersion>,
     /// Superseded versions, oldest → newest.
     older: Vec<RowVersion>,
@@ -162,7 +162,7 @@ const _: () = assert!(std::mem::size_of::<Option<VersionChain>>() <= 72);
 
 impl VersionChain {
     /// Creates a chain holding a single new version written by `txn`.
-    pub fn new(txn: TxnId, row: Row) -> Self {
+    pub(crate) fn new(txn: TxnId, row: Row) -> Self {
         VersionChain {
             newest: Some(RowVersion {
                 begin: txn,
@@ -174,18 +174,18 @@ impl VersionChain {
     }
 
     /// Number of retained versions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.older.len() + usize::from(self.newest.is_some())
     }
 
     /// True when no versions remain (only transiently, during vacuum).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.newest.is_none()
     }
 
     /// The newest version.
     #[inline]
-    pub fn newest(&self) -> &RowVersion {
+    pub(crate) fn newest(&self) -> &RowVersion {
         self.newest.as_ref().expect("chains are never empty")
     }
 
@@ -194,18 +194,18 @@ impl VersionChain {
     }
 
     /// The current row — the newest version if it has not been ended.
-    pub fn current(&self) -> Option<&Row> {
+    pub(crate) fn current(&self) -> Option<&Row> {
         let v = self.newest();
         v.end.is_none().then_some(&v.row)
     }
 
     /// True when the newest version is open (the row exists in latest state).
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.newest().end.is_none()
     }
 
     /// True when some retained version has been ended (vacuum candidate).
-    pub fn has_dead(&self) -> bool {
+    pub(crate) fn has_dead(&self) -> bool {
         !self.older.is_empty() || !self.is_live()
     }
 
@@ -213,7 +213,7 @@ impl VersionChain {
     /// Searched newest-first: the common case (current version visible)
     /// checks exactly the inline version.
     #[inline]
-    pub fn visible(&self, snapshot: &Snapshot) -> Option<&Row> {
+    pub(crate) fn visible(&self, snapshot: &Snapshot) -> Option<&Row> {
         let newest = self.newest.as_ref()?;
         if snapshot.visible(newest) {
             return Some(&newest.row);
@@ -228,12 +228,12 @@ impl VersionChain {
     /// The chain's only version, when it retains exactly one: read off the
     /// slot the chain lives in, no row behind it touched.
     #[inline]
-    pub fn sole(&self) -> Option<&RowVersion> {
+    pub(crate) fn sole(&self) -> Option<&RowVersion> {
         self.newest.as_ref().filter(|_| self.older.is_empty())
     }
 
     /// Iterates all retained versions (oldest first).
-    pub fn versions(&self) -> impl Iterator<Item = &RowVersion> {
+    pub(crate) fn versions(&self) -> impl Iterator<Item = &RowVersion> {
         self.older.iter().chain(&self.newest)
     }
 
@@ -316,7 +316,7 @@ impl VersionChain {
     /// version's row contents, plus the side vector (the slot itself — the
     /// inline version's stamps and the vector's header — is the heap's to
     /// count, see [`crate::heap::Heap::approx_overhead`]).
-    pub fn approx_size(&self) -> usize {
+    pub(crate) fn approx_size(&self) -> usize {
         self.versions().map(|v| v.row.approx_size()).sum::<usize>()
             + self.older.capacity() * std::mem::size_of::<RowVersion>()
     }

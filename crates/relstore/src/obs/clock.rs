@@ -24,18 +24,18 @@ use std::time::Instant;
 /// Storing the `Instant` keeps each end at exactly one clock read, and the
 /// subtraction happens once, at stop time.
 #[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Instant);
+pub(crate) struct Stopwatch(Instant);
 
 impl Stopwatch {
     /// Starts timing now.
     #[inline]
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         Stopwatch(Instant::now())
     }
 
     /// Nanoseconds elapsed since [`Stopwatch::start`].
     #[inline]
-    pub fn elapsed_nanos(&self) -> u64 {
+    pub(crate) fn elapsed_nanos(&self) -> u64 {
         self.0.elapsed().as_nanos() as u64
     }
 

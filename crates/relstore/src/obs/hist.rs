@@ -74,7 +74,7 @@ impl LatencyHistogram {
 
     /// Total samples recorded. Relaxed sum: exact once writers quiesce, and
     /// never off by more than the statements in flight while they don't.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
@@ -100,12 +100,12 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Total samples in the snapshot.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
     /// Largest sample ever recorded, in nanoseconds.
-    pub fn max_nanos(&self) -> u64 {
+    pub(crate) fn max_nanos(&self) -> u64 {
         self.max_nanos
     }
 
@@ -148,7 +148,7 @@ impl HistogramSnapshot {
     /// Estimates the arithmetic mean in nanoseconds from bucket midpoints,
     /// or `None` if empty. Exact totals are deliberately not kept — that
     /// would cost a second hot-path RMW per sample.
-    pub fn mean_nanos(&self) -> Option<f64> {
+    pub(crate) fn mean_nanos(&self) -> Option<f64> {
         let count = self.count();
         if count == 0 {
             return None;

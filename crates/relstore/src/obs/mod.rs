@@ -4,34 +4,36 @@
 //! *because a relational engine can be inspected with queries*. This module
 //! turns that lens on the engine itself: every statement's latency lands in a
 //! lock-free [log-bucketed histogram](hist::LatencyHistogram), every prepared
-//! statement carries a [cumulative profile](profile::StmtProfile), statements
+//! statement carries a cumulative profile, statements
 //! that cross an armed threshold are captured in a [slow-query
 //! ring](ring::SlowQueryLog) with a wait breakdown, and coarse engine spans
 //! (checkpoints, vacuum sweeps, recovery) land in an [event
 //! ring](ring::EventRing). All of it is served back through the normal SELECT
-//! path as [virtual system tables](systables) — `rel_stats`,
+//! path as virtual system tables — `rel_stats`,
 //! `rel_histograms`, `rel_statements`, `rel_slow_queries`, `rel_events` — so
 //! the embedded API, the wire protocol, and the SQL console monitor the
 //! engine with plain SQL and zero new protocol surface.
 //!
-//! The cost discipline: always-on instrumentation is one [stopwatch
-//! pair](clock::Stopwatch) (one vDSO `clock_gettime` per end) plus a handful of
+//! The cost discipline: always-on instrumentation is one stopwatch
+//! pair (one vDSO `clock_gettime` per end) plus a handful of
 //! relaxed atomic adds per statement; everything more expensive — the slow
 //! log mutex, event formatting — only runs once a threshold armed by the
 //! operator has already been blown. The `obs_overhead` bench in the `bench`
 //! crate holds the fully-instrumented prepared point select inside its
 //! acceptance band to keep this honest.
 
-pub mod clock;
+pub(crate) mod clock;
 pub mod hist;
-pub mod profile;
-pub mod ring;
-pub mod systables;
+pub(crate) mod profile;
+pub(crate) mod ring;
+pub(crate) mod systables;
 
-pub use clock::Stopwatch;
-pub use hist::{HistogramSnapshot, LatencyHistogram};
+pub(crate) use clock::Stopwatch;
+pub use hist::HistogramSnapshot;
+pub(crate) use hist::LatencyHistogram;
 pub(crate) use profile::ProfileCounters;
-pub use profile::{EvictedTotals, StmtProfile, StmtProfileSnapshot};
+pub(crate) use profile::StmtProfile;
+pub use profile::StmtProfileSnapshot;
 pub use ring::{Event, EventRing, SlowQueryEntry, SlowQueryLog};
 
 use crate::sql::ast::Statement;
@@ -55,12 +57,12 @@ pub enum StmtKind {
 
 impl StmtKind {
     /// Number of kinds (and per-kind histograms).
-    pub const COUNT: usize = 5;
+    pub(crate) const COUNT: usize = 5;
 
     /// Classifies a parsed statement. Transaction control (`BEGIN` /
     /// `COMMIT` / `ROLLBACK`) classifies as DDL for profile bookkeeping but
     /// is never executed through the statement path, so it records nothing.
-    pub fn of(stmt: &Statement) -> StmtKind {
+    pub(crate) fn of(stmt: &Statement) -> StmtKind {
         match stmt {
             // EXPLAIN is a read: even EXPLAIN ANALYZE only executes a SELECT.
             Statement::Select(_) | Statement::Explain { .. } => StmtKind::Select,
@@ -72,7 +74,7 @@ impl StmtKind {
     }
 
     /// Lower-case kind name, e.g. `"select"`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StmtKind::Select => "select",
             StmtKind::Insert => "insert",
@@ -83,7 +85,7 @@ impl StmtKind {
     }
 
     /// Histogram row name in `rel_histograms`, e.g. `"stmt.select"`.
-    pub fn hist_name(self) -> &'static str {
+    pub(crate) fn hist_name(self) -> &'static str {
         match self {
             StmtKind::Select => "stmt.select",
             StmtKind::Insert => "stmt.insert",
@@ -120,7 +122,7 @@ impl Histograms {
     }
 
     /// Every histogram with its `rel_histograms` row name.
-    pub fn named(&self) -> Vec<(&'static str, &LatencyHistogram)> {
+    pub(crate) fn named(&self) -> Vec<(&'static str, &LatencyHistogram)> {
         let mut out = Vec::with_capacity(StmtKind::COUNT + 5);
         for kind in [
             StmtKind::Select,
@@ -150,7 +152,7 @@ impl Histograms {
 /// Where a statement's time went, for the slow-query breakdown. Built from
 /// the statement's private [`OpStats`] delta, so it costs nothing to produce.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WaitBreakdown {
+pub(crate) struct WaitBreakdown {
     /// Nanoseconds blocked on table locks.
     pub lock_wait_nanos: u64,
     /// Nanoseconds inside durable-log fsyncs.
@@ -159,7 +161,7 @@ pub struct WaitBreakdown {
 
 impl WaitBreakdown {
     /// The breakdown of a whole statement-local delta.
-    pub fn of(local: &OpStats) -> WaitBreakdown {
+    pub(crate) fn of(local: &OpStats) -> WaitBreakdown {
         WaitBreakdown {
             lock_wait_nanos: local.lock_wait_nanos,
             fsync_nanos: local.wal_fsync_nanos,
@@ -168,7 +170,7 @@ impl WaitBreakdown {
 
     /// Component-wise `self - earlier`: the waits one batch binding added to
     /// a delta shared by the whole batch.
-    pub fn delta_since(&self, earlier: &WaitBreakdown) -> WaitBreakdown {
+    pub(crate) fn delta_since(&self, earlier: &WaitBreakdown) -> WaitBreakdown {
         WaitBreakdown {
             lock_wait_nanos: self.lock_wait_nanos.saturating_sub(earlier.lock_wait_nanos),
             fsync_nanos: self.fsync_nanos.saturating_sub(earlier.fsync_nanos),
@@ -227,7 +229,7 @@ impl Observability {
 /// when no real table shadows it. The `rel_` prefix check keeps this to a
 /// single cheap comparison for ordinary table names.
 #[inline]
-pub fn is_system_table(lower_name: &str) -> bool {
+pub(crate) fn is_system_table(lower_name: &str) -> bool {
     lower_name.starts_with("rel_")
         && matches!(
             lower_name,

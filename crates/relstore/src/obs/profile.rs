@@ -56,7 +56,7 @@ impl ProfileCounters {
 
 /// Lock-free cumulative execution counters for one normalized SQL text.
 #[derive(Debug)]
-pub struct StmtProfile {
+pub(crate) struct StmtProfile {
     sql: Arc<str>,
     kind: StmtKind,
     counters: ProfileCounters,
@@ -67,7 +67,7 @@ pub struct StmtProfile {
 
 impl StmtProfile {
     /// Creates an empty profile for a statement text.
-    pub fn new(sql: Arc<str>, kind: StmtKind) -> Self {
+    pub(crate) fn new(sql: Arc<str>, kind: StmtKind) -> Self {
         StmtProfile {
             sql,
             kind,
@@ -78,13 +78,8 @@ impl StmtProfile {
 
     /// The statement text this profile aggregates (as prepared, so bound
     /// parameters are already normalized to `?`).
-    pub fn sql(&self) -> &Arc<str> {
+    pub(crate) fn sql(&self) -> &Arc<str> {
         &self.sql
-    }
-
-    /// The statement kind (select/insert/update/delete/ddl).
-    pub fn kind(&self) -> StmtKind {
-        self.kind
     }
 
     /// Records one execution — into this profile, or into the `'(evicted)'`
@@ -113,7 +108,7 @@ impl StmtProfile {
 
     /// Copies the counters into an immutable snapshot (frozen as of the
     /// eviction for a profile the statement cache has dropped).
-    pub fn snapshot(&self) -> StmtProfileSnapshot {
+    pub(crate) fn snapshot(&self) -> StmtProfileSnapshot {
         let EvictedTotals {
             calls,
             rows,
@@ -148,22 +143,11 @@ pub struct StmtProfileSnapshot {
     pub max_nanos: u64,
 }
 
-impl StmtProfileSnapshot {
-    /// Mean execution time in nanoseconds, or 0.0 before any call.
-    pub fn mean_nanos(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_nanos as f64 / self.calls as f64
-        }
-    }
-}
-
 /// What the profiles evicted from the statement cache recorded — before
 /// they left it and, through handles that outlived their entry, since —
 /// summed: the `'(evicted)'` row of `rel_statements`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictedTotals {
+pub(crate) struct EvictedTotals {
     /// Executions recorded by evicted profiles.
     pub calls: u64,
     /// Rows returned or affected by them.
@@ -177,6 +161,17 @@ pub struct EvictedTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StmtProfileSnapshot {
+        /// Mean execution time in nanoseconds, or 0.0 before any call.
+        fn mean_nanos(&self) -> f64 {
+            if self.calls == 0 {
+                0.0
+            } else {
+                self.total_nanos as f64 / self.calls as f64
+            }
+        }
+    }
 
     #[test]
     fn record_accumulates_and_tracks_max() {

@@ -18,16 +18,16 @@ use super::clock::Stopwatch;
 use super::StmtKind;
 
 /// Entries kept by the slow-query ring before the oldest is dropped.
-pub const SLOW_LOG_CAPACITY: usize = 256;
+pub(crate) const SLOW_LOG_CAPACITY: usize = 256;
 
 /// Entries kept by the event ring before the oldest is dropped.
-pub const EVENT_RING_CAPACITY: usize = 128;
+pub(crate) const EVENT_RING_CAPACITY: usize = 128;
 
 /// One captured slow statement, with a breakdown of where the time went.
 #[derive(Debug, Clone)]
 pub struct SlowQueryEntry {
     /// Monotonic capture sequence number (gaps mean dropped entries — the
-    /// ring only keeps the most recent [`SLOW_LOG_CAPACITY`]).
+    /// ring only keeps the most recent `SLOW_LOG_CAPACITY`).
     pub seq: u64,
     /// The statement text, when the statement came in as SQL. Programmatic
     /// AST execution has no text and reports `None`.
@@ -69,7 +69,7 @@ impl Default for SlowQueryLog {
 impl SlowQueryLog {
     /// Arms the log at a threshold (`Some(Duration::ZERO)` captures every
     /// statement) or disarms it (`None`), dropping nothing already captured.
-    pub fn set_threshold(&self, threshold: Option<Duration>) {
+    pub(crate) fn set_threshold(&self, threshold: Option<Duration>) {
         let nanos = match threshold {
             // Saturate just under the disarmed sentinel.
             Some(d) => u64::try_from(d.as_nanos()).unwrap_or(u64::MAX - 1).min(u64::MAX - 1),
@@ -79,7 +79,7 @@ impl SlowQueryLog {
     }
 
     /// The armed threshold, or `None` while disarmed.
-    pub fn threshold(&self) -> Option<Duration> {
+    pub(crate) fn threshold(&self) -> Option<Duration> {
         match self.threshold_nanos.load(Ordering::Relaxed) {
             u64::MAX => None,
             nanos => Some(Duration::from_nanos(nanos)),
@@ -158,7 +158,7 @@ impl EventRing {
     }
 
     /// Copies the captured events, oldest first.
-    pub fn entries(&self) -> Vec<Event> {
+    pub(crate) fn entries(&self) -> Vec<Event> {
         self.entries.lock().iter().cloned().collect()
     }
 }

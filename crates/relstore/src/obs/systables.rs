@@ -46,7 +46,7 @@ fn make_table(name: &str, columns: Vec<Column>, rows: Vec<Vec<Value>>) -> Table 
 
 /// `rel_stats(name TEXT, kind TEXT, value INT)` — every engine counter and
 /// gauge from [`OpStats`], one row each, in declaration order.
-pub fn stats_table(stats: &OpStats) -> Table {
+pub(crate) fn stats_table(stats: &OpStats) -> Table {
     let rows = stats
         .fields()
         .into_iter()
@@ -73,7 +73,7 @@ pub fn stats_table(stats: &OpStats) -> Table {
 /// `rel_histograms(name TEXT, count INT, p50_us, p95_us, p99_us, max_us,
 /// mean_us DOUBLE)` — one row per engine latency histogram. Quantile columns
 /// are NULL while a histogram is empty.
-pub fn histograms_table(histograms: &Histograms) -> Table {
+pub(crate) fn histograms_table(histograms: &Histograms) -> Table {
     let rows = histograms
         .named()
         .into_iter()
@@ -118,7 +118,7 @@ pub fn histograms_table(histograms: &Histograms) -> Table {
 /// `ANALYZE`d table, in catalog order. `stale` is 1 when the table has been
 /// physically modified since collection. Unanalyzed tables have no rows
 /// here.
-pub fn table_stats_table<'a>(
+pub(crate) fn table_stats_table<'a>(
     tables: impl Iterator<Item = (&'a str, &'a Table)>,
 ) -> Table {
     let mut rows = Vec::new();
@@ -165,7 +165,7 @@ pub fn table_stats_table<'a>(
 /// one `'(evicted)'` row (kind `'evicted'`) summing what the entries the
 /// LRU has dropped had recorded, once any has been; slowest cumulative
 /// time first. Bounded by the statement-cache LRU.
-pub fn statements_table(profiles: Vec<StmtProfileSnapshot>, evicted: EvictedTotals) -> Table {
+pub(crate) fn statements_table(profiles: Vec<StmtProfileSnapshot>, evicted: EvictedTotals) -> Table {
     let line = |sql: Arc<str>, kind: &str, calls: u64, rows: u64, total_nanos: u64, max_nanos: u64| {
         let mean_nanos = if calls == 0 { 0.0 } else { total_nanos as f64 / calls as f64 };
         vec![
@@ -206,7 +206,7 @@ pub fn statements_table(profiles: Vec<StmtProfileSnapshot>, evicted: EvictedTota
 /// `rel_slow_queries(seq INT, sql TEXT, kind TEXT, duration_us DOUBLE,
 /// rows INT, lock_wait_us, fsync_us DOUBLE)` — the slow-query
 /// ring, oldest first. `sql` is NULL for programmatic (AST) execution.
-pub fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
+pub(crate) fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
     let rows = entries
         .into_iter()
         .map(|e| {
@@ -241,7 +241,7 @@ pub fn slow_queries_table(entries: Vec<SlowQueryEntry>) -> Table {
 
 /// `rel_events(seq INT, kind TEXT, detail TEXT, duration_us DOUBLE)` — the
 /// coarse-span event ring, oldest first.
-pub fn events_table(events: Vec<Event>) -> Table {
+pub(crate) fn events_table(events: Vec<Event>) -> Table {
     let rows = events
         .into_iter()
         .map(|e| {

@@ -54,7 +54,7 @@
 //!
 //! Every table read — a single-table SELECT, each input of a join, the rows
 //! an UPDATE or DELETE matches — takes its path from one chooser,
-//! [`choose_access`], as one [`AccessPath`] that names its column by
+//! `choose_access`, as one [`AccessPath`] that names its column by
 //! ordinal, so a path holds no string and the executor's one streamer reads
 //! it without resolving a name. The chooser is also the only code that
 //! reads the force-scan knob (`Database::set_force_scan`): under it every
@@ -63,7 +63,7 @@
 //!
 //! Estimates come from two sources, both optional: `ANALYZE`-collected
 //! [`TableStats`] (exact at collection time, stale afterwards) and live
-//! index metadata ([`Table::index_stats_on`], never stale but
+//! index metadata (`Table::index_stats_on`, never stale but
 //! version-inflated). Plans must therefore only ever be a *performance*
 //! hint: every access path yields a superset of the matching rows and the
 //! executor re-applies the full predicate, so stale stats can cost time but
@@ -107,18 +107,10 @@ pub struct ColumnStats {
 pub struct TableStats {
     /// Live rows visible to the collecting snapshot.
     pub rows: usize,
-    /// [`Table::version`] at collection time.
+    /// `Table::version` at collection time.
     pub version: u64,
     /// Per-column statistics, in schema order.
     pub columns: Vec<ColumnStats>,
-}
-
-impl TableStats {
-    /// Statistics for `column` (bare lower-case name), if collected.
-    pub fn column(&self, column: &str) -> Option<&ColumnStats> {
-        let lc = crate::schema::lower_name(column);
-        self.columns.iter().find(|c| c.name == lc.as_ref())
-    }
 }
 
 /// Scans `table` at the latest committed state and computes fresh
@@ -126,7 +118,7 @@ impl TableStats {
 /// min/max. Cost is one full scan plus a hash set per column, which is why
 /// statistics are collected on demand (`ANALYZE`) rather than inline with
 /// writes.
-pub fn analyze_table(table: &Table) -> TableStats {
+pub(crate) fn analyze_table(table: &Table) -> TableStats {
     let mut scratch = OpStats::default();
     let arity = table.schema.arity();
     let mut rows = 0usize;
@@ -261,7 +253,7 @@ pub struct AccessPlan {
 impl AccessPlan {
     /// Human-readable form for EXPLAIN, e.g. `point lookup on jobs.job_id
     /// (unique)`, naming the columns of `schema`, the table read.
-    pub fn describe(&self, schema: &Schema) -> String {
+    pub(crate) fn describe(&self, schema: &Schema) -> String {
         let table = &schema.name;
         let column = |c: usize| schema.columns.get(c).map_or("?", |c| &*c.name);
         match self.path {
@@ -325,7 +317,7 @@ fn walkable_column(table: &Table, name: &str) -> Option<usize> {
 /// for the length of the pinned key's posting list: a path chosen with an
 /// `order` is never cached, and a join input (no `order`) does not depend
 /// on them.
-pub fn choose_access(
+pub(crate) fn choose_access(
     table: &Table,
     filter: Option<&Expr>,
     order: Option<(&OrderKey, usize)>,
@@ -469,7 +461,7 @@ impl SelectPlan {
     /// True when some step has a hash build side a prepared statement may
     /// reuse across executions. Plans without one never touch the build
     /// slots of their [`PlanSlot`].
-    pub fn caches_builds(&self) -> bool {
+    pub(crate) fn caches_builds(&self) -> bool {
         self.steps
             .iter()
             .any(|s| s.cacheable && matches!(s.strategy, JoinStrategy::Hash { .. }))
@@ -612,7 +604,7 @@ fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> H
 /// *single-table* `ORDER BY … LIMIT` (the bound limit, the length of the
 /// pinned key's posting list), whose plan is never cached. A join plan —
 /// which a prepared statement does cache across bindings — does not depend
-/// on them. Every table's path comes from [`choose_access`], so
+/// on them. Every table's path comes from `choose_access`, so
 /// `force_scan` makes every one of them a full scan.
 pub fn plan_select(
     catalog: &Catalog,
@@ -956,7 +948,7 @@ pub fn explain_result(
 /// identical (same visible row set).
 #[derive(Debug)]
 pub struct CachedBuild {
-    /// [`Table::version`] when built.
+    /// `Table::version` when built.
     pub table_version: u64,
     /// The snapshot the build was made under.
     pub snapshot: Snapshot,
@@ -982,7 +974,7 @@ pub struct BuildBucket {
 
 impl CachedBuild {
     /// Seals a freshly built map: numbers the buckets' rows densely.
-    pub fn new(table_version: u64, snapshot: Snapshot, mut map: HashMap<Value, BuildBucket>) -> Self {
+    pub(crate) fn new(table_version: u64, snapshot: Snapshot, mut map: HashMap<Value, BuildBucket>) -> Self {
         let mut rows = 0;
         for bucket in map.values_mut() {
             bucket.first = rows;
@@ -999,7 +991,7 @@ impl CachedBuild {
     /// True when the cached build still describes exactly the rows the
     /// caller would see: the table has had no physical change and the
     /// snapshot is the same visible set.
-    pub fn valid_for(&self, table: &Table, vis: &Snapshot) -> bool {
+    pub(crate) fn valid_for(&self, table: &Table, vis: &Snapshot) -> bool {
         self.table_version == table.version() && self.snapshot == *vis
     }
 }
@@ -1008,7 +1000,7 @@ impl CachedBuild {
 /// any reusable hash-join build sides, all invalidated when `gen` falls
 /// behind the database's plan generation (bumped by DDL and `ANALYZE`).
 #[derive(Debug, Default)]
-pub struct PlanSlot {
+pub(crate) struct PlanSlot {
     /// Database plan generation this slot was filled under.
     pub gen: u64,
     /// The cached plan, if planned already.
@@ -1018,12 +1010,20 @@ pub struct PlanSlot {
 }
 
 /// Shareable plan-cache cell attached to a prepared statement.
-pub type PlanCell = Mutex<PlanSlot>;
+pub(crate) type PlanCell = Mutex<PlanSlot>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mvcc::COMMITTED_TXN;
+
+    impl TableStats {
+        /// Statistics for `column` (bare lower-case name), if collected.
+        fn column(&self, column: &str) -> Option<&ColumnStats> {
+            let lc = crate::schema::lower_name(column);
+            self.columns.iter().find(|c| c.name == lc.as_ref())
+        }
+    }
     use crate::schema::{Column, Schema};
     use crate::sql::ast::Statement;
     use crate::sql::parser::parse;

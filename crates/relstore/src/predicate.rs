@@ -95,7 +95,7 @@ pub enum Expr {
     Literal(Value),
     /// A positional bind parameter (`?`), 0-indexed in statement order.
     /// Resolved at evaluation time from the bound-parameter context (see
-    /// [`BoundExpr::eval`]).
+    /// `BoundExpr::eval`).
     Param(usize),
     /// A reference to a column by name.
     Column(String),

@@ -41,7 +41,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Canonical upper-case name of the function.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             AggFunc::Count => "COUNT",
             AggFunc::Sum => "SUM",
@@ -94,7 +94,7 @@ impl JoinClause {
     /// references, returns them as `(left, right)` in source order. Which
     /// side belongs to which table is resolved by the planner against the
     /// joined schemas.
-    pub fn equi_columns(&self) -> Option<(&str, &str)> {
+    pub(crate) fn equi_columns(&self) -> Option<(&str, &str)> {
         if let Expr::Cmp(CmpOp::Eq, l, r) = &self.on {
             if let (Expr::Column(a), Expr::Column(b)) = (l.as_ref(), r.as_ref()) {
                 return Some((a, b));
@@ -119,7 +119,7 @@ impl Limit {
     /// The row count this limit stands for under `params`. A placeholder
     /// must be bound to a non-negative integer: anything else — a negative
     /// count, a non-integer, NULL, a missing binding — is a type error.
-    pub fn resolve(&self, params: &[Value]) -> Result<usize> {
+    pub(crate) fn resolve(&self, params: &[Value]) -> Result<usize> {
         match *self {
             Limit::Count(n) => Ok(n),
             Limit::Param(i) => {
@@ -161,7 +161,7 @@ impl SelectStmt {
     /// Number of `?` bind-parameter slots referenced anywhere in the
     /// statement (one past the highest index), including join predicates,
     /// subqueries and `LIMIT ?`.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         let mut n = match self.limit {
             Some(Limit::Param(i)) => i + 1,
             _ => 0,
@@ -172,13 +172,13 @@ impl SelectStmt {
 
     /// The `LIMIT` row count under `params`, if the statement has one (see
     /// [`Limit::resolve`]).
-    pub fn limit_with(&self, params: &[Value]) -> Result<Option<usize>> {
+    pub(crate) fn limit_with(&self, params: &[Value]) -> Result<Option<usize>> {
         self.limit.map(|l| l.resolve(params)).transpose()
     }
 
     /// True when the statement aggregates: an aggregate function in the
     /// projection list, or a `GROUP BY`.
-    pub fn has_aggregates(&self) -> bool {
+    pub(crate) fn has_aggregates(&self) -> bool {
         !self.group_by.is_empty()
             || self
                 .items
@@ -280,16 +280,9 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// True for statements that only read data. `EXPLAIN ANALYZE` executes
-    /// its SELECT, which is itself read-only; `ANALYZE` mutates catalog-held
-    /// statistics and is treated as a write.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Statement::Select(_) | Statement::Explain { .. })
-    }
-
     /// Number of `?` bind-parameter slots in the statement (one past the
     /// highest parameter index).
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         if let Statement::Select(sel) | Statement::Explain { select: sel, .. } = self {
             return sel.param_count();
         }
@@ -333,22 +326,6 @@ impl Statement {
             | Statement::Analyze(_) => {}
         }
     }
-
-    /// The table this statement primarily targets, if any.
-    pub fn target_table(&self) -> Option<&str> {
-        match self {
-            Statement::CreateTable(s) => Some(&s.name),
-            Statement::CreateIndex { table, .. } => Some(table),
-            Statement::DropTable(t) => Some(t),
-            Statement::Select(s) => Some(&s.table),
-            Statement::Insert(s) => Some(&s.table),
-            Statement::Update(s) => Some(&s.table),
-            Statement::Delete(s) => Some(&s.table),
-            Statement::Analyze(t) => t.as_deref(),
-            Statement::Explain { select, .. } => Some(&select.table),
-            Statement::Begin | Statement::Commit | Statement::Rollback => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -356,6 +333,31 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::value::DataType;
+
+    impl Statement {
+        /// True for statements that only read data. `EXPLAIN ANALYZE` executes
+        /// its SELECT, which is itself read-only; `ANALYZE` mutates catalog-held
+        /// statistics and is treated as a write.
+        pub(crate) fn is_read_only(&self) -> bool {
+            matches!(self, Statement::Select(_) | Statement::Explain { .. })
+        }
+
+        /// The table this statement primarily targets, if any.
+        fn target_table(&self) -> Option<&str> {
+            match self {
+                Statement::CreateTable(s) => Some(&s.name),
+                Statement::CreateIndex { table, .. } => Some(table),
+                Statement::DropTable(t) => Some(t),
+                Statement::Select(s) => Some(&s.table),
+                Statement::Insert(s) => Some(&s.table),
+                Statement::Update(s) => Some(&s.table),
+                Statement::Delete(s) => Some(&s.table),
+                Statement::Analyze(t) => t.as_deref(),
+                Statement::Explain { select, .. } => Some(&select.table),
+                Statement::Begin | Statement::Commit | Statement::Rollback => None,
+            }
+        }
+    }
 
     #[test]
     fn statement_classification() {

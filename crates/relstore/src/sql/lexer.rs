@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A single SQL token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// A keyword or bare identifier (stored upper-case for keywords matching).
     Ident(String),
     /// An integer literal.
@@ -50,7 +50,7 @@ pub enum Token {
 
 impl Token {
     /// Returns the identifier text if this token is an identifier/keyword.
-    pub fn as_ident(&self) -> Option<&str> {
+    pub(crate) fn as_ident(&self) -> Option<&str> {
         match self {
             Token::Ident(s) => Some(s),
             _ => None,
@@ -58,7 +58,7 @@ impl Token {
     }
 
     /// True when the token is the given keyword (case-insensitive).
-    pub fn is_keyword(&self, kw: &str) -> bool {
+    pub(crate) fn is_keyword(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
@@ -91,7 +91,7 @@ impl fmt::Display for Token {
 }
 
 /// Tokenises `input` into a vector of tokens.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let mut tokens = Vec::new();
     let chars: Vec<char> = input.chars().collect();
     let mut i = 0usize;

@@ -7,8 +7,8 @@
 //! `BEGIN` / `COMMIT` / `ROLLBACK`.
 
 pub mod ast;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 
 pub use ast::Statement;
-pub use parser::{parse, parse_script};
+pub use parser::parse;

@@ -48,18 +48,6 @@ pub fn parse(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parses a semicolon-separated script into a list of statements.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>> {
-    let mut out = Vec::new();
-    for piece in sql.split(';') {
-        if piece.trim().is_empty() {
-            continue;
-        }
-        out.push(parse(piece)?);
-    }
-    Ok(out)
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -688,6 +676,18 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parses a semicolon-separated script into a list of statements.
+    fn parse_script(sql: &str) -> Result<Vec<Statement>> {
+        let mut out = Vec::new();
+        for piece in sql.split(';') {
+            if piece.trim().is_empty() {
+                continue;
+            }
+            out.push(parse(piece)?);
+        }
+        Ok(out)
+    }
 
     #[test]
     fn parses_create_table_with_constraints() {

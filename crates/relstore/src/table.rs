@@ -1,12 +1,12 @@
 //! Heap-organised tables with eagerly maintained indexes and MVCC row
 //! version chains.
 //!
-//! Every row is a [`VersionChain`]: the newest version is the *current*
+//! Every row is a `VersionChain`: the newest version is the *current*
 //! state, older versions are retained until no live [`Snapshot`] can still
 //! observe them (see [`crate::mvcc`]). Mutations run under the catalog
 //! write guard and stamp versions with the writing transaction; readers pass
-//! a snapshot to the access paths ([`Table::scan`], the index lookups) and
-//! the [`RowIter`] resolves each chain to the version their snapshot sees.
+//! a snapshot to the access paths (`Table::scan`, the index lookups) and
+//! the `RowIter` resolves each chain to the version their snapshot sees.
 //!
 //! The heap is a slab ([`crate::heap::Heap`]): a chain sits in the slot its
 //! [`RowId`] addresses, with its newest version inline, so every path that
@@ -28,7 +28,7 @@
 //! The invariant every index keeps, both ways, is: **an entry `(k, id)`
 //! exists exactly while some retained version of row `id` holds key `k`**
 //! (NULL keys are never indexed). [`Table::check_consistency`] verifies
-//! it. It is what lets [`Table::count_postings`] count a row whose chain
+//! it. It is what lets `Table::count_postings` count a row whose chain
 //! holds a single version by that version's visibility stamps alone: the
 //! entry proves the version holds the key.
 
@@ -135,17 +135,17 @@ impl Table {
     }
 
     /// The table's name (`schema.name`), shared.
-    pub fn name(&self) -> &Arc<str> {
+    pub(crate) fn name(&self) -> &Arc<str> {
         &self.name
     }
 
     /// The physical version counter; see the field docs.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
     /// The planner statistics collected by the last `ANALYZE`, if any.
-    pub fn table_stats(&self) -> Option<&Arc<TableStats>> {
+    pub(crate) fn table_stats(&self) -> Option<&Arc<TableStats>> {
         self.stats.as_ref()
     }
 
@@ -160,63 +160,58 @@ impl Table {
     /// the column at ordinal `column`. Distinct keys count retained
     /// versions' keys, so this is an upper-bound estimate of live-row
     /// distinctness that needs no ANALYZE.
-    pub fn index_stats_on(&self, column: usize) -> Option<(usize, bool)> {
+    pub(crate) fn index_stats_on(&self, column: usize) -> Option<(usize, bool)> {
         self.index_on(column).map(|i| (i.distinct_keys(), i.unique))
     }
 
     /// Planner probe: the name of the first index covering the column at
     /// ordinal `column`.
-    pub fn index_name_on(&self, column: usize) -> Option<&str> {
+    pub(crate) fn index_name_on(&self, column: usize) -> Option<&str> {
         self.index_on(column).map(|i| i.name.as_str())
     }
 
     /// The interned `SELECT *` output column list (schema order, shared).
-    pub fn wildcard_columns(&self) -> Arc<[Arc<str>]> {
+    pub(crate) fn wildcard_columns(&self) -> Arc<[Arc<str>]> {
         Arc::clone(&self.wildcard_columns)
     }
 
     /// The interned `table.column` names of the columns, in schema order.
-    pub fn qualified_columns(&self) -> &[Arc<str>] {
+    pub(crate) fn qualified_columns(&self) -> &[Arc<str>] {
         &self.qualified_columns
     }
 
     /// Number of live rows (rows present in the latest state; old versions
     /// and tombstones awaiting vacuum are not counted).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
     }
 
-    /// True when the table holds no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Total retained row versions, including current ones.
-    pub fn total_versions(&self) -> usize {
+    pub(crate) fn total_versions(&self) -> usize {
         self.rows.values().map(VersionChain::len).sum()
     }
 
     /// Retained versions that have been superseded or deleted and await
     /// vacuuming.
-    pub fn dead_versions(&self) -> usize {
+    pub(crate) fn dead_versions(&self) -> usize {
         self.dead_versions
     }
 
     /// Number of chains currently retaining at least one dead version — the
     /// exact set a vacuum pass visits (the dirty-chain list).
-    pub fn dirty_chain_count(&self) -> usize {
+    pub(crate) fn dirty_chain_count(&self) -> usize {
         self.dirty.len()
     }
 
     /// True when vacuuming with `horizon` could prune at least one version.
     /// Lets the write path's threshold trigger skip guaranteed-fruitless
     /// sweeps while a long-lived snapshot pins the whole backlog.
-    pub fn vacuum_would_prune(&self, horizon: u64) -> bool {
+    pub(crate) fn vacuum_would_prune(&self, horizon: u64) -> bool {
         self.dead_versions > 0 && self.min_dead_end < horizon
     }
 
     /// Length of the longest version chain (1 when fully vacuumed).
-    pub fn max_chain_len(&self) -> usize {
+    pub(crate) fn max_chain_len(&self) -> usize {
         self.rows.values().map(VersionChain::len).max().unwrap_or(0)
     }
 
@@ -343,7 +338,7 @@ impl Table {
     }
 
     /// Returns the current (latest-state) row with id `id`, if it is live.
-    pub fn get(&self, id: RowId) -> Option<&Row> {
+    pub(crate) fn get(&self, id: RowId) -> Option<&Row> {
         self.rows.get(id).and_then(VersionChain::current)
     }
 
@@ -618,7 +613,7 @@ impl Table {
     /// Full scan in row-id order, streaming the row version each chain shows
     /// to `vis`. Nothing is cloned; the caller copies only the values it
     /// keeps.
-    pub fn scan<'a>(&'a self, vis: &'a Snapshot, stats: &mut OpStats) -> RowIter<'a> {
+    pub(crate) fn scan<'a>(&'a self, vis: &'a Snapshot, stats: &mut OpStats) -> RowIter<'a> {
         stats.rows_scanned += self.rows.len() as u64;
         stats.rows_read += self.rows.len() as u64;
         RowIter::Scan {
@@ -627,29 +622,10 @@ impl Table {
         }
     }
 
-    /// Point lookup by primary key, streaming visible borrowed rows. Falls
-    /// back to a scan when no primary key is declared (the planner avoids
-    /// calling it in that case).
-    pub fn lookup_pk<'a>(&'a self, key: &Value, vis: &'a Snapshot, stats: &mut OpStats) -> RowIter<'a> {
-        match &self.pk_index {
-            Some(pk) => {
-                stats.index_lookups += 1;
-                let set = pk.lookup_set(key);
-                stats.rows_read += set.map_or(0, BTreeSet::len) as u64;
-                RowIter::Ids {
-                    rows: &self.rows,
-                    ids: set.into(),
-                    vis,
-                }
-            }
-            None => self.scan(vis, stats),
-        }
-    }
-
     /// Point lookup through the first index (primary or secondary) covering
     /// the column at ordinal `column`, streaming visible borrowed rows.
     /// Returns `None` if no such index exists.
-    pub fn lookup_indexed<'a>(
+    pub(crate) fn lookup_indexed<'a>(
         &'a self,
         column: usize,
         key: &Value,
@@ -689,7 +665,7 @@ impl Table {
     /// sees holds `key`, the re-check every index read makes. Accounted like
     /// [`Table::lookup_indexed`]: one lookup, one row read per entry.
     /// `None` without an index.
-    pub fn count_postings<'a>(
+    pub(crate) fn count_postings<'a>(
         &'a self,
         column: usize,
         key: &'a Value,
@@ -711,7 +687,7 @@ impl Table {
     /// the column at ordinal `column`: streams the visible rows whose key
     /// lies in `[lo, hi]` (either bound may be open). Returns `None` if no
     /// such index exists.
-    pub fn lookup_range<'a>(
+    pub(crate) fn lookup_range<'a>(
         &'a self,
         column: usize,
         lo: Option<&Value>,
@@ -735,7 +711,7 @@ impl Table {
     /// lookup on that key touches, stale entries of retained versions
     /// included. O(log n) and exact at any time; no `ANALYZE` involved.
     /// `None` without an index.
-    pub fn posting_len(&self, column: usize, key: &Value) -> Option<usize> {
+    pub(crate) fn posting_len(&self, column: usize, key: &Value) -> Option<usize> {
         let idx = self.index_on(column)?;
         Some(idx.lookup_set(key).map_or(0, BTreeSet::len))
     }
@@ -749,7 +725,7 @@ impl Table {
     /// exactly once. Rows whose key is NULL are not indexed and never
     /// appear. Returns `None` if no index covers `column`; the caller counts
     /// `rows_read` per item it takes.
-    pub fn walk_ordered<'a>(
+    pub(crate) fn walk_ordered<'a>(
         &'a self,
         column: usize,
         descending: bool,
@@ -777,14 +753,8 @@ impl Table {
 
     /// The ordinals of the indexed columns: primary key first, then
     /// secondary indexes in declaration order.
-    pub fn indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
         self.pk_index.iter().chain(self.secondary.iter()).map(|idx| idx.column_idx)
-    }
-
-    /// True when some index (primary or secondary) covers the column named
-    /// `column`.
-    pub fn has_index_on(&self, column: &str) -> bool {
-        self.schema.column_index(column).is_ok_and(|c| self.index_on(c).is_some())
     }
 
     /// Adds a secondary index in place, covering the keys of every retained
@@ -830,7 +800,7 @@ impl Table {
     /// Approximate resident size of the table in bytes: the heap's slots
     /// and directory, what the retained versions hold outside their slots,
     /// and the index entries.
-    pub fn approx_size(&self) -> usize {
+    pub(crate) fn approx_size(&self) -> usize {
         let heap = self.rows.approx_overhead()
             + self.rows.values().map(VersionChain::approx_size).sum::<usize>();
         let index_entries = self.pk_index.as_ref().map(|i| i.len()).unwrap_or(0)
@@ -947,7 +917,7 @@ impl Table {
 /// — so the executor can evaluate predicates without materialising owned
 /// rows.
 #[derive(Debug)]
-pub enum RowIter<'a> {
+pub(crate) enum RowIter<'a> {
     /// Full heap scan.
     Scan {
         /// Chains in row-id order.
@@ -971,7 +941,7 @@ pub enum RowIter<'a> {
 /// index entry set so the per-statement hot path allocates nothing; range
 /// lookups own their (merged, de-duplicated) id vector.
 #[derive(Debug)]
-pub enum IdSource<'a> {
+pub(crate) enum IdSource<'a> {
     /// A borrowed index entry set (point lookup).
     Set(std::iter::Copied<std::collections::btree_set::Iter<'a, RowId>>),
     /// An owned id list (range lookup, or an empty point lookup).
@@ -1049,6 +1019,35 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::value::DataType;
+
+    /// Reference probes, used only to check the table.
+    impl Table {
+        fn is_empty(&self) -> bool {
+            self.live == 0
+        }
+
+        /// Point lookup by primary key; a scan when there is none.
+        fn lookup_pk<'a>(&'a self, key: &Value, vis: &'a Snapshot, stats: &mut OpStats) -> RowIter<'a> {
+            match &self.pk_index {
+                Some(pk) => {
+                    stats.index_lookups += 1;
+                    let set = pk.lookup_set(key);
+                    stats.rows_read += set.map_or(0, BTreeSet::len) as u64;
+                    RowIter::Ids {
+                        rows: &self.rows,
+                        ids: set.into(),
+                        vis,
+                    }
+                }
+                None => self.scan(vis, stats),
+            }
+        }
+
+        /// True when some index covers the column named `column`.
+        pub(crate) fn has_index_on(&self, column: &str) -> bool {
+            self.schema.column_index(column).is_ok_and(|c| self.index_on(c).is_some())
+        }
+    }
 
     const SETUP: TxnId = COMMITTED_TXN;
     /// Ordinals of `machines_table`'s `state` and `load` columns.

@@ -39,11 +39,6 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// Creates an empty lock manager.
-    pub fn new() -> Self {
-        LockManager::default()
-    }
-
     /// Takes the write lock on `table` for `txn`; a no-op if `txn` already
     /// holds it. Fails with `LockConflict` when another transaction does.
     pub fn acquire(&mut self, txn: TxnId, table: &str) -> Result<()> {
@@ -115,11 +110,6 @@ pub struct TxnManager {
 }
 
 impl TxnManager {
-    /// Creates an empty transaction manager.
-    pub fn new() -> Self {
-        TxnManager::default()
-    }
-
     /// Begins a new transaction, stamping it with a snapshot of the current
     /// commit state: transactions in flight right now (and any that begin
     /// later) stay invisible to it for its whole lifetime.
@@ -256,16 +246,27 @@ impl TxnManager {
     pub fn committed_count(&self) -> u64 {
         self.committed
     }
-
-    /// Total aborted transaction count.
-    pub fn aborted_count(&self) -> u64 {
-        self.aborted
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LockManager {
+        fn new() -> Self {
+            LockManager::default()
+        }
+    }
+
+    impl TxnManager {
+        fn new() -> Self {
+            TxnManager::default()
+        }
+
+        fn aborted_count(&self) -> u64 {
+            self.aborted
+        }
+    }
 
     #[test]
     fn exclusive_conflicts_with_other_holders() {

@@ -42,7 +42,7 @@ impl fmt::Display for DataType {
 /// A single dynamically typed value.
 ///
 /// `Null` is a member of every type; comparisons involving `Null` follow SQL
-/// three-valued logic at the predicate layer (see [`crate::predicate`]), while
+/// three-valued logic at the predicate layer (see `crate::predicate`), while
 /// the total order implemented here (used for index keys and ORDER BY) sorts
 /// `Null` first.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -1,13 +1,13 @@
 //! Write-ahead logging, checkpointing and recovery.
 //!
 //! The log is a list of committed transactions. A transaction keeps one
-//! ordered list of its [`Change`]s while it runs (see [`crate::txn`]);
+//! ordered list of its [`Change`]s while it runs (see `crate::txn`);
 //! rollback walks that list backwards (`Change::undo`), and commit frames
 //! it forwards as **one** [`LogRecord::Txn`] — one CRC frame, one device
 //! append, then the [`DurabilityPolicy`]'s sync. A transaction reaches the
 //! log once, at commit, as one frame; a transaction that does not commit
 //! never reaches it. So the log's vocabulary is `Txn` and `Checkpoint`, a
-//! torn transaction is a torn tail, and [`recover`] is "the last checkpoint
+//! torn transaction is a torn tail, and `recover` is "the last checkpoint
 //! image, then every `Txn` after it, in order" — commit order is a correct
 //! replay order under the strict table-level two-phase locking writers run
 //! under. A frame carries no transaction id: nothing in replay reads one
@@ -21,7 +21,7 @@
 //! Because the log is read only by recovery, the running engine keeps no copy
 //! of it: a frame is sized, counted, written onto the [`LogDevice`] (when
 //! there is one) and dropped. The decoded records exist as a value only while
-//! a database opens — [`Wal::open_device`] hands them to [`recover`] — and a
+//! a database opens — `Wal::open_device` hands them to `recover` — and a
 //! change carries only what replay reads: the *new* image of an updated row
 //! and the id of a deleted one. Rollback needs no image either; it is
 //! version-aware and works on the in-memory chains.
@@ -94,7 +94,7 @@ pub enum Change {
 
 impl Change {
     /// Approximate serialized size in bytes (used for IO cost accounting).
-    pub fn approx_size(&self) -> usize {
+    pub(crate) fn approx_size(&self) -> usize {
         match self {
             Change::CreateTable { schema } => 64 + schema.columns.len() * 24,
             Change::DropTable { table, .. } => 16 + table.len(),
@@ -193,7 +193,7 @@ pub enum LogRecord {
 
 impl LogRecord {
     /// Approximate serialized size in bytes (used for IO cost accounting).
-    pub fn approx_size(&self) -> usize {
+    pub(crate) fn approx_size(&self) -> usize {
         match self {
             LogRecord::Txn { changes } => txn_size(changes),
             LogRecord::Checkpoint { snapshot } => checkpoint_size(
@@ -402,7 +402,7 @@ impl DurableLog {
 /// binary segment (see [`crate::io`]), which [`Wal::open_device`] decodes
 /// once, on open, for [`recover`].
 #[derive(Debug, Default)]
-pub struct Wal {
+pub(crate) struct Wal {
     durable: Option<DurableLog>,
 }
 
@@ -416,11 +416,6 @@ pub(crate) struct TxnFrame {
 }
 
 impl Wal {
-    /// Creates a log with no durable device.
-    pub fn new() -> Self {
-        Wal::default()
-    }
-
     /// Opens a durable log over `device` and returns it together with the
     /// records the device held — the input of [`recover`], owned by the
     /// caller and dropped when the open is done.
@@ -429,7 +424,7 @@ impl Wal {
     /// [`decode_segment`]: a torn tail is truncated off the device (counted
     /// in `stats.recovery_truncated_bytes`), mid-log corruption surfaces as
     /// [`Error::Corruption`]. A fresh device gets a segment header written.
-    pub fn open_device(
+    pub(crate) fn open_device(
         mut device: Box<dyn LogDevice>,
         policy: DurabilityPolicy,
         failpoints: Arc<Failpoints>,
@@ -465,7 +460,7 @@ impl Wal {
     }
 
     /// True when this log writes appends onto a durable device.
-    pub fn is_durable(&self) -> bool {
+    pub(crate) fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
 
@@ -481,7 +476,7 @@ impl Wal {
     /// The bytes a crash right now would leave on the durable device, or
     /// [`Error::Wal`] for a log without one. Works even after the device has
     /// died (it is the post-mortem view used by crash tests).
-    pub fn durable_contents(&self) -> Result<Vec<u8>> {
+    pub(crate) fn durable_contents(&self) -> Result<Vec<u8>> {
         match &self.durable {
             Some(d) => d.device.durable_contents(),
             None => Err(Error::Wal("log has no durable device".into())),
@@ -524,7 +519,7 @@ impl Wal {
 
     /// Forces everything appended so far onto stable storage (no-op without
     /// a device).
-    pub fn flush(&mut self, stats: &mut OpStats) -> Result<()> {
+    pub(crate) fn flush(&mut self, stats: &mut OpStats) -> Result<()> {
         match &mut self.durable {
             Some(d) => d.sync(stats),
             None => Ok(()),
@@ -540,7 +535,7 @@ impl Wal {
     /// finds either the old complete log or the new complete snapshot, never
     /// neither. Without a device nothing would ever read the snapshot, so
     /// none is built: it is sized off the borrowed rows.
-    pub fn checkpoint<'a>(
+    pub(crate) fn checkpoint<'a>(
         &mut self,
         tables: impl Iterator<Item = &'a Table>,
         stats: &mut OpStats,
@@ -581,7 +576,7 @@ impl Wal {
 /// (stamped [`crate::mvcc::COMMITTED_TXN`], visible to every snapshot of
 /// the recovered database) — tombstones and version chains never survive a
 /// crash.
-pub fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
+pub(crate) fn recover(records: Vec<LogRecord>) -> Result<BTreeMap<String, Table>> {
     let last_checkpoint = records
         .iter()
         .rposition(|r| matches!(r, LogRecord::Checkpoint { .. }));
@@ -616,6 +611,13 @@ mod tests {
     use crate::io::MemDevice;
     use crate::schema::Column;
     use crate::value::{DataType, Value};
+
+    impl Wal {
+        /// A log with no durable device.
+        fn new() -> Self {
+            Wal::default()
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(

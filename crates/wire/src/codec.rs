@@ -11,9 +11,8 @@
 //! untrusted input **never panics**, and a truncated buffer, an oversized
 //! length prefix or an unknown tag is a clean protocol error.
 
-pub use relstore::io::codec::{
-    put_f64, put_i64, put_row, put_str, put_u16, put_u32, put_u64, put_u8, put_value, put_values,
-};
+pub(crate) use relstore::io::codec::{put_row, put_str, put_u16, put_u32, put_u64, put_u8};
+pub use relstore::io::codec::{put_value, put_values};
 use relstore::Error;
 
 /// Hard upper bound on a single frame's payload, applied on both encode
@@ -50,6 +49,7 @@ impl std::ops::DerefMut for Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relstore::io::codec::{put_f64, put_i64};
     use relstore::Value;
 
     #[test]

@@ -14,12 +14,12 @@
 //!   write-write conflict is just as retryable as an embedded one. The
 //!   codec ([`codec`]) is hand-rolled put/get over byte buffers (like the
 //!   WAL — no serialization framework) and never panics on hostile input;
-//! * a **threaded TCP server** ([`server`], [`serve`]): an accept loop with
+//! * a **threaded TCP server** (`server`, [`serve`]): an accept loop with
 //!   admission control feeding a worker pool, per-connection
 //!   prepared-statement handles, at most one open transaction per
 //!   connection — **rolled back the moment the connection drops** — and
 //!   graceful shutdown that drains in-flight statements;
-//! * a **blocking client and pool** ([`client`]): [`Client`] mirrors the
+//! * a **blocking client and pool** (`client`): [`Client`] mirrors the
 //!   typed [`Session`](relstore::Session) surface (tuple [`IntoParams`]
 //!   parameters, [`FromRow`] decoding, `execute_batch`, `with_retries`,
 //!   RAII [`RemoteTransaction`] guards), so service code is
@@ -88,10 +88,10 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
+mod client;
 pub mod codec;
 pub mod protocol;
-pub mod server;
+mod server;
 
 pub use client::{Client, ClientPool, PooledClient, RemoteStatement, RemoteTransaction};
 pub use protocol::{Request, Response, StmtRef, MAGIC, VERSION};

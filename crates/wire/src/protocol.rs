@@ -30,7 +30,7 @@
 //! its prefix, and [`write_outcome`] encodes a request's whole reply —
 //! header, row pages, every result of a batch — into one buffer and sends
 //! it with one write (large results in writes of [`REPLY_FLUSH_BYTES`]).
-//! The bytes on the wire are exactly those of one [`write_frame`] per
+//! The bytes on the wire are exactly those of one length-prefixed write per
 //! frame; only the number of writes — and of TCP segments, since both ends
 //! set `TCP_NODELAY` — changes.
 
@@ -388,7 +388,7 @@ impl Response {
     }
 
     /// Appends the response's frame payload (opcode + body) to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Prepared { id, params } => {
                 codec::put_u8(buf, 1);
@@ -478,16 +478,9 @@ impl Response {
     }
 }
 
-/// Encodes a [`Response::RowPage`] frame payload from borrowed rows, so the
-/// server can stream pages of a materialised result without cloning them.
-pub fn encode_row_page(rows: &[Row], last: bool) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_row_page_into(&mut buf, rows, last);
-    buf
-}
-
-/// Appends a [`Response::RowPage`] frame payload to `buf` (see
-/// [`encode_row_page`]).
+/// Appends a [`Response::RowPage`] frame payload to `buf` from borrowed
+/// rows, so the server can stream pages of a materialised result without
+/// cloning them.
 pub fn encode_row_page_into(buf: &mut Vec<u8>, rows: &[Row], last: bool) {
     codec::put_u8(buf, 5);
     codec::put_u8(buf, u8::from(last));
@@ -508,7 +501,7 @@ fn encode_rows_header_into(buf: &mut Vec<u8>, columns: &[impl AsRef<str>]) {
 }
 
 /// Parses an already-read 6-byte client hello (magic + version).
-pub fn client_version(hello: &[u8; 6]) -> Result<u16> {
+pub(crate) fn client_version(hello: &[u8; 6]) -> Result<u16> {
     if hello[..4] != MAGIC {
         return Err(Error::net("peer did not speak the relstore wire protocol"));
     }
@@ -528,8 +521,8 @@ pub(crate) fn io_err(e: std::io::Error) -> Error {
 
 /// Appends one frame to `out`: a length prefix, then the payload `encode`
 /// appends, the prefix back-patched once the payload's size is known. An
-/// empty or oversized payload is refused exactly as [`write_frame`] refuses
-/// it, and `out` is truncated back to where it was. Returns the frame's
+/// empty or oversized payload is refused before anything reaches the
+/// socket, and `out` is truncated back to where it was. Returns the frame's
 /// size in bytes.
 pub fn frame_into(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
     let start = out.len();
@@ -553,18 +546,6 @@ fn sendable(len: usize) -> Result<()> {
     Ok(())
 }
 
-/// Writes one frame (length prefix + payload) with one `write_all`,
-/// refusing oversized payloads before anything reaches the socket. Returns
-/// the bytes written.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
-    sendable(payload.len())?;
-    let mut frame = Vec::with_capacity(payload.len() + 4);
-    let written = frame_into(&mut frame, |buf| buf.extend_from_slice(payload))?;
-    w.write_all(&frame).map_err(io_err)?;
-    w.flush().map_err(io_err)?;
-    Ok(written)
-}
-
 /// The payload length a received prefix announces, refused when empty or
 /// over [`MAX_FRAME`] — before anything is allocated for it.
 pub(crate) fn announced_len(prefix: [u8; 4]) -> Result<usize> {
@@ -575,14 +556,6 @@ pub(crate) fn announced_len(prefix: [u8; 4]) -> Result<usize> {
         )));
     }
     Ok(len)
-}
-
-/// Reads one frame payload, rejecting empty and oversized length prefixes
-/// before allocating.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    read_frame_into(r, &mut payload)?;
-    Ok(payload)
 }
 
 /// Reads one frame payload into `payload`, replacing its contents, so a
@@ -616,8 +589,8 @@ pub enum Outcome {
     Batch(Vec<QueryResult>),
 }
 
-/// Writes one request's outcome: the same bytes as one [`write_frame`] per
-/// frame, but encoded into `out` and sent with a single `write_all` — or,
+/// Writes one request's outcome: the same bytes as one length-prefixed
+/// write per frame, but encoded into `out` and sent with a single `write_all` — or,
 /// for a result larger than [`REPLY_FLUSH_BYTES`], one per that many bytes.
 /// Query results are paged `page_rows` rows to a [`Response::RowPage`].
 /// `out` is the connection's reused buffer: it is left empty, and shrunk
@@ -707,7 +680,7 @@ fn send(w: &mut impl Write, out: &mut Vec<u8>) -> Result<()> {
 
 /// Handshake outcome sent by the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandshakeStatus {
+pub(crate) enum HandshakeStatus {
     /// The connection is accepted.
     Ok,
     /// The server is at its connection limit; retry later ([`Error::Busy`]).
@@ -725,18 +698,8 @@ pub fn write_hello(w: &mut impl Write) -> Result<()> {
     w.flush().map_err(io_err)
 }
 
-/// Reads and validates the client hello, returning the client's version.
-pub fn read_hello(r: &mut impl Read) -> Result<u16> {
-    let mut buf = [0u8; 6];
-    r.read_exact(&mut buf).map_err(io_err)?;
-    if buf[..4] != MAGIC {
-        return Err(Error::net("peer did not speak the relstore wire protocol"));
-    }
-    Ok(u16::from_le_bytes([buf[4], buf[5]]))
-}
-
 /// Writes the server's handshake response. Returns the bytes written.
-pub fn write_handshake_response(
+pub(crate) fn write_handshake_response(
     w: &mut impl Write,
     status: HandshakeStatus,
     message: &str,
@@ -798,6 +761,41 @@ pub fn read_handshake_response(r: &mut impl Read) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes one frame with one `write_all`: the frame-by-frame reference
+    /// the buffered replies are checked against.
+    fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
+        sendable(payload.len())?;
+        let mut frame = Vec::with_capacity(payload.len() + 4);
+        let written = frame_into(&mut frame, |buf| buf.extend_from_slice(payload))?;
+        w.write_all(&frame).map_err(io_err)?;
+        w.flush().map_err(io_err)?;
+        Ok(written)
+    }
+
+    /// Reads one frame payload.
+    fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
+        let mut payload = Vec::new();
+        read_frame_into(r, &mut payload)?;
+        Ok(payload)
+    }
+
+    /// Encodes one [`Response::RowPage`] payload.
+    fn encode_row_page(rows: &[Row], last: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_row_page_into(&mut buf, rows, last);
+        buf
+    }
+
+    /// Reads and validates the client hello, returning the client's version.
+    fn read_hello(r: &mut impl Read) -> Result<u16> {
+        let mut buf = [0u8; 6];
+        r.read_exact(&mut buf).map_err(io_err)?;
+        if buf[..4] != MAGIC {
+            return Err(Error::net("peer did not speak the relstore wire protocol"));
+        }
+        Ok(u16::from_le_bytes([buf[4], buf[5]]))
+    }
 
     #[test]
     fn requests_round_trip() {

@@ -5,13 +5,37 @@
 //! [`write_frame`] per frame.
 
 use proptest::prelude::*;
-use relstore::{Error, QueryResult, Row, Value};
+use relstore::{Error, QueryResult, Result, Row, Value};
+use std::io::{Read, Write};
 use std::sync::Arc;
 use wire::codec::{put_value, put_values, Reader, MAX_FRAME};
 use wire::protocol::{
-    encode_row_page, read_frame, write_frame, write_outcome, Outcome, Request, Response, StmtRef,
-    REPLY_FLUSH_BYTES,
+    encode_row_page_into, frame_into, read_frame_into, write_outcome, Outcome, Request, Response,
+    StmtRef, REPLY_FLUSH_BYTES,
 };
+
+/// The frame-by-frame reference: one frame, framed by [`frame_into`] and
+/// sent with one `write_all`.
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    let written = frame_into(&mut frame, |buf| buf.extend_from_slice(payload))?;
+    w.write_all(&frame).map_err(|e| Error::net(e.to_string()))?;
+    Ok(written)
+}
+
+/// Reads one frame payload through the connections' own [`read_frame_into`].
+fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload)?;
+    Ok(payload)
+}
+
+/// One [`Response::RowPage`] payload on its own.
+fn encode_row_page(rows: &[Row], last: bool) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_row_page_into(&mut buf, rows, last);
+    buf
+}
 
 /// Every value shape the engine stores, biased toward the encodings most
 /// likely to break a codec: NULL, extreme and negative integers, doubles by

@@ -9,7 +9,7 @@
 
 #![warn(missing_docs)]
 
-pub mod figures;
+mod figures;
 
 pub use figures::{
     condor_dataflow_trace, condor_large_cluster, condor_mixed_workload, condorj2_dataflow_trace,

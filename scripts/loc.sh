@@ -35,8 +35,9 @@ count() {
     else
         git ls-tree -r --name-only "$side" -- crates | grep '\.rs$'
     fi | grep -v '/tests/' | while read -r f; do
+        # A file deleted in the tree but still in the index counts as gone.
+        [ -n "$side" ] || [ -f "$f" ] || continue
         if [ -z "$side" ]; then
-            [ -f "$f" ] || continue # deleted in the tree, still in the index
             cat "$f"
         else
             git show "$side:$f"

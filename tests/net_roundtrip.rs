@@ -7,9 +7,34 @@ use condorj2::{CondorJ2Config, CondorJ2Simulation};
 use relstore::{
     Database, Error, ExecResult, FromRow, QueryResult, RowView, Session, Value,
 };
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use wire::protocol::{encode_row_page_into, frame_into, read_frame_into};
 use wire::{serve, serve_with, Client, ClientPool, ServerConfig};
+
+/// Writes one frame the way a raw peer would: framed by [`frame_into`],
+/// sent with one `write_all`.
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> relstore::Result<u64> {
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    let written = frame_into(&mut frame, |buf| buf.extend_from_slice(payload))?;
+    w.write_all(&frame).map_err(|e| Error::net(e.to_string()))?;
+    Ok(written)
+}
+
+/// Reads one frame payload off a raw socket.
+fn read_frame(r: &mut impl Read) -> relstore::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    read_frame_into(r, &mut payload)?;
+    Ok(payload)
+}
+
+/// One [`wire::Response::RowPage`] payload on its own.
+fn encode_row_page(rows: &[relstore::Row], last: bool) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_row_page_into(&mut buf, rows, last);
+    buf
+}
 
 #[derive(Debug, PartialEq)]
 struct StateCount {
@@ -651,8 +676,8 @@ fn a_version_2_peer_and_its_retired_opcodes_are_refused() {
         let mut peer = std::net::TcpStream::connect(server.local_addr()).unwrap();
         wire::protocol::write_hello(&mut peer).unwrap();
         wire::protocol::read_handshake_response(&mut peer).unwrap();
-        wire::protocol::write_frame(&mut peer, &[op]).unwrap();
-        let reply = wire::protocol::read_frame(&mut peer).unwrap();
+        write_frame(&mut peer, &[op]).unwrap();
+        let reply = read_frame(&mut peer).unwrap();
         match wire::Response::decode(&reply).unwrap() {
             wire::Response::Err(Error::Net(msg)) => assert!(msg.contains("opcode"), "{msg}"),
             other => panic!("opcode {op}: {other:?}"),
@@ -753,7 +778,6 @@ fn point_select_frame(out: &mut Vec<u8>, id: i64) {
 
 /// Reads a point select's reply off a raw socket and returns its one id.
 fn read_point_reply(raw: &mut std::net::TcpStream) -> i64 {
-    use wire::protocol::read_frame;
     use wire::Response;
 
     match Response::decode(&read_frame(raw).unwrap()).unwrap() {
@@ -851,7 +875,6 @@ fn a_frame_dribbled_byte_by_byte_is_answered() {
 /// to `frames_decoded` — however many writes the replies took.
 #[test]
 fn point_selects_account_their_frames_exactly() {
-    use wire::protocol::encode_row_page;
     use wire::{Request, Response, StmtRef};
 
     let db = Arc::new(Database::new());
