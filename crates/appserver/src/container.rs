@@ -107,11 +107,6 @@ impl<C> AppContainer<C> {
         self.cpu.rolling_samples(window)
     }
 
-    /// Mean CPU utilisation between two times.
-    pub fn cpu_mean_between(&self, from: SimTime, to: SimTime) -> CpuSample {
-        self.cpu.mean_between(from, to)
-    }
-
     /// Handles one external request at simulated time `now`, charging its cost
     /// to the server CPU. Returns the response together with the cost, so the
     /// caller (the event loop) can delay the reply by the service time.

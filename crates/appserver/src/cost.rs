@@ -6,9 +6,9 @@
 //! statements". The cost model turns the work done for one request — the SOAP
 //! envelope handled, the statements executed and the row/index/WAL operations
 //! the storage engine counted — into simulated CPU time in the three busy
-//! categories the paper plots (user, system, IO). The CondorJ2 CAS and the
-//! Condor schedd both charge their work through this model so their CPU
-//! figures are directly comparable.
+//! categories the paper plots (user, system, IO). The CondorJ2 CAS charges
+//! its work through this model, and the Condor schedd charges its own as a
+//! [`RequestCost`] too, so their CPU figures are directly comparable.
 
 use cluster_sim::{CpuAccountant, CpuCategory, SimDuration, SimTime};
 use relstore::OpStats;
@@ -96,24 +96,6 @@ impl CostModel {
         }
     }
 
-    /// Calibration for the Condor schedd: the schedd keeps its queue in
-    /// process memory, so per-row costs are lower, but every job start walks
-    /// the in-memory queue and appends to the job log, and all of it runs on
-    /// a single thread.
-    pub fn schedd_process() -> Self {
-        CostModel {
-            request_overhead_us: 250.0,
-            marshal_us_per_kb: 60.0,
-            statement_us: 150.0,
-            row_read_us: 2.5,
-            row_write_us: 20.0,
-            index_op_us: 0.0,
-            wal_us_per_byte: 0.02,
-            commit_io_us: 1100.0,
-            connection_us: 0.0,
-        }
-    }
-
     /// Computes the cost of a request that shipped `envelope_bytes` of SOAP
     /// payload and caused the storage work described by `delta`.
     pub fn request_cost(&self, envelope_bytes: usize, delta: &OpStats) -> RequestCost {
@@ -132,22 +114,43 @@ impl CostModel {
             io: SimDuration::from_secs_f64(io_us / 1_000_000.0),
         }
     }
-
-    /// Cost of pure computation measured in "statement equivalents" — used for
-    /// work that does not touch the database, such as the negotiator's
-    /// matchmaking loop over its in-memory snapshot.
-    pub fn compute_cost(&self, statement_equivalents: f64) -> RequestCost {
-        RequestCost {
-            user: SimDuration::from_secs_f64(self.statement_us * statement_equivalents / 1_000_000.0),
-            system: SimDuration::ZERO,
-            io: SimDuration::ZERO,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// Calibration for the Condor schedd: the schedd keeps its queue in
+        /// process memory, so per-row costs are lower, but every job start
+        /// walks the in-memory queue and appends to the job log, and all of
+        /// it runs on a single thread.
+        fn schedd_process() -> Self {
+            CostModel {
+                request_overhead_us: 250.0,
+                marshal_us_per_kb: 60.0,
+                statement_us: 150.0,
+                row_read_us: 2.5,
+                row_write_us: 20.0,
+                index_op_us: 0.0,
+                wal_us_per_byte: 0.02,
+                commit_io_us: 1100.0,
+                connection_us: 0.0,
+            }
+        }
+
+        /// Cost of pure computation measured in "statement equivalents":
+        /// work that does not touch the database.
+        fn compute_cost(&self, statement_equivalents: f64) -> RequestCost {
+            RequestCost {
+                user: SimDuration::from_secs_f64(
+                    self.statement_us * statement_equivalents / 1_000_000.0,
+                ),
+                system: SimDuration::ZERO,
+                io: SimDuration::ZERO,
+            }
+        }
+    }
 
     fn delta(reads: u64, writes: u64, commits: u64, wal_bytes: u64) -> OpStats {
         OpStats {

@@ -45,10 +45,7 @@ pub struct CondorConfig {
     /// Execute-node failure model (shared with CondorJ2 so node behaviour is
     /// identical across systems).
     pub failure_model: FailureModel,
-    /// Cores on the server machine hosting the schedds, collector and
-    /// negotiator (the paper's quad Xeon).
-    pub server_cores: u32,
-    /// CPU sampling interval for the server machine.
+    /// CPU sampling interval of each schedd's accountant.
     pub cpu_sample_interval: SimDuration,
 }
 
@@ -67,7 +64,6 @@ impl Default for CondorConfig {
             queued_job_memory_mib: 0.05,
             submit_machine_memory_mib: 4096.0,
             failure_model: FailureModel::default(),
-            server_cores: 4,
             cpu_sample_interval: SimDuration::from_secs(60),
         }
     }
@@ -103,7 +99,6 @@ mod tests {
         let c = CondorConfig::default();
         assert_eq!(c.job_throttle_per_sec, 0.5);
         assert_eq!(c.throttle_interval(), SimDuration::from_secs(2));
-        assert_eq!(c.server_cores, 4);
     }
 
     #[test]

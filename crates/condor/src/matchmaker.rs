@@ -104,11 +104,6 @@ impl Collector {
         self.updates_received
     }
 
-    /// Number of slots currently known.
-    pub fn known_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Takes the daemon down. All state is lost (it was in memory only).
     pub fn fail(&mut self) {
         self.down = true;
@@ -215,6 +210,10 @@ mod tests {
     impl Collector {
         fn schedd_summary(&self, schedd: usize) -> Option<ScheddSummary> {
             self.schedds.get(&schedd).copied()
+        }
+
+        fn known_slots(&self) -> usize {
+            self.slots.len()
         }
     }
 

@@ -12,7 +12,7 @@ use crate::config::CondorConfig;
 use crate::matchmaker::{Collector, Negotiator, SlotState};
 use crate::schedd::{QueuedJob, Schedd};
 use crate::startd::ExecNode;
-use appserver::{CostModel, RequestCost};
+use appserver::RequestCost;
 use cluster_sim::{
     Cluster, ClusterSpec, CpuAccountant, CpuSample, EventCounter, EventQueue, InProgressTracker,
     JobSpec, NodeHealth, SimDuration, SimRng, SimTime, StartOutcome, TimeSeries, TraceRecorder,
@@ -52,20 +52,10 @@ pub struct CondorReport {
     pub in_progress: InProgressTracker,
     /// Total queue length (all schedds), sampled once a minute.
     pub queue_length: TimeSeries,
-    /// Server-machine CPU samples (all four cores).
-    pub server_cpu: Vec<CpuSample>,
     /// Per-schedd CPU samples (each schedd is a single thread / one core).
     pub schedd_cpu: Vec<Vec<CpuSample>>,
-    /// Jobs submitted.
-    pub submitted: u64,
     /// Jobs completed.
     pub completed: u64,
-    /// Jobs dropped by execute nodes (each is requeued and retried).
-    pub drops: u64,
-    /// Distinct virtual machines that dropped at least one job.
-    pub dropped_vms: usize,
-    /// Distinct physical machines that dropped at least one job.
-    pub dropped_phys: usize,
     /// Crash time of each schedd that crashed.
     pub crashes: Vec<(usize, SimTime)>,
     /// Status updates absorbed by the collector.
@@ -74,8 +64,6 @@ pub struct CondorReport {
     pub negotiation_cycles: u64,
     /// Data-flow trace of the first job, when tracing was enabled.
     pub trace: Option<TraceRecorder>,
-    /// Simulated time when the run stopped.
-    pub finished_at: SimTime,
 }
 
 /// The Condor baseline simulation.
@@ -89,8 +77,6 @@ pub struct CondorSimulation {
     collector: Collector,
     negotiator: Negotiator,
     queue: EventQueue<Event>,
-    cost_model: CostModel,
-    server_cpu: CpuAccountant,
     schedd_cpu: Vec<CpuAccountant>,
     completions: EventCounter,
     in_progress: InProgressTracker,
@@ -120,14 +106,12 @@ impl CondorSimulation {
             .collect();
         CondorSimulation {
             health: NodeHealth::new(config.failure_model),
-            server_cpu: CpuAccountant::new(config.server_cores, config.cpu_sample_interval),
             schedd_cpu,
             start_pending: vec![false; config.schedd_count.max(1)],
             schedds,
             collector: Collector::new(),
             negotiator: Negotiator::new(),
             queue: EventQueue::new(),
-            cost_model: CostModel::schedd_process(),
             completions: EventCounter::new("condor completions"),
             in_progress: InProgressTracker::new(),
             queue_series: TimeSeries::new("queue length"),
@@ -266,7 +250,6 @@ impl CondorSimulation {
             system: cost.mul_f64(0.05),
             io: cost.mul_f64(0.20),
         };
-        split.charge_to(&mut self.server_cpu, at);
         split.charge_to(&mut self.schedd_cpu[schedd], at);
     }
 
@@ -327,13 +310,6 @@ impl CondorSimulation {
                 trace.record("startd", "collector", "Startd sends periodic heartbeat to collector");
             }
         }
-        // Processing the update fan-in costs the collector a little CPU.
-        let cost = RequestCost {
-            user: SimDuration::from_secs_f64(8e-6 * self.nodes.len() as f64),
-            system: SimDuration::from_secs_f64(6e-6 * self.nodes.len() as f64),
-            io: SimDuration::ZERO,
-        };
-        cost.charge_to(&mut self.server_cpu, now);
         if self.unfinished_jobs() > 0 && !self.all_schedds_dead() {
             self.queue
                 .schedule(now + self.config.collector_update_interval, Event::CollectorUpdates);
@@ -361,12 +337,6 @@ impl CondorSimulation {
             })
             .collect();
         let allocations = self.negotiator.negotiate(&self.collector, &demands);
-
-        // The negotiator walks machine and job ads in memory.
-        let effort = (demands.iter().map(|d| d.0).sum::<usize>() + self.collector.known_slots()) as f64;
-        self.cost_model
-            .compute_cost(effort / 500.0)
-            .charge_to(&mut self.server_cpu, now);
 
         let mut touched = Vec::new();
         let trace_first = self.trace.is_some() && !allocations.is_empty();
@@ -566,13 +536,8 @@ impl CondorSimulation {
             completions: self.completions.clone(),
             in_progress: self.in_progress.clone(),
             queue_length: self.queue_series.clone(),
-            server_cpu: self.server_cpu.samples(),
             schedd_cpu: self.schedd_cpu.iter().map(CpuAccountant::samples).collect(),
-            submitted: self.submitted,
             completed: self.completed,
-            drops: self.health.total_drops(),
-            dropped_vms: self.health.dropped_vm_count(),
-            dropped_phys: self.health.dropped_phys_count(),
             crashes: self
                 .schedds
                 .iter()
@@ -581,7 +546,6 @@ impl CondorSimulation {
             collector_updates: self.collector.updates_received(),
             negotiation_cycles: self.negotiator.cycles(),
             trace: self.trace.clone(),
-            finished_at: self.queue.now(),
         }
     }
 }

@@ -15,8 +15,9 @@
 //! * the **statement cache** has a third, independent lock so cache probes
 //!   do not serialise against execution.
 //! * **statistics** accumulate into a stack-local [`OpStats`] per statement
-//!   and merge into lock-free [`SharedStats`] atomics at the end, so
-//!   counting rows no longer forces `&mut` exclusivity on the read path.
+//!   and merge into the lock-free atomics of the one registry,
+//!   [`Observability`], at the end, so counting rows no longer forces `&mut`
+//!   exclusivity on the read path.
 //!
 //! # MVCC: readers never fail against writers
 //!
@@ -60,14 +61,13 @@ use crate::io::{DurabilityPolicy, Failpoints, FsDevice, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
 use crate::obs::{
-    self, systables, Observability, ProfileCounters, StmtKind, StmtProfile, StmtProfileSnapshot,
-    WaitBreakdown,
+    self, systables, Observability, OpStats, ProfileCounters, StmtKind, StmtProfile,
+    StmtProfileSnapshot, WaitBreakdown,
 };
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
 use crate::schema::{lower_name, IndexDef, Schema};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
 use crate::sql::parser::parse;
-use crate::stats::{OpStats, SharedStats};
 use crate::table::Table;
 use crate::tuple::Row;
 use crate::txn::{LockManager, TxnManager};
@@ -283,21 +283,15 @@ pub struct Database {
     ctl: Mutex<Control>,
     /// Parsed-statement cache, independent so probes don't block execution.
     stmt_cache: Mutex<StmtCache>,
-    /// Lock-free cumulative operation counters.
-    stats: SharedStats,
-    /// Latency histograms, the slow-query ring and the event ring (see
-    /// [`crate::obs`]). Shared via `Arc` with the WAL so fsync spans are
-    /// recorded at the device seam.
+    /// The one metrics registry: counters, latency histograms, the
+    /// slow-query ring and the event ring (see [`crate::obs`]). Handed by
+    /// `Arc` to the WAL when it opens, so fsyncs are sampled at the device
+    /// seam.
     obs: Arc<Observability>,
     /// Fault-injection registry consulted by the durable-log IO path. Free
     /// (one relaxed atomic load) when nothing is armed, which is always the
     /// case outside crash tests.
     failpoints: Arc<Failpoints>,
-    /// Database-wide default for how long a write statement waits on a
-    /// conflicted table lock before giving up. `ZERO` (the default) fails
-    /// fast with [`Error::LockConflict`], exactly the pre-governance
-    /// behaviour; a per-statement [`Governance::lock_wait`] overrides it.
-    lock_wait: Mutex<Duration>,
     /// Plan-cache generation. Bumped by DDL and `ANALYZE`; a cached plan
     /// whose slot generation falls behind is dropped and replanned on its
     /// next execution.
@@ -347,17 +341,23 @@ impl Database {
     ) -> Result<Self> {
         let sw = Stopwatch::start();
         let failpoints = Arc::new(Failpoints::new());
+        let obs = Arc::new(Observability::default());
         let mut local = OpStats::default();
-        let (mut wal, records) =
-            Wal::open_device(device, policy, Arc::clone(&failpoints), &mut local)?;
+        let (wal, records) = Wal::open_device(
+            device,
+            policy,
+            Arc::clone(&failpoints),
+            Arc::clone(&obs),
+            &mut local,
+        )?;
         let wal_records = records.len();
         let catalog = wal::recover(records)?;
         let db = Database {
             catalog: RwLock::new(catalog),
             failpoints,
+            obs,
             ..Database::default()
         };
-        wal.set_obs(Arc::clone(&db.obs));
         db.ctl.lock().wal = wal;
         db.obs.events.record_span(
             "recovery",
@@ -367,7 +367,7 @@ impl Database {
             ),
             sw,
         );
-        db.stats.record(&local);
+        db.obs.record(&local);
         Ok(db)
     }
 
@@ -384,7 +384,7 @@ impl Database {
     pub fn flush_log(&self) -> Result<()> {
         let mut local = OpStats::default();
         let result = self.ctl.lock().wal.flush(&mut local);
-        self.stats.record(&local);
+        self.obs.record(&local);
         result
     }
 
@@ -404,17 +404,21 @@ impl Database {
         &self.failpoints
     }
 
-    /// Cumulative operation statistics.
+    /// Cumulative operation statistics: the registry's counters, with
+    /// `statements_executed`, `wal_fsyncs`, `wal_fsync_nanos`,
+    /// `lock_wait_nanos` and `checkpoints` read off their histograms (see
+    /// [`crate::obs`]).
     pub fn stats(&self) -> OpStats {
-        self.stats.snapshot()
+        self.obs.stats()
     }
 
     /// Merges counts taken outside the engine into these statistics — the
     /// `wire` server's `net_bytes_in`, `net_bytes_out`, `frames_decoded` and
     /// `active_connections` — so [`Database::stats`] and `rel_stats` report
-    /// them beside the engine's own.
+    /// them beside the engine's own. The fields the histograms count are not
+    /// merged.
     pub fn record_stats(&self, delta: &OpStats) {
-        self.stats.record(delta);
+        self.obs.record(delta);
     }
 
     /// The *current* horizon lag: how far the transaction-id high watermark
@@ -445,11 +449,6 @@ impl Database {
         self.catalog.read().values().map(Table::approx_size).sum()
     }
 
-    /// Number of transactions committed so far.
-    pub fn committed_txns(&self) -> u64 {
-        self.ctl.lock().txns.committed_count()
-    }
-
     // --- transaction control -------------------------------------------------
 
     /// Begins an explicit transaction, stamping it with the MVCC snapshot
@@ -458,7 +457,7 @@ impl Database {
     pub(crate) fn begin(&self) -> TxnId {
         let mut local = OpStats::default();
         let id = self.begin_local(&mut local);
-        self.stats.record(&local);
+        self.obs.record(&local);
         id
     }
 
@@ -502,7 +501,7 @@ impl Database {
     pub(crate) fn commit(&self, txn: TxnId) -> Result<()> {
         let mut local = OpStats::default();
         let synced = self.commit_local(txn, &mut local);
-        self.stats.record(&local);
+        self.obs.record(&local);
         synced
     }
 
@@ -551,7 +550,7 @@ impl Database {
     pub(crate) fn rollback(&self, txn: TxnId) -> Result<()> {
         let mut local = OpStats::default();
         let result = self.rollback_impl(txn, None, &mut local).map(|_| ());
-        self.stats.record(&local);
+        self.obs.record(&local);
         result
     }
 
@@ -580,7 +579,7 @@ impl Database {
             local.txns_reaped = reaped as u64;
             local.horizon_lag = Self::horizon_lag_of(&self.ctl.lock());
         }
-        self.stats.record(&local);
+        self.obs.record(&local);
         reaped
     }
 
@@ -627,13 +626,13 @@ impl Database {
     /// only on a miss.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         if let Some(hit) = self.stmt_cache.lock().get(sql) {
-            self.stats.record(&OpStats {
+            self.obs.record(&OpStats {
                 cache_hits: 1,
                 ..Default::default()
             });
             return Ok(hit);
         }
-        self.stats.record(&OpStats {
+        self.obs.record(&OpStats {
             cache_misses: 1,
             statements_parsed: 1,
             ..Default::default()
@@ -666,27 +665,11 @@ impl Database {
         self.stmt_cache.lock().resize(capacity);
     }
 
-    // --- resource governance --------------------------------------------------
-
-    /// Sets the database-wide default bound on how long a write statement
-    /// waits for a conflicted table lock before failing with a retryable
-    /// lock-wait [`Error::Timeout`]. `Duration::ZERO` (the initial value)
-    /// fails fast with [`Error::LockConflict`] instead of waiting. A
-    /// statement's [`Governance::lock_wait`] overrides this default.
-    pub fn set_lock_wait_timeout(&self, timeout: Duration) {
-        *self.lock_wait.lock() = timeout;
-    }
-
-    /// The current database-wide default lock-wait bound
-    /// (see [`Database::set_lock_wait_timeout`]).
-    pub fn lock_wait_timeout(&self) -> Duration {
-        *self.lock_wait.lock()
-    }
-
     // --- observability --------------------------------------------------------
 
-    /// The engine's observability state: latency histograms, the slow-query
-    /// ring and the event ring. Readable at any time without pausing writers;
+    /// The engine's one metrics registry: its latency histograms, the
+    /// slow-query ring and the event ring (the counters are read through
+    /// [`Database::stats`]). Readable at any time without pausing writers;
     /// the same data is served as SQL through the `rel_*` system tables.
     pub fn obs(&self) -> &Observability {
         &self.obs
@@ -766,10 +749,7 @@ impl Database {
                 if let Some(txn) = ctx.txn {
                     self.ctl.lock().txns.touch(txn);
                 }
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
+                let mut local = OpStats::default();
                 let result = self.run_analyze(target.as_deref(), &mut local);
                 let rows = result.as_ref().map_or(0, |n| *n as u64);
                 self.finish_statement(StmtKind::Ddl, sw, rows, &prepared.profile, &mut local);
@@ -781,10 +761,7 @@ impl Database {
                 // wait breakdown includes the commit fsync and the shared
                 // stats merge happens once.
                 let sw = Stopwatch::start();
-                let mut local = OpStats {
-                    statements_executed: 1,
-                    ..Default::default()
-                };
+                let mut local = OpStats::default();
                 let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
                     self.write_in(txn, stmt, std::iter::once(params), None, ctx.gov, local)
                 });
@@ -851,7 +828,6 @@ impl Database {
         let mut failed = None;
         for (i, params) in bindings.iter().enumerate() {
             let params = params.as_ref();
-            local.statements_executed += 1;
             let checked = if i == 0 { Ok(()) } else { governor.check_now() };
             let result = checked.and_then(|()| match explain {
                 None => self.run_select_planned(
@@ -894,7 +870,7 @@ impl Database {
         if let Some(e) = &failed {
             Self::attribute_failure(&mut local, e);
         }
-        self.stats.record(&local);
+        self.obs.record(&local);
         failed.map_or(Ok(()), Err)
     }
 
@@ -945,9 +921,8 @@ impl Database {
     }
 
     /// Finishes one timed statement: the histogram/profile/slow-log record,
-    /// then the shared-stats merge. Every path that counts
-    /// `statements_executed` funnels through exactly one call, so histogram
-    /// sample totals and the counter agree once writers quiesce.
+    /// then the counter merge. The histogram sample is what counts the
+    /// statement in `statements_executed`.
     #[inline]
     fn finish_statement(
         &self,
@@ -960,7 +935,7 @@ impl Database {
         let nanos = sw.elapsed_nanos();
         self.obs
             .record_statement(kind, nanos, rows, Some(profile), WaitBreakdown::of(local), local);
-        self.stats.record(local);
+        self.obs.record(local);
     }
 
     /// Runs one SELECT against the catalog — the one path every SELECT
@@ -1171,7 +1146,7 @@ impl Database {
             return Ok(());
         }
         let table = match name {
-            "rel_stats" => systables::stats_table(&self.stats.snapshot()),
+            "rel_stats" => systables::stats_table(&self.obs.stats()),
             "rel_histograms" => systables::histograms_table(&self.obs.histograms),
             "rel_statements" => {
                 let cache = self.stmt_cache.lock();
@@ -1226,7 +1201,7 @@ impl Database {
         // is taken, so a waiting writer never blocks readers or the
         // holder's own commit/rollback.
         if let Some(name) = Self::write_target(stmt) {
-            let wait = gov.lock_wait.unwrap_or_else(|| self.lock_wait_timeout());
+            let wait = gov.lock_wait.unwrap_or(Duration::ZERO);
             self.wait_for_table_lock(txn, &name, wait, &mut governor, local)?;
         }
         let mut catalog = self.catalog.write();
@@ -1252,7 +1227,6 @@ impl Database {
                 None => apply(local, &mut governor),
                 Some(profile) => {
                     let sw = Stopwatch::start();
-                    local.statements_executed += 1;
                     let before = WaitBreakdown::of(local);
                     let result = governor.check_now().and_then(|()| apply(local, &mut governor));
                     let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
@@ -1377,7 +1351,10 @@ impl Database {
         }
     }
 
-    /// Accounts one finished (or timed-out) contended lock wait.
+    /// Accounts one finished (or timed-out) contended lock wait: one
+    /// `lock.wait` sample, which is what `lock_wait_nanos` totals. The
+    /// statement's own delta carries the nanos only for its slow-query
+    /// breakdown.
     fn note_lock_wait(&self, start: Instant, stats: &mut OpStats) {
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         stats.lock_wait_nanos += nanos;
@@ -1459,7 +1436,7 @@ impl Database {
         if let Err(e) = &result {
             Self::attribute_failure(&mut local, e);
         }
-        self.stats.record(&local);
+        self.obs.record(&local);
         result.map(|done| done.affected())
     }
 
@@ -1721,7 +1698,7 @@ impl Database {
             wal_bytes = local.wal_bytes;
             drop(ctl);
             drop(catalog);
-            self.stats.record(&local);
+            self.obs.record(&local);
             rotated?;
         }
         // Checkpoints double as the engine's full vacuum pass: prune every
@@ -1754,7 +1731,7 @@ impl Database {
             tables += 1;
         }
         drop(catalog);
-        self.stats.record(&local);
+        self.obs.record(&local);
         let nanos = sw.elapsed_nanos();
         self.obs.histograms.vacuum.record(nanos);
         self.obs.events.record(

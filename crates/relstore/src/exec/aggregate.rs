@@ -17,10 +17,10 @@
 
 use super::QueryResult;
 use crate::error::{Error, Result};
+use crate::obs::OpStats;
 use crate::predicate::{resolve_column, ColRef, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{AggFunc, SelectItem, SelectStmt, SortOrder};
-use crate::stats::OpStats;
 use crate::tuple::Row;
 use crate::value::Value;
 use std::collections::HashMap;

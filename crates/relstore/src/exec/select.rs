@@ -52,6 +52,7 @@ use crate::error::{Error, Result};
 use crate::govern::{approx_row_bytes, approx_tuple_bytes, Governor};
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
+use crate::obs::OpStats;
 use crate::plan::{
     choose_access, counts_postings, plan_select, walk_order, AccessPath, BuildBucket, CachedBuild,
     JoinStep, JoinStrategy, PlanProfile, SelectPlan, StepActuals,
@@ -59,7 +60,6 @@ use crate::plan::{
 use crate::predicate::{resolve_column, BoundExpr, ColRef, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{SelectItem, SelectStmt, SortOrder};
-use crate::stats::OpStats;
 use crate::table::{RowIter, Table};
 use crate::tuple::{Row, RowId, StoredRowRef};
 use crate::value::Value;

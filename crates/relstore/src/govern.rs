@@ -65,8 +65,8 @@ pub struct Governance {
     pub max_bytes: Option<u64>,
     /// Bound on how long a write statement waits for a conflicted table
     /// lock before failing with a retryable lock-wait [`Error::Timeout`].
-    /// `None` uses the database default
-    /// ([`Database::set_lock_wait_timeout`](crate::db::Database::set_lock_wait_timeout)).
+    /// `None` (like `Some(Duration::ZERO)`) does not wait: a conflict fails
+    /// fast with [`Error::LockConflict`](crate::Error::LockConflict).
     pub lock_wait: Option<Duration>,
     /// Cooperative cancellation token: set it from any thread and the
     /// statement bails at its next row-check boundary.

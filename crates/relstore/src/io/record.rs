@@ -53,7 +53,7 @@
 //! open.
 
 use crate::error::{Error, Result};
-use crate::stats::OpStats;
+use crate::obs::OpStats;
 use crate::wal::{Change, LogRecord};
 
 use super::codec::{put_record, put_txn, Reader};

@@ -15,7 +15,8 @@
 //! * MVCC snapshot isolation over per-row version chains ([`mvcc`]),
 //! * transactions with table-level write locking and rollback (`txn`),
 //! * a write-ahead log with checkpointing and recovery ([`wal`]),
-//! * operation statistics for the simulation cost model (`stats`).
+//! * one metrics registry — operation counters for the simulation cost
+//!   model beside latency histograms, served as SQL ([`obs`]).
 //!
 //! ## Concurrency model
 //!
@@ -32,7 +33,8 @@
 //!   sit under a separate short-lived mutex, and the statement cache under a
 //!   third, so cache probes and commit processing never serialise row
 //!   access. Statistics accumulate into a stack-local [`OpStats`] per
-//!   statement and merge into lock-free `stats::SharedStats` atomics.
+//!   statement and merge into the lock-free atomics of the one registry,
+//!   [`Observability`].
 //! * **Rows are borrowed, names are interned.** Table access paths stream
 //!   `tuple::StoredRowRef`s (no row clones); the executor clones only the
 //!   values that survive projection, and [`QueryResult`] column names are
@@ -382,8 +384,7 @@
 //!   response pages are built; exceeding one fails with
 //!   [`Error::ResourceExhausted`] (class `Logic`).
 //! * **Bounded lock waits** — with a non-zero [`Governance::lock_wait`]
-//!   (or database default,
-//!   [`set_lock_wait_timeout`](db::Database::set_lock_wait_timeout)) a
+//!   (the `wire` server sets its `ServerConfig::lock_wait_timeout` there) a
 //!   write-write conflict waits for the holder instead of failing
 //!   instantly, expiring into [`Error::Timeout`] of kind
 //!   [`TimeoutKind::LockWait`] — class **Retryable**, so
@@ -429,8 +430,12 @@
 //! The engine applies the paper's own argument to itself: if middleware
 //! state belongs in a relational engine because it can be *queried*, then
 //! the engine's internal state should be queryable too. The [`obs`] module
-//! keeps lock-free log-bucketed latency histograms (per statement kind,
-//! plus WAL fsync, lock wait, commit, checkpoint and vacuum), a
+//! is the engine's one metrics registry. It keeps the [`OpStats`] counters
+//! beside lock-free log-bucketed latency histograms (per statement kind,
+//! plus WAL fsync, lock wait, commit, checkpoint and vacuum) that hold an
+//! exact count and sum each, so an event that is timed is counted once: the
+//! `statements_executed`, `wal_fsyncs`, `wal_fsync_nanos`, `lock_wait_nanos`
+//! and `checkpoints` counters are read off those histograms. It also keeps a
 //! per-statement profile on every cached/prepared statement (a
 //! `pg_stat_statements` analogue bounded by the statement-cache LRU; what
 //! evicted entries had recorded is kept as one `'(evicted)'` row), a
@@ -683,7 +688,6 @@ mod predicate;
 mod schema;
 mod session;
 pub mod sql;
-mod stats;
 pub mod table;
 mod tuple;
 mod txn;
@@ -697,14 +701,14 @@ pub use govern::{Governance, Governor};
 pub use io::{DurabilityPolicy, FailAction, Failpoints, FsDevice, LogDevice, MemDevice};
 pub use mvcc::{RowVersion, Snapshot};
 pub use obs::{
-    Event, HistogramSnapshot, Observability, SlowQueryEntry, StmtKind, StmtProfileSnapshot,
+    Event, HistogramSnapshot, Observability, OpStats, SlowQueryEntry, StmtKind,
+    StmtProfileSnapshot,
 };
 pub use exec::QueryResult;
 pub use plan::{AccessPath, AccessPlan, ColumnStats, SelectPlan, TableStats};
 pub use predicate::{CmpOp, Expr};
 pub use schema::{Column, Schema};
 pub use session::{retry_with_backoff, retry_with_backoff_deadline, Session, Transaction};
-pub use stats::OpStats;
 pub use tuple::{Row, RowId};
 pub use value::{DataType, Value};
 pub use wal::TxnId;

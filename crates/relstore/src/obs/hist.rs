@@ -2,11 +2,16 @@
 //!
 //! A histogram is 64 relaxed atomic counters, one per power-of-two bucket:
 //! bucket `i` covers durations in `[2^i, 2^(i+1))` nanoseconds (bucket 0 also
-//! absorbs 0 ns). Recording a sample is one `leading_zeros` and one relaxed
-//! `fetch_add`; the exact maximum is kept with a load-then-`fetch_max` that
-//! skips the RMW entirely unless the sample is a new high-water mark. There
-//! is no lock anywhere, so any number of sessions can record concurrently
-//! while a monitor reads quantiles.
+//! absorbs 0 ns), plus the exact sample count and sum. Recording a sample is
+//! one `leading_zeros` and three relaxed `fetch_add`s; the exact maximum is
+//! kept with a load-then-`fetch_max` that skips the RMW entirely unless the
+//! sample is a new high-water mark. There is no lock anywhere, so any number
+//! of sessions can record concurrently while a monitor reads quantiles.
+//!
+//! The count and the sum are what the engine's counters read for events
+//! that are also timed (`statements_executed` is the `stmt.*` counts,
+//! `wal_fsync_nanos` the `wal.fsync` sum): one load each, no bucket walk,
+//! because [`crate::Database::stats`] runs twice per simulated request.
 //!
 //! Quantiles are estimated by walking the bucket counts to the target rank
 //! and interpolating linearly inside the bucket. Because bucket counts are
@@ -49,6 +54,8 @@ pub fn bucket_high(index: usize) -> u64 {
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    sum_nanos: AtomicU64,
     max_nanos: AtomicU64,
 }
 
@@ -56,36 +63,44 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0),
             max_nanos: AtomicU64::new(0),
         }
     }
 }
 
 impl LatencyHistogram {
-    /// Records one sample: one relaxed `fetch_add`, plus a `fetch_max` only
-    /// when the sample beats the current maximum.
+    /// Records one sample: three relaxed `fetch_add`s (bucket, count, sum),
+    /// plus a `fetch_max` only when the sample beats the current maximum.
     #[inline]
     pub fn record(&self, nanos: u64) {
         self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         if nanos > self.max_nanos.load(Ordering::Relaxed) {
             self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
         }
     }
 
-    /// Total samples recorded. Relaxed sum: exact once writers quiesce, and
-    /// never off by more than the statements in flight while they don't.
-    pub(crate) fn count(&self) -> u64 {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum()
+    /// Total samples recorded: one relaxed load, exact once writers quiesce.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
     }
 
-    /// Copies the bucket counts and maximum into an immutable snapshot for
-    /// quantile estimation.
+    /// Sum of every sample, in nanoseconds: one relaxed load, exact once
+    /// writers quiesce.
+    pub fn sum_nanos(&self) -> u64 {
+        self.sum_nanos.load(Ordering::Relaxed)
+    }
+
+    /// Copies the bucket counts, count, sum and maximum into an immutable
+    /// snapshot for quantile estimation.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            count: self.count(),
+            sum_nanos: self.sum_nanos(),
             max_nanos: self.max_nanos.load(Ordering::Relaxed),
         }
     }
@@ -95,13 +110,15 @@ impl LatencyHistogram {
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     buckets: [u64; BUCKETS],
+    count: u64,
+    sum_nanos: u64,
     max_nanos: u64,
 }
 
 impl HistogramSnapshot {
     /// Total samples in the snapshot.
     pub(crate) fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.count
     }
 
     /// Largest sample ever recorded, in nanoseconds.
@@ -114,7 +131,9 @@ impl HistogramSnapshot {
     /// power-of-two bucket as the true order statistic: the rank walk is
     /// exact, only the position inside the bucket is interpolated.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let count = self.count();
+        // Ranked against the buckets' own total, which a sample recorded
+        // while the snapshot was copied may have missed.
+        let count: u64 = self.buckets.iter().sum();
         if count == 0 {
             return None;
         }
@@ -145,25 +164,9 @@ impl HistogramSnapshot {
         Some(self.max_nanos)
     }
 
-    /// Estimates the arithmetic mean in nanoseconds from bucket midpoints,
-    /// or `None` if empty. Exact totals are deliberately not kept — that
-    /// would cost a second hot-path RMW per sample.
+    /// The arithmetic mean in nanoseconds, sum / count, or `None` if empty.
     pub(crate) fn mean_nanos(&self) -> Option<f64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n != 0)
-            .map(|(i, &n)| {
-                let mid = (bucket_low(i) as f64 + bucket_high(i) as f64) / 2.0;
-                mid * n as f64
-            })
-            .sum();
-        Some(sum / count as f64)
+        (self.count > 0).then(|| self.sum_nanos as f64 / self.count as f64)
     }
 }
 
@@ -276,9 +279,11 @@ mod tests {
         for _ in 0..1000 {
             h.record(1_000);
         }
-        let mean = h.snapshot().mean_nanos().unwrap();
-        // All samples in bucket [512, 1023]; the midpoint estimate must stay
-        // inside that bucket.
-        assert!((512.0..1024.0).contains(&mean), "mean {mean}");
+        // All samples sit in bucket [512, 1023]; the mean is still exact.
+        assert_eq!(h.snapshot().mean_nanos(), Some(1_000.0));
+        h.record(3);
+        h.record(1_000_000);
+        assert_eq!((h.count(), h.sum_nanos()), (1002, 2_000_003));
+        assert_eq!(h.snapshot().mean_nanos(), Some(2_000_003.0 / 1002.0));
     }
 }

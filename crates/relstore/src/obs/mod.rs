@@ -1,24 +1,30 @@
-//! Pay-for-what-you-arm engine observability.
+//! Pay-for-what-you-arm engine observability: the engine's one metrics
+//! registry.
 //!
 //! The paper's thesis is that middleware state belongs in a relational engine
 //! *because a relational engine can be inspected with queries*. This module
-//! turns that lens on the engine itself: every statement's latency lands in a
-//! lock-free [log-bucketed histogram](hist::LatencyHistogram), every prepared
-//! statement carries a cumulative profile, statements
-//! that cross an armed threshold are captured in a [slow-query
-//! ring](ring::SlowQueryLog) with a wait breakdown, and coarse engine spans
-//! (checkpoints, vacuum sweeps, recovery) land in an [event
-//! ring](ring::EventRing). All of it is served back through the normal SELECT
-//! path as virtual system tables — `rel_stats`,
-//! `rel_histograms`, `rel_statements`, `rel_slow_queries`, `rel_events` — so
-//! the embedded API, the wire protocol, and the SQL console monitor the
-//! engine with plain SQL and zero new protocol surface.
+//! turns that lens on the engine itself. [`Observability`] holds every metric
+//! the engine keeps: the operation counters ([`OpStats`], merged once per
+//! statement into lock-free atomics), and beside them every statement's
+//! latency in a lock-free [log-bucketed histogram](hist::LatencyHistogram).
+//! An event that is timed is counted once, by its histogram sample: the
+//! `statements_executed`, `wal_fsyncs`, `wal_fsync_nanos`, `lock_wait_nanos`
+//! and `checkpoints` counters are read off the histograms' exact counts and
+//! sums when a snapshot is taken. Every prepared statement carries a
+//! cumulative profile, statements that cross an armed threshold are captured
+//! in a [slow-query ring](ring::SlowQueryLog) with a wait breakdown, and
+//! coarse engine spans (checkpoints, vacuum sweeps, recovery) land in an
+//! [event ring](ring::EventRing). All of it is served back through the normal
+//! SELECT path as virtual system tables — `rel_stats`, `rel_histograms`,
+//! `rel_statements`, `rel_slow_queries`, `rel_events` — so the embedded API,
+//! the wire protocol, and the SQL console monitor the engine with plain SQL
+//! and zero new protocol surface.
 //!
-//! The cost discipline: always-on instrumentation is one stopwatch
-//! pair (one vDSO `clock_gettime` per end) plus a handful of
-//! relaxed atomic adds per statement; everything more expensive — the slow
-//! log mutex, event formatting — only runs once a threshold armed by the
-//! operator has already been blown. The `obs_overhead` bench in the `bench`
+//! The cost discipline: always-on instrumentation is one stopwatch pair (one
+//! vDSO `clock_gettime` per end) plus a handful of relaxed atomic adds per
+//! statement (three for its histogram sample, one per counter it touched);
+//! everything more expensive — the slow log mutex, event formatting — only
+//! runs once a threshold armed by the operator has already been blown. The `obs_overhead` bench in the `bench`
 //! crate holds the fully-instrumented prepared point select inside its
 //! acceptance band to keep this honest.
 
@@ -26,6 +32,7 @@ pub(crate) mod clock;
 pub mod hist;
 pub(crate) mod profile;
 pub(crate) mod ring;
+pub(crate) mod stats;
 pub(crate) mod systables;
 
 pub(crate) use clock::Stopwatch;
@@ -35,9 +42,10 @@ pub(crate) use profile::ProfileCounters;
 pub(crate) use profile::StmtProfile;
 pub use profile::StmtProfileSnapshot;
 pub use ring::{Event, EventRing, SlowQueryEntry, SlowQueryLog};
+pub use stats::OpStats;
+use stats::SharedStats;
 
 use crate::sql::ast::Statement;
-use crate::stats::OpStats;
 use std::sync::Arc;
 
 /// Classification of a statement for per-kind latency histograms.
@@ -141,16 +149,17 @@ impl Histograms {
         out
     }
 
-    /// Total samples across the per-statement-kind histograms. Once writers
-    /// quiesce this equals the `statements_executed` counter — the chaos
-    /// soak asserts exactly that.
+    /// Total samples across the per-statement-kind histograms: the
+    /// `statements_executed` counter, which is read off this sum.
     pub fn statement_total(&self) -> u64 {
         self.statements.iter().map(LatencyHistogram::count).sum()
     }
 }
 
 /// Where a statement's time went, for the slow-query breakdown. Built from
-/// the statement's private [`OpStats`] delta, so it costs nothing to produce.
+/// the statement's private [`OpStats`] delta, so it costs nothing to produce
+/// (the delta's `lock_wait_nanos` and `wal_fsync_nanos` serve only this; the
+/// registry's totals of both are the `lock.wait` / `wal.fsync` sums).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WaitBreakdown {
     /// Nanoseconds blocked on table locks.
@@ -178,11 +187,14 @@ impl WaitBreakdown {
     }
 }
 
-/// The engine's observability state: histograms, slow-query log, event ring.
-/// One per [`Database`](crate::Database), shared via `Arc` with the WAL (for
-/// fsync spans) and readable at any time without pausing writers.
+/// The engine's one metrics registry: counters, histograms, slow-query log,
+/// event ring. One per [`Database`](crate::Database), handed by `Arc` to the
+/// WAL when it opens (for fsync samples) and readable at any time without
+/// pausing writers.
 #[derive(Debug, Default)]
 pub struct Observability {
+    /// The operation counters, less the `derived` ones the histograms keep.
+    counters: SharedStats,
     /// Latency histograms.
     pub histograms: Histograms,
     /// The slow-query ring (disarmed until a threshold is set).
@@ -192,6 +204,27 @@ pub struct Observability {
 }
 
 impl Observability {
+    /// Merges a statement's (or any other unit of work's) counter delta.
+    /// Its `derived` fields are not merged: the histograms count them.
+    #[inline]
+    pub(crate) fn record(&self, delta: &OpStats) {
+        self.counters.record(delta);
+    }
+
+    /// The cumulative counters, the `derived` ones read off the histograms:
+    /// nine relaxed loads beyond the counters' own.
+    pub(crate) fn stats(&self) -> OpStats {
+        let h = &self.histograms;
+        OpStats {
+            statements_executed: h.statement_total(),
+            checkpoints: h.checkpoint.count(),
+            wal_fsyncs: h.wal_fsync.count(),
+            wal_fsync_nanos: h.wal_fsync.sum_nanos(),
+            lock_wait_nanos: h.lock_wait.sum_nanos(),
+            ..self.counters.snapshot()
+        }
+    }
+
     /// Records a finished statement: one histogram sample, the optional
     /// prepared-statement profile and the slow-query check. `local` is the
     /// statement's private counter delta; the `slow_queries` counter is

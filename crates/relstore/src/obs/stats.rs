@@ -1,4 +1,6 @@
-//! Operation counters used by the application-server cost model.
+//! The engine's counters: the [`OpStats`] snapshot and the lock-free
+//! [`SharedStats`] atomics behind it, owned by
+//! [`Observability`](super::Observability) beside the latency histograms.
 //!
 //! The CondorJ2 paper's performance argument hinges on "the speed and
 //! efficiency with which incoming messages can be transformed into actions on
@@ -9,18 +11,24 @@
 //!
 //! Every field is declared exactly once in the `define_stats!` table below,
 //! which generates [`OpStats`], [`SharedStats`], and the interval/merge/
-//! introspection operations. Two field kinds exist:
+//! introspection operations. Three field kinds exist:
 //!
 //! - `counter`: monotonically non-decreasing totals. `merge` sums,
 //!   `delta_since` subtracts, [`SharedStats::record`] adds.
 //! - `gauge`: high-water marks. `merge` takes the max, `delta_since` reports
 //!   the current mark (a high-water mark has no meaningful difference), and
 //!   [`SharedStats::record`] takes the max.
+//! - `derived`: a counter whose event already lands one sample in a latency
+//!   histogram, so it has no atomic of its own: `SharedStats::record` skips
+//!   it, and the registry's snapshot reads it off the histogram (a count or
+//!   a sum of nanoseconds). In a statement's own delta it merges and
+//!   subtracts like a counter.
 //!
 //! The kind of each field is queryable at runtime through
-//! [`OpStats::is_gauge`], and [`OpStats::fields`] enumerates `(name, value)`
-//! pairs — this is what backs the `rel_stats` virtual system table and the
-//! chaos-soak monotonicity invariant.
+//! [`OpStats::is_gauge`] (a derived field is a counter), and
+//! [`OpStats::fields`] enumerates `(name, value)` pairs — this is what backs
+//! the `rel_stats` virtual system table and the chaos-soak monotonicity
+//! invariant.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,6 +78,35 @@ macro_rules! define_stats {
             }
         }
 
+        define_stats!(@shared [] $( $kind $name, )+);
+
+        impl SharedStats {
+            /// Merges a per-statement delta into the shared totals; its
+            /// `derived` fields are left to the histograms.
+            pub(crate) fn record(&self, delta: &OpStats) {
+                // Skip the RMW for fields the statement never touched (most
+                // deltas are sparse: a point select bumps four of forty).
+                $( define_stats!(@record $kind, self.$name, delta.$name); )+
+            }
+
+            /// Copies the current totals into a plain [`OpStats`] value, with
+            /// every `derived` field zero.
+            pub(crate) fn snapshot(&self) -> OpStats {
+                OpStats {
+                    $( $name: define_stats!(@load $kind, self.$name), )+
+                }
+            }
+        }
+    };
+
+    (@delta gauge, $a:expr, $b:expr) => { $a };
+    (@delta $kind:tt, $a:expr, $b:expr) => { $a - $b };
+    (@merge gauge, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@merge $kind:tt, $a:expr, $b:expr) => { $a += $b };
+    (@isgauge gauge) => { true };
+    (@isgauge $kind:tt) => { false };
+    // `SharedStats` holds one atomic per field that is not `derived`.
+    (@shared [$( $cell:ident )*]) => {
         /// Lock-free cumulative counters shared by every session of a database.
         ///
         /// Statement execution accumulates its work into a stack-local
@@ -79,35 +116,21 @@ macro_rules! define_stats {
         /// lands), but a concurrent [`snapshot`](SharedStats::snapshot) may
         /// observe one statement's fields partially applied — fine for
         /// monitoring and the simulation cost model, which both read between
-        /// statements.
+        /// statements. A `derived` field has no atomic here.
         #[derive(Debug, Default)]
-        pub struct SharedStats {
-            $( $name: AtomicU64, )+
-        }
-
-        impl SharedStats {
-            /// Merges a per-statement delta into the shared totals.
-            pub fn record(&self, delta: &OpStats) {
-                // Skip the RMW for fields the statement never touched (most
-                // deltas are sparse: a point select bumps four of forty).
-                $( define_stats!(@record $kind, self.$name, delta.$name); )+
-            }
-
-            /// Copies the current totals into a plain [`OpStats`] value.
-            pub fn snapshot(&self) -> OpStats {
-                OpStats {
-                    $( $name: self.$name.load(Ordering::Relaxed), )+
-                }
-            }
+        pub(crate) struct SharedStats {
+            $( $cell: AtomicU64, )*
         }
     };
-
-    (@delta counter, $a:expr, $b:expr) => { $a - $b };
-    (@delta gauge, $a:expr, $b:expr) => { $a };
-    (@merge counter, $a:expr, $b:expr) => { $a += $b };
-    (@merge gauge, $a:expr, $b:expr) => { $a = $a.max($b) };
-    (@isgauge counter) => { false };
-    (@isgauge gauge) => { true };
+    (@shared [$( $cell:ident )*] derived $name:ident, $( $rest:tt )*) => {
+        define_stats!(@shared [$( $cell )*] $( $rest )*);
+    };
+    (@shared [$( $cell:ident )*] $kind:tt $name:ident, $( $rest:tt )*) => {
+        define_stats!(@shared [$( $cell )* $name] $( $rest )*);
+    };
+    (@load derived, $c:expr) => { 0 };
+    (@load $kind:tt, $c:expr) => { $c.load(Ordering::Relaxed) };
+    (@record derived, $c:expr, $v:expr) => {};
     (@record counter, $c:expr, $v:expr) => {
         if $v != 0 {
             $c.fetch_add($v, Ordering::Relaxed);
@@ -134,12 +157,15 @@ define_stats! {
         "Statement-cache hits: executions that reused a cached parse.",
     counter cache_misses:
         "Statement-cache misses: SQL text that had to be parsed.",
-    counter statements_executed: "Statements executed (parsed or programmatic).",
+    derived statements_executed:
+        "Statements executed (parsed or programmatic): the sample count of \
+         the `stmt.*` histograms.",
     counter commits: "Transactions committed.",
     counter aborts: "Transactions aborted.",
     counter wal_records: "Records appended to the write-ahead log.",
     counter wal_bytes: "Bytes appended to the write-ahead log.",
-    counter checkpoints: "Checkpoints taken by the background maintenance task.",
+    derived checkpoints:
+        "Checkpoints taken: the sample count of the `checkpoint` histogram.",
     counter versions_created:
         "MVCC row versions created (one per INSERT row and one per UPDATE).",
     counter versions_vacuumed: "MVCC row versions pruned by vacuum.",
@@ -161,13 +187,15 @@ define_stats! {
         "High-water mark of concurrently open network connections. A gauge \
          like [`OpStats::max_version_chain`]: `merge` takes the max and \
          `delta_since` reports the current mark, not a difference.",
-    counter wal_fsyncs:
+    derived wal_fsyncs:
         "Fsyncs issued against the durable log device (commit syncs, explicit \
-         flushes and checkpoint rotations). Always zero for in-memory logs.",
-    counter wal_fsync_nanos:
+         flushes and checkpoint rotations): the sample count of the \
+         `wal.fsync` histogram. Always zero for in-memory logs.",
+    derived wal_fsync_nanos:
         "Cumulative nanoseconds spent inside durable-log fsyncs (the device \
          sync during commit/flush and the atomic replace during checkpoint \
-         rotation). Always zero for in-memory logs.",
+         rotation): the sample sum of the `wal.fsync` histogram. Always zero \
+         for in-memory logs.",
     counter wal_segments_rotated:
         "Log segments rotated: checkpoints that replaced the on-disk segment \
          with a fresh one via write-then-atomic-rename.",
@@ -189,9 +217,10 @@ define_stats! {
     counter lock_waits:
         "Write statements that found their table lock held and entered a \
          bounded wait (whether or not the wait eventually succeeded).",
-    counter lock_wait_nanos:
+    derived lock_wait_nanos:
         "Cumulative nanoseconds write statements spent blocked in bounded \
-         table-lock waits. Zero-cost when no statement ever waits.",
+         table-lock waits: the sample sum of the `lock.wait` histogram. \
+         Zero-cost when no statement ever waits.",
     counter lock_wait_timeouts:
         "Bounded lock waits that expired without the lock freeing (surfaced \
          as a retryable lock-wait [`crate::Error::Timeout`]).",
@@ -232,17 +261,19 @@ impl OpStats {
     pub fn total_mutations(&self) -> u64 {
         self.rows_inserted + self.rows_deleted + self.rows_updated
     }
-
-    /// Statement-cache hit rate in `[0, 1]`, or `None` before any lookup.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl OpStats {
+        /// Statement-cache hit rate in `[0, 1]`, or `None` before any lookup.
+        fn cache_hit_rate(&self) -> Option<f64> {
+            let total = self.cache_hits + self.cache_misses;
+            (total > 0).then(|| self.cache_hits as f64 / total as f64)
+        }
+    }
 
     #[test]
     fn delta_is_componentwise() {
@@ -461,16 +492,16 @@ mod tests {
             ..Default::default()
         });
         let snap = shared.snapshot();
-        assert_eq!(snap.wal_fsyncs, 7);
+        assert_eq!(snap.wal_fsyncs, 0, "a derived field has no shared cell");
         assert_eq!(snap.wal_segments_rotated, 3);
         assert_eq!(snap.recovery_truncated_bytes, 17);
 
         let d = snap.delta_since(&OpStats {
-            wal_fsyncs: 5,
+            wal_segments_rotated: 1,
             corruption_detected: 1,
             ..Default::default()
         });
-        assert_eq!(d.wal_fsyncs, 2);
+        assert_eq!(d.wal_segments_rotated, 2);
         assert_eq!(d.corruption_detected, 0);
         assert_eq!(d.failpoints_hit, 3);
     }
@@ -588,7 +619,12 @@ mod tests {
         let shared = SharedStats::default();
         shared.record(&a);
         let snap = shared.snapshot();
-        let d = snap.delta_since(&OpStats {
+        assert_eq!(
+            (snap.lock_wait_nanos, snap.wal_fsync_nanos, snap.slow_queries),
+            (0, 0, 1),
+            "the derived timings are read off the histograms, not merged"
+        );
+        let d = a.delta_since(&OpStats {
             lock_wait_nanos: 1_000,
             ..Default::default()
         });

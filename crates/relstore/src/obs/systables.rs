@@ -12,14 +12,13 @@
 //! enough to never overflow, small enough to read at a glance.
 
 use crate::schema::{Column, Schema};
-use crate::stats::OpStats;
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
 
 use super::profile::{EvictedTotals, StmtProfileSnapshot};
 use super::ring::{Event, SlowQueryEntry};
-use super::Histograms;
+use super::{Histograms, OpStats};
 
 /// Rows-per-table ceiling nothing here approaches; inserts into a synthesized
 /// table cannot fail on capacity, so builders can `expect` them.

@@ -72,10 +72,10 @@
 use crate::error::{Error, Result};
 use crate::exec::{Catalog, QueryResult};
 use crate::mvcc::Snapshot;
+use crate::obs::OpStats;
 use crate::predicate::{resolve_column, CmpOp, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{AggFunc, OrderKey, SelectItem, SelectStmt, SortOrder};
-use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::Row;
 use crate::value::{DataType, Value};

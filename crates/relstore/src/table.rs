@@ -36,9 +36,9 @@ use crate::error::{Error, Result};
 use crate::heap::{self, Heap};
 use crate::index::Index;
 use crate::mvcc::{RowVersion, Snapshot, VersionChain, COMMITTED_TXN};
+use crate::obs::OpStats;
 use crate::plan::TableStats;
 use crate::schema::{IndexDef, Schema};
-use crate::stats::OpStats;
 use crate::tuple::{Row, RowId, StoredRowRef};
 use crate::value::Value;
 use crate::wal::TxnId;

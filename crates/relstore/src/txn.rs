@@ -105,8 +105,6 @@ pub struct TxnState {
 pub struct TxnManager {
     next_id: u64,
     active: HashMap<TxnId, TxnState>,
-    committed: u64,
-    aborted: u64,
 }
 
 impl TxnManager {
@@ -218,7 +216,6 @@ impl TxnManager {
             return Err(Error::TxnClosed(format!("{id} is no longer active")));
         }
         state.status = TxnStatus::Committed;
-        self.committed += 1;
         Ok(state)
     }
 
@@ -233,18 +230,12 @@ impl TxnManager {
             return Err(Error::TxnClosed(format!("{id} is no longer active")));
         }
         state.status = TxnStatus::Aborted;
-        self.aborted += 1;
         Ok(state)
     }
 
     /// Number of currently active transactions.
     pub fn active_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Total committed transaction count.
-    pub fn committed_count(&self) -> u64 {
-        self.committed
     }
 }
 
@@ -261,10 +252,6 @@ mod tests {
     impl TxnManager {
         fn new() -> Self {
             TxnManager::default()
-        }
-
-        fn aborted_count(&self) -> u64 {
-            self.aborted
         }
     }
 
@@ -367,11 +354,9 @@ mod tests {
         let state = tm.finish_commit(t1).unwrap();
         assert_eq!(state.status, TxnStatus::Committed);
         assert_eq!(state.changes.len(), 1);
-        assert_eq!(tm.committed_count(), 1);
 
         let state = tm.finish_abort(t2).unwrap();
         assert_eq!(state.status, TxnStatus::Aborted);
-        assert_eq!(tm.aborted_count(), 1);
         assert_eq!(tm.active_count(), 0);
 
         // Operating on a finished transaction fails.

@@ -31,9 +31,8 @@ use crate::io::record::{encode_record_within, encode_txn, segment_header, MAX_RE
 use crate::io::{decode_segment, points, DurabilityPolicy, FailAction, Failpoints, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
-use crate::obs::Observability;
+use crate::obs::{Observability, OpStats};
 use crate::schema::{IndexDef, Schema};
-use crate::stats::OpStats;
 use crate::table::Table;
 use crate::tuple::{Row, RowId};
 use serde::{Deserialize, Serialize};
@@ -237,10 +236,9 @@ struct DurableLog {
     /// The largest record payload this writer frames: what the decoder
     /// accepts, [`MAX_RECORD_PAYLOAD`] (tests lower it).
     payload_limit: usize,
-    /// The owning database's observability state, attached after open so
-    /// every successful device sync lands one sample in the `wal.fsync`
-    /// latency histogram.
-    obs: Option<Arc<Observability>>,
+    /// The owning database's metrics registry: every successful device sync
+    /// lands one sample in its `wal.fsync` histogram.
+    obs: Arc<Observability>,
 }
 
 impl DurableLog {
@@ -332,15 +330,13 @@ impl DurableLog {
         }
     }
 
-    /// Accounts one successful durability barrier: the `wal_fsyncs` counter,
-    /// the time spent, and (once attached) the `wal.fsync` histogram.
+    /// Accounts one successful durability barrier: one `wal.fsync` sample,
+    /// which `wal_fsyncs` counts and `wal_fsync_nanos` sums. The delta
+    /// carries the nanos only for the statement's slow-query breakdown.
     fn note_fsync(&self, sw: Stopwatch, stats: &mut OpStats) {
         let nanos = sw.elapsed_nanos();
-        stats.wal_fsyncs += 1;
         stats.wal_fsync_nanos += nanos;
-        if let Some(obs) = &self.obs {
-            obs.histograms.wal_fsync.record(nanos);
-        }
+        self.obs.histograms.wal_fsync.record(nanos);
     }
 
     /// Called once per appended commit: syncs if the policy's window is
@@ -416,9 +412,9 @@ pub(crate) struct TxnFrame {
 }
 
 impl Wal {
-    /// Opens a durable log over `device` and returns it together with the
-    /// records the device held — the input of [`recover`], owned by the
-    /// caller and dropped when the open is done.
+    /// Opens a durable log over `device`, sampling its fsyncs into `obs`,
+    /// and returns it together with the records the device held — the input
+    /// of [`recover`], owned by the caller and dropped when the open is done.
     ///
     /// The device's durable contents are scanned with
     /// [`decode_segment`]: a torn tail is truncated off the device (counted
@@ -428,6 +424,7 @@ impl Wal {
         mut device: Box<dyn LogDevice>,
         policy: DurabilityPolicy,
         failpoints: Arc<Failpoints>,
+        obs: Arc<Observability>,
         stats: &mut OpStats,
     ) -> Result<(Wal, Vec<LogRecord>)> {
         let bytes = device.durable_contents()?;
@@ -446,7 +443,7 @@ impl Wal {
                 poisoned: None,
                 unsynced_commits: 0,
                 payload_limit: MAX_RECORD_PAYLOAD,
-                obs: None,
+                obs,
             }),
         };
         Ok((wal, decoded.records))
@@ -462,15 +459,6 @@ impl Wal {
     /// True when this log writes appends onto a durable device.
     pub(crate) fn is_durable(&self) -> bool {
         self.durable.is_some()
-    }
-
-    /// Attaches the owning database's observability state so device syncs
-    /// record `wal.fsync` histogram samples. A no-op without a device:
-    /// nothing ever fsyncs.
-    pub(crate) fn set_obs(&mut self, obs: Arc<Observability>) {
-        if let Some(d) = &mut self.durable {
-            d.obs = Some(obs);
-        }
     }
 
     /// The bytes a crash right now would leave on the durable device, or
@@ -527,7 +515,8 @@ impl Wal {
     }
 
     /// Takes a checkpoint of `tables` — every live row — counted as one
-    /// record of the snapshot's [`LogRecord::approx_size`].
+    /// record of the snapshot's [`LogRecord::approx_size`]. (The checkpoint
+    /// itself is counted by the caller's `checkpoint` histogram sample.)
     ///
     /// On a durable log this is a **segment rotation**: the new segment
     /// (holding just the checkpoint record) is written beside the old one,
@@ -558,7 +547,6 @@ impl Wal {
                 tables.map(|t| live_rows(t).map(|r| r.row.approx_size()).sum()),
             ),
         };
-        stats.checkpoints += 1;
         stats.wal_records += 1;
         stats.wal_bytes += size as u64;
         Ok(())
@@ -645,16 +633,20 @@ mod tests {
         LogRecord::Txn { changes: all }
     }
 
-    fn open_mem(stats: &mut OpStats) -> Wal {
+    /// A durable log over a fresh in-memory device, with the registry its
+    /// fsyncs are sampled into.
+    fn open_mem(stats: &mut OpStats) -> (Wal, Arc<Observability>) {
+        let obs = Arc::new(Observability::default());
         let (wal, found) = Wal::open_device(
             Box::new(MemDevice::new()),
             DurabilityPolicy::Always,
             Arc::new(Failpoints::new()),
+            Arc::clone(&obs),
             stats,
         )
         .unwrap();
         assert!(found.is_empty(), "a fresh device holds no records");
-        wal
+        (wal, obs)
     }
 
     /// Commits `record`'s changes through `wal`, as a transaction would.
@@ -794,13 +786,13 @@ mod tests {
     #[test]
     fn checkpoint_truncates_and_recovery_uses_it() {
         let mut stats = OpStats::default();
-        let mut wal = open_mem(&mut stats);
+        let (mut wal, _) = open_mem(&mut stats);
         let first = create_then(vec![insert(1, 100, "idle")]);
         commit(&mut wal, &first, &mut stats);
 
         let tables = recover(vec![first]).unwrap();
         wal.checkpoint(tables.values(), &mut stats).unwrap();
-        assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.wal_segments_rotated, 1);
         // The rotated segment holds the checkpoint record and nothing else.
         let rotated = decode_segment(&wal.durable_contents().unwrap(), &mut stats).unwrap();
         assert!(matches!(rotated.records[..], [LogRecord::Checkpoint { .. }]));
@@ -817,10 +809,10 @@ mod tests {
     #[test]
     fn a_commit_is_one_append_and_one_sync_under_always() {
         let mut stats = OpStats::default();
-        let mut wal = open_mem(&mut stats);
+        let (mut wal, obs) = open_mem(&mut stats);
         let txn = create_then(vec![insert(1, 100, "idle"), insert(2, 200, "idle")]);
         commit(&mut wal, &txn, &mut stats);
-        assert_eq!((stats.wal_records, stats.wal_fsyncs), (1, 1));
+        assert_eq!((stats.wal_records, obs.histograms.wal_fsync.count()), (1, 1));
         // Durable without a flush: the commit forced its own frame.
         let image = wal.durable_contents().unwrap();
         let LogRecord::Txn { changes } = &txn else { unreachable!() };
@@ -833,7 +825,7 @@ mod tests {
     #[test]
     fn an_oversized_frame_is_refused_before_anything_is_written() {
         let mut stats = OpStats::default();
-        let mut wal = open_mem(&mut stats);
+        let (mut wal, _) = open_mem(&mut stats);
         let small = create_then(vec![insert(1, 100, "idle")]);
         commit(&mut wal, &small, &mut stats);
         let before = wal.durable_contents().unwrap();
@@ -848,7 +840,7 @@ mod tests {
         let tables = recover(vec![small, LogRecord::Txn { changes: big }]).unwrap();
         let err = wal.checkpoint(tables.values(), &mut stats).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
-        assert_eq!((stats.wal_records, stats.checkpoints), (1, 0));
+        assert_eq!((stats.wal_records, stats.wal_segments_rotated), (1, 0));
         assert_eq!(wal.durable_contents().unwrap(), before);
 
         // A transaction under it still commits.

@@ -78,8 +78,10 @@
 //!
 //! ## Observability
 //!
-//! The server counts its transport work in the served database's
-//! [`OpStats`](relstore::OpStats) — one registry, not two:
+//! The server counts its transport work in the served database's one
+//! metrics registry ([`Observability`](relstore::Observability)), beside the
+//! engine's counters and latency histograms, as
+//! [`OpStats`](relstore::OpStats) fields:
 //! `net_bytes_in` / `net_bytes_out` / `frames_decoded`, plus the
 //! `active_connections` high-water gauge (merge = max, like
 //! `max_version_chain`). Any client reads them from `rel_stats`; in process

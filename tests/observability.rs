@@ -15,6 +15,13 @@ fn first_int(db: &Database, sql: &str, column: &str) -> i64 {
     }
 }
 
+fn text(v: &Value) -> String {
+    match v {
+        Value::Text(s) => s.to_string(),
+        other => panic!("{other:?} is not Text"),
+    }
+}
+
 /// Every observability surface answers plain SQL on a live database, and
 /// every statement the engine counted has exactly one histogram sample.
 #[test]
@@ -97,6 +104,139 @@ fn system_tables_support_full_select_and_join_each_other() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("system tables"), "got: {err}");
+}
+
+/// The names monitors and the benchmark read by SQL are a compatibility
+/// surface: every `rel_stats` row's name and kind, in order, and every
+/// `rel_histograms` row name, in order.
+#[test]
+fn system_table_names_and_kinds_are_pinned() {
+    let db = Database::new();
+    let stats = db.query("SELECT name, kind FROM rel_stats").unwrap();
+    let listed: Vec<(String, String)> = stats
+        .rows
+        .iter()
+        .map(|r| (text(r.get(0)), text(r.get(1))))
+        .collect();
+    let gauges = ["max_version_chain", "active_connections", "horizon_lag"];
+    let expected: Vec<(String, String)> = [
+        "rows_inserted",
+        "rows_deleted",
+        "rows_updated",
+        "rows_read",
+        "rows_scanned",
+        "index_lookups",
+        "index_maintenance",
+        "statements_parsed",
+        "cache_hits",
+        "cache_misses",
+        "statements_executed",
+        "commits",
+        "aborts",
+        "wal_records",
+        "wal_bytes",
+        "checkpoints",
+        "versions_created",
+        "versions_vacuumed",
+        "snapshots_taken",
+        "max_version_chain",
+        "net_bytes_in",
+        "net_bytes_out",
+        "frames_decoded",
+        "active_connections",
+        "wal_fsyncs",
+        "wal_fsync_nanos",
+        "wal_segments_rotated",
+        "recovery_truncated_bytes",
+        "corruption_detected",
+        "failpoints_hit",
+        "statements_timed_out",
+        "statements_over_budget",
+        "lock_waits",
+        "lock_wait_nanos",
+        "lock_wait_timeouts",
+        "txns_reaped",
+        "horizon_lag",
+        "slow_queries",
+        "tables_analyzed",
+        "plans_built",
+        "plan_cache_hits",
+        "build_reuse_hits",
+        "subqueries_executed",
+        "rows_materialized",
+    ]
+    .iter()
+    .map(|name| {
+        let kind = if gauges.contains(name) { "gauge" } else { "counter" };
+        (name.to_string(), kind.to_string())
+    })
+    .collect();
+    assert_eq!(listed, expected);
+
+    let histograms = db.query("SELECT name FROM rel_histograms").unwrap();
+    let names: Vec<String> = histograms.rows.iter().map(|r| text(r.get(0))).collect();
+    let expected = [
+        "stmt.select",
+        "stmt.insert",
+        "stmt.update",
+        "stmt.delete",
+        "stmt.ddl",
+        "wal.fsync",
+        "lock.wait",
+        "txn.commit",
+        "checkpoint",
+        "vacuum",
+    ];
+    assert_eq!(names, expected);
+}
+
+/// `rel_histograms.mean_us` is the samples' own mean, sum / count, and a
+/// timed event is counted once: the `lock_wait_nanos` counter is the
+/// `lock.wait` histogram's sum.
+#[test]
+fn histogram_means_and_timed_counters_are_exact() {
+    let db = Database::new();
+    let lock_wait = &db.obs().histograms.lock_wait;
+    for nanos in [3, 1_000, 1_000_000] {
+        lock_wait.record(nanos);
+    }
+    let r = db
+        .query("SELECT count, mean_us FROM rel_histograms WHERE name = 'lock.wait'")
+        .unwrap();
+    assert_eq!(r.first_value("count"), Some(&Value::Int(3)));
+    let mean = (3.0 + 1_000.0 + 1_000_000.0) / 3.0 / 1_000.0;
+    match r.first_value("mean_us") {
+        Some(Value::Double(got)) => assert!((got - mean).abs() < 1e-9, "mean_us {got}, want {mean}"),
+        other => panic!("mean_us was {other:?}"),
+    }
+    let summed = "SELECT value FROM rel_stats WHERE name = 'lock_wait_nanos'";
+    assert_eq!(first_int(&db, summed, "value"), 1_001_003);
+}
+
+/// On a durable log, `wal_fsyncs` and `wal_fsync_nanos` are the `wal.fsync`
+/// histogram's count and sum, and `checkpoints` the `checkpoint` count.
+#[test]
+fn fsync_and_checkpoint_counters_are_their_histograms() {
+    let db = Database::open_with_device(Box::new(MemDevice::new()), DurabilityPolicy::Always)
+        .unwrap();
+    db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY)").unwrap();
+    for i in 0..5 {
+        db.execute(&format!("INSERT INTO jobs VALUES ({i})")).unwrap();
+    }
+    db.flush_log().unwrap();
+    db.checkpoint().unwrap();
+
+    let stat = |name: &str| {
+        let sql = format!("SELECT value FROM rel_stats WHERE name = '{name}'");
+        first_int(&db, &sql, "value") as u64
+    };
+    let histograms = &db.obs().histograms;
+    // Six commits, the flush and the checkpoint's segment rotation.
+    assert_eq!(histograms.wal_fsync.count(), 8);
+    assert_eq!(stat("wal_fsyncs"), histograms.wal_fsync.count());
+    assert_eq!(stat("wal_fsync_nanos"), histograms.wal_fsync.sum_nanos());
+    assert_eq!(stat("checkpoints"), 1);
+    assert_eq!(histograms.checkpoint.count(), 1);
 }
 
 /// A real table with a system table's name shadows it: user data wins, and
