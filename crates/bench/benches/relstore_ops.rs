@@ -237,6 +237,37 @@ fn bench_relstore(c: &mut Criterion) {
         c.bench_function("heap_churn_reclaim", |b| b.iter(&mut churn));
         bounded("after the timed churn");
     }
+    // The write-side price of storing each indexed TEXT key once: one
+    // `job_history`-shaped insert whose owner arrives as a fresh string, as
+    // a service call's parameter does, into a table indexed on that owner.
+    // The index already holds the key, so the row keeps the index's string
+    // and drops its own. The row `WINDOW` ids behind is deleted in the same
+    // iteration, so the table holds a steady 10 k live rows over 50 owners
+    // however long the bench runs.
+    {
+        const WINDOW: i64 = 10_000;
+        let history = Database::new();
+        history
+            .execute("CREATE TABLE job_history (history_id INT PRIMARY KEY, owner TEXT NOT NULL, runtime_ms INT)")
+            .unwrap();
+        history.execute("CREATE INDEX ON job_history (owner)").unwrap();
+        let insert = history.prepare("INSERT INTO job_history VALUES (?, ?, 60000)").unwrap();
+        let delete = history.prepare("DELETE FROM job_history WHERE history_id = ?").unwrap();
+        let owners: Vec<String> = (0..50).map(|i| format!("user{i:02}")).collect();
+        let mut session = history.session();
+        let mut next = 0i64;
+        let mut insert_one = move || {
+            session.execute(&insert, (next, owners[(next % 50) as usize].as_str())).unwrap();
+            if next >= WINDOW {
+                session.execute(&delete, (next - WINDOW,)).unwrap();
+            }
+            next += 1;
+            next
+        };
+        while insert_one() < WINDOW {}
+        c.bench_function("indexed_text_insert", |b| b.iter(&mut insert_one));
+        assert_eq!(history.table_len("job_history").unwrap(), WINDOW as usize);
+    }
     c.bench_function("single_row_update", |b| {
         b.iter(|| {
             db.execute(black_box("UPDATE jobs SET state = 'running' WHERE job_id = 123")).unwrap()

@@ -2525,4 +2525,19 @@ mod tests {
         assert!(db.stats().statements_executed >= 1000);
         db.check_consistency().unwrap();
     }
+
+    #[test]
+    fn integer_keys_beyond_two_pow_53_stay_distinct() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (9007199254740992, 'even')").unwrap();
+        // 2^53 + 1 rounds to 2^53 as a double: it must still be its own key.
+        db.execute("INSERT INTO t VALUES (9007199254740993, 'odd')").unwrap();
+        let r = db.query("SELECT v FROM t WHERE id = 9007199254740993").unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.first_value("v"), Some(&Value::Text("odd".into())));
+        let r = db.query("SELECT id FROM t ORDER BY id DESC").unwrap();
+        assert_eq!(r.first_value("id"), Some(&Value::Int(9_007_199_254_740_993)));
+        db.check_consistency().unwrap();
+    }
 }

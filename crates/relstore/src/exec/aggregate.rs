@@ -17,13 +17,13 @@
 
 use super::QueryResult;
 use crate::error::{Error, Result};
+use crate::hash::FoldMap;
 use crate::obs::OpStats;
 use crate::predicate::{resolve_column, ColRef, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{AggFunc, SelectItem, SelectStmt, SortOrder};
 use crate::tuple::Row;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Incremental state for one aggregate over one group.
@@ -133,7 +133,7 @@ pub(super) struct Aggregator<'r> {
     /// Group key → group number. The key borrows its values from the first
     /// tuple of the group, and is looked up by slice, so a tuple that joins
     /// an existing group allocates nothing.
-    groups: HashMap<Vec<&'r Value>, usize>,
+    groups: FoldMap<Vec<&'r Value>, usize>,
     /// The aggregate states of every group, `aggs.len()` per group, in
     /// group-number order. A statement without GROUP BY has exactly one
     /// group, number 0, present even over no input (which yields one row of
@@ -234,7 +234,7 @@ impl<'r> Aggregator<'r> {
             aggs,
             out_cols,
             order,
-            groups: HashMap::new(),
+            groups: FoldMap::default(),
         })
     }
 

@@ -50,6 +50,7 @@ use super::aggregate::Aggregator;
 use super::QueryResult;
 use crate::error::{Error, Result};
 use crate::govern::{approx_row_bytes, approx_tuple_bytes, Governor};
+use crate::hash::FoldMap;
 use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::obs::OpStats;
@@ -65,7 +66,6 @@ use crate::tuple::{Row, RowId, StoredRowRef};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The catalog type the executor reads from.
@@ -673,7 +673,59 @@ struct Folded<'r> {
     kept: u64,
 }
 
-/// The groupjoin: probes `side` with the `stride`-wide tuples of `rows`
+/// Where a join step's left tuples come from: the first step reads the
+/// base straight off its access path, every later step the tuples the
+/// step before it collected.
+enum Lefts<'r, 'a> {
+    /// The base table's access path and pushed-down filter; `kept` counts
+    /// the rows that pass it.
+    Base {
+        rows: RowIter<'r>,
+        filter: Option<&'a BoundExpr<'a>>,
+        kept: &'a mut u64,
+    },
+    /// The previous step's tuples, `stride` references each.
+    Tuples { rows: Vec<&'r Row>, stride: usize },
+}
+
+impl<'r> Lefts<'r, '_> {
+    /// How many left tuples to expect: exact for collected tuples; for the
+    /// base, the entries an index lookup found (none guessed for a scan).
+    fn len_hint(&self) -> usize {
+        match self {
+            Lefts::Base { rows, .. } => rows.size_hint().1.unwrap_or(0),
+            Lefts::Tuples { rows, stride } => rows.len() / stride,
+        }
+    }
+
+    /// Hands every left tuple to `each`, in order. A base row is ticked
+    /// and filtered as it streams and charged as the row it is — what
+    /// collecting the base used to cost, row for row.
+    fn for_each(
+        self,
+        params: &[Value],
+        gov: &mut Governor,
+        mut each: impl FnMut(&[&'r Row], &mut Governor) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Lefts::Base { rows, filter, kept } => {
+                for_each_match(rows, filter, params, gov, |stored, gov| {
+                    gov.charge_row(|| approx_row_bytes(stored.row))?;
+                    *kept += 1;
+                    each(std::slice::from_ref(&stored.row), gov)
+                })?;
+            }
+            Lefts::Tuples { rows, stride } => {
+                for left in rows.chunks_exact(stride) {
+                    each(left, gov)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The groupjoin: probes `side` with the `stride`-wide tuples of `lefts`
 /// and folds each match that passes `filter` straight into its group of
 /// `agg`, whose grouping columns all belong to the build side. Nothing is
 /// collected: the tuple `left ++ [right]` lives in one scratch vector while
@@ -683,7 +735,7 @@ struct Folded<'r> {
 /// those of the probe, the residual filter and the fold it replaces.
 #[allow(clippy::too_many_arguments)]
 fn probe_and_fold<'r>(
-    rows: &[&'r Row],
+    lefts: Lefts<'r, '_>,
     stride: usize,
     probe: ColRef,
     side: &'r CachedBuild,
@@ -697,14 +749,14 @@ fn probe_and_fold<'r>(
     let mut group_of = vec![UNMAPPED; side.rows];
     let mut tuple: Vec<&Row> = Vec::with_capacity(stride + 1);
     let (mut matches, mut kept) = (0, 0);
-    for left in rows.chunks_exact(stride) {
+    lefts.for_each(params, gov, |left, gov| {
         gov.tick()?;
         let key = probe.of(left);
         if key.is_null() {
-            continue;
+            return Ok(());
         }
         let Some(bucket) = side.map.get(key) else {
-            continue;
+            return Ok(());
         };
         for (i, right) in bucket.rows.iter().enumerate() {
             gov.tick()?;
@@ -728,7 +780,8 @@ fn probe_and_fold<'r>(
             }
             agg.fold(*group, &tuple)?;
         }
-    }
+        Ok(())
+    })?;
     Ok(Folded { agg, matches, kept })
 }
 
@@ -737,7 +790,10 @@ fn probe_and_fold<'r>(
 /// evaluating the full `ON` otherwise — with single-table WHERE conjuncts
 /// pushed down to each input and the full filter re-applied afterwards.
 ///
-/// The intermediate result is a flat `Vec<&Row>` of tuples: after step `i`
+/// The base is never collected: the first step reads its left tuples
+/// straight off the base's access path ([`Lefts`]), so under EXPLAIN
+/// ANALYZE the base's time is the first step's. The intermediate result
+/// is a flat `Vec<&Row>` of tuples: after step `i`
 /// each tuple is `i + 2` references, slot 0 the base table's row and slot
 /// `k + 1` the row step `k` joined to it, all borrowed — from the table
 /// heaps, or from a hash step's build side, which alone is owned (an
@@ -813,7 +869,7 @@ fn execute_joined(
                 let scope = &schemas[si + 1..=si + 1];
                 let key = resolve_column(scope, build)?.ord;
                 let pred = bind_pushdown(step, scope)?;
-                let mut map: HashMap<Value, BuildBucket> = HashMap::new();
+                let mut map: FoldMap<Value, BuildBucket> = FoldMap::default();
                 let rows = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
                 for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
                     let key = stored.row.get(key);
@@ -838,22 +894,11 @@ fn execute_joined(
         }
     }
 
-    // Base access: cost-chosen path plus pushed-down single-table conjuncts.
-    let sw = clock(&profile);
+    // Base access: cost-chosen path plus pushed-down single-table
+    // conjuncts, streamed straight into the first step.
     let base_pred = plan.base_pushdown.as_ref().map(|p| p.bind(&schemas[..1])).transpose()?;
+    let mut base_kept = 0u64;
     let mut rows: Vec<&Row> = Vec::new();
-    let base_rows = stream(base, plan.base.path, plan.base_pushdown.as_ref(), params, vis, stats);
-    for_each_match(base_rows, base_pred.as_ref(), params, gov, |stored, gov| {
-        gov.charge_row(|| approx_row_bytes(stored.row))?;
-        rows.push(stored.row);
-        Ok(())
-    })?;
-    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
-        p.base = StepActuals {
-            rows: rows.len() as u64,
-            nanos: sw.elapsed_nanos(),
-        };
-    }
 
     let fold = plan.folds_into_build(stmt, &schemas);
     let mut folded: Option<Folded<'_>> = None;
@@ -862,12 +907,24 @@ fn execute_joined(
         let stride = si + 1;
         let right = tables[si + 1];
         let right_scope = &schemas[si + 1..=si + 1];
+        let lefts = if si == 0 {
+            Lefts::Base {
+                rows: stream(base, plan.base.path, plan.base_pushdown.as_ref(), params, vis, stats),
+                filter: base_pred.as_ref(),
+                kept: &mut base_kept,
+            }
+        } else {
+            Lefts::Tuples {
+                rows: std::mem::take(&mut rows),
+                stride,
+            }
+        };
         // Sized for one match per left tuple, the shape of a foreign-key
         // join, unless the step folds instead of collecting.
         let mut joined: Vec<&Row> = Vec::new();
         let last = si + 1 == plan.steps.len();
         if !(fold && last) {
-            joined.reserve(rows.len() / stride * (stride + 1));
+            joined.reserve(lefts.len_hint() * (stride + 1));
         }
 
         match &step.strategy {
@@ -877,33 +934,34 @@ fn execute_joined(
                 let agg = Aggregator::new(stmt, &schemas, |c| layout.label(c))?;
                 let filter = filter.map(|f| f.bind(&schemas)).transpose()?;
                 let filter = filter.as_ref();
-                folded = Some(probe_and_fold(&rows, stride, probe, side, filter, agg, params, stats, gov)?);
+                folded = Some(probe_and_fold(lefts, stride, probe, side, filter, agg, params, stats, gov)?);
             }
             JoinStrategy::Hash { probe, .. } => {
                 let probe = resolve_column(&schemas[..stride], probe)?;
                 let side = sides[si].as_deref().expect("hash build sides are built first");
-                for left in rows.chunks_exact(stride) {
+                lefts.for_each(params, gov, |left, gov| {
                     gov.tick()?;
                     let key = probe.of(left);
                     if key.is_null() {
-                        continue;
+                        return Ok(());
                     }
                     for right_row in side.map.get(key).into_iter().flat_map(|b| &b.rows) {
                         gov.tick()?;
                         emit(&mut joined, left, right_row, gov)?;
                         stats.rows_read += 1;
                     }
-                }
+                    Ok(())
+                })?;
             }
             JoinStrategy::IndexLoop { probe, lookup, index } => {
                 let probe = resolve_column(&schemas[..stride], probe)?;
                 let lookup = resolve_column(right_scope, lookup)?.ord;
                 let right_pred = bind_pushdown(step, right_scope)?;
-                for left in rows.chunks_exact(stride) {
+                lefts.for_each(params, gov, |left, gov| {
                     gov.tick()?;
                     let key = probe.of(left);
                     if key.is_null() {
-                        continue;
+                        return Ok(());
                     }
                     // DDL invalidates cached plans, so a planned index
                     // that is gone means a malformed hand-built plan.
@@ -921,7 +979,8 @@ fn execute_joined(
                         }
                         Ok(())
                     })?;
-                }
+                    Ok(())
+                })?;
             }
             JoinStrategy::NestedLoop => {
                 // Collect the (pushdown-filtered) right side once, then
@@ -942,7 +1001,7 @@ fn execute_joined(
                 };
                 let on = on.bind(&schemas[..=stride])?;
                 let mut pair: Vec<&Row> = Vec::with_capacity(stride + 1);
-                for left in rows.chunks_exact(stride) {
+                lefts.for_each(params, gov, |left, gov| {
                     gov.tick()?;
                     for &right_row in &right_rows {
                         gov.tick()?;
@@ -954,17 +1013,25 @@ fn execute_joined(
                             stats.rows_read += 1;
                         }
                     }
-                }
+                    Ok(())
+                })?;
             }
         }
 
         rows = joined;
-        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+        if let Some(p) = profile.as_deref_mut() {
+            if si == 0 {
+                // Read inside the first step, so its time is that step's.
+                p.base = StepActuals {
+                    rows: base_kept,
+                    nanos: 0,
+                };
+            }
             p.joins[si].rows = match &folded {
                 Some(folded) => folded.matches,
                 None => (rows.len() / (stride + 1)) as u64,
             };
-            p.joins[si].nanos += sw.elapsed_nanos();
+            p.joins[si].nanos += sw.map_or(0, |sw| sw.elapsed_nanos());
         }
     }
     if let Some(Folded { agg, kept, .. }) = folded {

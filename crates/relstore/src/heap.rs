@@ -150,6 +150,15 @@ impl<T> Heap<T> {
         }
     }
 
+    /// Every `(id, value)` in ascending id order, the values mutably.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (RowId, &mut T)> {
+        self.segments.iter_mut().flat_map(|(&segment_no, segment)| {
+            segment.slots.iter_mut().enumerate().filter_map(move |(offset, slot)| {
+                Some((RowId(segment_no * SEG + offset as u64), slot.as_mut()?))
+            })
+        })
+    }
+
     /// Every value in ascending id order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.iter().map(|(_, value)| value)

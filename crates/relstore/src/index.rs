@@ -1,10 +1,19 @@
 //! In-memory ordered secondary indexes.
+//!
+//! The table keeps two invariants over each index (see [`crate::table`]):
+//! an entry `(k, id)` exists exactly while some retained version of row
+//! `id` holds `k`; and a TEXT key is stored once — [`Index::insert`] hands
+//! back the allocation it already holds for an equal key and the table
+//! keeps that one in the row, so every version holding a key shares the
+//! index's string.
 
 use crate::tuple::RowId;
 use crate::value::Value;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// An ordered index mapping a column value to the set of rows holding it.
 ///
@@ -53,13 +62,40 @@ impl Index {
     /// Inserts an entry; re-inserting an existing `(key, row)` pair is
     /// idempotent. NULL keys are not indexed (SQL unique constraints ignore
     /// NULLs, and NULL predicates never probe the index).
-    pub fn insert(&mut self, key: &Value, row: RowId) {
+    ///
+    /// Hands back the TEXT key the index already held, when it held `key`
+    /// in another allocation than the caller's: the caller stores that one
+    /// in its row and drops its own copy, so every version holding a key
+    /// shares one string. `None` when the caller's allocation is the one
+    /// the index holds (a new key included) or the key is not TEXT. Found
+    /// by the one map lookup the insertion makes anyway.
+    pub fn insert(&mut self, key: &Value, row: RowId) -> Option<Arc<str>> {
         if key.is_null() {
-            return;
+            return None;
         }
-        if self.entries.entry(key.clone()).or_default().insert(row) {
+        let (held, rows) = match self.entries.entry(key.clone()) {
+            Entry::Vacant(vacant) => (None, vacant.insert(BTreeSet::new())),
+            Entry::Occupied(occupied) => {
+                let held = match (occupied.key(), key) {
+                    (Value::Text(held), Value::Text(own)) if !Arc::ptr_eq(held, own) => {
+                        Some(Arc::clone(held))
+                    }
+                    _ => None,
+                };
+                (held, occupied.into_mut())
+            }
+        };
+        if rows.insert(row) {
             self.len += 1;
         }
+        held
+    }
+
+    /// The key the index holds equal to `key`, if any: the allocation every
+    /// version holding a TEXT key shares (checked by
+    /// [`crate::table::Table::check_consistency`]).
+    pub fn held_key(&self, key: &Value) -> Option<&Value> {
+        self.entries.get_key_value(key).map(|(held, _)| held)
     }
 
     /// Removes an entry; missing entries are ignored.
@@ -189,6 +225,23 @@ mod tests {
         // Removing a missing entry is a no-op.
         idx.remove(&Value::Text("idle".into()), RowId(99));
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn insert_hands_back_the_text_key_it_already_holds() {
+        let mut idx = Index::new("idx", 0, false);
+        let first = Value::Text("user07".into());
+        assert!(idx.insert(&first, RowId(1)).is_none(), "a new key is the caller's allocation");
+        let copy = Value::Text("user07".into());
+        let held = idx.insert(&copy, RowId(2)).expect("an equal key in another allocation");
+        let Value::Text(own) = &first else { unreachable!() };
+        assert!(Arc::ptr_eq(&held, own));
+        assert!(idx.insert(&first, RowId(3)).is_none(), "already the held allocation");
+        assert!(idx.insert(&Value::Int(7), RowId(4)).is_none());
+        assert!(idx.insert(&Value::Null, RowId(5)).is_none());
+        assert_eq!(idx.len(), 4);
+        let Some(Value::Text(key)) = idx.held_key(&copy) else { panic!("key missing") };
+        assert!(Arc::ptr_eq(key, own));
     }
 
     #[test]

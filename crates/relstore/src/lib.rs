@@ -124,6 +124,19 @@
 //!   each, never an allocation proportional to the id.
 //!   `Table::approx_size` counts slots and
 //!   directory as well as row bytes, so the claim is checkable.
+//! * **Indexes keep two invariants.** An entry `(k, id)` exists exactly
+//!   while some retained version of row `id` holds `k` — what lets an
+//!   index-only `COUNT(*)` trust an entry — and, beside it, **an indexed
+//!   TEXT value is stored once**: every retained version's non-NULL
+//!   indexed TEXT value is the very string (`Arc::ptr_eq`) the first index
+//!   on its column holds as the key. Inserting a key into an index hands
+//!   back the string it already holds, and insert, update (of a changed
+//!   key; an unchanged one keeps the old version's), log replay and
+//!   `CREATE INDEX` over existing rows keep that one in the row. 100 k
+//!   `job_history` rows over 50 owners hold 50 owner strings, so a probe
+//!   that re-checks `owner = ?` on each row, or hashes it into a join,
+//!   reads a string that is already in cache. `Table::check_consistency`
+//!   verifies both.
 //!
 //! ## The typed session API
 //!
@@ -600,7 +613,11 @@
 //! `EXPLAIN <select>` renders the chosen plan as an ordinary result set —
 //! embedded, via every [`Session`], and over the wire alike — and
 //! `EXPLAIN ANALYZE` additionally executes the statement and annotates
-//! each operator with actual row counts and wall time. Prepared statements
+//! each operator with actual row counts and wall time. A join's base is
+//! never collected: the first join step reads it straight off its access
+//! path, so the base's `actual_rows` are still the rows that passed its
+//! pushdown, but the time spent reading them is reported in the first join
+//! step's `time_us`, and the base step's reads 0. Prepared statements
 //! cache their plan (and reusable hash-join build sides) alongside the
 //! parsed AST; DDL, `ANALYZE`, and planner-knob changes invalidate cached
 //! plans, and a write to a build-side table invalidates its cached build.
@@ -678,6 +695,7 @@ mod db;
 mod error;
 pub mod exec;
 mod govern;
+mod hash;
 pub mod heap;
 mod index;
 pub mod io;

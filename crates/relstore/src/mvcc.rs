@@ -237,6 +237,11 @@ impl VersionChain {
         self.older.iter().chain(&self.newest)
     }
 
+    /// Iterates all retained versions mutably (oldest first).
+    pub(crate) fn versions_mut(&mut self) -> impl Iterator<Item = &mut RowVersion> {
+        self.older.iter_mut().chain(&mut self.newest)
+    }
+
     /// Consumes the chain into its versions (oldest first).
     pub(crate) fn into_versions(self) -> impl Iterator<Item = RowVersion> {
         self.older.into_iter().chain(self.newest)

@@ -10,19 +10,19 @@
 //! simulated user/system/IO cycles.
 //!
 //! Every field is declared exactly once in the `define_stats!` table below,
-//! which generates [`OpStats`], [`SharedStats`], and the interval/merge/
+//! which generates [`OpStats`], [`SharedStats`], and the interval/record/
 //! introspection operations. Three field kinds exist:
 //!
-//! - `counter`: monotonically non-decreasing totals. `merge` sums,
-//!   `delta_since` subtracts, [`SharedStats::record`] adds.
-//! - `gauge`: high-water marks. `merge` takes the max, `delta_since` reports
-//!   the current mark (a high-water mark has no meaningful difference), and
+//! - `counter`: monotonically non-decreasing totals. `delta_since`
+//!   subtracts, [`SharedStats::record`] adds.
+//! - `gauge`: high-water marks. `delta_since` reports the current mark (a
+//!   high-water mark has no meaningful difference), and
 //!   [`SharedStats::record`] takes the max.
 //! - `derived`: a counter whose event already lands one sample in a latency
 //!   histogram, so it has no atomic of its own: `SharedStats::record` skips
 //!   it, and the registry's snapshot reads it off the histogram (a count or
-//!   a sum of nanoseconds). In a statement's own delta it merges and
-//!   subtracts like a counter.
+//!   a sum of nanoseconds). In a statement's own delta it subtracts like a
+//!   counter.
 //!
 //! The kind of each field is queryable at runtime through
 //! [`OpStats::is_gauge`] (a derived field is a counter), and
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declares every engine counter once and expands the snapshot struct, the
 /// shared atomic struct, and all component-wise operations from that single
-/// table. Adding a counter is a one-line change; `delta_since`, `merge`,
+/// table. Adding a counter is a one-line change; `delta_since`,
 /// `record`, `snapshot`, `fields` and `is_gauge` can never drift out of sync
 /// with the struct again.
 macro_rules! define_stats {
@@ -53,12 +53,6 @@ macro_rules! define_stats {
                 OpStats {
                     $( $name: define_stats!(@delta $kind, self.$name, earlier.$name), )+
                 }
-            }
-
-            /// Component-wise sum (counters) / max (gauges), used when
-            /// aggregating per-connection counters.
-            pub fn merge(&mut self, other: &OpStats) {
-                $( define_stats!(@merge $kind, self.$name, other.$name); )+
             }
 
             /// Every `(field name, value)` pair, in declaration order. Backs
@@ -101,8 +95,6 @@ macro_rules! define_stats {
 
     (@delta gauge, $a:expr, $b:expr) => { $a };
     (@delta $kind:tt, $a:expr, $b:expr) => { $a - $b };
-    (@merge gauge, $a:expr, $b:expr) => { $a = $a.max($b) };
-    (@merge $kind:tt, $a:expr, $b:expr) => { $a += $b };
     (@isgauge gauge) => { true };
     (@isgauge $kind:tt) => { false };
     // `SharedStats` holds one atomic per field that is not `derived`.
@@ -174,7 +166,7 @@ define_stats! {
          autocommit read statement/batch).",
     gauge max_version_chain:
         "High-water mark of the longest row version chain observed. Unlike \
-         the other counters this is a gauge: `merge` takes the max and \
+         the other counters this is a gauge: recording takes the max and \
          `delta_since` reports the current mark, not a difference.",
     counter net_bytes_in:
         "Bytes received from network clients (wire-protocol frames, including \
@@ -185,7 +177,7 @@ define_stats! {
         "Wire-protocol frames decoded successfully by the network server.",
     gauge active_connections:
         "High-water mark of concurrently open network connections. A gauge \
-         like [`OpStats::max_version_chain`]: `merge` takes the max and \
+         like [`OpStats::max_version_chain`]: recording takes the max and \
          `delta_since` reports the current mark, not a difference.",
     derived wal_fsyncs:
         "Fsyncs issued against the durable log device (commit syncs, explicit \
@@ -230,7 +222,7 @@ define_stats! {
     gauge horizon_lag:
         "High-water mark of the vacuum horizon lag: how many transaction ids \
          the oldest live snapshot trails the newest transaction. A gauge like \
-         [`OpStats::max_version_chain`]: `merge` takes the max and \
+         [`OpStats::max_version_chain`]: recording takes the max and \
          `delta_since` reports the current mark, not a difference.",
     counter slow_queries:
         "Statements whose total duration met the armed slow-query threshold \
@@ -296,21 +288,22 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = OpStats {
+        let shared = SharedStats::default();
+        shared.record(&OpStats {
             rows_updated: 1,
             wal_bytes: 100,
             ..Default::default()
-        };
-        let b = OpStats {
+        });
+        shared.record(&OpStats {
             rows_updated: 2,
             wal_bytes: 50,
             aborts: 1,
             ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.rows_updated, 3);
-        assert_eq!(a.wal_bytes, 150);
-        assert_eq!(a.aborts, 1);
+        });
+        let snap = shared.snapshot();
+        assert_eq!(snap.rows_updated, 3);
+        assert_eq!(snap.wal_bytes, 150);
+        assert_eq!(snap.aborts, 1);
     }
 
     #[test]
@@ -329,11 +322,13 @@ mod tests {
         assert_eq!(d.cache_hits, 8);
         assert_eq!(d.cache_misses, 2);
 
-        let mut merged = earlier;
-        merged.merge(&later);
-        assert_eq!(merged.cache_hits, 12);
-        assert_eq!(merged.cache_misses, 4);
-        assert_eq!(merged.cache_hit_rate(), Some(12.0 / 16.0));
+        let shared = SharedStats::default();
+        shared.record(&earlier);
+        shared.record(&later);
+        let recorded = shared.snapshot();
+        assert_eq!(recorded.cache_hits, 12);
+        assert_eq!(recorded.cache_misses, 4);
+        assert_eq!(recorded.cache_hit_rate(), Some(12.0 / 16.0));
         assert_eq!(OpStats::default().cache_hit_rate(), None);
     }
 
@@ -378,23 +373,24 @@ mod tests {
 
     #[test]
     fn mvcc_counters_and_the_chain_gauge() {
-        let mut a = OpStats {
+        let both = SharedStats::default();
+        both.record(&OpStats {
             versions_created: 3,
             max_version_chain: 4,
             ..Default::default()
-        };
-        let b = OpStats {
+        });
+        both.record(&OpStats {
             versions_created: 2,
             versions_vacuumed: 5,
             snapshots_taken: 1,
             max_version_chain: 2,
             ..Default::default()
-        };
-        a.merge(&b);
+        });
+        let a = both.snapshot();
         assert_eq!(a.versions_created, 5);
         assert_eq!(a.versions_vacuumed, 5);
         assert_eq!(a.snapshots_taken, 1);
-        assert_eq!(a.max_version_chain, 4, "merge keeps the high-water mark");
+        assert_eq!(a.max_version_chain, 4, "record keeps the high-water mark");
 
         let shared = SharedStats::default();
         shared.record(&OpStats {
@@ -419,24 +415,25 @@ mod tests {
 
     #[test]
     fn network_counters_and_the_connection_gauge() {
-        let mut a = OpStats {
+        let both = SharedStats::default();
+        both.record(&OpStats {
             net_bytes_in: 100,
             frames_decoded: 2,
             active_connections: 4,
             ..Default::default()
-        };
-        let b = OpStats {
+        });
+        both.record(&OpStats {
             net_bytes_in: 50,
             net_bytes_out: 80,
             frames_decoded: 1,
             active_connections: 2,
             ..Default::default()
-        };
-        a.merge(&b);
+        });
+        let a = both.snapshot();
         assert_eq!(a.net_bytes_in, 150);
         assert_eq!(a.net_bytes_out, 80);
         assert_eq!(a.frames_decoded, 3);
-        assert_eq!(a.active_connections, 4, "merge keeps the high-water mark");
+        assert_eq!(a.active_connections, 4, "record keeps the high-water mark");
 
         let shared = SharedStats::default();
         shared.record(&OpStats {
@@ -465,7 +462,7 @@ mod tests {
 
     #[test]
     fn durability_counters_flow_through_delta_merge_and_shared() {
-        let mut a = OpStats {
+        let a = OpStats {
             wal_fsyncs: 4,
             wal_segments_rotated: 1,
             ..Default::default()
@@ -477,15 +474,17 @@ mod tests {
             failpoints_hit: 3,
             ..Default::default()
         };
-        a.merge(&b);
-        assert_eq!(a.wal_fsyncs, 6);
-        assert_eq!(a.wal_segments_rotated, 1);
-        assert_eq!(a.recovery_truncated_bytes, 17);
-        assert_eq!(a.corruption_detected, 1);
-        assert_eq!(a.failpoints_hit, 3);
+        let later = OpStats { wal_fsyncs: 6, ..a };
+        assert_eq!(later.delta_since(&a).wal_fsyncs, 2, "a derived field subtracts like a counter");
 
         let shared = SharedStats::default();
         shared.record(&a);
+        shared.record(&b);
+        let both = shared.snapshot();
+        assert_eq!(both.wal_segments_rotated, 1);
+        assert_eq!(both.recovery_truncated_bytes, 17);
+        assert_eq!(both.corruption_detected, 1);
+        assert_eq!(both.failpoints_hit, 3);
         shared.record(&OpStats {
             wal_fsyncs: 1,
             wal_segments_rotated: 2,
@@ -508,30 +507,29 @@ mod tests {
 
     #[test]
     fn governance_counters_and_the_horizon_gauge() {
-        let mut a = OpStats {
+        let shared = SharedStats::default();
+        shared.record(&OpStats {
             statements_timed_out: 1,
             lock_waits: 3,
             horizon_lag: 7,
             ..Default::default()
-        };
-        let b = OpStats {
+        });
+        shared.record(&OpStats {
             statements_over_budget: 2,
             lock_waits: 1,
             lock_wait_timeouts: 1,
             txns_reaped: 4,
             horizon_lag: 5,
             ..Default::default()
-        };
-        a.merge(&b);
+        });
+        let a = shared.snapshot();
         assert_eq!(a.statements_timed_out, 1);
         assert_eq!(a.statements_over_budget, 2);
         assert_eq!(a.lock_waits, 4);
         assert_eq!(a.lock_wait_timeouts, 1);
         assert_eq!(a.txns_reaped, 4);
-        assert_eq!(a.horizon_lag, 7, "merge keeps the high-water mark");
+        assert_eq!(a.horizon_lag, 7, "record keeps the high-water mark");
 
-        let shared = SharedStats::default();
-        shared.record(&a);
         shared.record(&OpStats {
             txns_reaped: 1,
             horizon_lag: 2,
@@ -601,20 +599,12 @@ mod tests {
 
     #[test]
     fn timing_counters_flow_through_delta_and_merge() {
-        let mut a = OpStats {
-            lock_wait_nanos: 1_000,
+        let a = OpStats {
+            lock_wait_nanos: 1_500,
             wal_fsync_nanos: 2_000,
-            ..Default::default()
-        };
-        let b = OpStats {
-            lock_wait_nanos: 500,
             slow_queries: 1,
             ..Default::default()
         };
-        a.merge(&b);
-        assert_eq!(a.lock_wait_nanos, 1_500);
-        assert_eq!(a.wal_fsync_nanos, 2_000);
-        assert_eq!(a.slow_queries, 1);
 
         let shared = SharedStats::default();
         shared.record(&a);
@@ -622,7 +612,7 @@ mod tests {
         assert_eq!(
             (snap.lock_wait_nanos, snap.wal_fsync_nanos, snap.slow_queries),
             (0, 0, 1),
-            "the derived timings are read off the histograms, not merged"
+            "the derived timings are read off the histograms, not recorded"
         );
         let d = a.delta_since(&OpStats {
             lock_wait_nanos: 1_000,

@@ -70,6 +70,7 @@
 //! never correctness.
 
 use crate::error::{Error, Result};
+use crate::hash::FoldMap;
 use crate::exec::{Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::obs::OpStats;
@@ -953,8 +954,8 @@ pub struct CachedBuild {
     /// The snapshot the build was made under.
     pub snapshot: Snapshot,
     /// Build-key value → the owned right-table rows holding it
-    /// (post-pushdown).
-    pub map: HashMap<Value, BuildBucket>,
+    /// (post-pushdown), hashed by [`crate::hash::FoldState`].
+    pub(crate) map: FoldMap<Value, BuildBucket>,
     /// Rows in all buckets. The build rows are numbered `0..rows`, each
     /// bucket's consecutively from its [`BuildBucket::first`].
     pub rows: usize,
@@ -974,7 +975,7 @@ pub struct BuildBucket {
 
 impl CachedBuild {
     /// Seals a freshly built map: numbers the buckets' rows densely.
-    pub(crate) fn new(table_version: u64, snapshot: Snapshot, mut map: HashMap<Value, BuildBucket>) -> Self {
+    pub(crate) fn new(table_version: u64, snapshot: Snapshot, mut map: FoldMap<Value, BuildBucket>) -> Self {
         let mut rows = 0;
         for bucket in map.values_mut() {
             bucket.first = rows;
@@ -1434,7 +1435,7 @@ mod tests {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
         let vis = Snapshot::latest();
-        let build = CachedBuild::new(jobs.version(), vis.clone(), HashMap::new());
+        let build = CachedBuild::new(jobs.version(), vis.clone(), FoldMap::default());
         assert!(build.valid_for(jobs, vis));
         let other = Snapshot {
             high: vis.high.wrapping_sub(1),

@@ -31,6 +31,18 @@
 //! it. It is what lets `Table::count_postings` count a row whose chain
 //! holds a single version by that version's visibility stamps alone: the
 //! entry proves the version holds the key.
+//!
+//! Beside it sits the **sharing invariant**: every retained version's
+//! non-NULL indexed TEXT value is the very allocation (`Arc::ptr_eq`) the
+//! first index on its column holds as the key. Every path that stores a
+//! version and indexes it — [`Table::insert`], [`Table::update`] for a
+//! changed key (an unchanged one keeps the old version's), recovery's
+//! `insert_with_id` / `restore`, and `add_index` over existing versions —
+//! keeps the allocation `Index::insert` hands back, found by the lookup
+//! the insertion makes anyway. So 100 k rows over 50 owners hold 50
+//! strings, and a probe's re-check of `owner = ?` and a hash join's probe
+//! on it read a string that is already in cache.
+//! [`Table::check_consistency`] verifies this too.
 
 use crate::error::{Error, Result};
 use crate::heap::{self, Heap};
@@ -237,7 +249,7 @@ impl Table {
     /// version is stamped as written by `txn` and stays invisible to
     /// snapshots that do not see `txn`.
     pub fn insert(&mut self, values: Vec<Value>, txn: TxnId, stats: &mut OpStats) -> Result<RowId> {
-        let values = self.schema.validate_row(values)?;
+        let mut values = self.schema.validate_row(values)?;
         // Primary key must be non-null and unique among live rows.
         if let (Some(pk_idx), Some(pk_col)) = (&self.pk_index, self.schema.primary_key_index()) {
             let key = &values[pk_col];
@@ -269,12 +281,8 @@ impl Table {
         self.next_row_id = self.next_row_id.checked_add(1).ok_or_else(|| {
             Error::ResourceExhausted(format!("table {} has issued every row id", self.schema.name))
         })?;
-        if let Some(pk) = &mut self.pk_index {
-            pk.insert(&values[pk.column_idx], id);
-            stats.index_maintenance += 1;
-        }
-        for idx in &mut self.secondary {
-            idx.insert(&values[idx.column_idx], id);
+        for idx in self.pk_index.iter_mut().chain(&mut self.secondary) {
+            index_shared(idx, &mut values[idx.column_idx], id);
             stats.index_maintenance += 1;
         }
         self.rows.insert(id, VersionChain::new(txn, Row::new(values)));
@@ -288,7 +296,7 @@ impl Table {
     /// Inserts a row with a pre-assigned id as an already-committed single
     /// version. Physical (non-transactional): used by WAL recovery, which
     /// replays committed history only.
-    pub(crate) fn insert_with_id(&mut self, id: RowId, row: Row, stats: &mut OpStats) -> Result<()> {
+    pub(crate) fn insert_with_id(&mut self, id: RowId, mut row: Row, stats: &mut OpStats) -> Result<()> {
         if self.rows.contains(id) {
             return Err(Error::internal(format!(
                 "recovery inserted duplicate row id {id} into {}",
@@ -323,11 +331,8 @@ impl Table {
                 )));
             }
         }
-        if let Some(pk) = &mut self.pk_index {
-            pk.insert(row.get(pk.column_idx), id);
-        }
-        for idx in &mut self.secondary {
-            idx.insert(row.get(idx.column_idx), id);
+        for idx in self.pk_index.iter_mut().chain(&mut self.secondary) {
+            index_shared(idx, &mut row.values[idx.column_idx], id);
         }
         self.next_row_id = self.next_row_id.max(next_row_id);
         self.rows.insert(id, VersionChain::new(COMMITTED_TXN, row));
@@ -432,19 +437,18 @@ impl Table {
         }
 
         // Index the new version's keys. Old entries stay: snapshot readers
-        // may still probe the old key and must find this row.
-        if let Some(pk) = &mut self.pk_index {
-            let (old_key, new_key) = (before.get(pk.column_idx), after.get(pk.column_idx));
-            if old_key != new_key {
-                pk.insert(new_key, id);
-                stats.index_maintenance += 1;
-            }
-        }
-        for idx in &mut self.secondary {
-            let (old_key, new_key) = (before.get(idx.column_idx), after.get(idx.column_idx));
-            if old_key != new_key {
-                idx.insert(new_key, id);
-                stats.index_maintenance += 1;
+        // may still probe the old key and must find this row. A key that
+        // did not change keeps the old version's allocation, even when the
+        // assignment wrote an equal copy.
+        for idx in self.pk_index.iter_mut().chain(&mut self.secondary) {
+            let col = idx.column_idx;
+            match (before.get(col), &mut after.values[col]) {
+                (old_key, new_key) if old_key != &*new_key => {
+                    index_shared(idx, new_key, id);
+                    stats.index_maintenance += 1;
+                }
+                (Value::Text(old), Value::Text(new)) if !Arc::ptr_eq(old, new) => *new = Arc::clone(old),
+                _ => {}
             }
         }
         let chain = self.rows.get_mut(id).expect("checked live above");
@@ -777,9 +781,9 @@ impl Table {
             }
         }
         let mut idx = Index::new(def.name.clone(), col, def.unique);
-        for (id, chain) in &self.rows {
-            for v in chain.versions() {
-                idx.insert(v.row.get(col), id);
+        for (id, chain) in self.rows.iter_mut() {
+            for v in chain.versions_mut() {
+                index_shared(&mut idx, &mut v.row.values[col], id);
                 stats.index_maintenance += 1;
             }
         }
@@ -809,9 +813,10 @@ impl Table {
     }
 
     /// Internal consistency check used by tests: every retained version's
-    /// key is indexed, index entry counts match the retained key sets, the
-    /// version-chain invariants hold, and unique indexes have no duplicate
-    /// keys among live rows.
+    /// key is indexed, and its TEXT keys are the allocations the first
+    /// index on their column holds; index entry counts match the retained
+    /// key sets, the version-chain invariants hold, and unique indexes have
+    /// no duplicate keys among live rows.
     pub fn check_consistency(&self) -> Result<()> {
         // Chain invariants and the cached counters.
         let mut live = 0usize;
@@ -866,11 +871,22 @@ impl Table {
         }
         indexes.extend(self.secondary.iter());
         for idx in indexes {
+            let first = self.index_on(idx.column_idx).is_some_and(|first| std::ptr::eq(first, idx));
             let mut expected_entries = 0usize;
             for (id, chain) in &self.rows {
                 let mut keys: Vec<&Value> = Vec::new();
                 for v in chain.versions() {
                     let key = v.row.get(idx.column_idx);
+                    // The sharing invariant: a retained version's TEXT key
+                    // is the allocation the first index on its column holds.
+                    if let (true, Value::Text(own)) = (first, key) {
+                        if !matches!(idx.held_key(key), Some(Value::Text(held)) if Arc::ptr_eq(held, own)) {
+                            return Err(Error::internal(format!(
+                                "row {id}: key {key} is a copy, not the allocation index {} holds",
+                                idx.name
+                            )));
+                        }
+                    }
                     if key.is_null() || keys.contains(&key) {
                         continue;
                     }
@@ -908,6 +924,15 @@ impl Table {
             }
         }
         Ok(())
+    }
+}
+
+/// Indexes the key in `slot` under row `id` and keeps in `slot` the
+/// allocation `idx` holds for it (see [`Index::insert`]): the sharing
+/// invariant of the module docs.
+fn index_shared(idx: &mut Index, slot: &mut Value, id: RowId) {
+    if let Some(held) = idx.insert(slot, id) {
+        *slot = Value::Text(held);
     }
 }
 
@@ -1517,4 +1542,108 @@ mod tests {
             .unwrap();
         assert!(t.approx_size() > flat, "retained versions take space");
     }
+
+    /// Distinct string allocations among the TEXT values every retained
+    /// version holds in column `col`.
+    fn text_allocations(t: &Table, col: usize) -> usize {
+        let mut seen = HashSet::new();
+        for chain in t.rows.values() {
+            for v in chain.versions() {
+                if let Value::Text(s) = v.row.get(col) {
+                    seen.insert(Arc::as_ptr(s) as *const u8);
+                }
+            }
+        }
+        seen.len()
+    }
+
+    /// A fresh allocation of owner `i`'s name, as a parsed statement or a
+    /// decoded log record carries it.
+    fn owner(i: i64) -> Value {
+        Value::Text(format!("user{:02}", i % 50).into())
+    }
+
+    #[test]
+    fn every_version_shares_its_indexed_text_with_the_index() {
+        const ROWS: i64 = 10_000;
+        const OWNER: usize = 1;
+        let mut schema = Schema::new(
+            "history",
+            vec![Column::not_null("id", DataType::Int), Column::not_null("owner", DataType::Text)],
+        )
+        .with_primary_key("id")
+        .with_index("owner");
+        // A second index on the same column: the first one's keys are the
+        // ones the rows share.
+        schema.indexes.push(IndexDef {
+            name: "owner_again".into(),
+            column: "owner".into(),
+            unique: false,
+        });
+        let mut t = Table::new(schema.clone()).unwrap();
+        let mut stats = OpStats::default();
+        let check = |t: &Table, step: &str| {
+            t.check_consistency().unwrap_or_else(|e| panic!("after {step}: {e}"));
+            assert_eq!(text_allocations(t, OWNER), 50, "after {step}");
+            assert_eq!(t.index_stats_on(OWNER), Some((50, false)), "after {step}");
+        };
+
+        for i in 0..ROWS {
+            t.insert(vec![Value::Int(i), owner(i)], SETUP, &mut stats).unwrap();
+        }
+        check(&t, "insert");
+
+        // Every row moves two owners on; every tenth is re-assigned its own
+        // owner, a copy equal to the key it has.
+        for i in 0..ROWS {
+            let to = if i % 10 == 0 { owner(i) } else { owner(i + 2) };
+            t.update(RowId(i as u64 + 1), &[(OWNER, to)], TxnId(5), &mut stats).unwrap();
+        }
+        check(&t, "update");
+
+        for i in (0..ROWS).step_by(2) {
+            t.undo_update(RowId(i as u64 + 1), TxnId(5));
+        }
+        let id = t.insert(vec![Value::Int(ROWS), owner(7)], TxnId(6), &mut stats).unwrap();
+        t.undo_insert(id);
+        check(&t, "rollback");
+
+        assert!(t.vacuum(u64::MAX, &mut stats) > 0);
+        check(&t, "vacuum");
+
+        // Replay rebuilds the table from decoded rows: every value a
+        // private copy, re-inserted by id and then restored.
+        let mut replayed = Table::new(schema).unwrap();
+        for (id, chain) in &t.rows {
+            let row = chain.current().expect("every row is live");
+            let fresh = Row::new(vec![row.get(0).clone(), owner(row.get(0).as_int().unwrap())]);
+            replayed.insert_with_id(id, fresh, &mut stats).unwrap();
+        }
+        for i in (0..ROWS).step_by(3) {
+            replayed.restore(RowId(i as u64 + 1), Row::new(vec![Value::Int(i), owner(i + 2)])).unwrap();
+        }
+        check(&replayed, "log replay");
+
+        // CREATE INDEX over a populated table whose values are all copies.
+        let plain = Schema::new(
+            "plain",
+            vec![Column::not_null("id", DataType::Int), Column::not_null("owner", DataType::Text)],
+        );
+        let mut t = Table::new(plain).unwrap();
+        for i in 0..ROWS {
+            t.insert(vec![Value::Int(i), owner(i)], SETUP, &mut stats).unwrap();
+        }
+        t.update(RowId(1), &[(OWNER, owner(3))], TxnId(7), &mut stats).unwrap();
+        assert_eq!(text_allocations(&t, OWNER), ROWS as usize + 1);
+        let def = |name: &str| IndexDef {
+            name: name.into(),
+            column: "owner".into(),
+            unique: false,
+        };
+        t.add_index(def("by_owner"), &mut stats).unwrap();
+        check(&t, "CREATE INDEX");
+        t.add_index(def("by_owner_again"), &mut stats).unwrap();
+        check(&t, "a second CREATE INDEX on the column");
+    }
+
 }

@@ -158,19 +158,17 @@ impl Value {
     /// Compares two values for ordering. Returns `None` when either side is
     /// NULL or the types are incomparable.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
         match (self, other) {
+            (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Text(_), _) | (_, Value::Text(_)) => None,
             (Value::Bool(_), _) | (_, Value::Bool(_)) => None,
-            // Numeric family: Int, Double, Timestamp compare by numeric value.
-            (a, b) => {
-                let (x, y) = (a.as_double().ok()?, b.as_double().ok()?);
-                x.partial_cmp(&y)
-            }
+            // Numeric family: Int, Double, Timestamp compare by numeric
+            // value, exactly; NaN is unordered here.
+            (Value::Double(d), _) | (_, Value::Double(d)) if d.is_nan() => None,
+            (a, b) => Some(numeric_cmp(a, b)),
         }
     }
 
@@ -185,19 +183,12 @@ impl Value {
                 Value::Text(_) => 3,
             }
         }
-        let (ra, rb) = (rank(self), rank(other));
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
         match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (a, b) => {
-                let x = a.as_double().unwrap_or(f64::NEG_INFINITY);
-                let y = b.as_double().unwrap_or(f64::NEG_INFINITY);
-                x.partial_cmp(&y).unwrap_or(Ordering::Equal)
-            }
+            (a, b) => rank(a).cmp(&rank(b)).then_with(|| numeric_cmp(a, b)),
         }
     }
 
@@ -210,6 +201,43 @@ impl Value {
             Value::Bool(_) => 1,
             Value::Text(s) => s.len() + 8,
         }
+    }
+}
+
+/// 2^63 as a double: the first double past `i64::MAX`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// The integer `d` is exactly, if any.
+fn exact_int(d: f64) -> Option<i64> {
+    (d.trunc() == d && (-TWO_POW_63..TWO_POW_63).contains(&d)).then_some(d as i64)
+}
+
+/// Compares an integer with a double exactly, NaN above every number.
+fn int_double_cmp(i: i64, d: f64) -> Ordering {
+    if d.is_nan() || d >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if d < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    // `d` is in `i64`'s range, so its integral part converts exactly.
+    let t = d.trunc();
+    i.cmp(&(t as i64)).then_with(|| t.total_cmp(&d))
+}
+
+/// The total order of the numeric family: integers and timestamps as
+/// `i64`, an integer against a double exactly, doubles by value with
+/// `-0.0 == 0.0` and NaN equal to itself and above every number.
+fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(x) | Value::Timestamp(x), Value::Int(y) | Value::Timestamp(y)) => x.cmp(y),
+        (Value::Int(i) | Value::Timestamp(i), Value::Double(d)) => int_double_cmp(*i, *d),
+        (Value::Double(d), Value::Int(i) | Value::Timestamp(i)) => int_double_cmp(*i, *d).reverse(),
+        (Value::Double(x), Value::Double(y)) => match (x.is_nan(), y.is_nan()) {
+            (false, false) => x.partial_cmp(y).expect("neither side is NaN"),
+            (nan_x, nan_y) => nan_x.cmp(&nan_y),
+        },
+        _ => unreachable!("numeric_cmp is only called on numeric values"),
     }
 }
 
@@ -243,12 +271,17 @@ impl std::hash::Hash for Value {
             }
             Value::Int(i) | Value::Timestamp(i) => {
                 2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
+                i.hash(state);
             }
             Value::Double(d) => {
                 2u8.hash(state);
-                // `-0.0 == 0.0`, so both must hash alike.
-                (d + 0.0).to_bits().hash(state);
+                // A double equal to an integer hashes as that integer
+                // (`-0.0` as `0`); every NaN is one value.
+                match exact_int(*d) {
+                    Some(i) => i.hash(state),
+                    None if d.is_nan() => f64::NAN.to_bits().hash(state),
+                    None => d.to_bits().hash(state),
+                }
             }
             Value::Text(s) => {
                 3u8.hash(state);
@@ -407,6 +440,72 @@ mod tests {
         assert_eq!(Value::from("x"), Value::Text("x".into()));
         assert_eq!(Value::from(Some(1i64)), Value::Int(1));
         assert_eq!(Value::from(Option::<i64>::None), Value::Null);
+    }
+
+    /// Values that sit on every edge of the numeric order: integers on
+    /// both sides of 2^53 and of `i64`'s ends, the doubles next to them,
+    /// signed zeros, fractions, infinities and NaN, beside the other types.
+    fn edge_values() -> Vec<Value> {
+        let big = 1i64 << 53;
+        let mut vals = vec![Value::Null, Value::Bool(false), Value::Bool(true)];
+        for i in [0, 1, -1, 2, big - 1, big, big + 1, big + 2, i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1] {
+            vals.push(Value::Int(i));
+            vals.push(Value::Timestamp(i));
+        }
+        for d in [
+            0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.5, -2.5, big as f64, big as f64 + 2.0,
+            i64::MAX as f64, i64::MIN as f64, 1e300, -1e300,
+            f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN,
+        ] {
+            vals.push(Value::Double(d));
+        }
+        for s in ["", "a", "b", "ab"] {
+            vals.push(Value::Text(s.into()));
+        }
+        vals
+    }
+
+    fn hash_of(v: &Value) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(v)
+    }
+
+    #[test]
+    fn equal_values_hash_alike_and_total_cmp_is_a_total_order() {
+        let vals = edge_values();
+        for a in &vals {
+            assert_eq!(a.total_cmp(a), Ordering::Equal, "{a} is not equal to itself");
+            for b in &vals {
+                let ab = a.total_cmp(b);
+                assert_eq!(ab, b.total_cmp(a).reverse(), "antisymmetry: {a} vs {b}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a} == {b} but their hashes differ");
+                }
+                for c in &vals {
+                    if ab != Ordering::Greater && b.total_cmp(c) != Ordering::Greater {
+                        assert_ne!(a.total_cmp(c), Ordering::Greater, "transitivity: {a} <= {b} <= {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integers_beyond_two_pow_53_compare_exactly() {
+        let big = 1i64 << 53;
+        let (a, b) = (Value::Int(big), Value::Int(big + 1));
+        assert_ne!(a, b);
+        assert_eq!(a.total_cmp(&b), Ordering::Less);
+        assert_eq!(a.sql_cmp(&b), Some(Ordering::Less));
+        assert_eq!(Value::Timestamp(big + 1).sql_eq(&Value::Int(big + 1)), Some(true));
+        // `big + 1` has no double; the nearest one is `big`.
+        assert_eq!(b.total_cmp(&Value::Double(big as f64)), Ordering::Greater);
+        assert_eq!(a.total_cmp(&Value::Double(big as f64)), Ordering::Equal);
+        assert_eq!(hash_of(&a), hash_of(&Value::Double(big as f64)));
+        assert_eq!(Value::Int(i64::MAX).total_cmp(&Value::Double(i64::MAX as f64)), Ordering::Less);
+        assert_eq!(Value::Int(i64::MIN).total_cmp(&Value::Double(i64::MIN as f64)), Ordering::Equal);
+        assert_eq!(Value::Int(0).sql_cmp(&Value::Double(-0.5)), Some(Ordering::Greater));
+        assert_eq!(Value::Int(1).sql_cmp(&Value::Double(f64::NAN)), None);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Run every bench target and write their medians to a JSON file.
 #
-# Usage: scripts/bench_json.sh [OUT]      (or OUT=path scripts/bench_json.sh)
+# Usage: scripts/bench_json.sh [OUT [TARGET...]]   (or OUT=path scripts/bench_json.sh)
 #
 # Sweeps every [[bench]] target declared in crates/bench/Cargo.toml (so a
-# new bench is picked up without editing this script), pulls the median
-# time out of every "time: [lo med hi]" line, and writes OUT — by default
+# new bench is picked up without editing this script), or only the TARGETs
+# named after OUT, pulls the median time out of every "time: [lo med hi]"
+# line, and writes OUT — by default
 # the next free BENCH_<n>.json in the repo root — with one entry per bench,
 # all times normalised to nanoseconds, stamped with the commit and host the
 # numbers were taken on. Targets that produced no median are listed under
@@ -15,6 +16,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-${OUT:-}}"
+if [ $# -gt 0 ]; then shift; fi
 if [ -z "$out" ]; then
     last="$(ls "$repo_root" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)"
     out="$repo_root/BENCH_$(( ${last:-0} + 1 )).json"
@@ -26,6 +28,12 @@ cd "$repo_root"
 benches="$(awk '/^\[\[bench\]\]/ { want = 1; next }
                 want && /^name = / { gsub(/"/, "", $3); print $3; want = 0 }' \
            crates/bench/Cargo.toml)"
+if [ $# -gt 0 ]; then
+    for bench in "$@"; do
+        printf '%s\n' $benches | grep -qx "$bench" || { echo "error: no bench target $bench" >&2; exit 2; }
+    done
+    benches="$*"
+fi
 for bench in $benches; do
     echo "== cargo bench -p bench --bench $bench ==" >&2
     # Tag every output line with its bench target so the parser can

@@ -20,11 +20,14 @@
 # verdict by the rule of BENCHMARK.json's bounds — `gain` when the change
 # wins at least nine tenths of the pairs and the medians differ by more than
 # the parent's interquartile distance, `WORSE` when its median is worse than
-# the parent's by more than the metric's bound. Whole-run logs are kept in
-# the directory printed at the end.
+# the parent's by more than the metric's bound. Then, per op kind, the p50
+# every round prints (`#   agg ×150 p50 452.1 us, …`): each run's median
+# over its rounds, summarised per side the same way, so a gain can be put
+# down to the kinds that moved. Whole-run logs are kept in the directory
+# printed at the end.
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,23p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,27p' "$0" >&2; exit 2; }
 change="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2"
@@ -58,18 +61,27 @@ for w in $workloads; do
 done
 
 python3 - "$change/BENCHMARK.json" "$logs" "$pairs" "$seed" "$seconds" $workloads <<'EOF'
-import json, statistics, sys
+import json, re, statistics, sys
 
 definition, logs, pairs, seed, seconds, *workloads = sys.argv[1:]
 pairs = int(pairs)
 metrics = json.load(open(definition))["end_to_end"]
 ok = True
+# (workload, side) -> one {op kind: median per-round p50} per run
+kinds = {(w, side): [] for w in workloads for side in ("parent", "change")}
 
 def read(workload, pair, side):
     global ok
     lines = open(f"{logs}/{workload}.{pair}.{side}.log").read().splitlines()
     hashes = [l.split()[4].rstrip(",") for l in lines if l.startswith("# op stream hash")]
     result = json.loads(lines[-1])
+    # `#   agg ×150 p50 452.1 us, filter ×150 p50 135.1 us, … | peak RSS …`
+    rounds = {}
+    for l in lines:
+        if l.startswith("#   "):
+            for kind, p50 in re.findall(r"(\w+) ×\d+ p50 ([\d.]+) us", l.split("|")[0]):
+                rounds.setdefault(kind, []).append(float(p50))
+    kinds[(workload, side)].append({k: statistics.median(v) for k, v in rounds.items()})
     if result["correct"] is not True or result["failed"] != 0 or not hashes:
         print(f"FAILED CHECK: {workload} pair {pair} {side}: correct={result['correct']} "
               f"failed={result['failed']} hash={hashes[:1]}")
@@ -81,6 +93,14 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
+
+def summarise(name, p, c, lower=True):
+    """One row: each side's median [q1, q3], change/parent, pairs won."""
+    (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+    ratio = cm / pm if pm else float("nan")
+    print(f"{name:<15} {pm:>14.4g} [{p1:>8.4g}, {p3:>8.4g}] {cm:>14.4g} [{c1:>8.4g}, {c3:>8.4g}] {ratio:>6.3f} {wins:>4}/{len(p):<2}", end="")
+    return (p1, pm, p3), cm, wins
 
 for w in workloads:
     runs = {side: [read(w, i, side) for i in range(1, pairs + 1)] for side in ("parent", "change")}
@@ -96,8 +116,7 @@ for w in workloads:
         c = [r[name] for _, r in runs["change"] if name in r]
         if len(p) != pairs or len(c) != pairs:
             continue
-        (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
-        wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        (p1, pm, p3), cm, wins = summarise(name, p, c, lower)
         losses = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
         better_by = (pm - cm) if lower else (cm - pm)
         verdict = "-"
@@ -107,8 +126,16 @@ for w in workloads:
             verdict = f"WORSE (bound {bound:.0%})"
         elif losses >= 0.9 * pairs and -better_by > (p3 - p1):
             verdict = "worse, inside its bound"
-        ratio = cm / pm if pm else float("nan")
-        print(f"{name:<15} {pm:>14.4g} [{p1:>8.4g}, {p3:>8.4g}] {cm:>14.4g} [{c1:>8.4g}, {c3:>8.4g}] {ratio:>6.3f} {wins:>4}/{pairs:<2}  {verdict}")
+        print(f"  {verdict}")
+    names = sorted({k for side in ("parent", "change") for run in kinds[(w, side)] for k in run})
+    if names:
+        print("per-kind p50, us (each run's median over its rounds)")
+        for k in names:
+            p = [run[k] for run in kinds[(w, "parent")] if k in run]
+            c = [run[k] for run in kinds[(w, "change")] if k in run]
+            if len(p) == pairs and len(c) == pairs:
+                summarise(k, p, c)
+                print()
 
 print(f"\nlogs: {logs}")
 sys.exit(0 if ok else 1)
