@@ -1,7 +1,7 @@
 //! The application container: request dispatch with cost accounting.
 //!
 //! [`AppContainer`] plays the role of JBoss AS in the paper's deployment: it
-//! owns the connection pool and the service registry, dispatches each incoming
+//! owns the service registry, dispatches each incoming
 //! request to its endpoint, measures the database work the request caused, and
 //! charges the resulting CPU time to the server's [`CpuAccountant`]. It also
 //! runs the periodic database maintenance task (the stand-in for the DB2
@@ -9,7 +9,6 @@
 
 use crate::cost::{CostModel, RequestCost};
 use crate::message::{SoapRequest, SoapResponse};
-use crate::pool::{ConnectionPool, PoolStats};
 use crate::service::ServiceRegistry;
 use cluster_sim::{CpuAccountant, CpuSample, SimDuration, SimTime};
 use relstore::Database;
@@ -31,7 +30,6 @@ pub struct OperationMetrics {
 pub struct AppContainer<C> {
     db: Arc<Database>,
     registry: ServiceRegistry<C>,
-    pool: ConnectionPool,
     cost_model: CostModel,
     cpu: CpuAccountant,
     metrics: BTreeMap<String, OperationMetrics>,
@@ -45,19 +43,20 @@ impl<C> AppContainer<C> {
     ///
     /// `cores` and `sample_interval` configure the CPU accountant for the
     /// machine hosting the container (the paper's CAS host has four cores and
-    /// is sampled once a minute).
+    /// is sampled once a minute). `_pool_size` is ignored: requests are
+    /// dispatched one at a time, so a connection pool in front of the
+    /// database would never hold more than one connection.
     pub fn new(
         db: Arc<Database>,
         registry: ServiceRegistry<C>,
         cost_model: CostModel,
-        pool_size: usize,
+        _pool_size: usize,
         cores: u32,
         sample_interval: SimDuration,
     ) -> Self {
         AppContainer {
             db,
             registry,
-            pool: ConnectionPool::new(pool_size),
             cost_model,
             cpu: CpuAccountant::new(cores, sample_interval),
             metrics: BTreeMap::new(),
@@ -80,11 +79,6 @@ impl<C> AppContainer<C> {
     /// The registered service endpoints.
     pub fn registry(&self) -> &ServiceRegistry<C> {
         &self.registry
-    }
-
-    /// Connection-pool statistics.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Total requests handled so far.
@@ -119,23 +113,13 @@ impl<C> AppContainer<C> {
         self.run_maintenance_if_due(now);
         self.requests_handled += 1;
 
-        // Connection-pool accounting: a request that finds the pool exhausted
-        // still completes (the container queues it), but the exhaustion is
-        // recorded and a small extra system-time penalty is charged.
-        let got_connection = self.pool.try_acquire();
-
         let before = self.db.stats();
         let response = self.registry.dispatch_external(state, request);
         let delta = self.db.stats().delta_since(&before);
 
-        let mut cost = self
+        let cost = self
             .cost_model
             .request_cost(request.approx_size() + response.approx_size(), &delta);
-        if !got_connection {
-            cost.system += SimDuration::from_millis(2);
-        } else {
-            self.pool.release();
-        }
         cost.charge_to(&mut self.cpu, now);
 
         let entry = self.metrics.entry(request.operation.clone()).or_default();
@@ -205,7 +189,6 @@ impl<C> std::fmt::Debug for AppContainer<C> {
         f.debug_struct("AppContainer")
             .field("requests_handled", &self.requests_handled)
             .field("endpoints", &self.registry.len())
-            .field("pool", &self.pool_stats())
             .finish()
     }
 }
@@ -267,8 +250,6 @@ mod tests {
         assert_eq!(m.requests, 10);
         assert_eq!(m.faults, 0);
         assert!(c.cpu_samples()[0].busy() > 0.0);
-        assert_eq!(c.pool_stats().acquired, 10);
-        assert_eq!(c.pool_stats().exhausted, 0);
     }
 
     #[test]

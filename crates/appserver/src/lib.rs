@@ -5,7 +5,6 @@
 //! sentence, rebuilt in Rust for the reproduction:
 //!
 //! * `message` — SOAP-style request/response envelopes (the gSOAP stand-in),
-//! * `pool` — bounded database connection pooling,
 //! * `service` — the two-layer service registry (fine-grained persistence
 //!   operations wrapped by coarse-grained application-logic services),
 //! * `container` — request dispatch with per-request CPU cost accounting and
@@ -31,11 +30,9 @@
 mod container;
 mod cost;
 mod message;
-mod pool;
 mod service;
 
 pub use container::{AppContainer, OperationMetrics};
 pub use cost::{CostModel, RequestCost};
 pub use message::{SoapRequest, SoapResponse, SoapStatus};
-pub use pool::PoolStats;
 pub use service::{ServiceKind, ServiceRegistry};

@@ -55,7 +55,7 @@ fn bench_batch_exec(c: &mut Criterion) {
     // The same N inserts as a per-statement loop (the pre-batching shape).
     c.bench_function("loop_insert_100", |b| {
         b.iter(|| {
-            let mut sql = db.session();
+            let sql = db.session();
             for i in 0..BATCH {
                 sql.execute(black_box(&insert), (i, 1_000 + i, 2_000 + i)).unwrap();
             }
@@ -82,7 +82,7 @@ fn bench_batch_exec(c: &mut Criterion) {
     // ...vs the same selects as individual statements.
     c.bench_function("loop_point_select_64", |b| {
         b.iter(|| {
-            let mut sql = db.session();
+            let sql = db.session();
             for i in 0..SELECT_BATCH {
                 black_box(
                     sql.query(black_box(&point), ((i as i64 * 79) % 5_000,)).unwrap(),

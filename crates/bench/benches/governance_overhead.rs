@@ -34,7 +34,7 @@ fn bench_governance(c: &mut Criterion) {
 
     // No limits: every statement arms a disarmed governor, whose every check
     // is one predictable branch — the entire disarmed-governance tax.
-    let mut unlimited = db.session();
+    let unlimited = db.session();
     c.bench_function("prepared_point_select_governed_none", |b| {
         b.iter(|| unlimited.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
@@ -42,7 +42,7 @@ fn bench_governance(c: &mut Criterion) {
     // Fully armed with generous limits nothing trips: deadline arithmetic,
     // budget counters and row sizing all run. This is the worst case a
     // governed service statement pays.
-    let mut armed = db.session().with_governance(Governance {
+    let armed = db.session().with_governance(Governance {
         deadline: Some(Duration::from_secs(30)),
         max_rows: Some(1_000_000),
         max_bytes: Some(1 << 30),

@@ -59,7 +59,7 @@ fn run_contended(db: &Database, threads: usize, iters_per_thread: u64) -> Run {
             let select = select.clone();
             let (barrier, reader_errors) = (&barrier, &reader_errors);
             readers.push(s.spawn(move || {
-                let mut session = db.session();
+                let session = db.session();
                 barrier.wait();
                 for i in 0..iters_per_thread {
                     let id = ((t as u64 * 2_654_435_761 + i * 40_503) % ROWS as u64) as i64;
@@ -79,7 +79,7 @@ fn run_contended(db: &Database, threads: usize, iters_per_thread: u64) -> Run {
                 (&barrier, &stop_writer, &writer_commits);
             let update = update.clone();
             s.spawn(move || {
-                let mut session = db.session();
+                let session = db.session();
                 barrier.wait();
                 let mut i = 0u64;
                 while !stop_writer.load(Ordering::Relaxed) {

@@ -64,7 +64,7 @@ fn batch_bindings() -> Vec<(i64,)> {
 }
 
 fn bench_embedded(c: &mut Criterion, db: &Database) {
-    let mut session = db.session();
+    let session = db.session();
     let select = db.prepare(POINT_SELECT).unwrap();
     let update = db.prepare(POINT_UPDATE).unwrap();
     let batch = db.prepare(BATCH_SELECT).unwrap();

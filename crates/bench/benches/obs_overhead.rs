@@ -39,7 +39,7 @@ fn setup_db(rows: usize) -> Database {
 fn bench_obs_overhead(c: &mut Criterion) {
     let db = setup_db(5_000);
     let q = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-    let mut session = db.session();
+    let session = db.session();
 
     // Histograms + statement profile armed (they always are): the band this
     // must hold is the engine's pre-observability prepared point select.

@@ -42,7 +42,7 @@ fn bench_relstore(c: &mut Criterion) {
     // Prepared once, parameters bound per call — no parsing at all.
     c.bench_function("prepared_point_select", |b| {
         let q = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
-        let mut session = db.session();
+        let session = db.session();
         b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
     // Bounded range over the primary-key index (50 of 5000 rows touched).
@@ -81,7 +81,7 @@ fn bench_relstore(c: &mut Criterion) {
         let head = queue
             .prepare("SELECT job_id FROM jobs WHERE state = 'idle' ORDER BY job_id LIMIT ?")
             .unwrap();
-        let mut session = queue.session();
+        let session = queue.session();
         c.bench_function("order_by_pk_limit_ordered", |b| {
             b.iter(|| session.query(black_box(&head), black_box((180i64,))).unwrap())
         });
@@ -120,7 +120,7 @@ fn bench_relstore(c: &mut Criterion) {
             .prepare("SELECT COUNT(*) FROM provenance WHERE recorded >= ? AND recorded < ?")
             .unwrap();
         c.bench_function("filtered_range_count", |b| {
-            let mut session = prov.session();
+            let session = prov.session();
             b.iter(|| {
                 let r = session.query(black_box(&count), black_box((4_000i64, 5_000i64))).unwrap();
                 assert_eq!(r.scalar_int(), Some(1_000));
@@ -148,7 +148,7 @@ fn bench_relstore(c: &mut Criterion) {
             .prepare("SELECT COUNT(*), SUM(runtime_ms) FROM job_history WHERE owner = ?")
             .unwrap();
         c.bench_function("indexed_agg_strided_100k", |b| {
-            let mut session = history.session();
+            let session = history.session();
             b.iter(|| {
                 let r = session.query(black_box(&agg), black_box(("user7",))).unwrap();
                 assert_eq!(r.rows[0].get(0), &relstore::Value::Int(2_000));
@@ -182,7 +182,7 @@ fn bench_relstore(c: &mut Criterion) {
             let expected = scanned();
             assert_eq!(expected, Some(10_000));
             c.bench_function(name, |b| {
-                let mut session = queue.session();
+                let session = queue.session();
                 b.iter(|| {
                     let r = session.query(black_box(&count), black_box(("idle",))).unwrap();
                     assert_eq!(r.scalar_int(), expected, "index-only count disagrees with the scan");
@@ -212,7 +212,7 @@ fn bench_relstore(c: &mut Criterion) {
         queue.execute("CREATE TABLE queue (job_id INT PRIMARY KEY, state TEXT)").unwrap();
         let push = queue.prepare("INSERT INTO queue VALUES (?, 'idle')").unwrap();
         let pop = queue.prepare("DELETE FROM queue WHERE job_id = ?").unwrap();
-        let mut session = queue.session();
+        let session = queue.session();
         let mut next = 0i64;
         let mut churn = move || {
             session.execute(&push, (next,)).unwrap();
@@ -254,7 +254,7 @@ fn bench_relstore(c: &mut Criterion) {
         let insert = history.prepare("INSERT INTO job_history VALUES (?, ?, 60000)").unwrap();
         let delete = history.prepare("DELETE FROM job_history WHERE history_id = ?").unwrap();
         let owners: Vec<String> = (0..50).map(|i| format!("user{i:02}")).collect();
-        let mut session = history.session();
+        let session = history.session();
         let mut next = 0i64;
         let mut insert_one = move || {
             session.execute(&insert, (next, owners[(next % 50) as usize].as_str())).unwrap();

@@ -45,7 +45,7 @@ fn setup(db: &Database) {
 /// One iteration: INSERTS autocommit inserts (each its own commit), then a
 /// wipe so every iteration starts empty.
 fn run_inserts(db: &Database, ins: &relstore::Prepared, wipe: &relstore::Prepared) {
-    let mut sql = db.session();
+    let sql = db.session();
     for i in 0..INSERTS {
         sql.execute(black_box(ins), (i, "user", "idle")).unwrap();
     }
@@ -151,7 +151,7 @@ fn reopen_log(checkpoint: bool) -> Vec<u8> {
         .unwrap();
     db.execute("CREATE INDEX ON jobs (state)").unwrap();
     let ins = db.prepare("INSERT INTO jobs VALUES (?, ?, ?, ?)").unwrap();
-    let mut sql = db.session();
+    let sql = db.session();
     for chunk in 0..REOPEN_ROWS / 1_000 {
         let ids = chunk * 1_000..(chunk + 1) * 1_000;
         sql.execute_batch(&ins, ids.map(|i| (i, format!("user{}", i % 50), "idle", 60_000i64)))

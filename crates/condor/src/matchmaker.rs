@@ -48,7 +48,6 @@ pub struct ScheddSummary {
 pub struct Collector {
     slots: BTreeMap<VmId, SlotAd>,
     schedds: BTreeMap<usize, ScheddSummary>,
-    updates_received: u64,
     /// When the daemon is down it discards updates and serves no queries.
     down: bool,
 }
@@ -64,7 +63,6 @@ impl Collector {
         if self.down {
             return;
         }
-        self.updates_received += 1;
         self.slots.insert(
             vm,
             SlotAd {
@@ -79,7 +77,6 @@ impl Collector {
         if self.down {
             return;
         }
-        self.updates_received += 1;
         self.schedds.insert(
             schedd,
             ScheddSummary {
@@ -97,11 +94,6 @@ impl Collector {
             .filter(|(_, s)| s.state == SlotState::Unclaimed)
             .map(|(vm, s)| (*vm, s))
             .collect()
-    }
-
-    /// Total updates ever absorbed (a proxy for collector message load).
-    pub fn updates_received(&self) -> u64 {
-        self.updates_received
     }
 
     /// Takes the daemon down. All state is lost (it was in memory only).
@@ -134,7 +126,6 @@ pub struct Allocation {
 /// The negotiator daemon.
 #[derive(Debug, Default)]
 pub struct Negotiator {
-    cycles: u64,
     down: bool,
 }
 
@@ -142,11 +133,6 @@ impl Negotiator {
     /// Creates the negotiator.
     pub fn new() -> Self {
         Negotiator::default()
-    }
-
-    /// Number of negotiation cycles run.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Takes the daemon down; matchmaking stops until restart.
@@ -172,14 +158,13 @@ impl Negotiator {
     /// When a per-schedd claim limit is configured (Figure 16), that limit
     /// caps each schedd's share and the remaining slots flow to the next one.
     pub fn negotiate(
-        &mut self,
+        &self,
         collector: &Collector,
         demands: &[(usize, usize, Option<usize>)],
     ) -> Vec<Allocation> {
         if self.down || !collector.is_up() {
             return Vec::new();
         }
-        self.cycles += 1;
         let mut free = collector.unclaimed_slots();
         let mut out = Vec::new();
         for (schedd_idx, &(idle, claimed, limit)) in demands.iter().enumerate() {
@@ -234,7 +219,6 @@ mod tests {
         assert_eq!(c.unclaimed_slots().len(), 2);
         assert_eq!(c.schedd_summary(0).unwrap().idle_jobs, 10);
         assert!(c.schedd_summary(1).is_none());
-        assert_eq!(c.updates_received(), 5);
     }
 
     #[test]
@@ -253,20 +237,19 @@ mod tests {
     #[test]
     fn unlimited_negotiation_gives_everything_to_first_demanding_schedd() {
         let c = collector_with_slots(6);
-        let mut n = Negotiator::new();
+        let n = Negotiator::new();
         let allocs = n.negotiate(
             &c,
             &[(10, 0, None), (10, 0, None)],
         );
         assert_eq!(allocs.len(), 6);
         assert!(allocs.iter().all(|a| a.schedd == 0));
-        assert_eq!(n.cycles(), 1);
     }
 
     #[test]
     fn claim_limit_spreads_slots_across_schedds() {
         let c = collector_with_slots(6);
-        let mut n = Negotiator::new();
+        let n = Negotiator::new();
         let allocs = n.negotiate(
             &c,
             &[(10, 0, Some(2)), (10, 0, Some(2)), (10, 0, Some(2))],
@@ -280,7 +263,7 @@ mod tests {
     #[test]
     fn idle_job_count_bounds_allocations() {
         let c = collector_with_slots(6);
-        let mut n = Negotiator::new();
+        let n = Negotiator::new();
         let allocs = n.negotiate(&c, &[(2, 0, None)]);
         assert_eq!(allocs.len(), 2);
         let allocs = n.negotiate(&c, &[(0, 0, None)]);

@@ -58,10 +58,6 @@ pub struct CondorReport {
     pub completed: u64,
     /// Crash time of each schedd that crashed.
     pub crashes: Vec<(usize, SimTime)>,
-    /// Status updates absorbed by the collector.
-    pub collector_updates: u64,
-    /// Negotiation cycles run.
-    pub negotiation_cycles: u64,
     /// Data-flow trace of the first job, when tracing was enabled.
     pub trace: Option<TraceRecorder>,
 }
@@ -543,8 +539,6 @@ impl CondorSimulation {
                 .iter()
                 .filter_map(|s| s.crashed_at().map(|t| (s.index, t)))
                 .collect(),
-            collector_updates: self.collector.updates_received(),
-            negotiation_cycles: self.negotiator.cycles(),
             trace: self.trace.clone(),
         }
     }
@@ -575,8 +569,6 @@ mod tests {
         let report = sim.report();
         assert_eq!(report.completed, 20);
         assert_eq!(report.completions.count(), 20);
-        assert!(report.negotiation_cycles > 0);
-        assert!(report.collector_updates > 0);
         assert!(report.crashes.is_empty());
         // Ten slots and a 1 job/s throttle: 20 one-minute jobs finish well
         // under ten minutes but not faster than two job "waves".

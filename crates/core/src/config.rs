@@ -22,8 +22,6 @@ pub struct CondorJ2Config {
     pub max_matches_per_pass: usize,
     /// Interval of the DBMS background maintenance task (checkpoint).
     pub maintenance_interval: SimDuration,
-    /// Size of the application server's database connection pool.
-    pub connection_pool_size: usize,
     /// Cores on the machine hosting the application server and the DBMS.
     pub server_cores: u32,
     /// CPU sampling interval for the server machine.
@@ -40,7 +38,6 @@ impl Default for CondorJ2Config {
             scheduler_interval: SimDuration::from_secs(2),
             max_matches_per_pass: 512,
             maintenance_interval: SimDuration::from_mins(120),
-            connection_pool_size: 20,
             server_cores: 4,
             cpu_sample_interval: SimDuration::from_secs(60),
             failure_model: FailureModel::default(),
@@ -71,7 +68,6 @@ mod tests {
         let c = CondorJ2Config::default();
         assert!(c.idle_poll_interval < c.running_heartbeat_interval);
         assert_eq!(c.server_cores, 4);
-        assert_eq!(c.connection_pool_size, 20);
         assert_eq!(c.maintenance_interval, SimDuration::from_mins(120));
     }
 

@@ -70,8 +70,6 @@ pub struct CondorJ2Report {
     pub requests_handled: u64,
     /// Matches created by the scheduling pass.
     pub matches_made: u64,
-    /// Connection-pool high-water mark.
-    pub pool_high_water: usize,
     /// Database operation statistics at the end of the run.
     pub db_stats: OpStats,
     /// Data-flow trace of the first job, when tracing was enabled.
@@ -124,7 +122,7 @@ impl CondorJ2Simulation {
             Arc::clone(&db),
             registry,
             CostModel::cas_server(),
-            config.connection_pool_size,
+            0,
             config.server_cores,
             config.cpu_sample_interval,
         );
@@ -513,7 +511,6 @@ impl CondorJ2Simulation {
             dropped_phys: self.health.dropped_phys_count(),
             requests_handled: self.container.requests_handled(),
             matches_made: self.state.matches_made,
-            pool_high_water: self.container.pool_stats().high_water_mark,
             db_stats: self.container.database().stats(),
             trace: self.trace.clone(),
             finished_at: self.queue.now(),
@@ -602,16 +599,5 @@ mod tests {
         assert!(report.drops > 0, "expected drops on slow oversubscribed nodes");
         assert!(report.dropped_vms > 0);
         assert_eq!(report.completed, report.submitted);
-    }
-
-    #[test]
-    fn connection_pool_bounds_simultaneous_connections() {
-        let spec = ClusterSpec::uniform_fast(20, 2);
-        let mut sim = CondorJ2Simulation::new(fast_config(), &spec, 5);
-        sim.submit(JobSpec::fixed_batch(80, SimDuration::from_secs(30), "erin"));
-        sim.run_to_completion(SimTime::from_mins(60));
-        let report = sim.report();
-        assert!(report.pool_high_water <= 20, "pool bound respected");
-        assert!(report.requests_handled > 100);
     }
 }

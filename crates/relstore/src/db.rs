@@ -157,8 +157,7 @@ impl Prepared {
 
 /// Where and under which limits a statement runs: inside the explicit
 /// transaction `txn` or in autocommit mode, under the statement limits
-/// `gov`. [`Session`](crate::Session) and
-/// [`Transaction`](crate::Transaction) build one per call for
+/// `gov`. [`Session`](crate::Session) builds one per call for
 /// [`Database::run`], [`Database::run_read`] and [`Database::run_batch`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
@@ -1786,16 +1785,17 @@ impl Database {
 
     /// Opens a [`Session`](crate::Session) — the typed client surface
     /// (tuple-bound parameters, [`FromRow`](crate::FromRow) decoding, RAII
-    /// transactions). Sessions are two words; open one per request.
+    /// transactions). Sessions are cheap; open one per request.
     pub fn session(&self) -> crate::Session<'_> {
         crate::Session::new(self)
     }
 
     /// Begins an explicit transaction and returns the RAII
-    /// [`Transaction`](crate::Transaction) guard: `commit()` consumes the
+    /// [`Transaction`](crate::Transaction) guard — a session with the
+    /// transaction open and no statement limits: `commit()` consumes the
     /// guard, dropping it (including during a panic unwind) rolls back.
     pub fn transaction(&self) -> crate::Transaction<'_> {
-        crate::Transaction::begin(self, &Governance::NONE)
+        crate::Transaction::begin(self, Governance::NONE)
     }
 }
 
@@ -2084,7 +2084,7 @@ mod tests {
         let db = setup();
         let q = db.prepare("SELECT owner FROM jobs WHERE job_id = ?").unwrap();
         assert_eq!(q.param_count(), 1);
-        let mut s = db.session();
+        let s = db.session();
         let r = s.query(&q, (2i64,)).unwrap();
         assert_eq!(r.first_value("owner"), Some(&Value::Text("bob".into())));
         // Re-binding different values reuses the same parse.
@@ -2539,5 +2539,87 @@ mod tests {
         let r = db.query("SELECT id FROM t ORDER BY id DESC").unwrap();
         assert_eq!(r.first_value("id"), Some(&Value::Int(9_007_199_254_740_993)));
         db.check_consistency().unwrap();
+    }
+
+    /// The overflow error every INT operator shares with `SUM`.
+    fn is_int_overflow(r: Result<ExecResult>) -> bool {
+        matches!(&r, Err(e @ Error::Type(m))
+            if m.contains("integer overflow") && e.class() == crate::ErrorClass::Logic)
+    }
+
+    #[test]
+    fn int_division_overflow_is_a_typed_error_not_a_panic() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, -9223372036854775807)").unwrap();
+        let s = db.session();
+        assert!(is_int_overflow(s.execute("SELECT ? / -1 FROM t", (i64::MIN,))));
+        assert!(is_int_overflow(s.execute("SELECT (v - 1) / -1 FROM t", ())));
+        // One below the edge still divides, and division by zero stays NULL.
+        let r = s.query("SELECT v / -1 AS q, v / 0 AS z FROM t", ()).unwrap();
+        assert_eq!(r.first_value("q"), Some(&Value::Int(i64::MAX)));
+        assert_eq!(r.first_value("z"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn int_arithmetic_overflow_applies_nothing() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 9223372036854775807), (2, 0)").unwrap();
+        for sql in ["SELECT v + 1 FROM t", "SELECT v * 2 FROM t", "SELECT 0 - v - 2 FROM t"] {
+            assert!(is_int_overflow(db.execute(sql)), "{sql}");
+        }
+        // The UPDATE fails as a whole: neither row moves.
+        assert!(is_int_overflow(db.execute("UPDATE t SET v = v + 1")));
+        let r = db.query("SELECT v FROM t ORDER BY id").unwrap();
+        assert_eq!(r.rows[0].get(0), &Value::Int(i64::MAX));
+        assert_eq!(r.rows[1].get(0), &Value::Int(0));
+        // A DOUBLE operand widens the arithmetic instead.
+        let r = db.query("SELECT v + 1.0 AS w FROM t WHERE id = 1").unwrap();
+        assert_eq!(r.first_value("w"), Some(&Value::Double(i64::MAX as f64 + 1.0)));
+        db.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn literals_reach_the_ends_of_int_and_exponent_doubles() {
+        let db = Database::new();
+        db.execute("CREATE TABLE one (id INT PRIMARY KEY)").unwrap();
+        db.execute("INSERT INTO one VALUES (1)").unwrap();
+        let r = db
+            .query("SELECT -9223372036854775808 AS lo, 9223372036854775807 AS hi FROM one")
+            .unwrap();
+        assert_eq!(r.first_value("lo"), Some(&Value::Int(i64::MIN)));
+        assert_eq!(r.first_value("hi"), Some(&Value::Int(i64::MAX)));
+        let r = db.query("SELECT 1e308 AS big, 2.5E-3 AS small, -1e2 AS neg FROM one").unwrap();
+        assert_eq!(r.first_value("big"), Some(&Value::Double(1e308)));
+        assert_eq!(r.first_value("small"), Some(&Value::Double(2.5e-3)));
+        assert_eq!(r.first_value("neg"), Some(&Value::Double(-100.0)));
+        // Past either end is a parse error, and negating i64::MIN overflows.
+        for sql in [
+            "SELECT 9223372036854775808 FROM one",
+            "SELECT -9223372036854775809 FROM one",
+            "SELECT 1e309 FROM one",
+        ] {
+            assert!(matches!(db.execute(sql), Err(Error::Parse(_))), "{sql}");
+        }
+        assert!(is_int_overflow(db.execute("SELECT -(-9223372036854775808) FROM one")));
+    }
+
+    #[test]
+    fn values_compare_across_types_as_documented() {
+        let db = Database::new();
+        db.execute("CREATE TABLE one (id INT PRIMARY KEY, d DOUBLE)").unwrap();
+        db.execute("INSERT INTO one VALUES (1, 9007199254740992.0)").unwrap();
+        let count = |pred: &str| {
+            db.query(&format!("SELECT COUNT(*) FROM one WHERE {pred}")).unwrap().scalar_int()
+        };
+        // TEXT never equals a number, and ordering them is unknown.
+        assert_eq!(count("'1' = 1"), Some(0));
+        assert_eq!(count("'1' < 1 OR NOT ('1' < 1)"), Some(0));
+        // INT against DOUBLE is exact: 2^53 + 1 is not the double 2^53.
+        assert_eq!(count("d = 9007199254740992"), Some(1));
+        assert_eq!(count("d < 9007199254740993"), Some(1));
+        // NULL compares unknown and propagates through arithmetic.
+        assert_eq!(count("NULL = NULL OR id + NULL IS NOT NULL"), Some(0));
     }
 }

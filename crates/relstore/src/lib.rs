@@ -164,7 +164,7 @@
 //! let db = Database::new();
 //! db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT, runtime DOUBLE)")?;
 //!
-//! let mut session = db.session();
+//! let session = db.session();
 //! let insert = db.prepare("INSERT INTO jobs VALUES (?, ?, ?)")?;
 //! session.execute(&insert, (1i64, "idle", 60.0))?;           // tuple params
 //! session.execute(&insert, (2i64, "idle", Option::<f64>::None))?;
@@ -194,10 +194,16 @@
 //! ## Transactions are RAII guards
 //!
 //! [`Database::transaction`] / [`Session::transaction`] return a
-//! [`Transaction`] guard. `commit()` consumes the guard; dropping it — on an
-//! early return, `?` propagation, or a panic unwinding past it — rolls back
-//! and releases the transaction's locks. No raw transaction ids cross the
-//! service layer.
+//! [`Transaction`] guard: a guard is its session with the transaction open.
+//! It derefs to that [`Session`], so statements run through the session's
+//! own methods; the guard adds only `commit()` and `rollback()`, which
+//! consume it. Dropping it — on an early return, `?` propagation, or a
+//! panic unwinding past it — rolls back and releases the transaction's
+//! locks, as dropping any session with an open transaction does. SQL
+//! transaction control through a guard acts as it does on a session:
+//! `BEGIN` is an "already open" error, and `COMMIT` commits, after which
+//! `commit()` is a "no open transaction" error. No raw transaction ids
+//! cross the service layer.
 //!
 //! ```
 //! use relstore::Database;
@@ -224,15 +230,15 @@
 //!
 //! A scheduler pass writes N near-identical rows. Executing them one
 //! autocommit statement at a time pays N catalog write guards and N commits
-//! (N log appends, N forces); [`Session::execute_batch`] (and
-//! [`Transaction::execute_batch`]) runs all bindings of one prepared
+//! (N log appends, N forces); [`Session::execute_batch`] (on a session or
+//! through a [`Transaction`] guard) runs all bindings of one prepared
 //! statement under **one** guard — and, in autocommit mode, as **one**
 //! transaction: one log record, one force — with the same all-or-nothing
 //! outcome as the loop. How often the log is appended to is not the
 //! batch's choice or the statement's: a transaction is one append, whatever
 //! ran inside it.
 //!
-//! [`Session::query_batch`] (and [`Transaction::query_batch`]) is the read
+//! [`Session::query_batch`] (on a session or through a guard) is the read
 //! path with N bindings instead of one — a single statement is its
 //! one-binding case. The whole batch runs under **one** shared catalog
 //! guard, **one** MVCC snapshot and **one** armed governor: the session's
@@ -470,7 +476,7 @@
 //!
 //! let db = Database::new();
 //! db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)")?;
-//! let mut session = db.session();
+//! let session = db.session();
 //! let ins = db.prepare("INSERT INTO jobs VALUES (?, 'idle')")?;
 //! for i in 0..10i64 {
 //!     session.execute(&ins, (i,))?;
@@ -668,6 +674,33 @@
 //! assert_eq!(stats.first_value("row_count"), Some(&Value::Int(50)));
 //! # Ok::<(), relstore::Error>(())
 //! ```
+//!
+//! ## Values
+//!
+//! The five types (INT, DOUBLE, TEXT, BOOL, TIMESTAMP) follow one set of
+//! rules in every clause, index, sort and aggregate:
+//!
+//! * **Ordering across types.** INT, DOUBLE and TIMESTAMP are one numeric
+//!   family compared by exact value: an INT against a DOUBLE compares the
+//!   integer with the double exactly, never through a rounding `f64`, and
+//!   `-0.0 = 0.0`. TEXT and BOOL compare only with their own type: `'1' =
+//!   1` is false and `'1' < 1` is unknown. A NaN equals itself and is
+//!   unordered against everything else. Index keys and `ORDER BY` use one
+//!   total order: NULL, then BOOL, then numbers, then TEXT.
+//! * **NULL.** A comparison with NULL is unknown, `AND` / `OR` / `NOT`
+//!   are three-valued, arithmetic with a NULL operand is NULL, and
+//!   aggregates other than `COUNT(*)` skip NULL inputs.
+//! * **Overflow.** INT `+`, `-`, `*` and `/` are exact or fail: a result
+//!   outside INT (`i64::MAX + 1`, `i64::MIN / -1`) is the typed,
+//!   non-retryable [`Error::Type`] an overflowing `SUM` raises, so the
+//!   statement applies nothing. An operation with a DOUBLE or TIMESTAMP
+//!   operand is computed in DOUBLE. Literals reach both ends of INT
+//!   (`-9223372036854775808` is `i64::MIN`) and take exponents (`1e308`);
+//!   a literal past either end, or an infinite one (`1e309`), is a parse
+//!   error.
+//! * **Division by zero** is NULL, for INT and DOUBLE alike. This is kept
+//!   on purpose: NULL already means "no answer", and an error here would
+//!   change what existing statements return.
 //!
 //! ## Errors
 //!

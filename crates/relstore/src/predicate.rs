@@ -710,21 +710,22 @@ fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    // Integer arithmetic stays integral when both sides are integral and the
-    // operation is exact; everything else widens to double.
+    // Integer arithmetic stays integral when both sides are integral, and a
+    // result outside INT is the typed error `SUM` raises, never a wrap or a
+    // panic (`i64::MIN / -1` included); everything else widens to double.
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) => Ok(match op {
-            ArithOp::Add => Value::Int(a.wrapping_add(*b)),
-            ArithOp::Sub => Value::Int(a.wrapping_sub(*b)),
-            ArithOp::Mul => Value::Int(a.wrapping_mul(*b)),
-            ArithOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-        }),
+        (Value::Int(a), Value::Int(b)) => {
+            let exact = match op {
+                ArithOp::Add => a.checked_add(*b),
+                ArithOp::Sub => a.checked_sub(*b),
+                ArithOp::Mul => a.checked_mul(*b),
+                ArithOp::Div if *b == 0 => return Ok(Value::Null),
+                ArithOp::Div => a.checked_div(*b),
+            };
+            exact.map(Value::Int).ok_or_else(|| {
+                Error::type_err(format!("integer overflow in {a} {op} {b}: the result exceeds INT"))
+            })
+        }
         _ => {
             let a = l.as_double()?;
             let b = r.as_double()?;

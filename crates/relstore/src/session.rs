@@ -9,8 +9,10 @@
 //! * rows decode into structs by column *name* ([`FromRow`] over
 //!   [`crate::RowView`]), so a projection reorder cannot silently misassign
 //!   fields the way positional indexing does;
-//! * transactions are RAII guards: [`Transaction::commit`] consumes the
-//!   guard, and dropping it — on early return or mid-panic — rolls back;
+//! * a transaction guard is its session with the transaction open: a
+//!   [`Transaction`] derefs to a [`Session`], so statements run through the
+//!   same seven methods; [`Transaction::commit`] consumes the guard, and
+//!   dropping it — on early return or mid-panic — rolls back;
 //! * batches ([`Session::execute_batch`], [`Session::query_batch`]) run N
 //!   bindings of one prepared statement under a single catalog guard and
 //!   one governor (and, in autocommit mode, one commit or one snapshot),
@@ -23,6 +25,8 @@ use crate::exec::QueryResult;
 use crate::govern::Governance;
 use crate::sql::ast::Statement;
 use crate::wal::TxnId;
+use std::cell::Cell;
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
 /// Runs `f` up to `attempts` times, sleeping with capped exponential
@@ -87,17 +91,20 @@ pub fn retry_with_backoff_deadline<T>(
 
 /// A lightweight client handle over a [`Database`].
 ///
-/// A session is two words (a database reference and an optional open
-/// transaction id); open one per request. All typed access — tuple-bound
-/// parameters, [`FromRow`] decoding, batches — goes through it. SQL-text
-/// transaction control (`BEGIN` / `COMMIT` / `ROLLBACK`) is honoured for
-/// console-style callers; programmatic callers should prefer the
-/// [`Session::transaction`] RAII guard. A session dropped with an open
-/// SQL-level transaction rolls it back.
+/// A session is a database reference, an optional open transaction id and
+/// its statement limits; open one per request. All typed access —
+/// tuple-bound parameters, [`FromRow`] decoding, batches — goes through it.
+/// SQL-text transaction control (`BEGIN` / `COMMIT` / `ROLLBACK`) is
+/// honoured for console-style callers; programmatic callers should prefer
+/// the [`Session::transaction`] RAII guard. A session dropped with an open
+/// transaction rolls it back.
+///
+/// The statement methods take `&self`: the open transaction lives in a
+/// [`Cell`], so a session is `Send` but not `Sync`.
 #[derive(Debug)]
 pub struct Session<'a> {
     db: &'a Database,
-    txn: Option<TxnId>,
+    txn: Cell<Option<TxnId>>,
     governance: Governance,
 }
 
@@ -107,7 +114,7 @@ impl<'a> Session<'a> {
     pub fn new(db: &'a Database) -> Self {
         Session {
             db,
-            txn: None,
+            txn: Cell::new(None),
             governance: Governance::NONE,
         }
     }
@@ -135,15 +142,29 @@ impl<'a> Session<'a> {
         &self.governance
     }
 
-    /// True when a SQL-level (`BEGIN`) transaction is open on this session.
+    /// True when a transaction is open on this session.
     pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
+        self.txn.get().is_some()
     }
 
     fn ctx(&self) -> ExecCtx<'_> {
         ExecCtx {
-            txn: self.txn,
+            txn: self.txn.get(),
             gov: &self.governance,
+        }
+    }
+
+    /// Ends the open transaction: commits it, or rolls it back. With none
+    /// open this is a type error.
+    fn end(&self, commit: bool) -> Result<()> {
+        let txn = self
+            .txn
+            .take()
+            .ok_or_else(|| Error::type_err("no open transaction"))?;
+        if commit {
+            self.db.commit(txn)
+        } else {
+            self.db.rollback(txn)
         }
     }
 
@@ -151,10 +172,10 @@ impl<'a> Session<'a> {
     /// `params` positionally to its `?` placeholders.
     ///
     /// `BEGIN` / `COMMIT` / `ROLLBACK` statements drive the session's
-    /// SQL-level transaction; every other statement runs inside the open
-    /// transaction if there is one, else in autocommit mode.
+    /// transaction; every other statement runs inside the open transaction
+    /// if there is one, else in autocommit mode.
     pub fn execute<S: ToStatement, P: IntoParams>(
-        &mut self,
+        &self,
         stmt: S,
         params: P,
     ) -> Result<ExecResult> {
@@ -168,35 +189,21 @@ impl<'a> Session<'a> {
                 )))
             }
             Statement::Begin => {
-                if self.txn.is_some() {
+                if self.in_transaction() {
                     return Err(Error::type_err("transaction already open"));
                 }
-                self.txn = Some(self.db.begin());
+                self.txn.set(Some(self.db.begin()));
                 Ok(ExecResult::Ack)
             }
-            Statement::Commit => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| Error::type_err("no open transaction"))?;
-                self.db.commit(txn)?;
-                Ok(ExecResult::Ack)
-            }
-            Statement::Rollback => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| Error::type_err("no open transaction"))?;
-                self.db.rollback(txn)?;
-                Ok(ExecResult::Ack)
-            }
+            Statement::Commit => self.end(true).map(|()| ExecResult::Ack),
+            Statement::Rollback => self.end(false).map(|()| ExecResult::Ack),
             _ => self.db.run(self.ctx(), &prepared, &values),
         }
     }
 
     /// Executes a SELECT and returns its rows.
     pub fn query<S: ToStatement, P: IntoParams>(
-        &mut self,
+        &self,
         stmt: S,
         params: P,
     ) -> Result<QueryResult> {
@@ -205,7 +212,7 @@ impl<'a> Session<'a> {
 
     /// Executes a SELECT and decodes every row into `T`.
     pub fn query_as<T: FromRow, S: ToStatement, P: IntoParams>(
-        &mut self,
+        &self,
         stmt: S,
         params: P,
     ) -> Result<Vec<T>> {
@@ -214,7 +221,7 @@ impl<'a> Session<'a> {
 
     /// Executes a SELECT and decodes the first row, if any.
     pub fn query_one<T: FromRow, S: ToStatement, P: IntoParams>(
-        &mut self,
+        &self,
         stmt: S,
         params: P,
     ) -> Result<Option<T>> {
@@ -224,7 +231,7 @@ impl<'a> Session<'a> {
     /// Executes a single-column SELECT and decodes each row's value —
     /// the typed form of "give me the list of ids".
     pub fn query_scalars<T: FromValue, S: ToStatement, P: IntoParams>(
-        &mut self,
+        &self,
         stmt: S,
         params: P,
     ) -> Result<Vec<T>> {
@@ -242,7 +249,7 @@ impl<'a> Session<'a> {
     /// failed statement in a loop); otherwise as one implicit transaction
     /// that applies entirely or not at all.
     pub fn execute_batch<P: IntoParams>(
-        &mut self,
+        &self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<usize> {
@@ -261,26 +268,30 @@ impl<'a> Session<'a> {
     /// statement — in `statements_executed`, the `stmt.select` histogram
     /// and the statement's profile.
     pub fn query_batch<P: IntoParams>(
-        &mut self,
+        &self,
         stmt: &Prepared,
         bindings: impl IntoIterator<Item = P>,
     ) -> Result<Vec<QueryResult>> {
-        query_batch(self.db, self.ctx(), stmt, bindings)
+        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
+        let mut results = Vec::with_capacity(bindings.len());
+        self.db.run_read(self.ctx(), stmt, &bindings, |q| results.push(q))?;
+        Ok(results)
     }
 
-    /// Begins an explicit transaction and returns its RAII guard. While the
-    /// guard lives the session is mutably borrowed, so all statements go
-    /// through the guard — under the session's statement limits; commit
-    /// consumes it, drop rolls back.
+    /// Begins an explicit transaction and returns its RAII guard: a session
+    /// of its own, under this session's statement limits, with the
+    /// transaction open. While the guard lives this session is mutably
+    /// borrowed, so all statements go through the guard; commit consumes
+    /// it, drop rolls back.
     ///
     /// Fails if a SQL-level `BEGIN` transaction is already open.
     pub fn transaction(&mut self) -> Result<Transaction<'_>> {
-        if self.txn.is_some() {
+        if self.in_transaction() {
             return Err(Error::type_err(
                 "a SQL-level transaction is already open on this session",
             ));
         }
-        Ok(Transaction::begin(self.db, &self.governance))
+        Ok(Transaction::begin(self.db, self.governance.clone()))
     }
 
     /// Runs `f` up to `attempts` times, retrying — with capped exponential
@@ -341,153 +352,50 @@ impl<'a> Drop for Session<'a> {
     }
 }
 
-/// An RAII transaction guard.
+/// An RAII transaction guard: a [`Session`] with its transaction open.
 ///
-/// Obtained from [`Database::transaction`] or [`Session::transaction`].
-/// Statements executed through the guard run inside the transaction;
-/// [`commit`](Transaction::commit) consumes the guard, and dropping it
-/// without committing — early return, `?` propagation, or a panic unwinding
-/// past it — rolls the transaction back and releases its locks. Raw
-/// transaction ids never leave the crate.
+/// Obtained from [`Database::transaction`] or [`Session::transaction`]. The
+/// guard derefs to its session, so statements run through the session's
+/// methods, inside the transaction. [`commit`](Transaction::commit) and
+/// [`rollback`](Transaction::rollback) consume the guard; dropping it
+/// without either — early return, `?` propagation, or a panic unwinding
+/// past it — rolls the transaction back and releases its locks, as any
+/// session does. SQL transaction control through the guard acts as it does
+/// on a session: `BEGIN` is an "already open" error, and `COMMIT` commits,
+/// after which `commit()` is a "no open transaction" error and the drop
+/// does nothing. Raw transaction ids never leave the crate.
 #[derive(Debug)]
-pub struct Transaction<'a> {
-    db: &'a Database,
-    id: TxnId,
-    /// The statement limits of the session the guard was taken from
-    /// ([`Governance::NONE`] for [`Database::transaction`]).
-    gov: &'a Governance,
-    open: bool,
-}
+pub struct Transaction<'a>(Session<'a>);
 
 impl<'a> Transaction<'a> {
-    /// Begins a transaction on `db` whose statements run under `gov` (used
-    /// by the `Database`/`Session` constructors).
-    pub(crate) fn begin(db: &'a Database, gov: &'a Governance) -> Self {
-        Transaction {
+    /// Begins a transaction on `db` whose statements run under
+    /// `governance` (used by the `Database`/`Session` constructors).
+    pub(crate) fn begin(db: &'a Database, governance: Governance) -> Self {
+        Transaction(Session {
             db,
-            id: db.begin(),
-            gov,
-            open: true,
-        }
-    }
-
-    fn ctx(&self) -> ExecCtx<'a> {
-        ExecCtx {
-            txn: Some(self.id),
-            gov: self.gov,
-        }
-    }
-
-    /// The transaction id (for diagnostics; the guard owns its lifecycle).
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// Executes one statement inside the transaction, binding `params`
-    /// positionally. Transaction-control SQL is rejected — the guard is the
-    /// transaction control.
-    pub fn execute<S: ToStatement, P: IntoParams>(
-        &self,
-        stmt: S,
-        params: P,
-    ) -> Result<ExecResult> {
-        let prepared = stmt.to_prepared(self.db)?;
-        let values = params.into_params();
-        self.db.run(self.ctx(), &prepared, &values)
-    }
-
-    /// Executes a SELECT inside the transaction and returns its rows.
-    pub fn query<S: ToStatement, P: IntoParams>(
-        &self,
-        stmt: S,
-        params: P,
-    ) -> Result<QueryResult> {
-        self.execute(stmt, params)?.query()
-    }
-
-    /// Executes a SELECT and decodes every row into `T`.
-    pub fn query_as<T: FromRow, S: ToStatement, P: IntoParams>(
-        &self,
-        stmt: S,
-        params: P,
-    ) -> Result<Vec<T>> {
-        self.query(stmt, params)?.decode()
-    }
-
-    /// Executes a SELECT and decodes the first row, if any.
-    pub fn query_one<T: FromRow, S: ToStatement, P: IntoParams>(
-        &self,
-        stmt: S,
-        params: P,
-    ) -> Result<Option<T>> {
-        self.query(stmt, params)?.decode_first()
-    }
-
-    /// Executes a single-column SELECT and decodes each row's value.
-    pub fn query_scalars<T: FromValue, S: ToStatement, P: IntoParams>(
-        &self,
-        stmt: S,
-        params: P,
-    ) -> Result<Vec<T>> {
-        let result = self.query(stmt, params)?;
-        result.views().map(|v| v.get_at(0)).collect()
-    }
-
-    /// Executes a prepared DML statement once per binding inside the
-    /// transaction, under one catalog guard for the whole batch.
-    pub fn execute_batch<P: IntoParams>(
-        &self,
-        stmt: &Prepared,
-        bindings: impl IntoIterator<Item = P>,
-    ) -> Result<usize> {
-        let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-        self.db.run_batch(self.ctx(), stmt, &bindings)
-    }
-
-    /// Executes a prepared SELECT once per binding inside the transaction,
-    /// under the batch contract of [`Session::query_batch`]: one catalog
-    /// guard, the transaction's snapshot, one governor for the whole batch.
-    pub fn query_batch<P: IntoParams>(
-        &self,
-        stmt: &Prepared,
-        bindings: impl IntoIterator<Item = P>,
-    ) -> Result<Vec<QueryResult>> {
-        query_batch(self.db, self.ctx(), stmt, bindings)
+            txn: Cell::new(Some(db.begin())),
+            governance,
+        })
     }
 
     /// Commits the transaction, consuming the guard.
-    pub fn commit(mut self) -> Result<()> {
-        self.open = false;
-        self.db.commit(self.id)
+    pub fn commit(self) -> Result<()> {
+        self.0.end(true)
     }
 
     /// Rolls the transaction back explicitly (dropping the guard does the
     /// same; this form surfaces the result).
-    pub fn rollback(mut self) -> Result<()> {
-        self.open = false;
-        self.db.rollback(self.id)
+    pub fn rollback(self) -> Result<()> {
+        self.0.end(false)
     }
 }
 
-impl<'a> Drop for Transaction<'a> {
-    fn drop(&mut self) {
-        if self.open {
-            let _ = self.db.rollback(self.id);
-        }
-    }
-}
+impl<'a> Deref for Transaction<'a> {
+    type Target = Session<'a>;
 
-/// The body of both `query_batch`es: the read path with N bindings.
-fn query_batch<P: IntoParams>(
-    db: &Database,
-    ctx: ExecCtx<'_>,
-    stmt: &Prepared,
-    bindings: impl IntoIterator<Item = P>,
-) -> Result<Vec<QueryResult>> {
-    let bindings: Vec<Vec<_>> = bindings.into_iter().map(IntoParams::into_params).collect();
-    let mut results = Vec::with_capacity(bindings.len());
-    db.run_read(ctx, stmt, &bindings, |q| results.push(q))?;
-    Ok(results)
+    fn deref(&self) -> &Session<'a> {
+        &self.0
+    }
 }
 
 #[cfg(test)]
@@ -540,7 +448,7 @@ mod tests {
     #[test]
     fn typed_params_and_decoding_round_trip() {
         let db = setup();
-        let mut s = db.session();
+        let s = db.session();
         // Tuple params against SQL text and against a prepared handle.
         let by_id = db.prepare("SELECT * FROM jobs WHERE job_id = ?").unwrap();
         let job: Job = s.query_one(&by_id, (2i64,)).unwrap().unwrap();
@@ -562,7 +470,7 @@ mod tests {
     #[test]
     fn from_row_round_trips_nulls() {
         let db = setup();
-        let mut s = db.session();
+        let s = db.session();
         s.execute(
             "INSERT INTO jobs (job_id, owner, state, runtime) VALUES (?, ?, ?, ?)",
             (7i64, "carol", Option::<String>::None, Option::<f64>::None),
@@ -693,7 +601,7 @@ mod tests {
     #[test]
     fn session_drives_transactions_through_sql() {
         let db = setup();
-        let mut session = db.session();
+        let session = db.session();
         session.execute("BEGIN", ()).unwrap();
         assert!(session.in_transaction());
         session
@@ -724,7 +632,7 @@ mod tests {
     fn dropped_session_releases_its_transaction() {
         let db = setup();
         {
-            let mut session = db.session();
+            let session = db.session();
             session.execute("BEGIN", ()).unwrap();
             session
                 .execute("UPDATE jobs SET state = 'held' WHERE job_id = 1", ())

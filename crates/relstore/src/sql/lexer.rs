@@ -8,8 +8,10 @@ use std::fmt;
 pub(crate) enum Token {
     /// A keyword or bare identifier (stored upper-case for keywords matching).
     Ident(String),
-    /// An integer literal.
-    Int(i64),
+    /// An integer literal's magnitude: a leading `-` is its own token, so
+    /// `-9223372036854775808` lexes as `Minus`, `Int(2^63)` and the parser
+    /// folds the two into `i64::MIN`.
+    Int(u64),
     /// A floating-point literal.
     Float(f64),
     /// A single-quoted string literal (quotes removed, `''` unescaped).
@@ -218,15 +220,32 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
                     }
                     i += 1;
                 }
+                // An exponent (`1e308`, `2.5E-3`) makes the literal a float;
+                // an `e` not followed by digits is a separate token.
+                if i < chars.len() && matches!(chars[i], 'e' | 'E') {
+                    let mut j = i + 1;
+                    if j < chars.len() && matches!(chars[j], '+' | '-') {
+                        j += 1;
+                    }
+                    if j < chars.len() && chars[j].is_ascii_digit() {
+                        while j < chars.len() && chars[j].is_ascii_digit() {
+                            j += 1;
+                        }
+                        i = j;
+                        is_float = true;
+                    }
+                }
                 let text: String = chars[start..i].iter().collect();
                 if is_float {
                     let v = text
                         .parse::<f64>()
-                        .map_err(|_| Error::parse(format!("bad float literal {text}")))?;
+                        .ok()
+                        .filter(|v| v.is_finite())
+                        .ok_or_else(|| Error::parse(format!("bad float literal {text}")))?;
                     tokens.push(Token::Float(v));
                 } else {
                     let v = text
-                        .parse::<i64>()
+                        .parse::<u64>()
                         .map_err(|_| Error::parse(format!("bad integer literal {text}")))?;
                     tokens.push(Token::Int(v));
                 }
@@ -269,6 +288,13 @@ mod tests {
         assert_eq!(toks[2], Token::Minus);
         assert_eq!(toks[3], Token::Int(3));
         assert_eq!(toks[4], Token::Float(10.0));
+        let toks = tokenize("1e308 2.5E-3 9223372036854775808 3e x").unwrap();
+        assert_eq!(toks[0], Token::Float(1e308));
+        assert_eq!(toks[1], Token::Float(2.5e-3));
+        assert_eq!(toks[2], Token::Int(1 << 63));
+        assert_eq!(toks[3], Token::Int(3));
+        assert_eq!(toks[4], Token::Ident("e".into()));
+        assert!(tokenize("1e309").is_err(), "an infinite literal is refused");
     }
 
     #[test]

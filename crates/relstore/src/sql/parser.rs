@@ -343,7 +343,7 @@ impl Parser {
         }
         let limit = if self.consume_keyword("LIMIT") {
             match self.next()? {
-                Token::Int(n) if n >= 0 => Some(Limit::Count(n as usize)),
+                Token::Int(n) => Some(Limit::Count(usize::try_from(n).unwrap_or(usize::MAX))),
                 Token::Param => {
                     let idx = self.params;
                     self.params += 1;
@@ -609,9 +609,18 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.consume_if(&Token::Minus) {
+            // A negative integer literal folds here, where its magnitude may
+            // still be 2^63 (`-9223372036854775808` is `i64::MIN`).
+            if let Some(&Token::Int(n)) = self.peek() {
+                self.pos += 1;
+                return 0i64
+                    .checked_sub_unsigned(n)
+                    .map(|i| Expr::Literal(Value::Int(i)))
+                    .ok_or_else(|| Error::parse(format!("integer literal -{n} exceeds INT")));
+            }
             let inner = self.parse_unary()?;
             return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Int(i)) if i != i64::MIN => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Double(d)) => Expr::Literal(Value::Double(-d)),
                 other => Expr::Arith(
                     ArithOp::Sub,
@@ -626,7 +635,9 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr> {
         let tok = self.next()?;
         match tok {
-            Token::Int(i) => Ok(Expr::Literal(Value::Int(i))),
+            Token::Int(n) => i64::try_from(n)
+                .map(|i| Expr::Literal(Value::Int(i)))
+                .map_err(|_| Error::parse(format!("integer literal {n} exceeds INT"))),
             Token::Float(x) => Ok(Expr::Literal(Value::Double(x))),
             Token::Str(s) => Ok(Expr::Literal(Value::Text(s.into()))),
             Token::Param => {

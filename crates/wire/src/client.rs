@@ -7,7 +7,10 @@
 //! `pool.get()?` and the call sites do not change. Statements are SQL text
 //! (resolved through the server's statement cache) or [`RemoteStatement`]
 //! handles returned by [`Client::prepare`]; handles are scoped to the
-//! connection that prepared them.
+//! connection that prepared them. [`Client::transaction`] returns a
+//! [`RemoteTransaction`]: the connection itself with the transaction open,
+//! adding only `commit()` and `rollback()` — the remote twin of
+//! [`relstore::Transaction`], which is its session.
 //!
 //! [`ClientPool`] keeps up to `capacity` connections to one server, blocks
 //! callers when all are checked out, and discards (rather than reuses) any
@@ -19,6 +22,7 @@ use crate::protocol::{self, frame_into, read_frame_into, Request, Response, Stmt
 use relstore::{Error, ExecResult, FromRow, FromValue, IntoParams, QueryResult, Result, Row};
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -355,10 +359,7 @@ impl Client {
     /// server rolls back when the socket closes).
     pub fn transaction(&mut self) -> Result<RemoteTransaction<'_>> {
         self.begin()?;
-        Ok(RemoteTransaction {
-            client: self,
-            open: true,
-        })
+        Ok(RemoteTransaction(self))
     }
 
     /// Runs `f` up to `attempts` times via [`relstore::retry_with_backoff`]
@@ -416,96 +417,47 @@ impl Drop for Client {
     }
 }
 
-/// An RAII transaction guard over a [`Client`], mirroring
-/// [`relstore::Transaction`]: statements run inside the transaction,
-/// `commit()` consumes the guard, and dropping it rolls back.
+/// An RAII transaction guard: its [`Client`] with the transaction open,
+/// mirroring [`relstore::Transaction`]. The guard derefs (mutably) to the
+/// connection, so statements run through the client's methods, inside the
+/// transaction; `commit()` and `rollback()` consume the guard, and dropping
+/// it rolls back whenever the server reports the transaction still open.
+/// SQL `BEGIN` through the guard is an "already open" error; SQL `COMMIT`
+/// commits, after which `commit()` is a "no open transaction" error and the
+/// drop does nothing.
 #[derive(Debug)]
-pub struct RemoteTransaction<'a> {
-    client: &'a mut Client,
-    open: bool,
-}
+pub struct RemoteTransaction<'a>(&'a mut Client);
 
-impl<'a> RemoteTransaction<'a> {
-    /// Executes one statement inside the transaction.
-    pub fn execute<S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        params: P,
-    ) -> Result<ExecResult> {
-        self.client.execute(stmt, params)
-    }
-
-    /// Executes a SELECT inside the transaction.
-    pub fn query<S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        params: P,
-    ) -> Result<QueryResult> {
-        self.client.query(stmt, params)
-    }
-
-    /// Executes a SELECT and decodes every row into `T`.
-    pub fn query_as<T: FromRow, S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        params: P,
-    ) -> Result<Vec<T>> {
-        self.client.query_as(stmt, params)
-    }
-
-    /// Executes a SELECT and decodes the first row, if any.
-    pub fn query_one<T: FromRow, S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        params: P,
-    ) -> Result<Option<T>> {
-        self.client.query_one(stmt, params)
-    }
-
-    /// Executes a single-column SELECT and decodes each row's value.
-    pub fn query_scalars<T: FromValue, S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        params: P,
-    ) -> Result<Vec<T>> {
-        self.client.query_scalars(stmt, params)
-    }
-
-    /// Executes a DML batch inside the transaction.
-    pub fn execute_batch<S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        bindings: impl IntoIterator<Item = P>,
-    ) -> Result<usize> {
-        self.client.execute_batch(stmt, bindings)
-    }
-
-    /// Executes a SELECT batch inside the transaction.
-    pub fn query_batch<S: Into<StmtRef>, P: IntoParams>(
-        &mut self,
-        stmt: S,
-        bindings: impl IntoIterator<Item = P>,
-    ) -> Result<Vec<QueryResult>> {
-        self.client.query_batch(stmt, bindings)
-    }
-
+impl RemoteTransaction<'_> {
     /// Commits the transaction, consuming the guard.
-    pub fn commit(mut self) -> Result<()> {
-        self.open = false;
-        self.client.commit()
+    pub fn commit(self) -> Result<()> {
+        self.0.commit()
     }
 
     /// Rolls the transaction back explicitly, surfacing the result.
-    pub fn rollback(mut self) -> Result<()> {
-        self.open = false;
-        self.client.rollback()
+    pub fn rollback(self) -> Result<()> {
+        self.0.rollback()
     }
 }
 
-impl<'a> Drop for RemoteTransaction<'a> {
+impl Deref for RemoteTransaction<'_> {
+    type Target = Client;
+
+    fn deref(&self) -> &Client {
+        self.0
+    }
+}
+
+impl DerefMut for RemoteTransaction<'_> {
+    fn deref_mut(&mut self) -> &mut Client {
+        self.0
+    }
+}
+
+impl Drop for RemoteTransaction<'_> {
     fn drop(&mut self) {
-        if self.open {
-            let _ = self.client.rollback();
+        if self.0.in_transaction() {
+            let _ = self.0.rollback();
         }
     }
 }

@@ -22,8 +22,11 @@
 //! * a **blocking client and pool** (`client`): [`Client`] mirrors the
 //!   typed [`Session`](relstore::Session) surface (tuple [`IntoParams`]
 //!   parameters, [`FromRow`] decoding, `execute_batch`, `with_retries`,
-//!   RAII [`RemoteTransaction`] guards), so service code is
-//!   transport-agnostic; [`ClientPool`] bounds and reuses connections.
+//!   RAII transaction guards), so service code is transport-agnostic;
+//!   [`ClientPool`] bounds and reuses connections. A guard
+//!   ([`RemoteTransaction`]) is its connection with the transaction open:
+//!   it derefs to the [`Client`] and adds only `commit()` and `rollback()`,
+//!   just as a [`relstore::Transaction`] is its session.
 //!
 //! [`IntoParams`]: relstore::IntoParams
 //! [`FromRow`]: relstore::FromRow
@@ -51,8 +54,9 @@
 //! assert_eq!(running.len(), 8);
 //! assert_eq!(running[0], (0, "alice".to_string()));
 //!
-//! // Transactions are RAII guards; a dropped guard — or a dropped
-//! // connection — rolls back server-side.
+//! // A transaction guard is the connection with the transaction open:
+//! // statements go through the client's own methods, and a dropped guard —
+//! // or a dropped connection — rolls back server-side.
 //! {
 //!     let mut txn = client.transaction()?;
 //!     txn.execute("DELETE FROM jobs", ())?;

@@ -204,8 +204,6 @@ pub struct LargeClusterExperiment {
     pub submitted: u64,
     /// Jobs completed by the end of the observation window.
     pub completed: u64,
-    /// Connection-pool high-water mark (bounded by the pool size).
-    pub pool_high_water: usize,
     /// Number of DBMS maintenance (checkpoint) runs observed.
     pub checkpoints: u64,
 }
@@ -216,8 +214,8 @@ impl LargeClusterExperiment {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "CondorJ2 large cluster: {} virtual machines, {} jobs submitted, {} completed, pool high-water {}, {} checkpoints",
-            self.virtual_machines, self.submitted, self.completed, self.pool_high_water, self.checkpoints
+            "CondorJ2 large cluster: {} virtual machines, {} jobs submitted, {} completed, {} checkpoints",
+            self.virtual_machines, self.submitted, self.completed, self.checkpoints
         );
         fmt_series_header(
             &mut out,
@@ -285,7 +283,6 @@ pub fn large_cluster_experiment(scale: Scale, seed: u64) -> LargeClusterExperime
         cpu_series,
         submitted: report.submitted,
         completed: report.completed,
-        pool_high_water: report.pool_high_water,
         checkpoints: report.db_stats.checkpoints,
     }
 }

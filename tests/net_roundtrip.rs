@@ -246,10 +246,6 @@ fn dropped_connection_mid_transaction_rolls_back() {
     server.shutdown();
 }
 
-/// Pool behaviour: healthy connections are reused, broken or mid-transaction
-/// ones are discarded, and `with_retries` takes a fresh connection per
-/// attempt. Admission control turns away clients beyond the limit with a
-/// retryable busy handshake.
 /// What the parity script needs from a transport: the calls below are the
 /// whole difference between driving a [`Session`] and a [`Client`].
 trait Transport {
@@ -404,6 +400,219 @@ fn wire_and_embedded_sessions_are_indistinguishable() {
     assert_eq!(embedded_after.len(), 3, "the abandoned delete rolled back");
 }
 
+/// What the guard-parity script needs from a transport: a transaction
+/// guard, and plain statements outside it to observe what the guard left.
+trait GuardHost {
+    type Guard<'g>: GuardOps
+    where
+        Self: 'g;
+    fn guard(&mut self) -> relstore::Result<Self::Guard<'_>>;
+    fn observe(&mut self, sql: &str) -> relstore::Result<ExecResult>;
+}
+
+/// The guard's side: statements through it, its transaction state, and
+/// the consuming `commit`.
+trait GuardOps {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult>;
+    fn txn_open(&self) -> bool;
+    fn finish(self) -> relstore::Result<()>;
+}
+
+impl GuardHost for &Database {
+    type Guard<'g>
+        = relstore::Transaction<'g>
+    where
+        Self: 'g;
+    fn guard(&mut self) -> relstore::Result<relstore::Transaction<'_>> {
+        Ok(self.transaction())
+    }
+    fn observe(&mut self, sql: &str) -> relstore::Result<ExecResult> {
+        self.execute(sql)
+    }
+}
+
+impl GuardOps for relstore::Transaction<'_> {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        self.execute(sql, params)
+    }
+    fn txn_open(&self) -> bool {
+        self.in_transaction()
+    }
+    fn finish(self) -> relstore::Result<()> {
+        self.commit()
+    }
+}
+
+impl GuardHost for Client {
+    type Guard<'g> = wire::RemoteTransaction<'g>;
+    fn guard(&mut self) -> relstore::Result<wire::RemoteTransaction<'_>> {
+        self.transaction()
+    }
+    fn observe(&mut self, sql: &str) -> relstore::Result<ExecResult> {
+        self.execute(sql, ())
+    }
+}
+
+impl GuardOps for wire::RemoteTransaction<'_> {
+    fn run(&mut self, sql: &str, params: Vec<Value>) -> relstore::Result<ExecResult> {
+        self.execute(sql, params)
+    }
+    fn txn_open(&self) -> bool {
+        self.in_transaction()
+    }
+    fn finish(self) -> relstore::Result<()> {
+        self.commit()
+    }
+}
+
+/// Four guards: one that sees its own write, refuses `BEGIN`, commits by
+/// SQL and then refuses `commit()`; one committed by SQL and dropped; one
+/// dropped with a pending delete; one committed by `commit()`. Every
+/// outcome is recorded with the guard's transaction state after it (`None`
+/// for an observation outside any guard).
+fn run_guard_script(
+    host: &mut impl GuardHost,
+) -> Vec<(relstore::Result<ExecResult>, Option<bool>)> {
+    let all = "SELECT * FROM jobs ORDER BY job_id";
+    let mut seen = Vec::new();
+    let done = |r: relstore::Result<()>| r.map(|()| ExecResult::Ack);
+    {
+        let mut g = host.guard().unwrap();
+        for (sql, params) in [
+            (
+                "INSERT INTO jobs VALUES (?, ?)",
+                vec![10i64.into(), "idle".into()],
+            ),
+            (
+                "SELECT state FROM jobs WHERE job_id = ?",
+                vec![10i64.into()],
+            ),
+            ("BEGIN", vec![]),
+            ("COMMIT", vec![]),
+        ] {
+            seen.push((g.run(sql, params), Some(g.txn_open())));
+        }
+        seen.push((done(g.finish()), None));
+    }
+    seen.push((host.observe(all), None));
+    {
+        let mut g = host.guard().unwrap();
+        seen.push((
+            g.run("UPDATE jobs SET state = 'held' WHERE job_id = 1", vec![]),
+            Some(g.txn_open()),
+        ));
+        seen.push((g.run("COMMIT", vec![]), Some(g.txn_open())));
+    }
+    seen.push((host.observe(all), None));
+    {
+        let mut g = host.guard().unwrap();
+        seen.push((g.run("DELETE FROM jobs", vec![]), Some(g.txn_open())));
+    }
+    seen.push((host.observe(all), None));
+    let mut g = host.guard().unwrap();
+    seen.push((
+        g.run("INSERT INTO jobs VALUES (11, 'idle')", vec![]),
+        Some(g.txn_open()),
+    ));
+    seen.push((done(g.finish()), None));
+    seen.push((host.observe(all), None));
+    seen
+}
+
+/// SQL transaction control through a guard acts as it does on the guard's
+/// session or connection, and the same script through `db.transaction()`
+/// and through `client.transaction()` gives the same outcome at every step.
+#[test]
+fn transaction_guards_agree_across_transports() {
+    let fresh = || {
+        let db = Arc::new(Database::new());
+        db.execute("CREATE TABLE jobs (job_id INT PRIMARY KEY, state TEXT)")
+            .unwrap();
+        db.execute("INSERT INTO jobs VALUES (1, 'idle')").unwrap();
+        db
+    };
+    let embedded_db = fresh();
+    let embedded = run_guard_script(&mut &*embedded_db);
+
+    let wire_db = fresh();
+    let server = serve(Arc::clone(&wire_db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let remote = run_guard_script(&mut client);
+    drop(client);
+    server.shutdown();
+
+    assert_eq!(remote.len(), embedded.len());
+    for (i, (remote, embedded)) in remote.iter().zip(&embedded).enumerate() {
+        assert_eq!(remote, embedded, "step {i} diverged between transports");
+    }
+
+    // The script exercised what it claims to.
+    let rows = |i: usize| match &embedded[i].0 {
+        Ok(ExecResult::Query(q)) => q.rows.len(),
+        other => panic!("step {i} is not a query: {other:?}"),
+    };
+    assert_eq!(rows(1), 1, "a guard sees its own write");
+    assert!(
+        matches!(&embedded[2], (Err(Error::Type(_)), Some(true))),
+        "BEGIN in a guard"
+    );
+    assert_eq!(
+        embedded[3],
+        (Ok(ExecResult::Ack), Some(false)),
+        "SQL COMMIT in a guard"
+    );
+    assert!(
+        matches!(&embedded[4].0, Err(Error::Type(_))),
+        "commit() after SQL COMMIT"
+    );
+    assert_eq!(rows(5), 2, "the SQL COMMIT applied the insert");
+    let held = wire_db
+        .query("SELECT state FROM jobs WHERE job_id = 1")
+        .unwrap();
+    assert_eq!(
+        held.first_value("state"),
+        Some(&Value::from("held")),
+        "a guard dropped after SQL COMMIT keeps it"
+    );
+    assert_eq!(embedded[9].0, Ok(ExecResult::Affected(2)));
+    assert_eq!(embedded[10].0, embedded[8].0, "a dropped guard rolls back");
+    assert_eq!(rows(13), 3);
+    assert_eq!(
+        embedded_db
+            .query("SELECT * FROM jobs ORDER BY job_id")
+            .unwrap(),
+        wire_db.query("SELECT * FROM jobs ORDER BY job_id").unwrap()
+    );
+}
+
+/// INT overflow is the engine's typed error over the wire too: the server
+/// neither panics nor drops the connection, which keeps serving.
+#[test]
+fn int_overflow_is_a_typed_error_over_the_wire() {
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, -9223372036854775807)").unwrap();
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (sql, params) in [
+        ("SELECT ? / -1 FROM t", vec![Value::Int(i64::MIN)]),
+        ("SELECT (v - 1) / -1 FROM t", vec![]),
+        ("UPDATE t SET v = v - 2", vec![]),
+    ] {
+        let err = client.execute(sql, params).unwrap_err();
+        assert!(matches!(&err, Error::Type(m) if m.contains("integer overflow")), "{sql}: {err}");
+    }
+    assert!(!client.is_broken());
+    let v: Vec<i64> = client.query_scalars("SELECT v FROM t", ()).unwrap();
+    assert_eq!(v, vec![-9_223_372_036_854_775_807], "the failed UPDATE applied nothing");
+    drop(client);
+    server.shutdown();
+}
+
+/// Pool behaviour: healthy connections are reused, broken or mid-transaction
+/// ones are discarded, and `with_retries` takes a fresh connection per
+/// attempt. Admission control turns away clients beyond the limit with a
+/// retryable busy handshake.
 #[test]
 fn pool_reuse_discard_and_admission_control() {
     let db = Arc::new(Database::new());
@@ -632,7 +841,7 @@ fn client_query_of_a_non_select_is_the_session_error() {
     db.execute("CREATE TABLE t (id INT PRIMARY KEY)").unwrap();
     let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let mut session = db.session();
+    let session = db.session();
 
     let insert = "INSERT INTO t VALUES (?)";
     let remote = client.query(insert, (1i64,)).unwrap_err();
