@@ -21,8 +21,8 @@ use relstore::sql::ast::SelectStmt;
 use relstore::sql::{parse, Statement};
 use relstore::table::Table;
 use relstore::{
-    Column, DataType, Database, Governor, OpStats, QueryResult, Row, RowId, Schema, Snapshot,
-    TxnId, Value,
+    Column, DataType, Database, Error, Governance, Governor, OpStats, QueryResult, Row, RowId,
+    Schema, Snapshot, TxnId, Value,
 };
 
 const JOB_ARITY: usize = 4; // job_id, owner, state, runtime
@@ -1911,6 +1911,87 @@ fn every_access_shape_reads_exactly_what_it_did() {
                 explained.map(str::to_string)
             )
         })
+        .collect();
+    assert_eq!(got, want, "\n{}", got.join("\n"));
+}
+
+/// The smallest budget under which `sql` succeeds: `budget(n)` arms a
+/// limit of `n`. Each attempt runs cold — `set_force_scan(false)` starts a
+/// new plan generation, so no hash build side is reused from the last.
+fn smallest_budget(db: &Database, sql: &str, budget: impl Fn(u64) -> Governance) -> u64 {
+    let fits = |n: u64| {
+        db.set_force_scan(false);
+        match db.session().with_governance(budget(n)).query(sql, ()) {
+            Ok(_) => true,
+            Err(Error::ResourceExhausted(_)) => false,
+            Err(e) => panic!("{sql}: {e}"),
+        }
+    };
+    let (mut lo, mut hi) = (0, 1 << 20);
+    assert!(fits(hi), "{sql} fits no budget");
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if fits(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// What every SELECT shape charges the governor: the smallest `max_rows`
+/// and the smallest `max_bytes` under which it succeeds, beside the rows
+/// it returns. The shapes are those `every_access_shape_reads_exactly_what_it_did`
+/// reads plus one of each way a SELECT folds, sorts, cuts, filters and
+/// rewrites. An aggregate charges what feeds it, never its output rows, so
+/// a single-table aggregate charges nothing. A changed number here is a
+/// changed charge: a row or tuple charged that was not, or the reverse.
+#[test]
+fn every_select_shape_charges_exactly_what_it_did() {
+    let db = access_db();
+    let groupjoin = "SELECT c.label, COUNT(*), SUM(a.val) FROM a JOIN c ON a.grp = c.id GROUP BY c.label";
+    let plan = db.query(&format!("EXPLAIN {groupjoin}")).unwrap();
+    assert!(text(plan.rows[1].get(2)).ends_with(", fold GROUP BY into build rows"), "{plan:?}");
+    // (statement, rows returned, smallest max_rows, smallest max_bytes)
+    type Shape = (&'static str, usize, u64, u64);
+    let shapes: [Shape; 16] = [
+        ("SELECT * FROM a WHERE id = 5", 1, 1, 96),
+        ("SELECT * FROM a WHERE grp = 3", 10, 10, 960),
+        ("SELECT id FROM a WHERE id >= 10 AND id < 20", 10, 10, 480),
+        ("SELECT id FROM a WHERE val = 3", 14, 14, 672),
+        ("SELECT id FROM a ORDER BY id LIMIT 5", 5, 5, 240),
+        ("SELECT id FROM q WHERE state = 'idle' ORDER BY id LIMIT 5", 5, 5, 240),
+        ("SELECT COUNT(*) FROM a WHERE grp = 4", 1, 0, 0),
+        ("SELECT a.id, c.label FROM a JOIN c ON a.grp = c.id", 40, 184, 18780),
+        ("SELECT * FROM a JOIN b ON a.id = b.aid WHERE a.id = 5", 10, 21, 2976),
+        ("SELECT c.id, a.id FROM c JOIN a ON c.id > a.grp WHERE a.id < 20", 12, 48, 4848),
+        ("SELECT grp, COUNT(*), SUM(val) FROM a GROUP BY grp", 10, 0, 0),
+        (groupjoin, 1, 144, 15780),
+        ("SELECT * FROM b LIMIT 3", 3, 3, 216),
+        ("SELECT id, val FROM a WHERE grp = 2 ORDER BY val DESC", 10, 10, 720),
+        (
+            "SELECT a.id, b.id FROM a JOIN b ON a.id = b.aid WHERE a.grp = 3 AND b.id > a.val * 100",
+            68, 178, 20256,
+        ),
+        ("SELECT id FROM a WHERE grp IN (SELECT id FROM c) AND val = 1", 6, 10, 480),
+    ];
+    let mut got = Vec::new();
+    for (sql, ..) in shapes {
+        let returned = db.query(sql).unwrap().len();
+        let rows = smallest_budget(&db, sql, |n| Governance {
+            max_rows: Some(n),
+            ..Governance::default()
+        });
+        let bytes = smallest_budget(&db, sql, |n| Governance {
+            max_bytes: Some(n),
+            ..Governance::default()
+        });
+        got.push(format!("(\"{sql}\", {returned}, {rows}, {bytes}),"));
+    }
+    let want: Vec<String> = shapes
+        .iter()
+        .map(|(sql, returned, rows, bytes)| format!("(\"{sql}\", {returned}, {rows}, {bytes}),"))
         .collect();
     assert_eq!(got, want, "\n{}", got.join("\n"));
 }
