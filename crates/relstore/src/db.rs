@@ -954,9 +954,10 @@ impl Database {
     /// [`Database::plan_gen`] (DDL, `ANALYZE`, planner-knob change) is
     /// replanned from scratch.
     ///
-    /// Single-table selects never touch the cell — their access path is
-    /// chosen per execution, allocation-free, so caching would only add a
-    /// lock to the point-select hot path.
+    /// A single-table select is the pipeline with no join step and never
+    /// touches the cell: it is not planned, its access path is chosen per
+    /// execution, allocation-free, so caching would only add a lock to the
+    /// point-select hot path.
     #[allow(clippy::too_many_arguments)]
     fn run_select_planned(
         &self,

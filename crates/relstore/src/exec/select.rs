@@ -1,48 +1,62 @@
-//! SELECT execution: plan-driven access paths and joins, subquery
-//! rewriting, filtering, sorting, projection; plus the shared row-matching
-//! helper used by UPDATE/DELETE.
+//! SELECT execution: one pipeline for every SELECT, subquery rewriting,
+//! sorting and projection; plus the shared row-matching helper used by
+//! UPDATE/DELETE.
+//!
+//! **One pipeline.** A SELECT is a base access, zero or more join steps in
+//! planned order, and one sink. Each producer pushes its tuples into the
+//! next stage, and the last producer — the base for a single table, else
+//! the last join step — feeds the sink through the residual filter (the
+//! push-based pipeline of Neumann, PVLDB 2011). A single table is the
+//! pipeline with no step: it is not planned, its path is chosen per
+//! execution, and its rows go from the read straight into the sink. Only
+//! the base reads the ordered walk's head or counts a posting list, and
+//! only a single table's path is ever either.
 //!
 //! Every table is read the same way: an [`AccessPath`] from the planner's
 //! one chooser ([`choose_access`]: per execution for a single table, cached
 //! in the plan for a join's inputs) handed to the one streamer, which keys
 //! the path from the filter and falls back to a full scan where it cannot.
-//! Execution is driven by the planner in [`crate::plan`]: joins run in the
-//! planned order, each by the strategy the planner costed — for a
-//! single-equality `ON`, a hash join (build a map of the right table) or an
-//! index-nested-loop join (probe the right table's index once per left row,
-//! re-checking the equality on the version the snapshot sees, since index
-//! entries cover every retained version); a nested loop over the full `ON`
-//! otherwise — with single-table WHERE conjuncts pushed down to each
-//! input, and the full filter re-applied afterwards as a correctness
-//! backstop. Subqueries in WHERE are executed first and spliced back in as
-//! literals / `IN` lists, so the rest of the pipeline never sees them.
+//! Joins run in the planned order, each by the strategy the planner costed
+//! — for a single-equality `ON`, a hash join (build a map of the right
+//! table) or an index-nested-loop join (probe the right table's index once
+//! per left row, re-checking the equality on the version the snapshot sees,
+//! since index entries cover every retained version); a nested loop over
+//! the full `ON` otherwise — with single-table WHERE conjuncts pushed down
+//! to each input, and the full filter re-applied as the residual, a
+//! correctness backstop. Subqueries in WHERE are executed first and spliced
+//! back in as literals / `IN` lists, so the pipeline never sees them.
 //!
-//! **Rows stay where they are.** What flows between the operators is a
+//! **Three sinks.** An aggregate folds the survivors into the
+//! [`Aggregator`]. A single table's `SELECT *` with no ORDER BY — the
+//! service-call point select — clones them straight to the output and
+//! stops at LIMIT. Anything else collects their references, which sort,
+//! limit and projection then turn into the rows returned.
+//!
+//! **Rows stay where they are.** What flows between the stages is a
 //! *tuple*: one `&Row` per table read so far, borrowed from the table heap
-//! (or from a hash-join build side). A single-table statement's tuples are
-//! the [`StoredRowRef`]s its access path streams; a join appends one
-//! reference per step to a flat `Vec<&Row>`, so joining copies pointers,
-//! never values. Every expression — pushed-down and residual filters, `ON`
-//! predicates, projections, sort keys, grouping columns, aggregate inputs —
-//! is bound once per execution ([`Expr::bind`]) to (slot, ordinal)
-//! addresses into the tuple and evaluated against the borrow. The rows
-//! the executor allocates are the ones it returns, plus the owned build
-//! side of a hash join (kept owned so a prepared statement can reuse it
-//! across executions); `OpStats::rows_materialized` counts exactly those.
+//! (or from a hash-join build side). A join step appends one reference per
+//! step to a flat `Vec<&Row>`, so joining copies pointers, never values,
+//! and the last step collects nothing. Every expression — pushed-down and
+//! residual filters, `ON` predicates, projections, sort keys, grouping
+//! columns, aggregate inputs — is bound once per execution
+//! ([`Expr::bind`]) to (slot, ordinal) addresses into the tuple and
+//! evaluated against the borrow. The rows the executor allocates are the
+//! ones it returns, plus the owned build side of a hash join (kept owned so
+//! a prepared statement can reuse it across executions);
+//! `OpStats::rows_materialized` counts exactly those.
 //!
 //! Aggregates go further and fold where the data already is. A GROUP BY
 //! whose every column belongs to the table of the last join step, when
-//! that step is a hash join, is a *groupjoin*: the probe loop folds each
-//! match straight into its group's states — no tuple vector is built — and
-//! each build row is mapped to its group once, the first time it matches,
-//! after which its matches reach their group by the build row's dense
-//! number ([`CachedBuild`] numbers them), no group key hashed per tuple.
-//! And `COUNT(*) … WHERE <indexed column> = <key>` on its point lookup
-//! counts the posting list ([`Table::count_postings`]) without reading the
-//! rows. Both are replacements inside the operators they speed up: every
-//! row read, tuple charged, governor tick and statistic stays what the
-//! general path would have recorded (the count ticks once per posting
-//! entry), and EXPLAIN says which path ran.
+//! that step is a hash join, is a *groupjoin*: the step hands the sink
+//! each match's build row by its dense number ([`CachedBuild`] numbers
+//! them), and the sink maps each build row to its group once, the first
+//! time it survives, so no group key is hashed per match. And
+//! `COUNT(*) … WHERE <indexed column> = <key>` on its point lookup counts
+//! the posting list ([`Table::count_postings`]) without reading the rows.
+//! Both are replacements inside the stages they speed up: every row read,
+//! tuple charged, governor tick and statistic stays what the general path
+//! would have recorded (the count ticks once per posting entry), and
+//! EXPLAIN says which path ran.
 //! Output column names are `Arc<str>`s interned on the table, bare and
 //! `table.column`-qualified, so no name is formatted per execution either.
 
@@ -182,12 +196,13 @@ fn rewrite_subqueries(
 }
 
 /// Planner/executor knobs threaded from the database layer. `Default` is
-/// the standalone behaviour: plan per execution, reorder joins, no build
+/// the standalone behaviour: no plan handed in, joins reordered, no build
 /// cache, no profiling.
 #[derive(Default)]
 pub struct ExecOptions<'a> {
-    /// Execute this pre-built plan instead of planning now (plan cache,
-    /// EXPLAIN ANALYZE).
+    /// Execute this pre-built plan (plan cache, EXPLAIN ANALYZE). Without
+    /// one a join is planned per execution, and a single table is not
+    /// planned at all: its path is chosen per execution.
     pub plan: Option<&'a SelectPlan>,
     /// Cached hash-join build sides, parallel to the plan's steps: valid
     /// slots are reused, rebuilt ones are written back.
@@ -195,11 +210,11 @@ pub struct ExecOptions<'a> {
     /// Collect per-operator actuals (EXPLAIN ANALYZE).
     pub profile: Option<&'a mut PlanProfile>,
     /// Keep joins in syntactic order (oracle / bench baseline). Only
-    /// consulted when `plan` is `None`.
+    /// consulted when a join is planned here, without `plan`.
     pub no_reorder: bool,
     /// Read every table by a full scan (oracle / bench baseline). Only
-    /// consulted when `plan` is `None`: a plan carries the paths it was
-    /// chosen with.
+    /// consulted without `plan`: a plan carries the paths it was chosen
+    /// with.
     pub force_scan: bool,
 }
 
@@ -343,14 +358,15 @@ fn output_rows(
     })
 }
 
-/// Streams `rows` through `pred`, handing each survivor to `each`; every
-/// row visited is a cancellation point. Returns the number visited.
+/// Streams `rows` through `pred`, handing each survivor to `each` until it
+/// returns `false`; every row visited is a cancellation point. Returns the
+/// number visited.
 fn for_each_match<'a>(
     rows: RowIter<'a>,
     pred: Option<&BoundExpr<'_>>,
     params: &[Value],
     gov: &mut Governor,
-    mut each: impl FnMut(StoredRowRef<'a>, &mut Governor) -> Result<()>,
+    mut each: impl FnMut(StoredRowRef<'a>, &mut Governor) -> Result<bool>,
 ) -> Result<u64> {
     let mut visited = 0;
     for stored in rows {
@@ -360,11 +376,135 @@ fn for_each_match<'a>(
             Some(p) => p.matches(&[stored.row], params)?,
             None => true,
         };
-        if keep {
-            each(stored, gov)?;
+        if keep && !each(stored, gov)? {
+            break;
         }
     }
     Ok(visited)
+}
+
+/// Marks a build row whose group a groupjoin has not looked up yet.
+const UNMAPPED: usize = usize::MAX;
+
+/// Where every pipeline ends: what becomes of the tuples that pass the
+/// residual filter.
+enum Sink<'r> {
+    /// Fold into the aggregate. For a groupjoin the second field holds one
+    /// group number per build row of the last hash step, looked up the
+    /// first time the row survives, so its later matches reach their group
+    /// by the row's dense number ([`CachedBuild`] numbers them) with no
+    /// group key hashed; otherwise it is empty.
+    Fold(Aggregator<'r>, Vec<usize>),
+    /// Keep the references until sort and limit have decided which rows
+    /// are worth allocating.
+    Collect(Vec<&'r Row>),
+    /// `SELECT *` of one table with no ORDER BY, not profiled: clone each
+    /// survivor straight to the output, charged as the row it is, and stop
+    /// at the limit. This is the shape of the service-call point select,
+    /// so it allocates the result rows and nothing else.
+    Clone(Vec<Row>, usize),
+}
+
+impl<'r> Sink<'r> {
+    /// True once a `Clone` sink holds its limit.
+    fn full(&self) -> bool {
+        matches!(self, Sink::Clone(rows, limit) if rows.len() >= *limit)
+    }
+
+    /// Takes one surviving tuple; `build` numbers its row of the last
+    /// step's hash build side. Returns whether more are wanted.
+    fn push(&mut self, tuple: &[&'r Row], build: Option<usize>, gov: &mut Governor) -> Result<bool> {
+        match self {
+            Sink::Fold(agg, build_groups) => match build.and_then(|b| build_groups.get_mut(b)) {
+                Some(group) => {
+                    if *group == UNMAPPED {
+                        *group = agg.group_of(tuple);
+                    }
+                    agg.fold(*group, tuple)?;
+                }
+                None => agg.push(tuple)?,
+            },
+            Sink::Collect(rows) => rows.extend_from_slice(tuple),
+            Sink::Clone(rows, _) => {
+                let row = tuple[0];
+                gov.charge_row(|| approx_row_bytes(row))?;
+                rows.push(row.clone());
+            }
+        }
+        Ok(!self.full())
+    }
+}
+
+/// The end of every pipeline: the residual filter, the sink, and the
+/// count of tuples that reached it.
+struct Tail<'r, 'e> {
+    residual: Option<&'e BoundExpr<'e>>,
+    sink: Sink<'r>,
+    kept: u64,
+}
+
+impl<'r> Tail<'r, '_> {
+    /// Hands a survivor to the sink. Returns whether more are wanted.
+    fn take(&mut self, tuple: &[&'r Row], build: Option<usize>, gov: &mut Governor) -> Result<bool> {
+        self.kept += 1;
+        self.sink.push(tuple, build, gov)
+    }
+
+    /// Takes a tuple of the last join step through the residual filter
+    /// into the sink. The filter and a fold each tick the governor, as the
+    /// passes over collected tuples they replace did; a single table's
+    /// base applies the filter as it reads, under the read's own tick.
+    fn offer(
+        &mut self,
+        tuple: &[&'r Row],
+        build: Option<usize>,
+        params: &[Value],
+        gov: &mut Governor,
+    ) -> Result<()> {
+        if let Some(filter) = self.residual {
+            gov.tick()?;
+            if !filter.matches(tuple, params)? {
+                return Ok(());
+            }
+        }
+        if let Sink::Fold(..) = self.sink {
+            gov.tick()?;
+        }
+        self.take(tuple, build, gov).map(drop)
+    }
+}
+
+/// A join step's output. Each tuple `left ++ [right]` is charged against
+/// the governor's budgets as the row it stands for, then collected for the
+/// next step or — from the last step, which collects nothing — handed on
+/// to the tail at once.
+struct Emitter<'r, 't, 'e> {
+    tuples: Vec<&'r Row>,
+    /// Tuples made: the step's `actual_rows`.
+    made: u64,
+    tail: Option<&'t mut Tail<'r, 'e>>,
+}
+
+impl<'r> Emitter<'r, '_, '_> {
+    fn emit(
+        &mut self,
+        left: &[&'r Row],
+        right: &'r Row,
+        build: Option<usize>,
+        params: &[Value],
+        gov: &mut Governor,
+    ) -> Result<()> {
+        let mark = self.tuples.len();
+        self.tuples.extend_from_slice(left);
+        self.tuples.push(right);
+        gov.charge_row(|| approx_tuple_bytes(&self.tuples[mark..]))?;
+        self.made += 1;
+        if let Some(tail) = self.tail.as_deref_mut() {
+            tail.offer(&self.tuples[mark..], build, params, gov)?;
+            self.tuples.truncate(mark);
+        }
+        Ok(())
+    }
 }
 
 /// Executes a SELECT statement against the catalog, resolving `?`
@@ -372,7 +512,11 @@ fn for_each_match<'a>(
 /// execution never clones the statement) and row visibility against `vis`,
 /// the caller's MVCC snapshot. `opts` carries the planner/executor knobs
 /// the database layer sets for cached plans, EXPLAIN ANALYZE profiling and
-/// oracle baselines; `ExecOptions::default()` plans per execution.
+/// oracle baselines; `ExecOptions::default()` plans a join per execution.
+///
+/// Every SELECT is one pipeline: the base access, the join steps in
+/// planned order, and one sink fed by the last producer — the base for a
+/// single table, else the last step — through the residual filter.
 pub fn execute_select_opts(
     catalog: &Catalog,
     stmt: &SelectStmt,
@@ -382,6 +526,13 @@ pub fn execute_select_opts(
     gov: &mut Governor,
     opts: ExecOptions<'_>,
 ) -> Result<QueryResult> {
+    let ExecOptions {
+        plan,
+        mut builds,
+        mut profile,
+        no_reorder,
+        force_scan,
+    } = opts;
     let base = get_table(catalog, &stmt.table)?;
     // Bound before any row is read: a bad `LIMIT ?` fails the statement
     // whichever path it would have taken.
@@ -396,53 +547,364 @@ pub fn execute_select_opts(
         Some(f) => Some(Cow::Borrowed(f)),
         None => None,
     };
-    if stmt.joins.is_empty() {
-        // A single-table path is chosen per execution, against this
-        // execution's filter and bindings, unless a plan is handed in.
-        let path = match opts.plan {
-            Some(plan) => plan.base.path,
-            None => {
-                let order = walk_order(stmt, limit);
-                choose_access(base, filter.as_deref(), order, params, opts.force_scan).path
-            }
-        };
-        execute_single_table(
-            base,
-            stmt,
-            filter.as_deref(),
-            limit,
-            path,
-            params,
-            vis,
-            stats,
-            gov,
-            opts.profile,
-        )
+    let filter = filter.as_deref();
+
+    // A single table is the plan with no join step. Unless a plan is handed
+    // in it is not planned: its path is chosen per execution, against this
+    // execution's filter and bindings. Its base reads the whole filter; a
+    // join's base, its pushed-down conjuncts.
+    let planned;
+    let plan = match plan {
+        None if !stmt.joins.is_empty() => {
+            planned = plan_select(catalog, stmt, params, !no_reorder, force_scan)?;
+            stats.plans_built += 1;
+            Some(&planned)
+        }
+        plan => plan,
+    };
+    let steps = plan.map_or(&[][..], |p| &p.steps);
+    let (path, base_filter) = match plan {
+        Some(p) if !steps.is_empty() => (p.base.path, p.base_pushdown.as_ref()),
+        Some(p) => (p.base.path, filter),
+        None => (choose_access(base, filter, walk_order(stmt, limit), params, force_scan).path, filter),
+    };
+    let one = ([base], [&base.schema]);
+    let scope;
+    let layout = if steps.is_empty() {
+        Layout {
+            tables: &one.0,
+            schemas: &one.1,
+            out_slots: &[0],
+            qualified: false,
+        }
     } else {
-        let planned;
-        let plan = match opts.plan {
-            Some(p) => p,
-            None => {
-                planned = plan_select(catalog, stmt, params, !opts.no_reorder, opts.force_scan)?;
-                stats.plans_built += 1;
-                &planned
-            }
-        };
-        execute_joined(
-            catalog,
-            base,
-            stmt,
-            filter.as_deref(),
-            limit,
-            plan,
-            params,
-            vis,
-            stats,
-            gov,
-            opts.builds,
-            opts.profile,
-        )
+        let mut tables = vec![base];
+        for step in steps {
+            tables.push(get_table(catalog, &step.table)?);
+        }
+        let schemas: Vec<&Schema> = tables.iter().map(|t| &t.schema).collect();
+        // Syntactic slot order, whatever order the planner executed the
+        // joins in: `SELECT *` and positional consumers never see the
+        // reordering.
+        let mut out_slots = vec![0];
+        for clause in 0..steps.len() {
+            let pos = steps.iter().position(|s| s.clause == clause);
+            out_slots.push(1 + pos.expect("every join clause is planned exactly once"));
+        }
+        scope = (tables, schemas, out_slots);
+        Layout {
+            tables: &scope.0,
+            schemas: &scope.1,
+            out_slots: &scope.2,
+            qualified: true,
+        }
+    };
+    let schemas = layout.schemas;
+    if let Some(p) = profile.as_deref_mut() {
+        p.joins = vec![StepActuals::default(); steps.len()];
     }
+
+    // Hash build sides, built before any tuple borrows from them: reuse the
+    // prepared handle's cached build when it still describes exactly the
+    // rows this snapshot sees, else build an owned map (and cache it when
+    // the pushdown does not depend on `?` parameters).
+    let mut sides: Vec<Option<Arc<CachedBuild>>> = vec![None; steps.len()];
+    for (si, step) in steps.iter().enumerate() {
+        let JoinStrategy::Hash { build, .. } = &step.strategy else {
+            continue;
+        };
+        let sw = clock(&profile);
+        let right = layout.tables[si + 1];
+        let cached = builds
+            .as_ref()
+            .and_then(|b| b.get(si).cloned().flatten())
+            .filter(|c| step.cacheable && c.valid_for(right, vis));
+        sides[si] = Some(match cached {
+            Some(reused) => {
+                stats.build_reuse_hits += 1;
+                reused
+            }
+            None => {
+                let scope = &schemas[si + 1..=si + 1];
+                let key = resolve_column(scope, build)?.ord;
+                let pred = bind_pushdown(step, scope)?;
+                let mut map: FoldMap<Value, BuildBucket> = FoldMap::default();
+                let rows = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
+                for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
+                    let key = stored.row.get(key);
+                    if !key.is_null() {
+                        gov.charge_row(|| approx_row_bytes(stored.row))?;
+                        map.entry(key.clone()).or_default().rows.push(stored.row.clone());
+                        stats.rows_materialized += 1;
+                    }
+                    Ok(true)
+                })?;
+                let built = Arc::new(CachedBuild::new(right.version(), vis.clone(), map));
+                if step.cacheable {
+                    if let Some(slot) = builds.as_deref_mut().and_then(|b| b.get_mut(si)) {
+                        *slot = Some(Arc::clone(&built));
+                    }
+                }
+                built
+            }
+        });
+        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+            p.joins[si].nanos = sw.elapsed_nanos();
+        }
+    }
+
+    // The residual filter is the whole predicate over the whole tuple. A
+    // join re-checks its pushed-down conjuncts there — harmless for a
+    // conjunction, and it keeps pushdown a pure optimization; a single
+    // table's base reads with nothing else.
+    let residual = filter.map(|f| f.bind(schemas)).transpose()?;
+    let pushdown = match steps {
+        [] => None,
+        _ => base_filter.map(|p| p.bind(&schemas[..1])).transpose()?,
+    };
+    let base_pred = if steps.is_empty() { residual.as_ref() } else { pushdown.as_ref() };
+    let sink = if stmt.has_aggregates() {
+        let agg = Aggregator::new(stmt, schemas, |c| layout.label(c))?;
+        // A groupjoin: the GROUP BY folds into the last step's build rows.
+        let groupjoin = plan.is_some_and(|p| p.folds_into_build(stmt, schemas));
+        let build_rows = match sides.last() {
+            Some(Some(side)) if groupjoin => side.rows,
+            _ => 0,
+        };
+        Sink::Fold(agg, vec![UNMAPPED; build_rows])
+    } else if steps.is_empty()
+        && matches!(stmt.items.as_slice(), [SelectItem::Wildcard])
+        && stmt.order_by.is_empty()
+        && profile.is_none()
+    {
+        Sink::Clone(Vec::new(), limit.unwrap_or(usize::MAX))
+    } else {
+        Sink::Collect(Vec::new())
+    };
+    let mut tail = Tail {
+        residual: residual.as_ref(),
+        sink,
+        kept: 0,
+    };
+
+    // The base access. `ORDER BY <indexed column> LIMIT k` may be costed
+    // onto the ordered walk (a single table's path only), which hands the
+    // sink its survivors already sorted and cut. Everything else — a walk
+    // that ran out of budget included — reads the path the filter drives,
+    // and `COUNT(*) … WHERE <indexed column> = <key>` on its point lookup
+    // counts the posting list instead. Every row read is a cancellation
+    // point, and `touched` counts them.
+    let sw = clock(&profile);
+    let (head, mut touched) = ordered_head(base, path, base_pred, params, vis, stats, gov)?;
+    let sorted = head.is_some();
+    let mut rows = None;
+    if let Some(head) = head {
+        tail.kept = head.len() as u64;
+        tail.sink = Sink::Collect(head);
+    } else {
+        // A walk that gave up falls back to the filter-driven path. It was
+        // not forced: a forced chooser never picks the walk.
+        let path = match path {
+            AccessPath::Ordered { .. } => choose_access(base, base_filter, None, params, false).path,
+            filter_driven => filter_driven,
+        };
+        let count_key = match (path, base_filter) {
+            (AccessPath::Point { column, .. }, Some(f)) if counts_postings(stmt) => {
+                let name = &*base.schema.columns[column].name;
+                f.equality_lookup_on(&base.schema.name, name, params).map(|key| (column, key))
+            }
+            _ => None,
+        };
+        let postings = count_key
+            .as_ref()
+            .and_then(|(column, key)| base.count_postings(*column, key, vis, stats));
+        match (postings, &mut tail.sink) {
+            (Some(postings), Sink::Fold(agg, _)) => {
+                for counts in postings {
+                    gov.tick()?;
+                    tail.kept += u64::from(counts);
+                }
+                touched = tail.kept;
+                agg.count_rows(tail.kept);
+            }
+            // `LIMIT 0` of a cloned `SELECT *` reads nothing.
+            (_, sink) if sink.full() => {}
+            _ => rows = Some(stream(base, path, base_filter, params, vis, stats)),
+        };
+    }
+    if steps.is_empty() {
+        // The base is the last producer: it streams into the sink.
+        if let Some(rows) = rows.take() {
+            touched += for_each_match(rows, base_pred, params, gov, |stored, gov| {
+                tail.take(&[stored.row], None, gov)
+            })?;
+        }
+        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
+            p.base = StepActuals {
+                rows: touched,
+                nanos: sw.elapsed_nanos(),
+            };
+        }
+    }
+
+    // The join steps, in planned order — hash join or index-nested-loop
+    // join on the single join equality, nested loop evaluating the full
+    // `ON` otherwise. The first reads its left tuples straight off the
+    // base's access path ([`Lefts`]), so under EXPLAIN ANALYZE the base's
+    // time is the first step's; every later step reads the tuples the one
+    // before collected. After step `i` a tuple is `i + 2` references, slot
+    // 0 the base row and slot `k + 1` the row step `k` joined to it, all
+    // borrowed from the table heaps or a hash step's build side, so a step
+    // copies pointers and no value. Every row visited ticks the governor
+    // and every tuple made is charged, so a pathological cross-product
+    // hits its deadline or budget *while* joining.
+    let mut base_kept = 0u64;
+    let mut collected: Vec<&Row> = Vec::new();
+    for (si, step) in steps.iter().enumerate() {
+        let sw = clock(&profile);
+        let stride = si + 1;
+        let right = layout.tables[stride];
+        let right_scope = &schemas[stride..=stride];
+        let lefts = match rows.take() {
+            Some(rows) => Lefts::Base {
+                rows,
+                filter: base_pred,
+                kept: &mut base_kept,
+            },
+            None => Lefts::Tuples {
+                rows: std::mem::take(&mut collected),
+                stride,
+            },
+        };
+        // The last step feeds the tail; any other collects, sized for one
+        // match per left tuple, the shape of a foreign-key join.
+        let last = stride == steps.len();
+        let mut out = Emitter {
+            tuples: Vec::with_capacity(if last { 1 } else { lefts.len_hint() } * (stride + 1)),
+            made: 0,
+            tail: last.then_some(&mut tail),
+        };
+
+        match &step.strategy {
+            JoinStrategy::Hash { probe, .. } => {
+                let probe = resolve_column(&schemas[..stride], probe)?;
+                let side = sides[si].as_deref().expect("hash build sides are built first");
+                lefts.for_each(params, gov, |left, gov| {
+                    gov.tick()?;
+                    let key = probe.of(left);
+                    if key.is_null() {
+                        return Ok(());
+                    }
+                    let Some(bucket) = side.map.get(key) else {
+                        return Ok(());
+                    };
+                    for (i, right_row) in bucket.rows.iter().enumerate() {
+                        gov.tick()?;
+                        out.emit(left, right_row, Some(bucket.first + i), params, gov)?;
+                        stats.rows_read += 1;
+                    }
+                    Ok(())
+                })?;
+            }
+            JoinStrategy::IndexLoop { probe, lookup, index } => {
+                let probe = resolve_column(&schemas[..stride], probe)?;
+                let lookup = resolve_column(right_scope, lookup)?.ord;
+                let right_pred = bind_pushdown(step, right_scope)?;
+                lefts.for_each(params, gov, |left, gov| {
+                    gov.tick()?;
+                    let key = probe.of(left);
+                    if key.is_null() {
+                        return Ok(());
+                    }
+                    // DDL invalidates cached plans, so a planned index
+                    // that is gone means a malformed hand-built plan.
+                    let candidates = right.lookup_indexed(lookup, key, vis, stats).ok_or_else(|| {
+                        Error::internal(format!(
+                            "index-loop join: no index {index} on {}.{}",
+                            step.table, right.schema.columns[lookup].name
+                        ))
+                    })?;
+                    for_each_match(candidates, right_pred.as_ref(), params, gov, |stored, gov| {
+                        // Index entries cover every retained version's key,
+                        // so the version this snapshot sees may hold another.
+                        if stored.row.get(lookup).sql_eq(key) == Some(true) {
+                            out.emit(left, stored.row, None, params, gov)?;
+                        }
+                        Ok(true)
+                    })?;
+                    Ok(())
+                })?;
+            }
+            JoinStrategy::NestedLoop => {
+                // Collect the (pushdown-filtered) right side once, then
+                // evaluate the ON predicate over every row pair.
+                let right_pred = bind_pushdown(step, right_scope)?;
+                let mut right_rows: Vec<&Row> = Vec::new();
+                let scanned = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
+                for_each_match(scanned, right_pred.as_ref(), params, gov, |stored, gov| {
+                    gov.charge_row(|| approx_row_bytes(stored.row))?;
+                    right_rows.push(stored.row);
+                    Ok(true)
+                })?;
+                let on = &stmt.joins[step.clause].on;
+                let on: Cow<'_, Expr> = if on.contains_subquery() {
+                    Cow::Owned(rewrite_subqueries(catalog, on, params, vis, stats, gov)?)
+                } else {
+                    Cow::Borrowed(on)
+                };
+                let on = on.bind(&schemas[..=stride])?;
+                let mut pair: Vec<&Row> = Vec::with_capacity(stride + 1);
+                lefts.for_each(params, gov, |left, gov| {
+                    gov.tick()?;
+                    for &right_row in &right_rows {
+                        gov.tick()?;
+                        pair.clear();
+                        pair.extend_from_slice(left);
+                        pair.push(right_row);
+                        if on.matches(&pair, params)? {
+                            out.emit(left, right_row, None, params, gov)?;
+                            stats.rows_read += 1;
+                        }
+                    }
+                    Ok(())
+                })?;
+            }
+        }
+
+        let made = out.made;
+        collected = out.tuples;
+        if let Some(p) = profile.as_deref_mut() {
+            if si == 0 {
+                // Read inside the first step, so its time is that step's.
+                p.base = StepActuals {
+                    rows: base_kept,
+                    nanos: 0,
+                };
+            }
+            p.joins[si].rows = made;
+            p.joins[si].nanos += sw.map_or(0, |sw| sw.elapsed_nanos());
+        }
+    }
+
+    // The residual filter ran as the last producer made its tuples, so
+    // its time is that producer's.
+    if let Some(p) = profile.as_deref_mut() {
+        p.filter.rows = tail.kept;
+    }
+    let sw = clock(&profile);
+    let result = match tail.sink {
+        Sink::Fold(agg, _) => agg.finish(limit, stats)?,
+        Sink::Collect(rows) => output_rows(stmt, &layout, rows, sorted, limit, params, stats, gov)?,
+        Sink::Clone(rows, _) => {
+            stats.rows_materialized += rows.len() as u64;
+            QueryResult {
+                columns: base.wildcard_columns(),
+                rows,
+            }
+        }
+    };
+    note_output(&mut profile, sw, result.len());
+    Ok(result)
 }
 
 /// Starts a stopwatch when — and only when — EXPLAIN ANALYZE is collecting
@@ -513,164 +975,9 @@ fn ordered_head<'a>(
     Ok((Some(head), visited))
 }
 
-/// The no-join path: the access path streams borrowed rows through the
-/// bound filter; an aggregate folds the survivors as they stream, anything
-/// else keeps the references until sort and limit have decided which rows
-/// are worth allocating.
-#[allow(clippy::too_many_arguments)]
-fn execute_single_table(
-    table: &Table,
-    stmt: &SelectStmt,
-    filter: Option<&Expr>,
-    limit: Option<usize>,
-    path: AccessPath,
-    params: &[Value],
-    vis: &Snapshot,
-    stats: &mut OpStats,
-    gov: &mut Governor,
-    mut profile: Option<&mut PlanProfile>,
-) -> Result<QueryResult> {
-    let layout = Layout {
-        tables: &[table],
-        schemas: &[&table.schema],
-        out_slots: &[0],
-        qualified: false,
-    };
-    let bound = filter.map(|f| f.bind(layout.schemas)).transpose()?;
-
-    // Streamed `SELECT *` fast path: with no ORDER BY and no aggregates,
-    // survivors are cloned straight off the access path — no borrowed
-    // staging vector, and the column header is the table's shared interned
-    // list. This is the shape of the service-call point select, so it stays
-    // allocation-minimal: the result rows and nothing else. (EXPLAIN
-    // ANALYZE takes the staged path below so operators can be timed.)
-    if matches!(stmt.items.as_slice(), [SelectItem::Wildcard])
-        && stmt.order_by.is_empty()
-        && !stmt.has_aggregates()
-        && profile.is_none()
-    {
-        let limit = limit.unwrap_or(usize::MAX);
-        let mut rows: Vec<Row> = Vec::new();
-        if limit > 0 {
-            for StoredRowRef { row, .. } in stream(table, path, filter, params, vis, stats) {
-                gov.tick()?;
-                let keep = match &bound {
-                    Some(f) => f.matches(&[row], params)?,
-                    None => true,
-                };
-                if keep {
-                    gov.charge_row(|| approx_row_bytes(row))?;
-                    rows.push(row.clone());
-                    if rows.len() >= limit {
-                        break;
-                    }
-                }
-            }
-        }
-        stats.rows_materialized += rows.len() as u64;
-        return Ok(QueryResult {
-            columns: table.wildcard_columns(),
-            rows,
-        });
-    }
-
-    // The access step. `ORDER BY <indexed column> LIMIT k` may be costed
-    // onto the ordered walk, which returns the survivors already sorted and
-    // cut. Everything else — a walk that ran out of budget included — takes
-    // the path the filter drives. Every row read is a cancellation point,
-    // and `touched` counts them on either path.
-    let sw = clock(&profile);
-    let (head, mut touched) = ordered_head(table, path, bound.as_ref(), params, vis, stats, gov)?;
-    let sorted = head.is_some();
-    let mut agg = stmt
-        .has_aggregates()
-        .then(|| Aggregator::new(stmt, layout.schemas, |c| layout.label(c)))
-        .transpose()?;
-    let mut matched: Vec<&Row> = head.unwrap_or_default();
-    let mut survivors = matched.len() as u64;
-    if !sorted {
-        // A walk that gave up falls back to the filter-driven path. It was
-        // not forced: a forced chooser never picks the walk.
-        let path = match path {
-            AccessPath::Ordered { .. } => choose_access(table, filter, None, params, false).path,
-            filter_driven => filter_driven,
-        };
-        // `SELECT COUNT(*) … WHERE <indexed column> = <key>` on its point
-        // lookup: the posting list is the answer, read entry by entry.
-        let count_key = match (path, filter) {
-            (AccessPath::Point { column, .. }, Some(f)) if agg.is_some() && counts_postings(stmt) => {
-                let name = &*table.schema.columns[column].name;
-                f.equality_lookup_on(&table.schema.name, name, params).map(|key| (column, key))
-            }
-            _ => None,
-        };
-        let postings = count_key
-            .as_ref()
-            .and_then(|(column, key)| table.count_postings(*column, key, vis, stats));
-        match (&mut agg, postings) {
-            (Some(agg), Some(postings)) => {
-                for counts in postings {
-                    gov.tick()?;
-                    survivors += u64::from(counts);
-                }
-                touched = survivors;
-                agg.count_rows(survivors);
-            }
-            (agg, _) => {
-                let rows = stream(table, path, filter, params, vis, stats);
-                // An aggregate folds each survivor where it lies; anything
-                // else keeps the reference.
-                touched += match agg {
-                    Some(agg) => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
-                        survivors += 1;
-                        agg.push(&[stored.row])
-                    })?,
-                    None => for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
-                        survivors += 1;
-                        matched.push(stored.row);
-                        Ok(())
-                    })?,
-                };
-            }
-        };
-    }
-    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
-        p.base = StepActuals {
-            rows: touched,
-            nanos: sw.elapsed_nanos(),
-        };
-        p.filter.rows = survivors;
-    }
-
-    let sw = clock(&profile);
-    let result = match agg {
-        Some(agg) => agg.finish(limit, stats)?,
-        None => output_rows(stmt, &layout, matched, sorted, limit, params, stats, gov)?,
-    };
-    note_output(&mut profile, sw, result.len());
-    Ok(result)
-}
-
 /// A join step's pushed-down conjuncts, bound against its own table.
 fn bind_pushdown<'e>(step: &'e JoinStep, right: &[&Schema]) -> Result<Option<BoundExpr<'e>>> {
     step.pushdown.as_ref().map(|p| p.bind(right)).transpose()
-}
-
-/// Appends the tuple `left ++ [right]` to `joined`, charged against the
-/// governor's budgets as the row it stands for.
-fn emit<'r>(joined: &mut Vec<&'r Row>, left: &[&'r Row], right: &'r Row, gov: &mut Governor) -> Result<()> {
-    let mark = joined.len();
-    joined.extend_from_slice(left);
-    joined.push(right);
-    gov.charge_row(|| approx_tuple_bytes(&joined[mark..]))
-}
-
-/// What a groupjoin leaves behind: the aggregate, folded; the matches the
-/// probe found; and how many of them passed the filter.
-struct Folded<'r> {
-    agg: Aggregator<'r>,
-    matches: u64,
-    kept: u64,
 }
 
 /// Where a join step's left tuples come from: the first step reads the
@@ -712,7 +1019,8 @@ impl<'r> Lefts<'r, '_> {
                 for_each_match(rows, filter, params, gov, |stored, gov| {
                     gov.charge_row(|| approx_row_bytes(stored.row))?;
                     *kept += 1;
-                    each(std::slice::from_ref(&stored.row), gov)
+                    each(std::slice::from_ref(&stored.row), gov)?;
+                    Ok(true)
                 })?;
             }
             Lefts::Tuples { rows, stride } => {
@@ -723,365 +1031,6 @@ impl<'r> Lefts<'r, '_> {
         }
         Ok(())
     }
-}
-
-/// The groupjoin: probes `side` with the `stride`-wide tuples of `lefts`
-/// and folds each match that passes `filter` straight into its group of
-/// `agg`, whose grouping columns all belong to the build side. Nothing is
-/// collected: the tuple `left ++ [right]` lives in one scratch vector while
-/// it is charged, filtered and folded. A build row's group is looked up
-/// the first time it survives the filter and kept under its dense number,
-/// so no group key is hashed per match. Ticks, charges and `rows_read` are
-/// those of the probe, the residual filter and the fold it replaces.
-#[allow(clippy::too_many_arguments)]
-fn probe_and_fold<'r>(
-    lefts: Lefts<'r, '_>,
-    stride: usize,
-    probe: ColRef,
-    side: &'r CachedBuild,
-    filter: Option<&BoundExpr<'_>>,
-    mut agg: Aggregator<'r>,
-    params: &[Value],
-    stats: &mut OpStats,
-    gov: &mut Governor,
-) -> Result<Folded<'r>> {
-    const UNMAPPED: usize = usize::MAX;
-    let mut group_of = vec![UNMAPPED; side.rows];
-    let mut tuple: Vec<&Row> = Vec::with_capacity(stride + 1);
-    let (mut matches, mut kept) = (0, 0);
-    lefts.for_each(params, gov, |left, gov| {
-        gov.tick()?;
-        let key = probe.of(left);
-        if key.is_null() {
-            return Ok(());
-        }
-        let Some(bucket) = side.map.get(key) else {
-            return Ok(());
-        };
-        for (i, right) in bucket.rows.iter().enumerate() {
-            gov.tick()?;
-            tuple.clear();
-            tuple.extend_from_slice(left);
-            tuple.push(right);
-            gov.charge_row(|| approx_tuple_bytes(&tuple))?;
-            stats.rows_read += 1;
-            matches += 1;
-            if let Some(filter) = filter {
-                gov.tick()?;
-                if !filter.matches(&tuple, params)? {
-                    continue;
-                }
-            }
-            gov.tick()?;
-            kept += 1;
-            let group = &mut group_of[bucket.first + i];
-            if *group == UNMAPPED {
-                *group = agg.group_of(&tuple);
-            }
-            agg.fold(*group, &tuple)?;
-        }
-        Ok(())
-    })?;
-    Ok(Folded { agg, matches, kept })
-}
-
-/// The join path, driven by the plan: joins run in planned order — hash
-/// join or index-nested-loop join on the single join equality, nested loop
-/// evaluating the full `ON` otherwise — with single-table WHERE conjuncts
-/// pushed down to each input and the full filter re-applied afterwards.
-///
-/// The base is never collected: the first step reads its left tuples
-/// straight off the base's access path ([`Lefts`]), so under EXPLAIN
-/// ANALYZE the base's time is the first step's. The intermediate result
-/// is a flat `Vec<&Row>` of tuples: after step `i`
-/// each tuple is `i + 2` references, slot 0 the base table's row and slot
-/// `k + 1` the row step `k` joined to it, all borrowed — from the table
-/// heaps, or from a hash step's build side, which alone is owned (an
-/// `Arc<CachedBuild>` a prepared statement keeps across executions) and is
-/// therefore built first, before any tuple borrows from it; an index loop
-/// has no build side at all. A join step copies `i + 2` pointers per
-/// output tuple and no value; the residual filter, the aggregates and the
-/// projection read through the references, and rows are allocated only
-/// for what is returned. Every row visited ticks the governor and every
-/// tuple produced is charged against its budgets at the size its values
-/// would have as one row, so a pathological cross-product hits its
-/// deadline or budget *while* joining, not after. When the plan folds the
-/// GROUP BY into the last step's build rows, that step collects no tuple:
-/// [`probe_and_fold`] filters and aggregates as it probes.
-#[allow(clippy::too_many_arguments)]
-fn execute_joined(
-    catalog: &Catalog,
-    base: &Table,
-    stmt: &SelectStmt,
-    filter: Option<&Expr>,
-    limit: Option<usize>,
-    plan: &SelectPlan,
-    params: &[Value],
-    vis: &Snapshot,
-    stats: &mut OpStats,
-    gov: &mut Governor,
-    mut builds: Option<&mut Vec<Option<Arc<CachedBuild>>>>,
-    mut profile: Option<&mut PlanProfile>,
-) -> Result<QueryResult> {
-    let mut tables = vec![base];
-    for step in &plan.steps {
-        tables.push(get_table(catalog, &step.table)?);
-    }
-    let schemas: Vec<&Schema> = tables.iter().map(|t| &t.schema).collect();
-    // Syntactic slot order, whatever order the planner executed the joins
-    // in: `SELECT *` and positional consumers never see the reordering.
-    let mut out_slots = vec![0];
-    for clause in 0..plan.steps.len() {
-        let pos = plan.steps.iter().position(|s| s.clause == clause);
-        out_slots.push(1 + pos.expect("every join clause is planned exactly once"));
-    }
-    let layout = Layout {
-        tables: &tables,
-        schemas: &schemas,
-        out_slots: &out_slots,
-        qualified: true,
-    };
-    if let Some(p) = profile.as_deref_mut() {
-        p.joins = vec![StepActuals::default(); plan.steps.len()];
-    }
-
-    // Hash build sides: reuse the prepared handle's cached build when it
-    // still describes exactly the rows this snapshot sees, else build an
-    // owned map (and cache it when the pushdown does not depend on `?`
-    // parameters).
-    let mut sides: Vec<Option<Arc<CachedBuild>>> = vec![None; plan.steps.len()];
-    for (si, step) in plan.steps.iter().enumerate() {
-        let JoinStrategy::Hash { build, .. } = &step.strategy else {
-            continue;
-        };
-        let sw = clock(&profile);
-        let right = tables[si + 1];
-        let cached = builds
-            .as_ref()
-            .and_then(|b| b.get(si).cloned().flatten())
-            .filter(|c| step.cacheable && c.valid_for(right, vis));
-        sides[si] = Some(match cached {
-            Some(reused) => {
-                stats.build_reuse_hits += 1;
-                reused
-            }
-            None => {
-                let scope = &schemas[si + 1..=si + 1];
-                let key = resolve_column(scope, build)?.ord;
-                let pred = bind_pushdown(step, scope)?;
-                let mut map: FoldMap<Value, BuildBucket> = FoldMap::default();
-                let rows = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
-                for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
-                    let key = stored.row.get(key);
-                    if !key.is_null() {
-                        gov.charge_row(|| approx_row_bytes(stored.row))?;
-                        map.entry(key.clone()).or_default().rows.push(stored.row.clone());
-                        stats.rows_materialized += 1;
-                    }
-                    Ok(())
-                })?;
-                let built = Arc::new(CachedBuild::new(right.version(), vis.clone(), map));
-                if step.cacheable {
-                    if let Some(slot) = builds.as_deref_mut().and_then(|b| b.get_mut(si)) {
-                        *slot = Some(Arc::clone(&built));
-                    }
-                }
-                built
-            }
-        });
-        if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
-            p.joins[si].nanos = sw.elapsed_nanos();
-        }
-    }
-
-    // Base access: cost-chosen path plus pushed-down single-table
-    // conjuncts, streamed straight into the first step.
-    let base_pred = plan.base_pushdown.as_ref().map(|p| p.bind(&schemas[..1])).transpose()?;
-    let mut base_kept = 0u64;
-    let mut rows: Vec<&Row> = Vec::new();
-
-    let fold = plan.folds_into_build(stmt, &schemas);
-    let mut folded: Option<Folded<'_>> = None;
-    for (si, step) in plan.steps.iter().enumerate() {
-        let sw = clock(&profile);
-        let stride = si + 1;
-        let right = tables[si + 1];
-        let right_scope = &schemas[si + 1..=si + 1];
-        let lefts = if si == 0 {
-            Lefts::Base {
-                rows: stream(base, plan.base.path, plan.base_pushdown.as_ref(), params, vis, stats),
-                filter: base_pred.as_ref(),
-                kept: &mut base_kept,
-            }
-        } else {
-            Lefts::Tuples {
-                rows: std::mem::take(&mut rows),
-                stride,
-            }
-        };
-        // Sized for one match per left tuple, the shape of a foreign-key
-        // join, unless the step folds instead of collecting.
-        let mut joined: Vec<&Row> = Vec::new();
-        let last = si + 1 == plan.steps.len();
-        if !(fold && last) {
-            joined.reserve(lefts.len_hint() * (stride + 1));
-        }
-
-        match &step.strategy {
-            JoinStrategy::Hash { probe, .. } if fold && last => {
-                let probe = resolve_column(&schemas[..stride], probe)?;
-                let side = sides[si].as_deref().expect("hash build sides are built first");
-                let agg = Aggregator::new(stmt, &schemas, |c| layout.label(c))?;
-                let filter = filter.map(|f| f.bind(&schemas)).transpose()?;
-                let filter = filter.as_ref();
-                folded = Some(probe_and_fold(lefts, stride, probe, side, filter, agg, params, stats, gov)?);
-            }
-            JoinStrategy::Hash { probe, .. } => {
-                let probe = resolve_column(&schemas[..stride], probe)?;
-                let side = sides[si].as_deref().expect("hash build sides are built first");
-                lefts.for_each(params, gov, |left, gov| {
-                    gov.tick()?;
-                    let key = probe.of(left);
-                    if key.is_null() {
-                        return Ok(());
-                    }
-                    for right_row in side.map.get(key).into_iter().flat_map(|b| &b.rows) {
-                        gov.tick()?;
-                        emit(&mut joined, left, right_row, gov)?;
-                        stats.rows_read += 1;
-                    }
-                    Ok(())
-                })?;
-            }
-            JoinStrategy::IndexLoop { probe, lookup, index } => {
-                let probe = resolve_column(&schemas[..stride], probe)?;
-                let lookup = resolve_column(right_scope, lookup)?.ord;
-                let right_pred = bind_pushdown(step, right_scope)?;
-                lefts.for_each(params, gov, |left, gov| {
-                    gov.tick()?;
-                    let key = probe.of(left);
-                    if key.is_null() {
-                        return Ok(());
-                    }
-                    // DDL invalidates cached plans, so a planned index
-                    // that is gone means a malformed hand-built plan.
-                    let candidates = right.lookup_indexed(lookup, key, vis, stats).ok_or_else(|| {
-                        Error::internal(format!(
-                            "index-loop join: no index {index} on {}.{}",
-                            step.table, right.schema.columns[lookup].name
-                        ))
-                    })?;
-                    for_each_match(candidates, right_pred.as_ref(), params, gov, |stored, gov| {
-                        // Index entries cover every retained version's key,
-                        // so the version this snapshot sees may hold another.
-                        if stored.row.get(lookup).sql_eq(key) == Some(true) {
-                            emit(&mut joined, left, stored.row, gov)?;
-                        }
-                        Ok(())
-                    })?;
-                    Ok(())
-                })?;
-            }
-            JoinStrategy::NestedLoop => {
-                // Collect the (pushdown-filtered) right side once, then
-                // evaluate the ON predicate over every row pair.
-                let right_pred = bind_pushdown(step, right_scope)?;
-                let mut right_rows: Vec<&Row> = Vec::new();
-                let scanned = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
-                for_each_match(scanned, right_pred.as_ref(), params, gov, |stored, gov| {
-                    gov.charge_row(|| approx_row_bytes(stored.row))?;
-                    right_rows.push(stored.row);
-                    Ok(())
-                })?;
-                let on = &stmt.joins[step.clause].on;
-                let on: Cow<'_, Expr> = if on.contains_subquery() {
-                    Cow::Owned(rewrite_subqueries(catalog, on, params, vis, stats, gov)?)
-                } else {
-                    Cow::Borrowed(on)
-                };
-                let on = on.bind(&schemas[..=stride])?;
-                let mut pair: Vec<&Row> = Vec::with_capacity(stride + 1);
-                lefts.for_each(params, gov, |left, gov| {
-                    gov.tick()?;
-                    for &right_row in &right_rows {
-                        gov.tick()?;
-                        pair.clear();
-                        pair.extend_from_slice(left);
-                        pair.push(right_row);
-                        if on.matches(&pair, params)? {
-                            emit(&mut joined, left, right_row, gov)?;
-                            stats.rows_read += 1;
-                        }
-                    }
-                    Ok(())
-                })?;
-            }
-        }
-
-        rows = joined;
-        if let Some(p) = profile.as_deref_mut() {
-            if si == 0 {
-                // Read inside the first step, so its time is that step's.
-                p.base = StepActuals {
-                    rows: base_kept,
-                    nanos: 0,
-                };
-            }
-            p.joins[si].rows = match &folded {
-                Some(folded) => folded.matches,
-                None => (rows.len() / (stride + 1)) as u64,
-            };
-            p.joins[si].nanos += sw.map_or(0, |sw| sw.elapsed_nanos());
-        }
-    }
-    if let Some(Folded { agg, kept, .. }) = folded {
-        // Filtered while probing, so its time is the join's.
-        if let Some(p) = profile.as_deref_mut() {
-            p.filter.rows = kept;
-        }
-        let sw = clock(&profile);
-        let result = agg.finish(limit, stats)?;
-        note_output(&mut profile, sw, result.len());
-        return Ok(result);
-    }
-    let stride = tables.len();
-
-    // Residual filter: the full (subquery-rewritten) predicate over the
-    // whole tuple. Pushed-down conjuncts are re-checked here — harmless
-    // for a conjunction, and it keeps pushdown a pure optimization.
-    let sw = clock(&profile);
-    if let Some(filter) = filter {
-        let filter = filter.bind(&schemas)?;
-        let mut kept = 0;
-        for i in 0..rows.len() / stride {
-            gov.tick()?;
-            if filter.matches(&rows[i * stride..][..stride], params)? {
-                rows.copy_within(i * stride..(i + 1) * stride, kept * stride);
-                kept += 1;
-            }
-        }
-        rows.truncate(kept * stride);
-    }
-    if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
-        p.filter = StepActuals {
-            rows: (rows.len() / stride) as u64,
-            nanos: sw.elapsed_nanos(),
-        };
-    }
-
-    let sw = clock(&profile);
-    let result = if stmt.has_aggregates() {
-        let mut agg = Aggregator::new(stmt, &schemas, |c| layout.label(c))?;
-        for tuple in rows.chunks_exact(stride) {
-            gov.tick()?;
-            agg.push(tuple)?;
-        }
-        agg.finish(limit, stats)?
-    } else {
-        output_rows(stmt, &layout, rows, false, limit, params, stats, gov)?
-    };
-    note_output(&mut profile, sw, result.len());
-    Ok(result)
 }
 
 /// Returns the ids of the rows of `table` visible to `vis` and matched by
@@ -1104,7 +1053,7 @@ pub(crate) fn matching_row_ids_with(
     let rows = stream(table, path, filter, params, vis, stats);
     for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
         out.push(stored.id);
-        Ok(())
+        Ok(true)
     })?;
     Ok(out)
 }

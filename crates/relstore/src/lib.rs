@@ -623,7 +623,9 @@
 //! never collected: the first join step reads it straight off its access
 //! path, so the base's `actual_rows` are still the rows that passed its
 //! pushdown, but the time spent reading them is reported in the first join
-//! step's `time_us`, and the base step's reads 0. Prepared statements
+//! step's `time_us`, and the base step's reads 0. Likewise the residual
+//! filter runs as the last producer makes its tuples, so its time is that
+//! producer's and the `Filter` step's `time_us` reads 0. Prepared statements
 //! cache their plan (and reusable hash-join build sides) alongside the
 //! parsed AST; DDL, `ANALYZE`, and planner-knob changes invalidate cached
 //! plans, and a write to a build-side table invalidates its cached build.

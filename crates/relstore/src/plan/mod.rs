@@ -6,9 +6,12 @@
 //! table, one [`JoinStep`] per join clause in *execution* order (greedy
 //! smallest-estimated-build-side first when reordering is enabled), and the
 //! single-table predicates pushed down to each input. The executor in
-//! [`crate::exec`] drives row flow from the plan; the plan itself never
-//! touches rows, so it can be cached on a prepared statement and reused
-//! until DDL or an `ANALYZE` bumps the database's plan generation.
+//! [`crate::exec`] runs every SELECT as one pipeline over such a plan: a
+//! single table is the plan with no step, and is executed without being
+//! planned (its path is chosen per execution; only EXPLAIN builds it a
+//! plan). The plan itself never touches rows, so a join's can be cached on
+//! a prepared statement and reused until DDL or an `ANALYZE` bumps the
+//! database's plan generation.
 //!
 //! Each join step runs one of three [`JoinStrategy`]s. A non-equi `ON` is a
 //! **nested loop** over the full predicate. A single-equality `ON` is a
