@@ -65,18 +65,17 @@ use crate::obs::{
     StmtProfileSnapshot, WaitBreakdown,
 };
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
-use crate::schema::{lower_name, IndexDef, Schema};
+use crate::schema::{lower_name, IndexDef};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
 use crate::sql::parser::parse;
 use crate::table::Table;
-use crate::tuple::Row;
 use crate::txn::{LockManager, TxnManager};
 use crate::value::Value;
 use crate::wal::{self, Change, TxnId, Wal};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Dead (superseded or tombstoned) versions a table may accumulate before a
@@ -1532,21 +1531,18 @@ impl Database {
         stats: &mut OpStats,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        /// What a VALUES expression may refer to: no column at all.
-        static VALUES_SCOPE: LazyLock<Schema> =
-            LazyLock::new(|| Schema::new("values", Vec::new()));
         let table = catalog
             .get_mut(lower_name(&ins.table).as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", ins.table)))?;
         let name = Arc::clone(table.name());
-        let empty_row = Row::default();
         let mut inserted = 0usize;
         for row_exprs in &ins.rows {
             gov.tick()?;
-            // Evaluate the literal expressions for this VALUES row.
+            // Evaluate this VALUES row. Its expressions may name no column:
+            // they are bound against no table and read no row.
             let mut provided = Vec::with_capacity(row_exprs.len());
             for e in row_exprs {
-                provided.push(e.eval_with(&VALUES_SCOPE, &empty_row, params)?);
+                provided.push(e.bind(&[])?.eval(&[], params)?.into_owned());
             }
             // Rearrange into schema order.
             let schema = &table.schema;
@@ -1602,6 +1598,13 @@ impl Database {
             .get_mut(lower_name(&upd.table).as_ref())
             .ok_or_else(|| Error::not_found(format!("table {}", upd.table)))?;
         let name = Arc::clone(table.name());
+        // Each SET column is resolved and each expression bound once per
+        // statement, before any row is matched.
+        let set = upd
+            .assignments
+            .iter()
+            .map(|(col, expr)| Ok((table.schema.column_index(col)?, expr.bind(&[&table.schema])?)))
+            .collect::<Result<Vec<_>>>()?;
         let ids =
             matching_row_ids_with(table, upd.filter.as_ref(), params, Snapshot::latest(), stats, gov)?;
         let mut affected = 0usize;
@@ -1612,12 +1615,10 @@ impl Database {
             let current = table
                 .get(id)
                 .ok_or_else(|| Error::internal("matched row vanished during update"))?;
-            let mut assignments = Vec::with_capacity(upd.assignments.len());
-            for (col, expr) in &upd.assignments {
-                let idx = table.schema.column_index(col)?;
-                let value = expr.eval_with(&table.schema, current, params)?;
-                assignments.push((idx, value));
-            }
+            let assignments = set
+                .iter()
+                .map(|(idx, expr)| Ok((*idx, expr.eval(&[current], params)?.into_owned())))
+                .collect::<Result<Vec<_>>>()?;
             let after = table.update(id, &assignments, txn, stats)?;
             changes.push(Change::Update {
                 table: Arc::clone(&name),
@@ -1974,6 +1975,23 @@ mod tests {
         // After the first writer commits, the second proceeds.
         t2.execute("UPDATE jobs SET state = 'done' WHERE job_id = 2", ()).unwrap();
         t2.commit().unwrap();
+    }
+
+    /// An UPDATE resolves its SET columns and binds its SET expressions
+    /// once, before matching a row: a bad one fails the statement even
+    /// when no row matches.
+    #[test]
+    fn update_binds_its_set_clause_before_matching_any_row() {
+        let db = setup();
+        for sql in [
+            "UPDATE jobs SET nosuch = 1 WHERE job_id = 99",
+            "UPDATE jobs SET runtime = nosuch + 1 WHERE job_id = 99",
+        ] {
+            let err = db.execute(sql).unwrap_err();
+            assert!(matches!(&err, Error::NotFound(m) if m.contains("nosuch")), "{sql}: {err}");
+        }
+        let n = db.execute("UPDATE jobs SET runtime = runtime + 1 WHERE job_id = 99").unwrap();
+        assert_eq!(n.affected(), 0);
     }
 
     #[test]

@@ -170,9 +170,9 @@ impl Expr {
         }
     }
 
-    /// `self` as a leaf, when it is one. Inlined into its callers, so a
-    /// one-off evaluation of a `VALUES` or `SET` expression — nearly always
-    /// a literal or a `?` — costs what reading the value costs.
+    /// `self` as a leaf, when it is one. Inlined into [`Expr::bind`], so
+    /// binding a `VALUES` or `SET` expression — nearly always a literal or a
+    /// `?` — costs what matching on it costs.
     #[inline]
     fn bind_leaf<'e>(&'e self, scope: &[&Schema]) -> Result<Option<Leaf<'e>>> {
         Ok(Some(match self {
@@ -212,34 +212,6 @@ impl Expr {
                 ))
             }
         })
-    }
-
-    /// Evaluates the expression against `row` described by `schema`, with no
-    /// bound parameters (any [`Expr::Param`] fails).
-    pub fn eval(&self, schema: &Schema, row: &Row) -> Result<Value> {
-        self.eval_with(schema, row, &[])
-    }
-
-    /// One-off evaluation against a single `row` described by `schema`,
-    /// resolving `?` placeholders from `params`: binds, evaluates, and owns
-    /// the result. Loops over rows bind once ([`Expr::bind`]) instead.
-    #[inline]
-    pub fn eval_with(&self, schema: &Schema, row: &Row, params: &[Value]) -> Result<Value> {
-        match self.bind_leaf(&[schema])? {
-            Some(leaf) => leaf.get(&[row], params).cloned(),
-            None => Ok(self.bind_node(&[schema])?.eval(&[row], params)?.into_owned()),
-        }
-    }
-
-    /// Evaluates the expression as a predicate: true selects the row,
-    /// false or unknown (NULL) rejects it.
-    pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool> {
-        self.matches_with(schema, row, &[])
-    }
-
-    /// As [`Expr::matches`], resolving `?` placeholders from `params`.
-    pub fn matches_with(&self, schema: &Schema, row: &Row, params: &[Value]) -> Result<bool> {
-        self.bind(&[schema])?.matches(&[row], params)
     }
 
     /// If the expression pins `column` of `table` to a single concrete value
@@ -474,7 +446,10 @@ pub fn resolve_column(scope: &[&Schema], name: &str) -> Result<ColRef> {
     }
     found.ok_or_else(|| {
         let tables: Vec<&str> = scope.iter().map(|s| s.name.as_str()).collect();
-        Error::not_found(format!("column {name} in {}", tables.join(", ")))
+        match tables.as_slice() {
+            [] => Error::not_found(format!("column {name}: no table in scope")),
+            _ => Error::not_found(format!("column {name} in {}", tables.join(", "))),
+        }
     })
 }
 
@@ -796,43 +771,50 @@ mod tests {
         ])
     }
 
+    /// Binds `e` against `s` and evaluates it over `r`.
+    fn eval(e: &Expr, s: &Schema, r: &Row, params: &[Value]) -> Result<Value> {
+        Ok(e.bind(&[s])?.eval(&[r], params)?.into_owned())
+    }
+
+    /// Binds `e` against `s` and tests it as a predicate over `r`.
+    fn matches(e: &Expr, s: &Schema, r: &Row, params: &[Value]) -> Result<bool> {
+        e.bind(&[s])?.matches(&[r], params)
+    }
+
     #[test]
     fn column_and_literal_eval() {
         let s = schema();
         let r = row(1, "idle", 2.0, false);
         assert_eq!(
-            Expr::Column("state".into()).eval(&s, &r).unwrap(),
+            eval(&Expr::Column("state".into()), &s, &r, &[]).unwrap(),
             Value::Text("idle".into())
         );
         assert_eq!(
-            Expr::Literal(Value::Int(9)).eval(&s, &r).unwrap(),
+            eval(&Expr::Literal(Value::Int(9)), &s, &r, &[]).unwrap(),
             Value::Int(9)
         );
-        assert!(Expr::Column("missing".into()).eval(&s, &r).is_err());
+        assert!(eval(&Expr::Column("missing".into()), &s, &r, &[]).is_err());
     }
 
     #[test]
     fn comparisons_and_matching() {
         let s = schema();
         let r = row(5, "idle", 2.0, false);
-        assert!(Expr::col_eq("state", "idle").matches(&s, &r).unwrap());
-        assert!(!Expr::col_eq("state", "running").matches(&s, &r).unwrap());
-        assert!(Expr::col_cmp("job_id", CmpOp::Ge, 5).matches(&s, &r).unwrap());
-        assert!(Expr::col_cmp("runtime", CmpOp::Lt, 3).matches(&s, &r).unwrap());
+        assert!(matches(&Expr::col_eq("state", "idle"), &s, &r, &[]).unwrap());
+        assert!(!matches(&Expr::col_eq("state", "running"), &s, &r, &[]).unwrap());
+        assert!(matches(&Expr::col_cmp("job_id", CmpOp::Ge, 5), &s, &r, &[]).unwrap());
+        assert!(matches(&Expr::col_cmp("runtime", CmpOp::Lt, 3), &s, &r, &[]).unwrap());
     }
 
     #[test]
     fn null_comparisons_do_not_match() {
         let s = schema();
         let r = Row::new(vec![Value::Null, Value::Null, Value::Null, Value::Null]);
-        assert!(!Expr::col_eq("job_id", 1).matches(&s, &r).unwrap());
-        assert!(!Expr::col_cmp("job_id", CmpOp::Ne, 1).matches(&s, &r).unwrap());
-        assert!(Expr::IsNull(Box::new(Expr::Column("job_id".into())))
-            .matches(&s, &r)
-            .unwrap());
-        assert!(!Expr::IsNotNull(Box::new(Expr::Column("job_id".into())))
-            .matches(&s, &r)
-            .unwrap());
+        assert!(!matches(&Expr::col_eq("job_id", 1), &s, &r, &[]).unwrap());
+        assert!(!matches(&Expr::col_cmp("job_id", CmpOp::Ne, 1), &s, &r, &[]).unwrap());
+        let job_id = || Box::new(Expr::Column("job_id".into()));
+        assert!(matches(&Expr::IsNull(job_id()), &s, &r, &[]).unwrap());
+        assert!(!matches(&Expr::IsNotNull(job_id()), &s, &r, &[]).unwrap());
     }
 
     #[test]
@@ -843,11 +825,11 @@ mod tests {
         let truth = Expr::Literal(Value::Bool(true));
         let falsity = Expr::Literal(Value::Bool(false));
         // NULL AND FALSE = FALSE; NULL AND TRUE = NULL (does not match).
-        assert!(!null.clone().and(falsity.clone()).matches(&s, &r).unwrap());
-        assert!(!null.clone().and(truth.clone()).matches(&s, &r).unwrap());
+        assert!(!matches(&null.clone().and(falsity.clone()), &s, &r, &[]).unwrap());
+        assert!(!matches(&null.clone().and(truth.clone()), &s, &r, &[]).unwrap());
         // NULL OR TRUE = TRUE.
-        assert!(null.clone().or(truth).matches(&s, &r).unwrap());
-        assert!(!null.or(falsity).matches(&s, &r).unwrap());
+        assert!(matches(&null.clone().or(truth), &s, &r, &[]).unwrap());
+        assert!(!matches(&null.or(falsity), &s, &r, &[]).unwrap());
     }
 
     #[test]
@@ -859,20 +841,20 @@ mod tests {
             Box::new(Expr::Column("job_id".into())),
             Box::new(Expr::Literal(Value::Int(5))),
         );
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Int(15));
+        assert_eq!(eval(&e, &s, &r, &[]).unwrap(), Value::Int(15));
         let e = Expr::Arith(
             ArithOp::Div,
             Box::new(Expr::Column("runtime".into())),
             Box::new(Expr::Literal(Value::Int(2))),
         );
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Double(2.0));
+        assert_eq!(eval(&e, &s, &r, &[]).unwrap(), Value::Double(2.0));
         // Division by zero yields NULL rather than an error.
         let e = Expr::Arith(
             ArithOp::Div,
             Box::new(Expr::Column("job_id".into())),
             Box::new(Expr::Literal(Value::Int(0))),
         );
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &s, &r, &[]).unwrap(), Value::Null);
     }
 
     #[test]
@@ -883,12 +865,12 @@ mod tests {
             Box::new(Expr::Column("state".into())),
             vec![Value::Text("idle".into()), Value::Text("running".into())],
         );
-        assert!(e.matches(&s, &r).unwrap());
+        assert!(matches(&e, &s, &r, &[]).unwrap());
         let e = Expr::InList(
             Box::new(Expr::Column("state".into())),
             vec![Value::Text("held".into())],
         );
-        assert!(!e.matches(&s, &r).unwrap());
+        assert!(!matches(&e, &s, &r, &[]).unwrap());
     }
 
     #[test]
@@ -983,13 +965,11 @@ mod tests {
         let s = schema();
         let r = row(5, "idle", 2.0, false);
         let params = [Value::Text("idle".into()), Value::Int(3)];
-        assert!(e.matches_with(&s, &r, &params).unwrap());
-        assert!(!e
-            .matches_with(&s, &r, &[Value::Text("held".into()), Value::Int(3)])
-            .unwrap());
+        assert!(matches(&e, &s, &r, &params).unwrap());
+        assert!(!matches(&e, &s, &r, &[Value::Text("held".into()), Value::Int(3)]).unwrap());
         // Unbound evaluation and short bindings fail loudly.
-        assert!(e.eval(&s, &r).is_err());
-        assert!(e.matches_with(&s, &r, &[Value::Int(1)]).is_err());
+        assert!(eval(&e, &s, &r, &[]).is_err());
+        assert!(matches(&e, &s, &r, &[Value::Int(1)]).is_err());
     }
 
     #[test]
@@ -1054,7 +1034,7 @@ mod tests {
     fn non_boolean_predicate_is_error() {
         let s = schema();
         let r = row(1, "idle", 2.0, false);
-        assert!(Expr::Column("job_id".into()).matches(&s, &r).is_err());
+        assert!(matches(&Expr::Column("job_id".into()), &s, &r, &[]).is_err());
     }
 
     #[test]
