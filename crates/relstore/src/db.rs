@@ -968,9 +968,7 @@ impl Database {
         governor: &mut Governor,
         cell: &PlanCell,
     ) -> Result<QueryResult> {
-        let base = lower_name(&sel.table);
-        if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
-            let virt = self.system_catalog(catalog, sel)?;
+        if let Some(virt) = self.system_catalog(catalog, sel)? {
             let opts = ExecOptions::default();
             return execute_select_opts(&virt, sel, params, snapshot, local, governor, opts);
         }
@@ -1038,14 +1036,8 @@ impl Database {
         local: &mut OpStats,
         governor: &mut Governor,
     ) -> Result<QueryResult> {
-        let base = lower_name(&sel.table);
-        let virt;
-        let cat = if obs::is_system_table(&base) && !catalog.contains_key(base.as_ref()) {
-            virt = self.system_catalog(catalog, sel)?;
-            &virt
-        } else {
-            catalog
-        };
+        let virt = self.system_catalog(catalog, sel)?;
+        let cat = virt.as_ref().unwrap_or(catalog);
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
         let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
         let planned = plan_select(cat, sel, params, !no_reorder, force_scan)?;
@@ -1125,17 +1117,23 @@ impl Database {
         self.plan_gen.fetch_add(1, Ordering::Release);
     }
 
-    /// Synthesizes the system tables a SELECT references into a throwaway
-    /// catalog. System tables join only with each other — a join against a
-    /// real table from a system-table SELECT is rejected, since the real
-    /// catalog is not copied into the virtual one.
-    fn system_catalog(&self, catalog: &Catalog, sel: &SelectStmt) -> Result<Catalog> {
+    /// The one routing of a SELECT (or the SELECT of an EXPLAIN) to the
+    /// system tables: `None` unless its base is a `rel_*` name that no real
+    /// table shadows, else the system tables it references, synthesized
+    /// into a throwaway catalog. System tables join only with each other —
+    /// a join against a real table from a system-table SELECT is rejected,
+    /// since the real catalog is not copied into the virtual one.
+    fn system_catalog(&self, catalog: &Catalog, sel: &SelectStmt) -> Result<Option<Catalog>> {
+        let base = lower_name(&sel.table);
+        if !obs::is_system_table(&base) || catalog.contains_key(base.as_ref()) {
+            return Ok(None);
+        }
         let mut virt = Catalog::new();
-        self.add_system_table(catalog, &mut virt, lower_name(&sel.table).as_ref())?;
+        self.add_system_table(catalog, &mut virt, &base)?;
         for join in &sel.joins {
             self.add_system_table(catalog, &mut virt, lower_name(&join.table).as_ref())?;
         }
-        Ok(virt)
+        Ok(Some(virt))
     }
 
     /// Builds one named system table from the live observability state (or,
