@@ -23,11 +23,15 @@
 # the parent's by more than the metric's bound. Then, per op kind, the p50
 # every round prints (`#   agg ×150 p50 452.1 us, …`): each run's median
 # over its rounds, summarised per side the same way, so a gain can be put
-# down to the kinds that moved. Whole-run logs are kept in the directory
+# down to the kinds that moved. A run that exits non-zero does not stop
+# the others: it is recorded (side, pair, workload, exit code, log), every
+# workload whose runs all completed is still summarised, each failed run
+# is printed as a `FAILED RUN` line instead of its workload's summary, and
+# the script exits non-zero. Whole-run logs are kept in the directory
 # printed at the end.
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,27p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,32p' "$0" >&2; exit 2; }
 change="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2"
@@ -43,10 +47,17 @@ else
     workloads="$workload"
 fi
 logs="$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")"
+failed="$logs/failed-runs"
+: > "$failed"
 
 run() { # side checkout workload pair
+    local log="$logs/$3.$4.$1.log" code=0
     "$2/benchmark/run.sh" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 \
-        > "$logs/$3.$4.$1.log"
+        > "$log" || code=$?
+    if [ "$code" -ne 0 ]; then
+        echo "$1 $4 $3 $code $log" >> "$failed"
+        echo "# FAILED RUN: $3 pair $4 $1 exited $code, log $log" >&2
+    fi
 }
 
 for w in $workloads; do
@@ -60,13 +71,18 @@ for w in $workloads; do
     done
 done
 
-python3 - "$change/BENCHMARK.json" "$logs" "$pairs" "$seed" "$seconds" $workloads <<'EOF'
+python3 - "$change/BENCHMARK.json" "$logs" "$failed" "$pairs" "$seed" "$seconds" $workloads <<'EOF'
 import json, re, statistics, sys
 
-definition, logs, pairs, seed, seconds, *workloads = sys.argv[1:]
+definition, logs, failed, pairs, seed, seconds, *workloads = sys.argv[1:]
 pairs = int(pairs)
 metrics = json.load(open(definition))["end_to_end"]
-ok = True
+# workload -> the (side, pair, exit code, log) of each run that exited non-zero
+failures = {}
+for line in open(failed):
+    side, pair, workload, code, log = line.split(maxsplit=4)
+    failures.setdefault(workload, []).append((side, pair, code, log.strip()))
+ok = not failures
 # (workload, side) -> one {op kind: median per-round p50} per run
 kinds = {(w, side): [] for w in workloads for side in ("parent", "change")}
 
@@ -103,6 +119,11 @@ def summarise(name, p, c, lower=True):
     return (p1, pm, p3), cm, wins
 
 for w in workloads:
+    if w in failures:
+        print(f"\n## {w}: not summarised")
+        for side, pair, code, log in failures[w]:
+            print(f"FAILED RUN: {w} pair {pair} {side} exited {code}, log {log}")
+        continue
     runs = {side: [read(w, i, side) for i in range(1, pairs + 1)] for side in ("parent", "change")}
     hashes = {h for side in runs.values() for h, _ in side}
     if len(hashes) != 1:
