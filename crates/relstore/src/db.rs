@@ -1598,11 +1598,10 @@ impl Database {
         let name = Arc::clone(table.name());
         // Each SET column is resolved and each expression bound once per
         // statement, before any row is matched.
-        let set = upd
-            .assignments
-            .iter()
-            .map(|(col, expr)| Ok((table.schema.column_index(col)?, expr.bind(&[&table.schema])?)))
-            .collect::<Result<Vec<_>>>()?;
+        let mut set = Vec::with_capacity(upd.assignments.len());
+        for (col, expr) in &upd.assignments {
+            set.push((table.schema.column_index(col)?, expr.bind(&[&table.schema])?));
+        }
         let ids =
             matching_row_ids_with(table, upd.filter.as_ref(), params, Snapshot::latest(), stats, gov)?;
         let mut affected = 0usize;
@@ -1613,10 +1612,10 @@ impl Database {
             let current = table
                 .get(id)
                 .ok_or_else(|| Error::internal("matched row vanished during update"))?;
-            let assignments = set
-                .iter()
-                .map(|(idx, expr)| Ok((*idx, expr.eval(&[current], params)?.into_owned())))
-                .collect::<Result<Vec<_>>>()?;
+            let mut assignments = Vec::with_capacity(set.len());
+            for (idx, expr) in &set {
+                assignments.push((*idx, expr.eval(&[current], params)?.into_owned()));
+            }
             let after = table.update(id, &assignments, txn, stats)?;
             changes.push(Change::Update {
                 table: Arc::clone(&name),

@@ -604,10 +604,11 @@ pub fn execute_select_opts(
         p.joins = vec![StepActuals::default(); steps.len()];
     }
 
-    // Hash build sides, built before any tuple borrows from them: reuse the
-    // prepared handle's cached build when it still describes exactly the
-    // rows this snapshot sees, else build an owned map (and cache it when
-    // the pushdown does not depend on `?` parameters).
+    // A join's hash build sides come first, since any tuple the sink keeps
+    // may borrow from them: reuse the prepared handle's cached build when
+    // it still describes exactly the rows this snapshot sees, else build an
+    // owned map (and cache it when the pushdown does not depend on `?`
+    // parameters).
     let mut sides: Vec<Option<Arc<CachedBuild>>> = vec![None; steps.len()];
     for (si, step) in steps.iter().enumerate() {
         let JoinStrategy::Hash { build, .. } = &step.strategy else {
@@ -654,9 +655,9 @@ pub fn execute_select_opts(
     }
 
     // The residual filter is the whole predicate over the whole tuple. A
-    // join re-checks its pushed-down conjuncts there — harmless for a
-    // conjunction, and it keeps pushdown a pure optimization; a single
-    // table's base reads with nothing else.
+    // single table's base applies it as it reads. A join's base applies its
+    // pushed-down conjuncts, which the residual re-checks — harmless for a
+    // conjunction, and it keeps pushdown a pure optimization.
     let residual = filter.map(|f| f.bind(schemas)).transpose()?;
     let pushdown = match steps {
         [] => None,
