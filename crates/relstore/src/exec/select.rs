@@ -696,7 +696,10 @@ pub fn execute_select_opts(
     // counts the posting list instead. Every row read is a cancellation
     // point, and `touched` counts them.
     let sw = clock(&profile);
-    let (head, mut touched) = ordered_head(base, path, base_pred, params, vis, stats, gov)?;
+    let (head, mut touched) = match path {
+        AccessPath::Ordered { .. } => ordered_head(base, path, base_pred, params, vis, stats, gov)?,
+        _ => (None, 0),
+    };
     let sorted = head.is_some();
     let mut rows = None;
     if let Some(head) = head {
@@ -710,7 +713,9 @@ pub fn execute_select_opts(
             filter_driven => filter_driven,
         };
         let count_key = match (path, base_filter) {
-            (AccessPath::Point { column, .. }, Some(f)) if counts_postings(stmt) => {
+            (AccessPath::Point { column, .. }, Some(f))
+                if matches!(tail.sink, Sink::Fold(..)) && counts_postings(stmt) =>
+            {
                 let name = &*base.schema.columns[column].name;
                 f.equality_lookup_on(&base.schema.name, name, params).map(|key| (column, key))
             }
