@@ -2033,3 +2033,93 @@ fn explain_under_force_scan_names_the_scan_it_runs() {
     assert_eq!(text(db.query(&format!("EXPLAIN {sql}")).unwrap().rows[0].get(2)),
         "point lookup on a.id (unique), pushdown (id = 5)");
 }
+
+/// A column names the same index however it is spelled: bare or qualified,
+/// in any case. Each spelling of `a.id` (of `a.grp` in the join, where a
+/// bare `id` would be ambiguous) keys the same access path, returns the same
+/// rows and reads the same `index_lookups` / `rows_scanned` / `rows_read`
+/// on every path a table is read by: a point and a range SELECT, the
+/// ordered walk, the posting count, a join's pushed-down conjunct, and
+/// UPDATE / DELETE matching. Naming another table's column is the same
+/// not-found error on each of them. Every spelling runs on a fresh
+/// database, so no earlier write moves its counters.
+#[test]
+fn every_spelling_of_a_column_keys_the_same_path() {
+    let spellings = |c: &str| {
+        let upper = c.to_ascii_uppercase();
+        let capital = format!("{}{}", &upper[..1], &c[1..]);
+        [c.to_string(), upper, format!("a.{c}"), format!("A.{capital}")]
+    };
+    // (shape with `{}` for the column, the column, its `?` binding)
+    let shapes: [(&str, &str, Option<i64>); 8] = [
+        ("SELECT * FROM a WHERE {} = 5", "id", None),
+        ("SELECT id FROM a WHERE {} >= 10 AND {} < 20", "id", None),
+        ("SELECT id, val FROM a ORDER BY {} DESC LIMIT 5", "id", None),
+        ("SELECT COUNT(*) FROM a WHERE {} = ?", "id", Some(42)),
+        ("SELECT a.id, b.id FROM a JOIN b ON a.id = b.aid WHERE {} = 3", "grp", None),
+        ("UPDATE a SET val = 0 WHERE {} >= 10 AND {} < 20", "id", None),
+        ("UPDATE a SET val = 1 WHERE {} = 7", "id", None),
+        ("DELETE FROM a WHERE {} = 99", "id", None),
+    ];
+    // EXPLAIN's access and join details without the pushed-down text, which
+    // prints the column as written.
+    let paths = |db: &Database, sql: &str| {
+        access_text(db, sql)
+            .split(" ; ")
+            .map(|detail| match detail.split_once(", pushdown ") {
+                Some((path, rest)) => {
+                    path.to_string() + rest.find(", index-only").map_or("", |at| &rest[at..])
+                }
+                None => detail.to_string(),
+            })
+            .collect::<Vec<_>>()
+    };
+    for (shape, column, param) in shapes {
+        let mut seen: Vec<(String, String)> = Vec::new();
+        for spelled in spellings(column) {
+            let sql = shape.replace("{}", &spelled);
+            let db = access_db();
+            let explained = if !sql.starts_with("SELECT") {
+                Vec::new()
+            } else if let Some(p) = param {
+                paths(&db, &sql.replace('?', &p.to_string()))
+            } else {
+                paths(&db, &sql)
+            };
+            let before = db.stats();
+            let params: Vec<Value> = param.into_iter().map(Value::Int).collect();
+            let outcome = if sql.starts_with("SELECT") {
+                format!("{:?}", db.session().query(sql.as_str(), params).unwrap().rows)
+            } else {
+                format!("{:?}", db.session().execute(sql.as_str(), params).unwrap())
+            };
+            let d = db.stats().delta_since(&before);
+            let got = format!(
+                "{explained:?} read {} scanned {} lookups {} -> {outcome}",
+                d.rows_read, d.rows_scanned, d.index_lookups
+            );
+            seen.push((sql, got));
+        }
+        for (sql, got) in &seen[1..] {
+            assert_eq!(got, &seen[0].1, "{sql} against {}", seen[0].0);
+        }
+    }
+    // Another table's column, on each of those paths.
+    let db = access_db();
+    for (sql, scope) in [
+        ("SELECT * FROM a WHERE b.id = 5", "a"),
+        ("SELECT id FROM a WHERE b.id >= 10 AND b.id < 20", "a"),
+        ("SELECT id, val FROM a ORDER BY b.id DESC LIMIT 5", "a"),
+        ("SELECT COUNT(*) FROM a WHERE b.id = 42", "a"),
+        ("SELECT a.id, b.id FROM a JOIN b ON a.id = b.aid WHERE c.id = 3", "a, b"),
+        ("UPDATE a SET val = 0 WHERE b.id >= 10 AND b.id < 20", "a"),
+        ("DELETE FROM a WHERE b.id = 99", "a"),
+    ] {
+        let column = if sql.contains("c.id") { "c.id" } else { "b.id" };
+        let err = db.execute(sql).unwrap_err();
+        assert!(
+            matches!(&err, Error::NotFound(m) if *m == format!("column {column} in {scope}")),
+            "{sql}: {err:?}"
+        );
+    }
+}
