@@ -519,7 +519,7 @@ impl Database {
                 return Err(e);
             }
         };
-        ctl.txns.finish_commit(txn)?;
+        ctl.txns.finish(txn)?;
         let synced = match frame {
             Some(frame) => {
                 let sw = Stopwatch::start();
@@ -601,7 +601,7 @@ impl Database {
                     Ok(_) => {}
                 }
             }
-            let state = ctl.txns.finish_abort(txn)?;
+            let state = ctl.txns.finish(txn)?;
             for change in state.changes.into_iter().rev() {
                 change.undo(&mut catalog, txn);
             }

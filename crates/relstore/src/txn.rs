@@ -67,24 +67,12 @@ impl LockManager {
     }
 }
 
-/// The lifecycle state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnStatus {
-    /// The transaction is active and may issue statements.
-    Active,
-    /// The transaction committed.
-    Committed,
-    /// The transaction aborted (explicitly or after an error).
-    Aborted,
-}
-
-/// Book-keeping for one transaction.
+/// Book-keeping for one active transaction. Finishing it removes it from
+/// the [`TxnManager`], so a state is never anything but active.
 #[derive(Debug)]
 pub struct TxnState {
     /// The transaction id.
     pub id: TxnId,
-    /// Current lifecycle state.
-    pub status: TxnStatus,
     /// What the transaction changed, in execution order: undone newest
     /// first by rollback, framed oldest first by commit. Empty for a
     /// read-only transaction, which therefore never touches the log.
@@ -123,7 +111,6 @@ impl TxnManager {
             id,
             TxnState {
                 id,
-                status: TxnStatus::Active,
                 changes: Vec::new(),
                 snapshot,
                 last_activity: Instant::now(),
@@ -199,38 +186,17 @@ impl TxnManager {
 
     /// Returns a mutable handle to an active transaction.
     pub fn get_active(&mut self, id: TxnId) -> Result<&mut TxnState> {
-        match self.active.get_mut(&id) {
-            Some(state) if state.status == TxnStatus::Active => Ok(state),
-            Some(_) => Err(Error::TxnClosed(format!("{id} is no longer active"))),
-            None => Err(Error::TxnClosed(format!("{id} is unknown"))),
-        }
+        self.active
+            .get_mut(&id)
+            .ok_or_else(|| Error::TxnClosed(format!("{id} is unknown")))
     }
 
-    /// Marks the transaction committed and returns its state.
-    pub fn finish_commit(&mut self, id: TxnId) -> Result<TxnState> {
-        let mut state = self
-            .active
+    /// Ends the transaction, committed or aborted, and returns its state:
+    /// the change list the caller frames for the log or undoes.
+    pub fn finish(&mut self, id: TxnId) -> Result<TxnState> {
+        self.active
             .remove(&id)
-            .ok_or_else(|| Error::TxnClosed(format!("{id} is unknown")))?;
-        if state.status != TxnStatus::Active {
-            return Err(Error::TxnClosed(format!("{id} is no longer active")));
-        }
-        state.status = TxnStatus::Committed;
-        Ok(state)
-    }
-
-    /// Marks the transaction aborted and returns its state (with the change
-    /// list to undo).
-    pub fn finish_abort(&mut self, id: TxnId) -> Result<TxnState> {
-        let mut state = self
-            .active
-            .remove(&id)
-            .ok_or_else(|| Error::TxnClosed(format!("{id} is unknown")))?;
-        if state.status != TxnStatus::Active {
-            return Err(Error::TxnClosed(format!("{id} is no longer active")));
-        }
-        state.status = TxnStatus::Aborted;
-        Ok(state)
+            .ok_or_else(|| Error::TxnClosed(format!("{id} is unknown")))
     }
 
     /// Number of currently active transactions.
@@ -310,12 +276,12 @@ mod tests {
         let read = tm.read_snapshot();
         assert!(!read.sees(t1) && !read.sees(t2), "in-flight writers invisible");
 
-        tm.finish_commit(t1).unwrap();
+        tm.finish(t1).unwrap();
         let read = tm.read_snapshot();
         assert!(read.sees(t1), "committed before this snapshot");
         assert!(!read.sees(t2));
 
-        tm.finish_commit(t2).unwrap();
+        tm.finish(t2).unwrap();
         assert_eq!(tm.snapshot_horizon(), u64::MAX, "no snapshots pin versions");
         assert!(tm.snapshot_of(t1).is_err());
     }
@@ -334,7 +300,7 @@ mod tests {
         tm.touch(t1);
         assert_eq!(tm.idle_txns(Duration::from_millis(4)), vec![t2]);
 
-        tm.finish_commit(t2).unwrap();
+        tm.finish(t2).unwrap();
         tm.touch(t2); // no-op on a finished transaction
         assert_eq!(tm.high_watermark(), 2);
     }
@@ -351,16 +317,14 @@ mod tests {
             table: "jobs".into(),
             row_id: crate::tuple::RowId(1),
         });
-        let state = tm.finish_commit(t1).unwrap();
-        assert_eq!(state.status, TxnStatus::Committed);
+        let state = tm.finish(t1).unwrap();
         assert_eq!(state.changes.len(), 1);
 
-        let state = tm.finish_abort(t2).unwrap();
-        assert_eq!(state.status, TxnStatus::Aborted);
+        assert!(tm.finish(t2).unwrap().changes.is_empty());
         assert_eq!(tm.active_count(), 0);
 
         // Operating on a finished transaction fails.
         assert!(tm.get_active(t1).is_err());
-        assert!(tm.finish_commit(t2).is_err());
+        assert!(tm.finish(t2).is_err());
     }
 }
