@@ -15,7 +15,10 @@
 //! Every table is read the same way: an [`AccessPath`] from the planner's
 //! one chooser ([`choose_access`]: per execution for a single table, cached
 //! in the plan for a join's inputs) handed to the one streamer, which keys
-//! the path from the filter and falls back to a full scan where it cannot.
+//! the path from the filter bound over that table — the same binding the
+//! rows are then filtered with, so the chooser, the streamer and the filter
+//! resolve no name of their own — and falls back to a full scan where it
+//! cannot.
 //! Joins run in the planned order, each by the strategy the planner costed
 //! — for a single-equality `ON`, a hash join (build a map of the right
 //! table) or an index-nested-loop join (probe the right table's index once
@@ -85,7 +88,9 @@ use std::sync::Arc;
 /// The catalog type the executor reads from.
 pub type Catalog = BTreeMap<String, Table>;
 
-fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
+/// The table of `catalog` named `name`, in any case; not found, the error
+/// names it as written.
+pub(crate) fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
     // Catalog keys are lower-case; lower_name skips the per-lookup
     // allocation for the common case of an already-lower-case name.
     catalog
@@ -94,30 +99,29 @@ fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
 }
 
 /// The one streamer: reads `table` through `path`, taking the point or
-/// range key for the path's column from `filter` — the statement's filter
-/// for a single table, the pushed-down conjuncts for a join input, each
-/// with `?` resolved from `params` now, since a cached plan was chosen
-/// before they were bound. Every path only has to yield a *superset* of
-/// the matching rows, because the caller re-applies the filter, so
-/// anything that cannot be keyed — no key in the filter, no index on the
-/// column, an ordered walk — is a full scan.
+/// range key for the path's column from `filter` — the filter already
+/// bound over `table` alone: the statement's for a single table or an
+/// UPDATE/DELETE, the pushed-down conjuncts for a join input — with each
+/// `?` read from `params` now, since a cached plan was chosen before they
+/// were bound. Every path only has to yield a *superset* of the matching
+/// rows, because the caller re-applies the filter, so anything that cannot
+/// be keyed — no key in the filter, no index on the column, an ordered
+/// walk — is a full scan.
 fn stream<'a>(
     table: &'a Table,
     path: AccessPath,
-    filter: Option<&Expr>,
+    filter: Option<&BoundExpr<'_>>,
     params: &[Value],
     vis: &'a Snapshot,
     stats: &mut OpStats,
 ) -> RowIter<'a> {
-    let name = &*table.schema.name;
-    let column_name = |c: usize| table.schema.columns.get(c).map(|c| &*c.name);
     let keyed = match (path, filter) {
-        (AccessPath::Point { column, .. }, Some(f)) => column_name(column)
-            .and_then(|c| f.equality_lookup_on(name, c, params))
-            .and_then(|key| table.lookup_indexed(column, &key, vis, stats)),
-        (AccessPath::Range { column }, Some(f)) => column_name(column)
-            .and_then(|c| f.range_bounds_on(name, c, params))
-            .and_then(|(lo, hi)| table.lookup_range(column, lo.as_ref(), hi.as_ref(), vis, stats)),
+        (AccessPath::Point { column, .. }, Some(f)) => f
+            .point_key(column, params)
+            .and_then(|key| table.lookup_indexed(column, key, vis, stats)),
+        (AccessPath::Range { column }, Some(f)) => f
+            .range_keys(column, params)
+            .and_then(|(lo, hi)| table.lookup_range(column, lo, hi, vis, stats)),
         _ => None,
     };
     keyed.unwrap_or_else(|| table.scan(vis, stats))
@@ -563,11 +567,6 @@ pub fn execute_select_opts(
         plan => plan,
     };
     let steps = plan.map_or(&[][..], |p| &p.steps);
-    let (path, base_filter) = match plan {
-        Some(p) if !steps.is_empty() => (p.base.path, p.base_pushdown.as_ref()),
-        Some(p) => (p.base.path, filter),
-        None => (choose_access(base, filter, walk_order(stmt, limit), params, force_scan).path, filter),
-    };
     let one = ([base], [&base.schema]);
     let scope;
     let layout = if steps.is_empty() {
@@ -600,6 +599,23 @@ pub fn execute_select_opts(
         }
     };
     let schemas = layout.schemas;
+
+    // Every filter is bound before any row is read, and its binding serves
+    // the chooser, the streamer and the filter alike. The residual is the
+    // whole predicate over the whole tuple. A single table's base applies
+    // it as it reads. A join's base applies its pushed-down conjuncts,
+    // which the residual re-checks — harmless for a conjunction, and it
+    // keeps pushdown a pure optimization.
+    let residual = filter.map(|f| f.bind(schemas)).transpose()?;
+    let pushdown = match plan.and_then(|p| p.base_pushdown.as_ref()) {
+        Some(p) if !steps.is_empty() => Some(p.bind(&schemas[..1])?),
+        _ => None,
+    };
+    let base_pred = if steps.is_empty() { residual.as_ref() } else { pushdown.as_ref() };
+    let path = match plan {
+        Some(p) => p.base.path,
+        None => choose_access(base, base_pred, walk_order(stmt, limit), params, force_scan).path,
+    };
     if let Some(p) = profile.as_deref_mut() {
         p.joins = vec![StepActuals::default(); steps.len()];
     }
@@ -630,7 +646,7 @@ pub fn execute_select_opts(
                 let key = resolve_column(scope, build)?.ord;
                 let pred = bind_pushdown(step, scope)?;
                 let mut map: FoldMap<Value, BuildBucket> = FoldMap::default();
-                let rows = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
+                let rows = stream(right, step.access.path, pred.as_ref(), params, vis, stats);
                 for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
                     let key = stored.row.get(key);
                     if !key.is_null() {
@@ -654,16 +670,6 @@ pub fn execute_select_opts(
         }
     }
 
-    // The residual filter is the whole predicate over the whole tuple. A
-    // single table's base applies it as it reads. A join's base applies its
-    // pushed-down conjuncts, which the residual re-checks — harmless for a
-    // conjunction, and it keeps pushdown a pure optimization.
-    let residual = filter.map(|f| f.bind(schemas)).transpose()?;
-    let pushdown = match steps {
-        [] => None,
-        _ => base_filter.map(|p| p.bind(&schemas[..1])).transpose()?,
-    };
-    let base_pred = if steps.is_empty() { residual.as_ref() } else { pushdown.as_ref() };
     let sink = if stmt.has_aggregates() {
         let agg = Aggregator::new(stmt, schemas, |c| layout.label(c))?;
         // A groupjoin: the GROUP BY folds into the last step's build rows.
@@ -709,21 +715,18 @@ pub fn execute_select_opts(
         // A walk that gave up falls back to the filter-driven path. It was
         // not forced: a forced chooser never picks the walk.
         let path = match path {
-            AccessPath::Ordered { .. } => choose_access(base, base_filter, None, params, false).path,
+            AccessPath::Ordered { .. } => choose_access(base, base_pred, None, params, false).path,
             filter_driven => filter_driven,
         };
-        let count_key = match (path, base_filter) {
+        let count_key = match (path, base_pred) {
             (AccessPath::Point { column, .. }, Some(f))
                 if matches!(tail.sink, Sink::Fold(..)) && counts_postings(stmt) =>
             {
-                let name = &*base.schema.columns[column].name;
-                f.equality_lookup_on(&base.schema.name, name, params).map(|key| (column, key))
+                f.point_key(column, params).map(|key| (column, key))
             }
             _ => None,
         };
-        let postings = count_key
-            .as_ref()
-            .and_then(|(column, key)| base.count_postings(*column, key, vis, stats));
+        let postings = count_key.and_then(|(column, key)| base.count_postings(column, key, vis, stats));
         match (postings, &mut tail.sink) {
             (Some(postings), Sink::Fold(agg, _)) => {
                 for counts in postings {
@@ -735,7 +738,7 @@ pub fn execute_select_opts(
             }
             // `LIMIT 0` of a cloned `SELECT *` reads nothing.
             (_, sink) if sink.full() => {}
-            _ => rows = Some(stream(base, path, base_filter, params, vis, stats)),
+            _ => rows = Some(stream(base, path, base_pred, params, vis, stats)),
         };
     }
     if steps.is_empty() {
@@ -846,7 +849,7 @@ pub fn execute_select_opts(
                 // evaluate the ON predicate over every row pair.
                 let right_pred = bind_pushdown(step, right_scope)?;
                 let mut right_rows: Vec<&Row> = Vec::new();
-                let scanned = stream(right, step.access.path, step.pushdown.as_ref(), params, vis, stats);
+                let scanned = stream(right, step.access.path, right_pred.as_ref(), params, vis, stats);
                 for_each_match(scanned, right_pred.as_ref(), params, gov, |stored, gov| {
                     gov.charge_row(|| approx_row_bytes(stored.row))?;
                     right_rows.push(stored.row);
@@ -1055,8 +1058,8 @@ pub(crate) fn matching_row_ids_with(
 ) -> Result<Vec<RowId>> {
     let bound = filter.map(|f| f.bind(&[&table.schema])).transpose()?;
     let mut out = Vec::new();
-    let path = choose_access(table, filter, None, params, false).path;
-    let rows = stream(table, path, filter, params, vis, stats);
+    let path = choose_access(table, bound.as_ref(), None, params, false).path;
+    let rows = stream(table, path, bound.as_ref(), params, vis, stats);
     for_each_match(rows, bound.as_ref(), params, gov, |stored, _| {
         out.push(stored.id);
         Ok(true)

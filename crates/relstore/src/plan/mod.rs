@@ -59,10 +59,15 @@
 //! an UPDATE or DELETE matches — takes its path from one chooser,
 //! `choose_access`, as one [`AccessPath`] that names its column by
 //! ordinal, so a path holds no string and the executor's one streamer reads
-//! it without resolving a name. The chooser is also the only code that
-//! reads the force-scan knob (`Database::set_force_scan`): under it every
-//! table it is asked about is a full scan, so the planned join inputs and
-//! EXPLAIN show and run the same scans a forced single-table SELECT does.
+//! it without resolving a name. Both read the filter already bound over
+//! the table read (`BoundExpr::column_keys` walks its conjuncts by
+//! ordinal), and the planner attributes each pushed-down conjunct and each
+//! equi-join column with the same `resolve_column` that binding uses, so a
+//! name means one column however it is spelled. The chooser is also the
+//! only code that reads the force-scan knob (`Database::set_force_scan`):
+//! under it every table it is asked about is a full scan, so the planned
+//! join inputs and EXPLAIN show and run the same scans a forced
+//! single-table SELECT does.
 //!
 //! Estimates come from two sources, both optional: `ANALYZE`-collected
 //! [`TableStats`] (exact at collection time, stale afterwards) and live
@@ -72,19 +77,19 @@
 //! executor re-applies the full predicate, so stale stats can cost time but
 //! never correctness.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::hash::FoldMap;
-use crate::exec::{Catalog, QueryResult};
+use crate::exec::{get_table, Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::obs::OpStats;
-use crate::predicate::{resolve_column, CmpOp, Expr};
+use crate::predicate::{resolve_column, BoundExpr, CmpOp, Expr};
 use crate::schema::Schema;
 use crate::sql::ast::{AggFunc, OrderKey, SelectItem, SelectStmt, SortOrder};
 use crate::table::Table;
 use crate::tuple::Row;
 use crate::value::{DataType, Value};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Per-column statistics collected by `ANALYZE`.
@@ -181,20 +186,14 @@ fn distinct_estimate(table: &Table, column: usize) -> Option<usize> {
     table.index_stats_on(column).map(|(d, _)| d.max(1))
 }
 
-/// Declared type of `column` (qualified or bare, as written) in `table`.
-fn column_type(table: &Table, column: &str) -> Option<DataType> {
-    let bare = column.rsplit('.').next().unwrap_or(column);
-    table.schema.column(bare).ok().map(|c| c.ty)
-}
-
 /// Whether probing an index with a join key finds exactly the rows SQL `=`
 /// would match, for a pair of declared column types. Index key order and
 /// `=` are the same comparison on every value except a DOUBLE NaN, which
 /// `=` treats as equal to every number while an ordered index cannot find
 /// (or, stored as a key, mis-orders its neighbours) — so a DOUBLE column on
 /// either side keeps the join off the index.
-fn index_probe_is_exact(left: Option<DataType>, right: Option<DataType>) -> bool {
-    matches!((left, right), (Some(l), Some(r)) if l != DataType::Double && r != DataType::Double)
+fn index_probe_is_exact(left: DataType, right: DataType) -> bool {
+    left != DataType::Double && right != DataType::Double
 }
 
 /// How the executor reads one table. A column is its ordinal in the
@@ -289,19 +288,13 @@ pub(crate) fn walk_order(stmt: &SelectStmt, limit: Option<usize>) -> Option<(&Or
     }
 }
 
-/// The ordinal of the column of `table` an `ORDER BY` on `name` (bare or
-/// qualified, as written) can be served from by an index walk: it must
-/// resolve to this table, be covered by an index, be unable to hold NULL
-/// (NULL keys are not indexed, so those rows would be missing from the
-/// walk) and not be DOUBLE (index order around a NaN key is not `ORDER BY`
-/// order).
+/// The ordinal of the column of `table` an `ORDER BY` on `name` (as
+/// written) can be served from by an index walk: it must resolve to this
+/// table, be covered by an index, be unable to hold NULL (NULL keys are not
+/// indexed, so those rows would be missing from the walk) and not be DOUBLE
+/// (index order around a NaN key is not `ORDER BY` order).
 fn walkable_column(table: &Table, name: &str) -> Option<usize> {
-    let bare = match name.split_once('.') {
-        Some((t, c)) if t.eq_ignore_ascii_case(&table.schema.name) => c,
-        Some(_) => return None,
-        None => name,
-    };
-    let ord = table.schema.column_index(bare).ok()?;
+    let ord = resolve_column(&[&table.schema], name).ok()?.ord;
     let col = &table.schema.columns[ord];
     let never_null = col.not_null || table.schema.primary_key.as_deref() == Some(&*col.name);
     let indexed = table.indexed_columns().any(|c| c == ord);
@@ -310,11 +303,16 @@ fn walkable_column(table: &Table, name: &str) -> Option<usize> {
 
 /// The one access-path chooser, for every table read: a single-table
 /// SELECT, each input of a join, and the rows an UPDATE or DELETE matches.
+/// `filter` is the filter already bound over `table` alone — the
+/// statement's for a single table, the pushed-down conjuncts for a join
+/// input — so it names each column by ordinal and no name is matched here.
 ///
 /// With `force_scan` set every table is a full scan — the de-optimized
 /// oracle, and the only place that flag is read. Otherwise it estimates
 /// the output of every index `filter` can use and picks the cheapest,
-/// preferring point over range over scan on ties. Given `order` — the one
+/// preferring point over range over scan on ties. A `?` counts as a key,
+/// so a join plan chosen before its parameters are bound still picks the
+/// lookup its bound keys will drive. Given `order` — the one
 /// `ORDER BY` key and the bound `LIMIT` of a single-table, non-aggregate
 /// SELECT — it then costs the ordered walk against that filter-driven path
 /// (see the module docs for the rule). `params` are read only for that,
@@ -323,7 +321,7 @@ fn walkable_column(table: &Table, name: &str) -> Option<usize> {
 /// on them.
 pub(crate) fn choose_access(
     table: &Table,
-    filter: Option<&Expr>,
+    filter: Option<&BoundExpr<'_>>,
     order: Option<(&OrderKey, usize)>,
     params: &[Value],
     force_scan: bool,
@@ -336,11 +334,14 @@ pub(crate) fn choose_access(
     if force_scan {
         return best;
     }
-    let name = &*table.schema.name;
-    let column_name = |c: usize| &*table.schema.columns[c].name;
     if let Some(filter) = filter {
         for column in table.indexed_columns() {
-            let cand = if filter.pins_column(name, column_name(column)) {
+            let (mut pins, mut ranges) = (false, false);
+            filter.column_keys(column, &mut |op, _| {
+                pins |= op == CmpOp::Eq;
+                ranges |= op != CmpOp::Ne;
+            });
+            let cand = if pins {
                 let unique = table.index_stats_on(column).is_some_and(|(_, unique)| unique);
                 let est = if unique {
                     rows.min(1.0)
@@ -349,7 +350,7 @@ pub(crate) fn choose_access(
                     (rows / d).min(rows)
                 };
                 Some((AccessPath::Point { column, unique }, est))
-            } else if filter.ranges_column(name, column_name(column)) {
+            } else if ranges {
                 Some((AccessPath::Range { column }, rows / 3.0))
             } else {
                 None
@@ -367,8 +368,8 @@ pub(crate) fn choose_access(
     };
     let driven = match best.path {
         AccessPath::Point { column: pinned, .. } => filter
-            .and_then(|f| f.equality_lookup_on(name, column_name(pinned), params))
-            .and_then(|key| table.posting_len(pinned, &key)),
+            .and_then(|f| f.point_key(pinned, params))
+            .and_then(|key| table.posting_len(pinned, key)),
         AccessPath::Scan => Some(table.len()),
         _ => None,
     }
@@ -387,6 +388,23 @@ pub(crate) fn choose_access(
         }
     } else {
         best
+    }
+}
+
+/// [`choose_access`] for a table of a plan, keyed from its pushed-down
+/// conjuncts bound over that table alone. A pushdown that does not bind
+/// there is chosen as a scan: the executor binds it again and reports the
+/// error.
+fn choose_pushed(
+    table: &Table,
+    pushdown: Option<&Expr>,
+    order: Option<(&OrderKey, usize)>,
+    params: &[Value],
+    force_scan: bool,
+) -> AccessPlan {
+    match pushdown.map(|p| p.bind(&[&table.schema])).transpose() {
+        Ok(bound) => choose_access(table, bound.as_ref(), order, params, force_scan),
+        Err(_) => choose_access(table, None, None, params, true),
     }
 }
 
@@ -506,45 +524,6 @@ pub(crate) fn counts_postings(stmt: &SelectStmt) -> bool {
                 || matches!(r.as_ref(), Expr::Column(_)) && key_side(l))
 }
 
-fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Table> {
-    catalog
-        .get(crate::schema::lower_name(name).as_ref())
-        .ok_or_else(|| Error::not_found(format!("table {name}")))
-}
-
-/// Resolves a column reference to the (lower-case) table in `scope` that
-/// owns it. Qualified names resolve against their table; bare names resolve
-/// when exactly one table in scope has the column. `None` means
-/// unresolvable or ambiguous — the planner then leaves the predicate for
-/// the executor, which reports the error with full context.
-fn owner_of<'a>(catalog: &Catalog, scope: &'a [String], col: &str) -> Option<&'a str> {
-    let lcol = crate::schema::lower_name(col);
-    if let Some((q, c)) = lcol.split_once('.') {
-        return scope
-            .iter()
-            .find(|t| {
-                t.as_str() == q
-                    && catalog
-                        .get(t.as_str())
-                        .is_some_and(|tab| tab.schema.column_index(c).is_ok())
-            })
-            .map(String::as_str);
-    }
-    let mut found: Option<&str> = None;
-    for t in scope {
-        if catalog
-            .get(t.as_str())
-            .is_some_and(|tab| tab.schema.column_index(lcol.as_ref()).is_ok())
-        {
-            if found.is_some() {
-                return None;
-            }
-            found = Some(t);
-        }
-    }
-    found
-}
-
 /// Flattens a top-level `AND` tree into its conjuncts.
 fn split_conjuncts<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     if let Expr::And(l, r) = expr {
@@ -555,11 +534,15 @@ fn split_conjuncts<'a>(expr: &'a Expr, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Assigns each WHERE conjunct that references exactly one table (and no
-/// subquery) to that table, AND-combining per table. Everything else stays
-/// in the residual filter the executor applies after the joins.
-fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> HashMap<String, Expr> {
-    let mut out: HashMap<String, Expr> = HashMap::new();
+/// Assigns each WHERE conjunct whose columns all resolve, over `scope` —
+/// the FROM tables' schemas, base first, then the join clauses in
+/// syntactic order — to one and the same table, and that holds no
+/// subquery, to that table's slot, AND-combining per slot. Everything else
+/// — a conjunct spanning tables, or one with a name that is ambiguous or
+/// unknown — stays in the residual filter the executor applies after the
+/// joins, which reports the error with full context.
+fn pushdowns(scope: &[&Schema], filter: Option<&Expr>) -> Vec<Option<Expr>> {
+    let mut out = vec![None; scope.len()];
     let Some(filter) = filter else { return out };
     let mut conjuncts = Vec::new();
     split_conjuncts(filter, &mut conjuncts);
@@ -569,27 +552,14 @@ fn pushdown_map(catalog: &Catalog, scope: &[String], filter: Option<&Expr>) -> H
         }
         let mut refs = Vec::new();
         conj.referenced_columns(&mut refs);
-        if refs.is_empty() {
-            continue;
-        }
-        let mut owner: Option<&str> = None;
-        let mut single = true;
-        for c in &refs {
-            match owner_of(catalog, scope, c) {
-                Some(t) if owner.is_none() || owner == Some(t) => owner = Some(t),
-                _ => {
-                    single = false;
-                    break;
-                }
-            }
-        }
-        if let (true, Some(t)) = (single, owner) {
-            let entry = out.remove(t);
-            let combined = match entry {
+        let mut slots = refs.iter().map(|c| resolve_column(scope, c).map(|c| c.slot));
+        let Some(Ok(slot)) = slots.next() else { continue };
+        if slots.all(|s| s.is_ok_and(|s| s == slot)) {
+            let pushed: &mut Option<Expr> = &mut out[slot];
+            *pushed = Some(match pushed.take() {
                 Some(prev) => prev.and(conj.clone()),
                 None => conj.clone(),
-            };
-            out.insert(t.to_string(), combined);
+            });
         }
     }
     out
@@ -619,24 +589,26 @@ pub fn plan_select(
 ) -> Result<SelectPlan> {
     let base = get_table(catalog, &stmt.table)?;
     let base_name = crate::schema::lower_name(&stmt.table).into_owned();
-
-    // Full FROM scope for pushdown assignment: a bare column ambiguous
-    // across *any* joined table stays residual, matching the executor's
-    // ambiguity errors.
-    let mut scope = vec![base_name.clone()];
+    // The FROM tables, base first, then the join clauses in syntactic
+    // order. Pushdown is assigned over all of them: a bare column
+    // ambiguous across *any* joined table stays residual, matching the
+    // executor's ambiguity errors.
+    let mut from = vec![base];
     for j in &stmt.joins {
-        scope.push(crate::schema::lower_name(&j.table).into_owned());
+        from.push(get_table(catalog, &j.table)?);
     }
-    let mut pushdown = pushdown_map(catalog, &scope, stmt.filter.as_ref());
+    let scope: Vec<&Schema> = from.iter().map(|t| &t.schema).collect();
+    let mut pushdown = pushdowns(&scope, stmt.filter.as_ref());
 
-    let base_pushdown = pushdown.remove(&base_name);
+    let base_pushdown = pushdown[0].take();
     // A join's rows come out of its last step, not in any index's order.
     let limit = if stmt.joins.is_empty() { stmt.limit_with(params)? } else { None };
     let order = walk_order(stmt, limit);
-    let base_access = choose_access(base, base_pushdown.as_ref(), order, params, force_scan);
+    let base_access = choose_pushed(base, base_pushdown.as_ref(), order, params, force_scan);
     let mut left_est = base_access.est_rows;
 
-    let mut placed = vec![base_name.clone()];
+    // The schemas of the tables placed so far, in execution order.
+    let mut placed = vec![&base.schema];
     let mut remaining: Vec<usize> = (0..stmt.joins.len()).collect();
     let mut steps: Vec<JoinStep> = Vec::with_capacity(stmt.joins.len());
 
@@ -647,48 +619,41 @@ pub fn plan_select(
         // unresolvable references), fall back to the first remaining clause
         // in syntactic order and let the executor report the error.
         let mut best: Option<(usize, JoinStep)> = None;
-        let evaluate = |pos: usize, ji: usize, require_placeable: bool, best: &mut Option<(usize, JoinStep)>| -> Result<()> {
+        let evaluate = |pos: usize, ji: usize, require_placeable: bool, best: &mut Option<(usize, JoinStep)>| {
             let clause = &stmt.joins[ji];
-            let right_name = crate::schema::lower_name(&clause.table).into_owned();
-            let right = get_table(catalog, &clause.table)?;
-
+            let right = from[1 + ji];
             let mut local = placed.clone();
-            local.push(right_name.clone());
+            local.push(&right.schema);
             let mut refs = Vec::new();
             clause.on.referenced_columns(&mut refs);
-            let placeable = refs
-                .iter()
-                .all(|c| owner_of(catalog, &local, c).is_some());
+            let placeable = refs.iter().all(|c| resolve_column(&local, c).is_ok());
             if require_placeable && !placeable {
-                return Ok(());
+                return;
             }
 
-            // A single-equality ON with exactly one side owned by the new
-            // table is an equi join: (left column, its table, right column).
+            // A single-equality ON with exactly one side on the new table
+            // is an equi join: (left column as written and where it
+            // resolves, right column as written and its ordinal).
+            let right_slot = placed.len();
             let equi = match clause.equi_columns() {
-                Some((a, b)) if placeable => {
-                    match (owner_of(catalog, &local, a), owner_of(catalog, &local, b)) {
-                        (Some(ta), Some(tb)) if ta == right_name && tb != right_name => {
-                            Some((b, tb, a))
-                        }
-                        (Some(ta), Some(tb)) if tb == right_name && ta != right_name => {
-                            Some((a, ta, b))
-                        }
-                        _ => None,
+                Some((a, b)) if placeable => match (resolve_column(&local, a), resolve_column(&local, b)) {
+                    (Ok(ca), Ok(cb)) if ca.slot == right_slot && cb.slot != right_slot => {
+                        Some((b, cb, a, ca.ord))
                     }
-                }
+                    (Ok(ca), Ok(cb)) if cb.slot == right_slot && ca.slot != right_slot => {
+                        Some((a, ca, b, cb.ord))
+                    }
+                    _ => None,
+                },
                 _ => None,
             };
 
-            let pd = pushdown.get(&right_name).cloned();
-            let access = choose_access(right, pd.as_ref(), None, params, force_scan);
+            let pd = pushdown[1 + ji].clone();
+            let access = choose_pushed(right, pd.as_ref(), None, params, force_scan);
             let (strategy, est_out) = match equi {
                 None => (JoinStrategy::NestedLoop, left_est * access.est_rows),
-                Some((probe, probe_table, right_col)) => {
-                    let bare = right_col.rsplit('.').next().unwrap_or(right_col);
-                    let right_ord = right.schema.column_index(bare).ok();
-                    let distinct = right_ord
-                        .and_then(|c| distinct_estimate(right, c))
+                Some((probe, probe_col, right_col, right_ord)) => {
+                    let distinct = distinct_estimate(right, right_ord)
                         .unwrap_or(access.est_rows as usize)
                         .max(1) as f64;
                     let est_out = (left_est * access.est_rows / distinct).max(0.0);
@@ -696,11 +661,11 @@ pub fn plan_select(
                     // why a tie goes to the index loop.
                     let hash_cost = access.est_rows + left_est;
                     let loop_cost = left_est * (1.0 + right.len() as f64 / distinct);
-                    let index = right_ord.and_then(|c| right.index_name_on(c)).filter(|_| {
+                    let index = right.index_name_on(right_ord).filter(|_| {
                         loop_cost <= hash_cost
                             && index_probe_is_exact(
-                                catalog.get(probe_table).and_then(|t| column_type(t, probe)),
-                                column_type(right, bare),
+                                local[probe_col.slot].columns[probe_col.ord].ty,
+                                right.schema.columns[right_ord].ty,
                             )
                     });
                     let strategy = match index {
@@ -720,7 +685,7 @@ pub fn plan_select(
             let cacheable = pd.as_ref().is_none_or(|e| e.param_count() == 0);
             let step = JoinStep {
                 clause: ji,
-                table: right_name,
+                table: crate::schema::lower_name(&clause.table).into_owned(),
                 access,
                 pushdown: pd,
                 strategy,
@@ -734,21 +699,20 @@ pub fn plan_select(
             if better {
                 *best = Some((pos, step));
             }
-            Ok(())
         };
         if reorder {
             for (pos, &ji) in remaining.iter().enumerate() {
-                evaluate(pos, ji, true, &mut best)?;
+                evaluate(pos, ji, true, &mut best);
             }
             if best.is_none() {
-                evaluate(0, remaining[0], false, &mut best)?;
+                evaluate(0, remaining[0], false, &mut best);
             }
         } else {
-            evaluate(0, remaining[0], false, &mut best)?;
+            evaluate(0, remaining[0], false, &mut best);
         }
         let (pos, step) = best.expect("fallback evaluation always yields a step");
         remaining.remove(pos);
-        placed.push(step.table.clone());
+        placed.push(&from[1 + step.clause].schema);
         left_est = step.est_out_rows;
         steps.push(step);
     }
@@ -1142,12 +1106,19 @@ mod tests {
         assert_eq!(stats.column("a").unwrap().min, Value::Null);
     }
 
+    /// `choose_access` for `sql`'s filter, bound over `table`, with no
+    /// `ORDER BY` to walk.
+    fn filter_access(table: &Table, sql: &str) -> AccessPlan {
+        let stmt = select_stmt(sql);
+        let filter = stmt.filter.as_ref().map(|f| f.bind(&[&table.schema]).unwrap());
+        choose_access(table, filter.as_ref(), None, &[], false)
+    }
+
     #[test]
     fn choose_access_prefers_unique_point_over_scan() {
         let cat = catalog();
         let jobs = cat.get("jobs").unwrap();
-        let stmt = select_stmt("SELECT * FROM jobs WHERE job_id = 7");
-        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        let plan = filter_access(jobs, "SELECT * FROM jobs WHERE job_id = 7");
         assert_eq!(
             plan.path,
             AccessPath::Point {
@@ -1164,16 +1135,13 @@ mod tests {
         let jobs = cat.get("jobs").unwrap();
         // Both state (2 distinct) and job_id (unique) are pinned: the unique
         // index wins regardless of index declaration order.
-        let stmt = select_stmt("SELECT * FROM jobs WHERE state = 'idle' AND job_id = 3");
-        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        let plan = filter_access(jobs, "SELECT * FROM jobs WHERE state = 'idle' AND job_id = 3");
         assert!(matches!(plan.path, AccessPath::Point { column: JOB_ID, .. }));
         // Range beats scan, loses to point.
-        let stmt = select_stmt("SELECT * FROM jobs WHERE job_id > 50");
-        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        let plan = filter_access(jobs, "SELECT * FROM jobs WHERE job_id > 50");
         assert!(matches!(plan.path, AccessPath::Range { column: JOB_ID }));
         // Unindexed predicate: full scan.
-        let stmt = select_stmt("SELECT * FROM jobs WHERE owner = 'owner1'");
-        let plan = choose_access(jobs, stmt.filter.as_ref(), None, &[], false);
+        let plan = filter_access(jobs, "SELECT * FROM jobs WHERE owner = 'owner1'");
         assert_eq!(plan.path, AccessPath::Scan);
         assert_eq!(plan.est_rows, 100.0);
     }
@@ -1183,7 +1151,8 @@ mod tests {
     fn select_access(table: &Table, sql: &str, params: &[Value]) -> AccessPath {
         let stmt = select_stmt(sql);
         let limit = stmt.limit_with(params).unwrap();
-        choose_access(table, stmt.filter.as_ref(), walk_order(&stmt, limit), params, false).path
+        let filter = stmt.filter.as_ref().map(|f| f.bind(&[&table.schema]).unwrap());
+        choose_access(table, filter.as_ref(), walk_order(&stmt, limit), params, false).path
     }
 
     #[test]

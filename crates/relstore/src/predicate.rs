@@ -214,99 +214,6 @@ impl Expr {
         })
     }
 
-    /// If the expression pins `column` of `table` to a single concrete value
-    /// with equality somewhere in a top-level conjunction, return that value.
-    /// Accepts both the bare and the `table.column`-qualified spelling
-    /// without allocating a candidate name per call, and resolves `?`
-    /// placeholders from `params`. Used by the planner to choose point
-    /// lookups over scans.
-    pub fn equality_lookup_on(&self, table: &str, column: &str, params: &[Value]) -> Option<Value> {
-        match self {
-            Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-                (Expr::Column(c), v) | (v, Expr::Column(c))
-                    if column_matches(c, table, column) =>
-                {
-                    as_bound(v, params).cloned()
-                }
-                _ => None,
-            },
-            Expr::And(l, r) => l
-                .equality_lookup_on(table, column, params)
-                .or_else(|| r.equality_lookup_on(table, column, params)),
-            _ => None,
-        }
-    }
-
-    /// Inclusive `(lo, hi)` bounds implied for `column` of `table` by the
-    /// top-level conjunction, or `None` when no comparison constrains the
-    /// column. Strict bounds (`<`, `>`) are widened to inclusive ones: the
-    /// access path only needs a *superset* of the matching rows because the
-    /// executor re-applies the full predicate afterwards. `?` placeholders
-    /// resolve through `params`.
-    pub fn range_bounds_on(
-        &self,
-        table: &str,
-        column: &str,
-        params: &[Value],
-    ) -> Option<(Option<Value>, Option<Value>)> {
-        let mut lo: Option<Value> = None;
-        let mut hi: Option<Value> = None;
-        self.collect_range_bounds(table, column, params, &mut lo, &mut hi);
-        if lo.is_none() && hi.is_none() {
-            None
-        } else {
-            Some((lo, hi))
-        }
-    }
-
-    fn collect_range_bounds(
-        &self,
-        table: &str,
-        column: &str,
-        params: &[Value],
-        lo: &mut Option<Value>,
-        hi: &mut Option<Value>,
-    ) {
-        match self {
-            Expr::And(l, r) => {
-                l.collect_range_bounds(table, column, params, lo, hi);
-                r.collect_range_bounds(table, column, params, lo, hi);
-            }
-            Expr::Cmp(op, l, r) => {
-                let (op, v) = match (l.as_ref(), r.as_ref()) {
-                    (Expr::Column(c), v) if column_matches(c, table, column) => {
-                        match as_bound(v, params) {
-                            Some(v) => (*op, v),
-                            None => return,
-                        }
-                    }
-                    (v, Expr::Column(c)) if column_matches(c, table, column) => {
-                        match as_bound(v, params) {
-                            Some(v) => (op.flip(), v),
-                            None => return,
-                        }
-                    }
-                    _ => return,
-                };
-                // A NULL comparison matches nothing; the filter re-check
-                // rejects every row, so no bound needs recording.
-                if v.is_null() {
-                    return;
-                }
-                match op {
-                    CmpOp::Eq => {
-                        tighten_lo(lo, v);
-                        tighten_hi(hi, v);
-                    }
-                    CmpOp::Gt | CmpOp::Ge => tighten_lo(lo, v),
-                    CmpOp::Lt | CmpOp::Le => tighten_hi(hi, v),
-                    CmpOp::Ne => {}
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Number of parameter slots this expression requires
     /// (one past the highest `?` index).
     pub fn param_count(&self) -> usize {
@@ -358,50 +265,6 @@ impl Expr {
             }
         }
     }
-
-    /// Structural form of [`Expr::equality_lookup_on`]: true when a
-    /// top-level conjunct pins `column` of `table` with equality against a
-    /// literal *or an unbound `?` placeholder*. Plans for prepared
-    /// statements are built before parameters are bound, so the planner asks
-    /// whether a point lookup *will* be possible; the concrete key is
-    /// extracted at execution time via `equality_lookup_on`.
-    pub fn pins_column(&self, table: &str, column: &str) -> bool {
-        match self {
-            Expr::Cmp(CmpOp::Eq, l, r) => match (l.as_ref(), r.as_ref()) {
-                (Expr::Column(c), v) | (v, Expr::Column(c))
-                    if column_matches(c, table, column) =>
-                {
-                    matches!(v, Expr::Literal(_) | Expr::Param(_))
-                }
-                _ => false,
-            },
-            Expr::And(l, r) => l.pins_column(table, column) || r.pins_column(table, column),
-            _ => false,
-        }
-    }
-
-    /// Structural form of [`Expr::range_bounds_on`]: true when a top-level
-    /// conjunct constrains `column` of `table` with an ordering comparison
-    /// against a literal or an unbound `?` placeholder.
-    pub fn ranges_column(&self, table: &str, column: &str) -> bool {
-        match self {
-            Expr::And(l, r) => l.ranges_column(table, column) || r.ranges_column(table, column),
-            Expr::Cmp(op, l, r) => {
-                if matches!(op, CmpOp::Ne) {
-                    return false;
-                }
-                match (l.as_ref(), r.as_ref()) {
-                    (Expr::Column(c), v) | (v, Expr::Column(c))
-                        if column_matches(c, table, column) =>
-                    {
-                        matches!(v, Expr::Literal(_) | Expr::Param(_))
-                    }
-                    _ => false,
-                }
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Where a column lives in a tuple of borrowed rows: `slot` picks the row
@@ -422,10 +285,13 @@ impl ColRef {
     }
 }
 
-/// The one column resolver: finds `name` among the tables of `scope`. A
-/// qualified `table.column` only matches the table it names; a bare name
-/// matching columns of two tables is an *ambiguous column* type error, one
-/// matching none is not-found. Does not allocate for a lower-case name.
+/// The one column resolver: finds `name` among the tables of `scope`. Every
+/// column name the planner and the executor meet goes through it — a bound
+/// expression's columns, the filter an access path is keyed from, a
+/// pushed-down conjunct's table, a join's equi columns, a sort or grouping
+/// key. A qualified `table.column` only matches the table it names; a bare
+/// name matching columns of two tables is an *ambiguous column* type error,
+/// one matching none is not-found. Does not allocate for a lower-case name.
 pub fn resolve_column(scope: &[&Schema], name: &str) -> Result<ColRef> {
     let lname = crate::schema::lower_name(name);
     let (table, column) = match lname.split_once('.') {
@@ -465,6 +331,19 @@ pub enum Leaf<'e> {
 }
 
 impl<'e> Leaf<'e> {
+    /// The value of a literal, or of a `?` bound in `params`; `None` for a
+    /// column or an unbound `?`.
+    fn value<'a>(self, params: &'a [Value]) -> Option<&'a Value>
+    where
+        'e: 'a,
+    {
+        match self {
+            Leaf::Literal(v) => Some(v),
+            Leaf::Param(i) => params.get(i),
+            Leaf::Column(_) => None,
+        }
+    }
+
     #[inline]
     fn get<'a>(&'a self, tuple: &[&'a Row], params: &'a [Value]) -> Result<&'a Value> {
         match self {
@@ -539,6 +418,76 @@ impl<'e> BoundExpr<'e> {
             BoundExpr::Leaf(Leaf::Column(c)) => Some(*c),
             _ => None,
         }
+    }
+
+    /// The one walker an access path reads a filter with: calls
+    /// `each(op, key)` for every top-level conjunct `column op key` that
+    /// compares the column at ordinal `column` with a literal or a `?`,
+    /// the operator turned so the column is on its left. The filter is
+    /// bound over the one table read, so the ordinal alone names the
+    /// column. A conjunct under OR or NOT, or comparing the column with
+    /// another column or a computed value, is nothing an index can key,
+    /// and is skipped.
+    pub(crate) fn column_keys(&self, column: usize, each: &mut impl FnMut(CmpOp, Leaf<'e>)) {
+        match self {
+            BoundExpr::And(l, r) => {
+                for side in [l, r] {
+                    if let Operand::Expr(e) = side {
+                        e.column_keys(column, each);
+                    }
+                }
+            }
+            BoundExpr::Cmp(op, Operand::Leaf(l), Operand::Leaf(r)) => {
+                let (op, key) = match (*l, *r) {
+                    (Leaf::Column(c), key) if c.ord == column => (*op, key),
+                    (key, Leaf::Column(c)) if c.ord == column => (op.flip(), key),
+                    _ => return,
+                };
+                if !matches!(key, Leaf::Column(_)) {
+                    each(op, key);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The key a point lookup on `column` reads: that of the first
+    /// `column = key` conjunct whose key has a value, a `?` read from
+    /// `params`.
+    pub(crate) fn point_key<'a>(&'a self, column: usize, params: &'a [Value]) -> Option<&'a Value> {
+        let mut found = None;
+        self.column_keys(column, &mut |op, key| {
+            if op == CmpOp::Eq && found.is_none() {
+                found = key.value(params);
+            }
+        });
+        found
+    }
+
+    /// The inclusive `(lo, hi)` bounds a range scan on `column` reads, or
+    /// `None` when no conjunct bounds it. A strict bound is widened to an
+    /// inclusive one and the tightest bound wins: the path only has to
+    /// yield a superset of the matching rows, since the filter is
+    /// re-applied to each. A NULL bound matches nothing and is skipped.
+    pub(crate) fn range_keys<'a>(
+        &'a self,
+        column: usize,
+        params: &'a [Value],
+    ) -> Option<(Option<&'a Value>, Option<&'a Value>)> {
+        use std::cmp::Ordering::{Greater, Less};
+        let (mut lo, mut hi) = (None::<&Value>, None::<&Value>);
+        self.column_keys(column, &mut |op, key| {
+            let Some(v) = key.value(params).filter(|v| !v.is_null()) else {
+                return;
+            };
+            if matches!(op, CmpOp::Eq | CmpOp::Gt | CmpOp::Ge) && lo.is_none_or(|cur| v.total_cmp(cur) == Greater) {
+                lo = Some(v);
+            }
+            if matches!(op, CmpOp::Eq | CmpOp::Lt | CmpOp::Le) && hi.is_none_or(|cur| v.total_cmp(cur) == Less) {
+                hi = Some(v);
+            }
+        });
+        (lo.is_some() || hi.is_some()).then_some((lo, hi))
     }
 
     /// The expression's value over `tuple`, resolving `?` placeholders from
@@ -629,44 +578,6 @@ impl fmt::Display for Expr {
             Expr::InSubquery(e, sel) => write!(f, "({e} IN (SELECT … FROM {}))", sel.table),
             Expr::ScalarSubquery(sel) => write!(f, "(SELECT … FROM {})", sel.table),
         }
-    }
-}
-
-/// Resolves a planner operand to a concrete value: a literal directly, a `?`
-/// placeholder through `params`. Column references and compound expressions
-/// yield `None` (the planner cannot constant-fold them).
-fn as_bound<'v>(e: &'v Expr, params: &'v [Value]) -> Option<&'v Value> {
-    match e {
-        Expr::Literal(v) => Some(v),
-        Expr::Param(i) => params.get(*i),
-        _ => None,
-    }
-}
-
-/// True when a column reference `cand` denotes `column` of `table`, accepting
-/// both the bare and the `table.column`-qualified spelling, without
-/// allocating.
-pub(crate) fn column_matches(cand: &str, table: &str, column: &str) -> bool {
-    if cand.eq_ignore_ascii_case(column) {
-        return true;
-    }
-    match cand.split_once('.') {
-        Some((t, c)) => t.eq_ignore_ascii_case(table) && c.eq_ignore_ascii_case(column),
-        None => false,
-    }
-}
-
-/// Raises `*lo` to `v` when `v` is the tighter lower bound.
-fn tighten_lo(lo: &mut Option<Value>, v: &Value) {
-    if lo.as_ref().is_none_or(|cur| v.total_cmp(cur) == std::cmp::Ordering::Greater) {
-        *lo = Some(v.clone());
-    }
-}
-
-/// Lowers `*hi` to `v` when `v` is the tighter upper bound.
-fn tighten_hi(hi: &mut Option<Value>, v: &Value) {
-    if hi.as_ref().is_none_or(|cur| v.total_cmp(cur) == std::cmp::Ordering::Less) {
-        *hi = Some(v.clone());
     }
 }
 
@@ -873,53 +784,71 @@ mod tests {
         assert!(!matches(&e, &s, &r, &[]).unwrap());
     }
 
+    /// The key a point lookup on `column` (as written) reads from `e`,
+    /// bound against `jobs`.
+    fn point_key(e: &Expr, column: &str, params: &[Value]) -> Option<Value> {
+        let s = schema();
+        let ord = resolve_column(&[&s], column).unwrap().ord;
+        e.bind(&[&s]).unwrap().point_key(ord, params).cloned()
+    }
+
+    /// The bounds a range scan on `column` (as written) reads from `e`,
+    /// bound against `jobs`.
+    fn range_keys(e: &Expr, column: &str) -> Option<(Option<Value>, Option<Value>)> {
+        let s = schema();
+        let ord = resolve_column(&[&s], column).unwrap().ord;
+        let bound = e.bind(&[&s]).unwrap();
+        bound.range_keys(ord, &[]).map(|(lo, hi)| (lo.cloned(), hi.cloned()))
+    }
+
     #[test]
     fn equality_lookup_detection() {
         let e = Expr::col_eq("job_id", 7).and(Expr::col_eq("state", "idle"));
-        assert_eq!(e.equality_lookup_on("jobs", "job_id", &[]), Some(Value::Int(7)));
-        assert_eq!(
-            e.equality_lookup_on("jobs", "STATE", &[]),
-            Some(Value::Text("idle".into()))
-        );
-        assert_eq!(e.equality_lookup_on("jobs", "runtime", &[]), None);
+        assert_eq!(point_key(&e, "job_id", &[]), Some(Value::Int(7)));
+        assert_eq!(point_key(&e, "STATE", &[]), Some(Value::Text("idle".into())));
+        assert_eq!(point_key(&e, "runtime", &[]), None);
         let e = Expr::col_cmp("job_id", CmpOp::Gt, 7);
-        assert_eq!(e.equality_lookup_on("jobs", "job_id", &[]), None);
+        assert_eq!(point_key(&e, "job_id", &[]), None);
         // Parameters resolve through the bound-value context.
         let e = Expr::Cmp(
             CmpOp::Eq,
             Box::new(Expr::Column("job_id".into())),
             Box::new(Expr::Param(0)),
         );
-        assert_eq!(e.equality_lookup_on("jobs", "job_id", &[]), None);
-        assert_eq!(
-            e.equality_lookup_on("jobs", "job_id", &[Value::Int(4)]),
-            Some(Value::Int(4))
-        );
+        assert_eq!(point_key(&e, "job_id", &[]), None);
+        assert_eq!(point_key(&e, "job_id", &[Value::Int(4)]), Some(Value::Int(4)));
+        // Structurally the `?` is a key all the same: a plan chosen before
+        // the parameters are bound still picks the lookup.
+        let mut keyed = false;
+        e.bind(&[&schema()]).unwrap().column_keys(0, &mut |op, _| keyed |= op == CmpOp::Eq);
+        assert!(keyed);
     }
 
     #[test]
-    fn equality_lookup_on_accepts_qualified_names() {
-        let e = Expr::Cmp(
-            CmpOp::Eq,
-            Box::new(Expr::Column("jobs.job_id".into())),
-            Box::new(Expr::Literal(Value::Int(7))),
-        );
-        assert_eq!(e.equality_lookup_on("jobs", "job_id", &[]), Some(Value::Int(7)));
-        assert_eq!(e.equality_lookup_on("machines", "job_id", &[]), None);
-        let e = Expr::col_eq("job_id", 9);
-        assert_eq!(e.equality_lookup_on("jobs", "job_id", &[]), Some(Value::Int(9)));
+    fn point_keys_accept_qualified_names() {
+        for column in ["jobs.job_id", "JOBS.Job_Id", "job_id"] {
+            let e = Expr::Cmp(
+                CmpOp::Eq,
+                Box::new(Expr::Literal(Value::Int(7))),
+                Box::new(Expr::Column(column.into())),
+            );
+            assert_eq!(point_key(&e, "job_id", &[]), Some(Value::Int(7)), "{column}");
+        }
+        // Another table's column is not this table's key: it does not bind.
+        let e = Expr::col_eq("machines.job_id", 7);
+        assert!(matches!(e.bind(&[&schema()]), Err(Error::NotFound(_))));
     }
 
     #[test]
     fn range_bounds_from_conjunctions() {
         let e = Expr::col_cmp("job_id", CmpOp::Ge, 2).and(Expr::col_cmp("job_id", CmpOp::Lt, 9));
-        let (lo, hi) = e.range_bounds_on("jobs", "job_id", &[]).unwrap();
+        let (lo, hi) = range_keys(&e, "job_id").unwrap();
         assert_eq!(lo, Some(Value::Int(2)));
         assert_eq!(hi, Some(Value::Int(9)), "strict bound widened to inclusive");
 
         // Tightest bound wins across repeated conjuncts.
         let e = Expr::col_cmp("job_id", CmpOp::Ge, 2).and(Expr::col_cmp("job_id", CmpOp::Gt, 5));
-        let (lo, hi) = e.range_bounds_on("jobs", "job_id", &[]).unwrap();
+        let (lo, hi) = range_keys(&e, "job_id").unwrap();
         assert_eq!(lo, Some(Value::Int(5)));
         assert_eq!(hi, None);
 
@@ -929,22 +858,16 @@ mod tests {
             Box::new(Expr::Literal(Value::Int(10))),
             Box::new(Expr::Column("job_id".into())),
         );
-        let (lo, hi) = e.range_bounds_on("jobs", "job_id", &[]).unwrap();
+        let (lo, hi) = range_keys(&e, "job_id").unwrap();
         assert_eq!(lo, None);
         assert_eq!(hi, Some(Value::Int(10)));
 
         // Disjunctions must not contribute bounds.
         let e = Expr::col_cmp("job_id", CmpOp::Ge, 2).or(Expr::col_eq("state", "idle"));
-        assert_eq!(e.range_bounds_on("jobs", "job_id", &[]), None);
+        assert_eq!(range_keys(&e, "job_id"), None);
         // Other columns and NULL literals contribute nothing.
-        assert_eq!(
-            Expr::col_cmp("runtime", CmpOp::Ge, 2).range_bounds_on("jobs", "job_id", &[]),
-            None
-        );
-        assert_eq!(
-            Expr::col_cmp("job_id", CmpOp::Ge, Value::Null).range_bounds_on("jobs", "job_id", &[]),
-            None
-        );
+        assert_eq!(range_keys(&Expr::col_cmp("runtime", CmpOp::Ge, 2), "job_id"), None);
+        assert_eq!(range_keys(&Expr::col_cmp("job_id", CmpOp::Ge, Value::Null), "job_id"), None);
     }
 
     #[test]
