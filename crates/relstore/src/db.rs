@@ -53,7 +53,7 @@
 
 use crate::error::{Error, Result, TimeoutKind};
 use crate::exec::{
-    execute_select_opts, matching_row_ids_with, Catalog, ExecOptions,
+    execute_select_opts, get_table, get_table_mut, matching_row_ids_with, Catalog, ExecOptions,
     QueryResult,
 };
 use crate::govern::{Governance, Governor};
@@ -435,11 +435,7 @@ impl Database {
 
     /// Number of rows in `table`, or an error if it does not exist.
     pub fn table_len(&self, table: &str) -> Result<usize> {
-        self.catalog
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .map(Table::len)
-            .ok_or_else(|| Error::not_found(format!("table {table}")))
+        get_table(&self.catalog.read(), table).map(Table::len)
     }
 
     /// Approximate resident size of all tables, in bytes.
@@ -1065,13 +1061,7 @@ impl Database {
     fn run_analyze(&self, target: Option<&str>, local: &mut OpStats) -> Result<usize> {
         let mut catalog = self.catalog.write();
         let names: Vec<String> = match target {
-            Some(t) => {
-                let name = lower_name(t).into_owned();
-                if !catalog.contains_key(&name) {
-                    return Err(Error::not_found(format!("table {t}")));
-                }
-                vec![name]
-            }
+            Some(t) => vec![get_table(&catalog, t)?.name().to_string()],
             None => catalog.keys().cloned().collect(),
         };
         for name in &names {
@@ -1467,13 +1457,10 @@ impl Database {
                 column,
                 unique,
             } => {
-                let name = table.to_ascii_lowercase();
-                let t = catalog
-                    .get_mut(&name)
-                    .ok_or_else(|| Error::not_found(format!("table {table}")))?;
+                let t = get_table_mut(catalog, table)?;
                 let prefix = if *unique { "uidx" } else { "idx" };
                 let def = IndexDef {
-                    name: format!("{prefix}_{name}_{column}"),
+                    name: format!("{prefix}_{}_{column}", t.name()),
                     column: column.to_ascii_lowercase(),
                     unique: *unique,
                 };
@@ -1529,9 +1516,7 @@ impl Database {
         stats: &mut OpStats,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let table = catalog
-            .get_mut(lower_name(&ins.table).as_ref())
-            .ok_or_else(|| Error::not_found(format!("table {}", ins.table)))?;
+        let table = get_table_mut(catalog, &ins.table)?;
         let name = Arc::clone(table.name());
         let mut inserted = 0usize;
         for row_exprs in &ins.rows {
@@ -1592,9 +1577,7 @@ impl Database {
         stats: &mut OpStats,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let table = catalog
-            .get_mut(lower_name(&upd.table).as_ref())
-            .ok_or_else(|| Error::not_found(format!("table {}", upd.table)))?;
+        let table = get_table_mut(catalog, &upd.table)?;
         let name = Arc::clone(table.name());
         // Each SET column is resolved and each expression bound once per
         // statement, before any row is matched.
@@ -1636,9 +1619,7 @@ impl Database {
         stats: &mut OpStats,
         gov: &mut Governor,
     ) -> Result<ExecResult> {
-        let table = catalog
-            .get_mut(lower_name(&del.table).as_ref())
-            .ok_or_else(|| Error::not_found(format!("table {}", del.table)))?;
+        let table = get_table_mut(catalog, &del.table)?;
         let name = Arc::clone(table.name());
         let ids =
             matching_row_ids_with(table, del.filter.as_ref(), params, Snapshot::latest(), stats, gov)?;
@@ -1744,31 +1725,19 @@ impl Database {
     /// With no writers in flight and after a vacuum this equals
     /// [`Database::table_len`]. Used by tests and monitoring.
     pub fn table_versions(&self, table: &str) -> Result<usize> {
-        self.catalog
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .map(Table::total_versions)
-            .ok_or_else(|| Error::not_found(format!("table {table}")))
+        get_table(&self.catalog.read(), table).map(Table::total_versions)
     }
 
     /// Number of version chains in `table` retaining at least one dead
     /// version — exactly the chains the next vacuum pass will visit (the
     /// dirty-chain list; see `Table::dirty_chain_count`).
     pub fn table_dirty_chains(&self, table: &str) -> Result<usize> {
-        self.catalog
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .map(Table::dirty_chain_count)
-            .ok_or_else(|| Error::not_found(format!("table {table}")))
+        get_table(&self.catalog.read(), table).map(Table::dirty_chain_count)
     }
 
     /// Length of the longest version chain in `table`.
     pub fn table_max_chain(&self, table: &str) -> Result<usize> {
-        self.catalog
-            .read()
-            .get(&table.to_ascii_lowercase())
-            .map(Table::max_chain_len)
-            .ok_or_else(|| Error::not_found(format!("table {table}")))
+        get_table(&self.catalog.read(), table).map(Table::max_chain_len)
     }
 
     /// Verifies heap/index consistency of every table. Used by tests.

@@ -11,7 +11,7 @@ mod select;
 
 pub(crate) use select::matching_row_ids_with;
 pub use select::{execute_select_opts, Catalog, ExecOptions};
-pub(crate) use select::get_table;
+pub(crate) use select::{get_table, get_table_mut};
 
 use crate::convert::{resolve_column, FromRow, RowView};
 use crate::error::Result;

@@ -98,6 +98,13 @@ pub(crate) fn get_table<'a>(catalog: &'a Catalog, name: &str) -> Result<&'a Tabl
         .ok_or_else(|| Error::not_found(format!("table {name}")))
 }
 
+/// [`get_table`], for writing.
+pub(crate) fn get_table_mut<'a>(catalog: &'a mut Catalog, name: &str) -> Result<&'a mut Table> {
+    catalog
+        .get_mut(crate::schema::lower_name(name).as_ref())
+        .ok_or_else(|| Error::not_found(format!("table {name}")))
+}
+
 /// The one streamer: reads `table` through `path`, taking the point or
 /// range key for the path's column from `filter` — the filter already
 /// bound over `table` alone: the statement's for a single table or an
