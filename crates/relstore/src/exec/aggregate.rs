@@ -14,9 +14,14 @@
 //! folds every later match of that row by number — no key is hashed per
 //! joined tuple. A `COUNT(*)` whose rows were counted without being read
 //! is folded in as one number ([`Aggregator::count_rows`]).
+//!
+//! A group is the result row it will become, so opening one charges the
+//! governor a row priced at its key values — the one group of an
+//! aggregate without GROUP BY too — and a budget trips while grouping.
 
 use super::QueryResult;
 use crate::error::{Error, Result};
+use crate::govern::{approx_values_bytes, Governor};
 use crate::hash::FoldMap;
 use crate::obs::OpStats;
 use crate::predicate::{resolve_column, ColRef, Expr};
@@ -146,11 +151,13 @@ pub(super) struct Aggregator<'r> {
 impl<'r> Aggregator<'r> {
     /// Binds `stmt`'s grouping columns, aggregates and ORDER BY keys
     /// against `scope`. `label` names a plain column in the output (bare
-    /// for a single table, `table.column` for a join).
+    /// for a single table, `table.column` for a join). Without GROUP BY
+    /// the one group opens here, charged to `gov`.
     pub(super) fn new(
         stmt: &SelectStmt,
         scope: &[&Schema],
         label: impl Fn(ColRef) -> Arc<str>,
+        gov: &mut Governor,
     ) -> Result<Self> {
         let group_cols: Vec<ColRef> = stmt
             .group_by
@@ -226,7 +233,12 @@ impl<'r> Aggregator<'r> {
             })
             .collect::<Result<_>>()?;
 
-        let states = if group_cols.is_empty() { new_states(&aggs) } else { Vec::new() };
+        let states = if group_cols.is_empty() {
+            gov.charge_row(|| approx_values_bytes([]))?;
+            new_states(&aggs)
+        } else {
+            Vec::new()
+        };
         Ok(Aggregator {
             key: Vec::with_capacity(group_cols.len()),
             states,
@@ -238,21 +250,23 @@ impl<'r> Aggregator<'r> {
         })
     }
 
-    /// The number of the group `tuple` belongs to, opening the group when
-    /// it is new. Numbers are dense, from 0, in order of first appearance.
-    pub(super) fn group_of(&mut self, tuple: &[&'r Row]) -> usize {
+    /// The number of the group `tuple` belongs to, opening the group —
+    /// and charging it to `gov` — when it is new. Numbers are dense, from
+    /// 0, in order of first appearance.
+    pub(super) fn group_of(&mut self, tuple: &[&'r Row], gov: &mut Governor) -> Result<usize> {
         if self.group_cols.is_empty() {
-            return 0;
+            return Ok(0);
         }
         self.key.clear();
         self.key.extend(self.group_cols.iter().map(|c| c.of(tuple)));
         if let Some(&g) = self.groups.get(self.key.as_slice()) {
-            return g;
+            return Ok(g);
         }
+        gov.charge_row(|| approx_values_bytes(self.key.iter().copied()))?;
         let g = self.groups.len();
         self.groups.insert(self.key.clone(), g);
         self.states.extend(new_states(&self.aggs));
-        g
+        Ok(g)
     }
 
     /// Folds `tuple` into the states of group `group` (a number
@@ -266,8 +280,8 @@ impl<'r> Aggregator<'r> {
     }
 
     /// Folds one tuple into its group.
-    pub(super) fn push(&mut self, tuple: &[&'r Row]) -> Result<()> {
-        let group = self.group_of(tuple);
+    pub(super) fn push(&mut self, tuple: &[&'r Row], gov: &mut Governor) -> Result<()> {
+        let group = self.group_of(tuple, gov)?;
         self.fold(group, tuple)
     }
 
@@ -369,9 +383,10 @@ mod tests {
             panic!()
         };
         let schema = schema();
-        let mut agg = Aggregator::new(&stmt, &[&schema], |c| schema.columns[c.ord].name.clone())?;
+        let gov = &mut Governor::disarmed();
+        let mut agg = Aggregator::new(&stmt, &[&schema], |c| schema.columns[c.ord].name.clone(), gov)?;
         for row in &rows {
-            agg.push(&[row])?;
+            agg.push(&[row], gov)?;
         }
         agg.finish(stmt.limit_with(&[]).unwrap(), &mut OpStats::default())
     }
@@ -457,6 +472,32 @@ mod tests {
     fn non_grouped_column_is_rejected() {
         assert!(try_run("SELECT owner, COUNT(*) FROM jobs", rows()).is_err());
         assert!(try_run("SELECT *, COUNT(*) FROM jobs", rows()).is_err());
+    }
+
+    #[test]
+    fn every_group_is_charged_as_it_opens() {
+        use crate::govern::Governance;
+        let Statement::Select(stmt) = parse("SELECT owner, COUNT(*) FROM jobs GROUP BY owner").unwrap() else {
+            panic!()
+        };
+        let schema = schema();
+        let rows = rows();
+        let label = |c: ColRef| schema.columns[c.ord].name.clone();
+        let budget = |max_rows| Governor::arm(&Governance { max_rows: Some(max_rows), ..Governance::default() });
+        // alice, alice, bob, bob: the second group trips a one-row budget
+        // at the first bob, before anything is finished.
+        let gov = &mut budget(1);
+        let mut agg = Aggregator::new(&stmt, &[&schema], label, gov).unwrap();
+        agg.push(&[&rows[0]], gov).unwrap();
+        agg.push(&[&rows[1]], gov).unwrap();
+        let err = agg.push(&[&rows[2]], gov).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
+        // The one group of a global aggregate is charged as it opens.
+        let Statement::Select(stmt) = parse("SELECT COUNT(*) FROM jobs").unwrap() else {
+            panic!()
+        };
+        assert!(Aggregator::new(&stmt, &[&schema], label, &mut budget(0)).is_err());
+        assert!(Aggregator::new(&stmt, &[&schema], label, &mut budget(1)).is_ok());
     }
 
     #[test]

@@ -429,11 +429,11 @@ impl<'r> Sink<'r> {
             Sink::Fold(agg, build_groups) => match build.and_then(|b| build_groups.get_mut(b)) {
                 Some(group) => {
                     if *group == UNMAPPED {
-                        *group = agg.group_of(tuple);
+                        *group = agg.group_of(tuple, gov)?;
                     }
                     agg.fold(*group, tuple)?;
                 }
-                None => agg.push(tuple)?,
+                None => agg.push(tuple, gov)?,
             },
             Sink::Collect(rows) => rows.extend_from_slice(tuple),
             Sink::Clone(rows, _) => {
@@ -678,7 +678,7 @@ pub fn execute_select_opts(
     }
 
     let sink = if stmt.has_aggregates() {
-        let agg = Aggregator::new(stmt, schemas, |c| layout.label(c))?;
+        let agg = Aggregator::new(stmt, schemas, |c| layout.label(c), gov)?;
         // A groupjoin: the GROUP BY folds into the last step's build rows.
         let groupjoin = plan.is_some_and(|p| p.folds_into_build(stmt, schemas));
         let build_rows = match sides.last() {

@@ -16,6 +16,9 @@
 //! * **Budgets** — [`Governor::charge_row`] is called once per row a
 //!   statement *produces*: each row kept from a join input, each tuple a
 //!   join step emits, each result row, before any response page is built.
+//!   An aggregate's result rows are its groups, each charged as it opens
+//!   at the size of its key values, so a GROUP BY trips a budget while it
+//!   groups.
 //!   The executor passes references between its operators and allocates
 //!   only what it returns, so a charge is not an allocation: a join tuple
 //!   is charged at [`approx_tuple_bytes`], the size its values would have
@@ -240,8 +243,14 @@ pub fn approx_row_bytes(row: &Row) -> u64 {
 /// [`approx_row_bytes`] of the row a join tuple stands for — the
 /// concatenation of its parts' values — sized without building it.
 pub fn approx_tuple_bytes(tuple: &[&Row]) -> u64 {
+    approx_values_bytes(tuple.iter().flat_map(|row| &row.values))
+}
+
+/// [`approx_row_bytes`] of a row holding `values`, sized without building
+/// it: an aggregate group is charged at its key values.
+pub(crate) fn approx_values_bytes<'v>(values: impl IntoIterator<Item = &'v Value>) -> u64 {
     let mut bytes = std::mem::size_of::<Row>() as u64;
-    for value in tuple.iter().flat_map(|row| &row.values) {
+    for value in values {
         bytes += std::mem::size_of::<Value>() as u64;
         if let Value::Text(s) = value {
             bytes += s.len() as u64;

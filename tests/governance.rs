@@ -568,8 +568,9 @@ fn deadline_and_row_budget_fire_inside_a_join_feeding_an_aggregate() {
 
 /// The CAS usage report folds its GROUP BY into the `users` build rows
 /// instead of collecting joined tuples, and is governed exactly as when it
-/// collected them: every match is charged as the tuple it stands for. A
-/// row budget the inputs fit but the matches overrun fails the report.
+/// collected them: every match is charged as the tuple it stands for, and
+/// every group as it opens. A row budget the inputs fit but the matches
+/// overrun fails the report.
 #[test]
 fn the_folded_usage_report_charges_every_match() {
     let db = Database::new();
@@ -593,21 +594,22 @@ fn the_folded_usage_report_charges_every_match() {
     assert!(plan.rows[1].get(2).to_string().ends_with(", fold GROUP BY into build rows'"), "{plan:?}");
 
     // 400 history rows and 5 users are charged as they are read, then the
-    // 400 matches: 805 charges. A 600-row budget covers the inputs and
-    // half the matches; 804 all but the last match.
+    // 400 matches and the 5 groups they open: 810 charges. A 600-row
+    // budget covers the inputs and half the matches; 809 all but the last
+    // match.
     let budget = |max_rows| Governance {
         max_rows: Some(max_rows),
         ..Governance::default()
     };
-    for max_rows in [600, 804] {
+    for max_rows in [600, 809] {
         let err = governed(&db, &budget(max_rows)).query(report, ()).unwrap_err();
         assert!(matches!(err, Error::ResourceExhausted(_)), "{max_rows}: {err}");
     }
-    assert_eq!(governed(&db, &budget(805)).query(report, ()).unwrap().rows.len(), 5);
+    assert_eq!(governed(&db, &budget(810)).query(report, ()).unwrap().rows.len(), 5);
     // That run cached the `users` build side; a rerun reuses it, so only
-    // the 400 history rows and the 400 matches are charged.
-    assert_eq!(governed(&db, &budget(800)).query(report, ()).unwrap().rows.len(), 5);
-    let err = governed(&db, &budget(799)).query(report, ()).unwrap_err();
+    // the 400 history rows, the 400 matches and the 5 groups are charged.
+    assert_eq!(governed(&db, &budget(805)).query(report, ()).unwrap().rows.len(), 5);
+    let err = governed(&db, &budget(804)).query(report, ()).unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
 }
 

@@ -1944,9 +1944,10 @@ fn smallest_budget(db: &Database, sql: &str, budget: impl Fn(u64) -> Governance)
 /// and the smallest `max_bytes` under which it succeeds, beside the rows
 /// it returns. The shapes are those `every_access_shape_reads_exactly_what_it_did`
 /// reads plus one of each way a SELECT folds, sorts, cuts, filters and
-/// rewrites. An aggregate charges what feeds it, never its output rows, so
-/// a single-table aggregate charges nothing. A changed number here is a
-/// changed charge: a row or tuple charged that was not, or the reverse.
+/// rewrites. An aggregate charges what feeds it plus one row per group as
+/// the group opens, priced at its key values — a global aggregate's one
+/// group too. A changed number here is a changed charge: a row or tuple
+/// charged that was not, or the reverse.
 #[test]
 fn every_select_shape_charges_exactly_what_it_did() {
     let db = access_db();
@@ -1962,12 +1963,12 @@ fn every_select_shape_charges_exactly_what_it_did() {
         ("SELECT id FROM a WHERE val = 3", 14, 14, 672),
         ("SELECT id FROM a ORDER BY id LIMIT 5", 5, 5, 240),
         ("SELECT id FROM q WHERE state = 'idle' ORDER BY id LIMIT 5", 5, 5, 240),
-        ("SELECT COUNT(*) FROM a WHERE grp = 4", 1, 0, 0),
+        ("SELECT COUNT(*) FROM a WHERE grp = 4", 1, 1, 24),
         ("SELECT a.id, c.label FROM a JOIN c ON a.grp = c.id", 40, 184, 18780),
         ("SELECT * FROM a JOIN b ON a.id = b.aid WHERE a.id = 5", 10, 21, 2976),
         ("SELECT c.id, a.id FROM c JOIN a ON c.id > a.grp WHERE a.id < 20", 12, 48, 4848),
-        ("SELECT grp, COUNT(*), SUM(val) FROM a GROUP BY grp", 10, 0, 0),
-        (groupjoin, 1, 144, 15780),
+        ("SELECT grp, COUNT(*), SUM(val) FROM a GROUP BY grp", 10, 10, 480),
+        (groupjoin, 1, 145, 15831),
         ("SELECT * FROM b LIMIT 3", 3, 3, 216),
         ("SELECT id, val FROM a WHERE grp = 2 ORDER BY val DESC", 10, 10, 720),
         (
