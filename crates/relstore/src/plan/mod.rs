@@ -404,7 +404,7 @@ fn choose_pushed(
 ) -> AccessPlan {
     match pushdown.map(|p| p.bind(&[&table.schema])).transpose() {
         Ok(bound) => choose_access(table, bound.as_ref(), order, params, force_scan),
-        Err(_) => choose_access(table, None, None, params, true),
+        Err(_) => choose_access(table, None, None, params, force_scan),
     }
 }
 
