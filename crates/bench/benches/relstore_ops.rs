@@ -45,6 +45,29 @@ fn bench_relstore(c: &mut Criterion) {
         let session = db.session();
         b.iter(|| session.query(black_box(&q), black_box((2500i64,))).unwrap())
     });
+    // An operator's ad-hoc point select: the text with a fresh literal each
+    // call, over 20 k ids, through a statement cache kept full by 256 other
+    // statements — `operator_queries`' `point` kind at the engine level.
+    // Keyed by its text, every call parses and evicts; keyed by its shape,
+    // every call after the first is a cache hit.
+    {
+        let adhoc = setup_db(20_000);
+        for i in 0..256 {
+            adhoc.query(&format!("SELECT job_id AS c{i} FROM jobs WHERE job_id = 1")).unwrap();
+        }
+        let texts: Vec<String> = (0..20_000)
+            .map(|id| format!("SELECT owner, runtime_ms FROM jobs WHERE job_id = {id}"))
+            .collect();
+        let mut next = 0;
+        c.bench_function("adhoc_point_select", |b| {
+            b.iter(|| {
+                next = (next + 7_919) % texts.len();
+                let r = adhoc.query(black_box(&texts[next])).unwrap();
+                assert_eq!(r.len(), 1);
+                r
+            })
+        });
+    }
     // Bounded range over the primary-key index (50 of 5000 rows touched).
     c.bench_function("range_index_select", |b| {
         b.iter(|| {

@@ -53,10 +53,11 @@
 
 use crate::error::{Error, Result, TimeoutKind};
 use crate::exec::{
-    execute_select_opts, get_table, get_table_mut, matching_row_ids_with, Catalog, ExecOptions,
-    QueryResult,
+    execute_select_opts, get_table, get_table_mut, matching_row_ids_with, rewrite_subqueries,
+    Catalog, ExecOptions, QueryResult,
 };
 use crate::govern::{Governance, Governor};
+use crate::hash::FoldMap;
 use crate::io::{DurabilityPolicy, Failpoints, FsDevice, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
@@ -67,13 +68,15 @@ use crate::obs::{
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
 use crate::schema::{lower_name, IndexDef};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
-use crate::sql::parser::parse;
+use crate::sql::lexer::Token;
+use crate::sql::parser::{parse, parse_tokens};
+use crate::sql::shape::{Lexed, Shape};
 use crate::table::Table;
 use crate::txn::{LockManager, TxnManager};
 use crate::value::Value;
 use crate::wal::{self, Change, TxnId, Wal};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,36 +124,67 @@ impl ExecResult {
 /// A statement prepared once and executable many times with different bound
 /// parameter values. Obtained from [`Database::prepare`]; cheap to clone
 /// (the parsed AST is shared).
+///
+/// A handle prepared from a text with literals shares its statement with
+/// every text of the same *shape* (see [`Database::prepare`]): the literals
+/// are `?` slots numbered after the caller's own, and the handle carries
+/// their values, appended to the caller's bindings at every execution.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     stmt: Arc<Statement>,
     params: usize,
-    /// The cumulative execution profile for this statement text, shared with
-    /// the statement-cache entry (and with every other `Prepared` handle for
-    /// the same text), so recording an execution is lock-free.
+    /// The values of the literals lifted out of this handle's text, bound
+    /// after the caller's parameters. Empty for a literal-free text.
+    lifted: Vec<Value>,
+    /// The cumulative execution profile for this statement's shape, shared
+    /// with the statement-cache entry (and with every other `Prepared`
+    /// handle for the same shape), so recording an execution is lock-free.
     profile: Arc<StmtProfile>,
-    /// The plan cache cell for this statement text: the chosen [`plan`] plan
-    /// plus reusable hash-join build sides, shared with the cache entry and
-    /// invalidated when the database's plan generation moves (DDL, ANALYZE).
+    /// The plan cache cell for this statement's shape: the chosen [`plan`]
+    /// plan plus reusable hash-join build sides, shared with the cache
+    /// entry and invalidated when the database's plan generation moves
+    /// (DDL, ANALYZE).
     plan: Arc<PlanCell>,
 }
 
 impl Prepared {
-    /// The parsed statement.
+    /// The parsed statement — of the shape, for a text with lifted
+    /// literals: they are its last `?` slots.
     pub fn statement(&self) -> &Statement {
         &self.stmt
     }
 
-    /// Number of `?` parameter slots the statement expects.
+    /// Number of `?` parameter slots the caller binds: the placeholders
+    /// written in the text, not the literals lifted out of it.
     pub fn param_count(&self) -> usize {
         self.params
     }
 
     /// A snapshot of this statement's cumulative execution profile (the
-    /// `rel_statements` row it shares with the statement cache; frozen once
-    /// the cache evicts the entry — later executions count in `'(evicted)'`).
+    /// `rel_statements` row it shares with the statement cache and every
+    /// text of its shape; frozen once the cache evicts the entry — later
+    /// executions count in `'(evicted)'`).
     pub fn profile(&self) -> StmtProfileSnapshot {
         self.profile.snapshot()
+    }
+
+    /// `params`, the caller's bindings, followed by the lifted literals.
+    fn bind<'p>(&self, params: &'p [Value]) -> Cow<'p, [Value]> {
+        if self.lifted.is_empty() {
+            Cow::Borrowed(params)
+        } else {
+            Cow::Owned([params, &self.lifted].concat())
+        }
+    }
+
+    /// Every binding of a batch followed by the lifted literals, in one
+    /// buffer; `None` when nothing is lifted and the bindings serve as they
+    /// are.
+    fn bind_batch(&self, bindings: &[Vec<Value>]) -> Option<Vec<Value>> {
+        (!self.lifted.is_empty()).then(|| {
+            let all = bindings.iter().flat_map(|b| b.iter().chain(&self.lifted));
+            all.cloned().collect()
+        })
     }
 }
 
@@ -167,7 +201,10 @@ pub(crate) struct ExecCtx<'a> {
 /// Default capacity of the per-database LRU statement cache.
 const STMT_CACHE_CAPACITY: usize = 256;
 
-/// An LRU cache of parsed statements keyed by their SQL text.
+/// An LRU cache of parsed statements keyed by their shape: the SQL text,
+/// with the literals of an ad-hoc SELECT or DML lifted into `?` slots (see
+/// [`crate::sql::shape`]). A literal-free text is its own key, and so is a
+/// text whose shape does not parse back to it.
 ///
 /// Recency is a monotonically increasing generation stamped on each touch, so
 /// a hit is one hash lookup and a counter bump — no allocation, no ordered
@@ -176,7 +213,7 @@ const STMT_CACHE_CAPACITY: usize = 256;
 #[derive(Debug)]
 struct StmtCache {
     capacity: usize,
-    entries: HashMap<String, CacheEntry>,
+    entries: FoldMap<String, CacheEntry>,
     next_gen: u64,
     /// Where evicted entries' profiles go: their totals as of the eviction,
     /// and whatever handles that outlive their entry record afterwards.
@@ -185,10 +222,13 @@ struct StmtCache {
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// The handle every [`Database::prepare`] of this text clones. Its
+    /// The handle every [`Database::prepare`] of this key clones. Its
     /// execution profile lives as long as the entry, so the profile table
     /// is bounded by the cache's LRU.
     prepared: Prepared,
+    /// Filed under a shape key, so found only by texts with lifted
+    /// literals, never by an exact-text probe.
+    shaped: bool,
     gen: u64,
 }
 
@@ -196,7 +236,7 @@ impl Default for StmtCache {
     fn default() -> Self {
         StmtCache {
             capacity: STMT_CACHE_CAPACITY,
-            entries: HashMap::new(),
+            entries: FoldMap::default(),
             next_gen: 0,
             evicted: Arc::default(),
         }
@@ -204,9 +244,10 @@ impl Default for StmtCache {
 }
 
 impl StmtCache {
-    /// Looks up `sql`, refreshing its recency on a hit.
-    fn get(&mut self, sql: &str) -> Option<Prepared> {
-        let entry = self.entries.get_mut(sql)?;
+    /// Looks up `key` among the entries filed as `shaped` (or not),
+    /// refreshing its recency on a hit.
+    fn get(&mut self, key: &str, shaped: bool) -> Option<Prepared> {
+        let entry = self.entries.get_mut(key).filter(|e| e.shaped == shaped)?;
         entry.gen = self.next_gen;
         self.next_gen += 1;
         Some(entry.prepared.clone())
@@ -214,11 +255,11 @@ impl StmtCache {
 
     /// Inserts a parsed statement, evicting the least-recently-used entry
     /// when at capacity. A zero capacity disables caching.
-    fn insert(&mut self, sql: String, prepared: Prepared) {
+    fn insert(&mut self, key: String, prepared: Prepared, shaped: bool) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(replaced) = self.entries.remove(&sql) {
+        if let Some(replaced) = self.entries.remove(&key) {
             replaced.prepared.profile.evict_into(&self.evicted);
         }
         while self.entries.len() >= self.capacity {
@@ -226,7 +267,7 @@ impl StmtCache {
         }
         let gen = self.next_gen;
         self.next_gen += 1;
-        self.entries.insert(sql, CacheEntry { prepared, gen });
+        self.entries.insert(key, CacheEntry { prepared, shaped, gen });
     }
 
     /// Snapshots every live entry's execution profile — the rows of
@@ -613,48 +654,120 @@ impl Database {
     /// placeholders, bound positionally when the handle is executed through
     /// a [`Session`](crate::Session) or [`Transaction`](crate::Transaction).
     ///
-    /// Preparation goes through the statement cache, so re-preparing the
-    /// same text is cheap: a hit returns the shared parsed AST without
-    /// re-lexing, a miss parses outside every lock and caches the result.
-    /// Counted in `cache_hits` / `cache_misses`, and in `statements_parsed`
-    /// only on a miss.
+    /// Preparation goes through the statement cache, keyed by the text's
+    /// *shape*. An exact-text hit returns the shared parsed AST without
+    /// lexing. Otherwise the text is lexed once: the literals of a SELECT,
+    /// INSERT, UPDATE or DELETE (an INT, DOUBLE or string not after a `-`)
+    /// become `?` slots numbered after the caller's own, and a hit on that
+    /// shape returns its AST, plan cell and profile with the literals'
+    /// values on the handle — so `… WHERE job_id = 7` and `… job_id = 8`
+    /// share one parse and one `rel_statements` row, whose `sql` is the
+    /// shape. A miss parses outside every lock and caches the result under
+    /// the shape if the shape, its literals put back, is exactly the parse
+    /// of the text (a literal that is an output column, whose label would
+    /// change, keeps the text its own key). Counted in `cache_hits` (exact
+    /// or shape hits) / `cache_misses`, and in `statements_parsed` only on a
+    /// miss.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        if let Some(hit) = self.stmt_cache.lock().get(sql) {
+        let hit = |prepared| {
             self.obs.record(&OpStats {
                 cache_hits: 1,
                 ..Default::default()
             });
-            return Ok(hit);
-        }
+            Ok(prepared)
+        };
+        let caching = {
+            let mut cache = self.stmt_cache.lock();
+            if let Some(prepared) = cache.get(sql, false) {
+                drop(cache);
+                return hit(prepared);
+            }
+            cache.capacity > 0
+        };
+        // Lexed outside the lock, and only when there is a cache to key: a
+        // text that does not lex is a miss that fails to parse.
+        let shape = match if caching { Shape::of(sql) } else { Ok(None) } {
+            Ok(Some(shape)) => {
+                let found = self.stmt_cache.lock().get(shape.key(), true);
+                if let Some(mut prepared) = found {
+                    prepared.lifted = shape.into_values();
+                    return hit(prepared);
+                }
+                Ok(Some(shape))
+            }
+            other => other,
+        };
         self.obs.record(&OpStats {
             cache_misses: 1,
             statements_parsed: 1,
             ..Default::default()
         });
-        // Parse outside the lock; concurrent sessions keep executing.
-        let stmt = Arc::new(parse(sql)?);
+        let (key, prepared, shaped) = match shape? {
+            Some(shape) => Self::parse_shape(sql, shape)?,
+            None => (sql.to_string(), Self::new_prepared(sql, parse(sql)?), false),
+        };
+        let shared = Prepared {
+            lifted: Vec::new(),
+            ..prepared.clone()
+        };
+        self.stmt_cache.lock().insert(key, shared, shaped);
+        Ok(prepared)
+    }
+
+    /// Parses a text with lifted literals as written and as its shape, and
+    /// returns the cache key to file it under, its handle, and whether the
+    /// key is the shape. The shape is taken when putting the literals back
+    /// gives exactly the text's statement and none is an output column;
+    /// otherwise the text is its own key. A text that does not parse fails
+    /// with its own error.
+    fn parse_shape(sql: &str, shape: Shape) -> Result<(String, Prepared, bool)> {
+        let lexed = Lexed::of(sql)?;
+        let own = lexed.shape.iter().filter(|t| **t == Token::Param).count();
+        let shaped = parse_tokens(lexed.shape);
+        let text = parse_tokens(lexed.text)?;
+        let accepted = shaped.ok().filter(|stmt| {
+            let mut inlined = stmt.clone();
+            let projected = inlined.inline_params(own, shape.values());
+            !projected && inlined == text && stmt.param_count() == own + shape.values().len()
+        });
+        let Some(stmt) = accepted else {
+            return Ok((sql.to_string(), Self::new_prepared(sql, text), false));
+        };
+        let key = shape.key().to_string();
         let prepared = Prepared {
+            params: own,
+            lifted: shape.into_values(),
+            ..Self::new_prepared(&lexed.sql, stmt)
+        };
+        Ok((key, prepared, true))
+    }
+
+    /// A fresh handle for `stmt`, profiled under `sql`, with nothing lifted.
+    fn new_prepared(sql: &str, stmt: Statement) -> Prepared {
+        Prepared {
             params: stmt.param_count(),
+            lifted: Vec::new(),
             profile: Arc::new(StmtProfile::new(Arc::from(sql), StmtKind::of(&stmt))),
             plan: Arc::new(PlanCell::default()),
-            stmt,
-        };
-        self.stmt_cache.lock().insert(sql.to_string(), prepared.clone());
-        Ok(prepared)
+            stmt: Arc::new(stmt),
+        }
     }
 
     /// Snapshots the execution profile of every statement currently in the
     /// statement cache — the per-statement rows of the `rel_statements`
-    /// system table, unsorted. Bounded by the cache capacity; an evicted
-    /// entry's profile leaves the list (a re-prepare starts fresh) and its
-    /// totals — with whatever a handle that outlives it records later —
-    /// move to the table's `'(evicted)'` row.
+    /// system table, unsorted. One row per cache key: every ad-hoc text of
+    /// one shape shares a row, whose `sql` is the shape (literals as `?`).
+    /// Bounded by the cache capacity; an evicted entry's profile leaves the
+    /// list (a re-prepare starts fresh) and its totals — with whatever a
+    /// handle that outlives it records later — move to the table's
+    /// `'(evicted)'` row.
     pub fn statement_profiles(&self) -> Vec<StmtProfileSnapshot> {
         self.stmt_cache.lock().profiles()
     }
 
     /// Changes the capacity of the statement cache (default 256 entries),
-    /// evicting least-recently-used entries as needed. Zero disables caching.
+    /// evicting least-recently-used entries as needed. Zero disables caching,
+    /// and with it keying by shape: every text is parsed as written.
     pub fn set_statement_cache_capacity(&self, capacity: usize) {
         self.stmt_cache.lock().resize(capacity);
     }
@@ -729,6 +842,7 @@ impl Database {
             return Ok(ExecResult::Query(result.expect("one binding yields one result")));
         }
         Self::check_arity(prepared, params)?;
+        let params = &*prepared.bind(params);
         match stmt {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
                 "transaction control goes through a Session or a Transaction guard",
@@ -821,7 +935,7 @@ impl Database {
         let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
         let mut failed = None;
         for (i, params) in bindings.iter().enumerate() {
-            let params = params.as_ref();
+            let params = &*prepared.bind(params.as_ref());
             let checked = if i == 0 { Ok(()) } else { governor.check_now() };
             let result = checked.and_then(|()| match explain {
                 None => self.run_select_planned(
@@ -1021,6 +1135,11 @@ impl Database {
     /// planner knobs and renders the plan tree as ordinary result rows.
     /// With `analyze` the query is executed first and each operator is
     /// annotated with its actual row count and wall time.
+    ///
+    /// A single table's path is chosen as its execution chooses it: after
+    /// the filter's subqueries have run and been spliced in as literals, so
+    /// `WHERE id = (SELECT MAX(id) FROM c)` is explained — and, under
+    /// ANALYZE, run — as the point lookup it is.
     #[allow(clippy::too_many_arguments)]
     fn run_explain(
         &self,
@@ -1034,6 +1153,18 @@ impl Database {
     ) -> Result<QueryResult> {
         let virt = self.system_catalog(catalog, sel)?;
         let cat = virt.as_ref().unwrap_or(catalog);
+        let rewritten;
+        let sel = match &sel.filter {
+            Some(f) if sel.joins.is_empty() && f.contains_subquery() => {
+                let filter = rewrite_subqueries(cat, f, params, snapshot, local, governor)?;
+                rewritten = SelectStmt {
+                    filter: Some(filter),
+                    ..sel.clone()
+                };
+                &rewritten
+            }
+            _ => sel,
+        };
         let no_reorder = self.planner_no_reorder.load(Ordering::Relaxed);
         let force_scan = self.planner_force_scan.load(Ordering::Relaxed);
         let planned = plan_select(cat, sel, params, !no_reorder, force_scan)?;
@@ -1415,9 +1546,13 @@ impl Database {
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
+        let flat = prepared.bind_batch(bindings);
         let mut local = OpStats::default();
         let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
-            let bindings = bindings.iter().map(Vec::as_slice);
+            let bindings: Box<dyn Iterator<Item = &[Value]>> = match &flat {
+                Some(flat) => Box::new(flat.chunks(prepared.params + prepared.lifted.len())),
+                None => Box::new(bindings.iter().map(Vec::as_slice)),
+            };
             self.write_in(txn, &prepared.stmt, bindings, Some(&prepared.profile), ctx.gov, local)
         });
         if let Err(e) = &result {
@@ -2126,15 +2261,16 @@ mod tests {
     fn statement_cache_evicts_least_recently_used() {
         let db = setup();
         db.set_statement_cache_capacity(2);
+        // Three shapes: a literal alone does not make a new entry.
         db.query("SELECT * FROM jobs WHERE job_id = 1").unwrap(); // A: miss
-        db.query("SELECT * FROM jobs WHERE job_id = 2").unwrap(); // B: miss
+        db.query("SELECT owner FROM jobs WHERE job_id = 2").unwrap(); // B: miss
         db.query("SELECT * FROM jobs WHERE job_id = 1").unwrap(); // A: hit
-        db.query("SELECT * FROM jobs WHERE job_id = 3").unwrap(); // C: miss, evicts B
+        db.query("SELECT state FROM jobs WHERE job_id = 3").unwrap(); // C: miss, evicts B
         let s1 = db.stats();
         db.query("SELECT * FROM jobs WHERE job_id = 1").unwrap(); // A still cached
         let s2 = db.stats();
         assert_eq!(s2.cache_hits, s1.cache_hits + 1);
-        db.query("SELECT * FROM jobs WHERE job_id = 2").unwrap(); // B was evicted
+        db.query("SELECT owner FROM jobs WHERE job_id = 2").unwrap(); // B was evicted
         let s3 = db.stats();
         assert_eq!(s3.cache_misses, s2.cache_misses + 1);
 
@@ -2158,11 +2294,12 @@ mod tests {
                 .unwrap()
         };
         assert!(by_sql(&db).iter().all(|(sql, ..)| sql != "(evicted)"), "nothing evicted yet");
-        // Twelve ad-hoc point selects through a four-entry cache: each runs
-        // once and ages out, as an operator's one-off queries do.
+        // Twenty-four one-off shapes (each output column named afresh)
+        // through a four-entry cache: each runs once and ages out.
         for id in 0..12 {
-            db.query(&format!("SELECT * FROM jobs WHERE job_id = {}", id % 3 + 1)).unwrap();
-            db.query(&format!("SELECT owner FROM jobs WHERE job_id = {id}")).unwrap();
+            db.query(&format!("SELECT job_id AS a{id} FROM jobs WHERE job_id = {}", id % 3 + 1))
+                .unwrap();
+            db.query(&format!("SELECT owner AS b{id} FROM jobs WHERE job_id = {id}")).unwrap();
         }
         let executed = db.stats().statements_executed as i64;
         let lines = by_sql(&db);
@@ -2173,6 +2310,214 @@ mod tests {
         assert_eq!(lines.iter().map(|l| l.2).sum::<i64>(), executed, "{lines:?}");
         assert!(evicted[0].2 >= 20, "most of them through the evicted row: {lines:?}");
         assert!(evicted[0].3 > 0, "their rows too");
+    }
+
+    /// The `sql` of every live `rel_statements` row.
+    fn cached_sqls(db: &Database) -> Vec<String> {
+        db.statement_profiles().iter().map(|p| p.sql.to_string()).collect()
+    }
+
+    #[test]
+    fn a_literal_text_answers_as_its_prepared_twin() {
+        let db = setup();
+        let s = db.session();
+        // (literal text, its own bindings, the `?` twin, the twin's bindings)
+        let pairs: [(&str, Vec<Value>, &str, Vec<Value>); 6] = [
+            (
+                "SELECT owner FROM jobs WHERE job_id = 2",
+                vec![],
+                "SELECT owner FROM jobs WHERE job_id = ?",
+                vec![Value::Int(2)],
+            ),
+            (
+                "SELECT job_id FROM jobs WHERE state = 'idle' AND runtime > 100.5 ORDER BY job_id",
+                vec![],
+                "SELECT job_id FROM jobs WHERE state = ? AND runtime > ? ORDER BY job_id",
+                vec![Value::from("idle"), Value::Double(100.5)],
+            ),
+            (
+                "SELECT job_id FROM jobs WHERE owner = ? AND runtime >= 60 ORDER BY job_id LIMIT 1",
+                vec![Value::from("alice")],
+                "SELECT job_id FROM jobs WHERE owner = ? AND runtime >= ? ORDER BY job_id LIMIT ?",
+                vec![Value::from("alice"), Value::Int(60), Value::Int(1)],
+            ),
+            (
+                "SELECT COUNT(*) AS n FROM jobs WHERE job_id IN (SELECT job_id FROM jobs WHERE runtime < 200)",
+                vec![],
+                "SELECT COUNT(*) AS n FROM jobs WHERE job_id IN (SELECT job_id FROM jobs WHERE runtime < ?)",
+                vec![Value::Int(200)],
+            ),
+            (
+                "SELECT runtime * 2 AS twice FROM jobs WHERE job_id BETWEEN 1 AND 2",
+                vec![],
+                "SELECT runtime * ? AS twice FROM jobs WHERE job_id BETWEEN ? AND ?",
+                vec![Value::Int(2), Value::Int(1), Value::Int(2)],
+            ),
+            (
+                "SELECT job_id FROM jobs WHERE state = 'it''s' OR owner = '?' OR job_id = 3",
+                vec![],
+                "SELECT job_id FROM jobs WHERE state = ? OR owner = ? OR job_id = ?",
+                vec![Value::from("it's"), Value::from("?"), Value::Int(3)],
+            ),
+        ];
+        for (text, own, twin, values) in pairs {
+            let lit = s.query(text, own).unwrap();
+            assert_eq!(lit, s.query(twin, values).unwrap(), "{text}");
+            assert!(!lit.rows.is_empty(), "{text} matches rows");
+        }
+        // The caller's own `?` keeps its slot: one binding, as written.
+        let mixed = db.prepare("SELECT job_id FROM jobs WHERE owner = ? AND runtime >= 60").unwrap();
+        assert_eq!(mixed.param_count(), 1);
+        assert!(s.query(&mixed, ()).is_err());
+        // DML: the writes a literal text makes are the prepared twin's.
+        let twin = setup();
+        for (text, sql, values) in [
+            ("INSERT INTO jobs VALUES (7, 'zoe', 'held', 2.5)", "INSERT INTO jobs VALUES (?, ?, ?, ?)", vec![Value::Int(7), Value::from("zoe"), Value::from("held"), Value::Double(2.5)]),
+            ("UPDATE jobs SET runtime = runtime + 1.5 WHERE owner = 'alice'", "UPDATE jobs SET runtime = runtime + ? WHERE owner = ?", vec![Value::Double(1.5), Value::from("alice")]),
+            ("DELETE FROM jobs WHERE job_id = 2", "DELETE FROM jobs WHERE job_id = ?", vec![Value::Int(2)]),
+        ] {
+            let a = db.execute(text).unwrap();
+            let b = twin.session().execute(sql, values).unwrap();
+            assert_eq!(a, b, "{text}");
+        }
+        let all = "SELECT * FROM jobs ORDER BY job_id";
+        assert_eq!(db.query(all).unwrap(), twin.query(all).unwrap());
+    }
+
+    #[test]
+    fn a_shape_hit_answers_with_its_own_literals() {
+        let db = setup();
+        let owner = |id: i64| db.query(&format!("SELECT owner FROM jobs WHERE job_id = {id}")).unwrap();
+        assert_eq!(owner(1).first_value("owner"), Some(&Value::from("alice")));
+        let warm = db.stats();
+        assert_eq!(owner(2).first_value("owner"), Some(&Value::from("bob")));
+        assert!(owner(4).rows.is_empty());
+        let d = db.stats().delta_since(&warm);
+        assert_eq!((d.cache_hits, d.cache_misses, d.statements_parsed), (2, 0, 0));
+        // One entry, one profile, shown as the shape.
+        let sqls = cached_sqls(&db);
+        let shape = "SELECT owner FROM jobs WHERE job_id = ?";
+        assert_eq!(sqls.iter().filter(|s| *s == shape).count(), 1, "{sqls:?}");
+        let calls = db.statement_profiles().into_iter().find(|p| &*p.sql == shape).unwrap().calls;
+        assert_eq!(calls, 3);
+        // A handle keeps its own literal however the entry is shared.
+        let two = db.prepare("SELECT owner FROM jobs WHERE job_id = 2").unwrap();
+        let three = db.prepare("SELECT owner FROM jobs WHERE job_id = 3").unwrap();
+        let s = db.session();
+        assert_eq!(s.query(&two, ()).unwrap().first_value("owner"), Some(&Value::from("bob")));
+        assert_eq!(s.query(&three, ()).unwrap().first_value("owner"), Some(&Value::from("alice")));
+        assert_eq!((two.param_count(), three.param_count()), (0, 0));
+        // A literal-free text is its own shape: an exact hit, no lexing.
+        let own = "SELECT owner FROM jobs WHERE job_id = ?";
+        s.query(own, (1i64,)).unwrap();
+        let before = db.stats();
+        s.query(own, (2i64,)).unwrap();
+        assert_eq!(db.stats().delta_since(&before).cache_hits, 1);
+        // Where the lifted slot sits is part of the key.
+        let a = s.query("SELECT job_id FROM jobs WHERE job_id = ? AND owner = 'alice'", (3i64,)).unwrap();
+        let b = s.query("SELECT job_id FROM jobs WHERE job_id = 3 AND owner = ?", ("alice",)).unwrap();
+        assert_eq!((a.len(), b.len()), (1, 1));
+    }
+
+    #[test]
+    fn edge_literals_are_keyed_and_answered_correctly() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, d DOUBLE, s TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, -5, -0.0, 'it''s'), (2, 5, 0.5, '?'), (3, -9223372036854775808, 1.0, 'a')")
+            .unwrap();
+        let ids = |sql: &str| -> Vec<i64> { db.session().query_scalars(sql, ()).unwrap() };
+        assert_eq!(ids("SELECT id FROM t WHERE x = -5"), [1]);
+        assert_eq!(ids("SELECT id FROM t WHERE id -5 = -3"), [2]);
+        assert_eq!(ids("SELECT id FROM t WHERE d = - 0.0"), [1]);
+        assert_eq!(ids("SELECT id FROM t WHERE x = -9223372036854775808"), [3]);
+        assert_eq!(ids("SELECT id FROM t WHERE s = '?'"), [2]);
+        assert_eq!(ids("SELECT id FROM t WHERE s = 'it''s'"), [1]);
+        assert_eq!(ids("SELECT id FROM t WHERE s = 'a'"), [3]);
+        assert_eq!(ids("SELECT id FROM t ORDER BY id LIMIT 2"), [1, 2]);
+        assert_eq!(ids("SELECT id FROM t ORDER BY id LIMIT 1"), [1]);
+        // A literal after `-` stays in the text; an over-range integer and a
+        // bad LIMIT fail exactly as the parser fails them.
+        let sqls = cached_sqls(&db);
+        for kept in ["SELECT id FROM t WHERE x = -5", "SELECT id FROM t WHERE id -5 = -3"] {
+            assert!(sqls.iter().any(|s| s == kept), "{kept} in {sqls:?}");
+        }
+        assert!(sqls.iter().any(|s| s == "SELECT id FROM t WHERE s = ?"), "{sqls:?}");
+        for bad in ["SELECT id FROM t WHERE x = 9223372036854775808", "SELECT id FROM t LIMIT 'a'", "SELECT id FROM t LIMIT 2.5"] {
+            let err = db.query(bad).unwrap_err();
+            assert_eq!(err, crate::sql::parse(bad).unwrap_err(), "{bad}");
+        }
+        // Identifiers with digits are never lifted; IN lists of different
+        // lengths are different statements.
+        db.execute("CREATE TABLE user01 (c2 INT PRIMARY KEY)").unwrap();
+        db.execute("INSERT INTO user01 VALUES (1), (2), (3)").unwrap();
+        assert_eq!(ids("SELECT user01.c2 FROM user01 WHERE c2 = 2"), [2]);
+        assert_eq!(ids("SELECT c2 FROM user01 WHERE c2 IN (1, 2) ORDER BY c2"), [1, 2]);
+        assert_eq!(ids("SELECT c2 FROM user01 WHERE c2 IN (1, 2, 3) ORDER BY c2"), [1, 2, 3]);
+        assert_eq!(ids("SELECT c2 FROM user01 WHERE c2 IN (3, 1) ORDER BY c2"), [1, 3]);
+        let sqls = cached_sqls(&db);
+        assert!(sqls.iter().any(|s| s == "SELECT user01.c2 FROM user01 WHERE c2 = ?"), "{sqls:?}");
+        assert_eq!(sqls.iter().filter(|s| s.contains(" IN (")).count(), 3, "{sqls:?}");
+    }
+
+    #[test]
+    fn output_labels_explain_and_ddl_keep_their_literals() {
+        let db = setup();
+        let label = |sql: &str| db.query(sql).unwrap().columns[0].to_string();
+        assert_eq!(label("SELECT runtime + 1 FROM jobs WHERE job_id = 1"), "(runtime + 1)");
+        assert_eq!(label("SELECT runtime + 2 FROM jobs WHERE job_id = 1"), "(runtime + 2)");
+        assert_eq!(label("SELECT 'x' FROM jobs WHERE job_id = 1"), "'x'");
+        assert_eq!(label("SELECT runtime + 1 AS r FROM jobs WHERE job_id = 2"), "r");
+        let r = db.query("SELECT runtime + 3 AS r FROM jobs WHERE job_id = 2").unwrap();
+        assert_eq!(r.first_value("r"), Some(&Value::Double(123.0)));
+        db.query("EXPLAIN SELECT * FROM jobs WHERE job_id = 1").unwrap();
+        db.execute("CREATE TABLE t9 (a VARCHAR(10) PRIMARY KEY)").unwrap();
+        let sqls = cached_sqls(&db);
+        for kept in [
+            "SELECT runtime + 1 FROM jobs WHERE job_id = 1",
+            "SELECT runtime + 2 FROM jobs WHERE job_id = 1",
+            "SELECT runtime + ? AS r FROM jobs WHERE job_id = ?",
+            "EXPLAIN SELECT * FROM jobs WHERE job_id = 1",
+            "CREATE TABLE t9 (a VARCHAR(10) PRIMARY KEY)",
+        ] {
+            assert!(sqls.iter().any(|s| s == kept), "{kept} in {sqls:?}");
+        }
+    }
+
+    #[test]
+    fn a_system_table_query_with_a_literal_works() {
+        let db = setup();
+        for id in 1..=3 {
+            db.query(&format!("SELECT owner FROM jobs WHERE job_id = {id}")).unwrap();
+        }
+        let calls = |sql: &str| -> i64 {
+            let probe = format!("SELECT calls FROM rel_statements WHERE sql = '{}'", sql.replace('\'', "''"));
+            db.query(&probe).unwrap().scalar_int().unwrap()
+        };
+        assert_eq!(calls("SELECT owner FROM jobs WHERE job_id = ?"), 3);
+        assert_eq!(calls("SELECT calls FROM rel_statements WHERE sql = ?"), 1);
+        assert_eq!(calls("SELECT calls FROM rel_statements WHERE sql = ?"), 2);
+    }
+
+    #[test]
+    fn explain_chooses_a_single_tables_path_after_its_subqueries_run() {
+        let db = Database::new();
+        db.execute("CREATE TABLE a (id INT PRIMARY KEY, v TEXT)").unwrap();
+        db.execute("CREATE TABLE c (id INT PRIMARY KEY)").unwrap();
+        db.execute("INSERT INTO a VALUES (1, 'x'), (2, 'y'), (3, 'z'), (4, 'w')").unwrap();
+        db.execute("INSERT INTO c VALUES (3)").unwrap();
+        let select = "SELECT * FROM a WHERE id = (SELECT MAX(id) FROM c)";
+        assert!(explain(&db, select).contains("point lookup on a.id"), "{}", explain(&db, select));
+        let before = db.stats();
+        let r = db.query(&format!("EXPLAIN ANALYZE {select}")).unwrap();
+        let d = db.stats().delta_since(&before);
+        assert!(format!("{}", r.rows[0].get(2)).contains("point lookup on a.id"));
+        assert_eq!(r.first_value("actual_rows"), Some(&Value::Int(1)));
+        assert_eq!((d.index_lookups, d.rows_scanned), (1, 1), "the lookup, and the subquery's scan of c");
+        // The same counters as running it.
+        let before = db.stats();
+        assert_eq!(db.query(select).unwrap().len(), 1);
+        let run = db.stats().delta_since(&before);
+        assert_eq!((run.index_lookups, run.rows_scanned), (1, 1));
     }
 
     #[test]

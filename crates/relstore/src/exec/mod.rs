@@ -9,7 +9,7 @@
 mod aggregate;
 mod select;
 
-pub(crate) use select::matching_row_ids_with;
+pub(crate) use select::{matching_row_ids_with, rewrite_subqueries};
 pub use select::{execute_select_opts, Catalog, ExecOptions};
 pub(crate) use select::{get_table, get_table_mut};
 

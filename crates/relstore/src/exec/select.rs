@@ -146,7 +146,7 @@ fn stream<'a>(
 /// column-not-found error from the inner query), which makes an
 /// `IN (SELECT …)` a degenerate semi-join: the inner side materializes
 /// once, then every outer row probes the list.
-fn rewrite_subqueries(
+pub(crate) fn rewrite_subqueries(
     catalog: &Catalog,
     expr: &Expr,
     params: &[Value],

@@ -457,7 +457,15 @@
 //! and `checkpoints` counters are read off those histograms. It also keeps a
 //! per-statement profile on every cached/prepared statement (a
 //! `pg_stat_statements` analogue bounded by the statement-cache LRU; what
-//! evicted entries had recorded is kept as one `'(evicted)'` row), a
+//! evicted entries had recorded is kept as one `'(evicted)'` row). Like
+//! `pg_stat_statements`, a profile is kept per statement *shape*: the
+//! statement cache keys a SELECT, INSERT, UPDATE or DELETE by its text
+//! with each literal that does not follow a `-` lifted into a `?` slot
+//! (the literal's kind stays in the key), so the ad-hoc texts
+//! `… WHERE job_id = 7` and `… WHERE job_id = 8` are one entry, parsed
+//! once, and one `rel_statements` row whose `sql` is the shape. A shape
+//! hit counts in `cache_hits` and not in `statements_parsed`; DDL,
+//! `EXPLAIN` and transaction control keep their literals. There is also a
 //! fixed-capacity slow-query ring with a wait breakdown
 //! ([`Database::set_slow_query_threshold`](db::Database::set_slow_query_threshold);
 //! disarmed by default and then one relaxed load per statement), and an
@@ -482,10 +490,11 @@
 //!     session.execute(&ins, (i,))?;
 //! }
 //!
-//! // The profile table is plain SQL: ask how often the insert ran.
+//! // The profile table is plain SQL: ask how often the insert ran. Its
+//! // row is the statement's shape, the literal `'idle'` a `?` slot.
 //! let r = session.query(
 //!     "SELECT calls, total_rows FROM rel_statements WHERE sql = ?",
-//!     ("INSERT INTO jobs VALUES (?, 'idle')",),
+//!     ("INSERT INTO jobs VALUES (?, ?)",),
 //! )?;
 //! assert_eq!(r.first_value("calls"), Some(&Value::Int(10)));
 //! assert_eq!(r.first_value("total_rows"), Some(&Value::Int(10)));

@@ -1,14 +1,16 @@
 //! Per-statement execution profiles — a `pg_stat_statements` analogue.
 //!
-//! A [`StmtProfile`] is owned by the statement-cache entry for its SQL text
-//! and shared (via `Arc`) with every [`Prepared`](crate::Prepared) handle for
-//! that text, so recording an execution needs no lock and no hash lookup:
+//! A [`StmtProfile`] is owned by the statement-cache entry for its SQL
+//! text's shape (the text with its literals lifted into `?` slots; see
+//! [`Database::prepare`](crate::Database::prepare)) and shared (via `Arc`)
+//! with every [`Prepared`](crate::Prepared) handle for that shape, so
+//! recording an execution needs no lock and no hash lookup:
 //! the handle already points at its profile. The profile table is therefore
 //! bounded by the statement-cache LRU — when a cache entry is evicted its
 //! profile leaves `rel_statements`, its totals so far folded into that
 //! table's one `'(evicted)'` row ([`EvictedTotals`]) so the table's sums
-//! keep covering ad-hoc statements that ran once and aged out; a later
-//! re-prepare of the same text starts a fresh profile. A `Prepared` handle
+//! keep covering statements that ran once and aged out; a later
+//! re-prepare of the same shape starts a fresh profile. A `Prepared` handle
 //! that outlives the eviction — every long-held handle does, once enough
 //! ad-hoc texts have run — records into the `'(evicted)'` row from then on,
 //! so that row and the table's sums keep covering it.

@@ -160,7 +160,8 @@ pub(crate) fn table_stats_table<'a>(
 }
 
 /// `rel_statements(sql TEXT, kind TEXT, calls INT, total_rows INT, total_us,
-/// mean_us, max_us DOUBLE)` — one row per live statement-cache entry, plus
+/// mean_us, max_us DOUBLE)` — one row per live statement-cache entry (its
+/// key's text: an ad-hoc statement's shape, every lifted literal a `?`), plus
 /// one `'(evicted)'` row (kind `'evicted'`) summing what the entries the
 /// LRU has dropped had recorded, once any has been; slowest cumulative
 /// time first. Bounded by the statement-cache LRU.

@@ -231,6 +231,35 @@ impl Expr {
         }
     }
 
+    /// Puts `values` back in place of the `?` slots numbered `first` and on,
+    /// subqueries included (see [`Statement::inline_params`]); true when a
+    /// slot sat in a subquery's unaliased projection item.
+    ///
+    /// [`Statement::inline_params`]: crate::sql::ast::Statement::inline_params
+    pub(crate) fn inline_params(&mut self, first: usize, values: &[Value]) -> bool {
+        match self {
+            Expr::Param(i) => {
+                if let Some(v) = i.checked_sub(first).and_then(|k| values.get(k)) {
+                    *self = Expr::Literal(v.clone());
+                }
+                false
+            }
+            Expr::Literal(_) | Expr::Column(_) => false,
+            Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+                let left = l.inline_params(first, values);
+                r.inline_params(first, values) || left
+            }
+            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) | Expr::InList(e, _) => {
+                e.inline_params(first, values)
+            }
+            Expr::InSubquery(e, sel) => {
+                let left = e.inline_params(first, values);
+                sel.inline_params(first, values) || left
+            }
+            Expr::ScalarSubquery(sel) => sel.inline_params(first, values),
+        }
+    }
+
     /// Collects the names of all columns referenced by the expression.
     /// Subquery bodies are *not* descended into: their column references
     /// resolve against the subquery's own tables, not the enclosing

@@ -1,13 +1,19 @@
 //! Tokeniser for the SQL subset.
+//!
+//! The lexer walks the text's bytes and borrows identifiers and strings
+//! from it: only a string literal with a `''` escape is copied. A byte
+//! that is not ASCII is inside a string literal or a comment, Unicode
+//! whitespace, or an error.
 
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 use std::fmt;
 
-/// A single SQL token.
+/// A single SQL token, borrowing from the text it was lexed from.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Token {
-    /// A keyword or bare identifier (stored upper-case for keywords matching).
-    Ident(String),
+pub(crate) enum Token<'a> {
+    /// A keyword or bare identifier, as written.
+    Ident(&'a str),
     /// An integer literal's magnitude: a leading `-` is its own token, so
     /// `-9223372036854775808` lexes as `Minus`, `Int(2^63)` and the parser
     /// folds the two into `i64::MIN`.
@@ -15,7 +21,7 @@ pub(crate) enum Token {
     /// A floating-point literal.
     Float(f64),
     /// A single-quoted string literal (quotes removed, `''` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// `(`.
     LParen,
     /// `)`.
@@ -48,9 +54,13 @@ pub(crate) enum Token {
     Slash,
     /// `?` — a positional bind-parameter placeholder.
     Param,
+    /// A literal lifted out of the text into a `?` slot (see
+    /// [`crate::sql::shape`]). Never produced by the lexer; the parser
+    /// numbers these slots after every `Param` of the statement.
+    Lifted,
 }
 
-impl Token {
+impl Token<'_> {
     /// Returns the identifier text if this token is an identifier/keyword.
     pub(crate) fn as_ident(&self) -> Option<&str> {
         match self {
@@ -65,7 +75,7 @@ impl Token {
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -87,183 +97,177 @@ impl fmt::Display for Token {
             Token::Plus => write!(f, "+"),
             Token::Minus => write!(f, "-"),
             Token::Slash => write!(f, "/"),
-            Token::Param => write!(f, "?"),
+            Token::Param | Token::Lifted => write!(f, "?"),
         }
     }
 }
 
 /// Tokenises `input` into a vector of tokens.
-pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token<'_>>> {
+    let mut lexer = Lexer::new(input);
     let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '+' => {
-                tokens.push(Token::Plus);
-                i += 1;
-            }
-            '/' => {
-                tokens.push(Token::Slash);
-                i += 1;
-            }
-            '?' => {
-                tokens.push(Token::Param);
-                i += 1;
-            }
-            '-' => {
-                // `--` starts a comment that runs to end of line.
-                if i + 1 < chars.len() && chars[i + 1] == '-' {
-                    while i < chars.len() && chars[i] != '\n' {
-                        i += 1;
-                    }
-                } else {
-                    tokens.push(Token::Minus);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(Error::parse("unexpected '!'"));
-                }
-            }
-            '<' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else if i + 1 < chars.len() && chars[i + 1] == '>' {
-                    tokens.push(Token::Ne);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < chars.len() && chars[i + 1] == '=' {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '\'' => {
-                // String literal with '' as the escape for a single quote.
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    if i >= chars.len() {
-                        return Err(Error::parse("unterminated string literal"));
-                    }
-                    if chars[i] == '\'' {
-                        if i + 1 < chars.len() && chars[i + 1] == '\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        break;
-                    }
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                tokens.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                let mut is_float = false;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    if chars[i] == '.' {
-                        // A second dot ends the number (e.g. ranges are not supported).
-                        if is_float {
-                            break;
-                        }
-                        // A dot not followed by a digit is a separate token.
-                        if i + 1 >= chars.len() || !chars[i + 1].is_ascii_digit() {
-                            break;
-                        }
-                        is_float = true;
-                    }
-                    i += 1;
-                }
-                // An exponent (`1e308`, `2.5E-3`) makes the literal a float;
-                // an `e` not followed by digits is a separate token.
-                if i < chars.len() && matches!(chars[i], 'e' | 'E') {
-                    let mut j = i + 1;
-                    if j < chars.len() && matches!(chars[j], '+' | '-') {
-                        j += 1;
-                    }
-                    if j < chars.len() && chars[j].is_ascii_digit() {
-                        while j < chars.len() && chars[j].is_ascii_digit() {
-                            j += 1;
-                        }
-                        i = j;
-                        is_float = true;
-                    }
-                }
-                let text: String = chars[start..i].iter().collect();
-                if is_float {
-                    let v = text
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| v.is_finite())
-                        .ok_or_else(|| Error::parse(format!("bad float literal {text}")))?;
-                    tokens.push(Token::Float(v));
-                } else {
-                    let v = text
-                        .parse::<u64>()
-                        .map_err(|_| Error::parse(format!("bad integer literal {text}")))?;
-                    tokens.push(Token::Int(v));
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                tokens.push(Token::Ident(text));
-            }
-            other => {
-                return Err(Error::parse(format!("unexpected character '{other}'")));
-            }
-        }
+    while let Some(tok) = lexer.next_token()? {
+        tokens.push(tok);
     }
     Ok(tokens)
+}
+
+/// A cursor over SQL text yielding one token at a time, with the byte
+/// span of the token last returned ([`Lexer::span`]).
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    pos: usize,
+    start: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(src: &'a str) -> Self {
+        Lexer { src, pos: 0, start: 0 }
+    }
+
+    /// The byte range of the token [`Lexer::next_token`] returned last.
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+        self.start..self.pos
+    }
+
+    /// The next token, or `None` at the end of the text.
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let Some(&b) = bytes.get(self.pos) else {
+                return Ok(None);
+            };
+            self.start = self.pos;
+            let next = bytes.get(self.pos + 1).copied();
+            let (tok, len) = match b {
+                b' ' | b'\t' | b'\n' | b'\r' | b'\x0b' | b'\x0c' => {
+                    self.pos += 1;
+                    continue;
+                }
+                b'-' if next == Some(b'-') => {
+                    // `--` starts a comment that runs to end of line.
+                    self.pos = self.src[self.pos..].find('\n').map_or(bytes.len(), |n| self.pos + n);
+                    continue;
+                }
+                b'(' => (Token::LParen, 1),
+                b')' => (Token::RParen, 1),
+                b',' => (Token::Comma, 1),
+                b';' => (Token::Semicolon, 1),
+                b'*' => (Token::Star, 1),
+                b'.' => (Token::Dot, 1),
+                b'=' => (Token::Eq, 1),
+                b'+' => (Token::Plus, 1),
+                b'/' => (Token::Slash, 1),
+                b'?' => (Token::Param, 1),
+                b'-' => (Token::Minus, 1),
+                b'!' if next == Some(b'=') => (Token::Ne, 2),
+                b'!' => return Err(Error::parse("unexpected '!'")),
+                b'<' if next == Some(b'=') => (Token::Le, 2),
+                b'<' if next == Some(b'>') => (Token::Ne, 2),
+                b'<' => (Token::Lt, 1),
+                b'>' if next == Some(b'=') => (Token::Ge, 2),
+                b'>' => (Token::Gt, 1),
+                b'\'' => return self.string().map(Some),
+                b'0'..=b'9' => return self.number().map(Some),
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    let len = bytes[self.pos..]
+                        .iter()
+                        .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                        .unwrap_or(bytes.len() - self.pos);
+                    (Token::Ident(&self.src[self.pos..self.pos + len]), len)
+                }
+                _ => {
+                    let c = self.src[self.pos..].chars().next().expect("not at the end");
+                    if c.is_whitespace() {
+                        self.pos += c.len_utf8();
+                        continue;
+                    }
+                    return Err(Error::parse(format!("unexpected character '{c}'")));
+                }
+            };
+            self.pos += len;
+            return Ok(Some(tok));
+        }
+    }
+
+    /// A string literal with `''` as the escape for a single quote; `pos`
+    /// is at the opening quote.
+    fn string(&mut self) -> Result<Token<'a>> {
+        let bytes = self.src.as_bytes();
+        let body = self.pos + 1;
+        let mut i = body;
+        let mut escaped = false;
+        loop {
+            match bytes[i..].iter().position(|&b| b == b'\'') {
+                None => return Err(Error::parse("unterminated string literal")),
+                Some(n) if bytes.get(i + n + 1) == Some(&b'\'') => {
+                    escaped = true;
+                    i += n + 2;
+                }
+                Some(n) => {
+                    i += n;
+                    break;
+                }
+            }
+        }
+        let raw = &self.src[body..i];
+        self.pos = i + 1;
+        Ok(Token::Str(if escaped {
+            Cow::Owned(raw.replace("''", "'"))
+        } else {
+            Cow::Borrowed(raw)
+        }))
+    }
+
+    /// A numeric literal; `pos` is at its first digit.
+    fn number(&mut self) -> Result<Token<'a>> {
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let mut i = start;
+        let mut is_float = false;
+        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+            if bytes[i] == b'.' {
+                // A second dot ends the number (e.g. ranges are not supported).
+                if is_float {
+                    break;
+                }
+                // A dot not followed by a digit is a separate token.
+                if !bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                    break;
+                }
+                is_float = true;
+            }
+            i += 1;
+        }
+        // An exponent (`1e308`, `2.5E-3`) makes the literal a float; an `e`
+        // not followed by digits is a separate token.
+        if matches!(bytes.get(i), Some(b'e' | b'E')) {
+            let mut j = i + 1;
+            if matches!(bytes.get(j), Some(b'+' | b'-')) {
+                j += 1;
+            }
+            if bytes.get(j).is_some_and(u8::is_ascii_digit) {
+                while bytes.get(j).is_some_and(u8::is_ascii_digit) {
+                    j += 1;
+                }
+                i = j;
+                is_float = true;
+            }
+        }
+        let text = &self.src[start..i];
+        self.pos = i;
+        if is_float {
+            text.parse::<f64>()
+                .ok()
+                .filter(|v| v.is_finite())
+                .map(Token::Float)
+                .ok_or_else(|| Error::parse(format!("bad float literal {text}")))
+        } else {
+            text.parse::<u64>()
+                .map(Token::Int)
+                .map_err(|_| Error::parse(format!("bad integer literal {text}")))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +277,7 @@ mod tests {
     #[test]
     fn tokenizes_a_select() {
         let toks = tokenize("SELECT * FROM jobs WHERE state = 'idle' AND job_id >= 10;").unwrap();
-        assert_eq!(toks[0], Token::Ident("SELECT".into()));
+        assert_eq!(toks[0], Token::Ident("SELECT"));
         assert_eq!(toks[1], Token::Star);
         assert!(toks.contains(&Token::Str("idle".into())));
         assert!(toks.contains(&Token::Ge));
@@ -293,7 +297,7 @@ mod tests {
         assert_eq!(toks[1], Token::Float(2.5e-3));
         assert_eq!(toks[2], Token::Int(1 << 63));
         assert_eq!(toks[3], Token::Int(3));
-        assert_eq!(toks[4], Token::Ident("e".into()));
+        assert_eq!(toks[4], Token::Ident("e"));
         assert!(tokenize("1e309").is_err(), "an infinite literal is refused");
     }
 
@@ -318,7 +322,7 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("SELECT".into()),
+                Token::Ident("SELECT"),
                 Token::Int(1),
                 Token::Comma,
                 Token::Int(2)
@@ -350,9 +354,9 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Ident("jobs".into()),
+                Token::Ident("jobs"),
                 Token::Dot,
-                Token::Ident("job_id".into())
+                Token::Ident("job_id")
             ]
         );
     }

@@ -9,6 +9,7 @@
 pub mod ast;
 pub(crate) mod lexer;
 pub(crate) mod parser;
+pub(crate) mod shape;
 
 pub use ast::Statement;
 pub use parser::parse;

@@ -31,11 +31,19 @@ use crate::value::{DataType, Value};
 
 /// Parses a single SQL statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
+    parse_tokens(tokenize(sql)?)
+}
+
+/// Parses a lexed statement. [`Token::Lifted`] slots — literals the
+/// statement cache lifted out of the text — are numbered after every `?`
+/// of the statement, in text order.
+pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<Statement> {
+    let lifted = tokens.iter().filter(|t| **t == Token::Param).count();
     let mut p = Parser {
         tokens,
         pos: 0,
         params: 0,
+        lifted,
     };
     let stmt = p.parse_statement()?;
     p.consume_if(&Token::Semicolon);
@@ -48,19 +56,21 @@ pub fn parse(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Number of `?` placeholders seen so far; each gets the next index.
     params: usize,
+    /// The index the next [`Token::Lifted`] slot gets.
+    lifted: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -68,7 +78,7 @@ impl Parser {
         self.peek().map(|t| t.to_string()).unwrap_or_else(|| "end of input".into())
     }
 
-    fn next(&mut self) -> Result<Token> {
+    fn next(&mut self) -> Result<Token<'a>> {
         let tok = self
             .tokens
             .get(self.pos)
@@ -78,7 +88,7 @@ impl Parser {
         Ok(tok)
     }
 
-    fn expect(&mut self, tok: &Token) -> Result<()> {
+    fn expect(&mut self, tok: &Token<'_>) -> Result<()> {
         let got = self.next()?;
         if &got == tok {
             Ok(())
@@ -87,7 +97,7 @@ impl Parser {
         }
     }
 
-    fn consume_if(&mut self, tok: &Token) -> bool {
+    fn consume_if(&mut self, tok: &Token<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -116,6 +126,16 @@ impl Parser {
 
     fn peek_keyword(&self, kw: &str) -> bool {
         self.peek().map(|t| t.is_keyword(kw)).unwrap_or(false)
+    }
+
+    fn next_param(&mut self) -> usize {
+        self.params += 1;
+        self.params - 1
+    }
+
+    fn next_lifted(&mut self) -> usize {
+        self.lifted += 1;
+        self.lifted - 1
     }
 
     fn expect_ident(&mut self) -> Result<String> {
@@ -344,11 +364,8 @@ impl Parser {
         let limit = if self.consume_keyword("LIMIT") {
             match self.next()? {
                 Token::Int(n) => Some(Limit::Count(usize::try_from(n).unwrap_or(usize::MAX))),
-                Token::Param => {
-                    let idx = self.params;
-                    self.params += 1;
-                    Some(Limit::Param(idx))
-                }
+                Token::Param => Some(Limit::Param(self.next_param())),
+                Token::Lifted => Some(Limit::Param(self.next_lifted())),
                 other => return Err(Error::parse(format!("expected LIMIT count, got {other}"))),
             }
         } else {
@@ -371,14 +388,15 @@ impl Parser {
         }
         // Aggregate function?
         if let Some(Token::Ident(name)) = self.peek() {
-            let func = match name.to_ascii_uppercase().as_str() {
-                "COUNT" => Some(AggFunc::Count),
-                "SUM" => Some(AggFunc::Sum),
-                "AVG" => Some(AggFunc::Avg),
-                "MIN" => Some(AggFunc::Min),
-                "MAX" => Some(AggFunc::Max),
-                _ => None,
-            };
+            let func = [
+                ("COUNT", AggFunc::Count),
+                ("SUM", AggFunc::Sum),
+                ("AVG", AggFunc::Avg),
+                ("MIN", AggFunc::Min),
+                ("MAX", AggFunc::Max),
+            ]
+            .into_iter()
+            .find_map(|(kw, func)| name.eq_ignore_ascii_case(kw).then_some(func));
             if let Some(func) = func {
                 if self.tokens.get(self.pos + 1) == Some(&Token::LParen) {
                     self.pos += 2; // consume name and '('
@@ -640,11 +658,8 @@ impl Parser {
                 .map_err(|_| Error::parse(format!("integer literal {n} exceeds INT"))),
             Token::Float(x) => Ok(Expr::Literal(Value::Double(x))),
             Token::Str(s) => Ok(Expr::Literal(Value::Text(s.into()))),
-            Token::Param => {
-                let idx = self.params;
-                self.params += 1;
-                Ok(Expr::Param(idx))
-            }
+            Token::Param => Ok(Expr::Param(self.next_param())),
+            Token::Lifted => Ok(Expr::Param(self.next_lifted())),
             Token::LParen => {
                 if self.peek_keyword("SELECT") {
                     let sel = self.parse_select()?;
@@ -655,21 +670,20 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
+            Token::Ident(name) if name.eq_ignore_ascii_case("NULL") => Ok(Expr::Literal(Value::Null)),
+            Token::Ident(name) if name.eq_ignore_ascii_case("TRUE") => {
+                Ok(Expr::Literal(Value::Bool(true)))
+            }
+            Token::Ident(name) if name.eq_ignore_ascii_case("FALSE") => {
+                Ok(Expr::Literal(Value::Bool(false)))
+            }
             Token::Ident(name) => {
-                let upper = name.to_ascii_uppercase();
-                match upper.as_str() {
-                    "NULL" => Ok(Expr::Literal(Value::Null)),
-                    "TRUE" => Ok(Expr::Literal(Value::Bool(true))),
-                    "FALSE" => Ok(Expr::Literal(Value::Bool(false))),
-                    _ => {
-                        let mut col = name.to_ascii_lowercase();
-                        if self.consume_if(&Token::Dot) {
-                            let second = self.expect_ident()?;
-                            col = format!("{col}.{second}");
-                        }
-                        Ok(Expr::Column(col))
-                    }
+                let mut col = name.to_ascii_lowercase();
+                if self.consume_if(&Token::Dot) {
+                    let second = self.expect_ident()?;
+                    col = format!("{col}.{second}");
                 }
+                Ok(Expr::Column(col))
             }
             other => Err(Error::parse(format!("unexpected token {other} in expression"))),
         }

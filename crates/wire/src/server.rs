@@ -95,6 +95,12 @@ pub struct ServerConfig {
     /// How long a write statement waits for a conflicted table lock before
     /// failing with a retryable lock-wait [`Error::Timeout`]. Zero keeps
     /// the embedded engine's fail-fast [`Error::LockConflict`] behaviour.
+    ///
+    /// The default, 1 s, outlasts a writer's transaction on a loaded host:
+    /// two connections updating one table serialise on its lock, and a
+    /// holder descheduled for a few scheduler slices keeps it well past
+    /// 100 ms. A wait this long still ends a deadlocked or abandoned
+    /// holder's victims in bounded time.
     pub lock_wait_timeout: Duration,
     /// A transaction idle (no statement, commit, or rollback) for longer
     /// than this is aborted by the reaper thread: locks released, versions
@@ -123,7 +129,7 @@ impl Default for ServerConfig {
             statement_deadline: Some(Duration::from_secs(30)),
             max_result_rows: None,
             max_result_bytes: Some(64 * 1024 * 1024),
-            lock_wait_timeout: Duration::from_millis(100),
+            lock_wait_timeout: Duration::from_secs(1),
             idle_txn_timeout: Some(Duration::from_secs(300)),
             reap_interval: Duration::from_secs(1),
             slow_query_threshold: None,

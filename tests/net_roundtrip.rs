@@ -609,6 +609,85 @@ fn int_overflow_is_a_typed_error_over_the_wire() {
     server.shutdown();
 }
 
+/// Ad-hoc texts keyed by their shape answer over the wire exactly as
+/// embedded: literals lifted into `?` slots, the ones that stay in the
+/// text, and the parse errors, case for case.
+#[test]
+fn shaped_literal_texts_answer_alike_over_the_wire() {
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, d DOUBLE, s TEXT)").unwrap();
+    db.execute(
+        "INSERT INTO t VALUES (1, -5, -0.0, 'it''s'), (2, 5, 0.5, '?'), (3, -9223372036854775808, 1.0, 'a')",
+    )
+    .unwrap();
+    db.execute("CREATE TABLE user01 (c2 INT PRIMARY KEY)").unwrap();
+    db.execute("INSERT INTO user01 VALUES (1), (2), (3)").unwrap();
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let cases = [
+        "SELECT id, s FROM t WHERE id = 1",
+        "SELECT id, s FROM t WHERE id = 2",
+        "SELECT id FROM t WHERE x = -5",
+        "SELECT id FROM t WHERE id -5 = -3",
+        "SELECT id FROM t WHERE d = - 0.0",
+        "SELECT id FROM t WHERE x = -9223372036854775808",
+        "SELECT id FROM t WHERE x = 9223372036854775808",
+        "SELECT id FROM t ORDER BY id LIMIT 10",
+        "SELECT id FROM t ORDER BY id LIMIT 'a'",
+        "SELECT id FROM t WHERE s = '?' OR s = 'it''s' ORDER BY id",
+        "SELECT user01.c2 FROM user01 WHERE c2 = 2",
+        "SELECT c2 FROM user01 WHERE c2 IN (1, 2) ORDER BY c2",
+        "SELECT c2 FROM user01 WHERE c2 IN (1, 2, 3) ORDER BY c2",
+        "SELECT x + 1 FROM t WHERE id = 2",
+        "SELECT x + 1 AS y FROM t WHERE id = 2",
+        "EXPLAIN SELECT id FROM t WHERE id = 3",
+        "SELECT calls FROM rel_statements WHERE sql = 'SELECT id, s FROM t WHERE id = ?'",
+    ];
+    for sql in cases {
+        let local = db.query(sql);
+        let remote = client.query(sql, ());
+        assert_eq!(remote, local, "remote diverged for: {sql}");
+    }
+    // A remote handle prepared from a literal text binds nothing and keeps
+    // its own literal, whichever text of the shape came first.
+    let one = client.prepare("SELECT s FROM t WHERE id = 1").unwrap();
+    let three = client.prepare("SELECT s FROM t WHERE id = 3").unwrap();
+    assert_eq!((one.param_count(), three.param_count()), (0, 0));
+    let s: Vec<String> = client.query_scalars(three, ()).unwrap();
+    assert_eq!(s, ["a"]);
+    let s: Vec<String> = client.query_scalars(one, ()).unwrap();
+    assert_eq!(s, ["it's"]);
+    drop(client);
+    server.shutdown();
+}
+
+/// The server's default lock wait outlasts a writer that holds a table for
+/// 150 ms: the second connection's update waits and then succeeds.
+#[test]
+fn the_default_lock_wait_outlasts_a_short_writer() {
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE machines (id INT PRIMARY KEY, state TEXT)").unwrap();
+    db.execute("INSERT INTO machines VALUES (1, 'idle'), (2, 'idle')").unwrap();
+    let server = serve(Arc::clone(&db), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut holder = Client::connect(addr).unwrap();
+    let mut waiter = Client::connect(addr).unwrap();
+    holder.begin().unwrap();
+    holder.execute("UPDATE machines SET state = 'busy' WHERE id = 1", ()).unwrap();
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        holder.commit().unwrap();
+        holder
+    });
+    let n = waiter.execute("UPDATE machines SET state = 'held' WHERE id = 2", ()).unwrap();
+    assert_eq!(n.affected(), 1);
+    drop(release.join().unwrap());
+    let states: Vec<String> = waiter.query_scalars("SELECT state FROM machines ORDER BY id", ()).unwrap();
+    assert_eq!(states, ["busy", "held"]);
+    drop(waiter);
+    server.shutdown();
+}
+
 /// Pool behaviour: healthy connections are reused, broken or mid-transaction
 /// ones are discarded, and `with_retries` takes a fresh connection per
 /// attempt. Admission control turns away clients beyond the limit with a

@@ -283,6 +283,79 @@ proptest! {
         prep_db.check_consistency().unwrap();
     }
 
+    /// An ad-hoc text answers exactly as its `?` twin bound to the same
+    /// values, whether it parses (the first text of its shape) or hits the
+    /// shape another literal cached — so a hit never returns the rows of
+    /// the text that filled the entry. Every probe runs against the same
+    /// warm cache; the literals range over negative numbers (which stay in
+    /// the text), doubles and SQL-hostile strings.
+    #[test]
+    fn shaped_literal_texts_match_their_prepared_twins(
+        rows in prop::collection::vec((body_strategy(), score_strategy()), 1..25),
+        probes in prop::collection::vec(
+            (0..4u8, body_strategy(), -50..50i64, 0..30i64, -5.0..5.0f64),
+            1..12,
+        ),
+    ) {
+        let db = notes_db();
+        let twin = notes_db();
+        for (i, (body, score)) in rows.iter().enumerate() {
+            let text = format!(
+                "INSERT INTO notes (id, body, score) VALUES ({i}, {}, {})",
+                sql_literal(body),
+                sql_literal(score),
+            );
+            db.execute(&text).unwrap();
+            twin.session()
+                .execute("INSERT INTO notes (id, body, score) VALUES (?, ?, ?)", (i as i64, body.clone(), score.clone()))
+                .unwrap();
+        }
+        for (kind, body, score, k, x) in probes {
+            let x = Value::Double((x * 4.0).round() / 4.0);
+            let (text, sql, values) = match kind {
+                0 => (
+                    format!("SELECT id, body FROM notes WHERE score = {score} ORDER BY id"),
+                    "SELECT id, body FROM notes WHERE score = ? ORDER BY id",
+                    vec![Value::Int(score)],
+                ),
+                1 => (
+                    format!(
+                        "SELECT id FROM notes WHERE body = {} OR id > {k} ORDER BY id LIMIT {k}",
+                        sql_literal(&body)
+                    ),
+                    "SELECT id FROM notes WHERE body = ? OR id > ? ORDER BY id LIMIT ?",
+                    vec![body.clone(), Value::Int(k), Value::Int(k)],
+                ),
+                2 => (
+                    format!(
+                        "SELECT COUNT(*) AS n, SUM(score) AS total FROM notes WHERE score >= {score} AND score < {}",
+                        score + k
+                    ),
+                    "SELECT COUNT(*) AS n, SUM(score) AS total FROM notes WHERE score >= ? AND score < ?",
+                    vec![Value::Int(score), Value::Int(score + k)],
+                ),
+                _ => (
+                    format!("SELECT id, score * {} AS scaled FROM notes WHERE id < {k} ORDER BY id", sql_literal(&x)),
+                    "SELECT id, score * ? AS scaled FROM notes WHERE id < ? ORDER BY id",
+                    vec![x.clone(), Value::Int(k)],
+                ),
+            };
+            let lit = db.query(&text).unwrap();
+            let prepared = twin.session().query(sql, values).unwrap();
+            prop_assert_eq!(lit, prepared, "{}", text);
+        }
+        // Writes through literal texts land as the twin's bound writes do.
+        let text = format!("UPDATE notes SET score = score + 1 WHERE id < {}", rows.len() / 2);
+        let n = db.execute(&text).unwrap().affected();
+        let m = twin.session()
+            .execute("UPDATE notes SET score = score + ? WHERE id < ?", (1i64, (rows.len() / 2) as i64))
+            .unwrap()
+            .affected();
+        prop_assert_eq!(n, m);
+        let all = "SELECT * FROM notes ORDER BY id";
+        prop_assert_eq!(db.query(all).unwrap(), twin.query(all).unwrap());
+    }
+
     /// `execute_batch` is observationally equivalent to the loop of
     /// per-statement `execute` calls it replaces — same stored
     /// rows, same affected counts, same recovery result — across inserts
