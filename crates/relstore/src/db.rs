@@ -57,18 +57,16 @@ use crate::exec::{
     Catalog, ExecOptions, QueryResult,
 };
 use crate::govern::{Governance, Governor};
-use crate::hash::FoldMap;
 use crate::io::{DurabilityPolicy, Failpoints, FsDevice, LogDevice};
 use crate::mvcc::Snapshot;
 use crate::obs::clock::Stopwatch;
 use crate::obs::{
     self, systables, Observability, OpStats, ProfileCounters, StmtKind, StmtProfile,
-    StmtProfileSnapshot, WaitBreakdown,
+    StmtProfileSnapshot, StmtRecord, WaitBreakdown,
 };
 use crate::plan::{self, plan_select, PlanCell, PlanProfile, PlanSlot};
 use crate::schema::{lower_name, IndexDef};
 use crate::sql::ast::{DeleteStmt, InsertStmt, SelectStmt, Statement, UpdateStmt};
-use crate::sql::lexer::Token;
 use crate::sql::parser::{parse, parse_tokens};
 use crate::sql::shape::{Lexed, Shape};
 use crate::table::Table;
@@ -76,7 +74,7 @@ use crate::txn::{LockManager, TxnManager};
 use crate::value::Value;
 use crate::wal::{self, Change, TxnId, Wal};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,16 +123,17 @@ impl ExecResult {
 /// parameter values. Obtained from [`Database::prepare`]; cheap to clone
 /// (the parsed AST is shared).
 ///
-/// A handle prepared from a text with literals shares its statement with
-/// every text of the same *shape* (see [`Database::prepare`]): the literals
-/// are `?` slots numbered after the caller's own, and the handle carries
-/// their values, appended to the caller's bindings at every execution.
+/// A handle prepared from a text with literals and no `?` of its own
+/// shares its statement with every text of the same *shape* (see
+/// [`Database::prepare`]): the literals are the statement's `?` slots, and
+/// the handle carries their values, its whole binding at every execution.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     stmt: Arc<Statement>,
     params: usize,
     /// The values of the literals lifted out of this handle's text, bound
-    /// after the caller's parameters. Empty for a literal-free text.
+    /// in place of the caller's (who binds none). Empty for a text that is
+    /// its own shape.
     lifted: Vec<Value>,
     /// The cumulative execution profile for this statement's shape, shared
     /// with the statement-cache entry (and with every other `Prepared`
@@ -149,7 +148,7 @@ pub struct Prepared {
 
 impl Prepared {
     /// The parsed statement — of the shape, for a text with lifted
-    /// literals: they are its last `?` slots.
+    /// literals: they are its `?` slots.
     pub fn statement(&self) -> &Statement {
         &self.stmt
     }
@@ -168,23 +167,23 @@ impl Prepared {
         self.profile.snapshot()
     }
 
-    /// `params`, the caller's bindings, followed by the lifted literals.
-    fn bind<'p>(&self, params: &'p [Value]) -> Cow<'p, [Value]> {
-        if self.lifted.is_empty() {
-            Cow::Borrowed(params)
-        } else {
-            Cow::Owned([params, &self.lifted].concat())
+    /// What an execution of this handle records into: its profile, and the
+    /// literals the slow-query log puts back into the profile's text.
+    fn record(&self) -> StmtRecord<'_> {
+        StmtRecord {
+            profile: &self.profile,
+            lifted: &self.lifted,
         }
     }
 
-    /// Every binding of a batch followed by the lifted literals, in one
-    /// buffer; `None` when nothing is lifted and the bindings serve as they
-    /// are.
-    fn bind_batch(&self, bindings: &[Vec<Value>]) -> Option<Vec<Value>> {
-        (!self.lifted.is_empty()).then(|| {
-            let all = bindings.iter().flat_map(|b| b.iter().chain(&self.lifted));
-            all.cloned().collect()
-        })
+    /// The values the statement binds: the lifted literals of a shaped
+    /// handle (whose caller, its arity checked, bound none), else `params`.
+    fn bind<'a>(&'a self, params: &'a [Value]) -> &'a [Value] {
+        if self.lifted.is_empty() {
+            params
+        } else {
+            &self.lifted
+        }
     }
 }
 
@@ -213,7 +212,7 @@ const STMT_CACHE_CAPACITY: usize = 256;
 #[derive(Debug)]
 struct StmtCache {
     capacity: usize,
-    entries: FoldMap<String, CacheEntry>,
+    entries: HashMap<String, CacheEntry>,
     next_gen: u64,
     /// Where evicted entries' profiles go: their totals as of the eviction,
     /// and whatever handles that outlive their entry record afterwards.
@@ -236,7 +235,7 @@ impl Default for StmtCache {
     fn default() -> Self {
         StmtCache {
             capacity: STMT_CACHE_CAPACITY,
-            entries: FoldMap::default(),
+            entries: HashMap::new(),
             next_gen: 0,
             evicted: Arc::default(),
         }
@@ -656,18 +655,18 @@ impl Database {
     ///
     /// Preparation goes through the statement cache, keyed by the text's
     /// *shape*. An exact-text hit returns the shared parsed AST without
-    /// lexing. Otherwise the text is lexed once: the literals of a SELECT,
-    /// INSERT, UPDATE or DELETE (an INT, DOUBLE or string not after a `-`)
-    /// become `?` slots numbered after the caller's own, and a hit on that
-    /// shape returns its AST, plan cell and profile with the literals'
-    /// values on the handle — so `… WHERE job_id = 7` and `… job_id = 8`
-    /// share one parse and one `rel_statements` row, whose `sql` is the
-    /// shape. A miss parses outside every lock and caches the result under
-    /// the shape if the shape, its literals put back, is exactly the parse
-    /// of the text (a literal that is an output column, whose label would
-    /// change, keeps the text its own key). Counted in `cache_hits` (exact
-    /// or shape hits) / `cache_misses`, and in `statements_parsed` only on a
-    /// miss.
+    /// lexing. Otherwise the text is lexed: in a SELECT, INSERT, UPDATE or
+    /// DELETE with no `?` of its own, the literals (an INT, DOUBLE or string
+    /// not after a `-`) become `?` slots, and a hit on that shape returns
+    /// its AST, plan cell and profile with the literals' values on the
+    /// handle — so `… WHERE job_id = 7` and `… job_id = 8` share one parse
+    /// and one `rel_statements` row, whose `sql` is the shape. A miss lexes
+    /// the text again and parses it, as written and as its shape, outside
+    /// every lock; it caches the result under the shape if the shape, its
+    /// literals put back, is exactly the parse of the text (a literal that
+    /// is an output column, whose label would change, keeps the text its
+    /// own key). A text the caller parameterised is its own key. Counted in `cache_hits` (exact or shape hits) / `cache_misses`,
+    /// and in `statements_parsed` only on a miss.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let hit = |prepared| {
             self.obs.record(&OpStats {
@@ -722,20 +721,19 @@ impl Database {
     /// with its own error.
     fn parse_shape(sql: &str, shape: Shape) -> Result<(String, Prepared, bool)> {
         let lexed = Lexed::of(sql)?;
-        let own = lexed.shape.iter().filter(|t| **t == Token::Param).count();
         let shaped = parse_tokens(lexed.shape);
         let text = parse_tokens(lexed.text)?;
         let accepted = shaped.ok().filter(|stmt| {
             let mut inlined = stmt.clone();
-            let projected = inlined.inline_params(own, shape.values());
-            !projected && inlined == text && stmt.param_count() == own + shape.values().len()
+            let projected = inlined.inline_params(shape.values());
+            !projected && inlined == text && stmt.param_count() == shape.values().len()
         });
         let Some(stmt) = accepted else {
             return Ok((sql.to_string(), Self::new_prepared(sql, text), false));
         };
         let key = shape.key().to_string();
         let prepared = Prepared {
-            params: own,
+            params: 0,
             lifted: shape.into_values(),
             ..Self::new_prepared(&lexed.sql, stmt)
         };
@@ -842,7 +840,7 @@ impl Database {
             return Ok(ExecResult::Query(result.expect("one binding yields one result")));
         }
         Self::check_arity(prepared, params)?;
-        let params = &*prepared.bind(params);
+        let params = prepared.bind(params);
         match stmt {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::type_err(
                 "transaction control goes through a Session or a Transaction guard",
@@ -860,7 +858,7 @@ impl Database {
                 let mut local = OpStats::default();
                 let result = self.run_analyze(target.as_deref(), &mut local);
                 let rows = result.as_ref().map_or(0, |n| *n as u64);
-                self.finish_statement(StmtKind::Ddl, sw, rows, &prepared.profile, &mut local);
+                self.finish_statement(StmtKind::Ddl, sw, rows, prepared, &mut local);
                 result.map(ExecResult::Affected)
             }
             stmt => {
@@ -877,7 +875,7 @@ impl Database {
                     Self::attribute_failure(&mut local, e);
                 }
                 let rows = result.as_ref().map_or(0, |r| r.affected() as u64);
-                self.finish_statement(StmtKind::of(stmt), sw, rows, &prepared.profile, &mut local);
+                self.finish_statement(StmtKind::of(stmt), sw, rows, prepared, &mut local);
                 result
             }
         }
@@ -935,7 +933,7 @@ impl Database {
         let snapshot = self.snapshot_for(ctx.txn, &mut local)?;
         let mut failed = None;
         for (i, params) in bindings.iter().enumerate() {
-            let params = &*prepared.bind(params.as_ref());
+            let params = prepared.bind(params.as_ref());
             let checked = if i == 0 { Ok(()) } else { governor.check_now() };
             let result = checked.and_then(|()| match explain {
                 None => self.run_select_planned(
@@ -962,7 +960,7 @@ impl Database {
                 StmtKind::Select,
                 sw.lap(),
                 rows,
-                Some(&prepared.profile),
+                Some(prepared.record()),
                 WaitBreakdown::of(&local),
                 &mut local,
             );
@@ -1037,12 +1035,12 @@ impl Database {
         kind: StmtKind,
         sw: Stopwatch,
         rows: u64,
-        profile: &Arc<StmtProfile>,
+        prepared: &Prepared,
         local: &mut OpStats,
     ) {
         let nanos = sw.elapsed_nanos();
-        self.obs
-            .record_statement(kind, nanos, rows, Some(profile), WaitBreakdown::of(local), local);
+        let wait = WaitBreakdown::of(local);
+        self.obs.record_statement(kind, nanos, rows, Some(prepared.record()), wait, local);
         self.obs.record(local);
     }
 
@@ -1310,7 +1308,7 @@ impl Database {
         txn: TxnId,
         stmt: &Statement,
         bindings: impl Iterator<Item = &'p [Value]>,
-        per_binding: Option<&Arc<StmtProfile>>,
+        per_binding: Option<&Prepared>,
         gov: &Governance,
         local: &mut OpStats,
     ) -> Result<ExecResult> {
@@ -1343,7 +1341,7 @@ impl Database {
             };
             let result = match per_binding {
                 None => apply(local, &mut governor),
-                Some(profile) => {
+                Some(prepared) => {
                     let sw = Stopwatch::start();
                     let before = WaitBreakdown::of(local);
                     let result = governor.check_now().and_then(|()| apply(local, &mut governor));
@@ -1352,7 +1350,7 @@ impl Database {
                         StmtKind::of(stmt),
                         sw.elapsed_nanos(),
                         rows,
-                        Some(profile),
+                        Some(prepared.record()),
                         WaitBreakdown::of(local).delta_since(&before),
                         local,
                     );
@@ -1546,14 +1544,10 @@ impl Database {
         for binding in bindings {
             Self::check_arity(prepared, binding)?;
         }
-        let flat = prepared.bind_batch(bindings);
         let mut local = OpStats::default();
         let result = self.in_txn(ctx.txn, &mut local, |txn, local| {
-            let bindings: Box<dyn Iterator<Item = &[Value]>> = match &flat {
-                Some(flat) => Box::new(flat.chunks(prepared.params + prepared.lifted.len())),
-                None => Box::new(bindings.iter().map(Vec::as_slice)),
-            };
-            self.write_in(txn, &prepared.stmt, bindings, Some(&prepared.profile), ctx.gov, local)
+            let bindings = bindings.iter().map(|b| prepared.bind(b));
+            self.write_in(txn, &prepared.stmt, bindings, Some(prepared), ctx.gov, local)
         });
         if let Err(e) = &result {
             Self::attribute_failure(&mut local, e);
@@ -2413,10 +2407,21 @@ mod tests {
         let before = db.stats();
         s.query(own, (2i64,)).unwrap();
         assert_eq!(db.stats().delta_since(&before).cache_hits, 1);
-        // Where the lifted slot sits is part of the key.
-        let a = s.query("SELECT job_id FROM jobs WHERE job_id = ? AND owner = 'alice'", (3i64,)).unwrap();
-        let b = s.query("SELECT job_id FROM jobs WHERE job_id = 3 AND owner = ?", ("alice",)).unwrap();
-        assert_eq!((a.len(), b.len()), (1, 1));
+        // A text the caller parameterised keeps its literals.
+        let a = "SELECT job_id FROM jobs WHERE job_id = ? AND owner = 'alice'";
+        let b = "SELECT job_id FROM jobs WHERE job_id = 3 AND owner = ?";
+        assert_eq!((s.query(a, (3i64,)).unwrap().len(), s.query(b, ("alice",)).unwrap().len()), (1, 1));
+        let sqls = cached_sqls(&db);
+        assert!(sqls.iter().any(|s| s == a) && sqls.iter().any(|s| s == b), "{sqls:?}");
+        // The slow-query log shows the text that ran, not its shape.
+        db.set_slow_query_threshold(Some(Duration::ZERO));
+        owner(2);
+        s.query(&three, ()).unwrap();
+        let logged: Vec<_> = db.obs().slow_log.entries().into_iter().filter_map(|e| e.sql).collect();
+        assert_eq!(
+            logged.iter().map(|t| &**t).collect::<Vec<_>>(),
+            ["SELECT owner FROM jobs WHERE job_id = 2", "SELECT owner FROM jobs WHERE job_id = 3"]
+        );
     }
 
     #[test]

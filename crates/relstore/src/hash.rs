@@ -1,6 +1,5 @@
-//! The engine's hasher, for the hash tables it keys by [`Value`] — the
-//! hash-join build map and the aggregator's groups — and the statement
-//! cache, keyed by SQL text and probed once or twice per statement.
+//! The executor's hasher, for the hash tables it keys by [`Value`]: the
+//! hash-join build map and the aggregator's groups.
 //!
 //! std's default, SipHash-1-3, spends more time per key than these tables
 //! spend on the rest of a probe, since their keys are short: an integer id

@@ -459,9 +459,9 @@
 //! `pg_stat_statements` analogue bounded by the statement-cache LRU; what
 //! evicted entries had recorded is kept as one `'(evicted)'` row). Like
 //! `pg_stat_statements`, a profile is kept per statement *shape*: the
-//! statement cache keys a SELECT, INSERT, UPDATE or DELETE by its text
-//! with each literal that does not follow a `-` lifted into a `?` slot
-//! (the literal's kind stays in the key), so the ad-hoc texts
+//! statement cache keys a SELECT, INSERT, UPDATE or DELETE written without
+//! a `?` by its text with each literal that does not follow a `-` lifted
+//! into a `?` slot (the literal's kind stays in the key), so the ad-hoc texts
 //! `… WHERE job_id = 7` and `… WHERE job_id = 8` are one entry, parsed
 //! once, and one `rel_statements` row whose `sql` is the shape. A shape
 //! hit counts in `cache_hits` and not in `statements_parsed`; DDL,
@@ -490,11 +490,10 @@
 //!     session.execute(&ins, (i,))?;
 //! }
 //!
-//! // The profile table is plain SQL: ask how often the insert ran. Its
-//! // row is the statement's shape, the literal `'idle'` a `?` slot.
+//! // The profile table is plain SQL: ask how often the insert ran.
 //! let r = session.query(
 //!     "SELECT calls, total_rows FROM rel_statements WHERE sql = ?",
-//!     ("INSERT INTO jobs VALUES (?, ?)",),
+//!     ("INSERT INTO jobs VALUES (?, 'idle')",),
 //! )?;
 //! assert_eq!(r.first_value("calls"), Some(&Value::Int(10)));
 //! assert_eq!(r.first_value("total_rows"), Some(&Value::Int(10)));

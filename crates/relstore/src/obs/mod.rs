@@ -46,6 +46,8 @@ pub use stats::OpStats;
 use stats::SharedStats;
 
 use crate::sql::ast::Statement;
+use crate::sql::shape;
+use crate::value::Value;
 use std::sync::Arc;
 
 /// Classification of a statement for per-kind latency histograms.
@@ -226,34 +228,56 @@ impl Observability {
     }
 
     /// Records a finished statement: one histogram sample, the optional
-    /// prepared-statement profile and the slow-query check. `local` is the
-    /// statement's private counter delta; the `slow_queries` counter is
-    /// bumped in it when the statement is captured.
+    /// prepared-statement profile and the slow-query check, which logs the
+    /// text the statement ran as. `local` is the statement's private
+    /// counter delta; the `slow_queries` counter is bumped in it when the
+    /// statement is captured.
     #[inline]
     pub(crate) fn record_statement(
         &self,
         kind: StmtKind,
         nanos: u64,
         rows: u64,
-        profile: Option<&Arc<StmtProfile>>,
+        stmt: Option<StmtRecord<'_>>,
         wait: WaitBreakdown,
         local: &mut OpStats,
     ) {
         self.histograms.statement(kind).record(nanos);
-        if let Some(profile) = profile {
-            profile.record(nanos, rows);
+        if let Some(stmt) = stmt {
+            stmt.profile.record(nanos, rows);
         }
         if self.slow_log.should_capture(nanos) {
             local.slow_queries += 1;
             self.slow_log.capture(SlowQueryEntry {
                 seq: 0,
-                sql: profile.map(|p| Arc::clone(p.sql())),
+                sql: stmt.map(|s| s.text()),
                 kind,
                 duration_nanos: nanos,
                 rows,
                 lock_wait_nanos: wait.lock_wait_nanos,
                 fsync_nanos: wait.fsync_nanos,
             });
+        }
+    }
+}
+
+/// What one execution of a prepared statement records into: its profile,
+/// and the literals lifted out of the text it was prepared from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StmtRecord<'a> {
+    pub(crate) profile: &'a Arc<StmtProfile>,
+    /// Empty when the text is its own shape.
+    pub(crate) lifted: &'a [Value],
+}
+
+impl StmtRecord<'_> {
+    /// The text the statement ran as: the profile's, with any lifted
+    /// literals put back into their `?` slots.
+    fn text(&self) -> Arc<str> {
+        if self.lifted.is_empty() {
+            Arc::clone(self.profile.sql())
+        } else {
+            shape::fill(self.profile.sql(), self.lifted).into()
         }
     }
 }
@@ -302,7 +326,10 @@ mod tests {
             StmtKind::Select,
             5_000,
             3,
-            Some(&profile),
+            Some(StmtRecord {
+                profile: &profile,
+                lifted: &[],
+            }),
             WaitBreakdown::default(),
             &mut local,
         );
@@ -319,7 +346,10 @@ mod tests {
             StmtKind::Select,
             5_000,
             3,
-            Some(&profile),
+            Some(StmtRecord {
+                profile: &profile,
+                lifted: &[],
+            }),
             WaitBreakdown {
                 lock_wait_nanos: 200,
                 ..Default::default()

@@ -29,8 +29,10 @@ pub struct SlowQueryEntry {
     /// Monotonic capture sequence number (gaps mean dropped entries — the
     /// ring only keeps the most recent `SLOW_LOG_CAPACITY`).
     pub seq: u64,
-    /// The statement text, when the statement came in as SQL. Programmatic
-    /// AST execution has no text and reports `None`.
+    /// The statement text, when the statement came in as SQL: as written,
+    /// with a text that shares its shape's statement showing its own
+    /// literals (spelt anew: `2.50` reads `2.5`). Programmatic AST
+    /// execution has no text and reports `None`.
     pub sql: Option<Arc<str>>,
     /// The statement kind.
     pub kind: StmtKind,

@@ -231,32 +231,32 @@ impl Expr {
         }
     }
 
-    /// Puts `values` back in place of the `?` slots numbered `first` and on,
-    /// subqueries included (see [`Statement::inline_params`]); true when a
-    /// slot sat in a subquery's unaliased projection item.
+    /// Puts `values` back in place of the `?` slots, subqueries included
+    /// (see [`Statement::inline_params`]); true when a slot sat in a
+    /// subquery's unaliased projection item.
     ///
     /// [`Statement::inline_params`]: crate::sql::ast::Statement::inline_params
-    pub(crate) fn inline_params(&mut self, first: usize, values: &[Value]) -> bool {
+    pub(crate) fn inline_params(&mut self, values: &[Value]) -> bool {
         match self {
             Expr::Param(i) => {
-                if let Some(v) = i.checked_sub(first).and_then(|k| values.get(k)) {
+                if let Some(v) = values.get(*i) {
                     *self = Expr::Literal(v.clone());
                 }
                 false
             }
             Expr::Literal(_) | Expr::Column(_) => false,
             Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
-                let left = l.inline_params(first, values);
-                r.inline_params(first, values) || left
+                let left = l.inline_params(values);
+                r.inline_params(values) || left
             }
             Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) | Expr::InList(e, _) => {
-                e.inline_params(first, values)
+                e.inline_params(values)
             }
             Expr::InSubquery(e, sel) => {
-                let left = e.inline_params(first, values);
-                sel.inline_params(first, values) || left
+                let left = e.inline_params(values);
+                sel.inline_params(values) || left
             }
-            Expr::ScalarSubquery(sel) => sel.inline_params(first, values),
+            Expr::ScalarSubquery(sel) => sel.inline_params(values),
         }
     }
 

@@ -186,25 +186,25 @@ impl SelectStmt {
                 .any(|i| matches!(i, SelectItem::Aggregate { .. }))
     }
 
-    /// Puts `values` back in place of the `?` slots numbered `first` and
-    /// on ([`Statement::inline_params`]); true when one of them is in an
+    /// Puts `values` back in place of the `?` slots
+    /// ([`Statement::inline_params`]); true when one of them is in an
     /// unaliased projection item, subqueries' included.
-    pub(crate) fn inline_params(&mut self, first: usize, values: &[Value]) -> bool {
+    pub(crate) fn inline_params(&mut self, values: &[Value]) -> bool {
         let mut projected = false;
         for item in &mut self.items {
             if let SelectItem::Expr { expr, alias } = item {
-                projected |= alias.is_none() && expr.param_count() > first;
-                projected |= expr.inline_params(first, values);
+                projected |= alias.is_none() && expr.param_count() > 0;
+                projected |= expr.inline_params(values);
             }
         }
         for join in &mut self.joins {
-            projected |= join.on.inline_params(first, values);
+            projected |= join.on.inline_params(values);
         }
         if let Some(filter) = &mut self.filter {
-            projected |= filter.inline_params(first, values);
+            projected |= filter.inline_params(values);
         }
         if let Some(Limit::Param(i)) = self.limit {
-            if let Some(Value::Int(n)) = i.checked_sub(first).and_then(|k| values.get(k)) {
+            if let Some(Value::Int(n)) = values.get(i) {
                 self.limit = usize::try_from(*n).ok().map(Limit::Count).or(self.limit);
             }
         }
@@ -316,33 +316,33 @@ impl Statement {
         n
     }
 
-    /// Puts `values` back in place of the `?` slots numbered `first` and
-    /// on — slot `first + k` becomes the literal `values[k]` — in every
-    /// clause and subquery. Returns true when a slot sat in an unaliased
-    /// projection item, where a `?` would change the output column's label.
-    /// The statement cache uses it to check a shape against its text.
-    pub(crate) fn inline_params(&mut self, first: usize, values: &[Value]) -> bool {
+    /// Puts `values` back in place of the `?` slots — slot `k` becomes the
+    /// literal `values[k]` — in every clause and subquery. Returns true when
+    /// a slot sat in an unaliased projection item, where a `?` would change
+    /// the output column's label. The statement cache uses it to check a
+    /// shape against its text.
+    pub(crate) fn inline_params(&mut self, values: &[Value]) -> bool {
         let mut projected = false;
         match self {
             Statement::Select(sel) | Statement::Explain { select: sel, .. } => {
-                projected = sel.inline_params(first, values);
+                projected = sel.inline_params(values);
             }
             Statement::Insert(ins) => {
                 for expr in ins.rows.iter_mut().flatten() {
-                    projected |= expr.inline_params(first, values);
+                    projected |= expr.inline_params(values);
                 }
             }
             Statement::Update(upd) => {
                 for (_, expr) in &mut upd.assignments {
-                    projected |= expr.inline_params(first, values);
+                    projected |= expr.inline_params(values);
                 }
                 if let Some(filter) = &mut upd.filter {
-                    projected |= filter.inline_params(first, values);
+                    projected |= filter.inline_params(values);
                 }
             }
             Statement::Delete(del) => {
                 if let Some(filter) = &mut del.filter {
-                    projected |= filter.inline_params(first, values);
+                    projected |= filter.inline_params(values);
                 }
             }
             Statement::CreateTable(_)

@@ -54,10 +54,6 @@ pub(crate) enum Token<'a> {
     Slash,
     /// `?` — a positional bind-parameter placeholder.
     Param,
-    /// A literal lifted out of the text into a `?` slot (see
-    /// [`crate::sql::shape`]). Never produced by the lexer; the parser
-    /// numbers these slots after every `Param` of the statement.
-    Lifted,
 }
 
 impl Token<'_> {
@@ -97,7 +93,7 @@ impl fmt::Display for Token<'_> {
             Token::Plus => write!(f, "+"),
             Token::Minus => write!(f, "-"),
             Token::Slash => write!(f, "/"),
-            Token::Param | Token::Lifted => write!(f, "?"),
+            Token::Param => write!(f, "?"),
         }
     }
 }

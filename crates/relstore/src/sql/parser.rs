@@ -34,16 +34,13 @@ pub fn parse(sql: &str) -> Result<Statement> {
     parse_tokens(tokenize(sql)?)
 }
 
-/// Parses a lexed statement. [`Token::Lifted`] slots — literals the
-/// statement cache lifted out of the text — are numbered after every `?`
-/// of the statement, in text order.
+/// Parses a lexed statement: a text's tokens, or its shape's (see
+/// [`crate::sql::shape`]).
 pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<Statement> {
-    let lifted = tokens.iter().filter(|t| **t == Token::Param).count();
     let mut p = Parser {
         tokens,
         pos: 0,
         params: 0,
-        lifted,
     };
     let stmt = p.parse_statement()?;
     p.consume_if(&Token::Semicolon);
@@ -61,8 +58,6 @@ struct Parser<'a> {
     pos: usize,
     /// Number of `?` placeholders seen so far; each gets the next index.
     params: usize,
-    /// The index the next [`Token::Lifted`] slot gets.
-    lifted: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -131,11 +126,6 @@ impl<'a> Parser<'a> {
     fn next_param(&mut self) -> usize {
         self.params += 1;
         self.params - 1
-    }
-
-    fn next_lifted(&mut self) -> usize {
-        self.lifted += 1;
-        self.lifted - 1
     }
 
     fn expect_ident(&mut self) -> Result<String> {
@@ -365,7 +355,6 @@ impl<'a> Parser<'a> {
             match self.next()? {
                 Token::Int(n) => Some(Limit::Count(usize::try_from(n).unwrap_or(usize::MAX))),
                 Token::Param => Some(Limit::Param(self.next_param())),
-                Token::Lifted => Some(Limit::Param(self.next_lifted())),
                 other => return Err(Error::parse(format!("expected LIMIT count, got {other}"))),
             }
         } else {
@@ -659,7 +648,6 @@ impl<'a> Parser<'a> {
             Token::Float(x) => Ok(Expr::Literal(Value::Double(x))),
             Token::Str(s) => Ok(Expr::Literal(Value::Text(s.into()))),
             Token::Param => Ok(Expr::Param(self.next_param())),
-            Token::Lifted => Ok(Expr::Param(self.next_lifted())),
             Token::LParen => {
                 if self.peek_keyword("SELECT") {
                     let sel = self.parse_select()?;

@@ -51,7 +51,7 @@ fn system_tables_return_live_data() {
     let row = profiles
         .rows
         .iter()
-        .find(|r| *r.get(idx) == Value::Text("INSERT INTO jobs VALUES (?, ?)".into()))
+        .find(|r| *r.get(idx) == Value::Text("INSERT INTO jobs VALUES (?, 'idle')".into()))
         .expect("prepared insert must be profiled");
     assert_eq!(*row.get(profiles.column_index("calls").unwrap()), Value::Int(20));
     assert_eq!(*row.get(profiles.column_index("total_rows").unwrap()), Value::Int(20));
@@ -270,8 +270,7 @@ fn slow_query_log_arms_captures_and_disarms() {
     db.query("SELECT * FROM jobs").unwrap();
     let entries = db.obs().slow_log.entries();
     assert_eq!(entries.len(), 2);
-    // A statement is logged under its shape, the text its profile keeps.
-    assert_eq!(entries[0].sql.as_deref(), Some("INSERT INTO jobs VALUES (?)"));
+    assert_eq!(entries[0].sql.as_deref(), Some("INSERT INTO jobs VALUES (1)"));
     assert_eq!(entries[1].rows, 1);
     assert!(entries[0].seq < entries[1].seq);
     assert_eq!(db.stats().slow_queries, 2);
@@ -338,7 +337,7 @@ fn wire_clients_see_the_same_system_tables() {
     let queries = [
         "SELECT count FROM rel_histograms WHERE name = 'stmt.insert'",
         "SELECT sql, kind, calls, total_rows FROM rel_statements \
-         WHERE sql = 'INSERT INTO jobs VALUES (?, ?)'",
+         WHERE sql = 'INSERT INTO jobs VALUES (?, ''idle'')'",
         "SELECT name, kind FROM rel_stats ORDER BY name",
     ];
     for sql in queries {
