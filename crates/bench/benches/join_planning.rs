@@ -8,17 +8,17 @@
 //! first; left-to-right materializes the full big⋈mid intermediate instead.
 //! The planner must win by ≥2× on this shape.
 //!
-//! `prepared_join_reused` vs `prepared_join_rebuilt` prices the cached
-//! hash-join build side on a prepared statement: the rebuilt variant pays a
-//! one-row touch of the build table per iteration to invalidate the cache.
+//! `prepared_join_reused` vs `prepared_join_rebuilt` is a prepared hash
+//! join with no write between runs and with a one-row write to the build
+//! table before each run. Every execution builds its side afresh (by
+//! reference into the heap), so the two differ by the write alone.
 //!
 //! `planned_point_select` vs `forced_scan_point_select` is the access-path
 //! choice in isolation, and the `app_side_join` / `sql_join` pair measures
 //! the application-side join loop the CAS used to run against the single
 //! JOIN statement that replaced it. The `_churned` twins of that pair
 //! delete and re-insert one `runs` row between lookups, as the live CAS
-//! does on every accept and completion: a join that hashes `runs` can hide
-//! behind its cached build side on a frozen table, but not there.
+//! does on every accept and completion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relstore::{Database, Prepared, QueryResult, Value};
@@ -104,8 +104,7 @@ fn bench_build_reuse(c: &mut Criterion) {
         .unwrap();
     let touch = db.prepare("UPDATE mid SET label = ? WHERE id = 0").unwrap();
 
-    // Steady state: no writes between executions, so the hash-join build
-    // side over `mid` is validated and reused, not rebuilt.
+    // No write between executions.
     c.bench_function("prepared_join_reused", |b| {
         b.iter(|| {
             let r = db.session().query(black_box(&join), ()).unwrap();
@@ -114,8 +113,7 @@ fn bench_build_reuse(c: &mut Criterion) {
         })
     });
 
-    // A one-row touch of the build table per iteration bumps its version,
-    // invalidating the cached build: every execution rebuilds the map.
+    // A one-row write to the build table before each execution.
     c.bench_function("prepared_join_rebuilt", |b| {
         b.iter(|| {
             db.session().execute(&touch, ("touched",)).unwrap();

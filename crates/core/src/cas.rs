@@ -1287,9 +1287,11 @@ mod tests {
     }
 
     /// The usage report's work, as a budget in engine counters: it reads
-    /// every history row once, builds `users` once, and allocates only the
-    /// build side and one row per reported owner — never a copy of
-    /// `job_history`. A second report reuses the cached build side.
+    /// every history row once, builds `users` once, and allocates only one
+    /// row per reported owner — never a copy of `job_history`, nor of the
+    /// `users` build side, which holds references into the heap. Every
+    /// report builds its side afresh, so a second one costs what the first
+    /// did.
     #[test]
     fn usage_report_materializes_users_and_groups_not_history() {
         const USERS: u64 = 5; // the fifth never ran a job
@@ -1319,17 +1321,12 @@ mod tests {
             assert_eq!(usage.iter().map(|u| u.jobs as u64).sum::<u64>(), HISTORY - GHOSTS);
             cas.database().stats().delta_since(&before)
         };
-        let first = report(&cas);
-        assert_eq!(first.rows_scanned, HISTORY + USERS);
-        assert_eq!(first.rows_read, HISTORY + USERS + (HISTORY - GHOSTS));
-        assert_eq!(first.index_lookups, 0);
-        assert_eq!(first.rows_materialized, USERS + (USERS - 1), "the build side and the groups");
-
-        let second = report(&cas);
-        assert_eq!(second.build_reuse_hits, 1);
-        assert_eq!(second.rows_scanned, HISTORY);
-        assert_eq!(second.rows_read, HISTORY + (HISTORY - GHOSTS));
-        assert_eq!(second.rows_materialized, USERS - 1, "the groups alone");
+        for run in [report(&cas), report(&cas)] {
+            assert_eq!(run.rows_scanned, HISTORY + USERS);
+            assert_eq!(run.rows_read, HISTORY + USERS + (HISTORY - GHOSTS));
+            assert_eq!(run.index_lookups, 0);
+            assert_eq!(run.rows_materialized, USERS - 1, "the groups alone");
+        }
     }
 
     /// Exact-repeat budgets: what each call of a scripted lifecycle costs

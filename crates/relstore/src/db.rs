@@ -1054,12 +1054,12 @@ impl Database {
     /// aggregates and LIMIT work unchanged.
     ///
     /// Joined selects consult the statement's plan cache cell: the cached
-    /// plan (and any still-valid hash-join build sides) is reused across
-    /// executions of the same prepared handle / SQL text, and refreshed
-    /// builds are written back (a plan without a reusable build side takes
-    /// the cell's lock once). A slot whose generation falls behind
-    /// [`Database::plan_gen`] (DDL, `ANALYZE`, planner-knob change) is
-    /// replanned from scratch.
+    /// plan is reused across executions of the same prepared handle / SQL
+    /// text, at the cost of one lock and an `Arc` clone. A slot whose
+    /// generation falls behind [`Database::plan_gen`] (DDL, `ANALYZE`,
+    /// planner-knob change) is replanned from scratch. Nothing but the plan
+    /// outlives an execution: a hash join builds its side afresh each time,
+    /// as references into the heap, so no write can leave a stale copy.
     ///
     /// A single-table select is the pipeline with no join step and never
     /// touches the cell: it is not planned, its access path is chosen per
@@ -1091,42 +1091,25 @@ impl Database {
             return execute_select_opts(catalog, sel, params, snapshot, local, governor, opts);
         }
         let gen = self.plan_gen.load(Ordering::Acquire);
-        let (shared, mut builds) = {
+        let shared = {
             let mut slot = cell.lock();
             if slot.gen != gen || slot.plan.is_none() {
                 let planned = plan_select(catalog, sel, params, !no_reorder, force_scan)?;
                 local.plans_built += 1;
-                let steps = planned.steps.len();
                 *slot = PlanSlot {
                     gen,
                     plan: Some(Arc::new(planned)),
-                    builds: vec![None; steps],
                 };
             } else {
                 local.plan_cache_hits += 1;
             }
-            let plan = Arc::clone(slot.plan.as_ref().expect("slot was just filled"));
-            // Clone the build slots (refcount bumps) so the cell is not
-            // locked during execution; refreshed builds are merged back
-            // below unless the slot was invalidated meanwhile. A plan with
-            // no reusable build side skips both: its cache hit is this one
-            // lock and the `Arc` clone above.
-            let builds = plan.caches_builds().then(|| slot.builds.clone());
-            (plan, builds)
+            Arc::clone(slot.plan.as_ref().expect("slot was just filled"))
         };
         let opts = ExecOptions {
             plan: Some(&shared),
-            builds: builds.as_mut(),
             ..Default::default()
         };
-        let result = execute_select_opts(catalog, sel, params, snapshot, local, governor, opts)?;
-        if let Some(builds) = builds {
-            let mut slot = cell.lock();
-            if slot.gen == gen && slot.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &shared)) {
-                slot.builds = builds;
-            }
-        }
-        Ok(result)
+        execute_select_opts(catalog, sel, params, snapshot, local, governor, opts)
     }
 
     /// Runs `EXPLAIN [ANALYZE] <select>`: plans the SELECT with the live

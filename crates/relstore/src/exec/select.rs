@@ -36,24 +36,25 @@
 //! limit and projection then turn into the rows returned.
 //!
 //! **Rows stay where they are.** What flows between the stages is a
-//! *tuple*: one `&Row` per table read so far, borrowed from the table heap
-//! (or from a hash-join build side). A join step appends one reference per
-//! step to a flat `Vec<&Row>`, so joining copies pointers, never values,
-//! and the last step collects nothing. Every expression — pushed-down and
-//! residual filters, `ON` predicates, projections, sort keys, grouping
-//! columns, aggregate inputs — is bound once per execution
-//! ([`Expr::bind`]) to (slot, ordinal) addresses into the tuple and
-//! evaluated against the borrow. The rows the executor allocates are the
-//! ones it returns, plus the owned build side of a hash join (kept owned so
-//! a prepared statement can reuse it across executions);
+//! *tuple*: one `&Row` per table read so far, borrowed from the table heap.
+//! A join step appends one reference per step to a flat `Vec<&Row>`, so
+//! joining copies pointers, never values, and the last step collects
+//! nothing. A hash join's build side is built once per execution as
+//! references too ([`Build`]): the heap rows that pass its pushed-down
+//! conjuncts, numbered densely in build order, each key's rows chained in
+//! that order. Every expression — pushed-down and residual filters, `ON`
+//! predicates, projections, sort keys, grouping columns, aggregate inputs
+//! — is bound once per execution ([`Expr::bind`]) to (slot, ordinal)
+//! addresses into the tuple and evaluated against the borrow. The rows
+//! the executor allocates are the ones it returns, and
 //! `OpStats::rows_materialized` counts exactly those.
 //!
 //! Aggregates go further and fold where the data already is. A GROUP BY
 //! whose every column belongs to the table of the last join step, when
 //! that step is a hash join, is a *groupjoin*: the step hands the sink
-//! each match's build row by its dense number ([`CachedBuild`] numbers
-//! them), and the sink maps each build row to its group once, the first
-//! time it survives, so no group key is hashed per match. And
+//! each match's build row by its dense number, and the sink maps each
+//! build row to its group once, the first time it survives, so no group
+//! key is hashed per match. And
 //! `COUNT(*) … WHERE <indexed column> = <key>` on its point lookup counts
 //! the posting list ([`Table::count_postings`]) without reading the rows.
 //! Both are replacements inside the stages they speed up: every row read,
@@ -72,8 +73,8 @@ use crate::mvcc::Snapshot;
 use crate::obs::Stopwatch;
 use crate::obs::OpStats;
 use crate::plan::{
-    choose_access, counts_postings, plan_select, walk_order, AccessPath, BuildBucket, CachedBuild,
-    JoinStep, JoinStrategy, PlanProfile, SelectPlan, StepActuals,
+    choose_access, counts_postings, plan_select, walk_order, AccessPath, JoinStep, JoinStrategy,
+    PlanProfile, SelectPlan, StepActuals,
 };
 use crate::predicate::{resolve_column, BoundExpr, ColRef, Expr};
 use crate::schema::Schema;
@@ -207,17 +208,14 @@ pub(crate) fn rewrite_subqueries(
 }
 
 /// Planner/executor knobs threaded from the database layer. `Default` is
-/// the standalone behaviour: no plan handed in, joins reordered, no build
-/// cache, no profiling.
+/// the standalone behaviour: no plan handed in, joins reordered, no
+/// profiling.
 #[derive(Default)]
 pub struct ExecOptions<'a> {
     /// Execute this pre-built plan (plan cache, EXPLAIN ANALYZE). Without
     /// one a join is planned per execution, and a single table is not
     /// planned at all: its path is chosen per execution.
     pub plan: Option<&'a SelectPlan>,
-    /// Cached hash-join build sides, parallel to the plan's steps: valid
-    /// slots are reused, rebuilt ones are written back.
-    pub builds: Option<&'a mut Vec<Option<Arc<CachedBuild>>>>,
     /// Collect per-operator actuals (EXPLAIN ANALYZE).
     pub profile: Option<&'a mut PlanProfile>,
     /// Keep joins in syntactic order (oracle / bench baseline). Only
@@ -397,14 +395,66 @@ fn for_each_match<'a>(
 /// Marks a build row whose group a groupjoin has not looked up yet.
 const UNMAPPED: usize = usize::MAX;
 
+/// Ends a build side's chain of rows sharing a key.
+const END: usize = usize::MAX;
+
+/// A hash join's build side, built once per execution: the rows of its
+/// table that pass the step's pushed-down conjuncts, borrowed from the
+/// heap and numbered densely in build order — the number a groupjoin keeps
+/// one slot per build row by. `keys` holds each key's first and last row,
+/// and `next` chains every row to the next one with its key, so a probe
+/// reads a key's rows in build order.
+struct Build<'r> {
+    rows: Vec<&'r Row>,
+    next: Vec<usize>,
+    keys: FoldMap<&'r Value, (usize, usize)>,
+}
+
+impl<'r> Build<'r> {
+    /// An empty side with room for `rows` rows.
+    fn with_capacity(rows: usize) -> Self {
+        Build {
+            rows: Vec::with_capacity(rows),
+            next: Vec::with_capacity(rows),
+            keys: FoldMap::with_capacity_and_hasher(rows, Default::default()),
+        }
+    }
+
+    /// Appends `row` to the chain of `key`.
+    fn push(&mut self, key: &'r Value, row: &'r Row) {
+        let n = self.rows.len();
+        self.rows.push(row);
+        self.next.push(END);
+        let next = &mut self.next;
+        self.keys
+            .entry(key)
+            .and_modify(|(_, last)| {
+                next[*last] = n;
+                *last = n;
+            })
+            .or_insert((n, n));
+    }
+
+    /// The rows holding `key`, in build order, each with its number.
+    fn matches(&self, key: &Value) -> impl Iterator<Item = (usize, &'r Row)> + '_ {
+        let mut at = self.keys.get(key).map_or(END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let row = *self.rows.get(at)?;
+            let this = at;
+            at = self.next[at];
+            Some((this, row))
+        })
+    }
+}
+
 /// Where every pipeline ends: what becomes of the tuples that pass the
 /// residual filter.
 enum Sink<'r> {
     /// Fold into the aggregate. For a groupjoin the second field holds one
     /// group number per build row of the last hash step, looked up the
     /// first time the row survives, so its later matches reach their group
-    /// by the row's dense number ([`CachedBuild`] numbers them) with no
-    /// group key hashed; otherwise it is empty.
+    /// by the row's dense number ([`Build`] numbers them) with no group key
+    /// hashed; otherwise it is empty.
     Fold(Aggregator<'r>, Vec<usize>),
     /// Keep the references until sort and limit have decided which rows
     /// are worth allocating.
@@ -539,7 +589,6 @@ pub fn execute_select_opts(
 ) -> Result<QueryResult> {
     let ExecOptions {
         plan,
-        mut builds,
         mut profile,
         no_reorder,
         force_scan,
@@ -627,51 +676,32 @@ pub fn execute_select_opts(
         p.joins = vec![StepActuals::default(); steps.len()];
     }
 
-    // A join's hash build sides come first, since any tuple the sink keeps
-    // may borrow from them: reuse the prepared handle's cached build when
-    // it still describes exactly the rows this snapshot sees, else build an
-    // owned map (and cache it when the pushdown does not depend on `?`
-    // parameters).
-    let mut sides: Vec<Option<Arc<CachedBuild>>> = vec![None; steps.len()];
+    // A join's hash build sides come first: each reads its table once,
+    // keeping references to the rows that pass the step's pushdown. A kept
+    // row is charged as the join input it is.
+    let mut sides: Vec<Option<Build<'_>>> = Vec::with_capacity(steps.len());
     for (si, step) in steps.iter().enumerate() {
         let JoinStrategy::Hash { build, .. } = &step.strategy else {
+            sides.push(None);
             continue;
         };
         let sw = clock(&profile);
         let right = layout.tables[si + 1];
-        let cached = builds
-            .as_ref()
-            .and_then(|b| b.get(si).cloned().flatten())
-            .filter(|c| step.cacheable && c.valid_for(right, vis));
-        sides[si] = Some(match cached {
-            Some(reused) => {
-                stats.build_reuse_hits += 1;
-                reused
+        let scope = &schemas[si + 1..=si + 1];
+        let key = resolve_column(scope, build)?.ord;
+        let pred = bind_pushdown(step, scope)?;
+        // Sized for the planner's estimate, never past the table.
+        let mut side = Build::with_capacity((step.access.est_rows as usize).min(right.len()));
+        let rows = stream(right, step.access.path, pred.as_ref(), params, vis, stats);
+        for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
+            let key = stored.row.get(key);
+            if !key.is_null() {
+                gov.charge_row(|| approx_row_bytes(stored.row))?;
+                side.push(key, stored.row);
             }
-            None => {
-                let scope = &schemas[si + 1..=si + 1];
-                let key = resolve_column(scope, build)?.ord;
-                let pred = bind_pushdown(step, scope)?;
-                let mut map: FoldMap<Value, BuildBucket> = FoldMap::default();
-                let rows = stream(right, step.access.path, pred.as_ref(), params, vis, stats);
-                for_each_match(rows, pred.as_ref(), params, gov, |stored, gov| {
-                    let key = stored.row.get(key);
-                    if !key.is_null() {
-                        gov.charge_row(|| approx_row_bytes(stored.row))?;
-                        map.entry(key.clone()).or_default().rows.push(stored.row.clone());
-                        stats.rows_materialized += 1;
-                    }
-                    Ok(true)
-                })?;
-                let built = Arc::new(CachedBuild::new(right.version(), vis.clone(), map));
-                if step.cacheable {
-                    if let Some(slot) = builds.as_deref_mut().and_then(|b| b.get_mut(si)) {
-                        *slot = Some(Arc::clone(&built));
-                    }
-                }
-                built
-            }
-        });
+            Ok(true)
+        })?;
+        sides.push(Some(side));
         if let (Some(p), Some(sw)) = (profile.as_deref_mut(), sw) {
             p.joins[si].nanos = sw.elapsed_nanos();
         }
@@ -682,7 +712,7 @@ pub fn execute_select_opts(
         // A groupjoin: the GROUP BY folds into the last step's build rows.
         let groupjoin = plan.is_some_and(|p| p.folds_into_build(stmt, schemas));
         let build_rows = match sides.last() {
-            Some(Some(side)) if groupjoin => side.rows,
+            Some(Some(side)) if groupjoin => side.rows.len(),
             _ => 0,
         };
         Sink::Fold(agg, vec![UNMAPPED; build_rows])
@@ -770,10 +800,10 @@ pub fn execute_select_opts(
     // time is the first step's; every later step reads the tuples the one
     // before collected. After step `i` a tuple is `i + 2` references, slot
     // 0 the base row and slot `k + 1` the row step `k` joined to it, all
-    // borrowed from the table heaps or a hash step's build side, so a step
-    // copies pointers and no value. Every row visited ticks the governor
-    // and every tuple made is charged, so a pathological cross-product
-    // hits its deadline or budget *while* joining.
+    // borrowed from the table heaps, so a step copies pointers and no
+    // value. Every row visited ticks the governor and every tuple made is
+    // charged, so a pathological cross-product hits its deadline or budget
+    // *while* joining.
     let mut base_kept = 0u64;
     let mut collected: Vec<&Row> = Vec::new();
     for (si, step) in steps.iter().enumerate() {
@@ -804,19 +834,16 @@ pub fn execute_select_opts(
         match &step.strategy {
             JoinStrategy::Hash { probe, .. } => {
                 let probe = resolve_column(&schemas[..stride], probe)?;
-                let side = sides[si].as_deref().expect("hash build sides are built first");
+                let side = sides[si].as_ref().expect("hash build sides are built first");
                 lefts.for_each(params, gov, |left, gov| {
                     gov.tick()?;
                     let key = probe.of(left);
                     if key.is_null() {
                         return Ok(());
                     }
-                    let Some(bucket) = side.map.get(key) else {
-                        return Ok(());
-                    };
-                    for (i, right_row) in bucket.rows.iter().enumerate() {
+                    for (n, right_row) in side.matches(key) {
                         gov.tick()?;
-                        out.emit(left, right_row, Some(bucket.first + i), params, gov)?;
+                        out.emit(left, right_row, Some(n), params, gov)?;
                         stats.rows_read += 1;
                     }
                     Ok(())

@@ -514,12 +514,11 @@
 //! **reorder inner equi-joins** so the smallest estimated right side is
 //! joined first, and to pick each join's **strategy**, one of three:
 //!
-//! * **hash join** — build a map of the right table on its join column,
-//!   probe it with the accumulated left rows; a prepared statement keeps
-//!   the map while the table and the snapshot stand still;
+//! * **hash join** — build a map of the right table's rows on its join
+//!   column, once per execution and by reference, and probe it with the
+//!   accumulated left rows;
 //! * **index-nested-loop join** — when an index covers the right-hand join
-//!   column, probe it once per left row: no build side, nothing to cache,
-//!   nothing a write can invalidate;
+//!   column, probe it once per left row: no build side;
 //! * **nested-loop join** — for a non-equi or compound `ON`, evaluate the
 //!   predicate over every row pair.
 //!
@@ -567,11 +566,10 @@
 //! error, not a rounded number) — and a non-aggregate select allocates
 //! only the rows that survive sort and `LIMIT`. When the planner reorders
 //! joins, `SELECT *` keeps the syntactic column order by listing the tuple
-//! slots in that order; no value moves. The one owned intermediate is a
-//! hash join's build side, kept owned so a prepared statement can reuse
-//! it. The `rows_materialized` counter in `rel_stats` counts exactly the
-//! rows the executor allocates — returned rows plus (re)built build sides
-//! — next to `rows_read`, so "how much did this report copy" is a query.
+//! slots in that order; no value moves. A hash join's build side is
+//! references too, so the executor allocates only the rows it returns. The
+//! `rows_materialized` counter in `rel_stats` counts exactly those, next
+//! to `rows_read`, so "how much did this report copy" is a query.
 //! The governor's contract is unchanged by rows not being copied: every
 //! row visited is a cancellation point and every tuple a join produces is
 //! charged to the row/byte budgets at the size its values would have as
@@ -634,9 +632,8 @@
 //! step's `time_us`, and the base step's reads 0. Likewise the residual
 //! filter runs as the last producer makes its tuples, so its time is that
 //! producer's and the `Filter` step's `time_us` reads 0. Prepared statements
-//! cache their plan (and reusable hash-join build sides) alongside the
-//! parsed AST; DDL, `ANALYZE`, and planner-knob changes invalidate cached
-//! plans, and a write to a build-side table invalidates its cached build.
+//! cache their plan alongside the parsed AST; DDL, `ANALYZE`, and
+//! planner-knob changes invalidate cached plans.
 //! Collected statistics are queryable as the `rel_table_stats` virtual
 //! table.
 //!

@@ -236,16 +236,13 @@ define_stats! {
     counter plan_cache_hits:
         "Joined-select executions that reused a prepared statement's cached \
          plan instead of replanning.",
-    counter build_reuse_hits:
-        "Hash-join build sides reused from a prepared statement's plan cache \
-         instead of being rebuilt.",
     counter subqueries_executed:
         "Scalar and IN subqueries executed while rewriting WHERE clauses.",
     counter rows_materialized:
-        "Owned rows the select executor allocated: the rows it returned plus \
-         the build sides of hash joins it had to (re)build. Rows a statement \
-         only reads — scanned, filtered, joined, aggregated — stay borrowed \
-         and are not counted.",
+        "Owned rows the select executor allocated: the rows it returned. \
+         Rows a statement only reads — scanned, filtered, joined (a hash \
+         join's build side included), aggregated — stay borrowed and are not \
+         counted.",
 }
 
 impl OpStats {

@@ -78,7 +78,6 @@
 //! never correctness.
 
 use crate::error::Result;
-use crate::hash::FoldMap;
 use crate::exec::{get_table, Catalog, QueryResult};
 use crate::mvcc::Snapshot;
 use crate::obs::OpStats;
@@ -422,7 +421,7 @@ pub enum JoinStrategy {
     },
     /// Index-nested-loop equi join: for each accumulated row, probe the
     /// right table's index on `lookup` with the row's `probe` value. No
-    /// build side, so nothing to cache and nothing a write can invalidate.
+    /// build side.
     IndexLoop {
         /// Column reference (as written) resolved against the accumulated
         /// left schema at execution time.
@@ -456,10 +455,6 @@ pub struct JoinStep {
     pub strategy: JoinStrategy,
     /// Estimated rows after this join.
     pub est_out_rows: f64,
-    /// Whether the built side is reusable across executions of the same
-    /// prepared statement (false when the pushdown references `?`
-    /// parameters, whose values change per execution).
-    pub cacheable: bool,
 }
 
 /// The full plan for a SELECT: base access + joins in execution order.
@@ -480,15 +475,6 @@ pub struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// True when some step has a hash build side a prepared statement may
-    /// reuse across executions. Plans without one never touch the build
-    /// slots of their [`PlanSlot`].
-    pub(crate) fn caches_builds(&self) -> bool {
-        self.steps
-            .iter()
-            .any(|s| s.cacheable && matches!(s.strategy, JoinStrategy::Hash { .. }))
-    }
-
     /// True when the executor folds `stmt`'s aggregates into the build rows
     /// of the last step (the *groupjoin*): the statement has a GROUP BY,
     /// the last step executed is a hash join, and every grouping column
@@ -682,7 +668,6 @@ pub fn plan_select(
                     (strategy, est_out)
                 }
             };
-            let cacheable = pd.as_ref().is_none_or(|e| e.param_count() == 0);
             let step = JoinStep {
                 clause: ji,
                 table: crate::schema::lower_name(&clause.table).into_owned(),
@@ -690,7 +675,6 @@ pub fn plan_select(
                 pushdown: pd,
                 strategy,
                 est_out_rows: est_out,
-                cacheable,
             };
             let better = match best {
                 None => true,
@@ -911,70 +895,15 @@ pub fn explain_result(
     }
 }
 
-/// A hash-join build side cached on a prepared statement, reusable while
-/// the owning table is physically unchanged and the reader's snapshot is
-/// identical (same visible row set).
-#[derive(Debug)]
-pub struct CachedBuild {
-    /// `Table::version` when built.
-    pub table_version: u64,
-    /// The snapshot the build was made under.
-    pub snapshot: Snapshot,
-    /// Build-key value → the owned right-table rows holding it
-    /// (post-pushdown), hashed by [`crate::hash::FoldState`].
-    pub(crate) map: FoldMap<Value, BuildBucket>,
-    /// Rows in all buckets. The build rows are numbered `0..rows`, each
-    /// bucket's consecutively from its [`BuildBucket::first`].
-    pub rows: usize,
-}
-
-/// The build rows sharing one key. Row `i` of the bucket is build row
-/// `first + i`: a probe that lands here names its match by a dense number
-/// without hashing anything, which is what lets a groupjoin keep one slot
-/// per build row.
-#[derive(Debug, Default)]
-pub struct BuildBucket {
-    /// The number of the bucket's first row.
-    pub first: usize,
-    /// The rows, in build order.
-    pub rows: Vec<Row>,
-}
-
-impl CachedBuild {
-    /// Seals a freshly built map: numbers the buckets' rows densely.
-    pub(crate) fn new(table_version: u64, snapshot: Snapshot, mut map: FoldMap<Value, BuildBucket>) -> Self {
-        let mut rows = 0;
-        for bucket in map.values_mut() {
-            bucket.first = rows;
-            rows += bucket.rows.len();
-        }
-        CachedBuild {
-            table_version,
-            snapshot,
-            map,
-            rows,
-        }
-    }
-
-    /// True when the cached build still describes exactly the rows the
-    /// caller would see: the table has had no physical change and the
-    /// snapshot is the same visible set.
-    pub(crate) fn valid_for(&self, table: &Table, vis: &Snapshot) -> bool {
-        self.table_version == table.version() && self.snapshot == *vis
-    }
-}
-
-/// The cached plan state of one prepared statement: the plan itself plus
-/// any reusable hash-join build sides, all invalidated when `gen` falls
-/// behind the database's plan generation (bumped by DDL and `ANALYZE`).
+/// The cached plan state of one prepared statement: the plan, invalidated
+/// when `gen` falls behind the database's plan generation (bumped by DDL
+/// and `ANALYZE`).
 #[derive(Debug, Default)]
 pub(crate) struct PlanSlot {
     /// Database plan generation this slot was filled under.
     pub gen: u64,
     /// The cached plan, if planned already.
     pub plan: Option<Arc<SelectPlan>>,
-    /// Cached build sides, parallel to `plan.steps`.
-    pub builds: Vec<Option<Arc<CachedBuild>>>,
 }
 
 /// Shareable plan-cache cell attached to a prepared statement.
@@ -1284,7 +1213,7 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_shrinks_build_estimates_and_marks_param_builds_uncacheable() {
+    fn pushdown_shrinks_build_estimates() {
         let cat = catalog();
         let stmt = select_stmt(
             "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
@@ -1299,14 +1228,6 @@ mod tests {
             matches!(step.access.path, AccessPath::Point { .. }),
             "pushed equality turns the build into a point lookup"
         );
-        assert!(step.cacheable);
-
-        let stmt = select_stmt(
-            "SELECT * FROM matches JOIN jobs ON matches.job_id = jobs.job_id \
-             WHERE jobs.state = ?",
-        );
-        let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
-        assert!(!plan.steps[0].cacheable, "param-dependent build must rebuild");
     }
 
     #[test]
@@ -1343,7 +1264,6 @@ mod tests {
                 index: "idx_matches_job_id".into(),
             }
         );
-        assert!(!plan.caches_builds(), "an index loop has no build side");
 
         // A hundred left rows against four machines: 100 x (1 + 4/4) probes
         // lose to building four rows and probing the map 100 times.
@@ -1352,7 +1272,6 @@ mod tests {
         );
         let plan = plan_select(&cat, &stmt, &[], true, false).unwrap();
         assert!(matches!(plan.steps[0].strategy, JoinStrategy::Hash { .. }));
-        assert!(plan.caches_builds());
 
         // No index on the right-hand column: nothing to probe.
         let stmt = select_stmt(
@@ -1400,19 +1319,5 @@ mod tests {
         let cat = catalog();
         let stmt = select_stmt("SELECT * FROM nope");
         assert!(plan_select(&cat, &stmt, &[], true, false).is_err());
-    }
-
-    #[test]
-    fn cached_build_validity_tracks_version_and_snapshot() {
-        let cat = catalog();
-        let jobs = cat.get("jobs").unwrap();
-        let vis = Snapshot::latest();
-        let build = CachedBuild::new(jobs.version(), vis.clone(), FoldMap::default());
-        assert!(build.valid_for(jobs, vis));
-        let other = Snapshot {
-            high: vis.high.wrapping_sub(1),
-            ..vis.clone()
-        };
-        assert!(!build.valid_for(jobs, &other));
     }
 }

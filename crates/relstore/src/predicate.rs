@@ -414,6 +414,17 @@ impl<'e> Operand<'e> {
             Operand::Expr(e) => e.test(tuple, params),
         }
     }
+
+    /// Hands the operand's value to `f`: a leaf's by reference, straight
+    /// out of the row, the statement or `params`; only a computed value is
+    /// evaluated (into a `Cow`) first.
+    #[inline]
+    fn with<T>(&self, tuple: &[&Row], params: &[Value], f: impl FnOnce(&Value) -> T) -> Result<T> {
+        Ok(match self {
+            Operand::Leaf(leaf) => f(leaf.get(tuple, params)?),
+            Operand::Expr(e) => f(e.eval(tuple, params)?.as_ref()),
+        })
+    }
 }
 
 /// An [`Expr`] with its columns resolved ([`Expr::bind`]): evaluated
@@ -544,32 +555,14 @@ impl<'e> BoundExpr<'e> {
                 return to_tristate(self.eval(tuple, params)?.as_ref())
             }
             BoundExpr::Cmp(op, l, r) => {
-                eval_cmp(*op, l.eval(tuple, params)?.as_ref(), r.eval(tuple, params)?.as_ref())
+                l.with(tuple, params, |l| r.with(tuple, params, |r| eval_cmp(*op, l, r)))??
             }
             BoundExpr::And(l, r) => and3(l.test(tuple, params)?, r.test(tuple, params)?),
             BoundExpr::Or(l, r) => or3(l.test(tuple, params)?, r.test(tuple, params)?),
             BoundExpr::Not(e) => e.test(tuple, params)?.map(|b| !b),
-            BoundExpr::IsNull(e) => Some(e.eval(tuple, params)?.is_null()),
-            BoundExpr::IsNotNull(e) => Some(!e.eval(tuple, params)?.is_null()),
-            BoundExpr::InList(e, list) => {
-                let v = e.eval(tuple, params)?;
-                if v.is_null() {
-                    return Ok(None);
-                }
-                let mut saw_null = false;
-                for item in *list {
-                    match v.sql_eq(item) {
-                        Some(true) => return Ok(Some(true)),
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                if saw_null {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
+            BoundExpr::IsNull(e) => Some(e.with(tuple, params, Value::is_null)?),
+            BoundExpr::IsNotNull(e) => Some(!e.with(tuple, params, Value::is_null)?),
+            BoundExpr::InList(e, list) => e.with(tuple, params, |v| in_list(v, list))?,
         })
     }
 
@@ -618,6 +611,27 @@ fn eval_cmp(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
         CmpOp::Le => l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Greater),
         CmpOp::Gt => l.sql_cmp(r).map(|o| o == std::cmp::Ordering::Greater),
         CmpOp::Ge => l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Less),
+    }
+}
+
+/// `v IN (list)`, three-valued: NULL when `v` is, or when nothing matched
+/// but a NULL in the list could have.
+fn in_list(v: &Value, list: &[Value]) -> Option<bool> {
+    if v.is_null() {
+        return None;
+    }
+    let mut saw_null = false;
+    for item in list {
+        match v.sql_eq(item) {
+            Some(true) => return Some(true),
+            Some(false) => {}
+            None => saw_null = true,
+        }
+    }
+    if saw_null {
+        None
+    } else {
+        Some(false)
     }
 }
 

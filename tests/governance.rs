@@ -606,10 +606,10 @@ fn the_folded_usage_report_charges_every_match() {
         assert!(matches!(err, Error::ResourceExhausted(_)), "{max_rows}: {err}");
     }
     assert_eq!(governed(&db, &budget(810)).query(report, ()).unwrap().rows.len(), 5);
-    // That run cached the `users` build side; a rerun reuses it, so only
-    // the 400 history rows, the 400 matches and the 5 groups are charged.
-    assert_eq!(governed(&db, &budget(805)).query(report, ()).unwrap().rows.len(), 5);
-    let err = governed(&db, &budget(804)).query(report, ()).unwrap_err();
+    // Every run builds the `users` side afresh, so a rerun is charged the
+    // same 810.
+    assert_eq!(governed(&db, &budget(810)).query(report, ()).unwrap().rows.len(), 5);
+    let err = governed(&db, &budget(809)).query(report, ()).unwrap_err();
     assert!(matches!(err, Error::ResourceExhausted(_)), "{err}");
 }
 

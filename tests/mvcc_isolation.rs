@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use relstore::{Database, DurabilityPolicy, MemDevice, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// A table of (a, b) pairs with the invariant `a == b` in every committed
 /// state. The writer breaks the invariant *inside* its transactions (two
@@ -51,10 +52,15 @@ fn no_dirty_reads_and_zero_reader_conflicts_under_a_committing_writer() {
     let db = pairs_db();
     let done = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
+    // Readers that have finished their first loop: the writer starts once
+    // all four have, so every write overlaps running readers whatever the
+    // scheduler does.
+    let ready = AtomicU64::new(0);
     std::thread::scope(|s| {
         let db = &db;
         let done = &done;
         let reads = &reads;
+        let ready = &ready;
         // 4 readers exercising every read path: autocommit point selects,
         // pipelined batches, and in-transaction (repeatable-read) selects.
         // Not a single read may fail — the reader/writer LockConflict path
@@ -96,11 +102,20 @@ fn no_dirty_reads_and_zero_reader_conflicts_under_a_committing_writer() {
                     txn.commit().unwrap();
 
                     reads.fetch_add(1, Ordering::Relaxed);
+                    if i == 0 {
+                        ready.fetch_add(1, Ordering::Release);
+                    }
                     i += 1;
                 }
             });
         }
         s.spawn(move || {
+            // Bounded, so a reader that panicked in its first loop fails
+            // the test instead of hanging it.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while ready.load(Ordering::Acquire) < 4 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             for i in 0..400i64 {
                 // Aborting every third transaction exercises version-chain
                 // rollback under concurrent readers.

@@ -161,7 +161,6 @@ fn system_table_names_and_kinds_are_pinned() {
         "tables_analyzed",
         "plans_built",
         "plan_cache_hits",
-        "build_reuse_hits",
         "subqueries_executed",
         "rows_materialized",
     ]

@@ -1,7 +1,7 @@
 //! Planner equivalence and semantics tests.
 //!
-//! The core property: whatever join order, access path, or cached build the
-//! cost-based planner picks, the result row-set must be identical to a naive
+//! The core property: whatever join order or access path the cost-based
+//! planner picks, the result row-set must be identical to a naive
 //! nested-loop join computed directly over the generated data — across NULL
 //! join keys, duplicate keys, dangling foreign keys, empty tables, and stats
 //! that have gone stale since `ANALYZE`. The index-nested-loop join gets the
@@ -308,7 +308,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Planned execution — including the second run, which hits the plan
-    /// cache and reuses hash-join build sides — matches the nested-loop
+    /// cache — matches the nested-loop
     /// oracle, as does the de-optimized configuration (syntactic join
     /// order, forced base scans).
     #[test]
@@ -330,9 +330,9 @@ proptest! {
         }
     }
 
-    /// A write between two executions of the same (cached) statement
-    /// invalidates any reused hash-join build side: the second result
-    /// reflects the new row.
+    /// A write between two executions of the same (cached) statement is
+    /// seen by the second: the plan is reused, the hash-join build side is
+    /// built again.
     #[test]
     fn cached_builds_never_serve_stale_rows(d in dataset_strategy()) {
         let db = load(&d);
@@ -1870,7 +1870,7 @@ fn every_access_shape_reads_exactly_what_it_did() {
         ),
         (
             "SELECT a.id, c.label FROM a JOIN c ON a.grp = c.id",
-            144, 104, 0, 44, 1,
+            144, 104, 0, 40, 1,
             Some("full scan of a ; build c on c.id via full scan of c, probe a.grp"),
         ),
         (
@@ -1917,7 +1917,7 @@ fn every_access_shape_reads_exactly_what_it_did() {
 
 /// The smallest budget under which `sql` succeeds: `budget(n)` arms a
 /// limit of `n`. Each attempt runs cold — `set_force_scan(false)` starts a
-/// new plan generation, so no hash build side is reused from the last.
+/// new plan generation, so no plan is reused from the last.
 fn smallest_budget(db: &Database, sql: &str, budget: impl Fn(u64) -> Governance) -> u64 {
     let fits = |n: u64| {
         db.set_force_scan(false);
